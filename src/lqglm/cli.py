@@ -165,7 +165,7 @@ def cmd_selectq(args):
         "rho": sel.rho,
         "qv_profile": {f"{k:.6g}": v for k, v in sel.qv_profile.items()},
         "dropped": sel.dropped,
-        "pruned": sel.pruned,
+        "pruned": [],  # kept so that lq-glm/1 documents keep their keys
         "fits": {f"{k:.6g}": v for k, v in sel.fits.items()},
     }
     _emit(json.dumps(doc, indent=2), args.output)

@@ -16,26 +16,27 @@ coefficients and the three test statistics are chi-square scaled.
 """
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import (
     DegenerateDirectionError,
+    LqglmError,
     SingularMatrixError,
     UsageError,
 )
-from .families import Q_ONE_EPS, quantile_residual_base
+from .families import _lq_terms, log_density, quantile_residual_base
 from .fit import (
     FitControl,
+    _sensitivity,
+    _working,
     estimating_function,
     fit_mlq,
-    lq_value_from_eta,
     matrices_ab,
-    robust_weights,
 )
 from .model import ModelData
-from .numerics import chi_square_sf, rng_stream, solve_spd
+from .numerics import chi_square_sf, inv_spd, rng_stream, solve_spd
 
 __all__ = [
     "LinearHypothesis",
@@ -135,7 +136,7 @@ def wald_test(fit, hyp):
 def _nullspace_param(H, rhs):
     """Particular solution and null-space basis for ``H b = rhs``."""
     d, p = H.shape
-    b0 = H.T @ np.linalg.solve(H @ H.T, rhs)
+    b0 = H.T @ solve_spd(H @ H.T, rhs)
     _, s, Vt = np.linalg.svd(H)
     N = Vt[d:].T
     return b0, N
@@ -157,9 +158,9 @@ def _constrained_fit(data, hyp, q, control=None):
         return b0, phi
     offset = data.X @ b0
     reduced = ModelData(data.X @ N, data.y, data.family, data.link, data.phi)
-    ctl = control if control is not None else FitControl()
-    ctl = FitControl(q=q, max_iter=ctl.max_iter, tol=ctl.tol,
-                     step_halving_max=ctl.step_halving_max, stop_rule=ctl.stop_rule)
+    # an explicit init belongs to the full design, not the reduced one
+    ctl = replace(control if control is not None else FitControl(), q=q,
+                  init="ml-warm-start")
     res = fit_mlq(reduced, ctl, offset=offset)
     return b0 + N @ res.beta_star, res.phi_hat
 
@@ -169,7 +170,7 @@ def score_test(data, hyp, q, control=None):
     beta_t, phi_t = _constrained_fit(data, hyp, q, control)
     psi = estimating_function(data, beta_t, q, phi_t)
     A_t, B_t = matrices_ab(data, beta_t, q, phi_t)
-    Bti = np.linalg.inv(B_t)
+    Bti = inv_spd(B_t)
     C_t = Bti @ A_t @ Bti
     v = hyp.H @ (Bti @ psi)
     stat = v @ solve_spd(hyp.H @ C_t @ hyp.H.T, v)
@@ -186,27 +187,17 @@ def bf_test(data, fit, hyp, q=None, control=None):
     beta_t, phi_t = _constrained_fit(data, hyp, q, control)
     psi = estimating_function(data, beta_t, q, phi_t)
     _, B_t = matrices_ab(data, beta_t, q, phi_t)
-    v = hyp.H @ np.linalg.solve(B_t, psi)
+    v = hyp.H @ solve_spd(B_t, psi)
     diff = hyp.H @ fit.beta_q - hyp.h
     stat = v @ solve_spd(hyp.H @ fit.cov @ hyp.H.T, diff)
     return _make_result(stat, hyp.d, "bilinear")
 
 
 def _hat_pieces(data, fit):
-    """W, J, GK, U and the projector core at the surrogate solution."""
-    fam, link = data.family, data.link
-    eta = fit.eta_star
-    theta = link.k(eta)
-    phi = fit.phi_hat
-    q = fit.q
-    kdot = link.k_dot(eta)
-    V = fam.b_ddot(theta)
-    W = V * kdot * kdot
-    J = np.exp(phi * (q * fam.b(theta) - fam.b(q * theta)))
-    GK = link.g_dot(theta) * kdot
-    U = fit.weights
-    XtDX = data.X.T @ ((W * J * GK)[:, None] * data.X)
-    return W, V, J, GK, U, kdot, XtDX
+    """Working point, ``V``, ``W``, ``J``, ``GK`` and the projector core
+    ``X' W J GK X`` at the surrogate solution."""
+    w = _working(data, fit.eta_star, fit.q, fit.phi_hat)
+    return (w, *_sensitivity(data, w, fit.q, fit.phi_hat))
 
 
 def added_variable_score(data, fit_null, z, q=None):
@@ -223,9 +214,9 @@ def added_variable_score(data, fit_null, z, q=None):
     z = np.asarray(z, dtype=float).ravel()
     if z.shape[0] != data.n:
         raise UsageError("z must have one entry per observation")
-    W, V, J, GK, U, kdot, XtDX = _hat_pieces(data, fit_null)
+    w, _, W, J, GK, XtDX = _hat_pieces(data, fit_null)
     phi = fit_null.phi_hat
-    num_core = z @ (U * kdot * (data.y - fit_null.mu_star))
+    num_core = z @ (w.U * w.kdot * (data.y - w.mu))
     D = W * J * GK
     v = z - data.X @ solve_spd(XtDX, data.X.T @ (D * z))
     den = float(np.sum(W * J * v * v))
@@ -250,7 +241,7 @@ def standardized_residuals(data, fit):
     bracket under the square root is negative are returned as NaN with a
     warning, not an error.
     """
-    W, V, J, GK, U, kdot, XtDX = _hat_pieces(data, fit)
+    w, V, W, J, GK, XtDX = _hat_pieces(data, fit)
     phi = fit.phi_hat
     q = fit.q
     P = data.X @ solve_spd(XtDX, data.X.T)
@@ -267,7 +258,7 @@ def standardized_residuals(data, fit):
         )
     with np.errstate(invalid="ignore", divide="ignore"):
         den = np.sqrt(J * V / phi) * np.sqrt(np.where(bad, np.nan, bracket))
-        return np.sqrt(2.0 - q) * U * (data.y - fit.mu_star) / den
+        return np.sqrt(2.0 - q) * w.U * (data.y - w.mu) / den
 
 
 def deviance_residuals(data, fit):
@@ -278,19 +269,11 @@ def deviance_residuals(data, fit):
     family's limit (Bernoulli saturated density 1; Poisson ``theta =
     log y`` with ``l_q = 0`` at ``y = 0``).
     """
-    fam = data.family
     phi = fit.phi_hat
     q = fit.q
-
-    def lq_of(logf):
-        if abs(q - 1.0) < Q_ONE_EPS:
-            return logf
-        return np.expm1((1.0 - q) * logf) / (1.0 - q)
-
-    logf_sat = fam.saturated_log_density(data.y, phi)
-    theta_hat = data.link.k(fit.eta_q)
-    logf_fit = phi * (data.y * theta_hat - fam.b(theta_hat)) + fam.c(data.y, phi)
-    d = 2.0 * (lq_of(logf_sat) - lq_of(logf_fit))
+    logf_sat = data.family.saturated_log_density(data.y, phi)
+    logf_fit = _working(data, fit.eta_q, q, phi).logf
+    d = 2.0 * (_lq_terms(logf_sat, q) - _lq_terms(logf_fit, q))
     d = np.maximum(d, 0.0)
     return np.sign(data.y - fit.mu) * np.sqrt(d)
 
@@ -340,8 +323,7 @@ def influence_fn(data, fit, y_new, x_new, q=None):
     theta = float(link.k(eta))
     fam.check_theta(theta)
     fam.validate_y(np.asarray([y_new], dtype=float))
-    logf = phi * (y_new * theta - float(fam.b(theta))) + float(fam.c(np.asarray(y_new, dtype=float), phi))
-    u = np.exp((1.0 - q) * logf)
+    u = np.exp((1.0 - q) * log_density(fam, y_new, theta, phi))
     score = phi * float(link.k_dot(eta)) * (y_new - float(fam.b_dot(theta))) * x_new
     return solve_spd(fit.B_n, u * score)
 
@@ -368,9 +350,7 @@ def simulation_envelope(data, fit, kind="standardized", reps=100, seed=0,
     resid = _RESIDUAL_FUNCS[kind]
     ctl = control if control is not None else FitControl(q=fit.q)
     if abs(ctl.q - fit.q) > 0:
-        ctl = FitControl(q=fit.q, max_iter=ctl.max_iter, tol=ctl.tol,
-                         step_halving_max=ctl.step_halving_max,
-                         stop_rule=ctl.stop_rule)
+        ctl = replace(ctl, q=fit.q, init="ml-warm-start")
     sims = []
     failed = 0
     for r in range(reps):
@@ -380,7 +360,7 @@ def simulation_envelope(data, fit, kind="standardized", reps=100, seed=0,
             data_sim = ModelData(data.X, y_sim, data.family, data.link, data.phi)
             fit_sim = fit_mlq(data_sim, ctl)
             vals = np.sort(resid(data_sim, fit_sim, rng))
-        except (SingularMatrixError, UsageError):
+        except LqglmError:
             failed += 1
             continue
         if np.any(~np.isfinite(vals)):

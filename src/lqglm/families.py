@@ -57,9 +57,6 @@ class ThetaLink:
     def k_dot(self, eta):
         raise NotImplementedError
 
-    def k_ddot(self, eta):
-        raise NotImplementedError
-
     def g(self, theta):
         """Inverse of ``k``."""
         raise NotImplementedError
@@ -78,9 +75,6 @@ class CanonicalLink(ThetaLink):
 
     def k_dot(self, eta):
         return np.ones_like(np.asarray(eta, dtype=float))
-
-    def k_ddot(self, eta):
-        return np.zeros_like(np.asarray(eta, dtype=float))
 
     def g(self, theta):
         return np.asarray(theta, dtype=float)
@@ -102,10 +96,6 @@ class PowerThetaLink(ThetaLink):
 
     def k_dot(self, eta):
         return self.m * np.asarray(eta, dtype=float) ** (self.m - 1)
-
-    def k_ddot(self, eta):
-        eta = np.asarray(eta, dtype=float)
-        return self.m * (self.m - 1) * eta ** (self.m - 2)
 
     def g(self, theta):
         theta = np.asarray(theta, dtype=float)
@@ -369,11 +359,15 @@ def deformed_log(u, q):
         raise DomainError("deformed_log requires u > 0")
     if q <= 0.0:
         raise DomainError("deformed_log requires q > 0", value=q)
-    if abs(q - 1.0) < Q_ONE_EPS:
-        out = np.log(u)
-    else:
-        out = np.expm1((1.0 - q) * np.log(u)) / (1.0 - q)
+    out = _lq_terms(np.log(u), q)
     return float(out) if out.ndim == 0 else out
+
+
+def _lq_terms(logf, q):
+    """``l_q`` of a density given its logarithm (no argument checks)."""
+    if abs(q - 1.0) < Q_ONE_EPS:
+        return logf
+    return np.expm1((1.0 - q) * logf) / (1.0 - q)
 
 
 def log_density(family, y, theta, phi=None):

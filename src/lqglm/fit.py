@@ -9,12 +9,14 @@ iteratively reweighted least squares structure with weights
 ``U_i = f(y_i)^(1-q)`` that downweight observations of low probability.
 """
 
+from typing import NamedTuple
+
 import numpy as np
 
 from .errors import BracketError, DomainError, SingularMatrixError, UsageError
-from .families import Q_ONE_EPS
+from .families import Q_ONE_EPS, _lq_terms
 from .model import PROFILE, FitControl, FitResult, ModelData
-from .numerics import maximize_1d, solve_spd
+from .numerics import inv_spd, maximize_1d, solve_spd
 
 __all__ = [
     "lq_objective",
@@ -33,39 +35,87 @@ SEPARATION_NORM_FACTOR = 1e4
 THETA_OVERFLOW = 700.0
 
 
-def _eta_theta(data, beta, offset=None):
-    eta = data.X @ np.asarray(beta, dtype=float)
-    if offset is not None:
-        eta = eta + offset
+class _Working(NamedTuple):
+    """Per-observation quantities of the Lq fit at one linear predictor."""
+
+    eta: np.ndarray
+    theta: np.ndarray
+    in_domain: bool
+    logf: np.ndarray
+    objective: float
+    U: np.ndarray
+    mu: np.ndarray
+    kdot: np.ndarray
+    psi: np.ndarray
+
+
+def _working(data, eta, q, phi):
+    """Evaluate the fit at the linear predictor ``eta``.
+
+    ``logf`` is the log-density ``phi*(y*theta - b(theta)) + c(y, phi)``,
+    ``objective`` the Lq-objective, ``U = f^(1-q)`` the estimation weights,
+    ``mu`` the means and ``psi`` the estimating function.  ``in_domain``
+    is False when a natural parameter leaves the family domain; the other
+    fields are then not meaningful.
+    """
+    fam, y = data.family, data.y
     theta = data.link.k(eta)
-    if not data.family.in_theta_domain(theta):
-        bad = int(np.argmax(~np.isfinite(theta) | (theta <= data.family.theta_domain[0]) | (theta >= data.family.theta_domain[1])))
+    logf = phi * (y * theta - fam.b(theta)) + fam.c(y, phi)
+    U = np.exp((1.0 - q) * logf)
+    mu = fam.b_dot(theta)
+    kdot = data.link.k_dot(eta)
+    # W^{1/2} V^{-1/2} reduces to k_dot since W = V k_dot^2
+    psi = phi * (data.X.T @ (U * kdot * (y - mu)))
+    objective = float(np.sum(_lq_terms(logf, q)))
+    return _Working(eta, theta, fam.in_theta_domain(theta), logf, objective, U, mu, kdot, psi)
+
+
+def _sensitivity(data, w, q, phi):
+    """``V``, ``W``, ``J``, ``GK`` and ``X' diag(W J GK) X`` at a working point.
+
+    ``W_i = V_i k_dot(eta_i)^2``, ``J_i = J_q(theta_i)^(-phi)`` and
+    ``GK_i = g_dot(theta_i) k_dot(eta_i)`` are the factors of ``A_n`` and
+    ``B_n``.
+    """
+    fam = data.family
+    V = fam.b_ddot(w.theta)
+    W = V * w.kdot * w.kdot
+    J = np.exp(phi * (q * fam.b(w.theta) - fam.b(q * w.theta)))
+    GK = data.link.g_dot(w.theta) * w.kdot
+    return V, W, J, GK, data.X.T @ ((W * J * GK)[:, None] * data.X)
+
+
+def _predictor(data, beta, offset):
+    eta = data.X @ np.asarray(beta, dtype=float)
+    return eta if offset is None else eta + offset
+
+
+def _working_at(data, beta, q, phi, offset):
+    """``_working`` at coefficients ``beta``, with the public ``phi`` default.
+
+    Returns the working point and the resolved ``phi``; raises DomainError
+    naming the first row whose natural parameter leaves the family domain.
+    """
+    phi = data.family.resolve_phi(_phi_value(data, phi))
+    w = _working(data, _predictor(data, beta, offset), q, phi)
+    if not w.in_domain:
+        lo, hi = data.family.theta_domain
+        bad = int(np.argmax(~np.isfinite(w.theta) | (w.theta <= lo) | (w.theta >= hi)))
         raise DomainError(
             f"natural parameter outside the family domain at row {bad}",
             index=bad,
         )
-    return eta, theta
-
-
-def _lq_terms(logf, q):
-    if abs(q - 1.0) < Q_ONE_EPS:
-        return logf
-    return np.expm1((1.0 - q) * logf) / (1.0 - q)
+    return w, phi
 
 
 def lq_objective(data, beta, q, phi=None, offset=None):
     """Lq-likelihood objective ``sum_i l_q(f(y_i; k(x_i' beta), phi))``."""
-    phi = data.family.resolve_phi(_phi_value(data, phi))
-    _, theta = _eta_theta(data, beta, offset)
-    logf = phi * (data.y * theta - data.family.b(theta)) + data.family.c(data.y, phi)
-    return float(np.sum(_lq_terms(logf, q)))
+    return _working_at(data, beta, q, phi, offset)[0].objective
 
 
 def lq_value_from_eta(data, eta_q, q, phi):
     """Objective evaluated at given (calibrated) predictors."""
-    theta = data.link.k(eta_q)
-    logf = phi * (data.y * theta - data.family.b(theta)) + data.family.c(data.y, phi)
-    return float(np.sum(_lq_terms(logf, q)))
+    return _working(data, eta_q, q, phi).objective
 
 
 def robust_weights(data, beta, q, phi=None, offset=None):
@@ -74,22 +124,12 @@ def robust_weights(data, beta, q, phi=None, offset=None):
     All weights are 1 at q = 1; for q < 1 they downweight observations
     whose density under the current fit is small.
     """
-    phi = data.family.resolve_phi(_phi_value(data, phi))
-    _, theta = _eta_theta(data, beta, offset)
-    logf = phi * (data.y * theta - data.family.b(theta)) + data.family.c(data.y, phi)
-    return np.exp((1.0 - q) * logf)
+    return _working_at(data, beta, q, phi, offset)[0].U
 
 
 def estimating_function(data, beta, q, phi=None, offset=None):
     """Gradient of the Lq-objective: ``phi X' W^{1/2} U V^{-1/2} (y - mu)``."""
-    phi = data.family.resolve_phi(_phi_value(data, phi))
-    eta, theta = _eta_theta(data, beta, offset)
-    fam = data.family
-    mu = fam.b_dot(theta)
-    kdot = data.link.k_dot(eta)
-    U = robust_weights(data, beta, q, phi, offset)
-    # W^{1/2} V^{-1/2} reduces to k_dot since W = V k_dot^2
-    return phi * (data.X.T @ (U * kdot * (data.y - mu)))
+    return _working_at(data, beta, q, phi, offset)[0].psi
 
 
 def matrices_ab(data, beta, q, phi=None, offset=None):
@@ -101,22 +141,20 @@ def matrices_ab(data, beta, q, phi=None, offset=None):
     the supplied (surrogate-scale) ``beta``.  Requires ``q theta_i`` inside
     the natural parameter space.
     """
-    phi = data.family.resolve_phi(_phi_value(data, phi))
-    eta, theta = _eta_theta(data, beta, offset)
+    w, phi = _working_at(data, beta, q, phi, offset)
+    return _matrices_ab(data, w, q, phi)
+
+
+def _matrices_ab(data, w, q, phi):
     fam = data.family
-    if not fam.in_theta_domain(q * theta):
+    if not fam.in_theta_domain(q * w.theta):
         raise DomainError(
             "q*theta outside the natural parameter space; J_q undefined",
             bound=fam.theta_domain,
         )
-    kdot = data.link.k_dot(eta)
-    W = fam.b_ddot(theta) * kdot * kdot
-    J = np.exp(phi * (q * fam.b(theta) - fam.b(q * theta)))
-    GK = data.link.g_dot(theta) * kdot
-    WJ = W * J
-    A = (phi / (2.0 - q)) * (data.X.T @ (WJ[:, None] * data.X))
-    B = phi * (data.X.T @ ((WJ * GK)[:, None] * data.X))
-    return A, B
+    _, W, J, _, XtDX = _sensitivity(data, w, q, phi)
+    A = (phi / (2.0 - q)) * (data.X.T @ ((W * J)[:, None] * data.X))
+    return A, phi * XtDX
 
 
 def calibrate(link, eta_star, q):
@@ -166,49 +204,37 @@ def _classical_start(data, q, phi, offset):
 def _irls(data, q, phi, beta0, control, offset=None):
     """Newton-scoring/IRLS loop on the surrogate scale.
 
-    Returns ``(beta, iterations, converged, psi_norm, message)``.
+    Each accepted point is evaluated once: the line-search evaluation that
+    accepts it also gives the next step and the reported ``psi_norm``.
+
+    Returns ``(beta, iterations, converged, psi_norm, message,
+    objective_trace)``.
     """
-    fam, link, X, y = data.family, data.link, data.X, data.y
     beta = np.asarray(beta0, dtype=float).copy()
 
-    def objective(b):
+    def evaluate(b):
+        # trial points may overflow; the domain and finiteness checks reject them
         with np.errstate(over="ignore", invalid="ignore"):
-            eta = X @ b
-            if offset is not None:
-                eta = eta + offset
-            theta = link.k(eta)
-            if not fam.in_theta_domain(theta):
-                return -np.inf
-            logf = phi * (y * theta - fam.b(theta)) + fam.c(y, phi)
-            return float(np.sum(_lq_terms(logf, q)))
+            return _working(data, _predictor(data, b, offset), q, phi)
 
-    obj = objective(beta)
-    if not np.isfinite(obj):
+    w = evaluate(beta)
+    obj = w.objective
+    if not (w.in_domain and np.isfinite(obj)):
         raise DomainError("starting value gives a non-finite Lq-objective")
-    psi0_norm = float(np.max(np.abs(estimating_function(data, beta, q, phi, offset))))
+    psi0_norm = psi_norm = float(np.max(np.abs(w.psi)))
     start_scale = max(1.0, float(np.linalg.norm(beta)))
     converged = False
     message = ""
-    psi_norm = psi0_norm
     trace = [obj]
     it = 0
     for it in range(1, control.max_iter + 1):
-        eta, theta = _eta_theta(data, beta, offset)
-        if float(np.max(np.abs(theta))) > THETA_OVERFLOW:
+        if float(np.max(np.abs(w.theta))) > THETA_OVERFLOW:
             message = "stopped: |theta| overflow points to separation/indeterminacy"
             break
-        mu = fam.b_dot(theta)
-        kdot = link.k_dot(eta)
-        V = fam.b_ddot(theta)
         with np.errstate(over="ignore"):
-            logf = phi * (y * theta - fam.b(theta)) + fam.c(y, phi)
-            U = np.exp((1.0 - q) * logf)
-            J = np.exp(phi * (q * fam.b(theta) - fam.b(q * theta)))
-        W = V * kdot * kdot
-        GK = link.g_dot(theta) * kdot
-        psi = phi * (X.T @ (U * kdot * (y - mu)))
+            XtDX = _sensitivity(data, w, q, phi)[-1]
         try:
-            step = solve_spd(X.T @ ((W * J * GK)[:, None] * X), psi / phi)
+            step = solve_spd(XtDX, w.psi / phi)
         except SingularMatrixError as e:
             raise SingularMatrixError(
                 f"weighted normal equations singular at iteration {it} "
@@ -220,8 +246,8 @@ def _irls(data, q, phi, beta0, control, offset=None):
         merit_slack = 1e-12 * max(1.0, abs(obj))  # tolerate ulp-level noise
         for _ in range(control.step_halving_max + 1):
             trial = beta + lam * step
-            trial_obj = objective(trial)
-            if np.isfinite(trial_obj) and trial_obj >= obj - merit_slack:
+            tw = evaluate(trial)
+            if tw.in_domain and np.isfinite(tw.objective) and tw.objective >= obj - merit_slack:
                 accepted = True
                 break
             lam *= 0.5
@@ -229,10 +255,10 @@ def _irls(data, q, phi, beta0, control, offset=None):
             message = "stopped: step halving exhausted without improving the objective"
             break
         coef_change = float(np.max(np.abs(trial - beta))) / max(1.0, float(np.max(np.abs(beta))))
-        obj_change = abs(trial_obj - obj) / (0.1 + abs(trial_obj))
-        beta, obj = trial, trial_obj
+        obj_change = abs(tw.objective - obj) / (0.1 + abs(tw.objective))
+        beta, obj, w = trial, tw.objective, tw
         trace.append(obj)
-        psi_norm = float(np.max(np.abs(estimating_function(data, beta, q, phi, offset))))
+        psi_norm = float(np.max(np.abs(w.psi)))
         if float(np.linalg.norm(beta)) > SEPARATION_NORM_FACTOR * start_scale:
             message = "stopped: coefficient blow-up points to separation/indeterminacy"
             break
@@ -282,11 +308,9 @@ def fit_mlq(data, control=None, offset=None):
             raise UsageError(f"unknown init {control.init!r}")
         beta0 = _classical_start(data, q, phi, offset)
         if q < 1.0 - Q_ONE_EPS:
-            ml_control = FitControl(
-                q=1.0, max_iter=control.max_iter, tol=control.tol,
-                step_halving_max=control.step_halving_max, stop_rule=control.stop_rule,
-            )
-            beta0, _, _, _, _, _ = _irls(data, 1.0, phi, beta0, ml_control, offset)
+            # _irls takes q as an argument and reads only the loop settings
+            # from the control.
+            beta0 = _irls(data, 1.0, phi, beta0, control, offset)[0]
     else:
         beta0 = np.asarray(control.init, dtype=float)
         if beta0.shape != (data.p,):
@@ -296,7 +320,7 @@ def fit_mlq(data, control=None, offset=None):
         beta, it, conv, psin, msg, trace = _irls(data, q, phi, beta0, control, offset)
         # Alternate beta | phi and phi | beta until the dispersion settles.
         for _ in range(25):
-            eta_q = calibrate(data.link, data.X @ beta + (offset if offset is not None else 0.0), q)
+            eta_q = calibrate(data.link, _predictor(data, beta, offset), q)
             phi_new = _profile_phi_from_eta(data, eta_q, q)
             if abs(np.log(phi_new / phi)) < 1e-8:
                 phi = phi_new
@@ -310,33 +334,26 @@ def fit_mlq(data, control=None, offset=None):
 
 
 def _assemble_result(data, beta_star, q, phi, iterations, converged, psi_norm, message, trace, offset=None):
-    link = data.link
-    eta_star = data.X @ beta_star
-    if offset is not None:
-        eta_star = eta_star + offset
-    theta_star = link.k(eta_star)
-    mu_star = data.family.b_dot(theta_star)
-    eta_q = calibrate(link, eta_star, q)
-    mu = data.family.b_dot(link.k(eta_q))
-    U = robust_weights(data, beta_star, q, phi, offset)
-    A_n, B_n = matrices_ab(data, beta_star, q, phi, offset)
-    Binv = np.linalg.inv(B_n)
+    w, phi = _working_at(data, beta_star, q, phi, offset)
+    eta_q = calibrate(data.link, w.eta, q)
+    at_eta_q = _working(data, eta_q, q, phi)
+    A_n, B_n = _matrices_ab(data, w, q, phi)
+    Binv = inv_spd(B_n)
     cov = Binv @ A_n @ Binv
     cov = 0.5 * (cov + cov.T)
-    beta_q = calibrate_coefficients(link, beta_star, q)
     return FitResult(
         q=q,
         beta_star=beta_star,
-        beta_q=beta_q,
-        eta_star=eta_star,
+        beta_q=calibrate_coefficients(data.link, beta_star, q),
+        eta_star=w.eta,
         eta_q=eta_q,
-        weights=U,
-        mu=mu,
-        mu_star=mu_star,
+        weights=w.U,
+        mu=at_eta_q.mu,
+        mu_star=w.mu,
         A_n=A_n,
         B_n=B_n,
         cov=cov,
-        lq_value=lq_value_from_eta(data, eta_q, q, phi),
+        lq_value=at_eta_q.objective,
         phi_hat=phi,
         iterations=iterations,
         converged=converged,

@@ -7,11 +7,11 @@ of the sandwich covariance.  Both fit the whole grid with warm starts
 """
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import SelectionError, UsageError
+from .errors import LqglmError, SelectionError, UsageError
 from .fit import FitControl, fit_mlq, matrices_ab
 from .numerics import inv_spd
 
@@ -29,8 +29,7 @@ class QGrid:
     """Decreasing grid ``1 >= q_1 > q_2 > ... > q_m`` of distortion values.
 
     ``rho_factor`` scales the stability threshold
-    ``rho = rho_factor * ||beta at q_m||``.  ``prune`` drops grid values
-    whose surrogate natural parameters would leave the family domain.
+    ``rho = rho_factor * ||beta at q_m||``.
     """
 
     def __init__(self, q_values=None, q_min=0.70, step=0.01, rho_factor=0.05):
@@ -46,27 +45,6 @@ class QGrid:
         self.step = step
         self.q_min = float(q_values[-1])
         self.rho_factor = rho_factor
-        self.pruned = []
-
-    def prune(self, family, theta_ref):
-        """Drop q values whose surrogate ``theta_ref / q`` leaves the domain.
-
-        ``theta_ref`` holds natural-parameter values on the calibrated
-        scale (e.g. from a q = 1 fit); fitting at q requires the surrogate
-        ``theta / q`` to stay inside the family's parameter space.
-        """
-        theta_ref = np.asarray(theta_ref, dtype=float)
-        keep, pruned = [], []
-        for q in self.q_values:
-            if family.in_theta_domain(theta_ref / q):
-                keep.append(q)
-            else:
-                pruned.append(float(q))
-        if len(keep) < 2:
-            raise SelectionError("grid pruning left fewer than two usable q values")
-        out = QGrid(q_values=keep, step=self.step, rho_factor=self.rho_factor)
-        out.pruned = pruned
-        return out
 
 
 @dataclass
@@ -77,7 +55,6 @@ class QSelectResult:
     fits: dict
     method: str
     dropped: list = field(default_factory=list)
-    pruned: list = field(default_factory=list)
 
 
 def fisher_information(data, fit):
@@ -117,7 +94,7 @@ def _coef_norm(data, fit):
     return float(np.linalg.norm(fit.eta_q) / np.sqrt(data.n))
 
 
-def _grid_fits(data, grid, control, independent_starts=False):
+def _grid_fits(data, grid, control):
     """Warm-started fits down the grid; non-convergent q's are dropped.
 
     Grid fits default to a higher iteration cap than single fits: the
@@ -128,12 +105,10 @@ def _grid_fits(data, grid, control, independent_starts=False):
     fits, dropped = {}, []
     start = None
     for q in grid.q_values:
-        kwargs = dict(max_iter=ctl.max_iter, tol=ctl.tol,
-                      step_halving_max=ctl.step_halving_max, stop_rule=ctl.stop_rule)
-        c = FitControl(q=float(q), init="ml-warm-start" if start is None else start, **kwargs)
+        c = replace(ctl, q=float(q), init="ml-warm-start" if start is None else start)
         try:
             res = fit_mlq(data, c)
-        except Exception as e:  # singular weights etc.: treat as non-convergent
+        except LqglmError as e:  # singular weights etc.: treat as non-convergent
             warnings.warn(f"grid fit at q={q:.4g} failed: {e}", stacklevel=3)
             dropped.append(float(q))
             continue
@@ -145,8 +120,7 @@ def _grid_fits(data, grid, control, independent_starts=False):
             dropped.append(float(q))
             continue
         fits[float(q)] = res
-        if not independent_starts:
-            start = res.beta_star.copy()
+        start = res.beta_star.copy()
     if len(fits) < 3:
         raise SelectionError(
             f"only {len(fits)} grid fits converged; selection needs at least 3"
@@ -154,7 +128,7 @@ def _grid_fits(data, grid, control, independent_starts=False):
     return fits, dropped
 
 
-def select_q_stability(data, grid=None, control=None, independent_starts=False):
+def select_q_stability(data, grid=None, control=None):
     """Stability selection of the distortion parameter.
 
     Fits every grid value and computes the movement
@@ -164,21 +138,9 @@ def select_q_stability(data, grid=None, control=None, independent_starts=False):
     i.e. the onset of the stable plateau when approaching q = 1; when the
     whole path is stable (no movement reaches ``rho``, the uncontaminated
     case) the largest grid value is returned.
-
-    With ``independent_starts=True`` every fit starts from the q = 1
-    estimate instead of chaining; if that changes any estimate the chained
-    (sequential) result wins.
     """
     grid = grid if grid is not None else QGrid()
     fits, dropped = _grid_fits(data, grid, control)
-    if independent_starts:
-        fits_ind, dropped_ind = _grid_fits(data, grid, control, independent_starts=True)
-        agree = set(fits) == set(fits_ind) and all(
-            _coef_distance(data, fits[q], fits_ind[q]) <= 1e-6 * (1.0 + _coef_norm(data, fits[q]))
-            for q in fits
-        )
-        if agree:
-            fits, dropped = fits_ind, dropped_ind
     qs = sorted(fits, reverse=True)
     qv = {qs[j]: _coef_distance(data, fits[qs[j]], fits[qs[j + 1]]) for j in range(len(qs) - 1)}
     rho = grid.rho_factor * _coef_norm(data, fits[qs[-1]])
@@ -191,7 +153,6 @@ def select_q_stability(data, grid=None, control=None, independent_starts=False):
         fits={q: _summary(data, f) for q, f in fits.items()},
         method="stability",
         dropped=dropped,
-        pruned=list(grid.pruned),
     )
 
 
@@ -216,7 +177,6 @@ def select_q_efficiency(data, grid=None, control=None):
         fits={q: _summary(data, f) for q, f in fits.items()},
         method="efficiency",
         dropped=dropped,
-        pruned=list(grid.pruned),
     )
 
 

@@ -16,11 +16,10 @@ import json
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
-from .errors import UsageError
+from .errors import LqglmError, UsageError
 from .families import get_family, get_link
 from .fit import FitControl, fit_mlq
 from .model import ModelData
@@ -108,15 +107,21 @@ def _design_matrix(design, rng):
     return X
 
 
-def gen_dataset(design, rng):
-    """One dataset from the design: fresh U(0,1) covariates, model responses."""
+def _draw(design, rng, X=None):
+    """Covariates (fresh U(0,1) draws unless ``X`` is given), then model
+    responses; returns ``(X, y, family, link)``."""
     family = get_family(design.family)
     link = get_link(design.link)
-    X = _design_matrix(design, rng)
+    if X is None:
+        X = _design_matrix(design, rng)
     theta = link.k(X @ np.asarray(design.beta_true, dtype=float))
-    mu = family.b_dot(theta)
-    y = family.sample(rng, mu, 1.0)
-    return ModelData(X, y, family, link, 1.0)
+    y = family.sample(rng, family.b_dot(theta), 1.0)
+    return X, y, family, link
+
+
+def gen_dataset(design, rng):
+    """One dataset from the design: fresh U(0,1) covariates, model responses."""
+    return ModelData(*_draw(design, rng), 1.0)
 
 
 def contaminate(y, eps, nu, rng):
@@ -145,24 +150,15 @@ def _replicate(design, k, X_fixed=None):
     indices, so contamination patterns are reproducible.
     """
     rng = rng_stream(design.seed, k)
-    family = get_family(design.family)
-    link = get_link(design.link)
-    if X_fixed is None:
-        X = _design_matrix(design, rng)
-    else:
-        X = X_fixed
-    beta_true = np.asarray(design.beta_true, dtype=float)
-    theta = link.k(X @ beta_true)
-    y = family.sample(rng, family.b_dot(theta), 1.0)
+    X, y, family, link = _draw(design, rng, X_fixed)
     y, _ = contaminate(y, design.eps, design.nu, rng)
     data = ModelData(X, y, family, link, 1.0)
 
-    p = len(beta_true)
     qs = sorted(set(float(q) for q in design.q_list), reverse=True)
-    out = {q: np.full(p, np.nan) for q in qs}
+    out = {q: np.full(len(design.beta_true), np.nan) for q in qs}
     try:
         fit1 = fit_mlq(data, FitControl(q=1.0, max_iter=design.max_iter, tol=design.tol))
-    except Exception:
+    except LqglmError:
         return np.array([out[float(q)] for q in design.q_list])
     start = fit1.beta_star
     for q in qs:
@@ -175,7 +171,7 @@ def _replicate(design, k, X_fixed=None):
                 data,
                 FitControl(q=q, max_iter=design.max_iter, tol=design.tol, init=start),
             )
-        except Exception:
+        except LqglmError:
             continue
         if res.converged:
             out[q] = res.beta_q

@@ -3,12 +3,12 @@
 One test per acceptance criterion, each printing a PASS/FAIL line.  Run
 with ``pytest tests/test_acceptance.py -v -s``.
 
-Criteria 6(c) and 6(d) are implemented literally and three of their
+Criteria 6(c) and 6(d) are implemented literally and five of their
 sub-cases fail by design of the underlying large-sample formulas: the
 variability/sensitivity matrices rest on an escort-density identity whose
 normalization premise holds only for carrier-free families at tilt order
 one (see the escort normalization gate in the families module and
-``notes`` in the repository root).  The failures are deterministic,
+"Known limitations" in README.md).  The failures are deterministic,
 reproducible, and documented; the gated module-level tests cover the same
 ground under the premise check.
 """

@@ -77,6 +77,17 @@ class TestLinearTests:
         assert r.statistic < 1e-10
         assert b.statistic < 1e-8
 
+    def test_full_design_init_not_passed_to_constrained_fit(self, vaso):
+        # the constrained fit has fewer columns than an explicit init
+        # vector sized for the full design
+        q = 0.9
+        hyp = LinearHypothesis([[0.0, 0.0, 1.0]], [0.0])
+        ctl = FitControl(q=q, init=np.zeros(vaso.p))
+        ref = FitControl(q=q)
+        fit = fit_mlq(vaso, ctl)
+        assert score_test(vaso, hyp, q, ctl) == score_test(vaso, hyp, q, ref)
+        assert bf_test(vaso, fit, hyp, q, ctl) == bf_test(vaso, fit, hyp, q, ref)
+
     def test_pvalues_and_dof(self, vaso, vaso_79):
         hyp = LinearHypothesis([[0.0, 1.0, -1.0]], [0.0])
         r = wald_test(vaso_79, hyp)

@@ -269,6 +269,19 @@ class TestFitMlq:
         psi0 = np.max(np.abs(estimating_function(poisson_example, ml.beta_star, 0.9)))
         assert fit.psi_norm <= 1e-8 * (1.0 + psi0)
 
+    @pytest.mark.parametrize("fixture,q,with_offset", [
+        ("vaso", 1.0, False), ("vaso", 0.79, False),
+        ("poisson_example", 0.9, False), ("poisson_example", 0.9, True),
+    ])
+    def test_psi_norm_is_at_the_returned_estimate(self, fixture, q, with_offset, request):
+        # the reported norm belongs to beta_star itself, not to the point
+        # the last step was taken from
+        data = request.getfixturevalue(fixture)
+        offset = 0.1 * np.cos(np.arange(data.n)) if with_offset else None
+        fit = fit_mlq(data, FitControl(q=q), offset=offset)
+        psi = estimating_function(data, fit.beta_star, q, offset=offset)
+        assert fit.psi_norm == float(np.max(np.abs(psi)))
+
     def test_separation_surfaces(self):
         # complete separation: the psi-based rule drives the weights to
         # collapse, surfacing the indeterminacy as a singularity error
