@@ -29,11 +29,12 @@ from .errors import (
 from .families import _lq_terms, log_density, quantile_residual_base
 from .fit import (
     FitControl,
+    _matrices_ab,
+    _problem,
     _sensitivity,
     _working,
-    estimating_function,
+    _working_at,
     fit_mlq,
-    matrices_ab,
 )
 from .model import ModelData
 from .numerics import chi_square_sf, inv_spd, rng_stream, solve_spd
@@ -165,11 +166,16 @@ def _constrained_fit(data, hyp, q, control=None):
     return b0 + N @ res.beta_star, res.phi_hat
 
 
+def _score_and_matrices(data, beta, q, phi):
+    """``estimating_function`` and ``matrices_ab`` from one working point."""
+    w, prob = _working_at(data, beta, q, phi, None)
+    return w.psi, _matrices_ab(prob, w, q)
+
+
 def score_test(data, hyp, q, control=None):
     """Score-type (Rao) statistic at the constrained MLq fit."""
     beta_t, phi_t = _constrained_fit(data, hyp, q, control)
-    psi = estimating_function(data, beta_t, q, phi_t)
-    A_t, B_t = matrices_ab(data, beta_t, q, phi_t)
+    psi, (A_t, B_t) = _score_and_matrices(data, beta_t, q, phi_t)
     Bti = inv_spd(B_t)
     C_t = Bti @ A_t @ Bti
     v = hyp.H @ (Bti @ psi)
@@ -185,8 +191,7 @@ def bf_test(data, fit, hyp, q=None, control=None):
     if fit.beta_q is None:
         raise UsageError("bilinear-form test needs calibrated coefficients")
     beta_t, phi_t = _constrained_fit(data, hyp, q, control)
-    psi = estimating_function(data, beta_t, q, phi_t)
-    _, B_t = matrices_ab(data, beta_t, q, phi_t)
+    psi, (_, B_t) = _score_and_matrices(data, beta_t, q, phi_t)
     v = hyp.H @ solve_spd(B_t, psi)
     diff = hyp.H @ fit.beta_q - hyp.h
     stat = v @ solve_spd(hyp.H @ fit.cov @ hyp.H.T, diff)
@@ -196,8 +201,9 @@ def bf_test(data, fit, hyp, q=None, control=None):
 def _hat_pieces(data, fit):
     """Working point, ``V``, ``W``, ``J``, ``GK`` and the projector core
     ``X' W J GK X`` at the surrogate solution."""
-    w = _working(data, fit.eta_star, fit.q, fit.phi_hat)
-    return (w, *_sensitivity(data, w, fit.q, fit.phi_hat))
+    prob = _problem(data, fit.phi_hat)
+    w = _working(prob, fit.eta_star, fit.q)
+    return (w, *_sensitivity(prob, w, fit.q))
 
 
 def added_variable_score(data, fit_null, z, q=None):
@@ -240,14 +246,18 @@ def standardized_residuals(data, fit):
     everything at the surrogate-scale fit.  Observations where the
     bracket under the square root is negative are returned as NaN with a
     warning, not an error.
+
+    With ``G = X (X' W J GK X)^{-1}`` (rows ``g_i``) the diagonals are
+    ``m_ii = (WJ)_i g_i' x_i`` and ``m*_ii = (WJ)_i g_i' (X' W J X) g_i``,
+    so the n x n matrices are never formed.
     """
     w, V, W, J, GK, XtDX = _hat_pieces(data, fit)
     phi = fit.phi_hat
     q = fit.q
-    P = data.X @ solve_spd(XtDX, data.X.T)
-    M = P * (W * J)[None, :]
-    m = np.diag(M)
-    m2 = np.diag(M @ M)
+    X, WJ = data.X, W * J
+    G = solve_spd(XtDX, X.T).T
+    m = WJ * np.sum(G * X, axis=1)
+    m2 = WJ * np.sum((G @ (X.T @ (WJ[:, None] * X))) * G, axis=1)
     bracket = (1.0 - GK * m) - GK * (m - GK * m2)
     bad = bracket < 0
     if np.any(bad):
@@ -272,7 +282,7 @@ def deviance_residuals(data, fit):
     phi = fit.phi_hat
     q = fit.q
     logf_sat = data.family.saturated_log_density(data.y, phi)
-    logf_fit = _working(data, fit.eta_q, q, phi).logf
+    logf_fit = _working(_problem(data, phi), fit.eta_q, q).logf
     d = 2.0 * (_lq_terms(logf_sat, q) - _lq_terms(logf_fit, q))
     d = np.maximum(d, 0.0)
     return np.sign(data.y - fit.mu) * np.sqrt(d)
@@ -287,14 +297,9 @@ def quantile_residuals(data, fit, rng=None):
     """
     if data.family.discrete and rng is None:
         raise UsageError("discrete families need an rng for randomized residuals")
-    uniforms = rng.uniform(size=data.n) if data.family.discrete else [None] * data.n
-    out = np.empty(data.n)
-    clamped = 0
-    for i in range(data.n):
-        out[i], c = quantile_residual_base(
-            data.family, data.y[i], fit.mu[i], fit.phi_hat, uniforms[i]
-        )
-        clamped += bool(c)
+    uniforms = rng.uniform(size=data.n) if data.family.discrete else None
+    out, at_bound = quantile_residual_base(data.family, data.y, fit.mu, fit.phi_hat, uniforms)
+    clamped = int(np.count_nonzero(at_bound))
     if clamped:
         warnings.warn(
             f"{clamped} quantile residuals clamped at the CDF boundary",

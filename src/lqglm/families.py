@@ -157,10 +157,13 @@ class Family:
         """Log-density at the saturated mean ``mu = y`` (limit where needed)."""
         raise NotImplementedError
 
-    def in_theta_domain(self, theta):
+    def in_theta_domain(self, theta, axis=None):
+        """Whether every ``theta`` (along ``axis``, default all) is inside the domain."""
         lo, hi = self.theta_domain
         theta = np.asarray(theta, dtype=float)
-        return np.all((theta > lo) & (theta < hi))
+        # NaN propagates through min/max and fails both comparisons
+        return ((np.minimum.reduce(theta, axis=axis, initial=np.inf) > lo)
+                & (np.maximum.reduce(theta, axis=axis, initial=-np.inf) < hi))
 
     def check_theta(self, theta, what="theta"):
         if not self.in_theta_domain(theta):
@@ -458,26 +461,30 @@ def escort_normalization(family, theta, phi, q, r, tail_tol=1e-15):
 
 
 def quantile_residual_base(family, y, mu, phi=None, uniform_draw=None):
-    """Quantile residual for one observation.
+    """Quantile residuals of observations ``y`` with means ``mu``.
 
     Continuous families: ``Phi^{-1}(F(y; mu, phi))``.  Discrete families use
     the randomized convention ``Phi^{-1}(F(y-) + u * (F(y) - F(y-)))`` with
-    the caller supplying the uniform ``u`` so results are reproducible.
+    the caller supplying the uniforms ``u`` so results are reproducible.
 
-    Returns ``(residual, clamped)``; ``clamped`` is True when the CDF value
-    hit 0 or 1 exactly and was clamped to ``[1e-12, 1 - 1e-12]``.
+    Returns ``(residual, clamped)``, elementwise; ``clamped`` is True where
+    the CDF value hit 0 or 1 exactly and was clamped to
+    ``[1e-12, 1 - 1e-12]``.  Scalar inputs give a float and a bool.
     """
     family = get_family(family)
     phi = family.resolve_phi(phi if phi is not None else 1.0)
+    y = np.asarray(y, dtype=float)
     if family.discrete:
         if uniform_draw is None:
             raise ValueError("discrete families need a uniform_draw in [0, 1]")
-        f_hi = float(family.cdf(y, mu, phi))
-        f_lo = float(family.cdf(y - 1.0, mu, phi))
-        u = float(uniform_draw)
-        val = f_lo + u * (f_hi - f_lo)
+        f_hi = family.cdf(y, mu, phi)
+        f_lo = family.cdf(y - 1.0, mu, phi)
+        val = f_lo + np.asarray(uniform_draw, dtype=float) * (f_hi - f_lo)
     else:
-        val = float(family.cdf(y, mu, phi))
-    clamped = val <= 0.0 or val >= 1.0
-    val = min(max(val, 1e-12), 1.0 - 1e-12)
-    return float(ndtri(val)), clamped
+        val = family.cdf(y, mu, phi)
+    val = np.asarray(val, dtype=float)
+    clamped = (val <= 0.0) | (val >= 1.0)
+    r = ndtri(np.clip(val, 1e-12, 1.0 - 1e-12))
+    if r.ndim == 0:
+        return float(r), bool(clamped)
+    return r, clamped

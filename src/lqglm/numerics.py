@@ -16,6 +16,7 @@ from .errors import BracketError, EvaluationError, SingularMatrixError
 
 __all__ = [
     "solve_spd",
+    "solve_spd_rows",
     "inv_spd",
     "maximize_1d",
     "chi_square_sf",
@@ -54,10 +55,7 @@ def solve_spd(A, B, sym_tol=1e-10):
         raise ValueError("matrix is not symmetric within tolerance")
     c, info = lapack.dpotrf(A, lower=1)
     if info > 0:
-        raise SingularMatrixError(
-            f"Cholesky pivot {info} non-positive; matrix not positive definite",
-            pivot=int(info),
-        )
+        raise _not_positive_definite(info)
     if info < 0:
         raise ValueError(f"illegal argument {-info} to dpotrf")
     b2d = B if B.ndim == 2 else B[:, None]
@@ -65,6 +63,45 @@ def solve_spd(A, B, sym_tol=1e-10):
     if info != 0:
         raise ValueError(f"dpotrs failed with info={info}")
     return x if B.ndim == 2 else x[:, 0]
+
+
+def _not_positive_definite(pivot):
+    """The SingularMatrixError for a non-positive Cholesky pivot (1-based)."""
+    return SingularMatrixError(
+        f"Cholesky pivot {pivot} non-positive; matrix not positive definite",
+        pivot=int(pivot),
+    )
+
+
+def solve_spd_rows(A, B):
+    """Solve ``A[r] x[r] = B[r]`` for a stack of symmetric matrices.
+
+    ``A`` has shape ``(R, p, p)`` and ``B`` shape ``(R, p)``.  One banded
+    Cholesky factorization of the block-diagonal matrix
+    ``diag(A[0], ..., A[R-1])`` gives every solve; the blocks share no
+    nonzero entry, so each row's result does not depend on the others.
+    Returns ``(x, pivot)``: ``pivot[r]`` is 0 where ``A[r]`` is positive
+    definite and otherwise the 1-based index of its first non-positive
+    Cholesky pivot, as ``solve_spd`` reports it; ``x[r]`` is NaN there.
+    """
+    R, p, _ = A.shape
+    # lower band storage: band[d, r, k] = A[r, k + d, k]
+    flat = A.reshape(R, p * p)
+    band = np.zeros((p, R, p))
+    for d in range(p):
+        band[d, :, :p - d] = flat[:, d * p::p + 1]
+    factor, info = lapack.dpbtrf(band.reshape(p, R * p), lower=1)
+    if info == 0:
+        x, _ = lapack.dpbtrs(factor, B.reshape(R * p), lower=1)
+        return x.reshape(R, p), np.zeros(R, dtype=int)
+    # the factorization stops at the first failing row: factor row by row
+    x = np.full(B.shape, np.nan)
+    pivot = np.zeros(R, dtype=int)
+    for r in range(R):
+        factor, pivot[r] = lapack.dpotrf(A[r], lower=1)
+        if pivot[r] == 0:
+            x[r] = lapack.dpotrs(factor, B[r], lower=1)[0]
+    return x, pivot
 
 
 def inv_spd(A):

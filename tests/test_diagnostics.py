@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -148,6 +150,35 @@ class TestStandardizedResiduals:
         assert 0.8 < allt.var() < 1.2
 
 
+    @pytest.mark.parametrize("fixture,q,rtol", [
+        ("vaso", 0.79, 1e-12), ("poisson_example", 0.9, 1e-12), ("vaso", 0.6, 1e-9)])
+    def test_matches_dense_hat_matrix(self, fixture, q, rtol, request):
+        # reference: the diagonals of the n x n M = P W J and M @ M; the
+        # vaso fit at q = 0.6 stops on theta overflow, so X' W J GK X is
+        # nearly singular (hence the looser tolerance) and one residual is NaN
+        from lqglm.diagnostics import _hat_pieces
+
+        data = request.getfixturevalue(fixture)
+        fit = fit_mlq(data, FitControl(q=q, max_iter=100))
+        w, V, W, J, GK, XtDX = _hat_pieces(data, fit)
+        M = data.X @ np.linalg.solve(XtDX, data.X.T) * (W * J)[None, :]
+        m, m2 = np.diag(M), np.diag(M @ M)
+        bracket = (1.0 - GK * m) - GK * (m - GK * m2)
+        with np.errstate(invalid="ignore"):
+            dense = (np.sqrt(2.0 - q) * w.U * (data.y - w.mu)
+                     / (np.sqrt(J * V / fit.phi_hat) * np.sqrt(np.where(bracket < 0, np.nan, bracket))))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            t = standardized_residuals(data, fit)
+        n_bad = int(np.sum(bracket < 0))
+        assert len(caught) == (n_bad > 0)
+        if n_bad:
+            assert str(caught[0].message).startswith(f"{n_bad} standardized residuals undefined")
+        assert (fixture, q) != ("vaso", 0.6) or np.isnan(t).sum() == 1
+        assert np.array_equal(np.isnan(t), np.isnan(dense))
+        assert_allclose(t, dense, rtol=rtol, atol=0)
+
+
 class TestDevianceResiduals:
     def test_zero_at_exact_fit(self):
         # fitted mean equal to the response gives a zero deviance residual
@@ -186,6 +217,33 @@ class TestQuantileResiduals:
         r = quantile_residuals(gaussian_example, fit)
         assert abs(r.mean()) < 0.5
         assert np.all(np.isfinite(r))
+
+    @pytest.mark.parametrize("fixture,q", [
+        ("vaso", 0.79), ("poisson_example", 0.9), ("gaussian_example", 0.9)])
+    def test_matches_per_observation_loop(self, fixture, q, request):
+        # reference: the scalar CDF loop, same uniforms in the same order
+        from scipy.special import ndtri
+
+        data = request.getfixturevalue(fixture)
+        fam = data.family
+        fit = fit_mlq(data, FitControl(q=q))
+        u = rng_stream(7, 0).uniform(size=data.n)
+        ref, clamped = np.empty(data.n), 0
+        for i in range(data.n):
+            if fam.discrete:
+                hi = float(fam.cdf(data.y[i], fit.mu[i], fit.phi_hat))
+                lo = float(fam.cdf(data.y[i] - 1.0, fit.mu[i], fit.phi_hat))
+                val = lo + float(u[i]) * (hi - lo)
+            else:
+                val = float(fam.cdf(data.y[i], fit.mu[i], fit.phi_hat))
+            clamped += val <= 0.0 or val >= 1.0
+            ref[i] = float(ndtri(min(max(val, 1e-12), 1.0 - 1e-12)))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            r = quantile_residuals(data, fit, rng_stream(7, 0))
+        assert r.tobytes() == ref.tobytes()
+        assert [str(c.message) for c in caught] == (
+            [f"{clamped} quantile residuals clamped at the CDF boundary"] if clamped else [])
 
     def test_discrete_requires_rng(self, poisson_example):
         fit = fit_mlq(poisson_example, FitControl(q=1.0))

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -293,6 +294,31 @@ class TestFitMlq:
         with pytest.raises(SingularMatrixError, match="separation"):
             fit_mlq(data, FitControl(q=1.0, stop_rule="coef-psi", max_iter=5000))
 
+    def test_error_types_and_messages(self, poisson_example):
+        from lqglm import DomainError, SingularMatrixError
+
+        X = np.column_stack([np.ones(12), np.r_[np.linspace(-2, -0.2, 6), np.linspace(0.2, 2, 6)]])
+        data = ModelData(X, np.r_[np.zeros(6), np.ones(6)], "bernoulli")
+        with pytest.raises(SingularMatrixError) as err:
+            fit_mlq(data, FitControl(q=1.0, stop_rule="coef-psi", max_iter=5000))
+        assert re.fullmatch(
+            r"weighted normal equations singular at iteration \d+ \(pivot (\d+)\): "
+            r"likely separation or indeterminacy in the data", str(err.value))
+        assert str(err.value.pivot) == re.search(r"pivot (\d+)", str(err.value)).group(1)
+        with pytest.raises(DomainError, match="^starting value gives a non-finite Lq-objective$"):
+            fit_mlq(poisson_example, FitControl(q=0.9, init=np.full(3, np.nan)))
+
+    def test_profile_psi_norm_at_returned_pair(self):
+        # psi_norm belongs to (beta_star, phi_hat), not to the last loop run
+        # at the previous dispersion
+        rng = rng_stream(42, 0)
+        X = np.column_stack([np.ones(80), rng.uniform(-1, 1, size=80)])
+        y = rng.normal(X @ np.array([1.0, -0.5]), 0.5)
+        data = ModelData(X, y, "gaussian", phi=PROFILE)
+        fit = fit_mlq(data, FitControl(q=0.9))
+        psi = estimating_function(data, fit.beta_star, 0.9, fit.phi_hat)
+        assert fit.psi_norm == float(np.max(np.abs(psi)))
+
     def test_explicit_init(self, vaso):
         ctl = dict(q=0.9, stop_rule="coef-psi", max_iter=200, tol=1e-10)
         base = fit_mlq(vaso, FitControl(**ctl))
@@ -425,3 +451,52 @@ class TestUnbiasednessAtSurrogate:
         m = Psi.mean(axis=0)
         se = Psi.std(axis=0, ddof=1) / math.sqrt(reps)
         assert np.all(np.abs(m) <= 4 * se)
+
+
+class TestBatchedCore:
+    """The IRLS core fits a batch of independent rows; rows never interact."""
+
+    @staticmethod
+    def _batch():
+        from lqglm.fit import _classical_start, _stack
+
+        sep_X = np.column_stack([np.ones(12), np.r_[np.linspace(-2, -0.2, 6), np.linspace(0.2, 2, 6)]])
+        datas = [ModelData(sep_X, np.r_[np.zeros(6), np.ones(6)], "bernoulli")]
+        rng = rng_stream(71, 0)
+        for _ in range(3):
+            X = np.column_stack([np.ones(12), rng.uniform(-1, 1, size=12)])
+            y = np.r_[0.0, 1.0, (rng.uniform(size=10) < 0.5).astype(float)]
+            datas.append(ModelData(X, y, "bernoulli"))
+        prob = _stack(datas, 1.0)
+        beta0 = _classical_start(prob)[0]
+        beta0[2] = np.nan  # a start without a finite objective
+        return prob, beta0
+
+    @pytest.mark.parametrize("q", [1.0, 0.8])
+    def test_failing_rows_leave_the_others_unchanged(self, q):
+        from lqglm import DomainError, SingularMatrixError
+        from lqglm.fit import _irls
+
+        prob, beta0 = self._batch()
+        ctl = FitControl(stop_rule="coef-psi", max_iter=5000)
+        batch = _irls(prob, q, beta0, ctl)
+        assert isinstance(batch.error[2], DomainError)
+        if q == 1.0:
+            assert isinstance(batch.error[0], SingularMatrixError)
+        for r in (1, 3):
+            alone = _irls(prob.rows([r]), q, beta0[[r]], ctl)
+            assert batch.error[r] is None and alone.error[0] is None
+            assert batch.beta[r].tobytes() == alone.beta[0].tobytes()
+            assert batch.iterations[r] == alone.iterations[0]
+            assert batch.converged[r] and alone.converged[0]
+            assert batch.message[r] == alone.message[0]
+            assert batch.trace[:, r].tobytes() == alone.trace[:, 0].tobytes()
+
+    def test_batch_of_one_is_fit_mlq(self, poisson_example):
+        from lqglm.fit import _irls, _stack
+
+        ctl = FitControl(q=0.9, init=np.full(3, 0.5))
+        fit = fit_mlq(poisson_example, ctl)
+        res = _irls(_stack([poisson_example], 1.0), 0.9, np.full((1, 3), 0.5), ctl)
+        assert fit.beta_star.tobytes() == res.beta[0].tobytes()
+        assert fit.iterations == res.iterations[0] and fit.objective_trace[-1] == res.trace[fit.iterations, 0]

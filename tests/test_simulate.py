@@ -1,7 +1,20 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from lqglm import SimDesign, contaminate, gen_dataset, rng_stream, run_study
+from lqglm import (
+    FitControl,
+    LqglmError,
+    ModelData,
+    SimDesign,
+    contaminate,
+    fit_mlq,
+    gen_dataset,
+    rng_stream,
+    run_study,
+)
+from lqglm.simulate import _replicates
 
 
 class TestGenDataset:
@@ -91,3 +104,44 @@ class TestRunStudy:
             SimDesign(eps=1.0)
         with pytest.raises(UsageError):
             SimDesign(q_list=(1.5,))
+
+
+class TestBatchedReplicates:
+    @staticmethod
+    def _one_replicate(design, k):
+        """The per-replicate loop the batch replaces: fit_mlq on one dataset."""
+        rng = rng_stream(design.seed, k)
+        data = gen_dataset(design, rng)
+        y, _ = contaminate(data.y, design.eps, design.nu, rng)
+        data = ModelData(data.X, y, data.family, data.link, 1.0)
+        ctl = FitControl(max_iter=design.max_iter, tol=design.tol)
+        out = {q: np.full(len(design.beta_true), np.nan) for q in design.q_list}
+        fit1 = fit_mlq(data, ctl)
+        if fit1.converged:
+            out[1.0] = fit1.beta_q
+        start = fit1.beta_star
+        for q in sorted(design.q_list, reverse=True)[1:]:
+            try:
+                res = fit_mlq(data, replace(ctl, q=q, init=start))
+            except LqglmError:
+                continue
+            if res.converged:
+                out[q] = res.beta_q
+                start = res.beta_star
+        return np.array([out[q] for q in design.q_list])
+
+    def test_rows_equal_single_fits_byte_for_byte(self):
+        # batch composition never changes a row: every replicate of the
+        # batch equals fit_mlq run on that replicate alone
+        # heavy contamination: some q = 0.91 fits hit the iteration cap
+        design = SimDesign(n=400, eps=0.25, nu=5.0, reps=12, q_list=(1.0, 0.97, 0.91), seed=3)
+        est = _replicates(design, range(design.reps))
+        ref = np.array([self._one_replicate(design, k) for k in range(design.reps)])
+        assert est.tobytes() == ref.tobytes()
+        assert np.isnan(ref).any() and not np.isnan(ref).all()
+
+    def test_block_split_does_not_change_rows(self):
+        design = SimDesign(n=120, eps=0.10, nu=5.0, reps=9, q_list=(1.0, 0.95, 0.9), seed=3)
+        whole = _replicates(design, range(9))
+        parts = np.concatenate([_replicates(design, range(0, 4)), _replicates(design, range(4, 9))])
+        assert whole.tobytes() == parts.tobytes()
