@@ -5,12 +5,14 @@ Subcommands: ``fit``, ``test``, ``residuals``, ``envelope``, ``selectq``,
 non-response columns become covariates in file order, with an intercept
 prepended unless ``--no-intercept``.  JSON documents carry ``"schema":
 "lq-glm/1"``.  Exit codes: 0 success, 1 input error, 2 fit did not
-converge (the result document is still emitted).  ``LQGLM_SEED`` provides
-the default seed.
+converge (the result document is still emitted); a usage error such as an
+unknown option also exits 1.  ``LQGLM_SEED`` provides the default seed,
+read when a command runs.
 """
 
 import argparse
 import csv
+import functools
 import json
 import os
 import sys
@@ -229,7 +231,7 @@ def cmd_envelope(args):
                               control=_control(args, q))
     if args.format == "json":
         doc = {"schema": SCHEMA, "q_used": q, "type": env.kind, "reps": env.reps,
-               "failed": env.failed,
+               "failed": env.failed, "nonconverged": env.nonconverged,
                "normal_quantiles": env.normal_quantiles.tolist(),
                "observed": env.observed.tolist(),
                "lower": env.lower.tolist(), "upper": env.upper.tolist()}
@@ -271,38 +273,42 @@ def _add_data_options(p, with_q=True):
     p.add_argument("--grid", default="0.70:0.01", help="selectq grid lo:step")
     p.add_argument("--max-iter", type=int, default=25)
     p.add_argument("--tol", type=float, default=1e-8)
-    p.add_argument("--seed", type=int, default=_default_seed())
+    p.add_argument("--seed", type=int, default=None, help="default: LQGLM_SEED or 0")
     p.add_argument("--output", default="-", help="output path ('-' = stdout)")
     p.add_argument("--format", default="json", choices=["json", "csv"])
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises UsageError where argparse would exit with status 2, which
+    here means "fit did not converge"."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise UsageError(message)
+
+
 def build_parser():
-    ap = argparse.ArgumentParser(prog="lqglm",
-                                 description="Robust GLM fitting by maximum Lq-likelihood")
+    ap = _Parser(prog="lqglm", description="Robust GLM fitting by maximum Lq-likelihood")
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("fit", help="fit a model")
     _add_data_options(p)
-    p.set_defaults(func=cmd_fit)
 
     p = sub.add_parser("selectq", help="select the distortion parameter")
     _add_data_options(p, with_q=False)
     p.add_argument("--method", default="stability", choices=["stability", "efficiency"])
     p.add_argument("--rho-factor", type=float, default=0.05)
-    p.set_defaults(func=cmd_selectq)
 
     p = sub.add_parser("test", help="test a linear hypothesis H beta = h")
     _add_data_options(p)
     p.add_argument("--H", required=True, help="CSV file with the d x p matrix H")
     p.add_argument("--h", dest="h_vector", required=True, help="CSV file with the d-vector h")
     p.add_argument("--stat", default="all", choices=["wald", "score", "bf", "all"])
-    p.set_defaults(func=cmd_test)
 
     p = sub.add_parser("residuals", help="per-observation residuals")
     _add_data_options(p)
     p.add_argument("--type", default="standardized",
                    choices=["standardized", "deviance", "quantile"])
-    p.set_defaults(func=cmd_residuals)
 
     p = sub.add_parser("envelope", help="parametric-bootstrap QQ envelope")
     _add_data_options(p)
@@ -310,7 +316,6 @@ def build_parser():
                    choices=["standardized", "deviance", "quantile"])
     p.add_argument("--reps", type=int, default=100)
     p.add_argument("--level", type=float, default=0.95)
-    p.set_defaults(func=cmd_envelope)
 
     p = sub.add_parser("simulate", help="contamination Monte Carlo study")
     p.add_argument("--n", type=int, default=400)
@@ -318,7 +323,7 @@ def build_parser():
     p.add_argument("--nu", type=float, default=5.0)
     p.add_argument("--reps", type=int, default=1000)
     p.add_argument("--q-list", default="1.0,0.97")
-    p.add_argument("--seed", type=int, default=_default_seed())
+    p.add_argument("--seed", type=int, default=None, help="default: LQGLM_SEED or 0")
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--fixed-x", action="store_true",
                    help="share one design matrix across replicates")
@@ -326,14 +331,21 @@ def build_parser():
                    help="prepend an intercept to the simulation design")
     p.add_argument("--output", default="-")
     p.add_argument("--format", default="csv", choices=["json", "csv"])
-    p.set_defaults(func=cmd_simulate)
     return ap
 
 
+@functools.cache
+def _parser():
+    return build_parser()
+
+
 def main(argv=None):
-    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        args = _parser().parse_args(argv)
+        if args.seed is None:
+            args.seed = _default_seed()
+        # looked up when it runs, so a rebound lqglm.cli.cmd_* takes effect
+        return globals()[f"cmd_{args.command}"](args)
     except (LqglmError, OSError, ValueError) as e:
         print(f"lqglm: error: {e}", file=sys.stderr)
         return 1

@@ -17,6 +17,7 @@ coefficients and the three test statistics are chi-square scaled.
 
 import warnings
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -29,15 +30,29 @@ from .errors import (
 from .families import _lq_terms, log_density, quantile_residual_base
 from .fit import (
     FitControl,
+    _fit_batch,
+    _fitted,
     _matrices_ab,
+    _predictor,
     _problem,
     _sensitivity,
+    _stack,
     _working,
     _working_at,
+    calibrate,
     fit_mlq,
 )
 from .model import ModelData
-from .numerics import chi_square_sf, inv_spd, rng_stream, solve_spd
+from .numerics import (
+    _not_positive_definite,
+    _solve_spd_each,
+    chi_square_sf,
+    inv_spd,
+    normal_quantile,
+    rng_stream,
+    solve_spd,
+)
+from .simulate import BLOCK
 
 __all__ = [
     "LinearHypothesis",
@@ -86,7 +101,12 @@ class TestResult:
 
 @dataclass
 class EnvelopeResult:
-    """Plot-ready QQ envelope: sorted residuals with pointwise bands."""
+    """Plot-ready QQ envelope: sorted residuals with pointwise bands.
+
+    ``reps`` replicates gave the bands and ``failed`` were dropped;
+    ``nonconverged`` counts the replicates among ``reps`` whose refit
+    stopped without converging.
+    """
 
     kind: str
     observed: np.ndarray
@@ -95,6 +115,7 @@ class EnvelopeResult:
     normal_quantiles: np.ndarray
     reps: int
     failed: int
+    nonconverged: int
 
 
 def deviance_q(data, fit_null, fit_alt):
@@ -237,6 +258,76 @@ def added_variable_score(data, fit_null, z, q=None):
     return _make_result(stat, 1, "score")
 
 
+class _Fits(NamedTuple):
+    """A batch of fits on one design: the problem at each row's dispersion
+    ``phi_hat``, the distortion parameter, and per row the surrogate and
+    calibrated predictors and the calibrated means, each (R, n)."""
+
+    prob: object
+    q: float
+    eta_star: np.ndarray
+    eta_q: np.ndarray
+    mu: np.ndarray
+
+
+def _batch_of_one(data, fit):
+    return _Fits(_stack([data], fit.phi_hat), fit.q, fit.eta_star[None], fit.eta_q[None],
+                 fit.mu[None])
+
+
+def _warn_rows(counts, message):
+    """One warning per row with a nonzero count, attributed to the caller
+    of the function that calls this."""
+    for k in counts.tolist():
+        if k:
+            warnings.warn(message.format(k), stacklevel=3)
+
+
+_UNDEFINED = "{} standardized residuals undefined (negative variance estimate); reported as NaN"
+_CLAMPED = "{} quantile residuals clamped at the CDF boundary"
+
+
+def _standardized(f):
+    """Standardized residuals of every row, the per-row count of undefined
+    ones, and the Cholesky pivot of each row's ``X' W J GK X`` (NaN rows
+    where it is nonzero).
+
+    The bracket cancels to roundoff at leverages near 1, where its sign
+    decides whether a residual is defined; the dense per-row solve and
+    this product order keep every row bit-identical to a batch of one.
+    """
+    prob, q = f.prob, f.q
+    X = prob.X
+    w = _working(prob, f.eta_star, q)
+    V, W, J, GK, XtDX = _sensitivity(prob, w, q)
+    WJ = W * J
+    Gt, pivot = _solve_spd_each(XtDX, prob.Xt)
+    G = np.ascontiguousarray(np.swapaxes(Gt, -1, -2))
+    m = WJ * np.sum(G * X, axis=-1)
+    m2 = WJ * np.sum((G @ (np.swapaxes(X, -1, -2) @ (WJ[..., None] * X))) * G, axis=-1)
+    bracket = (1.0 - GK * m) - GK * (m - GK * m2)
+    bad = bracket < 0
+    with np.errstate(invalid="ignore", divide="ignore"):
+        den = np.sqrt(J * V / prob.phi) * np.sqrt(np.where(bad, np.nan, bracket))
+        t = np.sqrt(2.0 - q) * w.U * (prob.y - w.mu) / den
+    return t, np.count_nonzero(bad, axis=-1), pivot
+
+
+def _deviance(f):
+    prob, q = f.prob, f.q
+    logf_sat = prob.family.saturated_log_density(prob.y, prob.phi)
+    logf_fit = _working(prob, f.eta_q, q).logf
+    d = 2.0 * (_lq_terms(logf_sat, q) - _lq_terms(logf_fit, q))
+    d = np.maximum(d, 0.0)
+    return np.sign(prob.y - f.mu) * np.sqrt(d)
+
+
+def _quantile(f, uniforms):
+    """Quantile residuals of every row and the per-row count of clamped ones."""
+    out, at_bound = quantile_residual_base(f.prob.family, f.prob.y, f.mu, f.prob.phi, uniforms)
+    return out, np.count_nonzero(at_bound, axis=-1)
+
+
 def standardized_residuals(data, fit):
     """Mean-shift standardized residuals ``t_i`` (approximately N(0,1)).
 
@@ -251,24 +342,11 @@ def standardized_residuals(data, fit):
     ``m_ii = (WJ)_i g_i' x_i`` and ``m*_ii = (WJ)_i g_i' (X' W J X) g_i``,
     so the n x n matrices are never formed.
     """
-    w, V, W, J, GK, XtDX = _hat_pieces(data, fit)
-    phi = fit.phi_hat
-    q = fit.q
-    X, WJ = data.X, W * J
-    G = solve_spd(XtDX, X.T).T
-    m = WJ * np.sum(G * X, axis=1)
-    m2 = WJ * np.sum((G @ (X.T @ (WJ[:, None] * X))) * G, axis=1)
-    bracket = (1.0 - GK * m) - GK * (m - GK * m2)
-    bad = bracket < 0
-    if np.any(bad):
-        warnings.warn(
-            f"{int(bad.sum())} standardized residuals undefined "
-            "(negative variance estimate); reported as NaN",
-            stacklevel=2,
-        )
-    with np.errstate(invalid="ignore", divide="ignore"):
-        den = np.sqrt(J * V / phi) * np.sqrt(np.where(bad, np.nan, bracket))
-        return np.sqrt(2.0 - q) * w.U * (data.y - w.mu) / den
+    t, bad, pivot = _standardized(_batch_of_one(data, fit))
+    if pivot[0]:
+        raise _not_positive_definite(pivot[0])
+    _warn_rows(bad, _UNDEFINED)
+    return t[0]
 
 
 def deviance_residuals(data, fit):
@@ -279,13 +357,7 @@ def deviance_residuals(data, fit):
     family's limit (Bernoulli saturated density 1; Poisson ``theta =
     log y`` with ``l_q = 0`` at ``y = 0``).
     """
-    phi = fit.phi_hat
-    q = fit.q
-    logf_sat = data.family.saturated_log_density(data.y, phi)
-    logf_fit = _working(_problem(data, phi), fit.eta_q, q).logf
-    d = 2.0 * (_lq_terms(logf_sat, q) - _lq_terms(logf_fit, q))
-    d = np.maximum(d, 0.0)
-    return np.sign(data.y - fit.mu) * np.sqrt(d)
+    return _deviance(_batch_of_one(data, fit))[0]
 
 
 def quantile_residuals(data, fit, rng=None):
@@ -297,15 +369,10 @@ def quantile_residuals(data, fit, rng=None):
     """
     if data.family.discrete and rng is None:
         raise UsageError("discrete families need an rng for randomized residuals")
-    uniforms = rng.uniform(size=data.n) if data.family.discrete else None
-    out, at_bound = quantile_residual_base(data.family, data.y, fit.mu, fit.phi_hat, uniforms)
-    clamped = int(np.count_nonzero(at_bound))
-    if clamped:
-        warnings.warn(
-            f"{clamped} quantile residuals clamped at the CDF boundary",
-            stacklevel=2,
-        )
-    return out
+    uniforms = rng.uniform(size=data.n)[None] if data.family.discrete else None
+    out, clamped = _quantile(_batch_of_one(data, fit), uniforms)
+    _warn_rows(clamped, _CLAMPED)
+    return out[0]
 
 
 def influence_fn(data, fit, y_new, x_new, q=None):
@@ -340,6 +407,48 @@ _RESIDUAL_FUNCS = {
 }
 
 
+def _envelope_block(data, fit, kind, rows, seed, control):
+    """Sorted residuals of the replicates ``rows`` whose refit and
+    residuals succeed, the number that failed, and the number of those
+    used whose refit did not converge.
+
+    Replicate r's stream draws its responses, then its quantile-residual
+    uniforms; the refits run as one batch and use no randomness.
+    """
+    discrete_u = kind == "quantile" and data.family.discrete
+    datas, uniforms, failed = [], [], 0
+    for r in rows:
+        rng = rng_stream(seed, r)
+        y_sim = data.family.sample(rng, fit.mu, fit.phi_hat)
+        try:
+            datas.append(ModelData(data.X, y_sim, data.family, data.link, data.phi))
+        except LqglmError:
+            failed += 1
+            continue
+        if discrete_u:
+            uniforms.append(rng.uniform(size=data.n))
+    if not datas:
+        return np.empty((0, data.n)), failed, 0
+    prob, res = _fit_batch(datas, control)
+    ok = _fitted(prob, control.q, res)
+    sub = prob.rows(ok)
+    eta_star = _predictor(sub, res.beta[ok])
+    eta_q = calibrate(sub.link, eta_star, control.q)
+    fits = _Fits(sub, control.q, eta_star, eta_q, sub.family.b_dot(sub.link.k(eta_q)))
+    if kind == "standardized":
+        vals, undefined, _ = _standardized(fits)
+        _warn_rows(undefined, _UNDEFINED)
+    elif kind == "deviance":
+        vals = _deviance(fits)
+    else:
+        vals, clamped = _quantile(fits, np.asarray(uniforms)[ok] if discrete_u else None)
+        _warn_rows(clamped, _CLAMPED)
+    vals = np.sort(vals, axis=-1)
+    used = np.all(np.isfinite(vals), axis=-1)
+    failed += len(datas) - int(np.count_nonzero(used))
+    return vals[used], failed, int(np.count_nonzero(~res.converged[ok][used]))
+
+
 def simulation_envelope(data, fit, kind="standardized", reps=100, seed=0,
                         level=0.95, control=None):
     """Parametric-bootstrap QQ envelope for a residual type.
@@ -348,43 +457,34 @@ def simulation_envelope(data, fit, kind="standardized", reps=100, seed=0,
     refits each with the same control, and returns pointwise
     ``(1-level)/2`` and ``(1+level)/2`` bands of the sorted residuals,
     together with the observed sorted residuals and Blom plotting
-    positions.  Replicates whose refit fails are dropped and counted.
+    positions.  Replicates whose refit fails, or whose residuals are not
+    all finite, are dropped and counted.  The refits of up to ``BLOCK``
+    replicates run as one batch; a replicate's result never depends on
+    the others.
     """
     if kind not in _RESIDUAL_FUNCS:
         raise UsageError(f"unknown residual kind {kind!r}")
-    resid = _RESIDUAL_FUNCS[kind]
     ctl = control if control is not None else FitControl(q=fit.q)
     if abs(ctl.q - fit.q) > 0:
         ctl = replace(ctl, q=fit.q, init="ml-warm-start")
-    sims = []
-    failed = 0
-    for r in range(reps):
-        rng = rng_stream(seed, r)
-        y_sim = data.family.sample(rng, fit.mu, fit.phi_hat)
-        try:
-            data_sim = ModelData(data.X, y_sim, data.family, data.link, data.phi)
-            fit_sim = fit_mlq(data_sim, ctl)
-            vals = np.sort(resid(data_sim, fit_sim, rng))
-        except LqglmError:
-            failed += 1
-            continue
-        if np.any(~np.isfinite(vals)):
-            failed += 1
-            continue
+    sims, failed, nonconverged = [np.empty((0, data.n))], 0, 0
+    for k in range(0, reps, BLOCK):
+        vals, block_failed, block_nonconverged = _envelope_block(
+            data, fit, kind, range(k, min(k + BLOCK, reps)), seed, ctl)
         sims.append(vals)
+        failed += block_failed
+        nonconverged += block_nonconverged
+    sims = np.concatenate(sims)
     if len(sims) < max(10, reps // 2):
         raise UsageError(
             f"too few successful envelope replicates ({len(sims)}/{reps})"
         )
-    sims = np.asarray(sims)
     alpha = 0.5 * (1.0 - level)
     lower = np.percentile(sims, 100 * alpha, axis=0)
     upper = np.percentile(sims, 100 * (1.0 - alpha), axis=0)
     rng_obs = rng_stream(seed, reps)
-    observed = np.sort(resid(data, fit, rng_obs))
+    observed = np.sort(_RESIDUAL_FUNCS[kind](data, fit, rng_obs))
     i = np.arange(1, data.n + 1)
-    from .numerics import normal_quantile
-
     positions = normal_quantile((i - 0.375) / (data.n + 0.25))
     return EnvelopeResult(kind, observed, lower, upper, positions,
-                          len(sims), failed)
+                          len(sims), failed, nonconverged)

@@ -175,10 +175,12 @@ class Family:
             )
 
     def resolve_phi(self, phi):
+        """The dispersion to use: the pinned value, else ``phi`` checked
+        positive (a float, or an array of per-row values)."""
         if self.phi_fixed is not None:
             return self.phi_fixed
-        phi = float(phi)
-        if not phi > 0:
+        phi = float(phi) if np.ndim(phi) == 0 else np.asarray(phi, dtype=float)
+        if not np.all(phi > 0):
             raise DomainError("dispersion phi must be positive", value=phi)
         return phi
 

@@ -13,11 +13,12 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import BracketError, DomainError, SingularMatrixError, UsageError
+from .errors import BracketError, DomainError, LqglmError, SingularMatrixError, UsageError
 from .families import Q_ONE_EPS, _lq_terms
 from .model import PROFILE, FitControl, FitResult, ModelData
 from .numerics import (
     _not_positive_definite,
+    _solve_spd_each,
     inv_spd,
     maximize_1d,
     solve_spd_rows,
@@ -46,7 +47,8 @@ class _Problem(NamedTuple):
     ``X`` (..., n, p) and ``y`` (..., n) may carry a leading batch axis of
     independent rows; ``Xt`` is the contiguous transpose of ``X``, ``c``
     caches ``c(y, phi)``, and ``offset`` (n,) or None is shared by every
-    row.
+    row.  ``phi`` is a float shared by every row, or an (R, 1) column of
+    per-row dispersions.
     """
 
     family: object
@@ -65,7 +67,13 @@ class _Problem(NamedTuple):
 
     def rows(self, keep):
         """The problem restricted to the rows selected by ``keep``."""
-        return self._replace(X=self.X[keep], Xt=self.Xt[keep], y=self.y[keep], c=self.c[keep])
+        phi = self.phi if np.ndim(self.phi) == 0 else self.phi[keep]
+        return self._replace(X=self.X[keep], Xt=self.Xt[keep], y=self.y[keep], phi=phi,
+                             c=self.c[keep])
+
+    def with_phi(self, phi):
+        """The problem at dispersion ``phi``."""
+        return self._replace(phi=phi, c=self.family.c(self.y, phi))
 
 
 def _problem(data, phi, offset=None):
@@ -73,10 +81,10 @@ def _problem(data, phi, offset=None):
     return _Problem.build(data.family, data.link, data.X, data.y, phi, offset)
 
 
-def _stack(datas, phi):
+def _stack(datas, phi, offset=None):
     """ModelData sharing a family and link, stacked on a leading batch axis."""
-    return _Problem.build(datas[0].family, datas[0].link, np.stack([d.X for d in datas]),
-                          np.stack([d.y for d in datas]), phi)
+    return _Problem.build(datas[0].family, datas[0].link, np.array([d.X for d in datas]),
+                          np.array([d.y for d in datas]), phi, offset)
 
 
 class _Working(NamedTuple):
@@ -398,24 +406,114 @@ def _irls(prob, q, beta0, control):
     return out
 
 
-def _fit_rows(prob, q, beta0, control):
-    """The fits ``fit_mlq`` would run on every row from the starts ``beta0``.
+def _fitted(prob, q, res):
+    """Rows of the ``_irls`` outcome ``res`` on which ``fit_mlq`` returns a result.
 
-    Builds no FitResult.  Returns ``(beta_star, converged, ok)``: ``ok`` is
-    False on rows where ``fit_mlq`` would raise an LqglmError, in the loop
-    (a start without a finite objective, NaN included, or singular normal
-    equations) or in the result assembly (``q theta`` outside the domain,
-    or ``B_n`` not positive definite).
+    False where the loop stopped on an LqglmError (a start without a
+    finite objective, NaN included, or singular normal equations) or the
+    result assembly at ``res.beta`` would raise (``q theta`` outside the
+    domain, or ``B_n`` not positive definite).  Builds no FitResult.
     """
-    res = _irls(prob, q, beta0, control)
     ok = np.array([e is None for e in res.error], dtype=bool)
+    if not ok.any():
+        return ok
     sub = prob.rows(ok)
     with np.errstate(over="ignore", invalid="ignore"):
         w = _working(sub, _predictor(sub, res.beta[ok]), q)
-        B = prob.phi * _sensitivity(sub, w, q)[-1]
+        B = _sensitivity(sub, w, q)[-1] * np.reshape(sub.phi, (-1, 1, 1))
+    # the dense factorization inv_spd applies to B_n in the assembly
     ok[ok] = (w.in_domain & prob.family.in_theta_domain(q * w.theta, axis=-1)
-              & (solve_spd_rows(B, w.psi)[1] == 0))
-    return res.beta, res.converged, ok
+              & (_solve_spd_each(B, w.psi)[1] == 0))
+    return ok
+
+
+def _start(prob, q, control):
+    """The starting coefficients ``fit_mlq`` uses for a fit at q, per row.
+
+    An explicit ``control.init`` starts every row; ``"ml-warm-start"``
+    takes the classical start and, for q < 1, the q = 1 fit from it.
+    Returns ``(beta0, error)``: ``error[r]`` is the LqglmError choosing
+    row r's start ran into (singular classical normal equations, or a
+    failed q = 1 fit), else None.
+    """
+    R = len(prob.y)
+    if not isinstance(control.init, str):
+        beta0 = np.asarray(control.init, dtype=float)
+        if beta0.shape != (prob.X.shape[-1],):
+            raise UsageError("explicit init vector has the wrong length")
+        return np.tile(beta0, (R, 1)), [None] * R
+    if control.init != "ml-warm-start":
+        raise UsageError(f"unknown init {control.init!r}")
+    beta0, pivot = _classical_start(prob)
+    error = [_not_positive_definite(k) if k else None for k in pivot.tolist()]
+    if q < 1.0 - Q_ONE_EPS:
+        # _irls reads only the loop settings from the control
+        warm = _irls(prob, 1.0, beta0, control)
+        error = [e if e is not None else f for e, f in zip(error, warm.error)]
+        beta0 = warm.beta
+    return beta0, error
+
+
+def _fit_batch(datas, control, offset=None):
+    """``fit_mlq`` up to its result assembly on every ModelData of ``datas``.
+
+    The datas share family, link, design shape and dispersion setting and
+    are fitted as one batch: the start of ``_start``, the loop at
+    ``control.q``, and for a profiled dispersion the alternation of
+    ``_profile``.  Returns ``(prob, res)``: ``prob`` stacks the rows at
+    their final dispersion, ``res`` is each row's last ``_irls`` outcome,
+    and ``res.error[r]`` is the LqglmError ``fit_mlq`` raises on row r
+    before it assembles a result, else None.
+    """
+    q = control.q
+    profile = datas[0].phi == PROFILE
+    prob = _stack(datas, 1.0 if profile else datas[0].phi, offset)
+    beta0, error = _start(prob, q, control)
+    res = _irls(prob, q, beta0, control)
+    for r, e in enumerate(error):
+        if e is not None:
+            res.error[r] = e
+    if profile:
+        prob = _profile(datas, prob, q, res, control)
+    return prob, res
+
+
+def _profile(datas, prob, q, res, control):
+    """Alternate beta | phi and phi | beta on each row until its dispersion
+    settles, at most 25 rounds.
+
+    ``prob`` is at phi = 1 and ``res`` holds the fits there; ``res`` is
+    updated in place with each row's last fit (a failed phi search sets
+    its error) and the problem at each row's final dispersion, an (R, 1)
+    column, is returned.  Rows whose dispersion has settled leave the
+    alternation.
+    """
+    phi = np.ones(len(datas))
+    live = [r for r, e in enumerate(res.error) if e is None]
+    for _ in range(25):
+        if not live:
+            break
+        sub = prob.rows(live)
+        eta_q = calibrate(prob.link, _predictor(sub, res.beta[live]), q)
+        refit = []
+        for r, eta in zip(live, eta_q):
+            try:
+                phi_new = _profile_phi_from_eta(datas[r], eta, q)
+            except LqglmError as e:
+                res.error[r] = e
+                continue
+            if not abs(np.log(phi_new / phi[r])) < 1e-8:
+                refit.append(r)
+            phi[r] = phi_new
+        if not refit:
+            break
+        sub = _irls(prob.rows(refit).with_phi(phi[refit, None]), q, res.beta[refit], control)
+        for k, r in enumerate(refit):
+            res.beta[r], res.iterations[r] = sub.beta[k], sub.iterations[k]
+            res.converged[r], res.trace[:, r] = sub.converged[k], sub.trace[:, k]
+            res.message[r], res.error[r] = sub.message[k], sub.error[k]
+        live = [r for r in refit if res.error[r] is None]
+    return prob.with_phi(phi[:, None])
 
 
 def fit_mlq(data, control=None, offset=None):
@@ -442,50 +540,11 @@ def fit_mlq(data, control=None, offset=None):
     """
     if control is None:
         control = FitControl()
-    q = control.q
-    profile_phi = data.phi == PROFILE
-    phi = 1.0 if profile_phi else data.phi
-
-    def batch_of_one(phi):
-        return _Problem.build(data.family, data.link, data.X[None], data.y[None], phi, offset)
-
-    prob = batch_of_one(phi)
-
-    def irls(q, beta0):
-        # one row; _irls reads only the loop settings from the control
-        res = _irls(prob, q, beta0, control)
-        if res.error[0] is not None:
-            raise res.error[0]
-        return res
-
-    if isinstance(control.init, str):
-        if control.init != "ml-warm-start":
-            raise UsageError(f"unknown init {control.init!r}")
-        beta0, pivot = _classical_start(prob)
-        if pivot[0]:
-            raise _not_positive_definite(pivot[0])
-        if q < 1.0 - Q_ONE_EPS:
-            beta0 = irls(1.0, beta0).beta
-    else:
-        beta0 = np.asarray(control.init, dtype=float)
-        if beta0.shape != (data.p,):
-            raise UsageError("explicit init vector has the wrong length")
-        beta0 = beta0[None]
-
-    res = irls(q, beta0)
-    if profile_phi:
-        # Alternate beta | phi and phi | beta until the dispersion settles.
-        for _ in range(25):
-            eta_q = calibrate(data.link, _predictor(prob, res.beta)[0], q)
-            phi_new = _profile_phi_from_eta(data, eta_q, q)
-            if abs(np.log(phi_new / phi)) < 1e-8:
-                phi = phi_new
-                break
-            phi = phi_new
-            prob = batch_of_one(phi)
-            res = irls(q, res.beta)
-
-    return _assemble_result(data, res.beta[0], q, phi, res, offset)
+    prob, res = _fit_batch([data], control, offset)
+    if res.error[0] is not None:
+        raise res.error[0]
+    phi = float(np.ravel(prob.phi)[0])
+    return _assemble_result(data, res.beta[0], control.q, phi, res, offset)
 
 
 def _assemble_result(data, beta_star, q, phi, res, offset=None):

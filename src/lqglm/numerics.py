@@ -84,6 +84,33 @@ def solve_spd_rows(A, B):
     definite and otherwise the 1-based index of its first non-positive
     Cholesky pivot, as ``solve_spd`` reports it; ``x[r]`` is NaN there.
     """
+    x, info = _band_solve(A, B)
+    if info == 0 and (len(A) == 1 or np.isfinite(x).all()):
+        return x, np.zeros(len(A), dtype=int)
+    # A row whose factorization fails stops the band there, and a NaN in
+    # one block reaches the next through the zero coupling entries.  Rows
+    # with non-finite entries are solved alone; the band of the others is
+    # redone without each failing row, which gets the dense factorization
+    # (and its pivot) a batch of one gives it.
+    R, p = A.shape[:2]
+    x = np.full(B.shape, np.nan)
+    pivot = np.zeros(R, dtype=int)
+    finite = np.isfinite(A).all(axis=(1, 2)) & np.isfinite(B).all(axis=1)
+    for rows in (np.flatnonzero(finite), *np.flatnonzero(~finite)[:, None]):
+        while rows.size:
+            xs, info = _band_solve(A[rows], B[rows])
+            if info == 0:
+                x[rows] = xs
+                break
+            bad = rows[[(info - 1) // p]]
+            x[bad], pivot[bad] = _solve_spd_each(A[bad], B[bad])
+            rows = rows[rows != bad[0]]
+    return x, pivot
+
+
+def _band_solve(A, B):
+    """``(x, info)`` of LAPACK ``dpbtrf``/``dpbtrs`` on ``diag(A[0], ...)``;
+    ``x`` is None when the factorization fails at column ``info``."""
     R, p, _ = A.shape
     # lower band storage: band[d, r, k] = A[r, k + d, k]
     flat = A.reshape(R, p * p)
@@ -91,13 +118,22 @@ def solve_spd_rows(A, B):
     for d in range(p):
         band[d, :, :p - d] = flat[:, d * p::p + 1]
     factor, info = lapack.dpbtrf(band.reshape(p, R * p), lower=1)
-    if info == 0:
-        x, _ = lapack.dpbtrs(factor, B.reshape(R * p), lower=1)
-        return x.reshape(R, p), np.zeros(R, dtype=int)
-    # the factorization stops at the first failing row: factor row by row
+    if info != 0:
+        return None, info
+    x, _ = lapack.dpbtrs(factor, B.reshape(R * p), lower=1)
+    return x.reshape(R, p), 0
+
+
+def _solve_spd_each(A, B):
+    """``solve_spd_rows`` by one dense Cholesky factorization per row.
+
+    ``B`` may also hold ``m`` right-hand sides per row, ``(R, p, m)``.
+    Each row's result is bit-identical to ``solve_spd(A[r], B[r])``; the
+    banded factorization orders its arithmetic differently.
+    """
     x = np.full(B.shape, np.nan)
-    pivot = np.zeros(R, dtype=int)
-    for r in range(R):
+    pivot = np.zeros(len(A), dtype=int)
+    for r in range(len(A)):
         factor, pivot[r] = lapack.dpotrf(A[r], lower=1)
         if pivot[r] == 0:
             x[r] = lapack.dpotrs(factor, B[r], lower=1)[0]

@@ -21,8 +21,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import UsageError
-from .families import get_family, get_link
-from .fit import FitControl, _classical_start, _fit_rows, _stack, calibrate_coefficients
+from .families import Q_ONE_EPS, get_family, get_link
+from .fit import FitControl, _fit_batch, _fitted, _irls, calibrate_coefficients
 from .model import ModelData
 from .numerics import rng_stream
 
@@ -64,6 +64,11 @@ class SimDesign:
             raise UsageError("reps must be at least 1")
         if any(not 0.0 < q <= 1.0 for q in self.q_list):
             raise UsageError("q values must lie in (0, 1]")
+        # the study summarises calibrated coefficients, which only the
+        # canonical link has at q < 1
+        if (any(abs(q - 1.0) >= Q_ONE_EPS for q in self.q_list)
+                and not get_link(self.link).is_canonical):
+            raise UsageError(f"link {self.link!r} has no calibrated coefficients at q < 1")
 
 
 @dataclass
@@ -163,22 +168,21 @@ def _replicates(design, ks, X_fixed=None):
         X, y, family, link = _draw(design, rng, X_fixed)
         y, _ = contaminate(y, design.eps, design.nu, rng)
         datas.append(ModelData(X, y, family, link, 1.0))
-    prob = _stack(datas, 1.0)
     control = FitControl(max_iter=design.max_iter, tol=design.tol)
 
-    # a replicate whose q = 1 fit fails gets NaN at every q; its NaN start
-    # makes every later fit fail at the start point
-    start, _ = _classical_start(prob)
-    beta, converged, ok = _fit_rows(prob, 1.0, start, control)
-    start = np.where(ok[:, None], beta, np.nan)
-    out = {1.0: np.where((ok & converged)[:, None], beta, np.nan)}
+    # q = 1 from the classical start; a replicate whose q = 1 fit fails
+    # gets NaN at every q, as its NaN start fails every later fit
+    prob, res = _fit_batch(datas, control)
+    ok = _fitted(prob, 1.0, res)
+    start = np.where(ok[:, None], res.beta, np.nan)
+    out = {1.0: np.where((ok & res.converged)[:, None], res.beta, np.nan)}
     for q in sorted(set(float(q) for q in design.q_list), reverse=True):
         if q == 1.0:
             continue
-        beta, converged, ok = _fit_rows(prob, q, start, control)
-        good = (ok & converged)[:, None]
-        out[q] = np.where(good, calibrate_coefficients(prob.link, beta, q), np.nan)
-        start = np.where(good, beta, start)
+        res = _irls(prob, q, start, control)
+        good = (_fitted(prob, q, res) & res.converged)[:, None]
+        out[q] = np.where(good, calibrate_coefficients(prob.link, res.beta, q), np.nan)
+        start = np.where(good, res.beta, start)
     return np.stack([out[float(q)] for q in design.q_list], axis=1)
 
 

@@ -185,6 +185,19 @@ class TestEnvelopeCli:
         assert len(lines) == 40  # 39 observations + header
 
 
+    def test_json_counts_nonconverged_refits(self, vaso_csv, tmp_path):
+        out = str(tmp_path / "env.json")
+        code = main([
+            "envelope", "--data", vaso_csv, "--response", "y", "--family", "bernoulli",
+            "--log", "volume,rate", "--q", "0.79", "--type", "quantile", "--reps", "20",
+            "--seed", "5", "--output", out,
+        ])
+        doc = json.load(open(out))
+        assert code == 0 and doc["schema"] == "lq-glm/1"
+        # one of the 20 refits stops at the 25-iteration cap
+        assert (doc["reps"], doc["failed"], doc["nonconverged"]) == (20, 0, 1)
+
+
 class TestSimulateCli:
     def test_csv_schema_and_determinism(self, tmp_path):
         args = [
@@ -204,3 +217,53 @@ def test_seed_env_default(monkeypatch):
 
     monkeypatch.setenv("LQGLM_SEED", "777")
     assert _default_seed() == 777
+
+
+def test_seed_env_read_when_the_command_runs(vaso_csv, tmp_path, monkeypatch):
+    # the parser is built once per process; LQGLM_SEED must still apply to
+    # every later call
+    args = ["residuals", "--data", vaso_csv, "--response", "y", "--family", "bernoulli",
+            "--log", "volume,rate", "--q", "0.79", "--type", "quantile"]
+
+    def residuals(extra):
+        out = str(tmp_path / "r.json")
+        assert main(args + extra + ["--output", out]) == 0
+        return json.load(open(out))["residuals"]
+
+    from_env = []
+    for seed in ("11", "12"):
+        monkeypatch.setenv("LQGLM_SEED", seed)
+        from_env.append(residuals([]))
+    monkeypatch.delenv("LQGLM_SEED")
+    assert from_env == [residuals(["--seed", "11"]), residuals(["--seed", "12"])]
+    assert from_env[0] != from_env[1]
+
+
+@pytest.mark.parametrize("argv", [
+    ["fit", "--data", "x.csv", "--response", "y", "--bogus"],
+    ["envelope", "--data", "x.csv", "--response", "y", "--reps", "many"],
+    ["frobnicate"],
+    [],
+])
+def test_usage_errors_exit_1(argv, capsys):
+    # exit code 2 means "fit did not converge"
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage: lqglm") and "lqglm: error: " in err
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["envelope", "--help"])
+    assert exc.value.code == 0
+    assert "--reps" in capsys.readouterr().out
+
+
+def test_rebound_command_takes_effect(vaso_csv, monkeypatch):
+    # the parser is built once; the command still runs through the
+    # module's current binding
+    import lqglm.cli
+
+    assert main(_fit_args(vaso_csv, "-", "1.0")) == 0
+    monkeypatch.setattr(lqglm.cli, "cmd_fit", lambda args: 7)
+    assert main(_fit_args(vaso_csv, "-", "1.0")) == 7

@@ -355,3 +355,177 @@ class TestEnvelope:
         ranks = {order[-1] + 1, order[-2] + 1}
         assert ranks == {4, 18}
         assert outside[-1] and outside[-2]
+
+
+# The per-replicate envelope and the residual functions as they were before
+# the envelope refit its replicates as one batch: the oracle the batched
+# envelope and the batch-of-one residual functions must reproduce.
+
+def _loop_standardized(data, fit):
+    from lqglm.diagnostics import _hat_pieces
+    from lqglm.numerics import solve_spd
+
+    w, V, W, J, GK, XtDX = _hat_pieces(data, fit)
+    phi, q = fit.phi_hat, fit.q
+    X, WJ = data.X, W * J
+    G = solve_spd(XtDX, X.T).T
+    m = WJ * np.sum(G * X, axis=1)
+    m2 = WJ * np.sum((G @ (X.T @ (WJ[:, None] * X))) * G, axis=1)
+    bracket = (1.0 - GK * m) - GK * (m - GK * m2)
+    bad = bracket < 0
+    if np.any(bad):
+        warnings.warn(f"{int(bad.sum())} standardized residuals undefined "
+                      "(negative variance estimate); reported as NaN")
+    with np.errstate(invalid="ignore", divide="ignore"):
+        den = np.sqrt(J * V / phi) * np.sqrt(np.where(bad, np.nan, bracket))
+        return np.sqrt(2.0 - q) * w.U * (data.y - w.mu) / den
+
+
+def _loop_deviance(data, fit):
+    from lqglm.families import _lq_terms
+    from lqglm.fit import _problem, _working
+
+    logf_sat = data.family.saturated_log_density(data.y, fit.phi_hat)
+    logf_fit = _working(_problem(data, fit.phi_hat), fit.eta_q, fit.q).logf
+    d = np.maximum(2.0 * (_lq_terms(logf_sat, fit.q) - _lq_terms(logf_fit, fit.q)), 0.0)
+    return np.sign(data.y - fit.mu) * np.sqrt(d)
+
+
+def _loop_quantile(data, fit, rng):
+    from lqglm.families import quantile_residual_base
+
+    uniforms = rng.uniform(size=data.n) if data.family.discrete else None
+    out, at_bound = quantile_residual_base(data.family, data.y, fit.mu, fit.phi_hat, uniforms)
+    clamped = int(np.count_nonzero(at_bound))
+    if clamped:
+        warnings.warn(f"{clamped} quantile residuals clamped at the CDF boundary")
+    return out
+
+
+_LOOP_RESIDUALS = {
+    "standardized": lambda d, f, rng: _loop_standardized(d, f),
+    "deviance": lambda d, f, rng: _loop_deviance(d, f),
+    "quantile": _loop_quantile,
+}
+
+
+def _loop_envelope(data, fit, kind, reps, seed, control=None, level=0.95):
+    """One fit_mlq per replicate; returns the envelope fields, the
+    non-converged count and the LqglmError types of the failed refits."""
+    from dataclasses import replace
+
+    from lqglm import LqglmError
+
+    resid = _LOOP_RESIDUALS[kind]
+    ctl = control if control is not None else FitControl(q=fit.q)
+    if abs(ctl.q - fit.q) > 0:
+        ctl = replace(ctl, q=fit.q, init="ml-warm-start")
+    sims, failed, nonconverged, errors = [], 0, 0, []
+    for r in range(reps):
+        rng = rng_stream(seed, r)
+        y_sim = data.family.sample(rng, fit.mu, fit.phi_hat)
+        try:
+            data_sim = ModelData(data.X, y_sim, data.family, data.link, data.phi)
+            fit_sim = fit_mlq(data_sim, ctl)
+            vals = np.sort(resid(data_sim, fit_sim, rng))
+        except LqglmError as e:
+            failed += 1
+            errors.append(type(e).__name__)
+            continue
+        if np.any(~np.isfinite(vals)):
+            failed += 1
+            continue
+        sims.append(vals)
+        nonconverged += not fit_sim.converged
+    sims = np.asarray(sims)
+    alpha = 0.5 * (1.0 - level)
+    lower = np.percentile(sims, 100 * alpha, axis=0)
+    upper = np.percentile(sims, 100 * (1.0 - alpha), axis=0)
+    observed = np.sort(resid(data, fit, rng_stream(seed, reps)))
+    return dict(observed=observed, lower=lower, upper=upper, reps=len(sims), failed=failed,
+                nonconverged=nonconverged, errors=errors)
+
+
+def _recorded(fn, *args, **kwargs):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        out = fn(*args, **kwargs)
+    return out, [str(c.message) for c in caught]
+
+
+def _profile_gaussian():
+    rng = rng_stream(11, 0)
+    X = np.column_stack([np.ones(60), rng.uniform(-1, 1, size=60)])
+    return ModelData(X, rng.normal(X @ np.array([0.5, 1.0]), 0.7), "gaussian", phi="profile")
+
+
+def _small_profile_gaussian():
+    # n = 6 at q = 0.5: some refits hit singular normal equations and some
+    # profiled dispersions run to the bracket edge
+    rng = rng_stream(203, 6)
+    X = np.column_stack([np.ones(6), rng.uniform(-1, 1, size=6)])
+    return ModelData(X, rng.normal(X @ np.array([0.5, 1.0]), 0.5), "gaussian", phi="profile")
+
+
+class TestBatchedEnvelope:
+    """The batched envelope equals the per-replicate fit_mlq loop."""
+
+    @staticmethod
+    def _check(data, fit, kind, reps, seed, control=None):
+        env, env_warnings = _recorded(simulation_envelope, data, fit, kind=kind, reps=reps,
+                                      seed=seed, control=control)
+        ref, ref_warnings = _recorded(_loop_envelope, data, fit, kind, reps, seed, control)
+        assert (env.reps, env.failed, env.nonconverged) == (
+            ref["reps"], ref["failed"], ref["nonconverged"])
+        assert env_warnings == ref_warnings
+        for key in ("observed", "lower", "upper"):
+            got, want = getattr(env, key), ref[key]
+            if kind == "standardized":
+                assert np.array_equal(np.isnan(got), np.isnan(want))
+                assert_allclose(got, want, rtol=1e-12, atol=0)
+            else:
+                assert got.tobytes() == want.tobytes()
+        return env, ref
+
+    @pytest.mark.parametrize("kind", ["quantile", "deviance", "standardized"])
+    @pytest.mark.parametrize("fixture,q", [
+        ("vaso", 0.79), ("vaso", 0.9), ("poisson_example", 0.9), ("gaussian_example", 0.9),
+        ("profile_gaussian", 0.9)])
+    def test_matches_per_replicate_loop(self, fixture, q, kind, request):
+        data = _profile_gaussian() if fixture == "profile_gaussian" else request.getfixturevalue(fixture)
+        self._check(data, fit_mlq(data, FitControl(q=q)), kind, 20, 5)
+
+    def test_failed_refits_are_dropped(self):
+        # of these 12 refits one hits singular normal equations and one a
+        # profiled dispersion on the bracket edge
+        data = _small_profile_gaussian()
+        ctl = FitControl(q=0.5)
+        env, ref = self._check(data, fit_mlq(data, ctl), "quantile", 12, 6, ctl)
+        assert env.failed == 2
+        assert sorted(ref["errors"]) == ["BracketError", "SingularMatrixError"]
+
+    def test_nan_residuals_are_dropped_across_blocks(self, vaso, vaso_79):
+        # 130 replicates span three blocks; six have an undefined residual
+        env, _ = self._check(vaso, vaso_79, "standardized", 130, 3)
+        assert env.failed == 6 and env.reps == 124
+
+    def test_nonconverged_refits_are_counted(self, vaso, vaso_79):
+        # one of these 20 refits stops at the 25-iteration cap
+        env, _ = self._check(vaso, vaso_79, "quantile", 20, 5)
+        assert env.nonconverged == 1 and env.failed == 0
+
+    @pytest.mark.parametrize("fixture,q", [
+        ("vaso", 0.79), ("vaso", 0.6), ("poisson_example", 0.9), ("gaussian_example", 0.9),
+        ("profile_gaussian", 0.9)])
+    def test_public_residuals_are_a_batch_of_one(self, fixture, q, request):
+        data = _profile_gaussian() if fixture == "profile_gaussian" else request.getfixturevalue(fixture)
+        fit = fit_mlq(data, FitControl(q=q))
+        t, t_warnings = _recorded(standardized_residuals, data, fit)
+        ref, ref_warnings = _recorded(_loop_standardized, data, fit)
+        assert t_warnings == ref_warnings
+        assert np.array_equal(np.isnan(t), np.isnan(ref))
+        assert_allclose(t, ref, rtol=1e-12, atol=0)
+        assert deviance_residuals(data, fit).tobytes() == _loop_deviance(data, fit).tobytes()
+        r, r_warnings = _recorded(quantile_residuals, data, fit, rng_stream(9, 0))
+        ref, ref_warnings = _recorded(_loop_quantile, data, fit, rng_stream(9, 0))
+        assert r.tobytes() == ref.tobytes() and r_warnings == ref_warnings

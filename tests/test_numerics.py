@@ -14,6 +14,7 @@ from lqglm import (
     rng_stream,
     solve_spd,
 )
+from lqglm.numerics import solve_spd_rows
 from lqglm.fit import FitControl, estimate_phi, fit_mlq
 from lqglm.model import ModelData
 
@@ -54,6 +55,48 @@ class TestSolveSpd:
         A = np.array([[1.0, 0.5], [0.0, 1.0]])
         with pytest.raises(ValueError, match="symmetric"):
             solve_spd(A, np.ones(2))
+
+
+class TestSolveSpdRows:
+    @staticmethod
+    def _rows():
+        rng = rng_stream(17, 0)
+        A, B = [], []
+        for _ in range(12):
+            M = rng.normal(size=(3, 3))
+            A.append(M @ M.T + 0.1 * np.eye(3))
+            B.append(rng.normal(size=3))
+        v = rng.normal(size=3)
+        A[3] = np.outer(v, v)  # singular: pivot 2
+        A[6] = np.outer(v, v) + 1e-14 * np.eye(3)  # nearly singular
+        A[8] = np.full((3, 3), np.nan)  # non-finite
+        B[10] = np.array([np.inf, 0.0, 1.0])
+        return np.array(A), np.array(B)
+
+    def test_rows_do_not_depend_on_the_batch(self):
+        # a failing or non-finite row changes no other row's solution
+        A, B = self._rows()
+        x, pivot = solve_spd_rows(A, B)
+        for r in range(len(A)):
+            x_r, pivot_r = solve_spd_rows(A[[r]], B[[r]])
+            assert x[r].tobytes() == x_r[0].tobytes()
+            assert pivot[r] == pivot_r[0]
+        assert pivot[3] == 2 and np.isnan(x[3]).all()
+        assert np.isnan(x[8]).all() and not np.isfinite(x[10]).all()
+
+    def test_dense_rows_match_solve_spd(self):
+        from lqglm.numerics import _solve_spd_each
+
+        A, B = self._rows()
+        x, pivot = _solve_spd_each(A[:3], B[:3])
+        for r in range(3):
+            assert x[r].tobytes() == solve_spd(A[r], B[r]).tobytes()
+        # several right-hand sides per row
+        Bm = np.stack([B[:3], -B[:3]], axis=-1)
+        xm, _ = _solve_spd_each(A[:3], Bm)
+        for r in range(3):
+            assert xm[r].tobytes() == solve_spd(A[r], Bm[r]).tobytes()
+        assert _solve_spd_each(A[[3]], B[[3]])[1][0] == 2
 
 
 class TestMaximize1d:

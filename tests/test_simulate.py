@@ -105,6 +105,15 @@ class TestRunStudy:
         with pytest.raises(UsageError):
             SimDesign(q_list=(1.5,))
 
+    def test_noncanonical_link_needs_q_one(self):
+        # calibrated coefficients exist at q < 1 only under the canonical link
+        from lqglm import UsageError
+
+        with pytest.raises(UsageError, match="power3"):
+            SimDesign(n=100, reps=4, q_list=(1.0, 0.9), link="power3")
+        report = run_study(SimDesign(n=100, reps=4, q_list=(1.0,), link="power3"))
+        assert len(report.rows) == 1 and np.isfinite(report.rows[0]["bias"])
+
 
 class TestBatchedReplicates:
     @staticmethod
