@@ -482,10 +482,10 @@ def _profile(datas, prob, q, res, control):
     """Alternate beta | phi and phi | beta on each row until its dispersion
     settles, at most 25 rounds.
 
-    ``prob`` is at phi = 1 and ``res`` holds the fits there; ``res`` is
-    updated in place with each row's last fit (a failed phi search sets
-    its error) and the problem at each row's final dispersion, an (R, 1)
-    column, is returned.  Rows whose dispersion has settled leave the
+    ``prob`` is at phi = 1 and ``res`` holds the fits there.  ``res`` is
+    updated in place with each row's last fit; a failed phi search sets
+    the row's error.  Returns the problem at each row's final dispersion,
+    an (R, 1) column.  Rows whose dispersion has settled leave the
     alternation.
     """
     phi = np.ones(len(datas))
