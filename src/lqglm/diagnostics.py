@@ -33,6 +33,7 @@ from .fit import (
     _fit_batch,
     _fitted,
     _matrices_ab,
+    _phi_value,
     _predictor,
     _problem,
     _sensitivity,
@@ -176,8 +177,7 @@ def _constrained_fit(data, hyp, q, control=None):
         raise UsageError("constrained fits are defined for the canonical link")
     b0, N = _nullspace_param(hyp.H, hyp.h / q)
     if N.shape[1] == 0:
-        phi = 1.0 if data.phi == "profile" else data.phi
-        return b0, phi
+        return b0, _phi_value(data, None)
     offset = data.X @ b0
     reduced = ModelData(data.X @ N, data.y, data.family, data.link, data.phi)
     # an explicit init belongs to the full design, not the reduced one

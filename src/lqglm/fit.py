@@ -13,14 +13,14 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import BracketError, DomainError, LqglmError, SingularMatrixError, UsageError
+from .errors import BracketError, DomainError, SingularMatrixError, UsageError
 from .families import Q_ONE_EPS, _lq_terms
-from .model import PROFILE, FitControl, FitResult, ModelData
+from .model import PROFILE, FitControl, FitResult
 from .numerics import (
     _not_positive_definite,
     _solve_spd_each,
     inv_spd,
-    maximize_1d,
+    maximize_1d_rows,
     solve_spd_rows,
 )
 
@@ -169,11 +169,6 @@ def _working_at(data, beta, q, phi, offset):
 def lq_objective(data, beta, q, phi=None, offset=None):
     """Lq-likelihood objective ``sum_i l_q(f(y_i; k(x_i' beta), phi))``."""
     return float(_working_at(data, beta, q, phi, offset)[0].objective)
-
-
-def lq_value_from_eta(data, eta_q, q, phi):
-    """Objective evaluated at given (calibrated) predictors."""
-    return float(_working(_problem(data, phi), eta_q, q).objective)
 
 
 def robust_weights(data, beta, q, phi=None, offset=None):
@@ -474,11 +469,11 @@ def _fit_batch(datas, control, offset=None):
         if e is not None:
             res.error[r] = e
     if profile:
-        prob = _profile(datas, prob, q, res, control)
+        prob = _profile(prob, q, res, control)
     return prob, res
 
 
-def _profile(datas, prob, q, res, control):
+def _profile(prob, q, res, control):
     """Alternate beta | phi and phi | beta on each row until its dispersion
     settles, at most 25 rounds.
 
@@ -488,32 +483,58 @@ def _profile(datas, prob, q, res, control):
     an (R, 1) column.  Rows whose dispersion has settled leave the
     alternation.
     """
-    phi = np.ones(len(datas))
-    live = [r for r, e in enumerate(res.error) if e is None]
+    phi = np.ones(len(prob.y))
+    live = np.flatnonzero([e is None for e in res.error])
     for _ in range(25):
-        if not live:
+        if not live.size:
             break
         sub = prob.rows(live)
-        eta_q = calibrate(prob.link, _predictor(sub, res.beta[live]), q)
-        refit = []
-        for r, eta in zip(live, eta_q):
-            try:
-                phi_new = _profile_phi_from_eta(datas[r], eta, q)
-            except LqglmError as e:
-                res.error[r] = e
-                continue
-            if not abs(np.log(phi_new / phi[r])) < 1e-8:
-                refit.append(r)
-            phi[r] = phi_new
-        if not refit:
+        phi_new, error = _profile_phi(sub, calibrate(prob.link, _predictor(sub, res.beta[live]), q), q)
+        ok = np.array([e is None for e in error], dtype=bool)
+        for r, e in zip(live.tolist(), error):
+            res.error[r] = e
+        refit = live[ok & ~(np.abs(np.log(phi_new / phi[live])) < 1e-8)]
+        phi[live[ok]] = phi_new[ok]
+        if not refit.size:
             break
         sub = _irls(prob.rows(refit).with_phi(phi[refit, None]), q, res.beta[refit], control)
-        for k, r in enumerate(refit):
-            res.beta[r], res.iterations[r] = sub.beta[k], sub.iterations[k]
-            res.converged[r], res.trace[:, r] = sub.converged[k], sub.trace[:, k]
+        res.beta[refit], res.iterations[refit] = sub.beta, sub.iterations
+        res.converged[refit], res.trace[:, refit] = sub.converged, sub.trace
+        for k, r in enumerate(refit.tolist()):
             res.message[r], res.error[r] = sub.message[k], sub.error[k]
-        live = [r for r in refit if res.error[r] is None]
+        live = refit[[e is None for e in sub.error]]
     return prob.with_phi(phi[:, None])
+
+
+def _profile_phi(prob, eta_q, q, expand=1e4):
+    """Profiled Lq-likelihood dispersion of each row at the predictors ``eta_q``.
+
+    One golden-section search on ``log(phi)`` runs every row, each in a
+    bracket of ``expand`` either side of its moment estimate.  Returns
+    ``(phi, error)``: ``error[r]`` is the BracketError (zero residuals, or
+    the maximum on the bracket edge) or EvaluationError of row r, else None.
+    """
+    mu = prob.family.b_dot(prob.link.k(eta_q))
+    rss = np.add.reduce((prob.y - mu) ** 2, axis=-1)
+    zero = rss <= 1e-300
+    error = [BracketError("profiled dispersion diverges (zero residuals); no interior maximum")
+             if z else None for z in zero.tolist()]
+    rows = np.flatnonzero(~zero)
+    phi0 = prob.y.shape[-1] / rss[rows]
+    lo, hi = np.log(phi0 / expand), np.log(phi0 * expand)
+    sub, eta_q = prob.rows(rows), eta_q[rows]
+    t, _, search_error = maximize_1d_rows(
+        lambda t, k: _working(sub.rows(k).with_phi(np.exp(t)[:, None]), eta_q[k], q).objective,
+        lo, hi, tol=1e-10)
+    edge = ((t - lo < 1e-6) | (hi - t < 1e-6)).tolist()
+    for r, e, on_edge in zip(rows.tolist(), search_error, edge):
+        if e is None and on_edge:
+            e = BracketError(
+                "profiled dispersion maximum sits on the bracket edge; expand the bracket")
+        error[r] = e
+    phi = np.full(len(rss), np.nan)
+    phi[rows] = np.exp(t)
+    return phi, error
 
 
 def fit_mlq(data, control=None, offset=None):
@@ -580,28 +601,6 @@ def _assemble_result(data, beta_star, q, phi, res, offset=None):
     )
 
 
-def _profile_phi_from_eta(data, eta_q, q, expand=1e4):
-    theta = data.link.k(eta_q)
-    mu = data.family.b_dot(theta)
-    rss = float(np.sum((data.y - mu) ** 2))
-    if rss <= 1e-300:
-        raise BracketError(
-            "profiled dispersion diverges (zero residuals); no interior maximum"
-        )
-    phi0 = data.n / rss
-    lo, hi = np.log(phi0 / expand), np.log(phi0 * expand)
-
-    def h(t):
-        return lq_value_from_eta(data, eta_q, q, float(np.exp(t)))
-
-    t_hat, _ = maximize_1d(h, lo, hi, tol=1e-10)
-    if t_hat - lo < 1e-6 or hi - t_hat < 1e-6:
-        raise BracketError(
-            "profiled dispersion maximum sits on the bracket edge; expand the bracket"
-        )
-    return float(np.exp(t_hat))
-
-
 def estimate_phi(data, beta_q, q, expand=1e4):
     """Profiled Lq-likelihood estimate of a free dispersion.
 
@@ -617,4 +616,7 @@ def estimate_phi(data, beta_q, q, expand=1e4):
     if data.family.phi_fixed is not None:
         raise UsageError(f"family '{data.family.name}' has fixed dispersion")
     eta_q = data.X @ np.asarray(beta_q, dtype=float)
-    return _profile_phi_from_eta(data, eta_q, q, expand=expand)
+    phi, error = _profile_phi(_stack([data], 1.0), eta_q[None], q, expand=expand)
+    if error[0] is not None:
+        raise error[0]
+    return float(phi[0])

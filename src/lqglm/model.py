@@ -5,7 +5,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .errors import DomainError, SingularMatrixError, UsageError
+from .errors import SingularMatrixError, UsageError
 from .families import CanonicalLink, Family, ThetaLink, get_family, get_link
 from .numerics import solve_spd
 

@@ -12,13 +12,14 @@ from scipy.linalg import lapack
 from scipy.special import ndtr, ndtri
 from scipy.stats import chi2
 
-from .errors import BracketError, EvaluationError, SingularMatrixError
+from .errors import EvaluationError, SingularMatrixError
 
 __all__ = [
     "solve_spd",
     "solve_spd_rows",
     "inv_spd",
     "maximize_1d",
+    "maximize_1d_rows",
     "chi_square_sf",
     "normal_quantile",
     "normal_cdf",
@@ -157,32 +158,53 @@ def maximize_1d(f, lo, hi, tol=1e-8, max_iter=500):
     EvaluationError
         If ``f`` returns a non-finite value; ``probe`` holds the location.
     """
-    if not lo < hi:
-        raise ValueError("need lo < hi")
+    x, value, error = maximize_1d_rows(lambda x, rows: [f(x[0])], [lo], [hi], tol, max_iter)
+    if error[0] is not None:
+        raise error[0]
+    return float(x[0]), float(value[0])
 
-    def ev(x):
-        v = f(x)
-        if not np.isfinite(v):
-            raise EvaluationError(f"f({x!r}) is not finite", probe=x)
+
+def maximize_1d_rows(f, lo, hi, tol=1e-8, max_iter=500):
+    """``maximize_1d`` of one function per row on the (R,) brackets ``[lo, hi]``.
+
+    ``f(x, rows)`` returns the values at ``x`` of the functions of
+    ``rows``, an index array.  A row stops when its own bracket is at or
+    below ``tol``, so its result does not depend on the other rows.
+    Returns ``(x, value, error)``: ``error[r]`` is the EvaluationError of
+    a row that probed a non-finite value and left the search, else None.
+    """
+    a, b = np.array(lo, dtype=float), np.array(hi, dtype=float)
+    if not np.all(a < b):
+        raise ValueError("need lo < hi")
+    error = [None] * len(a)
+    live = np.ones(len(a), dtype=bool)
+
+    def ev(x, mask):
+        # f at x on the live rows of mask; a non-finite value fails its row
+        rows = np.flatnonzero(mask & live)
+        v = np.full(len(a), np.nan)
+        if rows.size:
+            v[rows] = f(x[rows], rows)
+        for r in rows[~np.isfinite(v[rows])].tolist():
+            error[r] = EvaluationError(f"f({x[r]!r}) is not finite", probe=float(x[r]))
+            live[r] = False
         return v
 
-    a, b = float(lo), float(hi)
-    x1 = b - GOLDEN * (b - a)
-    x2 = a + GOLDEN * (b - a)
-    f1, f2 = ev(x1), ev(x2)
+    x1, x2 = b - GOLDEN * (b - a), a + GOLDEN * (b - a)
+    f1, f2 = ev(x1, live), ev(x2, live)
     for _ in range(max_iter):
-        if b - a <= tol:
+        go = live & (b - a > tol)
+        if not go.any():
             break
-        if f1 < f2:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + GOLDEN * (b - a)
-            f2 = ev(x2)
-        else:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - GOLDEN * (b - a)
-            f1 = ev(x1)
+        up, down = go & (f1 < f2), go & ~(f1 < f2)
+        a[up], x1[up], f1[up] = x1[up], x2[up], f2[up]
+        b[down], x2[down], f2[down] = x2[down], x1[down], f1[down]
+        x2[up] = a[up] + GOLDEN * (b[up] - a[up])
+        x1[down] = b[down] - GOLDEN * (b[down] - a[down])
+        v = ev(np.where(up, x2, x1), go)
+        f2[up], f1[down] = v[up], v[down]
     xm = 0.5 * (a + b)
-    return xm, ev(xm)
+    return xm, ev(xm, live), error
 
 
 def chi_square_sf(x, d):

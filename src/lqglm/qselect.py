@@ -12,7 +12,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import LqglmError, SelectionError, UsageError
-from .fit import FitControl, fit_mlq, matrices_ab
+from .fit import FitControl, fit_mlq
 from .numerics import inv_spd
 
 __all__ = [

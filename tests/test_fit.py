@@ -500,3 +500,107 @@ class TestBatchedCore:
         res = _irls(_stack([poisson_example], 1.0), 0.9, np.full((1, 3), 0.5), ctl)
         assert fit.beta_star.tobytes() == res.beta[0].tobytes()
         assert fit.iterations == res.iterations[0] and fit.objective_trace[-1] == res.trace[fit.iterations, 0]
+
+
+# The per-row dispersion search the batched one replaced, kept as the oracle:
+# a scalar golden section and one search per ModelData.
+_GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
+
+
+def _scalar_maximize_1d(f, lo, hi, tol=1e-8, max_iter=500):
+    from lqglm import EvaluationError
+
+    if not lo < hi:
+        raise ValueError("need lo < hi")
+
+    def ev(x):
+        v = f(x)
+        if not np.isfinite(v):
+            raise EvaluationError(f"f({x!r}) is not finite", probe=x)
+        return v
+
+    a, b = float(lo), float(hi)
+    x1 = b - _GOLDEN * (b - a)
+    x2 = a + _GOLDEN * (b - a)
+    f1, f2 = ev(x1), ev(x2)
+    for _ in range(max_iter):
+        if b - a <= tol:
+            break
+        if f1 < f2:
+            a, x1, f1 = x1, x2, f2
+            x2 = a + _GOLDEN * (b - a)
+            f2 = ev(x2)
+        else:
+            b, x2, f2 = x2, x1, f1
+            x1 = b - _GOLDEN * (b - a)
+            f1 = ev(x1)
+    xm = 0.5 * (a + b)
+    return xm, ev(xm)
+
+
+def _per_row_profile_phi(data, eta_q, q, expand=1e4):
+    from lqglm.fit import _problem, _working
+
+    theta = data.link.k(eta_q)
+    mu = data.family.b_dot(theta)
+    rss = float(np.sum((data.y - mu) ** 2))
+    if rss <= 1e-300:
+        raise BracketError(
+            "profiled dispersion diverges (zero residuals); no interior maximum"
+        )
+    phi0 = data.n / rss
+    lo, hi = np.log(phi0 / expand), np.log(phi0 * expand)
+
+    def h(t):
+        return float(_working(_problem(data, float(np.exp(t))), eta_q, q).objective)
+
+    t_hat, _ = _scalar_maximize_1d(h, lo, hi, tol=1e-10)
+    if t_hat - lo < 1e-6 or hi - t_hat < 1e-6:
+        raise BracketError(
+            "profiled dispersion maximum sits on the bracket edge; expand the bracket"
+        )
+    return float(np.exp(t_hat))
+
+
+class TestBatchedProfile:
+    """One golden-section search profiles the dispersion of every row."""
+
+    @pytest.mark.parametrize("q", [1.0, 0.9, 0.5])
+    def test_matches_per_row_search(self, q):
+        from lqglm.fit import _profile_phi, _stack
+
+        rng = rng_stream(29, 0)
+        datas, etas = [], []
+        for scale in (0.2, 0.5, 1.0, 2.0, 0.05, 5.0, 0.7, 1.5):
+            X = np.column_stack([np.ones(12), rng.uniform(-1, 1, size=12)])
+            eta = X @ np.array([0.5, 1.0])
+            datas.append(ModelData(X, eta + rng.normal(0, scale, size=12), "gaussian"))
+            etas.append(eta)
+        # zero residuals: no interior maximum
+        datas[2] = ModelData(datas[2].X, etas[2], "gaussian")
+        # half the observations fitted exactly: at q = 0.5 the objective then
+        # grows with phi up to the bracket edge
+        y = datas[6].y.copy()
+        y[:6] = etas[6][:6]
+        datas[6] = ModelData(datas[6].X, y, "gaussian")
+        phi, error = _profile_phi(_stack(datas, 1.0), np.array(etas), q)
+        kinds = []
+        for r, d in enumerate(datas):
+            try:
+                expected = _per_row_profile_phi(d, etas[r], q)
+            except BracketError as e:
+                assert type(error[r]) is type(e) and str(error[r]) == str(e)
+                kinds.append(str(e).split(";")[0])
+                continue
+            assert error[r] is None
+            assert phi[r].tobytes() == np.float64(expected).tobytes()
+        assert kinds[0].startswith("profiled dispersion diverges")
+        assert kinds[1:] == (["profiled dispersion maximum sits on the bracket edge"]
+                             if q == 0.5 else [])
+
+    def test_estimate_phi_is_a_batch_of_one(self, gaussian_example):
+        for q in (1.0, 0.9, 0.5):
+            fit = fit_mlq(gaussian_example, FitControl(q=q))
+            eta_q = gaussian_example.X @ fit.beta_q
+            expected = _per_row_profile_phi(gaussian_example, eta_q, q)
+            assert estimate_phi(gaussian_example, fit.beta_q, q) == expected

@@ -15,7 +15,7 @@ from lqglm import (
     solve_spd,
 )
 from lqglm.numerics import solve_spd_rows
-from lqglm.fit import FitControl, estimate_phi, fit_mlq
+from lqglm.fit import FitControl, estimate_phi, fit_mlq, lq_objective
 from lqglm.model import ModelData
 
 
@@ -112,6 +112,39 @@ class TestMaximize1d:
         with pytest.raises(EvaluationError):
             maximize_1d(lambda x: np.nan, 0.0, 1.0)
 
+    def test_rows_equal_their_batch_of_one(self):
+        from lqglm.numerics import maximize_1d_rows
+
+        funcs = [
+            lambda x: -((x - 2.0) ** 2),
+            lambda x: -abs(x - 1.0),
+            lambda x: -np.cos(x),
+            lambda x: -((x - 3.0) ** 2) if x < 3.5 else np.nan,  # fails mid-search
+            lambda x: np.exp(-x) * x,
+        ]
+        lo = np.array([0.0, -4.0, 2.0, 0.0, 0.0])
+        hi = np.array([5.0, 3.0, 5.0, 5.0, 10.0])
+
+        def f(x, rows):
+            return np.array([funcs[r](v) for r, v in zip(rows, x)])
+
+        x, value, error = maximize_1d_rows(f, lo, hi, tol=1e-10)
+        assert isinstance(error[3], EvaluationError) and error[3].probe >= 3.5
+        assert [e is None for e in error] == [True, True, True, False, True]
+        for r, g in enumerate(funcs):
+            x_r, value_r, error_r = maximize_1d_rows(
+                lambda t, rows: [g(t[0])], lo[[r]], hi[[r]], tol=1e-10)
+            assert type(error[r]) is type(error_r[0])
+            if error[r] is not None:
+                assert error[r].probe == error_r[0].probe
+                with pytest.raises(EvaluationError):
+                    maximize_1d(g, lo[r], hi[r], tol=1e-10)
+                continue
+            assert x[r].tobytes() == x_r[0].tobytes()
+            assert value[r].tobytes() == value_r[0].tobytes()
+            assert (x[r], value[r]) == maximize_1d(g, lo[r], hi[r], tol=1e-10)
+        assert abs(x[2] - np.pi) < 1e-7 and abs(x[4] - 1.0) < 1e-7
+
     def test_profiled_dispersion_matches_grid_scan(self):
         # grid-scan oracle on a 20-point fixed-seed Gaussian dataset
         rng = rng_stream(7, 0)
@@ -121,16 +154,13 @@ class TestMaximize1d:
         fit = fit_mlq(data, FitControl(q=0.9))
         phi_hat = estimate_phi(data, fit.beta_q, 0.9)
 
-        from lqglm.fit import lq_value_from_eta
-
         # two-stage grid scan, effective resolution beyond 1e6 points
-        eta_q = X @ fit.beta_q
         coarse = np.exp(np.linspace(np.log(phi_hat / 50), np.log(phi_hat * 50), 2001))
-        vals = np.array([lq_value_from_eta(data, eta_q, 0.9, p) for p in coarse])
+        vals = np.array([lq_objective(data, fit.beta_q, 0.9, phi=p) for p in coarse])
         k = int(np.argmax(vals))
         fine = np.exp(np.linspace(np.log(coarse[max(k - 1, 0)]),
                                   np.log(coarse[min(k + 1, 2000)]), 20001))
-        fvals = np.array([lq_value_from_eta(data, eta_q, 0.9, p) for p in fine])
+        fvals = np.array([lq_objective(data, fit.beta_q, 0.9, phi=p) for p in fine])
         phi_grid = fine[int(np.argmax(fvals))]
         assert abs(phi_hat - phi_grid) / phi_grid < 1e-6
 
