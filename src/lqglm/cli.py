@@ -111,10 +111,8 @@ def _model_data(args):
 def _resolve_q(args, data):
     if args.q == "auto":
         lo, step = _parse_grid(args.grid)
-        sel = select_q_stability(data, QGrid(q_min=lo, step=step))
-        return sel.q_opt, sel
-    q = float(args.q)
-    return q, None
+        return select_q_stability(data, QGrid(q_min=lo, step=step)).q_opt
+    return float(args.q)
 
 
 def _parse_grid(text):
@@ -128,7 +126,7 @@ def _control(args, q):
 
 def cmd_fit(args):
     data, names = _model_data(args)
-    q, _ = _resolve_q(args, data)
+    q = _resolve_q(args, data)
     fit = fit_mlq(data, _control(args, q))
     doc = {
         "schema": SCHEMA,
@@ -176,7 +174,7 @@ def cmd_selectq(args):
 
 def cmd_test(args):
     data, _ = _model_data(args)
-    q, _ = _resolve_q(args, data)
+    q = _resolve_q(args, data)
     H = np.loadtxt(args.H, delimiter=",", ndmin=2)
     h = np.loadtxt(args.h_vector, delimiter=",", ndmin=1)
     hyp = LinearHypothesis(H, h)
@@ -208,7 +206,7 @@ def _residual_values(kind, data, fit, seed):
 
 def cmd_residuals(args):
     data, _ = _model_data(args)
-    q, _ = _resolve_q(args, data)
+    q = _resolve_q(args, data)
     fit = fit_mlq(data, _control(args, q))
     vals = _residual_values(args.type, data, fit, args.seed)
     if args.format == "json":
@@ -224,7 +222,7 @@ def cmd_residuals(args):
 
 def cmd_envelope(args):
     data, _ = _model_data(args)
-    q, _ = _resolve_q(args, data)
+    q = _resolve_q(args, data)
     fit = fit_mlq(data, _control(args, q))
     env = simulation_envelope(data, fit, kind=args.type, reps=args.reps,
                               seed=args.seed, level=args.level,

@@ -30,18 +30,15 @@ from .errors import (
 from .families import _lq_terms, log_density, quantile_residual_base
 from .fit import (
     FitControl,
+    _evaluate,
     _fit_batch,
     _fitted,
-    _matrices_ab,
     _phi_value,
-    _predictor,
     _problem,
     _sensitivity,
     _stack,
     _working,
-    _working_at,
     calibrate,
-    fit_mlq,
 )
 from .model import ModelData
 from .numerics import (
@@ -183,23 +180,20 @@ def _constrained_fit(data, hyp, q, control=None):
     # an explicit init belongs to the full design, not the reduced one
     ctl = replace(control if control is not None else FitControl(), q=q,
                   init="ml-warm-start")
-    res = fit_mlq(reduced, ctl, offset=offset)
-    return b0 + N @ res.beta_star, res.phi_hat
-
-
-def _score_and_matrices(data, beta, q, phi):
-    """``estimating_function`` and ``matrices_ab`` from one working point."""
-    w, prob = _working_at(data, beta, q, phi, None)
-    return w.psi, _matrices_ab(prob, w, q)
+    prob, res = _fit_batch([reduced], ctl, offset)
+    _fitted(prob, q, res)
+    if res.error[0] is not None:
+        raise res.error[0]
+    return b0 + N @ res.beta[0], float(np.ravel(prob.phi)[0])
 
 
 def score_test(data, hyp, q, control=None):
     """Score-type (Rao) statistic at the constrained MLq fit."""
     beta_t, phi_t = _constrained_fit(data, hyp, q, control)
-    psi, (A_t, B_t) = _score_and_matrices(data, beta_t, q, phi_t)
+    w, A_t, B_t = _evaluate(data, beta_t, q, phi_t)
     Bti = inv_spd(B_t)
     C_t = Bti @ A_t @ Bti
-    v = hyp.H @ (Bti @ psi)
+    v = hyp.H @ (Bti @ w.psi)
     stat = v @ solve_spd(hyp.H @ C_t @ hyp.H.T, v)
     return _make_result(stat, hyp.d, "score")
 
@@ -212,8 +206,8 @@ def bf_test(data, fit, hyp, q=None, control=None):
     if fit.beta_q is None:
         raise UsageError("bilinear-form test needs calibrated coefficients")
     beta_t, phi_t = _constrained_fit(data, hyp, q, control)
-    psi, (_, B_t) = _score_and_matrices(data, beta_t, q, phi_t)
-    v = hyp.H @ solve_spd(B_t, psi)
+    w, _, B_t = _evaluate(data, beta_t, q, phi_t)
+    v = hyp.H @ solve_spd(B_t, w.psi)
     diff = hyp.H @ fit.beta_q - hyp.h
     stat = v @ solve_spd(hyp.H @ fit.cov @ hyp.H.T, diff)
     return _make_result(stat, hyp.d, "bilinear")
@@ -430,9 +424,9 @@ def _envelope_block(data, fit, kind, rows, seed, control):
     if not datas:
         return np.empty((0, data.n)), failed, 0
     prob, res = _fit_batch(datas, control)
-    ok = _fitted(prob, control.q, res)
-    sub = prob.rows(ok)
-    eta_star = _predictor(sub, res.beta[ok])
+    w = _fitted(prob, control.q, res)[0]
+    ok = res.ok
+    sub, eta_star = prob.rows(ok), w.eta[ok]
     eta_q = calibrate(sub.link, eta_star, control.q)
     fits = _Fits(sub, control.q, eta_star, eta_q, sub.family.b_dot(sub.link.k(eta_q)))
     if kind == "standardized":

@@ -19,7 +19,6 @@ from .model import PROFILE, FitControl, FitResult
 from .numerics import (
     _not_positive_definite,
     _solve_spd_each,
-    inv_spd,
     maximize_1d_rows,
     solve_spd_rows,
 )
@@ -39,6 +38,8 @@ __all__ = [
 # the starting scale, or when any natural parameter exceeds +-700.
 SEPARATION_NORM_FACTOR = 1e4
 THETA_OVERFLOW = 700.0
+# Halvings of a rejected step before the loop stops as exhausted.
+STEP_HALVING_MAX = 20
 
 
 class _Problem(NamedTuple):
@@ -194,20 +195,30 @@ def matrices_ab(data, beta, q, phi=None, offset=None):
     the supplied (surrogate-scale) ``beta``.  Requires ``q theta_i`` inside
     the natural parameter space.
     """
+    return _evaluate(data, beta, q, phi, offset)[1:]
+
+
+def _evaluate(data, beta, q, phi=None, offset=None):
+    """The working point, ``A_n`` and ``B_n`` of one ModelData at ``beta``;
+    DomainError where ``theta`` or ``q theta`` leaves the domain."""
     w, prob = _working_at(data, beta, q, phi, offset)
-    return _matrices_ab(prob, w, q)
+    if not prob.family.in_theta_domain(q * w.theta):
+        raise _j_q_undefined(prob.family)
+    return (w, *_matrices_ab(prob, w, q))
 
 
 def _matrices_ab(prob, w, q):
-    fam, phi = prob.family, prob.phi
-    if not fam.in_theta_domain(q * w.theta):
-        raise DomainError(
-            "q*theta outside the natural parameter space; J_q undefined",
-            bound=fam.theta_domain,
-        )
+    """``A_n`` and ``B_n`` of every row at the working point ``w``."""
     _, W, J, _, XtDX = _sensitivity(prob, w, q)
-    A = (phi / (2.0 - q)) * ((prob.Xt * (W * J)) @ prob.X)
+    phi = np.asarray(prob.phi)[..., None]
+    A = (phi / (2.0 - q)) * ((prob.Xt * (W * J)[..., None, :]) @ prob.X)
     return A, phi * XtDX
+
+
+def _j_q_undefined(family):
+    """The DomainError of a ``q theta`` outside the natural parameter space."""
+    return DomainError("q*theta outside the natural parameter space; J_q undefined",
+                       bound=family.theta_domain)
 
 
 def calibrate(link, eta_star, q):
@@ -272,6 +283,11 @@ class _Irls(NamedTuple):
     message: list
     trace: np.ndarray
     error: list
+
+    @property
+    def ok(self):
+        """Rows that stopped on no LqglmError."""
+        return np.array([e is None for e in self.error], dtype=bool)
 
 
 def _irls(prob, q, beta0, control):
@@ -358,7 +374,7 @@ def _irls(prob, q, beta0, control):
                 # halve the step of the rejected rows only
                 pending = np.flatnonzero(~accepted)
                 lam = 1.0
-                for _ in range(control.step_halving_max):
+                for _ in range(STEP_HALVING_MAX):
                     lam *= 0.5
                     sub = prob.rows(pending)
                     t = beta[pending] + lam * step[pending]
@@ -402,24 +418,26 @@ def _irls(prob, q, beta0, control):
 
 
 def _fitted(prob, q, res):
-    """Rows of the ``_irls`` outcome ``res`` on which ``fit_mlq`` returns a result.
+    """The working point, ``A_n``, ``B_n`` and ``B_n^{-1}`` (the dense
+    Cholesky of ``inv_spd``) of every row of the ``_irls`` outcome ``res``
+    at its solution, not meaningful on rows with an error.
 
-    False where the loop stopped on an LqglmError (a start without a
-    finite objective, NaN included, or singular normal equations) or the
-    result assembly at ``res.beta`` would raise (``q theta`` outside the
-    domain, or ``B_n`` not positive definite).  Builds no FitResult.
+    Sets the error of a row without one to what ``fit_mlq`` raises on it:
+    a DomainError where ``q theta`` leaves the domain, a
+    SingularMatrixError where ``B_n`` is not positive definite.  ``theta``
+    itself needs no check: ``_irls`` accepts in-domain points only.
     """
-    ok = np.array([e is None for e in res.error], dtype=bool)
-    if not ok.any():
-        return ok
-    sub = prob.rows(ok)
     with np.errstate(over="ignore", invalid="ignore"):
-        w = _working(sub, _predictor(sub, res.beta[ok]), q)
-        B = _sensitivity(sub, w, q)[-1] * np.reshape(sub.phi, (-1, 1, 1))
-    # the dense factorization inv_spd applies to B_n in the assembly
-    ok[ok] = (w.in_domain & prob.family.in_theta_domain(q * w.theta, axis=-1)
-              & (_solve_spd_each(B, w.psi)[1] == 0))
-    return ok
+        w = _working(prob, _predictor(prob, res.beta), q)
+        A, B = _matrices_ab(prob, w, q)
+    Binv, pivot = _solve_spd_each(B, np.eye(B.shape[-1])[None].repeat(len(B), axis=0))
+    j_q = prob.family.in_theta_domain(q * w.theta, axis=-1)
+    for r in np.flatnonzero(res.ok).tolist():
+        if not j_q[r]:
+            res.error[r] = _j_q_undefined(prob.family)
+        elif pivot[r]:
+            res.error[r] = _not_positive_definite(pivot[r])
+    return w, A, B, Binv
 
 
 def _start(prob, q, control):
@@ -484,7 +502,7 @@ def _profile(prob, q, res, control):
     alternation.
     """
     phi = np.ones(len(prob.y))
-    live = np.flatnonzero([e is None for e in res.error])
+    live = np.flatnonzero(res.ok)
     for _ in range(25):
         if not live.size:
             break
@@ -502,7 +520,7 @@ def _profile(prob, q, res, control):
         res.converged[refit], res.trace[:, refit] = sub.converged, sub.trace
         for k, r in enumerate(refit.tolist()):
             res.message[r], res.error[r] = sub.message[k], sub.error[k]
-        live = refit[[e is None for e in sub.error]]
+        live = refit[sub.ok]
     return prob.with_phi(phi[:, None])
 
 
@@ -561,40 +579,33 @@ def fit_mlq(data, control=None, offset=None):
     """
     if control is None:
         control = FitControl()
+    q = control.q
     prob, res = _fit_batch([data], control, offset)
+    w, A, B, Binv = _fitted(prob, q, res)
     if res.error[0] is not None:
         raise res.error[0]
-    phi = float(np.ravel(prob.phi)[0])
-    return _assemble_result(data, res.beta[0], control.q, phi, res, offset)
-
-
-def _assemble_result(data, beta_star, q, phi, res, offset=None):
-    """FitResult of the one-row ``_irls`` outcome ``res`` at ``(beta_star, phi)``."""
-    w, prob = _working_at(data, beta_star, q, phi, offset)
-    eta_q = calibrate(data.link, w.eta, q)
-    at_eta_q = _working(prob, eta_q, q)
-    A_n, B_n = _matrices_ab(prob, w, q)
-    Binv = inv_spd(B_n)
-    cov = Binv @ A_n @ Binv
-    cov = 0.5 * (cov + cov.T)
+    eta_star = w.eta[0]
+    eta_q = calibrate(data.link, eta_star, q)
+    at_eta_q = _working(prob, eta_q[None], q)
+    cov = Binv[0] @ A[0] @ Binv[0]
     trace = res.trace[:, 0]
     return FitResult(
         q=q,
-        beta_star=beta_star,
-        beta_q=calibrate_coefficients(data.link, beta_star, q),
-        eta_star=w.eta,
+        beta_star=res.beta[0],
+        beta_q=calibrate_coefficients(data.link, res.beta[0], q),
+        eta_star=eta_star,
         eta_q=eta_q,
-        weights=w.U,
-        mu=at_eta_q.mu,
-        mu_star=w.mu,
-        A_n=A_n,
-        B_n=B_n,
-        cov=cov,
-        lq_value=float(at_eta_q.objective),
-        phi_hat=prob.phi,
+        weights=w.U[0],
+        mu=at_eta_q.mu[0],
+        mu_star=w.mu[0],
+        A_n=A[0],
+        B_n=B[0],
+        cov=0.5 * (cov + cov.T),
+        lq_value=float(at_eta_q.objective[0]),
+        phi_hat=float(np.ravel(prob.phi)[0]),
         iterations=int(res.iterations[0]),
         converged=bool(res.converged[0]),
-        psi_norm=float(np.max(np.abs(w.psi))),
+        psi_norm=float(np.max(np.abs(w.psi[0]))),
         message=res.message[0],
         objective_trace=trace[~np.isnan(trace)].tolist(),
         data=data,

@@ -92,7 +92,6 @@ class FitControl:
     max_iter: int = 25
     tol: float = 1e-8
     init: Union[str, np.ndarray] = "ml-warm-start"
-    step_halving_max: int = 20
     stop_rule: str = "objective"
 
     def __post_init__(self):

@@ -9,8 +9,7 @@ counter-based Philox engine so that per-replicate streams keyed by
 
 import numpy as np
 from scipy.linalg import lapack
-from scipy.special import ndtr, ndtri
-from scipy.stats import chi2
+from scipy.special import chdtrc, ndtr, ndtri
 
 from .errors import EvaluationError, SingularMatrixError
 
@@ -214,8 +213,8 @@ def chi_square_sf(x, d):
     x = np.asarray(x, dtype=float)
     if np.any(x < 0):
         raise ValueError("chi-square statistic must be nonnegative")
-    out = chi2.sf(x, int(d))
-    return float(out) if np.isscalar(out) or out.ndim == 0 else out
+    out = chdtrc(int(d), x)
+    return float(out) if out.ndim == 0 else out
 
 
 def normal_quantile(p):

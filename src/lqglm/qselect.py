@@ -164,7 +164,7 @@ def select_q_efficiency(data, grid=None, control=None):
     grid = grid if grid is not None else QGrid()
     if len(grid.q_values) == 1:
         q = float(grid.q_values[0])
-        res = fit_mlq(data, FitControl(q=q))
+        res = fit_mlq(data, FitControl(q=q) if control is None else replace(control, q=q))
         return QSelectResult(q, {}, 0.0, {q: _summary(data, res)}, "efficiency")
     fits, dropped = _grid_fits(data, grid, control)
     traces = {q: float(np.trace(f.cov)) for q, f in fits.items()}

@@ -173,21 +173,19 @@ def _replicates(design, ks, X_fixed=None):
     # q = 1 from the classical start; a replicate whose q = 1 fit fails
     # gets NaN at every q, as its NaN start fails every later fit
     prob, res = _fit_batch(datas, control)
-    ok = _fitted(prob, 1.0, res)
+    _fitted(prob, 1.0, res)
+    ok = res.ok
     start = np.where(ok[:, None], res.beta, np.nan)
     out = {1.0: np.where((ok & res.converged)[:, None], res.beta, np.nan)}
     for q in sorted(set(float(q) for q in design.q_list), reverse=True):
         if q == 1.0:
             continue
         res = _irls(prob, q, start, control)
-        good = (_fitted(prob, q, res) & res.converged)[:, None]
+        _fitted(prob, q, res)
+        good = (res.ok & res.converged)[:, None]
         out[q] = np.where(good, calibrate_coefficients(prob.link, res.beta, q), np.nan)
         start = np.where(good, res.beta, start)
     return np.stack([out[float(q)] for q in design.q_list], axis=1)
-
-
-def _replicates_star(args):
-    return _replicates(*args)
 
 
 def run_study(design, jobs=1):
@@ -201,13 +199,13 @@ def run_study(design, jobs=1):
     """
     t0 = time.perf_counter()
     X_fixed = _design_matrix(design, rng_stream(design.seed, FIXED_X_STREAM)) if design.fixed_x else None
-    args = [(design, range(k, min(k + BLOCK, design.reps)), X_fixed)
-            for k in range(0, design.reps, BLOCK)]
+    blocks = [range(k, min(k + BLOCK, design.reps)) for k in range(0, design.reps, BLOCK)]
+    args = ([design] * len(blocks), blocks, [X_fixed] * len(blocks))
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            estimates = np.concatenate(list(pool.map(_replicates_star, args)))
+            estimates = np.concatenate(list(pool.map(_replicates, *args)))
     else:
-        estimates = np.concatenate([_replicates(*a) for a in args])
+        estimates = np.concatenate(list(map(_replicates, *args)))
 
     beta_true = np.asarray(design.beta_true, dtype=float)
     rows = []

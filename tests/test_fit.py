@@ -1,5 +1,6 @@
 import math
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -491,6 +492,58 @@ class TestBatchedCore:
             assert batch.converged[r] and alone.converged[0]
             assert batch.message[r] == alone.message[0]
             assert batch.trace[:, r].tobytes() == alone.trace[:, 0].tobytes()
+
+    @staticmethod
+    def _assert_fit_mlq_errors(res, datas, controls):
+        """``res.error[r]`` is what ``fit_mlq(datas[r], controls[r])`` raises:
+        type, message and pivot; None where it returns a result."""
+        from lqglm import LqglmError
+
+        for r, (data, ctl) in enumerate(zip(datas, controls)):
+            try:
+                fit_mlq(data, ctl)
+                want = None
+            except LqglmError as e:
+                want = e
+            got = res.error[r]
+            assert type(got) is type(want)
+            if want is not None:
+                assert str(got) == str(want)
+                assert getattr(got, "pivot", None) == getattr(want, "pivot", None)
+        return [type(e).__name__ if e is not None else None for e in res.error]
+
+    @pytest.mark.parametrize("q", [1.0, 0.8])
+    def test_fitted_errors_are_fit_mlqs(self, q):
+        from lqglm.fit import _fitted, _irls
+
+        prob, beta0 = self._batch()
+        ctl = FitControl(q=q, stop_rule="coef-psi", max_iter=5000)
+        res = _irls(prob, q, beta0, ctl)
+        _fitted(prob, q, res)
+        datas = [ModelData(X, y, "bernoulli") for X, y in zip(prob.X, prob.y)]
+        controls = [replace(ctl, init=b) for b in beta0]
+        kinds = self._assert_fit_mlq_errors(res, datas, controls)
+        assert kinds == ["SingularMatrixError", None, "DomainError", None]
+
+    def test_fitted_finds_b_n_not_positive_definite(self):
+        # profiled Gaussian refits at n = 6 and q = 0.5: replicate 0 converges
+        # but its B_n is singular, and others fail in the dispersion search
+        from lqglm.fit import _fit_batch, _fitted
+
+        rng = rng_stream(203, 6)
+        X = np.column_stack([np.ones(6), rng.uniform(-1, 1, size=6)])
+        data = ModelData(X, rng.normal(X @ np.array([0.5, 1.0]), 0.5), "gaussian", phi=PROFILE)
+        ctl = FitControl(q=0.5)
+        fit = fit_mlq(data, ctl)
+        datas = [ModelData(X, data.family.sample(rng_stream(6, r), fit.mu, fit.phi_hat),
+                           "gaussian", phi=PROFILE) for r in range(12)]
+        prob, res = _fit_batch(datas, ctl)
+        assert res.error[0] is None
+        _fitted(prob, 0.5, res)
+        kinds = self._assert_fit_mlq_errors(res, datas, [ctl] * len(datas))
+        assert kinds[0] == "SingularMatrixError"
+        assert str(res.error[0]).startswith("Cholesky pivot 2 non-positive")
+        assert "BracketError" in kinds and kinds.count(None) >= 8
 
     def test_batch_of_one_is_fit_mlq(self, poisson_example):
         from lqglm.fit import _irls, _stack

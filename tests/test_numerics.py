@@ -170,6 +170,16 @@ class TestDistributions:
         for d in (1, 2, 5):
             assert chi_square_sf(0.0, d) == 1.0
 
+    def test_chi_square_sf_matches_scipy_stats(self):
+        from scipy.stats import chi2
+
+        x = np.r_[np.linspace(0.0, 60.0, 1201), 1e-12, 0.3, 3.841459, 100.0, np.inf]
+        for d in (1, 2, 3, 5, 10):
+            assert chi_square_sf(x, d).tobytes() == chi2.sf(x, d).tobytes()
+            for v in x[::97]:
+                got = chi_square_sf(float(v), d)
+                assert type(got) is float and got == float(chi2.sf(v, d))
+
     def test_normal_quantile_median(self):
         assert normal_quantile(0.5) == 0.0
 

@@ -115,6 +115,15 @@ class TestEfficiencySelection:
         sel = select_q_efficiency(vaso, QGrid(q_values=[0.9]))
         assert sel.q_opt == 0.9
 
+    def test_single_value_grid_uses_the_control(self, vaso):
+        # the default 25-iteration cap stops the q = 0.79 fit short
+        ctl = FitControl(max_iter=100)
+        fit = fit_mlq(vaso, FitControl(q=0.79, max_iter=100))
+        summary = select_q_efficiency(vaso, QGrid(q_values=[0.79]), ctl).fits[0.79]
+        assert fit.converged and summary["converged"]
+        assert summary["iterations"] == fit.iterations
+        assert summary["beta_q"] == fit.beta_q.tolist()
+
     def test_vaso_profile_recorded(self, vaso):
         sel = select_q_efficiency(vaso, QGrid(q_min=0.85, step=0.05))
         assert sel.method == "efficiency"
