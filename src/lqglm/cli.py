@@ -24,6 +24,7 @@ from .diagnostics import (
     aic_q,
     bf_test,
     deviance_residuals,
+    linear_tests,
     quantile_residuals,
     score_test,
     simulation_envelope,
@@ -178,19 +179,17 @@ def cmd_test(args):
     H = np.loadtxt(args.H, delimiter=",", ndmin=2)
     h = np.loadtxt(args.h_vector, delimiter=",", ndmin=1)
     hyp = LinearHypothesis(H, h)
-    results = []
-    kinds = ["wald", "score", "bf"] if args.stat == "all" else [args.stat]
     fit = fit_mlq(data, _control(args, q))
-    for kind in kinds:
-        if kind == "wald":
-            r = wald_test(fit, hyp)
-        elif kind == "score":
-            r = score_test(data, hyp, q, _control(args, q))
-        else:
-            r = bf_test(data, fit, hyp, q, _control(args, q))
-        results.append(
-            {"kind": r.kind, "statistic": r.statistic, "dof": r.dof, "p_value": r.p_value}
-        )
+    if args.stat == "all":
+        tests = linear_tests(data, fit, hyp, q, _control(args, q))
+    elif args.stat == "wald":
+        tests = [wald_test(fit, hyp)]
+    elif args.stat == "score":
+        tests = [score_test(data, hyp, q, _control(args, q))]
+    else:
+        tests = [bf_test(data, fit, hyp, q, _control(args, q))]
+    results = [{"kind": r.kind, "statistic": r.statistic, "dof": r.dof, "p_value": r.p_value}
+               for r in tests]
     doc = {"schema": SCHEMA, "q_used": q, "tests": results}
     _emit(json.dumps(doc, indent=2), args.output)
     return 0

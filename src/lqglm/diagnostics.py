@@ -61,6 +61,7 @@ __all__ = [
     "wald_test",
     "score_test",
     "bf_test",
+    "linear_tests",
     "added_variable_score",
     "standardized_residuals",
     "deviance_residuals",
@@ -187,10 +188,13 @@ def _constrained_fit(data, hyp, q, control=None):
     return b0 + N @ res.beta[0], float(np.ravel(prob.phi)[0])
 
 
-def score_test(data, hyp, q, control=None):
-    """Score-type (Rao) statistic at the constrained MLq fit."""
+def _constrained_point(data, hyp, q, control):
+    """The working point, ``A_n`` and ``B_n`` at the constrained MLq fit."""
     beta_t, phi_t = _constrained_fit(data, hyp, q, control)
-    w, A_t, B_t = _evaluate(data, beta_t, q, phi_t)
+    return _evaluate(data, beta_t, q, phi_t)
+
+
+def _score(hyp, w, A_t, B_t):
     Bti = inv_spd(B_t)
     C_t = Bti @ A_t @ Bti
     v = hyp.H @ (Bti @ w.psi)
@@ -198,19 +202,45 @@ def score_test(data, hyp, q, control=None):
     return _make_result(stat, hyp.d, "score")
 
 
-def bf_test(data, fit, hyp, q=None, control=None):
-    """Bilinear-form statistic mixing the constrained and unconstrained fits."""
+def _bf_q(fit, q):
+    """``q`` (the fit's by default) after the bilinear-form checks."""
     q = fit.q if q is None else q
     if abs(q - fit.q) > 0:
         raise UsageError("q disagrees with the supplied fit")
     if fit.beta_q is None:
         raise UsageError("bilinear-form test needs calibrated coefficients")
-    beta_t, phi_t = _constrained_fit(data, hyp, q, control)
-    w, _, B_t = _evaluate(data, beta_t, q, phi_t)
+    return q
+
+
+def _bf(fit, hyp, w, B_t):
     v = hyp.H @ solve_spd(B_t, w.psi)
     diff = hyp.H @ fit.beta_q - hyp.h
     stat = v @ solve_spd(hyp.H @ fit.cov @ hyp.H.T, diff)
     return _make_result(stat, hyp.d, "bilinear")
+
+
+def score_test(data, hyp, q, control=None):
+    """Score-type (Rao) statistic at the constrained MLq fit."""
+    return _score(hyp, *_constrained_point(data, hyp, q, control))
+
+
+def bf_test(data, fit, hyp, q=None, control=None):
+    """Bilinear-form statistic mixing the constrained and unconstrained fits."""
+    q = _bf_q(fit, q)
+    w, _, B_t = _constrained_point(data, hyp, q, control)
+    return _bf(fit, hyp, w, B_t)
+
+
+def linear_tests(data, fit, hyp, q=None, control=None):
+    """``(wald, score, bilinear)`` results of ``hyp`` from one constrained fit.
+
+    Equal to ``wald_test``, ``score_test`` and ``bf_test`` called one by
+    one, which fit the constrained model once each.
+    """
+    wald = wald_test(fit, hyp)
+    q = _bf_q(fit, q)
+    w, A_t, B_t = _constrained_point(data, hyp, q, control)
+    return wald, _score(hyp, w, A_t, B_t), _bf(fit, hyp, w, B_t)
 
 
 def _hat_pieces(data, fit):

@@ -86,6 +86,16 @@ class FitControl:
     and this rule with the default cap matches established fits there);
     "coef-psi" additionally requires the relative coefficient change and
     the estimating-function sup-norm to fall below ``tol``.
+
+    ``solver`` selects the matrix of each step.  "scoring" (Fisher
+    scoring, the IRLS of classical GLM software) uses the expected
+    sensitivity ``X' W J G K X`` and converges only linearly near
+    indeterminacy; the reference fits of the paper are its stopping
+    points.  "newton" uses the observed negative Hessian of the
+    Lq-objective and converges quadratically; it applies to the canonical
+    link only (other links keep scoring), and a row whose Hessian is not
+    positive definite takes the scoring step for that iteration.  The
+    q-grid of the selection rules defaults to "newton".
     """
 
     q: float = 1.0
@@ -93,6 +103,7 @@ class FitControl:
     tol: float = 1e-8
     init: Union[str, np.ndarray] = "ml-warm-start"
     stop_rule: str = "objective"
+    solver: str = "scoring"
 
     def __post_init__(self):
         if not 0.0 < self.q <= 1.0:
@@ -101,6 +112,8 @@ class FitControl:
             raise UsageError("tol must be positive")
         if self.stop_rule not in ("objective", "coef-psi"):
             raise UsageError("stop_rule must be 'objective' or 'coef-psi'")
+        if self.solver not in ("scoring", "newton"):
+            raise UsageError("solver must be 'scoring' or 'newton'")
 
 
 @dataclass

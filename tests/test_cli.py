@@ -139,6 +139,30 @@ class TestHypothesisTest:
             assert 0.0 <= t["p_value"] <= 1.0
 
 
+    def test_all_statistics_share_one_constrained_fit(self, vaso_csv, tmp_path, monkeypatch):
+        from lqglm import diagnostics, fit
+
+        calls = []
+        fit_batch = fit._fit_batch
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return fit_batch(*args, **kwargs)
+
+        monkeypatch.setattr(fit, "_fit_batch", counted)
+        monkeypatch.setattr(diagnostics, "_fit_batch", counted)
+        (tmp_path / "H.csv").write_text("0.0,0.0,1.0\n")
+        (tmp_path / "h.csv").write_text("0.0\n")
+        code = main([
+            "test", "--data", vaso_csv, "--response", "y",
+            "--family", "bernoulli", "--log", "volume,rate", "--q", "0.9",
+            "--H", str(tmp_path / "H.csv"), "--h", str(tmp_path / "h.csv"),
+            "--output", str(tmp_path / "test.json"),
+        ])
+        assert code == 0
+        assert len(calls) == 2  # the unconstrained fit and one constrained fit
+
+
 class TestResidualsCli:
     def test_csv_roundtrip_12_digits(self, vaso_csv, tmp_path):
         out = str(tmp_path / "res.csv")

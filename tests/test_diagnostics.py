@@ -18,6 +18,7 @@ from lqglm import (
     deviance_residuals,
     fit_mlq,
     influence_fn,
+    linear_tests,
     lq_objective,
     quantile_residuals,
     rng_stream,
@@ -89,6 +90,18 @@ class TestLinearTests:
         fit = fit_mlq(vaso, ctl)
         assert score_test(vaso, hyp, q, ctl) == score_test(vaso, hyp, q, ref)
         assert bf_test(vaso, fit, hyp, q, ctl) == bf_test(vaso, fit, hyp, q, ref)
+
+    @pytest.mark.parametrize("q", [0.9, 1.0])
+    def test_linear_tests_equal_the_single_tests(self, poisson_example, q):
+        hyp = LinearHypothesis([[0.0, 1.0, -1.0]], [0.0])
+        ctl = FitControl(q=q)
+        fit = fit_mlq(poisson_example, ctl)
+        together = linear_tests(poisson_example, fit, hyp, q, ctl)
+        apart = (wald_test(fit, hyp), score_test(poisson_example, hyp, q, ctl),
+                 bf_test(poisson_example, fit, hyp, q, ctl))
+        assert [r.kind for r in together] == ["wald", "score", "bilinear"]
+        for a, b in zip(together, apart):
+            assert repr(a) == repr(b)
 
     def test_pvalues_and_dof(self, vaso, vaso_79):
         hyp = LinearHypothesis([[0.0, 1.0, -1.0]], [0.0])

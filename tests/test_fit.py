@@ -4,6 +4,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.optimize import minimize
 
@@ -479,19 +481,20 @@ class TestBatchedCore:
         from lqglm.fit import _irls
 
         prob, beta0 = self._batch()
-        ctl = FitControl(stop_rule="coef-psi", max_iter=5000)
-        batch = _irls(prob, q, beta0, ctl)
-        assert isinstance(batch.error[2], DomainError)
-        if q == 1.0:
-            assert isinstance(batch.error[0], SingularMatrixError)
-        for r in (1, 3):
-            alone = _irls(prob.rows([r]), q, beta0[[r]], ctl)
-            assert batch.error[r] is None and alone.error[0] is None
-            assert batch.beta[r].tobytes() == alone.beta[0].tobytes()
-            assert batch.iterations[r] == alone.iterations[0]
-            assert batch.converged[r] and alone.converged[0]
-            assert batch.message[r] == alone.message[0]
-            assert batch.trace[:, r].tobytes() == alone.trace[:, 0].tobytes()
+        for solver in ("scoring", "newton"):
+            ctl = FitControl(stop_rule="coef-psi", max_iter=5000, solver=solver)
+            batch = _irls(prob, q, beta0, ctl)
+            assert isinstance(batch.error[2], DomainError)
+            if q == 1.0:
+                assert isinstance(batch.error[0], SingularMatrixError)
+            for r in (1, 3):
+                alone = _irls(prob.rows([r]), q, beta0[[r]], ctl)
+                assert batch.error[r] is None and alone.error[0] is None
+                assert batch.beta[r].tobytes() == alone.beta[0].tobytes()
+                assert batch.iterations[r] == alone.iterations[0]
+                assert batch.converged[r] and alone.converged[0]
+                assert batch.message[r] == alone.message[0]
+                assert batch.trace[:, r].tobytes() == alone.trace[:, 0].tobytes()
 
     @staticmethod
     def _assert_fit_mlq_errors(res, datas, controls):
@@ -553,6 +556,89 @@ class TestBatchedCore:
         res = _irls(_stack([poisson_example], 1.0), 0.9, np.full((1, 3), 0.5), ctl)
         assert fit.beta_star.tobytes() == res.beta[0].tobytes()
         assert fit.iterations == res.iterations[0] and fit.objective_trace[-1] == res.trace[fit.iterations, 0]
+
+
+def _draw(family_name, seed, n):
+    rng = rng_stream(seed, 0)
+    fam = get_family(family_name)
+    X = np.column_stack([np.ones(n), rng.uniform(-1.0, 1.0, size=n)])
+    return ModelData(X, fam.sample(rng, fam.b_dot(X @ np.array([0.3, 0.8])), 1.0), family_name)
+
+
+class TestNewtonSolver:
+    """``solver="newton"`` steps with the observed Hessian; it must reach the
+    scoring solution and fall back to scoring where Newton does not apply."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(family_name=st.sampled_from(["poisson", "bernoulli"]),
+           seed=st.integers(0, 2**31 - 1), n=st.integers(30, 200),
+           q=st.floats(0.7, 1.0))
+    def test_newton_reaches_the_scoring_solution(self, family_name, seed, n, q):
+        data = _draw(family_name, seed, n)
+        # a tight tol so that the linearly converging scoring loop stops
+        # well inside the 1e-8 comparison
+        ctl = FitControl(q=q, stop_rule="coef-psi", tol=1e-10, max_iter=500)
+        scoring = fit_mlq(data, ctl)
+        newton = fit_mlq(data, replace(ctl, solver="newton"))
+        assert scoring.converged and newton.converged
+        assert_allclose(newton.beta_star, scoring.beta_star, rtol=0, atol=1e-8)
+        assert newton.iterations <= scoring.iterations
+
+    def test_row_permutation_invariance(self, vaso):
+        perm = rng_stream(8, 0).permutation(vaso.n)
+        shuffled = ModelData(vaso.X[perm], vaso.y[perm], "bernoulli")
+        ctl = FitControl(q=0.79, max_iter=100, solver="newton")
+        a, b = fit_mlq(vaso, ctl), fit_mlq(shuffled, ctl)
+        assert a.converged and b.converged
+        assert_allclose(b.beta_star, a.beta_star, rtol=1e-10)
+        assert_allclose(b.eta_star, a.eta_star[perm], rtol=1e-10)
+        assert_allclose(b.cov, a.cov, rtol=1e-8)
+
+    def test_non_canonical_link_keeps_scoring(self):
+        rng = rng_stream(55, 0)
+        X = np.column_stack([np.ones(80), rng.uniform(0.2, 1.0, size=80)])
+        link = PowerThetaLink(3)
+        y = rng.normal(link.k(X @ np.array([0.8, 0.5])), 1.0)
+        data = ModelData(X, y, "gaussian", link="power3", phi=1.0)
+        ctl = FitControl(q=0.9, stop_rule="coef-psi", max_iter=200)
+        a, b = fit_mlq(data, ctl), fit_mlq(data, replace(ctl, solver="newton"))
+        for name, value in vars(a).items():
+            if name != "data":
+                assert repr(getattr(b, name)) == repr(value), name
+                if isinstance(value, np.ndarray):
+                    assert getattr(b, name).tobytes() == value.tobytes(), name
+
+    def test_hessian_not_positive_definite_takes_the_scoring_step(self, monkeypatch):
+        # a gross outlier at q = 0.5 makes the observed Hessian indefinite
+        # on the way to the solution; only those iterations call the
+        # scoring matrix
+        from lqglm import fit
+        from lqglm.fit import _irls, _stack, _start
+
+        rng = rng_stream(5, 0)
+        X = np.column_stack([np.ones(20), rng.uniform(-1.0, 1.0, size=20)])
+        y = rng.poisson(np.exp(X @ np.array([1.0, 0.5]))).astype(float)
+        y[0] = 60.0
+        prob = _stack([ModelData(X, y, "poisson")], 1.0)
+        ctl = FitControl(q=0.5, stop_rule="coef-psi", max_iter=100, solver="newton")
+        beta0 = _start(prob, 0.5, ctl)[0]
+        calls = []
+        sensitivity = fit._sensitivity
+        monkeypatch.setattr(fit, "_sensitivity",
+                            lambda *a: calls.append(1) or sensitivity(*a))
+        newton = _irls(prob, 0.5, beta0, ctl)
+        assert calls and newton.converged[0] and newton.error[0] is None
+        monkeypatch.undo()
+        scoring = _irls(prob, 0.5, beta0, replace(ctl, solver="scoring", tol=1e-12, max_iter=500))
+        assert scoring.converged[0]
+        assert_allclose(newton.beta[0], scoring.beta[0], rtol=0, atol=1e-8)
+        assert newton.iterations[0] < scoring.iterations[0]
+
+    def test_unknown_solver_rejected(self):
+        from lqglm import UsageError
+
+        with pytest.raises(UsageError, match="solver"):
+            FitControl(solver="bogus")
 
 
 # The per-row dispersion search the batched one replaced, kept as the oracle:

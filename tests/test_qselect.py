@@ -58,6 +58,12 @@ class TestStabilitySelection:
             wins += sel.q_opt >= 0.99
         assert wins > 50
 
+    def test_vaso_grid_takes_newton_iterations(self, vaso):
+        # the grid's Newton default: 334 iterations under scoring
+        sel = select_q_stability(vaso, QGrid(q_min=0.70, step=0.01))
+        assert sel.q_opt == 0.79 and not sel.dropped
+        assert sum(f["iterations"] for f in sel.fits.values()) <= 110
+
     def test_constant_fits_select_grid_head(self):
         X = np.column_stack([np.ones(12), np.linspace(-1, 1, 12)])
         data = ModelData(X, np.zeros(12), "gaussian")
@@ -114,6 +120,15 @@ class TestEfficiencySelection:
     def test_single_value_grid(self, vaso):
         sel = select_q_efficiency(vaso, QGrid(q_values=[0.9]))
         assert sel.q_opt == 0.9
+
+    def test_single_value_grid_uses_the_grid_default(self, vaso):
+        # Newton with the grid's iteration cap converges at q = 0.79
+        sel = select_q_efficiency(vaso, QGrid(q_values=[0.79]))
+        assert sel.q_opt == 0.79 and sel.fits[0.79]["converged"]
+
+    def test_single_value_grid_rejects_a_nonconverged_fit(self, vaso):
+        with pytest.raises(SelectionError, match="no convergence within 25 iterations"):
+            select_q_efficiency(vaso, QGrid(q_values=[0.79]), FitControl(max_iter=25))
 
     def test_single_value_grid_uses_the_control(self, vaso):
         # the default 25-iteration cap stops the q = 0.79 fit short
