@@ -20,15 +20,13 @@ import sys
 import numpy as np
 
 from .diagnostics import (
+    _RESIDUAL_FUNCS,
     LinearHypothesis,
     aic_q,
     bf_test,
-    deviance_residuals,
     linear_tests,
-    quantile_residuals,
     score_test,
     simulation_envelope,
-    standardized_residuals,
     wald_test,
 )
 from .errors import LqglmError, UsageError
@@ -195,19 +193,11 @@ def cmd_test(args):
     return 0
 
 
-def _residual_values(kind, data, fit, seed):
-    if kind == "standardized":
-        return standardized_residuals(data, fit)
-    if kind == "deviance":
-        return deviance_residuals(data, fit)
-    return quantile_residuals(data, fit, rng_stream(seed, 0))
-
-
 def cmd_residuals(args):
     data, _ = _model_data(args)
     q = _resolve_q(args, data)
     fit = fit_mlq(data, _control(args, q))
-    vals = _residual_values(args.type, data, fit, args.seed)
+    vals = _RESIDUAL_FUNCS[args.type](data, fit, rng_stream(args.seed, 0))
     if args.format == "json":
         doc = {"schema": SCHEMA, "q_used": q, "type": args.type,
                "residuals": vals.tolist()}

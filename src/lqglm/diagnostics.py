@@ -29,11 +29,11 @@ from .errors import (
 )
 from .families import _lq_terms, log_density, quantile_residual_base
 from .fit import (
+    BLOCK,
     FitControl,
     _evaluate,
     _fit_batch,
     _fitted,
-    _phi_value,
     _problem,
     _sensitivity,
     _stack,
@@ -50,7 +50,6 @@ from .numerics import (
     rng_stream,
     solve_spd,
 )
-from .simulate import BLOCK
 
 __all__ = [
     "LinearHypothesis",
@@ -72,7 +71,12 @@ __all__ = [
 
 
 class LinearHypothesis:
-    """Linear hypothesis ``H beta = h`` with full-row-rank ``H`` (d x p)."""
+    """Linear hypothesis ``H beta = h`` with full-row-rank ``H`` (d x p).
+
+    ``N`` (p x (p - d)) is an orthonormal basis of the null space of
+    ``H``, the last ``p - d`` right singular vectors; the constrained fits
+    of the score and bilinear-form tests run on the reduced design ``X N``.
+    """
 
     def __init__(self, H, h):
         H = np.atleast_2d(np.asarray(H, dtype=float))
@@ -88,6 +92,7 @@ class LinearHypothesis:
         self.H = H
         self.h = h
         self.d = H.shape[0]
+        self.N = np.linalg.svd(H)[2][self.d:].T
 
 
 @dataclass
@@ -154,44 +159,30 @@ def wald_test(fit, hyp):
     return _make_result(stat, hyp.d, "wald")
 
 
-def _nullspace_param(H, rhs):
-    """Particular solution and null-space basis for ``H b = rhs``."""
-    d, p = H.shape
-    b0 = H.T @ solve_spd(H @ H.T, rhs)
-    _, s, Vt = np.linalg.svd(H)
-    N = Vt[d:].T
-    return b0, N
-
-
-def _constrained_fit(data, hyp, q, control=None):
-    """MLq fit under ``H beta_q = h``, via the reduced parameterization.
+def _constrained_point(data, hyp, q, control):
+    """The working point, ``A_n`` and ``B_n`` at the MLq fit under
+    ``H beta_q = h``.
 
     The hypothesis constrains the calibrated coefficients, so on the
     surrogate scale the constraint is ``H beta_star = h / q`` (canonical
-    link).  Returns the embedded surrogate-scale solution and the
-    dispersion used (profiled when the data requests it).
+    link), solved by ``b0 + N gamma`` with the particular solution ``b0``.
+    ``gamma`` is fitted on the reduced design ``X N`` with the offset
+    ``X b0``, at the profiled dispersion when the data requests it, and
+    the solution is evaluated once, on the full design.
     """
     if not data.link.is_canonical:
         raise UsageError("constrained fits are defined for the canonical link")
-    b0, N = _nullspace_param(hyp.H, hyp.h / q)
-    if N.shape[1] == 0:
-        return b0, _phi_value(data, None)
-    offset = data.X @ b0
-    reduced = ModelData(data.X @ N, data.y, data.family, data.link, data.phi)
+    b0 = hyp.H.T @ solve_spd(hyp.H @ hyp.H.T, hyp.h / q)
+    if hyp.N.shape[1] == 0:
+        return _evaluate(data, b0, q)
+    reduced = ModelData(data.X @ hyp.N, data.y, data.family, data.link, data.phi)
     # an explicit init belongs to the full design, not the reduced one
     ctl = replace(control if control is not None else FitControl(), q=q,
                   init="ml-warm-start")
-    prob, res = _fit_batch([reduced], ctl, offset)
-    _fitted(prob, q, res)
+    prob, res = _fit_batch([reduced], ctl, data.X @ b0)
     if res.error[0] is not None:
         raise res.error[0]
-    return b0 + N @ res.beta[0], float(np.ravel(prob.phi)[0])
-
-
-def _constrained_point(data, hyp, q, control):
-    """The working point, ``A_n`` and ``B_n`` at the constrained MLq fit."""
-    beta_t, phi_t = _constrained_fit(data, hyp, q, control)
-    return _evaluate(data, beta_t, q, phi_t)
+    return _evaluate(data, b0 + hyp.N @ res.beta[0], q, float(np.ravel(prob.phi)[0]))
 
 
 def _score(hyp, w, A_t, B_t):

@@ -40,6 +40,8 @@ SEPARATION_NORM_FACTOR = 1e4
 THETA_OVERFLOW = 700.0
 # Halvings of a rejected step before the loop stops as exhausted.
 STEP_HALVING_MAX = 20
+# Replicates fitted together as one batch (and one task of a worker pool).
+BLOCK = 64
 
 
 class _Problem(NamedTuple):

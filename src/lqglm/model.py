@@ -79,8 +79,10 @@ class ModelData:
 class FitControl:
     """Tuning for the MLq IRLS loop.
 
-    ``q`` is the distortion parameter in (0, 1].  ``stop_rule`` selects the
-    convergence test: "objective" stops when the relative change in the
+    ``q`` is the distortion parameter in (0, 1] and ``max_iter`` the
+    iteration cap, 0 or more (at 0 the fit stays at its start).
+    ``stop_rule`` selects the convergence test, with the positive
+    tolerance ``tol``: "objective" stops when the relative change in the
     Lq-objective falls below ``tol`` (the criterion classical GLM software
     uses; near indeterminacy the estimate depends on the stopping point,
     and this rule with the default cap matches established fits there);
@@ -108,6 +110,8 @@ class FitControl:
     def __post_init__(self):
         if not 0.0 < self.q <= 1.0:
             raise UsageError("q must lie in (0, 1]")
+        if self.max_iter < 0:
+            raise UsageError("max_iter must be non-negative")
         if self.tol <= 0.0:
             raise UsageError("tol must be positive")
         if self.stop_rule not in ("objective", "coef-psi"):

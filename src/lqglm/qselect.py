@@ -28,12 +28,17 @@ __all__ = [
 class QGrid:
     """Decreasing grid ``1 >= q_1 > q_2 > ... > q_m`` of distortion values.
 
-    ``rho_factor`` scales the stability threshold
-    ``rho = rho_factor * ||beta at q_m||``.
+    Without ``q_values`` the grid runs from 1 down to ``q_min`` in steps of
+    ``step``; both must be finite, ``step`` positive, and the number of
+    steps ``(1 - q_min) / step`` finite.  ``rho_factor`` scales the
+    stability threshold ``rho = rho_factor * ||beta at q_m||``.
     """
 
     def __init__(self, q_values=None, q_min=0.70, step=0.01, rho_factor=0.05):
         if q_values is None:
+            if not (np.isfinite(q_min) and np.isfinite(step) and step > 0.0
+                    and np.isfinite((1.0 - q_min) / step)):
+                raise UsageError("grid needs a finite q_min, a positive step and a finite size")
             m = int(round((1.0 - q_min) / step))
             q_values = np.round(1.0 - step * np.arange(m + 1), 12)
         q_values = np.asarray(sorted(set(float(q) for q in q_values), reverse=True))
@@ -42,8 +47,6 @@ class QGrid:
         if len(q_values) < 1:
             raise UsageError("grid is empty")
         self.q_values = q_values
-        self.step = step
-        self.q_min = float(q_values[-1])
         self.rho_factor = rho_factor
 
 

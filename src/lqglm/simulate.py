@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import UsageError
 from .families import Q_ONE_EPS, get_family, get_link
-from .fit import FitControl, _fit_batch, _fitted, _irls, calibrate_coefficients
+from .fit import BLOCK, FitControl, _fit_batch, _fitted, _irls, calibrate_coefficients
 from .model import ModelData
 from .numerics import rng_stream
 
@@ -31,8 +31,11 @@ __all__ = ["SimDesign", "SimReport", "gen_dataset", "contaminate", "run_study"]
 # Stream id reserved for the shared design matrix in fixed-X mode.
 FIXED_X_STREAM = 2**63
 
-# Replicates fitted together as one batch (and one task of a worker pool).
-BLOCK = 64
+# Loop settings of every fit.  Heavily contaminated cells converge slowly
+# at small q; the higher cap lets every replicate reach its estimate
+# instead of being excluded.
+MAX_ITER = 100
+TOL = 1e-8
 
 
 @dataclass
@@ -50,10 +53,6 @@ class SimDesign:
     link: str = "canonical"
     include_intercept: bool = False
     fixed_x: bool = False
-    # heavily contaminated cells converge slowly at small q; the higher cap
-    # lets every replicate reach its estimate instead of being excluded
-    max_iter: int = 100
-    tol: float = 1e-8
 
     def __post_init__(self):
         if not 0.0 <= self.eps < 1.0:
@@ -168,7 +167,7 @@ def _replicates(design, ks, X_fixed=None):
         X, y, family, link = _draw(design, rng, X_fixed)
         y, _ = contaminate(y, design.eps, design.nu, rng)
         datas.append(ModelData(X, y, family, link, 1.0))
-    control = FitControl(max_iter=design.max_iter, tol=design.tol)
+    control = FitControl(max_iter=MAX_ITER, tol=TOL)
 
     # q = 1 from the classical start; a replicate whose q = 1 fit fails
     # gets NaN at every q, as its NaN start fails every later fit

@@ -1,8 +1,13 @@
 import json
 import shutil
+import tempfile
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lqglm.cli import main
 from lqglm.datasets import vaso_path
@@ -274,6 +279,90 @@ def test_usage_errors_exit_1(argv, capsys):
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("usage: lqglm") and "lqglm: error: " in err
+
+
+@pytest.mark.parametrize("grid", ["0.7:0", "0.7:1e-320", "0.7:-0.01", "nan:0.01", "0.7:inf"])
+@pytest.mark.parametrize("command", [["selectq"], ["fit", "--q", "auto"]])
+def test_degenerate_grid_exits_1(vaso_csv, command, grid, capsys):
+    argv = [*command, "--data", vaso_csv, "--response", "y", "--log", "volume,rate",
+            "--grid", grid]
+    assert main(argv) == 1
+    assert "lqglm: error: " in capsys.readouterr().err
+
+
+def test_negative_max_iter_exits_1(vaso_csv, capsys):
+    argv = ["fit", "--data", vaso_csv, "--response", "y", "--log", "volume,rate",
+            "--max-iter", "-1"]
+    assert main(argv) == 1
+    assert "lqglm: error: " in capsys.readouterr().err
+
+
+# per option: values a valid call may take, then values that probe its bounds
+_VALUES = {
+    "--family": (["bernoulli", "poisson"], ["gaussian", "gamma"]),
+    "--q": (["1.0", "0.9", "auto"], ["1.5", "0", "nan", "x"]),
+    "--phi": (["1.0"], ["profile", "0", "-1", "nan", "x"]),
+    "--grid": (["0.9:0.05", "0.8:0.1"],
+               ["0.9:0", "0.9:1e-320", "0.9:-0.1", "0.9:nan", "nan:0.1", "1.2:0.1", "0.9"]),
+    "--max-iter": (["25", "5", "100"], ["-1", "-2", "0"]),
+    "--tol": (["1e-8", "1e-6"], ["0", "-1", "nan", "inf", "x"]),
+    "--level": (["0.95", "0.5"], ["0", "1", "1.5", "nan"]),
+    "--reps": (["10", "20"], ["-1", "0", "1"]),
+    "--type": (["standardized", "deviance", "quantile"], ["bogus"]),
+}
+_OPTIONS = {
+    "fit": ["--family", "--q", "--phi", "--grid", "--max-iter", "--tol"],
+    "selectq": ["--family", "--phi", "--grid", "--max-iter", "--tol"],
+    "test": ["--family", "--q", "--phi", "--grid", "--max-iter", "--tol"],
+    "residuals": ["--family", "--q", "--phi", "--grid", "--max-iter", "--tol", "--type"],
+    "envelope": ["--family", "--q", "--phi", "--grid", "--max-iter", "--tol", "--type",
+                 "--level", "--reps"],
+}
+
+
+@st.composite
+def _cli_calls(draw):
+    """A CLI call on a small generated CSV of binary responses and integer
+    covariates.  The call is valid up to one or two perturbations: an
+    option set to a value that probes its bounds, or one corrupted CSV
+    cell."""
+    command = draw(st.sampled_from(sorted(_OPTIONS)))
+    n = draw(st.integers(2, 12))
+    k = draw(st.integers(1, 2))
+    rows = [[str(draw(st.integers(-4, 4))) for _ in range(k)] + [draw(st.sampled_from("01"))]
+            for _ in range(n)]
+    perturbed = draw(st.lists(st.sampled_from(_OPTIONS[command] + ["data"]), min_size=1,
+                              max_size=2, unique=True))
+    if rows and "data" in perturbed:
+        row, col = draw(st.integers(0, n - 1)), draw(st.integers(0, k))
+        rows[row][col] = draw(st.sampled_from(["2", "-1", "0.5", "1e400", "nan", "x", "", "a,b"]))
+    csv = "".join(",".join(r) + "\n" for r in [[f"x{j}" for j in range(k)] + ["y"], *rows])
+    argv = [command]
+    for name in _OPTIONS[command]:
+        valid, odd = _VALUES[name]
+        argv.append(f"{name}={draw(st.sampled_from(odd if name in perturbed else valid))}")
+    H = draw(st.sampled_from(["0,1", "0,0,1", "1,0\n0,1", "0,1\n0,2", "x", "1,nan", ""]))
+    h = draw(st.sampled_from(["0", "0,0", "1e400", "nan", ""]))
+    return csv, argv, H, h
+
+
+@settings(max_examples=500, deadline=None)
+@given(call=_cli_calls())
+def test_cli_fuzz_exits_0_1_or_2(call):
+    # every grid here has at most 3 values in (0, 1], each a fit of n <= 12 rows
+    csv, argv, H, h = call
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        (tmp / "d.csv").write_text(csv)
+        (tmp / "H.csv").write_text(H)
+        (tmp / "h.csv").write_text(h)
+        argv = argv + ["--data", str(tmp / "d.csv"), "--response", "y",
+                       "--output", str(tmp / "out")]
+        if argv[0] == "test":
+            argv += ["--H", str(tmp / "H.csv"), "--h", str(tmp / "h.csv")]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            assert main(argv) in (0, 1, 2)
 
 
 def test_help_exits_0(capsys):

@@ -9,6 +9,7 @@ from lqglm import (
     DegenerateDirectionError,
     FitControl,
     LinearHypothesis,
+    LqglmError,
     ModelData,
     UsageError,
     added_variable_score,
@@ -114,6 +115,133 @@ class TestLinearTests:
     def test_rank_deficient_H_rejected(self):
         with pytest.raises(UsageError):
             LinearHypothesis([[1.0, 0.0], [2.0, 0.0]], [0.0, 0.0])
+
+
+def _oracle_constrained_point(data, hyp, q, control):
+    """The constrained path as it was before the hypothesis carried ``N``:
+    an SVD per call, a ``_fitted`` evaluation of the reduced solution whose
+    result is discarded, then the evaluation on the full design."""
+    from dataclasses import replace
+
+    from lqglm.fit import _evaluate, _fit_batch, _fitted, _phi_value
+    from lqglm.numerics import solve_spd
+
+    if not data.link.is_canonical:
+        raise UsageError("constrained fits are defined for the canonical link")
+    H, rhs = hyp.H, hyp.h / q
+    d = H.shape[0]
+    b0 = H.T @ solve_spd(H @ H.T, rhs)
+    N = np.linalg.svd(H)[2][d:].T
+    if N.shape[1] == 0:
+        return _evaluate(data, b0, q, _phi_value(data, None))
+    reduced = ModelData(data.X @ N, data.y, data.family, data.link, data.phi)
+    ctl = replace(control if control is not None else FitControl(), q=q,
+                  init="ml-warm-start")
+    prob, res = _fit_batch([reduced], ctl, data.X @ b0)
+    _fitted(prob, q, res)
+    if res.error[0] is not None:
+        raise res.error[0]
+    return _evaluate(data, b0 + N @ res.beta[0], q, float(np.ravel(prob.phi)[0]))
+
+
+def _oracle_tests(data, fit, hyp, q, control):
+    from lqglm.diagnostics import _bf, _score
+
+    w, A_t, B_t = _oracle_constrained_point(data, hyp, q, control)
+    return wald_test(fit, hyp), _score(hyp, w, A_t, B_t), _bf(fit, hyp, w, B_t)
+
+
+def _null_data(family, seed, n=400):
+    """A null dataset of the test-size study: beta = (0.8, 0) on U(0,1) X."""
+    rng = np.random.default_rng([seed, 1])
+    X = rng.uniform(size=(n, 2))
+    eta = X @ np.array([0.8, 0.0])
+    if family == "poisson":
+        y = rng.poisson(np.exp(eta)).astype(float)
+    else:
+        y = (rng.uniform(size=n) < 1.0 / (1.0 + np.exp(-eta))).astype(float)
+    return ModelData(X, y, family)
+
+
+_VASO_HYPOTHESES = {
+    "one-row": ([[0.0, 1.0, -1.0]], [0.0]),
+    "two-rows": ([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0]], [5.0, 4.5]),
+    "identity": (np.eye(3), [-2.9, 5.2, 4.6]),
+}
+
+
+class TestConstrainedPath:
+    """The score and bilinear-form tests fit the constrained model once and
+    evaluate it once, with the same results as the earlier two-evaluation
+    path."""
+
+    @staticmethod
+    def _assert_equal_to_oracle(data, hyp, q):
+        control = FitControl(q=q)
+        fit = fit_mlq(data, control)
+        wald, score, bf = _oracle_tests(data, fit, hyp, q, control)
+        assert repr(linear_tests(data, fit, hyp, q, control)) == repr((wald, score, bf))
+        assert repr(score_test(data, hyp, q, control)) == repr(score)
+        assert repr(bf_test(data, fit, hyp, q, control)) == repr(bf)
+
+    @pytest.mark.parametrize("q", [1.0, 0.9, 0.79])
+    @pytest.mark.parametrize("name", sorted(_VASO_HYPOTHESES))
+    def test_vaso_equals_oracle(self, vaso, name, q):
+        self._assert_equal_to_oracle(vaso, LinearHypothesis(*_VASO_HYPOTHESES[name]), q)
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("family", ["poisson", "bernoulli"])
+    def test_null_study_data_equals_oracle(self, family, seed):
+        self._assert_equal_to_oracle(_null_data(family, seed),
+                                     LinearHypothesis([[0.0, 1.0]], [0.0]), 0.9)
+
+    @pytest.mark.parametrize("phi", [1.0, "profile"])
+    def test_gaussian_equals_oracle(self, gaussian_example, phi):
+        data = ModelData(gaussian_example.X, gaussian_example.y, "gaussian", phi=phi)
+        for H, h in (([[0.0, 1.0]], [1.0]), ([[1.0, 0.0]], [0.5]), (np.eye(2), [0.5, 1.0])):
+            self._assert_equal_to_oracle(data, LinearHypothesis(H, h), 0.9)
+
+    def test_singular_constrained_fit_raises_as_oracle(self):
+        # a steep constrained slope on separated data leaves B_n singular
+        X = np.column_stack([np.ones(4), [3.9, 5.8, 3.7, 7.2]])
+        data = ModelData(X, [1.0, 0.0, 0.0, 0.0], "bernoulli")
+        hyp = LinearHypothesis([[0.0, 1.0]], [-100.0])
+        ctl = FitControl(q=0.8)
+        fit = fit_mlq(data, ctl)
+        with pytest.raises(LqglmError) as expected:
+            _oracle_tests(data, fit, hyp, 0.8, ctl)
+        for call in (lambda: linear_tests(data, fit, hyp, 0.8, ctl),
+                     lambda: score_test(data, hyp, 0.8, ctl),
+                     lambda: bf_test(data, fit, hyp, 0.8, ctl)):
+            with pytest.raises(LqglmError) as got:
+                call()
+            assert type(got.value) is type(expected.value)
+            assert str(got.value) == str(expected.value)
+
+    def test_one_svd_per_hypothesis_and_one_evaluation(self, poisson_example, monkeypatch):
+        from lqglm import diagnostics, fit as fit_module
+
+        ctl = FitControl(q=0.9)
+        fit = fit_mlq(poisson_example, ctl)
+        calls = {"svd": 0, "fitted": 0}
+
+        def counting(name, fn):
+            def wrapped(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapped
+
+        monkeypatch.setattr(np.linalg, "svd", counting("svd", np.linalg.svd))
+        fitted = counting("fitted", fit_module._fitted)
+        monkeypatch.setattr(fit_module, "_fitted", fitted)
+        monkeypatch.setattr(diagnostics, "_fitted", fitted)
+        hyp = LinearHypothesis([[0.0, 1.0, -1.0]], [0.0])
+        assert calls == {"svd": 1, "fitted": 0}
+        for _ in range(2):
+            score_test(poisson_example, hyp, 0.9, ctl)
+            bf_test(poisson_example, fit, hyp, 0.9, ctl)
+            linear_tests(poisson_example, fit, hyp, 0.9, ctl)
+        assert calls == {"svd": 1, "fitted": 0}
 
 
 class TestMeanShiftEquivalence:

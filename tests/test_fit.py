@@ -430,6 +430,15 @@ class TestModelData:
         with pytest.raises(UsageError):
             FitControl(q=0.9, stop_rule="bogus")
 
+    def test_negative_max_iter_rejected(self, vaso):
+        from lqglm import UsageError
+
+        with pytest.raises(UsageError, match="max_iter"):
+            FitControl(max_iter=-1)
+        # a cap of 0 stays valid: the fit stops at its start
+        fit = fit_mlq(vaso, FitControl(max_iter=0))
+        assert fit.iterations == 0 and not fit.converged
+
     def test_profile_rejected_for_fixed_dispersion(self):
         from lqglm import UsageError
 
@@ -639,6 +648,42 @@ class TestNewtonSolver:
 
         with pytest.raises(UsageError, match="solver"):
             FitControl(solver="bogus")
+
+
+class TestInvariances:
+    """Property tests of the canonical-link MLq fit."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(family_name=st.sampled_from(["poisson", "bernoulli"]),
+           seed=st.integers(0, 2**31 - 1), n=st.integers(30, 200), q=st.floats(0.7, 1.0),
+           scale=st.tuples(st.floats(0.1, 10.0), st.floats(0.1, 10.0)))
+    def test_covariate_rescaling(self, family_name, seed, n, q, scale):
+        # scaling a covariate by s scales its coefficient by 1/s
+        rng = rng_stream(seed, 0)
+        fam = get_family(family_name)
+        X = np.column_stack([np.ones(n), rng.uniform(-1.0, 1.0, size=(n, 2))])
+        y = fam.sample(rng, fam.b_dot(X @ np.array([0.3, 0.8, -0.5])), 1.0)
+        factors = np.r_[1.0, scale]
+        ctl = FitControl(q=q, stop_rule="coef-psi", tol=1e-10, max_iter=500)
+        base = fit_mlq(ModelData(X, y, family_name), ctl)
+        scaled = fit_mlq(ModelData(X * factors, y, family_name), ctl)
+        assert base.converged and scaled.converged
+        assert_allclose(scaled.beta_star * factors, base.beta_star, rtol=0,
+                        atol=1e-8 * np.max(np.abs(base.beta_star)))
+
+    @settings(max_examples=20, deadline=None)
+    @given(family_name=st.sampled_from(["poisson", "bernoulli"]),
+           seed=st.integers(0, 2**31 - 1), n=st.integers(30, 200))
+    def test_continuity_as_q_tends_to_1(self, family_name, seed, n):
+        # down to below Q_ONE_EPS, where the objective takes its q = 1 branch
+        data = _draw(family_name, seed, n)
+        ctl = FitControl(stop_rule="coef-psi", tol=1e-10, max_iter=200)
+        at_1 = fit_mlq(data, ctl).beta_q
+        bound = max(1.0, np.max(np.abs(at_1)))
+        for delta in (1e-4, 1e-6, 1e-8, 1e-10, 1e-12, 1e-13):
+            fit = fit_mlq(data, replace(ctl, q=1.0 - delta))
+            assert fit.converged
+            assert np.max(np.abs(fit.beta_q - at_1)) <= 10.0 * delta * bound, delta
 
 
 # The per-row dispersion search the batched one replaced, kept as the oracle:

@@ -35,3 +35,49 @@ def test_checker_finds_an_unused_import():
                          ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert _unused_imports(path.read_text()) == []
+
+
+# Each module imports only from modules of a lower layer; the package's
+# __init__ re-exports every layer and __main__ only starts the CLI.
+LAYERS = [
+    {"errors"},
+    {"numerics", "families"},
+    {"model"},
+    {"fit", "datasets"},
+    {"diagnostics", "qselect", "simulate"},
+    {"cli"},
+]
+LAYER = {module: k for k, layer in enumerate(LAYERS) for module in layer}
+
+
+def _package_imports(source):
+    """The ``lqglm`` modules a source file imports, with their line numbers."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            names = [node.module] if node.module else [a.name for a in node.names]
+            found += [(node.lineno, name.split(".")[0]) for name in names]
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("lqglm."):
+            found.append((node.lineno, node.module.split(".")[1]))
+        elif isinstance(node, ast.Import):
+            found += [(node.lineno, a.name.split(".")[1]) for a in node.names
+                      if a.name.startswith("lqglm.")]
+    return found
+
+
+def test_every_module_has_a_layer():
+    modules = {p.stem for p in SRC.glob("*.py")} - {"__init__", "__main__"}
+    assert modules == set(LAYER)
+
+
+def test_checker_finds_an_upward_import():
+    source = "from .errors import UsageError\nfrom .simulate import BLOCK\nimport lqglm.cli\n"
+    assert _package_imports(source) == [(1, "errors"), (2, "simulate"), (3, "cli")]
+
+
+@pytest.mark.parametrize("module", sorted(LAYER))
+def test_imports_only_from_lower_layers(module):
+    source = (SRC / f"{module}.py").read_text()
+    upward = [(line, name) for line, name in _package_imports(source)
+              if LAYER[name] >= LAYER[module]]
+    assert upward == []

@@ -154,6 +154,15 @@ class TestGridMechanics:
         with pytest.raises(UsageError):
             QGrid(q_values=[])
 
+    @pytest.mark.parametrize("q_min,step", [
+        (0.7, 0.0), (0.7, 1e-320), (0.7, -0.01), (0.7, float("nan")), (0.7, float("inf")),
+        (float("nan"), 0.01), (float("-inf"), 0.01)])
+    def test_degenerate_step_rejected(self, q_min, step):
+        from lqglm import UsageError
+
+        with pytest.raises(UsageError, match="grid"):
+            QGrid(q_min=q_min, step=step)
+
 
 class TestSandwichDominance:
     def test_trace_ordering_on_vaso_grid(self, vaso):

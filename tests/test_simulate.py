@@ -14,7 +14,7 @@ from lqglm import (
     rng_stream,
     run_study,
 )
-from lqglm.simulate import _replicates
+from lqglm.simulate import MAX_ITER, TOL, _replicates
 
 
 class TestGenDataset:
@@ -123,7 +123,7 @@ class TestBatchedReplicates:
         data = gen_dataset(design, rng)
         y, _ = contaminate(data.y, design.eps, design.nu, rng)
         data = ModelData(data.X, y, data.family, data.link, 1.0)
-        ctl = FitControl(max_iter=design.max_iter, tol=design.tol)
+        ctl = FitControl(max_iter=MAX_ITER, tol=TOL)
         out = {q: np.full(len(design.beta_true), np.nan) for q in design.q_list}
         fit1 = fit_mlq(data, ctl)
         if fit1.converged:
