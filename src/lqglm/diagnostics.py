@@ -17,6 +17,7 @@ coefficients and the three test statistics are chi-square scaled.
 
 import warnings
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -76,11 +77,13 @@ class LinearHypothesis:
     ``N`` (p x (p - d)) is an orthonormal basis of the null space of
     ``H``, the last ``p - d`` right singular vectors; the constrained fits
     of the score and bilinear-form tests run on the reduced design ``X N``.
+    ``H``, ``h`` and ``N`` are copied and read-only, so a hypothesis can
+    key the memo of the constrained fit.
     """
 
     def __init__(self, H, h):
-        H = np.atleast_2d(np.asarray(H, dtype=float))
-        h = np.atleast_1d(np.asarray(h, dtype=float))
+        H = np.atleast_2d(np.array(H, dtype=float))
+        h = np.atleast_1d(np.array(h, dtype=float))
         if H.shape[0] != h.shape[0]:
             raise UsageError("H and h have incompatible shapes")
         if H.shape[0] > H.shape[1]:
@@ -89,10 +92,11 @@ class LinearHypothesis:
             solve_spd(H @ H.T, np.zeros(H.shape[0]))
         except SingularMatrixError as e:
             raise UsageError("H is not of full row rank") from e
-        self.H = H
-        self.h = h
         self.d = H.shape[0]
-        self.N = np.linalg.svd(H)[2][self.d:].T
+        N = np.linalg.svd(H)[2][self.d:].T
+        for a in (H, h, N):
+            a.setflags(write=False)
+        self.H, self.h, self.N = H, h, N
 
 
 @dataclass
@@ -168,17 +172,27 @@ def _constrained_point(data, hyp, q, control):
     link), solved by ``b0 + N gamma`` with the particular solution ``b0``.
     ``gamma`` is fitted on the reduced design ``X N`` with the offset
     ``X b0``, at the profiled dispersion when the data requests it, and
-    the solution is evaluated once, on the full design.
+    the solution is evaluated once, on the full design.  An explicit init
+    belongs to the full design, not the reduced one, so the fit starts
+    from the warm start; the other loop settings of ``control`` apply.
     """
+    ctl = control if control is not None else FitControl()
+    return _constrained_memo(data, hyp, float(q), ctl.max_iter, ctl.tol, ctl.stop_rule,
+                             ctl.solver)
+
+
+# One slot, so that score_test and bf_test in turn share the fit.  The key
+# keeps data and hyp (compared by identity, over read-only arrays) alive
+# until the next constrained fit, so their ids cannot be reused meanwhile.
+@lru_cache(maxsize=1)
+def _constrained_memo(data, hyp, q, max_iter, tol, stop_rule, solver):
     if not data.link.is_canonical:
         raise UsageError("constrained fits are defined for the canonical link")
     b0 = hyp.H.T @ solve_spd(hyp.H @ hyp.H.T, hyp.h / q)
     if hyp.N.shape[1] == 0:
         return _evaluate(data, b0, q)
     reduced = ModelData(data.X @ hyp.N, data.y, data.family, data.link, data.phi)
-    # an explicit init belongs to the full design, not the reduced one
-    ctl = replace(control if control is not None else FitControl(), q=q,
-                  init="ml-warm-start")
+    ctl = FitControl(q=q, max_iter=max_iter, tol=tol, stop_rule=stop_rule, solver=solver)
     prob, res = _fit_batch([reduced], ctl, data.X @ b0)
     if res.error[0] is not None:
         raise res.error[0]
@@ -188,6 +202,7 @@ def _constrained_point(data, hyp, q, control):
 def _score(hyp, w, A_t, B_t):
     Bti = inv_spd(B_t)
     C_t = Bti @ A_t @ Bti
+    C_t = 0.5 * (C_t + C_t.T)
     v = hyp.H @ (Bti @ w.psi)
     stat = v @ solve_spd(hyp.H @ C_t @ hyp.H.T, v)
     return _make_result(stat, hyp.d, "score")
@@ -223,15 +238,11 @@ def bf_test(data, fit, hyp, q=None, control=None):
 
 
 def linear_tests(data, fit, hyp, q=None, control=None):
-    """``(wald, score, bilinear)`` results of ``hyp`` from one constrained fit.
-
-    Equal to ``wald_test``, ``score_test`` and ``bf_test`` called one by
-    one, which fit the constrained model once each.
-    """
+    """``(wald, score, bilinear)`` results of ``hyp``: ``wald_test``,
+    ``score_test`` and ``bf_test`` in turn, with one constrained fit."""
     wald = wald_test(fit, hyp)
     q = _bf_q(fit, q)
-    w, A_t, B_t = _constrained_point(data, hyp, q, control)
-    return wald, _score(hyp, w, A_t, B_t), _bf(fit, hyp, w, B_t)
+    return wald, score_test(data, hyp, q, control), bf_test(data, fit, hyp, q, control)
 
 
 def _hat_pieces(data, fit):

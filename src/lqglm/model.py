@@ -112,7 +112,7 @@ class FitControl:
             raise UsageError("q must lie in (0, 1]")
         if self.max_iter < 0:
             raise UsageError("max_iter must be non-negative")
-        if self.tol <= 0.0:
+        if not self.tol > 0.0:
             raise UsageError("tol must be positive")
         if self.stop_rule not in ("objective", "coef-psi"):
             raise UsageError("stop_rule must be 'objective' or 'coef-psi'")

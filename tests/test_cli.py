@@ -297,6 +297,13 @@ def test_negative_max_iter_exits_1(vaso_csv, capsys):
     assert "lqglm: error: " in capsys.readouterr().err
 
 
+def test_nan_tol_exits_1(vaso_csv, capsys):
+    argv = ["fit", "--data", vaso_csv, "--response", "y", "--log", "volume,rate",
+            "--tol", "nan"]
+    assert main(argv) == 1
+    assert "lqglm: error: " in capsys.readouterr().err
+
+
 # per option: values a valid call may take, then values that probe its bounds
 _VALUES = {
     "--family": (["bernoulli", "poisson"], ["gaussian", "gamma"]),

@@ -1,4 +1,5 @@
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -115,6 +116,33 @@ class TestLinearTests:
     def test_rank_deficient_H_rejected(self):
         with pytest.raises(UsageError):
             LinearHypothesis([[1.0, 0.0], [2.0, 0.0]], [0.0, 0.0])
+
+    def test_hypothesis_arrays_are_read_only(self):
+        H = np.array([[0.0, 1.0, -1.0]])
+        hyp = LinearHypothesis(H, [0.0])
+        for a in (hyp.H, hyp.h, hyp.N):
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 1.0
+        H[0, 0] = 1.0  # the caller's array stays writable and is not shared
+        assert hyp.H[0, 0] == 0.0
+
+    def test_score_with_ill_conditioned_sensitivity(self):
+        # B_t^-1 A_t B_t^-1 comes out of roundoff asymmetric beyond the
+        # Cholesky symmetry check unless it is symmetrized; a 1 x 1
+        # H C_t H' cannot show it
+        from types import SimpleNamespace
+
+        from lqglm.diagnostics import _score
+
+        u = np.array([0.9, 0.3])
+        B = np.outer(u, u) + np.diag([0.0, 1e-9])
+        hyp = LinearHypothesis([[1.3, 0.4], [-1.2, 0.0]], [0.0, 0.0])
+        w = SimpleNamespace(psi=np.array([0.1, 0.02]))
+        try:
+            r = _score(hyp, w, 0.6 * B, B)
+        except LqglmError:
+            return
+        assert np.isfinite(r.statistic)
 
 
 def _oracle_constrained_point(data, hyp, q, control):
@@ -242,6 +270,92 @@ class TestConstrainedPath:
             bf_test(poisson_example, fit, hyp, 0.9, ctl)
             linear_tests(poisson_example, fit, hyp, 0.9, ctl)
         assert calls == {"svd": 1, "fitted": 0}
+
+
+def _separated_fit_case():
+    """Separated Bernoulli data whose constrained fit (the slope free, the
+    last coefficient at 0) fails with a SingularMatrixError."""
+    x = np.r_[np.linspace(-2, -0.2, 6), np.linspace(0.2, 2, 6)]
+    X = np.column_stack([np.ones(12), x, np.cos(np.arange(12.0))])
+    data = ModelData(X, np.r_[np.zeros(6), np.ones(6)], "bernoulli")
+    hyp = LinearHypothesis([[0.0, 0.0, 1.0]], [0.0])
+    return data, hyp, 1.0, FitControl(q=1.0, stop_rule="coef-psi", max_iter=5000)
+
+
+def _singular_statistic_case():
+    """The separated case of TestConstrainedPath: the constrained fit
+    succeeds and the statistic meets a singular ``B_n``."""
+    X = np.column_stack([np.ones(4), [3.9, 5.8, 3.7, 7.2]])
+    data = ModelData(X, [1.0, 0.0, 0.0, 0.0], "bernoulli")
+    return data, LinearHypothesis([[0.0, 1.0]], [-100.0]), 0.8, FitControl(q=0.8)
+
+
+class TestConstrainedMemo:
+    """score_test and bf_test called in turn share one constrained fit,
+    keyed by the data and hypothesis objects, q and the loop settings."""
+
+    @staticmethod
+    def _count_fits(monkeypatch):
+        from lqglm import diagnostics, fit as fit_module
+
+        calls = []
+        fit_batch = fit_module._fit_batch
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return fit_batch(*args, **kwargs)
+
+        monkeypatch.setattr(fit_module, "_fit_batch", counted)
+        monkeypatch.setattr(diagnostics, "_fit_batch", counted)
+        return calls
+
+    def test_score_then_bf_fit_once(self, poisson_example, monkeypatch):
+        ctl = FitControl(q=0.9)
+        fit = fit_mlq(poisson_example, ctl)
+        hyp = LinearHypothesis([[0.0, 1.0, -1.0]], [0.0])
+        calls = self._count_fits(monkeypatch)
+        score = score_test(poisson_example, hyp, 0.9, ctl)
+        bf = bf_test(poisson_example, fit, hyp, 0.9, ctl)
+        assert len(calls) == 1
+        _, score_alone, bf_alone = _oracle_tests(poisson_example, fit, hyp, 0.9, ctl)
+        assert repr((score, bf)) == repr((score_alone, bf_alone))
+
+    @pytest.mark.parametrize("field,value,refits", [
+        ("data", None, True), ("hyp", None, True), ("q", 0.85, True), ("max_iter", 30, True),
+        ("tol", 1e-9, True), ("stop_rule", "coef-psi", True), ("solver", "newton", True),
+        ("init", np.zeros(3), False)])
+    def test_key(self, poisson_example, monkeypatch, field, value, refits):
+        from lqglm.diagnostics import _score
+
+        data, hyp, q = poisson_example, LinearHypothesis([[0.0, 1.0, -1.0]], [0.0]), 0.9
+        ctl = FitControl(q=q)
+        score_test(data, hyp, q, ctl)
+        if field == "data":
+            data = ModelData(data.X, data.y, data.family, data.link, data.phi)
+        elif field == "hyp":
+            hyp = LinearHypothesis(hyp.H, hyp.h)
+        elif field == "q":
+            q = value
+        else:
+            ctl = replace(ctl, **{field: value})
+        calls = self._count_fits(monkeypatch)
+        got = score_test(data, hyp, q, ctl)
+        assert len(calls) == refits
+        assert repr(got) == repr(_score(hyp, *_oracle_constrained_point(data, hyp, q, ctl)))
+
+    @pytest.mark.parametrize("case,fits", [(_separated_fit_case, 2),
+                                           (_singular_statistic_case, 1)])
+    def test_failure_repeats(self, monkeypatch, case, fits):
+        # a failed fit is not cached: the second call fits again
+        data, hyp, q, ctl = case()
+        calls = self._count_fits(monkeypatch)
+        errors = []
+        for _ in range(2):
+            with pytest.raises(LqglmError) as got:
+                score_test(data, hyp, q, ctl)
+            errors.append((type(got.value), str(got.value)))
+        assert errors[0] == errors[1]
+        assert len(calls) == fits
 
 
 class TestMeanShiftEquivalence:

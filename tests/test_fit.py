@@ -439,6 +439,13 @@ class TestModelData:
         fit = fit_mlq(vaso, FitControl(max_iter=0))
         assert fit.iterations == 0 and not fit.converged
 
+    def test_nan_tol_rejected(self):
+        from lqglm import UsageError
+
+        # no fit can meet a NaN tolerance, so it would run to the cap
+        with pytest.raises(UsageError, match="tol"):
+            FitControl(tol=float("nan"))
+
     def test_profile_rejected_for_fixed_dispersion(self):
         from lqglm import UsageError
 
