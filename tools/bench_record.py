@@ -7,14 +7,15 @@ For each seed and each workload of the checkout's BENCHMARK.json this runs
 
     python3 bench/run.py --workload W --seed S --seconds 25 --trace 0
 
-from the root of the checkout (``--repo``, by default the one holding this
-script), one run at a time.  The file it writes holds the commit, the
-machine, every run's JSON result, and per workload the median and quartiles
-of each end-to-end metric over the seeds.  The times in it are normalised
+with the run length BENCHMARK.json states (``run_seconds``), from the root
+of the checkout (``--repo``, by default the one holding this script), one
+run at a time.  The file it writes holds the commit, the machine, every
+run's JSON result, and per workload the median and quartiles of each
+end-to-end metric over the seeds.  The times in it are normalised
 to the benchmark's reference host speed, but only files recorded on the
 same machine compare: a speed claim is a before/after pair of them.  The
 checkout's ``src/`` and ``bench/`` must be committed, because the file
-names the commit.
+names the commit, and it does not overwrite an existing file.
 """
 
 import argparse
@@ -43,11 +44,12 @@ def machine():
                        if line.startswith("model name"))
     except (OSError, StopIteration):
         pass
-    versions = subprocess.run(
-        [sys.executable, "-c", "import numpy, scipy; print(numpy.__version__, scipy.__version__)"],
-        check=True, capture_output=True, text=True).stdout.split()
+    import numpy
+    import scipy
+
     return {"cpu": cpu, "cores": os.cpu_count(), "system": platform.platform(),
-            "python": platform.python_version(), "numpy": versions[0], "scipy": versions[1]}
+            "python": platform.python_version(), "numpy": numpy.__version__,
+            "scipy": scipy.__version__}
 
 
 def run_once(repo, workload, seed, seconds):
@@ -79,39 +81,41 @@ def main(argv=None):
     ap.add_argument("--repo", type=Path, default=ROOT, help="checkout to measure")
     ap.add_argument("--seeds", required=True,
                     help="comma-separated workload seeds, e.g. 1401,1402,1403")
-    ap.add_argument("--seconds", type=float, default=25.0)
     ap.add_argument("--out", type=Path, default=ROOT, help="directory of the BENCH file")
     args = ap.parse_args(argv)
     try:
         seeds = [int(s) for s in args.seeds.split(",")]
     except ValueError:
         ap.error("--seeds must be comma-separated integers")
-    if any(s < 0 for s in seeds) or args.seconds <= 0:
-        ap.error("seeds must be >= 0 and --seconds > 0")
+    if any(s < 0 for s in seeds):
+        ap.error("seeds must be >= 0")
     repo = args.repo.resolve()
     if git(repo, "status", "--porcelain", "--", "src", "bench", "BENCHMARK.json"):
         print(f"bench_record: {repo} has uncommitted changes under src/ or bench/",
               file=sys.stderr)
         return 2
+    short = git(repo, "rev-parse", "--short", "HEAD")
+    path = args.out / f"BENCH_{short}.json"
+    if path.exists():
+        print(f"bench_record: {path} exists; move it away to record again", file=sys.stderr)
+        return 2
     with open(repo / "BENCHMARK.json") as fh:
-        workloads = [w["name"] for w in json.load(fh)["workloads"]]
+        spec = json.load(fh)
+    workloads, seconds = [w["name"] for w in spec["workloads"]], spec["run_seconds"]
     runs = {w: [] for w in workloads}
     for seed in seeds:
         for w in workloads:
-            doc = run_once(repo, w, seed, args.seconds)
+            doc = run_once(repo, w, seed, seconds)
             runs[w].append(dict(seed=seed, **doc))
             print(f"{w} seed {seed}: ops_per_s {doc['metrics']['ops_per_s']['value']:.4g} "
                   f"correct={doc['correct']}", file=sys.stderr)
-    short = git(repo, "rev-parse", "--short", "HEAD")
     record = {
         "commit": git(repo, "rev-parse", "HEAD"),
         "machine": machine(),
-        "command": f"python3 bench/run.py --workload W --seed S --seconds {args.seconds:g} "
-                   "--trace 0",
+        "command": f"python3 bench/run.py --workload W --seed S --seconds {seconds:g} --trace 0",
         "seeds": seeds,
         "workloads": {w: {"metrics": summary(runs[w]), "runs": runs[w]} for w in workloads},
     }
-    path = args.out / f"BENCH_{short}.json"
     with open(path, "w") as fh:
         json.dump(record, fh, indent=1)
         fh.write("\n")
