@@ -63,8 +63,6 @@ from .model import PROFILE, FitControl, FitResult, ModelData
 from .numerics import (
     chi_square_sf,
     inv_spd,
-    maximize_1d,
-    normal_cdf,
     normal_quantile,
     rng_stream,
     solve_spd,

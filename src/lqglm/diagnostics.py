@@ -24,6 +24,7 @@ import numpy as np
 
 from .errors import (
     DegenerateDirectionError,
+    DomainError,
     LqglmError,
     SingularMatrixError,
     UsageError,
@@ -33,7 +34,7 @@ from .fit import (
     BLOCK,
     FitControl,
     _evaluate,
-    _fit_batch,
+    _fit_path,
     _fitted,
     _problem,
     _sensitivity,
@@ -150,7 +151,11 @@ def aic_q(data, fit):
 
 
 def _make_result(stat, dof, kind):
-    stat = max(0.0, float(stat))
+    stat = float(stat)
+    # max() would turn NaN into 0, a statistic of no evidence
+    if np.isnan(stat):
+        raise DomainError(f"{kind} statistic is not a number")
+    stat = max(0.0, stat)
     return TestResult(stat, int(dof), chi_square_sf(stat, int(dof)), kind)
 
 
@@ -193,7 +198,7 @@ def _constrained_memo(data, hyp, q, max_iter, tol, stop_rule, solver):
         return _evaluate(data, b0, q)
     reduced = ModelData(data.X @ hyp.N, data.y, data.family, data.link, data.phi)
     ctl = FitControl(q=q, max_iter=max_iter, tol=tol, stop_rule=stop_rule, solver=solver)
-    prob, res = _fit_batch([reduced], ctl, data.X @ b0)
+    prob, res = _fit_path([reduced], [q], ctl, data.X @ b0)[0]
     if res.error[0] is not None:
         raise res.error[0]
     return _evaluate(data, b0 + hyp.N @ res.beta[0], q, float(np.ravel(prob.phi)[0]))
@@ -455,7 +460,7 @@ def _envelope_block(data, fit, kind, rows, seed, control):
             uniforms.append(rng.uniform(size=data.n))
     if not datas:
         return np.empty((0, data.n)), failed, 0
-    prob, res = _fit_batch(datas, control)
+    prob, res = _fit_path(datas, [control.q], control)[0]
     w = _fitted(prob, control.q, res)[0]
     ok = res.ok
     sub, eta_star = prob.rows(ok), w.eta[ok]

@@ -473,55 +473,50 @@ def _fitted(prob, q, res):
     return w, A, B, Binv
 
 
-def _start(prob, q, control):
-    """The starting coefficients ``fit_mlq`` uses for a fit at q, per row.
-
-    An explicit ``control.init`` starts every row; ``"ml-warm-start"``
-    takes the classical start and, for q < 1, the q = 1 fit from it.
-    Returns ``(beta0, error)``: ``error[r]`` is the LqglmError choosing
-    row r's start ran into (singular classical normal equations, or a
-    failed q = 1 fit), else None.
-    """
-    R = len(prob.y)
-    if not isinstance(control.init, str):
-        beta0 = np.asarray(control.init, dtype=float)
-        if beta0.shape != (prob.X.shape[-1],):
-            raise UsageError("explicit init vector has the wrong length")
-        return np.tile(beta0, (R, 1)), [None] * R
-    if control.init != "ml-warm-start":
-        raise UsageError(f"unknown init {control.init!r}")
-    beta0, pivot = _classical_start(prob)
-    error = [_not_positive_definite(k) if k else None for k in pivot.tolist()]
-    if q < 1.0 - Q_ONE_EPS:
-        # _irls reads only the loop settings from the control
-        warm = _irls(prob, 1.0, beta0, control)
-        error = [e if e is not None else f for e, f in zip(error, warm.error)]
-        beta0 = warm.beta
-    return beta0, error
-
-
-def _fit_batch(datas, control, offset=None):
-    """``fit_mlq`` up to its result assembly on every ModelData of ``datas``.
+def _fit_path(datas, qs, control, offset=None):
+    """Fit every ModelData of ``datas`` at each q of the descending list
+    ``qs``; returns one ``(prob, res)`` per q.
 
     The datas share family, link, design shape and dispersion setting and
-    are fitted as one batch: the start of ``_start``, the loop at
-    ``control.q``, and for a profiled dispersion the alternation of
-    ``_profile``.  Returns ``(prob, res)``: ``prob`` stacks the rows at
-    their final dispersion, ``res`` is each row's last ``_irls`` outcome,
-    and ``res.error[r]`` is the LqglmError ``fit_mlq`` raises on row r
-    before it assembles a result, else None.
+    are fitted as one batch.  The first q starts from the explicit
+    ``control.init``, or from the classical start followed, for q < 1, by
+    the q = 1 fit (which is the q = 1 stage otherwise).  Each later q
+    starts each row from its last converged, error-free solution, else
+    from that q = 1 fit (the explicit init).  A row whose start failed
+    (singular classical normal equations, or a failed q = 1 fit) keeps
+    that error at every q, and a profiled dispersion is profiled anew at
+    every q.  ``prob`` stacks the rows at their dispersion; ``res`` is
+    each row's last ``_irls`` outcome, with ``res.error[r]`` what
+    ``fit_mlq`` raises on row r before it evaluates the solution, else
+    None.
     """
-    q = control.q
     profile = datas[0].phi == PROFILE
-    prob = _stack(datas, 1.0 if profile else datas[0].phi, offset)
-    beta0, error = _start(prob, q, control)
-    res = _irls(prob, q, beta0, control)
-    for r, e in enumerate(error):
-        if e is not None:
-            res.error[r] = e
-    if profile:
-        prob = _profile(prob, q, res, control)
-    return prob, res
+    base = _stack(datas, 1.0 if profile else datas[0].phi, offset)
+    if not isinstance(control.init, str):
+        beta0 = np.asarray(control.init, dtype=float)
+        if beta0.shape != (base.X.shape[-1],):
+            raise UsageError("explicit init vector has the wrong length")
+        seed, error, warm_q = np.tile(beta0, (len(datas), 1)), [None] * len(datas), None
+    elif control.init != "ml-warm-start":
+        raise UsageError(f"unknown init {control.init!r}")
+    else:
+        beta0, pivot = _classical_start(base)
+        warm_q = qs[0] if qs[0] >= 1.0 - Q_ONE_EPS else 1.0
+        # _irls reads only the loop settings from the control
+        warm = _irls(base, warm_q, beta0, control)
+        error = [_not_positive_definite(k) if k else e for k, e in zip(pivot.tolist(), warm.error)]
+        seed = np.where(np.array([e is None for e in error])[:, None], warm.beta, np.nan)
+    path = []
+    for q in qs:
+        if path:
+            last = path[-1][1]
+            seed = np.where((last.ok & last.converged)[:, None], last.beta, seed)
+        res = warm if q == warm_q else _irls(base, q, seed, control)
+        for r, e in enumerate(error):
+            if e is not None:
+                res.error[r] = e
+        path.append((_profile(base, q, res, control) if profile else base, res))
+    return path
 
 
 def _profile(prob, q, res, control):
@@ -612,8 +607,13 @@ def fit_mlq(data, control=None, offset=None):
     """
     if control is None:
         control = FitControl()
-    q = control.q
-    prob, res = _fit_batch([data], control, offset)
+    prob, res = _fit_path([data], [control.q], control, offset)[0]
+    return _result(data, prob, control.q, res)
+
+
+def _result(data, prob, q, res):
+    """The FitResult of the batch-of-one fit ``(prob, res)`` of ``data`` at
+    q; raises the row's error instead."""
     w, A, B, Binv = _fitted(prob, q, res)
     if res.error[0] is not None:
         raise res.error[0]

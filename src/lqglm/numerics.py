@@ -9,19 +9,17 @@ counter-based Philox engine so that per-replicate streams keyed by
 
 import numpy as np
 from scipy.linalg import lapack
-from scipy.special import chdtrc, ndtr, ndtri
+from scipy.special import chdtrc, ndtri
 
-from .errors import EvaluationError, SingularMatrixError
+from .errors import DomainError, EvaluationError, SingularMatrixError
 
 __all__ = [
     "solve_spd",
     "solve_spd_rows",
     "inv_spd",
-    "maximize_1d",
     "maximize_1d_rows",
     "chi_square_sf",
     "normal_quantile",
-    "normal_cdf",
     "rng_stream",
 ]
 
@@ -47,10 +45,15 @@ def solve_spd(A, B, sym_tol=1e-10):
     SingularMatrixError
         If a Cholesky pivot is non-positive; ``pivot`` holds its 1-based
         index.  In IRLS this signals rank deficiency or weight collapse.
+    DomainError
+        If ``A`` or ``B`` has a non-finite entry (an overflowed fit, say),
+        which the symmetry check and the factorization let through.
     """
     A = np.asarray(A, dtype=float)
     B = np.asarray(B, dtype=float)
     scale = np.max(np.abs(A)) if A.size else 0.0
+    if not (np.isfinite(scale) and np.isfinite(B).all()):
+        raise DomainError("matrix or right-hand side has non-finite entries")
     if scale > 0 and np.max(np.abs(A - A.T)) > sym_tol * scale:
         raise ValueError("matrix is not symmetric within tolerance")
     c, info = lapack.dpotrf(A, lower=1)
@@ -146,31 +149,17 @@ def inv_spd(A):
     return solve_spd(A, np.eye(A.shape[0]))
 
 
-def maximize_1d(f, lo, hi, tol=1e-8, max_iter=500):
-    """Golden-section maximization of a unimodal function on ``[lo, hi]``.
-
-    Returns ``(argmax, value)`` with ``|argmax - optimum| <= tol`` for
-    unimodal ``f``.  Unimodality is the caller's responsibility.
-
-    Raises
-    ------
-    EvaluationError
-        If ``f`` returns a non-finite value; ``probe`` holds the location.
-    """
-    x, value, error = maximize_1d_rows(lambda x, rows: [f(x[0])], [lo], [hi], tol, max_iter)
-    if error[0] is not None:
-        raise error[0]
-    return float(x[0]), float(value[0])
-
-
 def maximize_1d_rows(f, lo, hi, tol=1e-8, max_iter=500):
-    """``maximize_1d`` of one function per row on the (R,) brackets ``[lo, hi]``.
+    """Golden-section maximization of one unimodal function per row on
+    the (R,) brackets ``[lo, hi]``.
 
     ``f(x, rows)`` returns the values at ``x`` of the functions of
     ``rows``, an index array.  A row stops when its own bracket is at or
-    below ``tol``, so its result does not depend on the other rows.
-    Returns ``(x, value, error)``: ``error[r]`` is the EvaluationError of
-    a row that probed a non-finite value and left the search, else None.
+    below ``tol``, so its result does not depend on the other rows; for a
+    unimodal function (the caller's responsibility) its argmax is then
+    within ``tol`` of the optimum.  Returns ``(x, value, error)``:
+    ``error[r]`` is the EvaluationError of a row that probed a non-finite
+    value and left the search, else None.
     """
     a, b = np.array(lo, dtype=float), np.array(hi, dtype=float)
     if not np.all(a < b):
@@ -223,12 +212,6 @@ def normal_quantile(p):
     if np.any((p <= 0.0) | (p >= 1.0)):
         raise ValueError("probability must lie strictly in (0, 1)")
     out = ndtri(p)
-    return float(out) if out.ndim == 0 else out
-
-
-def normal_cdf(x):
-    """Standard normal cumulative distribution function."""
-    out = ndtr(np.asarray(x, dtype=float))
     return float(out) if out.ndim == 0 else out
 
 

@@ -2,8 +2,10 @@
 
 Two data-driven rules are provided: a stability rule based on the movement
 of successive grid estimates, and an efficiency rule minimizing the trace
-of the sandwich covariance.  Both fit the whole grid with warm starts
-(each fit starts from the previous grid point's surrogate solution).
+of the sandwich covariance.  Both fit the whole grid as one warm-started
+path: the grid head starts from the q = 1 fit, and each later value from
+the surrogate solution of the last converged grid fit, or from the q = 1
+fit while there is none.
 """
 
 import warnings
@@ -12,7 +14,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import LqglmError, SelectionError, UsageError
-from .fit import FitControl, fit_mlq
+from .fit import FitControl, _fit_path, _result
 from .numerics import inv_spd
 
 __all__ = [
@@ -25,13 +27,19 @@ __all__ = [
 ]
 
 
+# Every grid value is a fit; a grid beyond this size is a typo in q_min or
+# step, and would otherwise allocate and fit until memory or patience runs out.
+MAX_GRID = 10_000
+
+
 class QGrid:
     """Decreasing grid ``1 >= q_1 > q_2 > ... > q_m`` of distortion values.
 
     Without ``q_values`` the grid runs from 1 down to ``q_min`` in steps of
     ``step``; both must be finite, ``step`` positive, and the number of
-    steps ``(1 - q_min) / step`` finite.  ``rho_factor`` scales the
-    stability threshold ``rho = rho_factor * ||beta at q_m||``.
+    steps ``(1 - q_min) / step`` finite.  A grid has at most ``MAX_GRID``
+    values.  ``rho_factor`` scales the stability threshold
+    ``rho = rho_factor * ||beta at q_m||``.
     """
 
     def __init__(self, q_values=None, q_min=0.70, step=0.01, rho_factor=0.05):
@@ -40,12 +48,14 @@ class QGrid:
                     and np.isfinite((1.0 - q_min) / step)):
                 raise UsageError("grid needs a finite q_min, a positive step and a finite size")
             m = int(round((1.0 - q_min) / step))
+            if m + 1 > MAX_GRID:
+                raise UsageError(f"grid of {m + 1} values exceeds {MAX_GRID}; use a larger step")
             q_values = np.round(1.0 - step * np.arange(m + 1), 12)
         q_values = np.asarray(sorted(set(float(q) for q in q_values), reverse=True))
         if np.any(q_values <= 0.0) or np.any(q_values > 1.0):
             raise UsageError("grid values must lie in (0, 1]")
-        if len(q_values) < 1:
-            raise UsageError("grid is empty")
+        if not 1 <= len(q_values) <= MAX_GRID:
+            raise UsageError(f"grid has {len(q_values)} values; it needs 1 to {MAX_GRID}")
         self.q_values = q_values
         self.rho_factor = rho_factor
 
@@ -103,32 +113,33 @@ _GRID_CONTROL = FitControl(max_iter=100, solver="newton")
 def _grid_fits(data, grid, control):
     """Warm-started fits down the grid; non-convergent q's are dropped.
 
+    One ``_fit_path`` from the warm start, whatever ``control.init`` says:
+    the grid head starts from the q = 1 fit, each later q from the last
+    converged grid fit, or from the q = 1 fit while there is none.
     ``control`` defaults to Newton steps with a higher iteration cap than
     single fits.  The selection rules need every grid point converged, not
     the stopping point of a capped loop, and near indeterminacy scoring
     converges only linearly: on vaso the 0.70:0.01 grid takes 334 scoring
     iterations (66 at q = 0.78) against about 100 Newton iterations.
     """
-    ctl = control if control is not None else _GRID_CONTROL
+    ctl = replace(control if control is not None else _GRID_CONTROL, init="ml-warm-start")
     fits, dropped = {}, []
-    start = None
-    for q in grid.q_values:
-        c = replace(ctl, q=float(q), init="ml-warm-start" if start is None else start)
+    qs = [float(q) for q in grid.q_values]
+    for q, (prob, res) in zip(qs, _fit_path([data], qs, ctl)):
         try:
-            res = fit_mlq(data, c)
+            fit = _result(data, prob, q, res)
         except LqglmError as e:  # singular weights etc.: treat as non-convergent
             warnings.warn(f"grid fit at q={q:.4g} failed: {e}", stacklevel=3)
-            dropped.append(float(q))
+            dropped.append(q)
             continue
-        if not res.converged:
+        if not fit.converged:
             warnings.warn(
-                f"grid fit at q={q:.4g} did not converge ({res.message}); dropped",
+                f"grid fit at q={q:.4g} did not converge ({fit.message}); dropped",
                 stacklevel=3,
             )
-            dropped.append(float(q))
+            dropped.append(q)
             continue
-        fits[float(q)] = res
-        start = res.beta_star.copy()
+        fits[q] = fit
     if len(fits) < 3:
         raise SelectionError(
             f"only {len(fits)} grid fits converged; selection needs at least 3"
@@ -172,11 +183,12 @@ def select_q_efficiency(data, grid=None, control=None):
     grid = grid if grid is not None else QGrid()
     if len(grid.q_values) == 1:
         q = float(grid.q_values[0])
-        res = fit_mlq(data, replace(control if control is not None else _GRID_CONTROL, q=q))
-        if not res.converged:
+        prob, res = _fit_path([data], [q], control if control is not None else _GRID_CONTROL)[0]
+        fit = _result(data, prob, q, res)
+        if not fit.converged:
             raise SelectionError(f"the only grid fit, at q={q:.4g}, did not converge "
-                                 f"({res.message})")
-        return QSelectResult(q, {}, 0.0, {q: _summary(data, res)}, "efficiency")
+                                 f"({fit.message})")
+        return QSelectResult(q, {}, 0.0, {q: _summary(data, fit)}, "efficiency")
     fits, dropped = _grid_fits(data, grid, control)
     traces = {q: float(np.trace(f.cov)) for q, f in fits.items()}
     best = min(traces.values())

@@ -5,7 +5,10 @@ Poisson log-link design with unit coefficients and U(0,1) covariates and no
 intercept), multiplies a random fraction ``eps`` of responses by a factor
 ``nu``, fits the MLq estimator over a list of q values, and summarizes the
 calibrated estimates by bias ``||mean(beta_hat - beta)||`` and the mean
-per-coordinate interquartile range.
+per-coordinate interquartile range.  The q values are fitted in
+descending order with the warm starts of the selection grid: the q = 1
+fit from the classical start, then each q from the replicate's last
+converged estimate (its q = 1 fit while it has none).
 
 Replicates are embarrassingly parallel: each uses its own counter-based
 random stream keyed by the replicate index, and blocks of replicates are
@@ -22,7 +25,7 @@ import numpy as np
 
 from .errors import UsageError
 from .families import Q_ONE_EPS, get_family, get_link
-from .fit import BLOCK, FitControl, _fit_batch, _fitted, _irls, calibrate_coefficients
+from .fit import BLOCK, FitControl, _fit_path, _fitted, calibrate_coefficients
 from .model import ModelData
 from .numerics import rng_stream
 
@@ -155,11 +158,11 @@ def _replicates(design, ks, X_fixed=None):
     Returns the calibrated estimates, shape ``(len(ks), len(q_list), p)``
     (NaN on non-convergence).  Replicate k's stream drives, in order, the
     covariate draws (unless fixed), the responses, and the contamination
-    indices, so contamination patterns are reproducible.  Every q-stage
-    fits the whole block as one batch: q = 1 from the classical start,
-    then the q < 1 values in descending order, each row warm-started from
-    its last converged estimate.  A row's fits never depend on the other
-    rows of its block.
+    indices, so contamination patterns are reproducible.  The block is
+    fitted as one batch down the q values in descending order by
+    ``_fit_path``: the q = 1 fit from the classical start, then each q
+    from the row's last converged estimate (its q = 1 fit while it has
+    none).  A row's fits never depend on the other rows of its block.
     """
     datas = []
     for k in ks:
@@ -167,23 +170,12 @@ def _replicates(design, ks, X_fixed=None):
         X, y, family, link = _draw(design, rng, X_fixed)
         y, _ = contaminate(y, design.eps, design.nu, rng)
         datas.append(ModelData(X, y, family, link, 1.0))
-    control = FitControl(max_iter=MAX_ITER, tol=TOL)
-
-    # q = 1 from the classical start; a replicate whose q = 1 fit fails
-    # gets NaN at every q, as its NaN start fails every later fit
-    prob, res = _fit_batch(datas, control)
-    _fitted(prob, 1.0, res)
-    ok = res.ok
-    start = np.where(ok[:, None], res.beta, np.nan)
-    out = {1.0: np.where((ok & res.converged)[:, None], res.beta, np.nan)}
-    for q in sorted(set(float(q) for q in design.q_list), reverse=True):
-        if q == 1.0:
-            continue
-        res = _irls(prob, q, start, control)
+    qs = sorted(set(float(q) for q in design.q_list), reverse=True)
+    out = {}
+    for q, (prob, res) in zip(qs, _fit_path(datas, qs, FitControl(max_iter=MAX_ITER, tol=TOL))):
         _fitted(prob, q, res)
         good = (res.ok & res.converged)[:, None]
         out[q] = np.where(good, calibrate_coefficients(prob.link, res.beta, q), np.nan)
-        start = np.where(good, res.beta, start)
     return np.stack([out[float(q)] for q in design.q_list], axis=1)
 
 

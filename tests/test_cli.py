@@ -148,14 +148,14 @@ class TestHypothesisTest:
         from lqglm import diagnostics, fit
 
         calls = []
-        fit_batch = fit._fit_batch
+        fit_path = fit._fit_path
 
         def counted(*args, **kwargs):
             calls.append(1)
-            return fit_batch(*args, **kwargs)
+            return fit_path(*args, **kwargs)
 
-        monkeypatch.setattr(fit, "_fit_batch", counted)
-        monkeypatch.setattr(diagnostics, "_fit_batch", counted)
+        monkeypatch.setattr(fit, "_fit_path", counted)
+        monkeypatch.setattr(diagnostics, "_fit_path", counted)
         (tmp_path / "H.csv").write_text("0.0,0.0,1.0\n")
         (tmp_path / "h.csv").write_text("0.0\n")
         code = main([
@@ -166,6 +166,22 @@ class TestHypothesisTest:
         ])
         assert code == 0
         assert len(calls) == 2  # the unconstrained fit and one constrained fit
+
+    def test_overflowed_constrained_point_exits_1(self, tmp_path, capsys):
+        # the score and bilinear-form statistics were reported as 0 (p = 1)
+        (tmp_path / "d.csv").write_text("x,y\n0,0\n1,1\n2,0\n3,2\n4,1\n")
+        (tmp_path / "H.csv").write_text("0,1\n")
+        (tmp_path / "h.csv").write_text("100\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            code = main([
+                "test", "--data", str(tmp_path / "d.csv"), "--response", "y",
+                "--family", "poisson", "--q", "0.8",
+                "--H", str(tmp_path / "H.csv"), "--h", str(tmp_path / "h.csv"),
+                "--output", str(tmp_path / "test.json"),
+            ])
+        assert code == 1
+        assert "lqglm: error: " in capsys.readouterr().err
 
 
 class TestResidualsCli:
@@ -281,7 +297,8 @@ def test_usage_errors_exit_1(argv, capsys):
     assert err.startswith("usage: lqglm") and "lqglm: error: " in err
 
 
-@pytest.mark.parametrize("grid", ["0.7:0", "0.7:1e-320", "0.7:-0.01", "nan:0.01", "0.7:inf"])
+@pytest.mark.parametrize("grid", ["0.7:0", "0.7:1e-320", "0.7:-0.01", "nan:0.01", "0.7:inf",
+                                  "0.7:1e-15", "0.7:1e-6"])
 @pytest.mark.parametrize("command", [["selectq"], ["fit", "--q", "auto"]])
 def test_degenerate_grid_exits_1(vaso_csv, command, grid, capsys):
     argv = [*command, "--data", vaso_csv, "--response", "y", "--log", "volume,rate",
@@ -310,7 +327,8 @@ _VALUES = {
     "--q": (["1.0", "0.9", "auto"], ["1.5", "0", "nan", "x"]),
     "--phi": (["1.0"], ["profile", "0", "-1", "nan", "x"]),
     "--grid": (["0.9:0.05", "0.8:0.1"],
-               ["0.9:0", "0.9:1e-320", "0.9:-0.1", "0.9:nan", "nan:0.1", "1.2:0.1", "0.9"]),
+               ["0.9:0", "0.9:1e-320", "0.9:-0.1", "0.9:nan", "nan:0.1", "1.2:0.1", "0.9",
+                "0.7:1e-15", "0.9:1e-6", "0.9:1e-5"]),
     "--max-iter": (["25", "5", "100"], ["-1", "-2", "0"]),
     "--tol": (["1e-8", "1e-6"], ["0", "-1", "nan", "inf", "x"]),
     "--level": (["0.95", "0.5"], ["0", "1", "1.5", "nan"]),

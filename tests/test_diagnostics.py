@@ -126,6 +126,30 @@ class TestLinearTests:
         H[0, 0] = 1.0  # the caller's array stays writable and is not shared
         assert hyp.H[0, 0] == 0.0
 
+    def test_overflowed_constrained_point_raises(self):
+        # at h = 100 the constrained fit overflows and B_n is not finite;
+        # the score and bilinear-form statistics were reported as 0 (p = 1)
+        X = np.column_stack([np.ones(5), np.arange(5.0)])
+        data = ModelData(X, [0.0, 1.0, 0.0, 2.0, 1.0], "poisson")
+        hyp = LinearHypothesis([[0.0, 1.0]], [100.0])
+        ctl = FitControl(q=0.8)
+        fit = fit_mlq(data, ctl)
+        assert wald_test(fit, hyp).statistic > 0.0
+        for call in (lambda: score_test(data, hyp, 0.8, ctl),
+                     lambda: bf_test(data, fit, hyp, 0.8, ctl),
+                     lambda: linear_tests(data, fit, hyp, 0.8, ctl)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                with pytest.raises(LqglmError):
+                    call()
+
+    def test_nan_statistic_raises(self):
+        from lqglm.diagnostics import _make_result
+
+        with pytest.raises(LqglmError, match="not a number"):
+            _make_result(np.nan, 1, "score")
+        assert _make_result(-1e-17, 1, "score").statistic == 0.0
+
     def test_score_with_ill_conditioned_sensitivity(self):
         # B_t^-1 A_t B_t^-1 comes out of roundoff asymmetric beyond the
         # Cholesky symmetry check unless it is symmetrized; a 1 x 1
@@ -151,7 +175,7 @@ def _oracle_constrained_point(data, hyp, q, control):
     result is discarded, then the evaluation on the full design."""
     from dataclasses import replace
 
-    from lqglm.fit import _evaluate, _fit_batch, _fitted, _phi_value
+    from lqglm.fit import _evaluate, _fit_path, _fitted, _phi_value
     from lqglm.numerics import solve_spd
 
     if not data.link.is_canonical:
@@ -165,7 +189,7 @@ def _oracle_constrained_point(data, hyp, q, control):
     reduced = ModelData(data.X @ N, data.y, data.family, data.link, data.phi)
     ctl = replace(control if control is not None else FitControl(), q=q,
                   init="ml-warm-start")
-    prob, res = _fit_batch([reduced], ctl, data.X @ b0)
+    prob, res = _fit_path([reduced], [q], ctl, data.X @ b0)[0]
     _fitted(prob, q, res)
     if res.error[0] is not None:
         raise res.error[0]
@@ -299,14 +323,14 @@ class TestConstrainedMemo:
         from lqglm import diagnostics, fit as fit_module
 
         calls = []
-        fit_batch = fit_module._fit_batch
+        fit_path = fit_module._fit_path
 
         def counted(*args, **kwargs):
             calls.append(1)
-            return fit_batch(*args, **kwargs)
+            return fit_path(*args, **kwargs)
 
-        monkeypatch.setattr(fit_module, "_fit_batch", counted)
-        monkeypatch.setattr(diagnostics, "_fit_batch", counted)
+        monkeypatch.setattr(fit_module, "_fit_path", counted)
+        monkeypatch.setattr(diagnostics, "_fit_path", counted)
         return calls
 
     def test_score_then_bf_fit_once(self, poisson_example, monkeypatch):

@@ -547,7 +547,7 @@ class TestBatchedCore:
     def test_fitted_finds_b_n_not_positive_definite(self):
         # profiled Gaussian refits at n = 6 and q = 0.5: replicate 0 converges
         # but its B_n is singular, and others fail in the dispersion search
-        from lqglm.fit import _fit_batch, _fitted
+        from lqglm.fit import _fit_path, _fitted
 
         rng = rng_stream(203, 6)
         X = np.column_stack([np.ones(6), rng.uniform(-1, 1, size=6)])
@@ -556,7 +556,7 @@ class TestBatchedCore:
         fit = fit_mlq(data, ctl)
         datas = [ModelData(X, data.family.sample(rng_stream(6, r), fit.mu, fit.phi_hat),
                            "gaussian", phi=PROFILE) for r in range(12)]
-        prob, res = _fit_batch(datas, ctl)
+        prob, res = _fit_path(datas, [0.5], ctl)[0]
         assert res.error[0] is None
         _fitted(prob, 0.5, res)
         kinds = self._assert_fit_mlq_errors(res, datas, [ctl] * len(datas))
@@ -629,15 +629,16 @@ class TestNewtonSolver:
         # on the way to the solution; only those iterations call the
         # scoring matrix
         from lqglm import fit
-        from lqglm.fit import _irls, _stack, _start
+        from lqglm.fit import _fit_path, _irls, _stack
 
         rng = rng_stream(5, 0)
         X = np.column_stack([np.ones(20), rng.uniform(-1.0, 1.0, size=20)])
         y = rng.poisson(np.exp(X @ np.array([1.0, 0.5]))).astype(float)
         y[0] = 60.0
-        prob = _stack([ModelData(X, y, "poisson")], 1.0)
+        data = ModelData(X, y, "poisson")
+        prob = _stack([data], 1.0)
         ctl = FitControl(q=0.5, stop_rule="coef-psi", max_iter=100, solver="newton")
-        beta0 = _start(prob, 0.5, ctl)[0]
+        beta0 = _fit_path([data], [1.0], ctl)[0][1].beta  # the q = 1 warm start
         calls = []
         sensitivity = fit._sensitivity
         monkeypatch.setattr(fit, "_sensitivity",

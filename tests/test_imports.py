@@ -81,3 +81,33 @@ def test_imports_only_from_lower_layers(module):
     upward = [(line, name) for line, name in _package_imports(source)
               if LAYER[name] >= LAYER[module]]
     assert upward == []
+
+
+# The fitting core: every fit reaches these through fit._fit_path.
+FIT_CORE = {"_irls", "_profile", "_classical_start"}
+
+
+def _names(source):
+    """Every identifier a source file binds, reads or imports."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            found |= {a.name.split(".")[-1] for a in node.names}
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            found.add(node.name)
+    return found
+
+
+def test_checker_finds_a_core_name():
+    source = "from .fit import _irls as run\nfrom lqglm import fit\nfit._profile(1)\n"
+    assert _names(source) & FIT_CORE == {"_irls", "_profile"}
+
+
+@pytest.mark.parametrize("path", sorted(set(SRC.glob("*.py")) - {SRC / "fit.py"}),
+                         ids=lambda p: p.name)
+def test_only_fit_names_the_fitting_core(path):
+    assert _names(path.read_text()) & FIT_CORE == set()

@@ -91,10 +91,10 @@ class TestStabilitySelection:
     def test_unexpected_errors_propagate(self, vaso, monkeypatch):
         # only package errors mark a grid value as dropped; anything else
         # is a defect and must surface
-        def broken(data, control=None, offset=None):
+        def broken(data, prob, q, res):
             raise RuntimeError("broken fit")
 
-        monkeypatch.setattr("lqglm.qselect.fit_mlq", broken)
+        monkeypatch.setattr("lqglm.qselect._result", broken)
         with pytest.raises(RuntimeError, match="broken fit"):
             select_q_stability(vaso, QGrid(q_min=0.90, step=0.05))
 
@@ -153,15 +153,113 @@ class TestGridMechanics:
             QGrid(q_values=[1.2, 0.9])
         with pytest.raises(UsageError):
             QGrid(q_values=[])
+        with pytest.raises(UsageError, match="grid"):
+            QGrid(q_values=np.linspace(0.5, 1.0, 10_001))
 
+    # 1e-15 once raised numpy's MemoryError; 1e-6 built and fitted 300,001 values
     @pytest.mark.parametrize("q_min,step", [
         (0.7, 0.0), (0.7, 1e-320), (0.7, -0.01), (0.7, float("nan")), (0.7, float("inf")),
-        (float("nan"), 0.01), (float("-inf"), 0.01)])
+        (float("nan"), 0.01), (float("-inf"), 0.01), (0.7, 1e-15), (0.7, 1e-6)])
     def test_degenerate_step_rejected(self, q_min, step):
         from lqglm import UsageError
 
         with pytest.raises(UsageError, match="grid"):
             QGrid(q_min=q_min, step=step)
+
+
+def _oracle_grid_fits(data, grid, control):
+    """The grid as one fit_mlq per q, each from the last converged grid
+    fit or, while there is none, from the warm start."""
+    import warnings
+    from dataclasses import replace
+
+    from lqglm import LqglmError
+    from lqglm.qselect import _GRID_CONTROL
+
+    ctl = control if control is not None else _GRID_CONTROL
+    fits, dropped = {}, []
+    start = None
+    for q in grid.q_values:
+        c = replace(ctl, q=float(q), init="ml-warm-start" if start is None else start)
+        try:
+            res = fit_mlq(data, c)
+        except LqglmError as e:  # singular weights etc.: treat as non-convergent
+            warnings.warn(f"grid fit at q={q:.4g} failed: {e}", stacklevel=3)
+            dropped.append(float(q))
+            continue
+        if not res.converged:
+            warnings.warn(
+                f"grid fit at q={q:.4g} did not converge ({res.message}); dropped",
+                stacklevel=3,
+            )
+            dropped.append(float(q))
+            continue
+        fits[float(q)] = res
+        start = res.beta_star.copy()
+    if len(fits) < 3:
+        raise SelectionError(
+            f"only {len(fits)} grid fits converged; selection needs at least 3"
+        )
+    return fits, dropped
+
+
+def _outcome(fn, *args):
+    """``(result or error, warning texts)`` of a call."""
+    import warnings
+
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            got = fn(*args)
+        except SelectionError as e:
+            got = e
+    return got, [str(w.message) for w in caught]
+
+
+def _grid_cases():
+    rng = rng_stream(11, 0)
+    X = np.column_stack([np.ones(60), rng.uniform(-1, 1, size=60)])
+    y = rng.normal(X @ np.array([0.5, 1.0]), 1.0)
+    y[:5] += 6.0
+    sep_X = np.column_stack([np.ones(12), np.r_[np.linspace(-2, -0.2, 6), np.linspace(0.2, 2, 6)]])
+    # (data, grid, control); None data stands for vaso
+    return {
+        "vaso": (None, QGrid(), None),
+        "vaso-scoring": (None, QGrid(), FitControl(max_iter=25)),
+        "profiled-gaussian": (ModelData(X, y, "gaussian", phi="profile"),
+                              QGrid(q_min=0.8, step=0.02), None),
+        "separated": (ModelData(sep_X, np.r_[np.zeros(6), np.ones(6)], "bernoulli"),
+                      QGrid(q_min=0.96, step=0.01),
+                      FitControl(q=1.0, stop_rule="coef-psi", max_iter=30)),
+    }
+
+
+class TestGridPath:
+    """The grid is one warm-started fitting path, with the results of one
+    fit_mlq per grid value."""
+
+    @pytest.mark.parametrize("name", sorted(_grid_cases()))
+    def test_equals_one_fit_per_q(self, vaso, name):
+        from lqglm.qselect import _grid_fits
+
+        data, grid, control = _grid_cases()[name]
+        args = (vaso if data is None else data, grid, control)
+        got, got_warnings = _outcome(_grid_fits, *args)
+        want, want_warnings = _outcome(_oracle_grid_fits, *args)
+        assert got_warnings == want_warnings
+        if isinstance(want, SelectionError):
+            assert type(got) is SelectionError and str(got) == str(want)
+            return
+        (fits, dropped), (want_fits, want_dropped) = got, want
+        assert dropped == want_dropped and list(fits) == list(want_fits)
+        for q, fit in fits.items():
+            for field, value in vars(want_fits[q]).items():
+                if field != "data":
+                    assert repr(getattr(fit, field)) == repr(value), (q, field)
+                    if isinstance(value, np.ndarray):
+                        assert getattr(fit, field).tobytes() == value.tobytes(), (q, field)
+        if name == "vaso-scoring":
+            assert dropped and fits  # scoring stops short at some q only
 
 
 class TestSandwichDominance:
