@@ -155,6 +155,8 @@ def _make_result(stat, dof, kind):
     # max() would turn NaN into 0, a statistic of no evidence
     if np.isnan(stat):
         raise DomainError(f"{kind} statistic is not a number")
+    if np.isinf(stat):
+        raise DomainError(f"{kind} statistic overflows")
     stat = max(0.0, stat)
     return TestResult(stat, int(dof), chi_square_sf(stat, int(dof)), kind)
 
@@ -164,7 +166,9 @@ def wald_test(fit, hyp):
     if fit.beta_q is None:
         raise UsageError("Wald test needs calibrated coefficients (canonical link)")
     diff = hyp.H @ fit.beta_q - hyp.h
-    stat = diff @ solve_spd(hyp.H @ fit.cov @ hyp.H.T, diff)
+    # an extreme h overflows the quadratic form, which _make_result rejects
+    with np.errstate(over="ignore", invalid="ignore"):
+        stat = diff @ solve_spd(hyp.H @ fit.cov @ hyp.H.T, diff)
     return _make_result(stat, hyp.d, "wald")
 
 
@@ -206,10 +210,12 @@ def _constrained_memo(data, hyp, q, max_iter, tol, stop_rule, solver):
 
 def _score(hyp, w, A_t, B_t):
     Bti = inv_spd(B_t)
-    C_t = Bti @ A_t @ Bti
-    C_t = 0.5 * (C_t + C_t.T)
-    v = hyp.H @ (Bti @ w.psi)
-    stat = v @ solve_spd(hyp.H @ C_t @ hyp.H.T, v)
+    # a nearly singular B_t overflows C_t, which solve_spd rejects
+    with np.errstate(over="ignore", invalid="ignore"):
+        C_t = Bti @ A_t @ Bti
+        C_t = 0.5 * (C_t + C_t.T)
+        v = hyp.H @ (Bti @ w.psi)
+        stat = v @ solve_spd(hyp.H @ C_t @ hyp.H.T, v)
     return _make_result(stat, hyp.d, "score")
 
 

@@ -131,6 +131,10 @@ class Family:
         """Variance function ``V = b_ddot(theta)``."""
         raise NotImplementedError
 
+    def cumulants(self, theta):
+        """``(b, b_dot, b_ddot)`` at ``theta``, sharing work where the family can."""
+        return self.b(theta), self.b_dot(theta), self.b_ddot(theta)
+
     def c(self, y, phi):
         raise NotImplementedError
 
@@ -203,6 +207,11 @@ class Bernoulli(Family):
         theta = np.asarray(theta, dtype=float)
         return expit(theta) * expit(-theta)
 
+    def cumulants(self, theta):
+        theta = np.asarray(theta, dtype=float)
+        mu = expit(theta)
+        return np.logaddexp(0.0, theta), mu, mu * expit(-theta)
+
     def c(self, y, phi):
         return np.zeros_like(np.asarray(y, dtype=float))
 
@@ -247,6 +256,11 @@ class Poisson(Family):
 
     def b_ddot(self, theta):
         return np.exp(np.asarray(theta, dtype=float))
+
+    def cumulants(self, theta):
+        # b = b_dot = b_ddot: one array, three names
+        e = np.exp(np.asarray(theta, dtype=float))
+        return e, e, e
 
     def c(self, y, phi):
         return -gammaln(np.asarray(y, dtype=float) + 1.0)
@@ -296,6 +310,10 @@ class Gaussian(Family):
 
     def b_ddot(self, theta):
         return np.ones_like(np.asarray(theta, dtype=float))
+
+    def cumulants(self, theta):
+        theta = np.asarray(theta, dtype=float)
+        return 0.5 * theta * theta, theta, np.ones_like(theta)
 
     def c(self, y, phi):
         y = np.asarray(y, dtype=float)

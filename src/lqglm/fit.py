@@ -97,35 +97,56 @@ class _Working(NamedTuple):
     theta: np.ndarray
     b: np.ndarray
     in_domain: np.ndarray
+    theta_max: np.ndarray
     logf: np.ndarray
     objective: np.ndarray
     U: np.ndarray
     mu: np.ndarray
-    kdot: np.ndarray
+    V: np.ndarray
+    kdot: object
     psi: np.ndarray
+
+    def rows(self, keep):
+        """The working point of the rows selected by ``keep``."""
+        return _Working(*(f[keep] if isinstance(f, np.ndarray) else f for f in self))
 
 
 def _working(prob, eta, q):
     """Evaluate the fit at the linear predictor ``eta`` (..., n).
 
-    ``b`` is the cumulant ``b(theta)``, ``logf`` the log-density
-    ``phi*(y*theta - b(theta)) + c(y, phi)``, ``objective`` the Lq-objective, ``U = f^(1-q)`` the estimation weights,
-    ``mu`` the means and ``psi`` the estimating function, each per row.
-    ``in_domain`` is False on rows where a natural parameter leaves the
-    family domain; the other fields of such a row are not meaningful.
+    ``b``, ``mu`` and ``V`` are the cumulant ``b(theta)`` and its first two
+    derivatives, ``logf`` the log-density ``phi*(y*theta - b(theta)) +
+    c(y, phi)``, ``objective`` the Lq-objective, ``U = f^(1-q)`` the
+    estimation weights and ``psi`` the estimating function, each per row.
+    ``theta_max`` is each row's ``max|theta|``; ``in_domain`` is False on
+    rows where a natural parameter leaves the family domain, and the other
+    fields of such a row are not meaningful.
+
+    On the canonical link ``theta = eta`` and ``k_dot = 1``: ``kdot`` is
+    the float 1.0 and ``psi`` is not multiplied by it.  At q = 1 exactly,
+    ``U = f^0 = 1`` without an ``exp`` pass.  On the unbounded domain (every
+    shipped family) a row is in the domain when ``theta_max < inf``, which
+    NaN fails.
     """
-    fam, y, phi = prob.family, prob.y, prob.phi
-    theta = prob.link.k(eta)
-    b = fam.b(theta)
+    fam, link, y, phi = prob.family, prob.link, prob.y, prob.phi
+    theta = eta if link.is_canonical else link.k(eta)
+    b, mu, V = fam.cumulants(theta)
     logf = phi * (y * theta - b) + prob.c
-    U = np.exp((1.0 - q) * logf)
-    mu = fam.b_dot(theta)
-    kdot = prob.link.k_dot(eta)
-    # W^{1/2} V^{-1/2} reduces to k_dot since W = V k_dot^2
-    psi = phi * ((U * kdot * (y - mu))[..., None, :] @ prob.X)[..., 0, :]
+    U = np.ones_like(logf) if q == 1.0 else np.exp((1.0 - q) * logf)
+    if link.is_canonical:
+        kdot, s = 1.0, U * (y - mu)
+    else:
+        # W^{1/2} V^{-1/2} reduces to k_dot since W = V k_dot^2
+        kdot = link.k_dot(eta)
+        s = U * kdot * (y - mu)
+    psi = phi * (s[..., None, :] @ prob.X)[..., 0, :]
     objective = np.add.reduce(_lq_terms(logf, q), axis=-1)
-    return _Working(eta, theta, b, fam.in_theta_domain(theta, axis=-1), logf, objective,
-                    U, mu, kdot, psi)
+    theta_max = np.maximum.reduce(np.abs(theta), axis=-1)
+    if fam.theta_domain == (-np.inf, np.inf):
+        in_domain = theta_max < np.inf
+    else:
+        in_domain = fam.in_theta_domain(theta, axis=-1)
+    return _Working(eta, theta, b, in_domain, theta_max, logf, objective, U, mu, V, kdot, psi)
 
 
 def _sensitivity(prob, w, q):
@@ -133,15 +154,19 @@ def _sensitivity(prob, w, q):
 
     ``W_i = V_i k_dot(eta_i)^2``, ``J_i = J_q(theta_i)^(-phi)`` and
     ``GK_i = g_dot(theta_i) k_dot(eta_i)`` are the factors of ``A_n`` and
-    ``B_n``.
+    ``B_n``.  On the canonical link ``k_dot = g_dot = 1``, so ``W`` is
+    ``V`` itself, ``GK`` is the float 1.0 and the diagonal is ``V J``.  At
+    q = 1 exactly, ``J = exp(phi (b - b)) = 1`` is the float 1.0.
     """
-    fam = prob.family
-    V = fam.b_ddot(w.theta)
-    W = V * w.kdot * w.kdot
-    J = np.exp(prob.phi * (q * w.b - fam.b(q * w.theta)))
-    GK = prob.link.g_dot(w.theta) * w.kdot
-    XtDX = (prob.Xt * (W * J * GK)[..., None, :]) @ prob.X
-    return V, W, J, GK, XtDX
+    V = w.V
+    J = 1.0 if q == 1.0 else np.exp(prob.phi * (q * w.b - prob.family.b(q * w.theta)))
+    if prob.link.is_canonical:
+        W, GK, D = V, 1.0, V * J
+    else:
+        W = V * w.kdot * w.kdot
+        GK = prob.link.g_dot(w.theta) * w.kdot
+        D = W * J * GK
+    return V, W, J, GK, (prob.Xt * D[..., None, :]) @ prob.X
 
 
 def _predictor(prob, beta):
@@ -202,19 +227,26 @@ def matrices_ab(data, beta, q, phi=None, offset=None):
 
 def _evaluate(data, beta, q, phi=None, offset=None):
     """The working point, ``A_n`` and ``B_n`` of one ModelData at ``beta``;
-    DomainError where ``theta`` or ``q theta`` leaves the domain."""
+    DomainError where ``theta`` or ``q theta`` leaves the domain.
+
+    ``J`` may overflow at an in-domain point; the matrices then carry the
+    non-finite entries that the solves reject, without a numpy warning."""
     w, prob = _working_at(data, beta, q, phi, offset)
     if not prob.family.in_theta_domain(q * w.theta):
         raise _j_q_undefined(prob.family)
-    return (w, *_matrices_ab(prob, w, q))
+    with np.errstate(over="ignore", invalid="ignore"):
+        return (w, *_matrices_ab(prob, w, q))
 
 
 def _matrices_ab(prob, w, q):
-    """``A_n`` and ``B_n`` of every row at the working point ``w``."""
+    """``A_n`` and ``B_n`` of every row at the working point ``w``.
+
+    On the canonical link ``GK = 1``, so ``X' W J X = X' W J GK X`` is
+    formed once and scaled into both."""
     _, W, J, _, XtDX = _sensitivity(prob, w, q)
     phi = np.asarray(prob.phi)[..., None]
-    A = (phi / (2.0 - q)) * ((prob.Xt * (W * J)[..., None, :]) @ prob.X)
-    return A, phi * XtDX
+    XtWJX = XtDX if prob.link.is_canonical else (prob.Xt * (W * J)[..., None, :]) @ prob.X
+    return (phi / (2.0 - q)) * XtWJX, phi * XtDX
 
 
 def _j_q_undefined(family):
@@ -306,12 +338,12 @@ def _step(prob, w, q, newton):
     if not newton:
         return solve_spd_rows(_sensitivity(prob, w, q)[-1], rhs)
     r = prob.y - w.mu
-    D = w.U * (prob.family.b_ddot(w.theta) - (1.0 - q) * prob.phi * r * r)
+    D = w.U * (w.V - (1.0 - q) * prob.phi * r * r)
     step, pivot = solve_spd_rows((prob.Xt * D[..., None, :]) @ prob.X, rhs)
     if pivot.any():
         fb = pivot > 0
-        step[fb], pivot[fb] = solve_spd_rows(
-            _sensitivity(prob.rows(fb), _Working(*(f[fb] for f in w)), q)[-1], rhs[fb])
+        step[fb], pivot[fb] = solve_spd_rows(_sensitivity(prob.rows(fb), w.rows(fb), q)[-1],
+                                             rhs[fb])
     return step, pivot
 
 
@@ -359,7 +391,7 @@ def _irls(prob, q, beta0, control):
             return
         idx, beta = idx[keep], beta[keep]
         psi0_norm, blowup_sq = psi0_norm[keep], blowup_sq[keep]
-        w = _Working(*(f[keep] for f in w))
+        w = w.rows(keep)
         prob = prob.rows(keep)
 
     def accepts(tw, floor):
@@ -381,7 +413,7 @@ def _irls(prob, q, beta0, control):
         for it in range(1, max_iter + 1):
             if not idx.size:
                 break
-            overflow = np.maximum.reduce(np.abs(w.theta), axis=-1) > THETA_OVERFLOW
+            overflow = w.theta_max > THETA_OVERFLOW
             step, pivot = _step(prob, w, q, newton)
             if overflow.any() or pivot.any():
                 halt = overflow | (pivot > 0)
@@ -415,7 +447,8 @@ def _irls(prob, q, beta0, control):
                     hit = accepts(sw, floor[pending])
                     trial[pending[hit]] = t[hit]
                     for f, g in zip(tw, sw):
-                        f[pending[hit]] = g[hit]
+                        if isinstance(f, np.ndarray):
+                            f[pending[hit]] = g[hit]
                     pending = pending[~hit]
                     if not pending.size:
                         break
@@ -424,7 +457,7 @@ def _irls(prob, q, beta0, control):
                     exhausted[pending] = True
                     stop(exhausted, it,
                          "stopped: step halving exhausted without improving the objective")
-                    trial, tw = trial[~exhausted], _Working(*(f[~exhausted] for f in tw))
+                    trial, tw = trial[~exhausted], tw.rows(~exhausted)
                     compact(~exhausted)
                     if not idx.size:
                         break
@@ -560,18 +593,26 @@ def _profile_phi(prob, eta_q, q, expand=1e4):
     ``(phi, error)``: ``error[r]`` is the BracketError (zero residuals, or
     the maximum on the bracket edge) or EvaluationError of row r, else None.
     """
-    mu = prob.family.b_dot(prob.link.k(eta_q))
-    rss = np.add.reduce((prob.y - mu) ** 2, axis=-1)
+    fam, y = prob.family, prob.y
+    theta = prob.link.k(eta_q)
+    b, mu, _ = fam.cumulants(theta)
+    rss = np.add.reduce((y - mu) ** 2, axis=-1)
     zero = rss <= 1e-300
     error = [BracketError("profiled dispersion diverges (zero residuals); no interior maximum")
              if z else None for z in zero.tolist()]
     rows = np.flatnonzero(~zero)
-    phi0 = prob.y.shape[-1] / rss[rows]
+    phi0 = y.shape[-1] / rss[rows]
     lo, hi = np.log(phi0 / expand), np.log(phi0 * expand)
-    sub, eta_q = prob.rows(rows), eta_q[rows]
-    t, _, search_error = maximize_1d_rows(
-        lambda t, k: _working(sub.rows(k).with_phi(np.exp(t)[:, None]), eta_q[k], q).objective,
-        lo, hi, tol=1e-10)
+    # only phi varies along the search: y*theta - b is computed once, and
+    # each probe forms logf and the objective as _working does
+    y, yb = y[rows], (y * theta - b)[rows]
+
+    def objective(t, k):
+        phi = np.exp(t)[:, None]
+        logf = phi * yb[k] + fam.c(y[k], phi)
+        return np.add.reduce(_lq_terms(logf, q), axis=-1)
+
+    t, _, search_error = maximize_1d_rows(objective, lo, hi, tol=1e-10)
     edge = ((t - lo < 1e-6) | (hi - t < 1e-6)).tolist()
     for r, e, on_edge in zip(rows.tolist(), search_error, edge):
         if e is None and on_edge:

@@ -3,11 +3,14 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.optimize import minimize
 
 from lqglm import (
     DegenerateDirectionError,
+    DomainError,
     FitControl,
     LinearHypothesis,
     LqglmError,
@@ -19,6 +22,7 @@ from lqglm import (
     deviance_q,
     deviance_residuals,
     fit_mlq,
+    get_family,
     influence_fn,
     linear_tests,
     lq_objective,
@@ -143,6 +147,34 @@ class TestLinearTests:
                 with pytest.raises(LqglmError):
                     call()
 
+    def test_overflowed_constrained_point_warns_nothing(self):
+        # J overflows at the constrained point; the DomainError used to come
+        # after numpy's overflow and invalid-value warnings
+        from lqglm.diagnostics import _constrained_memo
+
+        X = np.column_stack([np.ones(5), np.arange(5.0)])
+        data = ModelData(X, [0.0, 1.0, 0.0, 2.0, 1.0], "poisson")
+        hyp = LinearHypothesis([[0.0, 1.0]], [100.0])
+        ctl = FitControl(q=0.8)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fit = fit_mlq(data, ctl)
+            for call in (lambda: score_test(data, hyp, 0.8, ctl),
+                         lambda: bf_test(data, fit, hyp, 0.8, ctl),
+                         lambda: linear_tests(data, fit, hyp, 0.8, ctl)):
+                _constrained_memo.cache_clear()
+                with pytest.raises(DomainError):
+                    call()
+
+    def test_infinite_statistic_raises(self, poisson_example):
+        # an extreme h overflows the Wald quadratic form; inf was reported
+        # with p = 0 after a numpy overflow warning
+        fit = fit_mlq(poisson_example, FitControl(q=0.9))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="overflows"):
+                wald_test(fit, LinearHypothesis([[0.0, 1.0, 0.0]], [1e300]))
+
     def test_nan_statistic_raises(self):
         from lqglm.diagnostics import _make_result
 
@@ -167,6 +199,36 @@ class TestLinearTests:
         except LqglmError:
             return
         assert np.isfinite(r.statistic)
+
+
+@settings(max_examples=150, deadline=None)
+@given(family=st.sampled_from(["poisson", "bernoulli"]), n=st.integers(4, 8),
+       seed=st.integers(0, 2**16), row=st.sampled_from([(0.0, 1.0), (1.0, 0.0), (1.0, -1.0)]),
+       h=st.sampled_from([0.0, 1e-300, 1.0, -5.0, 30.0, 100.0, -700.0, 1e4, 1e300, -1e300])
+       | st.floats(-1e3, 1e3), q=st.floats(0.5, 1.0))
+def test_statistics_finite_or_typed_error(family, n, seed, row, h, q):
+    # on small designs with extreme hypotheses, each statistic is finite and
+    # non-negative, or its call raises an LqglmError
+    rng = rng_stream(seed, 0)
+    fam = get_family(family)
+    X = np.column_stack([np.ones(n), rng.uniform(-1.0, 1.0, size=n)])
+    y = fam.sample(rng, fam.b_dot(X @ rng.uniform(-1.5, 1.5, size=2)), 1.0)
+    data = ModelData(X, y, family)
+    hyp = LinearHypothesis([row], [h])
+    ctl = FitControl(q=q)
+    try:
+        fit = fit_mlq(data, ctl)
+    except LqglmError:
+        fit = None
+    calls = [lambda: score_test(data, hyp, q, ctl)]
+    if fit is not None:
+        calls += [lambda: wald_test(fit, hyp), lambda: bf_test(data, fit, hyp, q, ctl)]
+    for call in calls:
+        try:
+            r = call()
+        except LqglmError:
+            continue
+        assert np.isfinite(r.statistic) and r.statistic >= 0.0
 
 
 def _oracle_constrained_point(data, hyp, q, control):

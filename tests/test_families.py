@@ -75,6 +75,17 @@ class TestFamilyInvariants:
         se_var = centered.std(ddof=1) / math.sqrt(n)
         assert abs(centered.mean() - v) < 4 * se_var
 
+    @pytest.mark.parametrize("family", FAMILIES, ids=lambda f: f.name)
+    def test_cumulants_equal_the_separate_functions(self, family):
+        # one pass gives exactly what b, b_dot and b_ddot give one by one
+        grid = np.array([0.0, 1e-300, -1e-300, 1.0, -1.0, 30.0, -30.0, 700.0, -700.0])
+        batch = rng_stream(43, 0).normal(0.0, 20.0, size=(5, 8))
+        for theta in (grid, batch):
+            got = family.cumulants(theta)
+            want = (family.b(theta), family.b_dot(theta), family.b_ddot(theta))
+            for g, w in zip(got, want):
+                assert g.shape == theta.shape and np.array_equal(g, w)
+
 
 class TestThetaLinks:
     @pytest.mark.parametrize("link", [CanonicalLink(), PowerThetaLink(3)])

@@ -369,6 +369,33 @@ class TestNonCanonicalLink:
         assert fit.psi_norm < 1e-6
 
 
+class TestCanonicalKernel:
+    """The canonical link skips its unit factors ``k_dot = g_dot = 1``.
+
+    ``PowerThetaLink(1)`` is the identity link too, but it takes the
+    generic path, which multiplies by those factors, each exactly 1; every
+    number of the fit must agree bit for bit."""
+
+    @pytest.mark.parametrize("family", ["poisson", "bernoulli", "gaussian"])
+    @pytest.mark.parametrize("q", [1.0, 0.95, 0.8])
+    @pytest.mark.parametrize("stop_rule", ["objective", "coef-psi"])
+    @pytest.mark.parametrize("explicit_init", [False, True])
+    def test_equals_the_generic_path(self, family, q, stop_rule, explicit_init):
+        drawn = _draw(family, 61, 40)
+        phi = PROFILE if family == "gaussian" else 1.0
+        ctl = FitControl(q=q, stop_rule=stop_rule, max_iter=100,
+                         init=np.array([0.2, 0.5]) if explicit_init else "ml-warm-start")
+        fits = [fit_mlq(ModelData(drawn.X, drawn.y, family, link=link, phi=phi), ctl)
+                for link in (None, PowerThetaLink(1))]
+        canonical, generic = fits
+        for key in ("beta_star", "eta_star", "eta_q", "A_n", "B_n", "cov", "weights", "mu",
+                    "mu_star"):
+            assert getattr(canonical, key).tobytes() == getattr(generic, key).tobytes(), key
+        for key in ("iterations", "converged", "psi_norm", "lq_value", "phi_hat", "message",
+                    "objective_trace"):
+            assert getattr(canonical, key) == getattr(generic, key), key
+
+
 class TestEstimatePhi:
     def test_ml_variance(self):
         rng = rng_stream(41, 0)
@@ -754,6 +781,34 @@ def _per_row_profile_phi(data, eta_q, q, expand=1e4):
     return float(np.exp(t_hat))
 
 
+def _full_evaluation_profile_phi(prob, eta_q, q, expand=1e4):
+    """``fit._profile_phi`` as it was with one ``_working`` per probe."""
+    from lqglm.fit import _working
+    from lqglm.numerics import maximize_1d_rows
+
+    mu = prob.family.b_dot(prob.link.k(eta_q))
+    rss = np.add.reduce((prob.y - mu) ** 2, axis=-1)
+    zero = rss <= 1e-300
+    error = [BracketError("profiled dispersion diverges (zero residuals); no interior maximum")
+             if z else None for z in zero.tolist()]
+    rows = np.flatnonzero(~zero)
+    phi0 = prob.y.shape[-1] / rss[rows]
+    lo, hi = np.log(phi0 / expand), np.log(phi0 * expand)
+    sub, eta_q = prob.rows(rows), eta_q[rows]
+    t, _, search_error = maximize_1d_rows(
+        lambda t, k: _working(sub.rows(k).with_phi(np.exp(t)[:, None]), eta_q[k], q).objective,
+        lo, hi, tol=1e-10)
+    edge = ((t - lo < 1e-6) | (hi - t < 1e-6)).tolist()
+    for r, e, on_edge in zip(rows.tolist(), search_error, edge):
+        if e is None and on_edge:
+            e = BracketError(
+                "profiled dispersion maximum sits on the bracket edge; expand the bracket")
+        error[r] = e
+    phi = np.full(len(rss), np.nan)
+    phi[rows] = np.exp(t)
+    return phi, error
+
+
 class TestBatchedProfile:
     """One golden-section search profiles the dispersion of every row."""
 
@@ -789,6 +844,36 @@ class TestBatchedProfile:
         assert kinds[0].startswith("profiled dispersion diverges")
         assert kinds[1:] == (["profiled dispersion maximum sits on the bracket edge"]
                              if q == 0.5 else [])
+
+    @pytest.mark.parametrize("q", [1.0, 0.9, 0.5])
+    def test_probes_equal_full_evaluations(self, q):
+        # oracle: the same search with one full _working evaluation at each
+        # probe, on the rows of test_matches_per_row_search and on
+        # profiled rows of envelope size
+        from lqglm.fit import _profile_phi, _stack
+
+        rng = rng_stream(31, 0)
+        datas, etas = [], []
+        for scale in (0.2, 0.5, 1.0, 2.0, 0.05, 5.0, 0.7, 1.5):
+            X = np.column_stack([np.ones(12), rng.uniform(-1, 1, size=12)])
+            eta = X @ np.array([0.5, 1.0])
+            datas.append(ModelData(X, eta + rng.normal(0, scale, size=12), "gaussian",
+                                   phi=PROFILE))
+            etas.append(eta)
+        datas[2] = ModelData(datas[2].X, etas[2], "gaussian", phi=PROFILE)
+        y = datas[6].y.copy()
+        y[:6] = etas[6][:6]
+        datas[6] = ModelData(datas[6].X, y, "gaussian", phi=PROFILE)
+        X = np.column_stack([np.ones(60), rng.uniform(-1, 1, size=60)])
+        eta = X @ np.array([0.5, 1.0])
+        big = [ModelData(X, eta + rng.normal(0, 0.7, size=60), "gaussian", phi=PROFILE)
+               for _ in range(5)]
+        for group, group_etas in ((datas, etas), (big, [eta] * 5)):
+            prob, eta_q = _stack(group, 1.0), np.array(group_etas)
+            phi, error = _profile_phi(prob, eta_q, q)
+            ref_phi, ref_error = _full_evaluation_profile_phi(prob, eta_q, q)
+            assert phi.tobytes() == ref_phi.tobytes()
+            assert [repr(e) for e in error] == [repr(e) for e in ref_error]
 
     def test_estimate_phi_is_a_batch_of_one(self, gaussian_example):
         for q in (1.0, 0.9, 0.5):

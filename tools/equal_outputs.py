@@ -1,0 +1,91 @@
+"""Check that two checkouts give the same benchmark op outputs.
+
+    python3 tools/equal_outputs.py ../lqglm-parent .
+    python3 tools/equal_outputs.py PARENT CHANGE --seeds 0-7 --workload mc_tests
+
+For each workload and seed, each checkout runs ops 0, 1, ... of the
+workload in a fresh interpreter, importing ``lqglm`` from its own ``src/``
+and the workload definitions from this repository's ``bench/workloads.py``
+(read only: nothing under ``bench/`` is written).  Every op's ``inspect``
+summary and problem list are compared by ``repr``, so a float that moves
+by one ulp counts as a difference.  Prints the number of differing ops per
+workload and exits 1 if there are any.
+"""
+
+import argparse
+import json
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+# Ops per seed and workload of the default comparison.
+OPS = {"mc_contam": 24, "mc_tests": 100, "session_vaso": 4}
+
+
+def emit(checkout, workload, seed, n_ops):
+    """Print the repr of each op's (summary, problems) as one JSON list."""
+    sys.path[:0] = [str(Path(checkout).resolve() / "src"), str(ROOT / "bench")]
+    import lqglm
+    import lqglm.cli
+    import lqglm.datasets
+
+    from workloads import WORKLOADS
+
+    with tempfile.TemporaryDirectory() as workdir:
+        wl = WORKLOADS[workload](lqglm, seed, workdir)
+        out = []
+        for k in range(n_ops):
+            inp = wl.inputs(k)
+            out.append(repr(wl.inspect(inp, wl.run(inp))))
+    print(json.dumps(out))
+
+
+def outputs(checkout, workload, seed, n_ops):
+    proc = subprocess.run(
+        [sys.executable, __file__, "--emit", str(checkout), workload, str(seed), str(n_ops)],
+        capture_output=True, text=True)
+    if proc.returncode != 0:
+        raise RuntimeError(f"{checkout} {workload} seed {seed} exited {proc.returncode}: "
+                           f"{proc.stderr.strip()[-500:]}")
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def seed_list(text):
+    seeds = []
+    for part in text.split(","):
+        lo, _, hi = part.partition("-")
+        seeds.extend(range(int(lo), int(hi or lo) + 1))
+    return seeds
+
+
+def main(argv=None):
+    argv = sys.argv[1:] if argv is None else argv
+    if argv[:1] == ["--emit"]:
+        checkout, workload, seed, n_ops = argv[1:]
+        emit(checkout, workload, int(seed), int(n_ops))
+        return 0
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("parent", type=Path, help="checkout of the reference commit")
+    ap.add_argument("change", type=Path, help="checkout of the changed commit")
+    ap.add_argument("--seeds", type=seed_list, default=seed_list("0-7"),
+                    help="workload seeds, e.g. 0-7 or 1,4,9 (default 0-7)")
+    ap.add_argument("--workload", choices=sorted(OPS), action="append",
+                    help="workload to compare (repeatable; default all)")
+    args = ap.parse_args(argv)
+    differing = 0
+    for workload in args.workload or list(OPS):
+        n_ops, ops, diff = OPS[workload], 0, 0
+        for seed in args.seeds:
+            a = outputs(args.parent, workload, seed, n_ops)
+            b = outputs(args.change, workload, seed, n_ops)
+            ops += len(a)
+            diff += sum(x != y for x, y in zip(a, b)) + abs(len(a) - len(b))
+        print(f"{workload}: {diff} of {ops} ops differ")
+        differing += diff
+    return 1 if differing else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
