@@ -229,12 +229,13 @@ def _evaluate(data, beta, q, phi=None, offset=None):
     """The working point, ``A_n`` and ``B_n`` of one ModelData at ``beta``;
     DomainError where ``theta`` or ``q theta`` leaves the domain.
 
-    ``J`` may overflow at an in-domain point; the matrices then carry the
-    non-finite entries that the solves reject, without a numpy warning."""
-    w, prob = _working_at(data, beta, q, phi, offset)
-    if not prob.family.in_theta_domain(q * w.theta):
-        raise _j_q_undefined(prob.family)
+    ``b(theta)`` and ``J`` may overflow at an in-domain point; the working
+    point and the matrices then carry the non-finite entries that the
+    solves reject, without a numpy warning."""
     with np.errstate(over="ignore", invalid="ignore"):
+        w, prob = _working_at(data, beta, q, phi, offset)
+        if not prob.family.in_theta_domain(q * w.theta):
+            raise _j_q_undefined(prob.family)
         return (w, *_matrices_ab(prob, w, q))
 
 

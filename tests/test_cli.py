@@ -168,12 +168,13 @@ class TestHypothesisTest:
         assert len(calls) == 2  # the unconstrained fit and one constrained fit
 
     def test_overflowed_constrained_point_exits_1(self, tmp_path, capsys):
-        # the score and bilinear-form statistics were reported as 0 (p = 1)
+        # the score and bilinear-form statistics were reported as 0 (p = 1),
+        # and the error then came after numpy's overflow warnings
         (tmp_path / "d.csv").write_text("x,y\n0,0\n1,1\n2,0\n3,2\n4,1\n")
         (tmp_path / "H.csv").write_text("0,1\n")
         (tmp_path / "h.csv").write_text("100\n")
         with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
+            warnings.simplefilter("error")
             code = main([
                 "test", "--data", str(tmp_path / "d.csv"), "--response", "y",
                 "--family", "poisson", "--q", "0.8",
