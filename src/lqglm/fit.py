@@ -124,9 +124,7 @@ def _working(prob, eta, q):
 
     On the canonical link ``theta = eta`` and ``k_dot = 1``: ``kdot`` is
     the float 1.0 and ``psi`` is not multiplied by it.  At q = 1 exactly,
-    ``U = f^0 = 1`` without an ``exp`` pass.  On the unbounded domain (every
-    shipped family) a row is in the domain when ``theta_max < inf``, which
-    NaN fails.
+    ``U = f^0 = 1`` without an ``exp`` pass.
     """
     fam, link, y, phi = prob.family, prob.link, prob.y, prob.phi
     theta = eta if link.is_canonical else link.k(eta)
@@ -142,10 +140,7 @@ def _working(prob, eta, q):
     psi = phi * (s[..., None, :] @ prob.X)[..., 0, :]
     objective = np.add.reduce(_lq_terms(logf, q), axis=-1)
     theta_max = np.maximum.reduce(np.abs(theta), axis=-1)
-    if fam.theta_domain == (-np.inf, np.inf):
-        in_domain = theta_max < np.inf
-    else:
-        in_domain = fam.in_theta_domain(theta, axis=-1)
+    in_domain = fam.in_theta_domain(theta, axis=-1)
     return _Working(eta, theta, b, in_domain, theta_max, logf, objective, U, mu, V, kdot, psi)
 
 

@@ -7,8 +7,6 @@ counter-based Philox engine so that per-replicate streams keyed by
 ``(seed, stream_id)`` are independent and order-insensitive.
 """
 
-from functools import lru_cache
-
 import numpy as np
 from scipy.linalg import lapack
 from scipy.special import chdtrc, ndtri
@@ -117,32 +115,16 @@ def _band_solve(A, B):
     """``(x, info)`` of LAPACK ``dpbtrf``/``dpbtrs`` on ``diag(A[0], ...)``;
     ``x`` is None when the factorization fails at column ``info``."""
     R, p, _ = A.shape
-    factor, info = lapack.dpbtrf(_band(A), lower=1)
+    # lower band storage: band[d, r, k] = A[r, k + d, k]
+    flat = A.reshape(R, p * p)
+    band = np.zeros((p, R, p))
+    for d in range(p):
+        band[d, :, :p - d] = flat[:, d * p::p + 1]
+    factor, info = lapack.dpbtrf(band.reshape(p, R * p), lower=1)
     if info != 0:
         return None, info
     x, _ = lapack.dpbtrs(factor, B.reshape(R * p), lower=1)
     return x.reshape(R, p), 0
-
-
-def _band(A):
-    """``diag(A[0], ..., A[R-1])`` in LAPACK lower band storage, (p, R p):
-    ``band[d, r p + k] = A[r, k + d, k]``, and 0 where ``k + d >= p``
-    (the coupling between blocks, and past the last one)."""
-    R, p, _ = A.shape
-    return np.concatenate((A.ravel(), _ZERO)).take(_band_index(R, p))
-
-
-_ZERO = np.zeros(1)
-
-
-# Batches of the library have at most fit.BLOCK rows, so few (R, p) occur.
-@lru_cache(maxsize=256)
-def _band_index(R, p):
-    """Indices into ``A.ravel()`` followed by one zero that ``_band`` gathers."""
-    d, r, k = np.ogrid[:p, :R, :p]
-    index = np.where(k + d < p, r * p * p + (k + d) * p + k, R * p * p).reshape(p, R * p)
-    index.flags.writeable = False
-    return index
 
 
 def _solve_spd_each(A, B):

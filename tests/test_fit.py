@@ -11,6 +11,7 @@ from scipy.optimize import minimize
 
 from lqglm import (
     BracketError,
+    DomainError,
     FitControl,
     ModelData,
     PowerThetaLink,
@@ -25,6 +26,7 @@ from lqglm import (
     robust_weights,
     rng_stream,
 )
+from lqglm.families import Gaussian
 from lqglm.model import PROFILE
 
 VASO_ML_BETA = np.array([-2.875, 5.179, 4.562])
@@ -394,6 +396,49 @@ class TestCanonicalKernel:
         for key in ("iterations", "converged", "psi_norm", "lq_value", "phi_hat", "message",
                     "objective_trace"):
             assert getattr(canonical, key) == getattr(generic, key), key
+
+
+class _HalfLine(Gaussian):
+    """The Gaussian family restricted to theta > -1: a bounded domain."""
+
+    name = "halfline"
+    theta_domain = (-1.0, np.inf)
+
+
+class TestBoundedDomain:
+    """Fits on a family whose natural parameter space is bounded below."""
+
+    def _data(self, shift):
+        rng = rng_stream(5, 0)
+        n = 30
+        X = np.column_stack([np.ones(n), rng.uniform(-1.0, 1.0, n)])
+        y = shift + 0.5 * X[:, 1] + rng.normal(size=n) * 0.3
+        return X, y
+
+    @pytest.mark.parametrize("q", [1.0, 0.9])
+    def test_interior_fit_equals_the_unbounded_family(self, q):
+        X, y = self._data(1.0)
+        bounded = fit_mlq(ModelData(X, y, _HalfLine(), phi=2.0), FitControl(q=q))
+        free = fit_mlq(ModelData(X, y, "gaussian", phi=2.0), FitControl(q=q))
+        assert bounded.eta_star.min() > -1.0 and bounded.converged
+        assert bounded.beta_star.tobytes() == free.beta_star.tobytes()
+        assert bounded.cov.tobytes() == free.cov.tobytes()
+
+    def test_points_outside_the_domain_raise(self):
+        X, y = self._data(1.0)
+        data = ModelData(X, y, _HalfLine(), phi=2.0)
+        beta = np.array([0.0, 3.0])
+        with pytest.raises(DomainError) as exc:
+            lq_objective(data, beta, 0.9)
+        assert exc.value.index == int(np.flatnonzero(X @ beta <= -1.0)[0])
+        with pytest.raises(DomainError, match="starting value"):
+            fit_mlq(data, FitControl(q=0.9, init=np.array([-2.0, 0.0])))
+
+    def test_steps_never_leave_the_domain(self):
+        # the unrestricted optimum lies below -1: step halving stops at the boundary
+        X, y = self._data(-3.0)
+        fit = fit_mlq(ModelData(X, y, _HalfLine(), phi=2.0), FitControl(q=0.9, init=np.zeros(2)))
+        assert not fit.converged and fit.eta_star.min() > -1.0
 
 
 class TestEstimatePhi:

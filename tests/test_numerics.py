@@ -111,21 +111,6 @@ class TestSolveSpdRows:
             assert xm[r].tobytes() == solve_spd(A[r], Bm[r]).tobytes()
         assert _solve_spd_each(A[[3]], B[[3]])[1][0] == 2
 
-    @pytest.mark.parametrize("R", [1, 3, 10])
-    @pytest.mark.parametrize("p", [2, 3, 5])
-    def test_band_equals_strided_packing(self, R, p):
-        # oracle: the band filled by one strided copy per diagonal; A is not
-        # symmetric, so reading the upper triangle would show
-        from lqglm.numerics import _band
-
-        A = rng_stream(19, R * p).normal(size=(R, p, p))
-        flat = A.reshape(R, p * p)
-        ref = np.zeros((p, R, p))
-        for d in range(p):
-            ref[d, :, :p - d] = flat[:, d * p::p + 1]
-        band = _band(A)
-        assert band.shape == (p, R * p) and np.array_equal(band, ref.reshape(p, R * p))
-
 
 def _maximize_1d(f, lo, hi, tol=1e-8):
     """``maximize_1d_rows`` on the one row ``f`` over ``[lo, hi]``."""
