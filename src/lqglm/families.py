@@ -161,9 +161,16 @@ class Family:
         """Log-density at the saturated mean ``mu = y`` (limit where needed)."""
         raise NotImplementedError
 
-    def in_theta_domain(self, theta, axis=None):
-        """Whether every ``theta`` (along ``axis``, default all) is inside the domain."""
+    def in_theta_domain(self, theta, axis=None, abs_max=None):
+        """Whether every ``theta`` (along ``axis``, default all) is inside the domain.
+
+        ``abs_max``, if given, is ``max|theta|`` along ``axis``.  On the
+        unbounded domain it decides alone: ``theta`` is inside when that is
+        below inf, which NaN fails.
+        """
         lo, hi = self.theta_domain
+        if abs_max is not None and lo == -np.inf and hi == np.inf:
+            return abs_max < np.inf
         theta = np.asarray(theta, dtype=float)
         # NaN propagates through min/max and fails both comparisons
         return ((np.minimum.reduce(theta, axis=axis, initial=np.inf) > lo)

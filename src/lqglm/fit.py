@@ -118,7 +118,8 @@ def _working(prob, eta, q):
     derivatives, ``logf`` the log-density ``phi*(y*theta - b(theta)) +
     c(y, phi)``, ``objective`` the Lq-objective, ``U = f^(1-q)`` the
     estimation weights and ``psi`` the estimating function, each per row.
-    ``theta_max`` is each row's ``max|theta|``; ``in_domain`` is False on
+    ``theta_max`` is each row's ``max|theta|``, which also decides the
+    domain check of the unbounded families; ``in_domain`` is False on
     rows where a natural parameter leaves the family domain, and the other
     fields of such a row are not meaningful.
 
@@ -140,7 +141,7 @@ def _working(prob, eta, q):
     psi = phi * (s[..., None, :] @ prob.X)[..., 0, :]
     objective = np.add.reduce(_lq_terms(logf, q), axis=-1)
     theta_max = np.maximum.reduce(np.abs(theta), axis=-1)
-    in_domain = fam.in_theta_domain(theta, axis=-1)
+    in_domain = fam.in_theta_domain(theta, axis=-1, abs_max=theta_max)
     return _Working(eta, theta, b, in_domain, theta_max, logf, objective, U, mu, V, kdot, psi)
 
 

@@ -86,6 +86,22 @@ class TestFamilyInvariants:
             for g, w in zip(got, want):
                 assert g.shape == theta.shape and np.array_equal(g, w)
 
+    @pytest.mark.parametrize("bounded", [False, True])
+    def test_domain_from_abs_max_equals_the_full_check(self, bounded):
+        # max|theta| decides the unbounded domain; a bounded one ignores it
+        class HalfLine(Gaussian):
+            theta_domain = (-1.0, np.inf)
+
+        family = HalfLine() if bounded else Gaussian()
+        theta = np.array([[0.0, 2.0, -0.5], [0.0, -2.0, 3.0], [1.0, np.nan, 0.0],
+                          [np.inf, 0.0, 1.0], [-np.inf, 1.0, 0.0], [-1.0, 0.5, 0.5]])
+        abs_max = np.maximum.reduce(np.abs(theta), axis=-1)
+        got = family.in_theta_domain(theta, axis=-1, abs_max=abs_max)
+        want = family.in_theta_domain(theta, axis=-1)
+        assert np.array_equal(got, want)
+        assert want.tolist() == ([True, False, False, False, False, False] if bounded
+                                 else [True, True, False, False, False, True])
+
 
 class TestThetaLinks:
     @pytest.mark.parametrize("link", [CanonicalLink(), PowerThetaLink(3)])
