@@ -458,7 +458,7 @@ def _envelope_block(data, fit, kind, rows, seed, control):
         rng = rng_stream(seed, r)
         y_sim = data.family.sample(rng, fit.mu, fit.phi_hat)
         try:
-            datas.append(ModelData(data.X, y_sim, data.family, data.link, data.phi))
+            datas.append(data.with_response(y_sim))
         except LqglmError:
             failed += 1
             continue
@@ -517,8 +517,7 @@ def simulation_envelope(data, fit, kind="standardized", reps=100, seed=0,
             f"too few successful envelope replicates ({len(sims)}/{reps})"
         )
     alpha = 0.5 * (1.0 - level)
-    lower = np.percentile(sims, 100 * alpha, axis=0)
-    upper = np.percentile(sims, 100 * (1.0 - alpha), axis=0)
+    lower, upper = np.percentile(sims, [100 * alpha, 100 * (1.0 - alpha)], axis=0)
     rng_obs = rng_stream(seed, reps)
     observed = np.sort(_RESIDUAL_FUNCS[kind](data, fit, rng_obs))
     i = np.arange(1, data.n + 1)

@@ -13,7 +13,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import BracketError, DomainError, SingularMatrixError, UsageError
+from .errors import BracketError, DomainError, LqglmError, SingularMatrixError, UsageError
 from .families import Q_ONE_EPS, _lq_terms
 from .model import PROFILE, FitControl, FitResult
 from .numerics import (
@@ -111,6 +111,30 @@ class _Working(NamedTuple):
         return _Working(*(f[keep] if isinstance(f, np.ndarray) else f for f in self))
 
 
+def _unit(phi):
+    """Whether the dispersion is the float 1.0, by which nothing is scaled."""
+    return isinstance(phi, float) and phi == 1.0
+
+
+def _weights_terms(logf, q):
+    """``U = f^(1-q)`` and the objective terms ``l_q(f)`` from ``logf``.
+
+    ``(1-q) logf`` is formed once for both.  With a float q = 1 exactly,
+    ``U`` is 1 and the terms are ``logf`` without an ``exp`` pass; with a
+    column, rows at q = 1 get ``U = 1`` and rows with ``|q - 1| <
+    Q_ONE_EPS`` the terms ``logf``, each as its float q gives them.
+    """
+    column = isinstance(q, np.ndarray)
+    if not column and q == 1.0:
+        return np.ones_like(logf), logf
+    a = (1.0 - q) * logf
+    near = abs(q - 1.0) < Q_ONE_EPS
+    if not column:
+        return np.exp(a), (logf if near else np.expm1(a) / (1.0 - q))
+    return (np.where(q == 1.0, 1.0, np.exp(a)),
+            np.where(near, logf, np.expm1(a) / np.where(near, 1.0, 1.0 - q)))
+
+
 def _working(prob, eta, q):
     """Evaluate the fit at the linear predictor ``eta`` (..., n).
 
@@ -123,23 +147,30 @@ def _working(prob, eta, q):
     rows where a natural parameter leaves the family domain, and the other
     fields of such a row are not meaningful.
 
+    ``q``, like ``prob.phi``, is a float shared by every row or an (R, 1)
+    column of per-row values; each row equals its own float-q evaluation.
     On the canonical link ``theta = eta`` and ``k_dot = 1``: ``kdot`` is
-    the float 1.0 and ``psi`` is not multiplied by it.  At q = 1 exactly,
-    ``U = f^0 = 1`` without an ``exp`` pass.
+    the float 1.0 and ``psi`` is not multiplied by it, nor by a float
+    ``phi = 1``.  At q = 1 exactly, ``U = f^0 = 1`` without an ``exp``
+    pass (see ``_weights_terms``).
     """
     fam, link, y, phi = prob.family, prob.link, prob.y, prob.phi
+    unit = _unit(phi)
     theta = eta if link.is_canonical else link.k(eta)
     b, mu, V = fam.cumulants(theta)
-    logf = phi * (y * theta - b) + prob.c
-    U = np.ones_like(logf) if q == 1.0 else np.exp((1.0 - q) * logf)
+    logf = y * theta - b
+    logf = (logf if unit else phi * logf) + prob.c
+    U, terms = _weights_terms(logf, q)
     if link.is_canonical:
         kdot, s = 1.0, U * (y - mu)
     else:
         # W^{1/2} V^{-1/2} reduces to k_dot since W = V k_dot^2
         kdot = link.k_dot(eta)
         s = U * kdot * (y - mu)
-    psi = phi * (s[..., None, :] @ prob.X)[..., 0, :]
-    objective = np.add.reduce(_lq_terms(logf, q), axis=-1)
+    psi = (s[..., None, :] @ prob.X)[..., 0, :]
+    if not unit:
+        psi = phi * psi
+    objective = np.add.reduce(terms, axis=-1)
     theta_max = np.maximum.reduce(np.abs(theta), axis=-1)
     in_domain = fam.in_theta_domain(theta, axis=-1, abs_max=theta_max)
     return _Working(eta, theta, b, in_domain, theta_max, logf, objective, U, mu, V, kdot, psi)
@@ -152,10 +183,18 @@ def _sensitivity(prob, w, q):
     ``GK_i = g_dot(theta_i) k_dot(eta_i)`` are the factors of ``A_n`` and
     ``B_n``.  On the canonical link ``k_dot = g_dot = 1``, so ``W`` is
     ``V`` itself, ``GK`` is the float 1.0 and the diagonal is ``V J``.  At
-    q = 1 exactly, ``J = exp(phi (b - b)) = 1`` is the float 1.0.
+    a float q = 1 exactly, ``J = exp(phi (b - b)) = 1`` is the float 1.0;
+    with a column of q, rows at q = 1 get ``J = 1``.
     """
     V = w.V
-    J = 1.0 if q == 1.0 else np.exp(prob.phi * (q * w.b - prob.family.b(q * w.theta)))
+    column = isinstance(q, np.ndarray)
+    if not column and q == 1.0:
+        J = 1.0
+    else:
+        e = q * w.b - prob.family.b(q * w.theta)
+        J = np.exp(e if _unit(prob.phi) else prob.phi * e)
+        if column:
+            J = np.where(q == 1.0, 1.0, J)
     if prob.link.is_canonical:
         W, GK, D = V, 1.0, V * J
     else:
@@ -236,14 +275,16 @@ def _evaluate(data, beta, q, phi=None, offset=None):
 
 
 def _matrices_ab(prob, w, q):
-    """``A_n`` and ``B_n`` of every row at the working point ``w``.
+    """``A_n`` and ``B_n`` of every row at the working point ``w``, at a
+    float q or an (R, 1) column of them.
 
     On the canonical link ``GK = 1``, so ``X' W J X = X' W J GK X`` is
     formed once and scaled into both."""
     _, W, J, _, XtDX = _sensitivity(prob, w, q)
-    phi = np.asarray(prob.phi)[..., None]
+    phi = prob.phi
     XtWJX = XtDX if prob.link.is_canonical else (prob.Xt * (W * J)[..., None, :]) @ prob.X
-    return (phi / (2.0 - q)) * XtWJX, phi * XtDX
+    A = np.asarray(phi / (2.0 - q))[..., None] * XtWJX
+    return A, (XtDX if _unit(phi) else np.asarray(phi)[..., None] * XtDX)
 
 
 def _j_q_undefined(family):
@@ -331,13 +372,13 @@ def _step(prob, w, q, newton):
     negative on observations with large residuals at q < 1; a row whose
     Hessian is not positive definite takes the scoring step instead.
     """
-    rhs = w.psi / prob.phi
+    rhs = w.psi if _unit(prob.phi) else w.psi / prob.phi
     if not newton:
         return solve_spd_rows(_sensitivity(prob, w, q)[-1], rhs)
     r = prob.y - w.mu
     D = w.U * (w.V - (1.0 - q) * prob.phi * r * r)
     step, pivot = solve_spd_rows((prob.Xt * D[..., None, :]) @ prob.X, rhs)
-    if pivot.any():
+    if np.count_nonzero(pivot):
         fb = pivot > 0
         step[fb], pivot[fb] = solve_spd_rows(_sensitivity(prob.rows(fb), w.rows(fb), q)[-1],
                                              rhs[fb])
@@ -383,7 +424,7 @@ def _irls(prob, q, beta0, control):
 
     def compact(keep):
         nonlocal idx, beta, psi0_norm, blowup_sq, w, prob
-        if not keep.any():
+        if not np.count_nonzero(keep):
             idx = idx[:0]
             return
         idx, beta = idx[keep], beta[keep]
@@ -402,7 +443,7 @@ def _irls(prob, q, beta0, control):
         blowup_sq = SEPARATION_NORM_FACTOR**2 * np.maximum(1.0, np.add.reduce(beta * beta, axis=-1))
         out.trace[0] = w.objective
         bad = ~(w.in_domain & np.isfinite(w.objective))
-        if bad.any():
+        if np.count_nonzero(bad):
             stop(bad, 0, "")
             for j in idx[bad].tolist():
                 out.error[j] = DomainError("starting value gives a non-finite Lq-objective")
@@ -412,8 +453,8 @@ def _irls(prob, q, beta0, control):
                 break
             overflow = w.theta_max > THETA_OVERFLOW
             step, pivot = _step(prob, w, q, newton)
-            if overflow.any() or pivot.any():
-                halt = overflow | (pivot > 0)
+            halt = overflow | (pivot > 0)
+            if np.count_nonzero(halt):
                 singular = halt & ~overflow
                 stop(overflow, it, "stopped: |theta| overflow points to separation/indeterminacy")
                 stop(singular, it, "")
@@ -432,7 +473,7 @@ def _irls(prob, q, beta0, control):
             trial = beta + step
             tw = _working(prob, _predictor(prob, trial), q)
             accepted = accepts(tw, floor)
-            if not accepted.all():
+            if np.count_nonzero(accepted) < accepted.size:
                 # halve the step of the rejected rows only
                 pending = np.flatnonzero(~accepted)
                 lam = 1.0
@@ -469,7 +510,7 @@ def _irls(prob, q, beta0, control):
             out.trace[it, idx] = w.objective
             blowup = np.add.reduce(beta * beta, axis=-1) > blowup_sq
             ended = blowup | done
-            if ended.any():
+            if np.count_nonzero(ended):
                 stop(done & ~blowup, it, "")
                 out.converged[idx[done & ~blowup]] = True
                 stop(blowup, it, "stopped: coefficient blow-up points to separation/indeterminacy")
@@ -483,7 +524,8 @@ def _irls(prob, q, beta0, control):
 def _fitted(prob, q, res):
     """The working point, ``A_n``, ``B_n`` and ``B_n^{-1}`` (the dense
     Cholesky of ``inv_spd``) of every row of the ``_irls`` outcome ``res``
-    at its solution, not meaningful on rows with an error.
+    at its solution, not meaningful on rows with an error.  ``q`` is a
+    float shared by every row or an (R, 1) column, as in ``_working``.
 
     Sets the error of a row without one to what ``fit_mlq`` raises on it:
     a DomainError where ``q theta`` leaves the domain, a
@@ -645,42 +687,85 @@ def fit_mlq(data, control=None, offset=None):
     """
     if control is None:
         control = FitControl()
-    prob, res = _fit_path([data], [control.q], control, offset)[0]
-    return _result(data, prob, control.q, res)
+    fit = next(_results(data, [control.q], _fit_path([data], [control.q], control, offset)))
+    if isinstance(fit, LqglmError):
+        raise fit
+    return fit
 
 
-def _result(data, prob, q, res):
-    """The FitResult of the batch-of-one fit ``(prob, res)`` of ``data`` at
-    q; raises the row's error instead."""
+def _results(data, qs, path):
+    """Yield, in the order of ``qs``, the FitResult of each stage of
+    ``path = _fit_path([data], qs, ...)``, or the LqglmError that
+    ``fit_mlq`` raises on that stage instead.
+
+    The stages are stacked with one row per q (a one-stage path keeps its
+    problem and its float q), so the solution's working point, ``A_n``,
+    ``B_n`` and ``B_n^{-1}``, the calibration and the calibrated working
+    point are each formed once for the whole path; each row equals its
+    stage evaluated alone.  The sandwich is formed as each result is
+    yielded, so a caller that warns per stage interleaves its warnings
+    with those of an overflowed ``A_n`` as a loop of ``fit_mlq`` would.
+    """
+    if len(path) == 1:
+        (prob, res), q = path[0], qs[0]
+    else:
+        probs, stages = zip(*path)
+        R, first = len(path), probs[0]
+        prob = first._replace(
+            X=np.repeat(first.X, R, axis=0), Xt=np.repeat(first.Xt, R, axis=0),
+            y=np.repeat(first.y, R, axis=0), c=np.concatenate([p.c for p in probs]),
+            phi=first.phi if np.ndim(first.phi) == 0 else np.concatenate([p.phi for p in probs]))
+        res = _Irls(
+            beta=np.concatenate([s.beta for s in stages]),
+            iterations=np.concatenate([s.iterations for s in stages]),
+            converged=np.concatenate([s.converged for s in stages]),
+            message=[m for s in stages for m in s.message],
+            trace=np.concatenate([s.trace for s in stages], axis=1),
+            error=[e for s in stages for e in s.error],
+        )
+        q = np.array(qs, dtype=float)[:, None]
     w, A, B, Binv = _fitted(prob, q, res)
-    if res.error[0] is not None:
-        raise res.error[0]
-    eta_star = w.eta[0]
-    eta_q = calibrate(data.link, eta_star, q)
-    at_eta_q = _working(prob, eta_q[None], q)
-    cov = Binv[0] @ A[0] @ Binv[0]
-    trace = res.trace[:, 0]
-    return FitResult(
-        q=q,
-        beta_star=res.beta[0],
-        beta_q=calibrate_coefficients(data.link, res.beta[0], q),
-        eta_star=eta_star,
-        eta_q=eta_q,
-        weights=w.U[0],
-        mu=at_eta_q.mu[0],
-        mu_star=w.mu[0],
-        A_n=A[0],
-        B_n=B[0],
-        cov=0.5 * (cov + cov.T),
-        lq_value=float(at_eta_q.objective[0]),
-        phi_hat=float(np.ravel(prob.phi)[0]),
-        iterations=int(res.iterations[0]),
-        converged=bool(res.converged[0]),
-        psi_norm=float(np.max(np.abs(w.psi[0]))),
-        message=res.message[0],
-        objective_trace=trace[~np.isnan(trace)].tolist(),
-        data=data,
-    )
+    ok = res.ok
+    rows = np.flatnonzero(ok)
+    if not rows.size:
+        yield from res.error
+        return
+    if rows.size < len(ok):
+        # the calibration sees only the rows fit_mlq would return
+        prob, q = prob.rows(rows), (q[rows] if isinstance(q, np.ndarray) else q)
+    eta_q = calibrate(data.link, w.eta[rows], q)
+    at_eta_q = _working(prob, eta_q, q)
+    phi = np.broadcast_to(np.ravel(prob.phi), rows.shape)
+    psi_norm = np.maximum.reduce(np.abs(w.psi[rows]), axis=-1)
+    k = 0
+    for r, error in enumerate(res.error):
+        if error is not None:
+            yield error
+            continue
+        cov = Binv[r] @ A[r] @ Binv[r]
+        trace = res.trace[:, r]
+        yield FitResult(
+            q=qs[r],
+            beta_star=res.beta[r],
+            beta_q=calibrate_coefficients(data.link, res.beta[r], qs[r]),
+            eta_star=w.eta[r],
+            eta_q=eta_q[k],
+            weights=w.U[r],
+            mu=at_eta_q.mu[k],
+            mu_star=w.mu[r],
+            A_n=A[r],
+            B_n=B[r],
+            cov=0.5 * (cov + cov.T),
+            lq_value=float(at_eta_q.objective[k]),
+            phi_hat=float(phi[k]),
+            iterations=int(res.iterations[r]),
+            converged=bool(res.converged[r]),
+            psi_norm=float(psi_norm[k]),
+            message=res.message[r],
+            objective_trace=trace[~np.isnan(trace)].tolist(),
+            data=data,
+        )
+        k += 1
 
 
 def estimate_phi(data, beta_q, q, expand=1e4):

@@ -112,18 +112,19 @@ def solve_spd_rows(A, B):
 
 
 def _band_solve(A, B):
-    """``(x, info)`` of LAPACK ``dpbtrf``/``dpbtrs`` on ``diag(A[0], ...)``;
-    ``x`` is None when the factorization fails at column ``info``."""
+    """``(x, info)`` of LAPACK ``dpbsv`` (``dpbtrf`` then ``dpbtrs``) on
+    ``diag(A[0], ...)``; ``x`` is None when the factorization fails at
+    column ``info``."""
     R, p, _ = A.shape
     # lower band storage: band[d, r, k] = A[r, k + d, k]
     flat = A.reshape(R, p * p)
     band = np.zeros((p, R, p))
     for d in range(p):
         band[d, :, :p - d] = flat[:, d * p::p + 1]
-    factor, info = lapack.dpbtrf(band.reshape(p, R * p), lower=1)
+    _, x, info = lapack.dpbsv(band.reshape(p, R * p), B.reshape(R * p, 1), lower=1,
+                              overwrite_ab=1)
     if info != 0:
         return None, info
-    x, _ = lapack.dpbtrs(factor, B.reshape(R * p), lower=1)
     return x.reshape(R, p), 0
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import LqglmError, SelectionError, UsageError
-from .fit import FitControl, _fit_path, _result
+from .fit import FitControl, _fit_path, _results
 from .numerics import inv_spd
 
 __all__ = [
@@ -113,9 +113,10 @@ _GRID_CONTROL = FitControl(max_iter=100, solver="newton")
 def _grid_fits(data, grid, control):
     """Warm-started fits down the grid; non-convergent q's are dropped.
 
-    One ``_fit_path`` from the warm start, whatever ``control.init`` says:
-    the grid head starts from the q = 1 fit, each later q from the last
-    converged grid fit, or from the q = 1 fit while there is none.
+    One ``_fit_path`` from the warm start, whatever ``control.init`` says,
+    and one ``_results`` assembly of its stages: the grid head starts from
+    the q = 1 fit, each later q from the last converged grid fit, or from
+    the q = 1 fit while there is none.
     ``control`` defaults to Newton steps with a higher iteration cap than
     single fits.  The selection rules need every grid point converged, not
     the stopping point of a capped loop, and near indeterminacy scoring
@@ -125,11 +126,9 @@ def _grid_fits(data, grid, control):
     ctl = replace(control if control is not None else _GRID_CONTROL, init="ml-warm-start")
     fits, dropped = {}, []
     qs = [float(q) for q in grid.q_values]
-    for q, (prob, res) in zip(qs, _fit_path([data], qs, ctl)):
-        try:
-            fit = _result(data, prob, q, res)
-        except LqglmError as e:  # singular weights etc.: treat as non-convergent
-            warnings.warn(f"grid fit at q={q:.4g} failed: {e}", stacklevel=3)
+    for q, fit in zip(qs, _results(data, qs, _fit_path([data], qs, ctl))):
+        if isinstance(fit, LqglmError):  # singular weights etc.: treat as non-convergent
+            warnings.warn(f"grid fit at q={q:.4g} failed: {fit}", stacklevel=3)
             dropped.append(q)
             continue
         if not fit.converged:
@@ -183,8 +182,10 @@ def select_q_efficiency(data, grid=None, control=None):
     grid = grid if grid is not None else QGrid()
     if len(grid.q_values) == 1:
         q = float(grid.q_values[0])
-        prob, res = _fit_path([data], [q], control if control is not None else _GRID_CONTROL)[0]
-        fit = _result(data, prob, q, res)
+        ctl = control if control is not None else _GRID_CONTROL
+        fit = next(_results(data, [q], _fit_path([data], [q], ctl)))
+        if isinstance(fit, LqglmError):
+            raise fit
         if not fit.converged:
             raise SelectionError(f"the only grid fit, at q={q:.4g}, did not converge "
                                  f"({fit.message})")

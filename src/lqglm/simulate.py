@@ -209,7 +209,8 @@ def run_study(design, jobs=1):
             bias = iqr = float("nan")
         else:
             bias = float(np.linalg.norm(Bg.mean(axis=0) - beta_true))
-            iqr = float(np.mean(np.percentile(Bg, 75, axis=0) - np.percentile(Bg, 25, axis=0)))
+            q25, q75 = np.percentile(Bg, [25, 75], axis=0)
+            iqr = float(np.mean(q75 - q25))
         rows.append({
             "q": float(q),
             "bias": bias,

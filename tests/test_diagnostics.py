@@ -830,6 +830,22 @@ class TestBatchedEnvelope:
         assert env.failed == 2
         assert sorted(ref["errors"]) == ["BracketError", "SingularMatrixError"]
 
+    def test_invalid_responses_count_as_failed(self, poisson_example, monkeypatch):
+        # a replicate whose response leaves the support fails before its refit
+        fam = poisson_example.family
+        draw = type(fam).sample
+
+        def sample(self, rng, mu, phi):
+            y = draw(self, rng, mu, phi)
+            if rng.uniform() < 0.3:
+                y[0] = -1.0
+            return y
+
+        monkeypatch.setattr(type(fam), "sample", sample)
+        fit = fit_mlq(poisson_example, FitControl(q=0.9))
+        env, ref = self._check(poisson_example, fit, "quantile", 20, 5)
+        assert env.failed > 0 and sorted(set(ref["errors"])) == ["DomainError"]
+
     def test_nan_residuals_are_dropped_across_blocks(self, vaso, vaso_79):
         # 130 replicates span three blocks; six have an undefined residual
         env, _ = self._check(vaso, vaso_79, "standardized", 130, 3)

@@ -518,6 +518,33 @@ class TestModelData:
         with pytest.raises(UsageError, match="tol"):
             FitControl(tol=float("nan"))
 
+    @pytest.mark.parametrize("family", ["bernoulli", "poisson", "gaussian"])
+    def test_with_response_equals_a_new_model_data(self, family):
+        rng = rng_stream(43, 0)
+        X = np.column_stack([np.ones(10), rng.uniform(-1, 1, size=10)])
+        y = np.r_[0.0, 1.0, (rng.uniform(size=8) < 0.5).astype(float)]
+        phi = PROFILE if family == "gaussian" else 1.0
+        data = ModelData(X, y, family, phi=phi)
+        y_new = np.r_[1.0, 0.0, 2.0 * y[2:]] if family == "poisson" else y[::-1].copy()
+        got, want = data.with_response(y_new), ModelData(X, y_new, family, phi=phi)
+        assert vars(got).keys() == vars(want).keys()
+        assert got.X is data.X and got.family is data.family and got.link is data.link
+        assert got.y.tobytes() == want.y.tobytes() and not got.y.flags.writeable
+        assert (got.n, got.p, got.phi) == (want.n, want.p, want.phi)
+        y_new[0] = 0.5  # the copy is not the caller's array
+        assert got.y[0] != 0.5
+        assert data.y.tobytes() == y.tobytes()
+
+    def test_with_response_validates_the_response(self):
+        from lqglm import DomainError, UsageError
+
+        X = np.column_stack([np.ones(6), np.arange(6.0)])
+        data = ModelData(X, np.r_[np.zeros(3), np.ones(3)], "poisson")
+        with pytest.raises(DomainError):
+            data.with_response(np.array([0.0, 1.0, 2.5, 0, 1, 0]))
+        with pytest.raises(UsageError):
+            data.with_response(np.zeros(5))
+
     def test_profile_rejected_for_fixed_dispersion(self):
         from lqglm import UsageError
 
@@ -926,3 +953,62 @@ class TestBatchedProfile:
             eta_q = gaussian_example.X @ fit.beta_q
             expected = _per_row_profile_phi(gaussian_example, eta_q, q)
             assert estimate_phi(gaussian_example, fit.beta_q, q) == expected
+
+
+def _same_row(got, r, want):
+    """Whether row r of a column-q result equals a batch of one's row,
+    a float factor (``J``, ``kdot``, ``GK``) standing for every entry."""
+    got, want = np.asarray(got), np.asarray(want)
+    g = got[r] if got.ndim else got
+    w = want[0] if want.ndim else want
+    return np.array_equal(g, np.broadcast_to(w, g.shape))
+
+
+class TestQColumn:
+    """An (R, 1) column of q gives each row what its float q gives it alone."""
+
+    # q = 1 exactly, and a q within Q_ONE_EPS of 1 but not equal to it
+    Q = (1.0, 1.0 - 5e-13, 0.97, 0.8, 0.55)
+
+    @staticmethod
+    def _problem(kind, R):
+        from lqglm.fit import _predictor, _stack
+
+        rng = rng_stream(47, 0)
+        n = 30
+        X = np.column_stack([np.ones(n), rng.uniform(-1, 1, size=n)])
+        link = PowerThetaLink(3) if kind == "poisson-power" else None
+        family = kind.split("-")[0]
+        if family == "bernoulli":
+            y = (rng.uniform(size=n) < 0.5).astype(float)
+        elif family == "poisson":
+            y = rng.poisson(2.0, size=n).astype(float)
+        else:
+            y = rng.normal(0.5, 1.0, size=n)
+        prob = _stack([ModelData(X, y, family, link=link)] * R, 1.0)
+        if kind == "gaussian-profile":
+            prob = prob.with_phi(np.linspace(0.5, 2.0, R)[:, None])
+        return prob, _predictor(prob, rng.uniform(-0.8, 0.8, size=(R, 2)))
+
+    @pytest.mark.parametrize("kind", ["bernoulli", "poisson", "gaussian-profile",
+                                      "poisson-power"])
+    def test_rows_equal_float_q(self, kind):
+        from lqglm.fit import _matrices_ab, _sensitivity, _working
+
+        prob, eta = self._problem(kind, len(self.Q))
+        q = np.array(self.Q)[:, None]
+        w = _working(prob, eta, q)
+        sens, ab = _sensitivity(prob, w, q), _matrices_ab(prob, w, q)
+        assert np.all(w.in_domain)
+        for r, qr in enumerate(self.Q):
+            one = prob.rows([r])
+            w1 = _working(one, eta[r:r + 1], qr)
+            for name, got, want in zip(w._fields, w, w1):
+                assert _same_row(got, r, want), (name, qr)
+            for name, got, want in zip("V W J GK XtDX".split(), sens, _sensitivity(one, w1, qr)):
+                assert _same_row(got, r, want), (name, qr)
+            for name, got, want in zip("AB", ab, _matrices_ab(one, w1, qr)):
+                assert _same_row(got, r, want), (name, qr)
+        # the two q = 1 rows: U = 1 and the objective is the log-likelihood
+        assert np.all(w.U[0] == 1.0) and not np.all(w.U[1] == 1.0)
+        assert np.array_equal(w.objective[:2], np.add.reduce(w.logf[:2], axis=-1))

@@ -112,6 +112,52 @@ class TestSolveSpdRows:
         assert _solve_spd_each(A[[3]], B[[3]])[1][0] == 2
 
 
+def _band_solve_two_calls(A, B):
+    """The band solve as LAPACK ``dpbtrf`` then ``dpbtrs``: the oracle of
+    the one ``dpbsv`` call."""
+    from scipy.linalg import lapack
+
+    R, p, _ = A.shape
+    flat = A.reshape(R, p * p)
+    band = np.zeros((p, R, p))
+    for d in range(p):
+        band[d, :, :p - d] = flat[:, d * p::p + 1]
+    factor, info = lapack.dpbtrf(band.reshape(p, R * p), lower=1)
+    if info != 0:
+        return None, info
+    x, _ = lapack.dpbtrs(factor, B.reshape(R * p), lower=1)
+    return x.reshape(R, p), 0
+
+
+class TestBandSolve:
+    @pytest.mark.parametrize("p", [1, 2, 3, 5])
+    def test_one_call_equals_factor_then_solve(self, p):
+        from lqglm.numerics import _band_solve
+
+        rng = rng_stream(19, p)
+        M = rng.normal(size=(40, p, p))
+        A = M @ np.swapaxes(M, 1, 2) + 0.05 * np.eye(p)
+        B = rng.normal(size=(40, p))
+        for rows in (slice(0, 1), slice(0, 40)):
+            x, info = _band_solve(A[rows], B[rows])
+            x_ref, info_ref = _band_solve_two_calls(A[rows], B[rows])
+            assert info == info_ref == 0
+            assert x.tobytes() == x_ref.tobytes()
+        # a block that is not positive definite stops both at the same column
+        v = rng.normal(size=p)
+        A[17] = np.outer(v, v) - (v @ v + 0.5) * np.eye(p)
+        x, info = _band_solve(A, B)
+        x_ref, info_ref = _band_solve_two_calls(A, B)
+        assert x is None and x_ref is None
+        assert info == info_ref and (info - 1) // p == 17
+
+    def test_rhs_is_not_overwritten(self):
+        A, B = TestSolveSpdRows._rows()
+        keep = B[:3].copy()
+        solve_spd_rows(A[:3], B[:3])
+        assert B[:3].tobytes() == keep.tobytes()
+
+
 def _maximize_1d(f, lo, hi, tol=1e-8):
     """``maximize_1d_rows`` on the one row ``f`` over ``[lo, hi]``."""
     x, value, error = maximize_1d_rows(lambda x, rows: [f(x[0])], [lo], [hi], tol)

@@ -7,6 +7,7 @@ from lqglm import (
     ModelData,
     QGrid,
     SelectionError,
+    SingularMatrixError,
     are,
     fisher_information,
     fit_mlq,
@@ -91,10 +92,11 @@ class TestStabilitySelection:
     def test_unexpected_errors_propagate(self, vaso, monkeypatch):
         # only package errors mark a grid value as dropped; anything else
         # is a defect and must surface
-        def broken(data, prob, q, res):
+        def broken(prob, q, res):
             raise RuntimeError("broken fit")
 
-        monkeypatch.setattr("lqglm.qselect._result", broken)
+        # the grid's result assembly evaluates every solution through _fitted
+        monkeypatch.setattr("lqglm.fit._fitted", broken)
         with pytest.raises(RuntimeError, match="broken fit"):
             select_q_stability(vaso, QGrid(q_min=0.90, step=0.05))
 
@@ -271,3 +273,216 @@ class TestSandwichDominance:
             F = fisher_information(vaso, fit)
             tr_f = float(np.trace(np.linalg.inv(F)))
             assert float(np.trace(fit.cov)) >= tr_f - 1e-8
+
+
+def _oracle_result(data, prob, q, res):
+    """The per-q FitResult assembly the grid used before it was batched:
+    the FitResult of the batch-of-one fit ``(prob, res)``, or its error raised."""
+    from lqglm.fit import FitResult, _fitted, _working, calibrate, calibrate_coefficients
+
+    w, A, B, Binv = _fitted(prob, q, res)
+    if res.error[0] is not None:
+        raise res.error[0]
+    eta_star = w.eta[0]
+    eta_q = calibrate(data.link, eta_star, q)
+    at_eta_q = _working(prob, eta_q[None], q)
+    cov = Binv[0] @ A[0] @ Binv[0]
+    trace = res.trace[:, 0]
+    return FitResult(
+        q=q,
+        beta_star=res.beta[0],
+        beta_q=calibrate_coefficients(data.link, res.beta[0], q),
+        eta_star=eta_star,
+        eta_q=eta_q,
+        weights=w.U[0],
+        mu=at_eta_q.mu[0],
+        mu_star=w.mu[0],
+        A_n=A[0],
+        B_n=B[0],
+        cov=0.5 * (cov + cov.T),
+        lq_value=float(at_eta_q.objective[0]),
+        phi_hat=float(np.ravel(prob.phi)[0]),
+        iterations=int(res.iterations[0]),
+        converged=bool(res.converged[0]),
+        psi_norm=float(np.max(np.abs(w.psi[0]))),
+        message=res.message[0],
+        objective_trace=trace[~np.isnan(trace)].tolist(),
+        data=data,
+    )
+
+
+def _oracle_grid_fits(data, grid, control):
+    """``qselect._grid_fits`` with one ``_oracle_result`` per grid value."""
+    import warnings
+    from dataclasses import replace
+
+    from lqglm import LqglmError
+    from lqglm.fit import _fit_path
+    from lqglm.qselect import _GRID_CONTROL
+
+    ctl = replace(control if control is not None else _GRID_CONTROL, init="ml-warm-start")
+    fits, dropped = {}, []
+    qs = [float(q) for q in grid.q_values]
+    for q, (prob, res) in zip(qs, _fit_path([data], qs, ctl)):
+        try:
+            fit = _oracle_result(data, prob, q, res)
+        except LqglmError as e:
+            warnings.warn(f"grid fit at q={q:.4g} failed: {e}", stacklevel=3)
+            dropped.append(q)
+            continue
+        if not fit.converged:
+            warnings.warn(
+                f"grid fit at q={q:.4g} did not converge ({fit.message}); dropped",
+                stacklevel=3,
+            )
+            dropped.append(q)
+            continue
+        fits[q] = fit
+    if len(fits) < 3:
+        raise SelectionError(
+            f"only {len(fits)} grid fits converged; selection needs at least 3"
+        )
+    return fits, dropped
+
+
+def _recorded(fn, *args, **kwargs):
+    """``(outcome, warnings)``: the return value or the raised exception,
+    and every warning's category and message."""
+    import warnings
+
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            out = fn(*args, **kwargs)
+        except Exception as e:  # noqa: BLE001 - the outcome compared
+            out = e
+    return out, [(c.category, str(c.message)) for c in caught]
+
+
+def _assert_same_fit(got, want):
+    from dataclasses import fields
+
+    from lqglm import FitResult
+
+    for f in fields(FitResult):
+        a, b = getattr(got, f.name), getattr(want, f.name)
+        if f.name == "data":
+            assert a is b
+        elif isinstance(b, np.ndarray):
+            assert isinstance(a, np.ndarray) and (a.dtype, a.shape) == (b.dtype, b.shape), f.name
+            assert a.tobytes() == b.tobytes(), f.name
+        else:
+            assert type(a) is type(b) and repr(a) == repr(b), f.name
+
+
+def _assert_same_outcome(got, want):
+    (out, warned), (ref, ref_warned) = got, want
+    assert warned == ref_warned
+    if isinstance(ref, Exception):
+        assert type(out) is type(ref) and str(out) == str(ref)
+        return
+    if isinstance(ref, tuple):  # _grid_fits
+        (fits, dropped), (ref_fits, ref_dropped) = out, ref
+        assert dropped == ref_dropped and list(fits) == list(ref_fits)
+        for q in ref_fits:
+            _assert_same_fit(fits[q], ref_fits[q])
+    else:
+        assert repr(out) == repr(ref)
+
+
+def _outlier_poisson():
+    rng = rng_stream(3, 0)
+    X = np.column_stack([np.ones(60), rng.uniform(-1, 1, size=60)])
+    y = rng.poisson(np.exp(X @ np.array([1.0, 0.8]))).astype(float)
+    y[:4] += np.array([25.0, 40.0, 18.0, 30.0])
+    return ModelData(X, y, "poisson")
+
+
+def _gaussian(phi):
+    rng = rng_stream(11, 0)
+    X = np.column_stack([np.ones(40), rng.uniform(-1, 1, size=40)])
+    y = rng.normal(X @ np.array([0.5, 1.0]), 0.8)
+    y[:3] += 6.0
+    return ModelData(X, y, "gaussian", phi=phi)
+
+
+def _failing_grid_data(family, seed):
+    """Small designs whose grid drops some q on non-convergence and fails
+    others on an LqglmError, yet keeps at least three fits."""
+    rng = rng_stream(77, seed)
+    n = int(rng.integers(6, 15))
+    X = np.column_stack([np.ones(n), rng.normal(size=n) * 2])
+    if family == "bernoulli":
+        y = (rng.uniform(size=n) < 1 / (1 + np.exp(-2 * X[:, 1]))).astype(float)
+    else:
+        y = rng.poisson(np.exp(0.5 + X[:, 1])).astype(float)
+        y[0] += 40
+    return ModelData(X, y, family)
+
+
+_GRID_DATA = {
+    "vaso": lambda vaso: vaso,
+    "poisson-outliers": lambda vaso: _outlier_poisson(),
+    "gaussian-fixed": lambda vaso: _gaussian(1.0),
+    "gaussian-profile": lambda vaso: _gaussian("profile"),
+}
+
+
+class TestBatchedGridAssembly:
+    """The grid's one batched result assembly equals the per-q assembly."""
+
+    @staticmethod
+    def _check(data, grid, control, monkeypatch):
+        from lqglm import qselect
+
+        _assert_same_outcome(_recorded(qselect._grid_fits, data, grid, control),
+                             _recorded(_oracle_grid_fits, data, grid, control))
+        for rule in (select_q_stability, select_q_efficiency):
+            got = _recorded(rule, data, grid, control)
+            with monkeypatch.context() as m:
+                m.setattr(qselect, "_grid_fits", _oracle_grid_fits)
+                want = _recorded(rule, data, grid, control)
+            _assert_same_outcome(got, want)
+
+    @pytest.mark.parametrize("control", [
+        None, FitControl(), FitControl(stop_rule="coef-psi", solver="newton", max_iter=50)],
+        ids=["grid-default", "scoring", "newton-coef-psi"])
+    @pytest.mark.parametrize("name,grid", [
+        ("vaso", QGrid(q_min=0.70, step=0.01)),
+        ("vaso", QGrid(q_min=0.50, step=0.02)),
+        ("poisson-outliers", QGrid(q_min=0.60, step=0.04)),
+        ("gaussian-fixed", QGrid(q_min=0.60, step=0.05)),
+        ("gaussian-profile", QGrid(q_min=0.60, step=0.05))])
+    def test_matches_per_q_assembly(self, name, grid, control, vaso, monkeypatch):
+        self._check(_GRID_DATA[name](vaso), grid, control, monkeypatch)
+
+    @pytest.mark.parametrize("family,seed,control", [
+        ("bernoulli", 169, None), ("poisson", 75, None), ("poisson", 67, FitControl())])
+    def test_dropped_and_failed_values(self, family, seed, control, monkeypatch):
+        data = _failing_grid_data(family, seed)
+        grid = QGrid(q_min=0.5, step=0.05)
+        self._check(data, grid, control, monkeypatch)
+        _, warned = _recorded(_oracle_grid_fits, data, grid, control)
+        kinds = {"failed" if "failed:" in m else "dropped" for c, m in warned if c is UserWarning}
+        assert kinds == {"failed", "dropped"}
+
+    @pytest.mark.parametrize("q", [1.0, 0.9, 0.79, 0.55])
+    @pytest.mark.parametrize("name", ["vaso", "poisson-outliers", "gaussian-profile",
+                                      "poisson-failing"])
+    def test_fit_mlq_is_a_one_stage_path(self, name, q, vaso):
+        from lqglm.fit import _fit_path
+
+        data = (_failing_grid_data("poisson", 67) if name == "poisson-failing"
+                else _GRID_DATA[name](vaso))
+        ctl = FitControl(q=q)
+
+        def oracle():
+            prob, res = _fit_path([data], [q], ctl)[0]
+            return _oracle_result(data, prob, q, res)
+
+        got, want = _recorded(fit_mlq, data, ctl), _recorded(oracle)
+        _assert_same_outcome(got, want)
+        if name == "poisson-failing" and q == 0.55:
+            # the error of the evaluated solution: B_n is not positive definite
+            assert isinstance(want[0], SingularMatrixError)
+            assert str(want[0]).startswith("Cholesky pivot")

@@ -115,6 +115,37 @@ class TestRunStudy:
         assert len(report.rows) == 1 and np.isfinite(report.rows[0]["bias"])
 
 
+class TestPercentilePair:
+    """One ``np.percentile`` call for two quantiles equals two calls.
+
+    Byte for byte, unless the data hold both zeros: the selection may then
+    pick the other of two equal order statistics 0.0 and -0.0."""
+
+    @pytest.mark.parametrize("shape", [(10, 3), (7, 2), (64, 3), (20, 39), (100, 60)])
+    @pytest.mark.parametrize("pair", [(25, 75), (2.5, 97.5), (4.999999999999999, 95.0)])
+    def test_equals_two_calls(self, shape, pair):
+        rng = rng_stream(23, shape[0] * shape[1])
+        for k in range(40):
+            a = rng.normal(size=shape) * 10.0 ** rng.integers(-3, 4)
+            if k % 4 == 0:
+                a = np.round(a, 1)  # ties, -0.0 among them
+            got = np.percentile(a, list(pair), axis=0)
+            want = [np.percentile(a, v, axis=0) for v in pair]
+            assert all(np.array_equal(g, w) for g, w in zip(got, want))
+            if not np.any((a == 0) & np.signbit(a)):
+                assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want))
+
+    def test_run_study_iqr(self):
+        design = SimDesign(n=100, eps=0.05, nu=5.0, reps=30, q_list=(1.0, 0.97), seed=11)
+        est = _replicates(design, range(design.reps))
+        report = run_study(design)
+        for j, row in enumerate(report.rows):
+            B = est[:, j, :]
+            Bg = B[~np.any(np.isnan(B), axis=1)]
+            iqr = float(np.mean(np.percentile(Bg, 75, axis=0) - np.percentile(Bg, 25, axis=0)))
+            assert repr(row["iqr"]) == repr(iqr)
+
+
 class TestBatchedReplicates:
     @staticmethod
     def _one_replicate(design, k):

@@ -1,7 +1,7 @@
 """Record the benchmark's end-to-end metrics of one commit in BENCH_<short-sha>.json.
 
     python3 tools/bench_record.py --seeds 1401,1402,1403,1404,1405
-    python3 tools/bench_record.py --repo ../lqglm-parent --out .
+    python3 tools/bench_record.py --seeds 41,42,43 --against ../lqglm-parent
 
 For each seed and each workload of the checkout's BENCHMARK.json this runs
 
@@ -13,9 +13,14 @@ run at a time.  The file it writes holds the commit, the machine, every
 run's JSON result, and per workload the median and quartiles of each
 end-to-end metric over the seeds.  The times in it are normalised
 to the benchmark's reference host speed, but only files recorded on the
-same machine compare: a speed claim is a before/after pair of them.  The
-checkout's ``src/`` and ``bench/`` must be committed, because the file
-names the commit, and it does not overwrite an existing file.
+same machine compare: a speed claim is a before/after pair of them.
+
+With ``--against PARENT`` each run of ``--repo`` directly follows the same
+seed and workload run on the checkout PARENT, and a file is written for
+each of the two commits, so that a drift of the host's speed over the
+recording reaches both files alike.  Each checkout's ``src/`` and ``bench/``
+must be committed, because the file names the commit, and no existing
+file is overwritten.
 """
 
 import argparse
@@ -76,12 +81,31 @@ def summary(runs):
     return out
 
 
+def refusal(repo, out):
+    """Why ``repo`` cannot be recorded into ``out``, else None."""
+    if git(repo, "status", "--porcelain", "--", "src", "bench", "BENCHMARK.json"):
+        return f"{repo} has uncommitted changes under src/ or bench/"
+    path = out / f"BENCH_{git(repo, 'rev-parse', '--short', 'HEAD')}.json"
+    if path.exists():
+        return f"{path} exists; move it away to record again"
+    return None
+
+
+def spec(repo):
+    with open(repo / "BENCHMARK.json") as fh:
+        doc = json.load(fh)
+    return [w["name"] for w in doc["workloads"]], doc["run_seconds"]
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--repo", type=Path, default=ROOT, help="checkout to measure")
+    ap.add_argument("--against", type=Path,
+                    help="checkout of the parent commit, run before --repo on each seed "
+                         "and workload and recorded in its own file")
     ap.add_argument("--seeds", required=True,
                     help="comma-separated workload seeds, e.g. 1401,1402,1403")
-    ap.add_argument("--out", type=Path, default=ROOT, help="directory of the BENCH file")
+    ap.add_argument("--out", type=Path, default=ROOT, help="directory of the BENCH files")
     args = ap.parse_args(argv)
     try:
         seeds = [int(s) for s in args.seeds.split(",")]
@@ -89,37 +113,48 @@ def main(argv=None):
         ap.error("--seeds must be comma-separated integers")
     if any(s < 0 for s in seeds):
         ap.error("seeds must be >= 0")
-    repo = args.repo.resolve()
-    if git(repo, "status", "--porcelain", "--", "src", "bench", "BENCHMARK.json"):
-        print(f"bench_record: {repo} has uncommitted changes under src/ or bench/",
+    repos = [r.resolve() for r in (args.against, args.repo) if r is not None]
+    for repo in repos:
+        why = refusal(repo, args.out)
+        if why:
+            print(f"bench_record: {why}", file=sys.stderr)
+            return 2
+    shas = [git(repo, "rev-parse", "HEAD") for repo in repos]
+    shorts = [git(repo, "rev-parse", "--short", "HEAD") for repo in repos]
+    if len(set(shas)) < len(shas):
+        print("bench_record: --against and --repo are the same commit", file=sys.stderr)
+        return 2
+    workloads, seconds = spec(repos[-1])
+    if any(spec(repo) != (workloads, seconds) for repo in repos):
+        print("bench_record: the checkouts declare different workloads or run lengths",
               file=sys.stderr)
         return 2
-    short = git(repo, "rev-parse", "--short", "HEAD")
-    path = args.out / f"BENCH_{short}.json"
-    if path.exists():
-        print(f"bench_record: {path} exists; move it away to record again", file=sys.stderr)
-        return 2
-    with open(repo / "BENCHMARK.json") as fh:
-        spec = json.load(fh)
-    workloads, seconds = [w["name"] for w in spec["workloads"]], spec["run_seconds"]
-    runs = {w: [] for w in workloads}
+    runs = [{w: [] for w in workloads} for _ in repos]
     for seed in seeds:
         for w in workloads:
-            doc = run_once(repo, w, seed, seconds)
-            runs[w].append(dict(seed=seed, **doc))
-            print(f"{w} seed {seed}: ops_per_s {doc['metrics']['ops_per_s']['value']:.4g} "
-                  f"correct={doc['correct']}", file=sys.stderr)
-    record = {
-        "commit": git(repo, "rev-parse", "HEAD"),
-        "machine": machine(),
-        "command": f"python3 bench/run.py --workload W --seed S --seconds {seconds:g} --trace 0",
-        "seeds": seeds,
-        "workloads": {w: {"metrics": summary(runs[w]), "runs": runs[w]} for w in workloads},
-    }
-    with open(path, "w") as fh:
-        json.dump(record, fh, indent=1)
-        fh.write("\n")
-    print(path)
+            for repo, short, record in zip(repos, shorts, runs):
+                doc = run_once(repo, w, seed, seconds)
+                record[w].append(dict(seed=seed, **doc))
+                print(f"{short} {w} seed {seed}: "
+                      f"ops_per_s {doc['metrics']['ops_per_s']['value']:.4g} "
+                      f"correct={doc['correct']}", file=sys.stderr)
+    for k, (sha, short, record) in enumerate(zip(shas, shorts, runs)):
+        path = args.out / f"BENCH_{short}.json"
+        doc = {
+            "commit": sha,
+            "machine": machine(),
+            "command": f"python3 bench/run.py --workload W --seed S --seconds {seconds:g} "
+                       "--trace 0",
+            "seeds": seeds,
+            "workloads": {w: {"metrics": summary(record[w]), "runs": record[w]}
+                          for w in workloads},
+        }
+        if len(repos) > 1:
+            doc["interleaved_with"] = shas[1 - k]
+        with open(path, "w") as fh:
+            json.dump(doc, fh, indent=1)
+            fh.write("\n")
+        print(path)
     return 0
 
 
