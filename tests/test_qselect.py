@@ -346,15 +346,17 @@ def _oracle_grid_fits(data, grid, control):
 
 
 def _recorded(fn, *args, **kwargs):
-    """``(outcome, warnings)``: the return value or the raised exception,
-    and every warning's category and message."""
+    """``(outcome, warnings)``: the return value or the raised LqglmError
+    or ValueError, and every warning's category and message."""
     import warnings
+
+    from lqglm import LqglmError
 
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         try:
             out = fn(*args, **kwargs)
-        except Exception as e:  # noqa: BLE001 - the outcome compared
+        except (LqglmError, ValueError) as e:
             out = e
     return out, [(c.category, str(c.message)) for c in caught]
 
