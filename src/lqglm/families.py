@@ -393,11 +393,22 @@ def deformed_log(u, q):
     return float(out) if out.ndim == 0 else out
 
 
-def _lq_terms(logf, q):
-    """``l_q`` of a density given its logarithm (no argument checks)."""
-    if abs(q - 1.0) < Q_ONE_EPS:
+def _lq_terms(logf, q, a=None):
+    """``l_q`` of a density given its logarithm (no argument checks).
+
+    ``q`` is a float, or an array of per-row values (such as an (R, 1)
+    column) that broadcasts against ``logf``; the logarithmic branch is
+    taken where ``|q - 1| < Q_ONE_EPS``.  ``a`` is ``(1 - q) * logf`` when
+    the caller has already formed it.
+    """
+    column = isinstance(q, np.ndarray)
+    near = abs(q - 1.0) < Q_ONE_EPS
+    if not column and near:
         return logf
-    return np.expm1((1.0 - q) * logf) / (1.0 - q)
+    a = (1.0 - q) * logf if a is None else a
+    if not column:
+        return np.expm1(a) / (1.0 - q)
+    return np.where(near, logf, np.expm1(a) / np.where(near, 1.0, 1.0 - q))
 
 
 def log_density(family, y, theta, phi=None):

@@ -111,28 +111,19 @@ class _Working(NamedTuple):
         return _Working(*(f[keep] if isinstance(f, np.ndarray) else f for f in self))
 
 
-def _unit(phi):
-    """Whether the dispersion is the float 1.0, by which nothing is scaled."""
-    return isinstance(phi, float) and phi == 1.0
-
-
 def _weights_terms(logf, q):
     """``U = f^(1-q)`` and the objective terms ``l_q(f)`` from ``logf``.
 
     ``(1-q) logf`` is formed once for both.  With a float q = 1 exactly,
     ``U`` is 1 and the terms are ``logf`` without an ``exp`` pass; with a
-    column, rows at q = 1 get ``U = 1`` and rows with ``|q - 1| <
-    Q_ONE_EPS`` the terms ``logf``, each as its float q gives them.
+    column, rows at q = 1 get ``U = 1``.
     """
     column = isinstance(q, np.ndarray)
     if not column and q == 1.0:
         return np.ones_like(logf), logf
     a = (1.0 - q) * logf
-    near = abs(q - 1.0) < Q_ONE_EPS
-    if not column:
-        return np.exp(a), (logf if near else np.expm1(a) / (1.0 - q))
-    return (np.where(q == 1.0, 1.0, np.exp(a)),
-            np.where(near, logf, np.expm1(a) / np.where(near, 1.0, 1.0 - q)))
+    U = np.exp(a)
+    return (np.where(q == 1.0, 1.0, U) if column else U), _lq_terms(logf, q, a)
 
 
 def _working(prob, eta, q):
@@ -150,16 +141,13 @@ def _working(prob, eta, q):
     ``q``, like ``prob.phi``, is a float shared by every row or an (R, 1)
     column of per-row values; each row equals its own float-q evaluation.
     On the canonical link ``theta = eta`` and ``k_dot = 1``: ``kdot`` is
-    the float 1.0 and ``psi`` is not multiplied by it, nor by a float
-    ``phi = 1``.  At q = 1 exactly, ``U = f^0 = 1`` without an ``exp``
-    pass (see ``_weights_terms``).
+    the float 1.0 and ``psi`` is not multiplied by it.  At q = 1 exactly,
+    ``U = f^0 = 1`` without an ``exp`` pass (see ``_weights_terms``).
     """
     fam, link, y, phi = prob.family, prob.link, prob.y, prob.phi
-    unit = _unit(phi)
     theta = eta if link.is_canonical else link.k(eta)
     b, mu, V = fam.cumulants(theta)
-    logf = y * theta - b
-    logf = (logf if unit else phi * logf) + prob.c
+    logf = phi * (y * theta - b) + prob.c
     U, terms = _weights_terms(logf, q)
     if link.is_canonical:
         kdot, s = 1.0, U * (y - mu)
@@ -167,9 +155,7 @@ def _working(prob, eta, q):
         # W^{1/2} V^{-1/2} reduces to k_dot since W = V k_dot^2
         kdot = link.k_dot(eta)
         s = U * kdot * (y - mu)
-    psi = (s[..., None, :] @ prob.X)[..., 0, :]
-    if not unit:
-        psi = phi * psi
+    psi = phi * (s[..., None, :] @ prob.X)[..., 0, :]
     objective = np.add.reduce(terms, axis=-1)
     theta_max = np.maximum.reduce(np.abs(theta), axis=-1)
     in_domain = fam.in_theta_domain(theta, axis=-1, abs_max=theta_max)
@@ -191,8 +177,7 @@ def _sensitivity(prob, w, q):
     if not column and q == 1.0:
         J = 1.0
     else:
-        e = q * w.b - prob.family.b(q * w.theta)
-        J = np.exp(e if _unit(prob.phi) else prob.phi * e)
+        J = np.exp(prob.phi * (q * w.b - prob.family.b(q * w.theta)))
         if column:
             J = np.where(q == 1.0, 1.0, J)
     if prob.link.is_canonical:
@@ -283,8 +268,7 @@ def _matrices_ab(prob, w, q):
     _, W, J, _, XtDX = _sensitivity(prob, w, q)
     phi = prob.phi
     XtWJX = XtDX if prob.link.is_canonical else (prob.Xt * (W * J)[..., None, :]) @ prob.X
-    A = np.asarray(phi / (2.0 - q))[..., None] * XtWJX
-    return A, (XtDX if _unit(phi) else np.asarray(phi)[..., None] * XtDX)
+    return np.asarray(phi / (2.0 - q))[..., None] * XtWJX, np.asarray(phi)[..., None] * XtDX
 
 
 def _j_q_undefined(family):
@@ -372,7 +356,7 @@ def _step(prob, w, q, newton):
     negative on observations with large residuals at q < 1; a row whose
     Hessian is not positive definite takes the scoring step instead.
     """
-    rhs = w.psi if _unit(prob.phi) else w.psi / prob.phi
+    rhs = w.psi / prob.phi
     if not newton:
         return solve_spd_rows(_sensitivity(prob, w, q)[-1], rhs)
     r = prob.y - w.mu
@@ -698,11 +682,25 @@ def _results(data, qs, path):
     ``path = _fit_path([data], qs, ...)``, or the LqglmError that
     ``fit_mlq`` raises on that stage instead.
 
-    The stages are stacked with one row per q (a one-stage path keeps its
-    problem and its float q), so the solution's working point, ``A_n``,
-    ``B_n`` and ``B_n^{-1}``, the calibration and the calibrated working
-    point are each formed once for the whole path; each row equals its
-    stage evaluated alone.  The sandwich is formed as each result is
+    The stages are assembled in blocks of at most ``BLOCK`` (see
+    ``_assemble``), so a long grid on a large design holds the stacked
+    temporaries of one block at a time.
+    """
+    for k in range(0, len(path), BLOCK):
+        yield from _assemble(data, qs[k:k + BLOCK], path[k:k + BLOCK])
+
+
+def _assemble(data, qs, path):
+    """``_results`` of the stages ``path`` at the q values ``qs``.
+
+    The stages are stacked with one row per q and an (R, 1) column of q,
+    so the solution's working point, ``A_n``, ``B_n`` and ``B_n^{-1}``,
+    the calibration and the calibrated working point are each formed once
+    for the block; each row equals its stage evaluated alone.  Every
+    stage shares the one design of ``data``, which the stack views without
+    copying.  One stage (every ``fit_mlq``) keeps its problem and its
+    float q, whose scalar paths skip the stacking and the column's
+    ``np.where`` passes.  The sandwich is formed as each result is
     yielded, so a caller that warns per stage interleaves its warnings
     with those of an overflowed ``A_n`` as a loop of ``fit_mlq`` would.
     """
@@ -710,10 +708,12 @@ def _results(data, qs, path):
         (prob, res), q = path[0], qs[0]
     else:
         probs, stages = zip(*path)
-        R, first = len(path), probs[0]
+        first, shape = probs[0], (len(path),)
         prob = first._replace(
-            X=np.repeat(first.X, R, axis=0), Xt=np.repeat(first.Xt, R, axis=0),
-            y=np.repeat(first.y, R, axis=0), c=np.concatenate([p.c for p in probs]),
+            X=np.broadcast_to(first.X, shape + first.X.shape[1:]),
+            Xt=np.broadcast_to(first.Xt, shape + first.Xt.shape[1:]),
+            y=np.broadcast_to(first.y, shape + first.y.shape[1:]),
+            c=np.concatenate([p.c for p in probs]),
             phi=first.phi if np.ndim(first.phi) == 0 else np.concatenate([p.phi for p in probs]))
         res = _Irls(
             beta=np.concatenate([s.beta for s in stages]),
@@ -725,14 +725,14 @@ def _results(data, qs, path):
         )
         q = np.array(qs, dtype=float)[:, None]
     w, A, B, Binv = _fitted(prob, q, res)
-    ok = res.ok
-    rows = np.flatnonzero(ok)
+    rows = np.flatnonzero(res.ok)
     if not rows.size:
         yield from res.error
         return
-    if rows.size < len(ok):
-        # the calibration sees only the rows fit_mlq would return
-        prob, q = prob.rows(rows), (q[rows] if isinstance(q, np.ndarray) else q)
+    if rows.size < len(qs):
+        # the calibration sees only the rows fit_mlq would return (a stack:
+        # a single stage without an error has none to leave out)
+        prob, q = prob.rows(rows), q[rows]
     eta_q = calibrate(data.link, w.eta[rows], q)
     at_eta_q = _working(prob, eta_q, q)
     phi = np.broadcast_to(np.ravel(prob.phi), rows.shape)

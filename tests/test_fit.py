@@ -1012,3 +1012,19 @@ class TestQColumn:
         # the two q = 1 rows: U = 1 and the objective is the log-likelihood
         assert np.all(w.U[0] == 1.0) and not np.all(w.U[1] == 1.0)
         assert np.array_equal(w.objective[:2], np.add.reduce(w.logf[:2], axis=-1))
+
+    def test_lq_terms_rows_equal_float_q(self):
+        from lqglm.families import _lq_terms
+
+        logf = rng_stream(48, 0).normal(-2.0, 3.0, size=(len(self.Q), 25))
+        logf[:, 0] = -np.inf
+        q = np.array(self.Q)[:, None]
+        # (1 - q) * -inf is NaN on the q = 1 row, which takes logf instead
+        with np.errstate(invalid="ignore"):
+            got = _lq_terms(logf, q)
+            assert np.array_equal(got, _lq_terms(logf, q, (1.0 - q) * logf))
+            for r, qr in enumerate(self.Q):
+                want = _lq_terms(logf[r], qr)
+                assert got[r].tobytes() == want.tobytes(), qr
+                assert _lq_terms(logf[r], qr, (1.0 - qr) * logf[r]).tobytes() == want.tobytes()
+        assert np.array_equal(got[:2], logf[:2])

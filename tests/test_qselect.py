@@ -468,6 +468,47 @@ class TestBatchedGridAssembly:
         kinds = {"failed" if "failed:" in m else "dropped" for c, m in warned if c is UserWarning}
         assert kinds == {"failed", "dropped"}
 
+    def test_long_grid_assembles_in_blocks(self, monkeypatch):
+        """A grid longer than ``BLOCK`` is assembled block by block on views
+        of its one design: every result equals the per-q assembly, and the
+        traced peak stays within the results plus two blocks' stacked
+        designs, where stacking a copy of the design per grid value would
+        take several times that."""
+        import tracemalloc
+        from dataclasses import replace
+
+        from lqglm import fit as fit_module
+        from lqglm.fit import BLOCK, _fit_path, _results
+        from lqglm.qselect import _GRID_CONTROL
+
+        rng = rng_stream(5, 0)
+        n, p = 400, 30
+        X = np.column_stack([np.ones(n), rng.normal(size=(n, p - 1))])
+        data = ModelData(X, rng.normal(X @ rng.normal(0, 0.2, size=p), 1.0), "gaussian",
+                         phi=1.0)
+        qs = [float(q) for q in QGrid(q_min=0.6, step=0.004).q_values]
+        path = _fit_path([data], qs, replace(_GRID_CONTROL, init="ml-warm-start"))
+        blocks, fitted = [], fit_module._fitted
+
+        def recording(prob, q, res):
+            blocks.append(len(q))
+            assert np.shares_memory(prob.X, path[0][0].X)
+            return fitted(prob, q, res)
+
+        monkeypatch.setattr(fit_module, "_fitted", recording)
+        tracemalloc.start()
+        try:
+            got = list(_results(data, qs, path))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert blocks == [BLOCK, len(qs) - BLOCK] and len(qs) > 1.5 * BLOCK
+        monkeypatch.undo()
+        for q, fit, (prob, res) in zip(qs, got, path):
+            _assert_same_fit(fit, _oracle_result(data, prob, q, res))
+        kept = sum(v.nbytes for f in got for v in vars(f).values() if isinstance(v, np.ndarray))
+        assert peak < kept + 2 * BLOCK * n * p * 8
+
     @pytest.mark.parametrize("q", [1.0, 0.9, 0.79, 0.55])
     @pytest.mark.parametrize("name", ["vaso", "poisson-outliers", "gaussian-profile",
                                       "poisson-failing"])

@@ -15,10 +15,12 @@ end-to-end metric over the seeds.  The times in it are normalised
 to the benchmark's reference host speed, but only files recorded on the
 same machine compare: a speed claim is a before/after pair of them.
 
-With ``--against PARENT`` each run of ``--repo`` directly follows the same
-seed and workload run on the checkout PARENT, and a file is written for
+With ``--against PARENT`` the checkout PARENT and ``--repo`` run each seed
+and workload back to back, PARENT first on the first, third, ... seed of
+the list and ``--repo`` first on the others, and a file is written for
 each of the two commits, so that a drift of the host's speed over the
-recording reaches both files alike.  Each checkout's ``src/`` and ``bench/``
+recording, or an advantage of running first or second, reaches both
+files alike.  Each checkout's ``src/`` and ``bench/``
 must be committed, because the file names the commit, and no existing
 file is overwritten.
 """
@@ -101,8 +103,8 @@ def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--repo", type=Path, default=ROOT, help="checkout to measure")
     ap.add_argument("--against", type=Path,
-                    help="checkout of the parent commit, run before --repo on each seed "
-                         "and workload and recorded in its own file")
+                    help="checkout of the parent commit, run next to --repo on each seed "
+                         "and workload (first on alternate seeds) and recorded in its own file")
     ap.add_argument("--seeds", required=True,
                     help="comma-separated workload seeds, e.g. 1401,1402,1403")
     ap.add_argument("--out", type=Path, default=ROOT, help="directory of the BENCH files")
@@ -130,9 +132,10 @@ def main(argv=None):
               file=sys.stderr)
         return 2
     runs = [{w: [] for w in workloads} for _ in repos]
-    for seed in seeds:
+    order = list(zip(repos, shorts, runs))
+    for i, seed in enumerate(seeds):
         for w in workloads:
-            for repo, short, record in zip(repos, shorts, runs):
+            for repo, short, record in (order if i % 2 == 0 else order[::-1]):
                 doc = run_once(repo, w, seed, seconds)
                 record[w].append(dict(seed=seed, **doc))
                 print(f"{short} {w} seed {seed}: "
