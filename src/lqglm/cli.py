@@ -246,7 +246,9 @@ def cmd_simulate(args):
     return 0
 
 
-def _add_data_options(p, with_q=True):
+def _add_data_options(p, single_fit=True):
+    """The data options, and with ``single_fit`` the q and loop settings of
+    one fit (``selectq`` fits its grid with fixed loop settings)."""
     p.add_argument("--data", required=True, help="input CSV (header required)")
     p.add_argument("--response", required=True, help="response column name")
     p.add_argument("--family", default="bernoulli",
@@ -255,11 +257,11 @@ def _add_data_options(p, with_q=True):
                    help="dispersion (number, or 'profile' for gaussian)")
     p.add_argument("--log", default="", help="comma-separated columns to log")
     p.add_argument("--no-intercept", action="store_true")
-    if with_q:
+    if single_fit:
         p.add_argument("--q", default="1.0", help="distortion parameter or 'auto'")
+        p.add_argument("--max-iter", type=int, default=25)
+        p.add_argument("--tol", type=float, default=1e-8)
     p.add_argument("--grid", default="0.70:0.01", help="selectq grid lo:step")
-    p.add_argument("--max-iter", type=int, default=25)
-    p.add_argument("--tol", type=float, default=1e-8)
     p.add_argument("--seed", type=int, default=None, help="default: LQGLM_SEED or 0")
     p.add_argument("--output", default="-", help="output path ('-' = stdout)")
     p.add_argument("--format", default="json", choices=["json", "csv"])
@@ -282,7 +284,7 @@ def build_parser():
     _add_data_options(p)
 
     p = sub.add_parser("selectq", help="select the distortion parameter")
-    _add_data_options(p, with_q=False)
+    _add_data_options(p, single_fit=False)
     p.add_argument("--method", default="stability", choices=["stability", "efficiency"])
     p.add_argument("--rho-factor", type=float, default=0.05)
 

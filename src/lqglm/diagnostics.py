@@ -219,11 +219,17 @@ def _score(hyp, w, A_t, B_t):
     return _make_result(stat, hyp.d, "score")
 
 
-def _bf_q(fit, q):
-    """``q`` (the fit's by default) after the bilinear-form checks."""
+def _fit_q(fit, q):
+    """``q``, the fit's by default; UsageError where it is not the fit's."""
     q = fit.q if q is None else q
     if abs(q - fit.q) > 0:
         raise UsageError("q disagrees with the supplied fit")
+    return q
+
+
+def _bf_q(fit, q):
+    """``q`` (the fit's by default) after the bilinear-form checks."""
+    q = _fit_q(fit, q)
     if fit.beta_q is None:
         raise UsageError("bilinear-form test needs calibrated coefficients")
     return q
@@ -272,9 +278,7 @@ def added_variable_score(data, fit_null, z, q=None):
     ``P = X (X' WJGK X)^{-1} X'``, everything at the surrogate-scale null
     fit.  With ``z = e_i`` this is the squared standardized residual.
     """
-    q = fit_null.q if q is None else q
-    if abs(q - fit_null.q) > 0:
-        raise UsageError("q disagrees with the supplied fit")
+    q = _fit_q(fit_null, q)
     z = np.asarray(z, dtype=float).ravel()
     if z.shape[0] != data.n:
         raise UsageError("z must have one entry per observation")
@@ -420,9 +424,7 @@ def influence_fn(data, fit, y_new, x_new, q=None):
     surrogate-scale fit.  At q = 1 this is the maximum-likelihood influence
     function ``F_n^{-1} s``.
     """
-    q = fit.q if q is None else q
-    if abs(q - fit.q) > 0:
-        raise UsageError("q disagrees with the supplied fit")
+    q = _fit_q(fit, q)
     x_new = np.asarray(x_new, dtype=float).ravel()
     if x_new.shape[0] != data.p:
         raise UsageError("x_new must have length p")

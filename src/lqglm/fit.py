@@ -326,24 +326,31 @@ def _classical_start(prob):
 
 
 class _Irls(NamedTuple):
-    """Per-row outcome of ``_irls``.
+    """Per-row outcome of ``_irls``; every field is indexed by row on its
+    first axis.
 
-    ``trace[k, r]`` is row r's objective after k accepted steps (NaN past
-    its last); ``error[r]`` is the LqglmError the row stopped on (a start
-    without a finite objective, or singular normal equations), else None.
+    ``trace[r, k]`` is row r's objective after k accepted steps (NaN past
+    its last); ``message`` and ``error`` are object arrays: ``error[r]`` is
+    the LqglmError the row stopped on (a start without a finite objective,
+    or singular normal equations), else None.
     """
 
     beta: np.ndarray
     iterations: np.ndarray
     converged: np.ndarray
-    message: list
+    message: np.ndarray
     trace: np.ndarray
-    error: list
+    error: np.ndarray
 
     @property
     def ok(self):
         """Rows that stopped on no LqglmError."""
-        return np.array([e is None for e in self.error], dtype=bool)
+        return np.equal(self.error, None)
+
+    def put(self, rows, other):
+        """Overwrite the ``rows`` of every field with the rows of ``other``."""
+        for f, g in zip(self, other):
+            f[rows] = g
 
 
 def _step(prob, w, q, newton):
@@ -392,22 +399,22 @@ def _irls(prob, q, beta0, control):
         beta=np.array(beta0, dtype=float),
         iterations=np.zeros(R, dtype=int),
         converged=np.zeros(R, dtype=bool),
-        message=[""] * R,
-        trace=np.full((max_iter + 1, R), np.nan),
-        error=[None] * R,
+        message=np.full(R, "", dtype=object),
+        trace=np.full((R, max_iter + 1), np.nan),
+        error=np.full(R, None, dtype=object),
     )
     idx = np.arange(R)
     beta = out.beta.copy()
 
-    def stop(m, it, message):
-        r = idx[m]
-        out.beta[r] = beta[m]
-        out.iterations[r] = it
-        for j in r.tolist():
-            out.message[j] = message
-
-    def compact(keep):
+    def retire(ended, it, message, converged=False):
+        """Record the active rows ``ended`` as stopped at iteration ``it``
+        and drop them from the active arrays; ``message`` and ``converged``
+        are one value or one per ended row."""
         nonlocal idx, beta, psi0_norm, blowup_sq, w, prob
+        r = idx[ended]
+        out.beta[r], out.iterations[r] = beta[ended], it
+        out.message[r], out.converged[r] = message, converged
+        keep = ~ended
         if not np.count_nonzero(keep):
             idx = idx[:0]
             return
@@ -425,13 +432,12 @@ def _irls(prob, q, beta0, control):
         psi0_norm = np.maximum.reduce(np.abs(w.psi), axis=-1)
         # squared coefficient norm beyond which a row has blown up
         blowup_sq = SEPARATION_NORM_FACTOR**2 * np.maximum(1.0, np.add.reduce(beta * beta, axis=-1))
-        out.trace[0] = w.objective
+        out.trace[:, 0] = w.objective
         bad = ~(w.in_domain & np.isfinite(w.objective))
         if np.count_nonzero(bad):
-            stop(bad, 0, "")
             for j in idx[bad].tolist():
                 out.error[j] = DomainError("starting value gives a non-finite Lq-objective")
-            compact(~bad)
+            retire(bad, 0, "")
         for it in range(1, max_iter + 1):
             if not idx.size:
                 break
@@ -440,8 +446,6 @@ def _irls(prob, q, beta0, control):
             halt = overflow | (pivot > 0)
             if np.count_nonzero(halt):
                 singular = halt & ~overflow
-                stop(overflow, it, "stopped: |theta| overflow points to separation/indeterminacy")
-                stop(singular, it, "")
                 for j, k in zip(idx[singular].tolist(), pivot[singular].tolist()):
                     out.error[j] = SingularMatrixError(
                         f"weighted normal equations singular at iteration {it} "
@@ -449,7 +453,8 @@ def _irls(prob, q, beta0, control):
                         pivot=k,
                     )
                 step = step[~halt]
-                compact(~halt)
+                retire(halt, it, np.where(
+                    overflow[halt], "stopped: |theta| overflow points to separation/indeterminacy", ""))
                 if not idx.size:
                     break
             # tolerate ulp-level noise in the merit test
@@ -477,10 +482,9 @@ def _irls(prob, q, beta0, control):
                 if pending.size:
                     exhausted = np.zeros(idx.size, dtype=bool)
                     exhausted[pending] = True
-                    stop(exhausted, it,
-                         "stopped: step halving exhausted without improving the objective")
                     trial, tw = trial[~exhausted], tw.rows(~exhausted)
-                    compact(~exhausted)
+                    retire(exhausted, it,
+                           "stopped: step halving exhausted without improving the objective")
                     if not idx.size:
                         break
             if control.stop_rule == "objective":
@@ -491,17 +495,17 @@ def _irls(prob, q, beta0, control):
                 done = (coef_change <= tol) & (
                     np.maximum.reduce(np.abs(tw.psi), axis=-1) <= tol * (1.0 + psi0_norm))
             beta, w = trial, tw
-            out.trace[it, idx] = w.objective
+            out.trace[idx, it] = w.objective
             blowup = np.add.reduce(beta * beta, axis=-1) > blowup_sq
             ended = blowup | done
             if np.count_nonzero(ended):
-                stop(done & ~blowup, it, "")
-                out.converged[idx[done & ~blowup]] = True
-                stop(blowup, it, "stopped: coefficient blow-up points to separation/indeterminacy")
-                compact(~ended)
+                blown = blowup[ended]
+                retire(ended, it, np.where(
+                    blown, "stopped: coefficient blow-up points to separation/indeterminacy", ""),
+                    converged=~blown)
     if idx.size:
-        stop(np.ones(idx.size, dtype=bool), max_iter,
-             f"no convergence within {max_iter} iterations")
+        retire(np.ones(idx.size, dtype=bool), max_iter,
+               f"no convergence within {max_iter} iterations")
     return out
 
 
@@ -552,7 +556,8 @@ def _fit_path(datas, qs, control, offset=None):
         beta0 = np.asarray(control.init, dtype=float)
         if beta0.shape != (base.X.shape[-1],):
             raise UsageError("explicit init vector has the wrong length")
-        seed, error, warm_q = np.tile(beta0, (len(datas), 1)), [None] * len(datas), None
+        seed, warm_q = np.tile(beta0, (len(datas), 1)), None
+        error = np.full(len(datas), None, dtype=object)
     elif control.init != "ml-warm-start":
         raise UsageError(f"unknown init {control.init!r}")
     else:
@@ -560,17 +565,17 @@ def _fit_path(datas, qs, control, offset=None):
         warm_q = qs[0] if qs[0] >= 1.0 - Q_ONE_EPS else 1.0
         # _irls reads only the loop settings from the control
         warm = _irls(base, warm_q, beta0, control)
-        error = [_not_positive_definite(k) if k else e for k, e in zip(pivot.tolist(), warm.error)]
-        seed = np.where(np.array([e is None for e in error])[:, None], warm.beta, np.nan)
+        error, singular = warm.error.copy(), pivot > 0
+        error[singular] = [_not_positive_definite(k) for k in pivot[singular].tolist()]
+        seed = np.where(np.equal(error, None)[:, None], warm.beta, np.nan)
+    failed = ~np.equal(error, None)
     path = []
     for q in qs:
         if path:
             last = path[-1][1]
             seed = np.where((last.ok & last.converged)[:, None], last.beta, seed)
         res = warm if q == warm_q else _irls(base, q, seed, control)
-        for r, e in enumerate(error):
-            if e is not None:
-                res.error[r] = e
+        res.error[failed] = error[failed]
         path.append((_profile(base, q, res, control) if profile else base, res))
     return path
 
@@ -592,18 +597,14 @@ def _profile(prob, q, res, control):
             break
         sub = prob.rows(live)
         phi_new, error = _profile_phi(sub, calibrate(prob.link, _predictor(sub, res.beta[live]), q), q)
-        ok = np.array([e is None for e in error], dtype=bool)
-        for r, e in zip(live.tolist(), error):
-            res.error[r] = e
+        res.error[live] = error
+        ok = res.ok[live]
         refit = live[ok & ~(np.abs(np.log(phi_new / phi[live])) < 1e-8)]
         phi[live[ok]] = phi_new[ok]
         if not refit.size:
             break
         sub = _irls(prob.rows(refit).with_phi(phi[refit, None]), q, res.beta[refit], control)
-        res.beta[refit], res.iterations[refit] = sub.beta, sub.iterations
-        res.converged[refit], res.trace[:, refit] = sub.converged, sub.trace
-        for k, r in enumerate(refit.tolist()):
-            res.message[r], res.error[r] = sub.message[k], sub.error[k]
+        res.put(refit, sub)
         live = refit[sub.ok]
     return prob.with_phi(phi[:, None])
 
@@ -715,14 +716,7 @@ def _assemble(data, qs, path):
             y=np.broadcast_to(first.y, shape + first.y.shape[1:]),
             c=np.concatenate([p.c for p in probs]),
             phi=first.phi if np.ndim(first.phi) == 0 else np.concatenate([p.phi for p in probs]))
-        res = _Irls(
-            beta=np.concatenate([s.beta for s in stages]),
-            iterations=np.concatenate([s.iterations for s in stages]),
-            converged=np.concatenate([s.converged for s in stages]),
-            message=[m for s in stages for m in s.message],
-            trace=np.concatenate([s.trace for s in stages], axis=1),
-            error=[e for s in stages for e in s.error],
-        )
+        res = _Irls(*map(np.concatenate, zip(*stages)))
         q = np.array(qs, dtype=float)[:, None]
     w, A, B, Binv = _fitted(prob, q, res)
     rows = np.flatnonzero(res.ok)
@@ -743,7 +737,7 @@ def _assemble(data, qs, path):
             yield error
             continue
         cov = Binv[r] @ A[r] @ Binv[r]
-        trace = res.trace[:, r]
+        trace = res.trace[r]
         yield FitResult(
             q=qs[r],
             beta_star=res.beta[r],

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import LqglmError, SelectionError, UsageError
-from .fit import FitControl, _fit_path, _results
+from .fit import FitControl, _fit_path, _results, fit_mlq
 from .numerics import inv_spd
 
 __all__ = [
@@ -182,10 +182,7 @@ def select_q_efficiency(data, grid=None, control=None):
     grid = grid if grid is not None else QGrid()
     if len(grid.q_values) == 1:
         q = float(grid.q_values[0])
-        ctl = control if control is not None else _GRID_CONTROL
-        fit = next(_results(data, [q], _fit_path([data], [q], ctl)))
-        if isinstance(fit, LqglmError):
-            raise fit
+        fit = fit_mlq(data, replace(control if control is not None else _GRID_CONTROL, q=q))
         if not fit.converged:
             raise SelectionError(f"the only grid fit, at q={q:.4g}, did not converge "
                                  f"({fit.message})")
@@ -193,7 +190,8 @@ def select_q_efficiency(data, grid=None, control=None):
     fits, dropped = _grid_fits(data, grid, control)
     traces = {q: float(np.trace(f.cov)) for q, f in fits.items()}
     best = min(traces.values())
-    q_opt = max(q for q, t in traces.items() if t <= best * (1.0 + 1e-12))
+    # relative to |best|, so that a negative (roundoff) best is its own tie
+    q_opt = max(q for q, t in traces.items() if t <= best + 1e-12 * abs(best))
     return QSelectResult(
         q_opt=float(q_opt),
         qv_profile=traces,

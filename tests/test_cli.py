@@ -288,6 +288,7 @@ def test_seed_env_read_when_the_command_runs(vaso_csv, tmp_path, monkeypatch):
 @pytest.mark.parametrize("argv", [
     ["fit", "--data", "x.csv", "--response", "y", "--bogus"],
     ["envelope", "--data", "x.csv", "--response", "y", "--reps", "many"],
+    ["selectq", "--data", "x.csv", "--response", "y", "--max-iter", "-1", "--tol", "nan"],
     ["frobnicate"],
     [],
 ])
@@ -338,7 +339,7 @@ _VALUES = {
 }
 _OPTIONS = {
     "fit": ["--family", "--q", "--phi", "--grid", "--max-iter", "--tol"],
-    "selectq": ["--family", "--phi", "--grid", "--max-iter", "--tol"],
+    "selectq": ["--family", "--phi", "--grid"],
     "test": ["--family", "--q", "--phi", "--grid", "--max-iter", "--tol"],
     "residuals": ["--family", "--q", "--phi", "--grid", "--max-iter", "--tol", "--type"],
     "envelope": ["--family", "--q", "--phi", "--grid", "--max-iter", "--tol", "--type",

@@ -577,6 +577,16 @@ class TestQuantileResiduals:
             quantile_residuals(poisson_example, fit, None)
 
 
+@pytest.mark.parametrize("call", [
+    lambda data, fit, q: bf_test(data, fit, LinearHypothesis([[0.0, 0.0, 1.0]], [0.0]), q),
+    lambda data, fit, q: added_variable_score(data, fit, data.X[:, 1], q),
+    lambda data, fit, q: influence_fn(data, fit, 1.0, data.X[0], q),
+], ids=["bf_test", "added_variable_score", "influence_fn"])
+def test_q_must_be_the_fits(call, vaso, vaso_79):
+    with pytest.raises(UsageError, match="q disagrees with the supplied fit"):
+        call(vaso, vaso_79, 0.8)
+
+
 class TestInfluence:
     def test_q1_ml_form(self, vaso, vaso_ml):
         x_new = vaso.X[5]

@@ -609,7 +609,90 @@ class TestBatchedCore:
                 assert batch.iterations[r] == alone.iterations[0]
                 assert batch.converged[r] and alone.converged[0]
                 assert batch.message[r] == alone.message[0]
-                assert batch.trace[:, r].tobytes() == alone.trace[:, 0].tobytes()
+                assert batch.trace[r].tobytes() == alone.trace[0].tobytes()
+
+    @staticmethod
+    def _stop_batch():
+        """One row per way a fit stops, each from its own start."""
+        from lqglm.fit import _stack
+
+        rng = rng_stream(5, 0)
+        X = np.column_stack([np.ones(12), rng.uniform(-1, 1, size=12)])
+        y = np.r_[0.0, 1.0, (rng.uniform(size=10) < 0.5).astype(float)]
+        sep = np.r_[np.linspace(-2, -0.2, 6), np.linspace(0.2, 2, 6)]
+        y_sep = np.r_[np.zeros(6), np.ones(6)]
+        datas = [ModelData(X, y, "bernoulli"),
+                 # separated on a tiny scale: the coefficients blow up first
+                 ModelData(np.column_stack([np.ones(12), sep * 1e-3]), y_sep, "bernoulli"),
+                 ModelData(X, y, "bernoulli"),
+                 ModelData(X, y, "bernoulli"),
+                 # separated on a unit scale: slow growth up to the cap
+                 ModelData(np.column_stack([np.ones(12), sep]), y_sep, "bernoulli"),
+                 ModelData(X, y, "bernoulli")]
+        beta0 = np.zeros((6, 2))
+        beta0[2] = [800.0, 0.0]  # |theta| beyond the overflow guard
+        beta0[3] = np.nan  # no finite objective
+        beta0[5] = [600.0, 0.0]  # vanishing weights: a step no halving can rescue
+        return _stack(datas, 1.0), beta0
+
+    @pytest.mark.parametrize("solver", ["scoring", "newton"])
+    def test_each_stop_reason_retires_its_row(self, solver):
+        from lqglm import DomainError
+        from lqglm.fit import _irls
+
+        prob, beta0 = self._stop_batch()
+        ctl = FitControl(stop_rule="coef-psi", max_iter=12, solver=solver)
+        batch = _irls(prob, 1.0, beta0, ctl)
+        assert list(batch.message) == [
+            "",
+            "stopped: coefficient blow-up points to separation/indeterminacy",
+            "stopped: |theta| overflow points to separation/indeterminacy",
+            "",
+            "no convergence within 12 iterations",
+            "stopped: step halving exhausted without improving the objective",
+        ]
+        assert batch.converged.tolist() == [True] + [False] * 5
+        assert batch.iterations[2:].tolist() == [1, 0, 12, 1]
+        assert [type(e) for e in batch.error] == [type(None)] * 3 + [DomainError] + [type(None)] * 2
+        # a row stopped before a step keeps its start
+        assert batch.beta[2].tolist() == [800.0, 0.0] and batch.beta[5].tolist() == [600.0, 0.0]
+        for r in range(6):
+            alone = _irls(prob.rows([r]), 1.0, beta0[[r]], ctl)
+            assert batch.beta[r].tobytes() == alone.beta[0].tobytes()
+            assert batch.iterations[r] == alone.iterations[0]
+            assert batch.converged[r] == alone.converged[0]
+            assert batch.message[r] == alone.message[0]
+            assert batch.trace[r].tobytes() == alone.trace[0].tobytes()
+            assert repr(batch.error[r]) == repr(alone.error[0])
+
+    def test_failed_start_keeps_its_error_at_every_q(self, monkeypatch):
+        from lqglm import fit as fit_module
+        from lqglm.numerics import _not_positive_definite
+
+        start = fit_module._classical_start
+
+        def singular_row_1(prob):
+            beta, pivot = start(prob)
+            beta[1], pivot[1] = np.nan, 2
+            return beta, pivot
+
+        monkeypatch.setattr(fit_module, "_classical_start", singular_row_1)
+        rng = rng_stream(5, 1)
+        datas = [_random_data("bernoulli", rng)[0] for _ in range(3)]
+        for _, res in fit_module._fit_path(datas, [1.0, 0.9, 0.8], FitControl(max_iter=50)):
+            assert repr(res.error[1]) == repr(_not_positive_definite(2))
+            assert res.error[0] is None and res.error[2] is None
+
+    def test_put_moves_whole_rows(self):
+        from lqglm.fit import _irls
+
+        prob, beta0 = self._stop_batch()
+        ctl = FitControl(stop_rule="coef-psi", max_iter=12)
+        res = _irls(prob, 1.0, beta0, ctl)
+        other = _irls(prob.rows([3, 0]), 1.0, beta0[[3, 0]], ctl)
+        res.put([0, 3], other)
+        for f, g in zip(res, other):
+            assert [repr(v) for v in f[[0, 3]]] == [repr(v) for v in g]
 
     @staticmethod
     def _assert_fit_mlq_errors(res, datas, controls):
@@ -670,7 +753,7 @@ class TestBatchedCore:
         fit = fit_mlq(poisson_example, ctl)
         res = _irls(_stack([poisson_example], 1.0), 0.9, np.full((1, 3), 0.5), ctl)
         assert fit.beta_star.tobytes() == res.beta[0].tobytes()
-        assert fit.iterations == res.iterations[0] and fit.objective_trace[-1] == res.trace[fit.iterations, 0]
+        assert fit.iterations == res.iterations[0] and fit.objective_trace[-1] == res.trace[0, fit.iterations]
 
 
 def _draw(family_name, seed, n):
@@ -946,6 +1029,19 @@ class TestBatchedProfile:
             ref_phi, ref_error = _full_evaluation_profile_phi(prob, eta_q, q)
             assert phi.tobytes() == ref_phi.tobytes()
             assert [repr(e) for e in error] == [repr(e) for e in ref_error]
+
+    @pytest.mark.parametrize("q", [1.0, 0.9, 0.5])
+    def test_fit_reports_its_last_refit(self, q):
+        # the alternation's refits replace whole rows of the outcome: the
+        # trace is the last refit's, at (within the settle test) phi_hat
+        rng = rng_stream(37, 0)
+        X = np.column_stack([np.ones(40), rng.uniform(-1, 1, size=40)])
+        data = ModelData(X, X @ np.array([0.5, 1.0]) + rng.normal(0, 0.5, size=40), "gaussian",
+                         phi=PROFILE)
+        fit = fit_mlq(data, FitControl(q=q))
+        assert fit.converged and len(fit.objective_trace) == fit.iterations + 1
+        assert_allclose(fit.objective_trace[-1],
+                        lq_objective(data, fit.beta_star, q, fit.phi_hat), rtol=1e-7)
 
     def test_estimate_phi_is_a_batch_of_one(self, gaussian_example):
         for q in (1.0, 0.9, 0.5):

@@ -141,6 +141,15 @@ class TestEfficiencySelection:
         assert summary["iterations"] == fit.iterations
         assert summary["beta_q"] == fit.beta_q.tolist()
 
+    def test_negative_smallest_trace_is_selected(self):
+        # the kept q <= 0.85 fits have traces within roundoff of zero, and the
+        # smallest, at q = 0.8, is negative: the tie rule must still keep it
+        with pytest.warns(UserWarning):
+            sel = select_q_efficiency(_failing_grid_data("poisson", 67),
+                                      QGrid(q_min=0.5, step=0.05), FitControl())
+        assert min(sel.qv_profile.values()) < 0.0
+        assert sel.q_opt == 0.8 == min(sel.qv_profile, key=sel.qv_profile.get)
+
     def test_vaso_profile_recorded(self, vaso):
         sel = select_q_efficiency(vaso, QGrid(q_min=0.85, step=0.05))
         assert sel.method == "efficiency"
@@ -287,7 +296,7 @@ def _oracle_result(data, prob, q, res):
     eta_q = calibrate(data.link, eta_star, q)
     at_eta_q = _working(prob, eta_q[None], q)
     cov = Binv[0] @ A[0] @ Binv[0]
-    trace = res.trace[:, 0]
+    trace = res.trace[0]
     return FitResult(
         q=q,
         beta_star=res.beta[0],
