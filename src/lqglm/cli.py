@@ -119,21 +119,22 @@ def _parse_grid(text):
     return float(lo), float(step)
 
 
-def _control(args, q):
-    return FitControl(q=q, max_iter=args.max_iter, tol=args.tol)
+def _single_fit(args):
+    """The data, covariate names, control and fit of a subcommand that fits one q."""
+    data, names = _model_data(args)
+    control = FitControl(q=_resolve_q(args, data), max_iter=args.max_iter, tol=args.tol)
+    return data, names, control, fit_mlq(data, control)
 
 
 def cmd_fit(args):
-    data, names = _model_data(args)
-    q = _resolve_q(args, data)
-    fit = fit_mlq(data, _control(args, q))
+    data, names, control, fit = _single_fit(args)
     doc = {
         "schema": SCHEMA,
         "family": data.family.name,
         "n": data.n,
         "p": data.p,
         "covariates": names,
-        "q_used": q,
+        "q_used": control.q,
         "beta_q": None if fit.beta_q is None else fit.beta_q.tolist(),
         "beta_star": fit.beta_star.tolist(),
         "se": fit.se.tolist(),
@@ -172,20 +173,19 @@ def cmd_selectq(args):
 
 
 def cmd_test(args):
-    data, _ = _model_data(args)
-    q = _resolve_q(args, data)
+    data, _, control, fit = _single_fit(args)
+    q = control.q
     H = np.loadtxt(args.H, delimiter=",", ndmin=2)
     h = np.loadtxt(args.h_vector, delimiter=",", ndmin=1)
     hyp = LinearHypothesis(H, h)
-    fit = fit_mlq(data, _control(args, q))
     if args.stat == "all":
-        tests = linear_tests(data, fit, hyp, q, _control(args, q))
+        tests = linear_tests(data, fit, hyp, q, control)
     elif args.stat == "wald":
         tests = [wald_test(fit, hyp)]
     elif args.stat == "score":
-        tests = [score_test(data, hyp, q, _control(args, q))]
+        tests = [score_test(data, hyp, q, control)]
     else:
-        tests = [bf_test(data, fit, hyp, q, _control(args, q))]
+        tests = [bf_test(data, fit, hyp, q, control)]
     results = [{"kind": r.kind, "statistic": r.statistic, "dof": r.dof, "p_value": r.p_value}
                for r in tests]
     doc = {"schema": SCHEMA, "q_used": q, "tests": results}
@@ -194,12 +194,10 @@ def cmd_test(args):
 
 
 def cmd_residuals(args):
-    data, _ = _model_data(args)
-    q = _resolve_q(args, data)
-    fit = fit_mlq(data, _control(args, q))
+    data, _, control, fit = _single_fit(args)
     vals = _RESIDUAL_FUNCS[args.type](data, fit, rng_stream(args.seed, 0))
     if args.format == "json":
-        doc = {"schema": SCHEMA, "q_used": q, "type": args.type,
+        doc = {"schema": SCHEMA, "q_used": control.q, "type": args.type,
                "residuals": vals.tolist()}
         _emit(json.dumps(doc, indent=2), args.output)
     else:
@@ -210,14 +208,11 @@ def cmd_residuals(args):
 
 
 def cmd_envelope(args):
-    data, _ = _model_data(args)
-    q = _resolve_q(args, data)
-    fit = fit_mlq(data, _control(args, q))
+    data, _, control, fit = _single_fit(args)
     env = simulation_envelope(data, fit, kind=args.type, reps=args.reps,
-                              seed=args.seed, level=args.level,
-                              control=_control(args, q))
+                              seed=args.seed, level=args.level, control=control)
     if args.format == "json":
-        doc = {"schema": SCHEMA, "q_used": q, "type": env.kind, "reps": env.reps,
+        doc = {"schema": SCHEMA, "q_used": control.q, "type": env.kind, "reps": env.reps,
                "failed": env.failed, "nonconverged": env.nonconverged,
                "normal_quantiles": env.normal_quantiles.tolist(),
                "observed": env.observed.tolist(),
@@ -247,8 +242,8 @@ def cmd_simulate(args):
 
 
 def _add_data_options(p, single_fit=True):
-    """The data options, and with ``single_fit`` the q and loop settings of
-    one fit (``selectq`` fits its grid with fixed loop settings)."""
+    """The data and output options, and with ``single_fit`` the q and loop
+    settings of one fit (``selectq`` fits its grid with fixed loop settings)."""
     p.add_argument("--data", required=True, help="input CSV (header required)")
     p.add_argument("--response", required=True, help="response column name")
     p.add_argument("--family", default="bernoulli",
@@ -259,12 +254,17 @@ def _add_data_options(p, single_fit=True):
     p.add_argument("--no-intercept", action="store_true")
     if single_fit:
         p.add_argument("--q", default="1.0", help="distortion parameter or 'auto'")
-        p.add_argument("--max-iter", type=int, default=25)
-        p.add_argument("--tol", type=float, default=1e-8)
+        p.add_argument("--max-iter", type=int, default=FitControl.max_iter)
+        p.add_argument("--tol", type=float, default=FitControl.tol)
     p.add_argument("--grid", default="0.70:0.01", help="selectq grid lo:step")
-    p.add_argument("--seed", type=int, default=None, help="default: LQGLM_SEED or 0")
     p.add_argument("--output", default="-", help="output path ('-' = stdout)")
-    p.add_argument("--format", default="json", choices=["json", "csv"])
+
+
+def _add_seed_format(p, default_format):
+    """``--seed`` and ``--format``, for the subcommands whose output draws
+    random numbers and has a CSV form."""
+    p.add_argument("--seed", type=int, default=None, help="default: LQGLM_SEED or 0")
+    p.add_argument("--format", default=default_format, choices=["json", "csv"])
 
 
 class _Parser(argparse.ArgumentParser):
@@ -296,11 +296,13 @@ def build_parser():
 
     p = sub.add_parser("residuals", help="per-observation residuals")
     _add_data_options(p)
+    _add_seed_format(p, "json")
     p.add_argument("--type", default="standardized",
                    choices=["standardized", "deviance", "quantile"])
 
     p = sub.add_parser("envelope", help="parametric-bootstrap QQ envelope")
     _add_data_options(p)
+    _add_seed_format(p, "json")
     p.add_argument("--type", default="standardized",
                    choices=["standardized", "deviance", "quantile"])
     p.add_argument("--reps", type=int, default=100)
@@ -312,14 +314,13 @@ def build_parser():
     p.add_argument("--nu", type=float, default=5.0)
     p.add_argument("--reps", type=int, default=1000)
     p.add_argument("--q-list", default="1.0,0.97")
-    p.add_argument("--seed", type=int, default=None, help="default: LQGLM_SEED or 0")
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--fixed-x", action="store_true",
                    help="share one design matrix across replicates")
     p.add_argument("--intercept", action="store_true",
                    help="prepend an intercept to the simulation design")
     p.add_argument("--output", default="-")
-    p.add_argument("--format", default="csv", choices=["json", "csv"])
+    _add_seed_format(p, "csv")
     return ap
 
 
@@ -331,7 +332,7 @@ def _parser():
 def main(argv=None):
     try:
         args = _parser().parse_args(argv)
-        if args.seed is None:
+        if "seed" in args and args.seed is None:
             args.seed = _default_seed()
         # looked up when it runs, so a rebound lqglm.cli.cmd_* takes effect
         return globals()[f"cmd_{args.command}"](args)

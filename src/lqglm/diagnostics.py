@@ -71,6 +71,11 @@ __all__ = [
     "simulation_envelope",
 ]
 
+# A projected variance at or below this fraction of its unprojected value is
+# zero to roundoff: the added-variable direction, or the observation of a
+# standardized residual, lies in the span of the design.
+DEGENERATE = 1e-10
+
 
 class LinearHypothesis:
     """Linear hypothesis ``H beta = h`` with full-row-rank ``H`` (d x p).
@@ -291,7 +296,7 @@ def added_variable_score(data, fit_null, z, q=None):
     # scale-relative check: for genuine directions den/scale is O(1), for
     # z in the span of X the projection residual collapses it
     scale = float(np.sum(W * J * z * z))
-    if scale <= 0.0 or den <= 1e-10 * scale:
+    if scale <= 0.0 or den <= DEGENERATE * scale:
         raise DegenerateDirectionError(
             "added-variable direction lies in the span of the design"
         )
@@ -333,9 +338,12 @@ def _standardized(f):
     ones, and the Cholesky pivot of each row's ``X' W J GK X`` (NaN rows
     where it is nonzero).
 
-    The bracket cancels to roundoff at leverages near 1, where its sign
-    decides whether a residual is defined; the dense per-row solve and
-    this product order keep every row bit-identical to a batch of one.
+    The bracket is 1 for an observation without leverage and cancels to
+    roundoff at a leverage of 1, so a bracket at or below ``DEGENERATE``
+    is undefined whatever its sign.  On the canonical link ``GK = 1`` and
+    ``M = P W J`` is idempotent (``m* = m``), so the bracket is ``1 - m``.
+    The dense per-row solve and this product order keep every row
+    bit-identical to a batch of one.
     """
     prob, q = f.prob, f.q
     X = prob.X
@@ -345,9 +353,12 @@ def _standardized(f):
     Gt, pivot = _solve_spd_each(XtDX, prob.Xt)
     G = np.ascontiguousarray(np.swapaxes(Gt, -1, -2))
     m = WJ * np.sum(G * X, axis=-1)
-    m2 = WJ * np.sum((G @ (np.swapaxes(X, -1, -2) @ (WJ[..., None] * X))) * G, axis=-1)
-    bracket = (1.0 - GK * m) - GK * (m - GK * m2)
-    bad = bracket < 0
+    if prob.link.is_canonical:
+        bracket = 1.0 - m
+    else:
+        m2 = WJ * np.sum((G @ (np.swapaxes(X, -1, -2) @ (WJ[..., None] * X))) * G, axis=-1)
+        bracket = (1.0 - GK * m) - GK * (m - GK * m2)
+    bad = bracket <= DEGENERATE
     with np.errstate(invalid="ignore", divide="ignore"):
         den = np.sqrt(J * V / prob.phi) * np.sqrt(np.where(bad, np.nan, bracket))
         t = np.sqrt(2.0 - q) * w.U * (prob.y - w.mu) / den
@@ -376,8 +387,9 @@ def standardized_residuals(data, fit):
     sqrt((1 - g_i k_i m_ii) - g_i k_i (m_ii - g_i k_i m*_ii))]`` with
     ``m_ii``/``m*_ii`` the diagonals of ``M = P W J`` and ``M^2``,
     everything at the surrogate-scale fit.  Observations where the
-    bracket under the square root is negative are returned as NaN with a
-    warning, not an error.
+    bracket under the square root is at or below ``DEGENERATE`` (zero to
+    roundoff, as at a leverage of 1, or negative) are returned as NaN with
+    a warning, not an error.
 
     With ``G = X (X' W J GK X)^{-1}`` (rows ``g_i``) the diagonals are
     ``m_ii = (WJ)_i g_i' x_i`` and ``m*_ii = (WJ)_i g_i' (X' W J X) g_i``,

@@ -109,8 +109,10 @@ class PowerThetaLink(ThetaLink):
 class Family:
     """Base class for natural exponential families.
 
-    Subclasses define the cumulant ``b`` and its derivatives, the
-    normalizer ``c(y, phi)``, the CDF, sampling, and support checks.
+    Subclasses define the cumulant ``b``, the cumulant and its two
+    derivatives in one pass (``cumulants``, from which ``b_dot`` and
+    ``b_ddot`` are taken), the normalizer ``c(y, phi)``, the CDF, sampling,
+    and support checks.
     ``theta_domain`` is an open interval ``(lo, hi)``; ``phi_fixed`` is the
     dispersion value pinned by the family (``None`` when free).
     """
@@ -123,17 +125,17 @@ class Family:
     def b(self, theta):
         raise NotImplementedError
 
+    def cumulants(self, theta):
+        """``(b, b_dot, b_ddot)`` at ``theta``, sharing work where the family can."""
+        raise NotImplementedError
+
     def b_dot(self, theta):
         """Mean function: ``mu = b_dot(theta)``."""
-        raise NotImplementedError
+        return self.cumulants(theta)[1]
 
     def b_ddot(self, theta):
         """Variance function ``V = b_ddot(theta)``."""
-        raise NotImplementedError
-
-    def cumulants(self, theta):
-        """``(b, b_dot, b_ddot)`` at ``theta``, sharing work where the family can."""
-        return self.b(theta), self.b_dot(theta), self.b_ddot(theta)
+        return self.cumulants(theta)[2]
 
     def c(self, y, phi):
         raise NotImplementedError
@@ -207,13 +209,6 @@ class Bernoulli(Family):
         # log1p(exp(theta)) with the large-theta branch folded in
         return np.logaddexp(0.0, np.asarray(theta, dtype=float))
 
-    def b_dot(self, theta):
-        return expit(np.asarray(theta, dtype=float))
-
-    def b_ddot(self, theta):
-        theta = np.asarray(theta, dtype=float)
-        return expit(theta) * expit(-theta)
-
     def cumulants(self, theta):
         theta = np.asarray(theta, dtype=float)
         mu = expit(theta)
@@ -256,12 +251,6 @@ class Poisson(Family):
     phi_fixed = 1.0
 
     def b(self, theta):
-        return np.exp(np.asarray(theta, dtype=float))
-
-    def b_dot(self, theta):
-        return np.exp(np.asarray(theta, dtype=float))
-
-    def b_ddot(self, theta):
         return np.exp(np.asarray(theta, dtype=float))
 
     def cumulants(self, theta):
@@ -311,12 +300,6 @@ class Gaussian(Family):
     def b(self, theta):
         theta = np.asarray(theta, dtype=float)
         return 0.5 * theta * theta
-
-    def b_dot(self, theta):
-        return np.asarray(theta, dtype=float)
-
-    def b_ddot(self, theta):
-        return np.ones_like(np.asarray(theta, dtype=float))
 
     def cumulants(self, theta):
         theta = np.asarray(theta, dtype=float)

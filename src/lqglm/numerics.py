@@ -90,25 +90,13 @@ def solve_spd_rows(A, B):
     x, info = _band_solve(A, B)
     if info == 0 and (len(A) == 1 or np.isfinite(x).all()):
         return x, np.zeros(len(A), dtype=int)
+    if len(A) == 1:  # the dense factorization finds the failing pivot
+        return _solve_spd_each(A, B)
     # A row whose factorization fails stops the band there, and a NaN in
-    # one block reaches the next through the zero coupling entries.  Rows
-    # with non-finite entries are solved alone; the band of the others is
-    # redone without each failing row, which gets the dense factorization
-    # (and its pivot) a batch of one gives it.
-    R, p = A.shape[:2]
-    x = np.full(B.shape, np.nan)
-    pivot = np.zeros(R, dtype=int)
-    finite = np.isfinite(A).all(axis=(1, 2)) & np.isfinite(B).all(axis=1)
-    for rows in (np.flatnonzero(finite), *np.flatnonzero(~finite)[:, None]):
-        while rows.size:
-            xs, info = _band_solve(A[rows], B[rows])
-            if info == 0:
-                x[rows] = xs
-                break
-            bad = rows[[(info - 1) // p]]
-            x[bad], pivot[bad] = _solve_spd_each(A[bad], B[bad])
-            rows = rows[rows != bad[0]]
-    return x, pivot
+    # one block reaches the next through the zero coupling entries: solve
+    # each row as a batch of one.
+    x, pivot = zip(*(solve_spd_rows(A[r:r + 1], B[r:r + 1]) for r in range(len(A))))
+    return np.concatenate(x), np.concatenate(pivot)
 
 
 def _band_solve(A, B):

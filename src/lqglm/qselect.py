@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import LqglmError, SelectionError, UsageError
-from .fit import FitControl, _fit_path, _results, fit_mlq
+from .fit import FitControl, _fit_path, _results
 from .numerics import inv_spd
 
 __all__ = [
@@ -30,6 +30,9 @@ __all__ = [
 # Every grid value is a fit; a grid beyond this size is a typo in q_min or
 # step, and would otherwise allocate and fit until memory or patience runs out.
 MAX_GRID = 10_000
+
+# The SelectionError of a collapsed grid names this many dropped values.
+SHOWN_DROPPED = 3
 
 
 class QGrid:
@@ -95,22 +98,16 @@ def are(fit, data=None):
     return float(np.trace(inv_spd(F)) / np.trace(fit.cov))
 
 
-def _coef_distance(data, fit_a, fit_b):
-    if fit_a.beta_q is not None and fit_b.beta_q is not None:
-        return float(np.linalg.norm(fit_a.beta_q - fit_b.beta_q))
-    return float(np.linalg.norm(fit_a.eta_q - fit_b.eta_q) / np.sqrt(data.n))
-
-
-def _coef_norm(data, fit):
-    if fit.beta_q is not None:
-        return float(np.linalg.norm(fit.beta_q))
-    return float(np.linalg.norm(fit.eta_q) / np.sqrt(data.n))
+def _coefs(data, fit):
+    """The calibrated coefficients, or, on a link without them, the
+    calibrated predictors scaled by ``1 / sqrt(n)``."""
+    return fit.beta_q if fit.beta_q is not None else fit.eta_q / np.sqrt(data.n)
 
 
 _GRID_CONTROL = FitControl(max_iter=100, solver="newton")
 
 
-def _grid_fits(data, grid, control):
+def _grid_fits(data, grid, control, need=3):
     """Warm-started fits down the grid; non-convergent q's are dropped.
 
     One ``_fit_path`` from the warm start, whatever ``control.init`` says,
@@ -122,28 +119,37 @@ def _grid_fits(data, grid, control):
     the stopping point of a capped loop, and near indeterminacy scoring
     converges only linearly: on vaso the 0.70:0.01 grid takes 334 scoring
     iterations (66 at q = 0.78) against about 100 Newton iterations.
+    Raises SelectionError when fewer than ``need`` fits converge.
     """
     ctl = replace(control if control is not None else _GRID_CONTROL, init="ml-warm-start")
-    fits, dropped = {}, []
+    fits, dropped = {}, {}
     qs = [float(q) for q in grid.q_values]
     for q, fit in zip(qs, _results(data, qs, _fit_path([data], qs, ctl))):
         if isinstance(fit, LqglmError):  # singular weights etc.: treat as non-convergent
             warnings.warn(f"grid fit at q={q:.4g} failed: {fit}", stacklevel=3)
-            dropped.append(q)
-            continue
-        if not fit.converged:
+            dropped[q] = str(fit)
+        elif not fit.converged:
             warnings.warn(
                 f"grid fit at q={q:.4g} did not converge ({fit.message}); dropped",
                 stacklevel=3,
             )
-            dropped.append(q)
-            continue
-        fits[q] = fit
-    if len(fits) < 3:
-        raise SelectionError(
-            f"only {len(fits)} grid fits converged; selection needs at least 3"
-        )
-    return fits, dropped
+            dropped[q] = fit.message
+        else:
+            fits[q] = fit
+    if len(fits) < need:
+        raise SelectionError(_too_few(len(fits), need, dropped))
+    return fits, list(dropped)
+
+
+def _too_few(converged, need, dropped):
+    """The message of a grid with fewer than ``need`` converged fits:
+    the first ``SHOWN_DROPPED`` dropped values with their reasons, and the
+    number of the others."""
+    reasons = [f"q={q:.4g}: {why}" for q, why in list(dropped.items())[:SHOWN_DROPPED]]
+    if len(dropped) > SHOWN_DROPPED:
+        reasons.append(f"{len(dropped) - SHOWN_DROPPED} more")
+    return (f"only {converged} grid fits converged; selection needs at least {need}"
+            + (f" (dropped {'; '.join(reasons)})" if reasons else ""))
 
 
 def select_q_stability(data, grid=None, control=None):
@@ -160,8 +166,9 @@ def select_q_stability(data, grid=None, control=None):
     grid = grid if grid is not None else QGrid()
     fits, dropped = _grid_fits(data, grid, control)
     qs = sorted(fits, reverse=True)
-    qv = {qs[j]: _coef_distance(data, fits[qs[j]], fits[qs[j + 1]]) for j in range(len(qs) - 1)}
-    rho = grid.rho_factor * _coef_norm(data, fits[qs[-1]])
+    coefs = [_coefs(data, fits[q]) for q in qs]
+    qv = {qs[j]: float(np.linalg.norm(coefs[j] - coefs[j + 1])) for j in range(len(qs) - 1)}
+    rho = grid.rho_factor * float(np.linalg.norm(coefs[-1]))
     moving = [q for q, v in qv.items() if v >= rho]
     q_opt = max(moving) if moving else qs[0]
     return QSelectResult(
@@ -177,17 +184,11 @@ def select_q_stability(data, grid=None, control=None):
 def select_q_efficiency(data, grid=None, control=None):
     """Efficiency selection: minimize the trace of the sandwich covariance.
 
-    Ties break toward larger q.
+    Needs ``min(3, len(grid))`` converged grid fits, where the stability
+    rule needs 3.  Ties break toward larger q.
     """
     grid = grid if grid is not None else QGrid()
-    if len(grid.q_values) == 1:
-        q = float(grid.q_values[0])
-        fit = fit_mlq(data, replace(control if control is not None else _GRID_CONTROL, q=q))
-        if not fit.converged:
-            raise SelectionError(f"the only grid fit, at q={q:.4g}, did not converge "
-                                 f"({fit.message})")
-        return QSelectResult(q, {}, 0.0, {q: _summary(data, fit)}, "efficiency")
-    fits, dropped = _grid_fits(data, grid, control)
+    fits, dropped = _grid_fits(data, grid, control, min(3, len(grid.q_values)))
     traces = {q: float(np.trace(f.cov)) for q, f in fits.items()}
     best = min(traces.values())
     # relative to |best|, so that a negative (roundoff) best is its own tie

@@ -289,6 +289,9 @@ def test_seed_env_read_when_the_command_runs(vaso_csv, tmp_path, monkeypatch):
     ["fit", "--data", "x.csv", "--response", "y", "--bogus"],
     ["envelope", "--data", "x.csv", "--response", "y", "--reps", "many"],
     ["selectq", "--data", "x.csv", "--response", "y", "--max-iter", "-1", "--tol", "nan"],
+    ["fit", "--data", "x.csv", "--response", "y", "--format", "csv"],
+    ["test", "--data", "x.csv", "--response", "y", "--H", "H.csv", "--h", "h.csv", "--seed", "1"],
+    ["selectq", "--data", "x.csv", "--response", "y", "--format", "csv"],
     ["frobnicate"],
     [],
 ])

@@ -476,6 +476,31 @@ class TestStandardizedResiduals:
         assert 0.8 < allt.var() < 1.2
 
 
+    def test_leverage_one_is_undefined_in_a_batch_and_alone(self):
+        # an indicator column gives its observation a leverage of 1, so the
+        # bracket is zero up to roundoff of either sign: NaN, whatever the sign
+        from lqglm.diagnostics import _Fits, _standardized
+        from lqglm.fit import _stack
+
+        def indicator_poisson(seed):
+            rng = rng_stream(61, seed)
+            X = np.column_stack([np.ones(30), rng.uniform(-1, 1, size=30), np.eye(30)[4]])
+            y = rng.poisson(np.exp(X[:, :2] @ np.array([1.0, 0.5]))).astype(float)
+            y[4] = 3.0
+            return ModelData(X, y, "poisson")
+
+        datas = [indicator_poisson(s) for s in range(8)]
+        fits = [fit_mlq(d, FitControl(q=0.9)) for d in datas]
+        for data, fit in zip(datas, fits):
+            with pytest.warns(UserWarning, match="^1 standardized residuals undefined"):
+                t = standardized_residuals(data, fit)
+            assert np.isnan(t[4]) and np.isfinite(np.delete(t, 4)).all()
+        batch = _Fits(_stack(datas, 1.0), 0.9, *(np.array([getattr(f, k) for f in fits])
+                                                 for k in ("eta_star", "eta_q", "mu")))
+        t, undefined, pivot = _standardized(batch)
+        assert undefined.tolist() == [1] * 8 and not pivot.any()
+        assert np.isnan(t[:, 4]).all() and np.isfinite(np.delete(t, 4, axis=1)).all()
+
     @pytest.mark.parametrize("fixture,q,rtol", [
         ("vaso", 0.79, 1e-12), ("poisson_example", 0.9, 1e-12), ("vaso", 0.6, 1e-9)])
     def test_matches_dense_hat_matrix(self, fixture, q, rtol, request):

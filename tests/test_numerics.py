@@ -97,6 +97,39 @@ class TestSolveSpdRows:
         assert pivot[3] == 2 and np.isnan(x[3]).all()
         assert np.isnan(x[8]).all() and not np.isfinite(x[10]).all()
 
+    def test_fallback_equals_row_by_row_solves(self):
+        # on stacks with non-positive-definite, rank-one, zero and
+        # non-finite rows, every row equals its own band solve, or, where
+        # that fails, its dense factorization and pivot
+        from lqglm.numerics import _solve_spd_each
+
+        rng = rng_stream(23, 0)
+        failing = 0
+        for _ in range(300):
+            R, p = int(rng.integers(2, 12)), int(rng.integers(1, 6))
+            M = rng.normal(size=(R, p, p + 2))
+            A, B = M @ np.swapaxes(M, 1, 2), rng.normal(size=(R, p))
+            for r, kind in enumerate(rng.integers(0, 12, size=R)):
+                if kind == 0:
+                    A[r] = -A[r]
+                elif kind == 1:
+                    A[r] = np.outer(M[r, :, 0], M[r, :, 0])
+                elif kind == 2:
+                    A[r] = 0.0
+                elif kind == 3:
+                    A[r, rng.integers(p), rng.integers(p)] = np.nan
+                elif kind == 4:
+                    B[r, rng.integers(p)] = rng.choice([np.nan, np.inf])
+            x, pivot = solve_spd_rows(A, B)
+            failing += bool(pivot.any())
+            for r in range(R):
+                x_r, info = _band_solve_two_calls(A[[r]], B[[r]])
+                pivot_r = [0]
+                if info:
+                    x_r, pivot_r = _solve_spd_each(A[[r]], B[[r]])
+                assert x[r].tobytes() == x_r[0].tobytes() and pivot[r] == pivot_r[0]
+        assert failing > 200
+
     def test_dense_rows_match_solve_spd(self):
         from lqglm.numerics import _solve_spd_each
 

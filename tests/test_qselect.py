@@ -89,6 +89,26 @@ class TestStabilitySelection:
             with pytest.warns(UserWarning):
                 select_q_stability(data, QGrid(q_min=0.96, step=0.01), control=ctl)
 
+    def test_selection_error_names_the_dropped_values(self, vaso):
+        # the reasons of the first SHOWN_DROPPED values, then a count
+        from lqglm.qselect import SHOWN_DROPPED
+
+        with pytest.warns(UserWarning):
+            with pytest.raises(SelectionError) as short:
+                select_q_stability(vaso, QGrid(q_values=[0.79, 0.78]), FitControl(max_iter=5))
+        assert str(short.value) == (
+            "only 0 grid fits converged; selection needs at least 3 (dropped "
+            "q=0.79: no convergence within 5 iterations; "
+            "q=0.78: no convergence within 5 iterations)")
+        messages = []
+        for q_min in (0.9, 0.5):
+            with pytest.warns(UserWarning):
+                with pytest.raises(SelectionError) as long:
+                    select_q_stability(vaso, QGrid(q_min=q_min, step=0.01), FitControl(max_iter=2))
+            messages.append(str(long.value))
+        assert messages[0].count("q=") == messages[1].count("q=") == SHOWN_DROPPED
+        assert messages[0].endswith("; 8 more)") and messages[1].endswith("; 48 more)")
+
     def test_unexpected_errors_propagate(self, vaso, monkeypatch):
         # only package errors mark a grid value as dropped; anything else
         # is a defect and must surface
@@ -140,6 +160,24 @@ class TestEfficiencySelection:
         assert fit.converged and summary["converged"]
         assert summary["iterations"] == fit.iterations
         assert summary["beta_q"] == fit.beta_q.tolist()
+
+    def test_two_value_grid_selects(self, vaso):
+        # efficiency needs min(3, grid length) converged fits
+        sel = select_q_efficiency(vaso, QGrid(q_min=0.95, step=0.05))
+        assert list(sel.qv_profile) == [1.0, 0.95] and not sel.dropped
+        assert sel.q_opt == min(sel.qv_profile, key=sel.qv_profile.get) == 1.0
+
+    def test_single_value_grid_ignores_the_init(self, vaso):
+        # a one-value grid is warm-started like every grid, whatever the
+        # control's init; from zeros the q = 0.79 fit takes 32 iterations
+        from lqglm.qselect import _summary
+
+        ctl = FitControl(max_iter=100, init=np.zeros(3))
+        sel = select_q_efficiency(vaso, QGrid(q_values=[0.79]), ctl)
+        warm = fit_mlq(vaso, FitControl(q=0.79, max_iter=100))
+        assert fit_mlq(vaso, FitControl(q=0.79, max_iter=100, init=np.zeros(3))).iterations == 32
+        assert sel.fits == {0.79: _summary(vaso, warm)} and warm.iterations == 29
+        assert sel.qv_profile == {0.79: float(np.trace(warm.cov))}
 
     def test_negative_smallest_trace_is_selected(self):
         # the kept q <= 0.85 fits have traces within roundoff of zero, and the
@@ -320,38 +358,36 @@ def _oracle_result(data, prob, q, res):
     )
 
 
-def _oracle_grid_fits(data, grid, control):
+def _oracle_grid_fits(data, grid, control, need=3):
     """``qselect._grid_fits`` with one ``_oracle_result`` per grid value."""
     import warnings
     from dataclasses import replace
 
     from lqglm import LqglmError
     from lqglm.fit import _fit_path
-    from lqglm.qselect import _GRID_CONTROL
+    from lqglm.qselect import _GRID_CONTROL, _too_few
 
     ctl = replace(control if control is not None else _GRID_CONTROL, init="ml-warm-start")
-    fits, dropped = {}, []
+    fits, dropped = {}, {}
     qs = [float(q) for q in grid.q_values]
     for q, (prob, res) in zip(qs, _fit_path([data], qs, ctl)):
         try:
             fit = _oracle_result(data, prob, q, res)
         except LqglmError as e:
             warnings.warn(f"grid fit at q={q:.4g} failed: {e}", stacklevel=3)
-            dropped.append(q)
+            dropped[q] = str(e)
             continue
         if not fit.converged:
             warnings.warn(
                 f"grid fit at q={q:.4g} did not converge ({fit.message}); dropped",
                 stacklevel=3,
             )
-            dropped.append(q)
+            dropped[q] = fit.message
             continue
         fits[q] = fit
-    if len(fits) < 3:
-        raise SelectionError(
-            f"only {len(fits)} grid fits converged; selection needs at least 3"
-        )
-    return fits, dropped
+    if len(fits) < need:
+        raise SelectionError(_too_few(len(fits), need, dropped))
+    return fits, list(dropped)
 
 
 def _recorded(fn, *args, **kwargs):

@@ -8,7 +8,9 @@ workload in a fresh interpreter, importing ``lqglm`` from its own ``src/``
 and the workload definitions from this repository's ``bench/workloads.py``
 (read only: nothing under ``bench/`` is written).  Every op's ``inspect``
 summary and problem list are compared by ``repr``, so a float that moves
-by one ulp counts as a difference.  Prints the number of differing ops per
+by one ulp counts as a difference, and so is every document the op writes
+(a workload's ``outputs`` files, such as ``session_vaso``'s five JSON
+documents), byte for byte.  Prints the number of differing ops per
 workload and exits 1 if there are any.
 """
 
@@ -25,7 +27,8 @@ OPS = {"mc_contam": 24, "mc_tests": 100, "session_vaso": 4}
 
 
 def emit(checkout, workload, seed, n_ops):
-    """Print the repr of each op's (summary, problems) as one JSON list."""
+    """Print, as one JSON list, the repr of each op's written documents
+    and its (summary, problems)."""
     sys.path[:0] = [str(Path(checkout).resolve() / "src"), str(ROOT / "bench")]
     import lqglm
     import lqglm.cli
@@ -38,7 +41,10 @@ def emit(checkout, workload, seed, n_ops):
         out = []
         for k in range(n_ops):
             inp = wl.inputs(k)
-            out.append(repr(wl.inspect(inp, wl.run(inp))))
+            result = wl.run(inp)
+            docs = {name: Path(path).read_text()
+                    for name, path in getattr(wl, "outputs", {}).items()}
+            out.append(repr((docs, wl.inspect(inp, result))))
     print(json.dumps(out))
 
 
