@@ -111,6 +111,12 @@ class _Working(NamedTuple):
         return _Working(*(f[keep] if isinstance(f, np.ndarray) else f for f in self))
 
 
+def _unit(phi):
+    """Whether the dispersion is the float 1, whose multiply or divide is
+    the identity (``x * 1.0 == x / 1.0 == x``) and is skipped."""
+    return isinstance(phi, float) and phi == 1.0
+
+
 def _weights_terms(logf, q):
     """``U = f^(1-q)`` and the objective terms ``l_q(f)`` from ``logf``.
 
@@ -142,12 +148,16 @@ def _working(prob, eta, q):
     column of per-row values; each row equals its own float-q evaluation.
     On the canonical link ``theta = eta`` and ``k_dot = 1``: ``kdot`` is
     the float 1.0 and ``psi`` is not multiplied by it.  At q = 1 exactly,
-    ``U = f^0 = 1`` without an ``exp`` pass (see ``_weights_terms``).
+    ``U = f^0 = 1`` without an ``exp`` pass (see ``_weights_terms``).  A
+    float ``phi = 1`` (every Bernoulli and Poisson fit) scales neither
+    ``logf`` nor ``psi`` (see ``_unit``).
     """
     fam, link, y, phi = prob.family, prob.link, prob.y, prob.phi
+    unit = _unit(phi)
     theta = eta if link.is_canonical else link.k(eta)
     b, mu, V = fam.cumulants(theta)
-    logf = phi * (y * theta - b) + prob.c
+    logf = y * theta - b
+    logf = (logf if unit else phi * logf) + prob.c
     U, terms = _weights_terms(logf, q)
     if link.is_canonical:
         kdot, s = 1.0, U * (y - mu)
@@ -155,7 +165,9 @@ def _working(prob, eta, q):
         # W^{1/2} V^{-1/2} reduces to k_dot since W = V k_dot^2
         kdot = link.k_dot(eta)
         s = U * kdot * (y - mu)
-    psi = phi * (s[..., None, :] @ prob.X)[..., 0, :]
+    psi = (s[..., None, :] @ prob.X)[..., 0, :]
+    if not unit:
+        psi = phi * psi
     objective = np.add.reduce(terms, axis=-1)
     theta_max = np.maximum.reduce(np.abs(theta), axis=-1)
     in_domain = fam.in_theta_domain(theta, axis=-1, abs_max=theta_max)
@@ -177,7 +189,8 @@ def _sensitivity(prob, w, q):
     if not column and q == 1.0:
         J = 1.0
     else:
-        J = np.exp(prob.phi * (q * w.b - prob.family.b(q * w.theta)))
+        e = q * w.b - prob.family.b(q * w.theta)
+        J = np.exp(e if _unit(prob.phi) else prob.phi * e)
         if column:
             J = np.where(q == 1.0, 1.0, J)
     if prob.link.is_canonical:
@@ -268,7 +281,8 @@ def _matrices_ab(prob, w, q):
     _, W, J, _, XtDX = _sensitivity(prob, w, q)
     phi = prob.phi
     XtWJX = XtDX if prob.link.is_canonical else (prob.Xt * (W * J)[..., None, :]) @ prob.X
-    return np.asarray(phi / (2.0 - q))[..., None] * XtWJX, np.asarray(phi)[..., None] * XtDX
+    A = np.asarray(phi / (2.0 - q))[..., None] * XtWJX
+    return A, (XtDX if _unit(phi) else np.asarray(phi)[..., None] * XtDX)
 
 
 def _j_q_undefined(family):
@@ -363,7 +377,7 @@ def _step(prob, w, q, newton):
     negative on observations with large residuals at q < 1; a row whose
     Hessian is not positive definite takes the scoring step instead.
     """
-    rhs = w.psi / prob.phi
+    rhs = w.psi if _unit(prob.phi) else w.psi / prob.phi
     if not newton:
         return solve_spd_rows(_sensitivity(prob, w, q)[-1], rhs)
     r = prob.y - w.mu
@@ -538,7 +552,11 @@ def _fit_path(datas, qs, control, offset=None):
     ``qs``; returns one ``(prob, res)`` per q.
 
     The datas share family, link, design shape and dispersion setting and
-    are fitted as one batch.  The first q starts from the explicit
+    are fitted as one batch.  ``datas`` may instead be a stacked
+    ``_Problem`` at a fixed dispersion, built from arrays whose responses
+    the caller has checked (the rows of a Monte Carlo block); its design
+    is not checked for rank, so a rank-deficient row fails at the
+    classical start's Cholesky pivot.  The first q starts from the explicit
     ``control.init``, or from the classical start followed, for q < 1, by
     the q = 1 fit (which is the q = 1 stage otherwise).  Each later q
     starts each row from its last converged, error-free solution, else
@@ -550,14 +568,17 @@ def _fit_path(datas, qs, control, offset=None):
     ``fit_mlq`` raises on row r before it evaluates the solution, else
     None.
     """
-    profile = datas[0].phi == PROFILE
-    base = _stack(datas, 1.0 if profile else datas[0].phi, offset)
+    if isinstance(datas, _Problem):
+        base, profile = datas, False
+    else:
+        profile = datas[0].phi == PROFILE
+        base = _stack(datas, 1.0 if profile else datas[0].phi, offset)
     if not isinstance(control.init, str):
         beta0 = np.asarray(control.init, dtype=float)
         if beta0.shape != (base.X.shape[-1],):
             raise UsageError("explicit init vector has the wrong length")
-        seed, warm_q = np.tile(beta0, (len(datas), 1)), None
-        error = np.full(len(datas), None, dtype=object)
+        seed, warm_q = np.tile(beta0, (len(base.y), 1)), None
+        error = np.full(len(base.y), None, dtype=object)
     elif control.init != "ml-warm-start":
         raise UsageError(f"unknown init {control.init!r}")
     else:

@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import UsageError
 from .families import Q_ONE_EPS, get_family, get_link
-from .fit import BLOCK, FitControl, _fit_path, _fitted, calibrate_coefficients
+from .fit import BLOCK, FitControl, _fit_path, _fitted, _Problem, calibrate_coefficients
 from .model import ModelData
 from .numerics import rng_stream
 
@@ -64,6 +64,8 @@ class SimDesign:
             raise UsageError("nu must be positive")
         if self.reps < 1:
             raise UsageError("reps must be at least 1")
+        if not self.n > len(self.beta_true) >= 1:
+            raise UsageError(f"need n > p >= 1, got n={self.n}, p={len(self.beta_true)}")
         if any(not 0.0 < q <= 1.0 for q in self.q_list):
             raise UsageError("q values must lie in (0, 1]")
         # the study summarises calibrated coefficients, which only the
@@ -118,21 +120,19 @@ def _design_matrix(design, rng):
     return X
 
 
-def _draw(design, rng, X=None):
+def _draw(design, family, link, rng, X=None):
     """Covariates (fresh U(0,1) draws unless ``X`` is given), then model
-    responses; returns ``(X, y, family, link)``."""
-    family = get_family(design.family)
-    link = get_link(design.link)
+    responses; returns ``(X, y)``."""
     if X is None:
         X = _design_matrix(design, rng)
     theta = link.k(X @ np.asarray(design.beta_true, dtype=float))
-    y = family.sample(rng, family.b_dot(theta), 1.0)
-    return X, y, family, link
+    return X, family.sample(rng, family.b_dot(theta), 1.0)
 
 
 def gen_dataset(design, rng):
     """One dataset from the design: fresh U(0,1) covariates, model responses."""
-    return ModelData(*_draw(design, rng), 1.0)
+    family, link = get_family(design.family), get_link(design.link)
+    return ModelData(*_draw(design, family, link, rng), family, link, 1.0)
 
 
 def contaminate(y, eps, nu, rng):
@@ -158,21 +158,28 @@ def _replicates(design, ks, X_fixed=None):
     Returns the calibrated estimates, shape ``(len(ks), len(q_list), p)``
     (NaN on non-convergence).  Replicate k's stream drives, in order, the
     covariate draws (unless fixed), the responses, and the contamination
-    indices, so contamination patterns are reproducible.  The block is
-    fitted as one batch down the q values in descending order by
-    ``_fit_path``: the q = 1 fit from the classical start, then each q
-    from the row's last converged estimate (its q = 1 fit while it has
-    none).  A row's fits never depend on the other rows of its block.
+    indices, so contamination patterns are reproducible.  The replicates
+    are drawn into one (R, n, p) design and one (R, n) response array,
+    whose responses are checked once, and the block is fitted as one
+    batch down the q values in descending order by ``_fit_path``: the
+    q = 1 fit from the classical start, then each q from the row's last
+    converged estimate (its q = 1 fit while it has none).  A row's fits
+    never depend on the other rows of its block.  A replicate whose
+    design is rank deficient fails at the classical start and counts as
+    non-converged at every q.
     """
-    datas = []
-    for k in ks:
+    family, link = get_family(design.family), get_link(design.link)
+    X = np.empty((len(ks), design.n, len(design.beta_true)))
+    y = np.empty((len(ks), design.n))
+    for i, k in enumerate(ks):
         rng = rng_stream(design.seed, k)
-        X, y, family, link = _draw(design, rng, X_fixed)
-        y, _ = contaminate(y, design.eps, design.nu, rng)
-        datas.append(ModelData(X, y, family, link, 1.0))
+        X[i], y_k = _draw(design, family, link, rng, X_fixed)
+        y[i] = contaminate(y_k, design.eps, design.nu, rng)[0]
+    family.validate_y(y)
+    block = _Problem.build(family, link, X, y, 1.0)
     qs = sorted(set(float(q) for q in design.q_list), reverse=True)
     out = {}
-    for q, (prob, res) in zip(qs, _fit_path(datas, qs, FitControl(max_iter=MAX_ITER, tol=TOL))):
+    for q, (prob, res) in zip(qs, _fit_path(block, qs, FitControl(max_iter=MAX_ITER, tol=TOL))):
         _fitted(prob, q, res)
         good = (res.ok & res.converged)[:, None]
         out[q] = np.where(good, calibrate_coefficients(prob.link, res.beta, q), np.nan)

@@ -1124,3 +1124,31 @@ class TestQColumn:
                 assert got[r].tobytes() == want.tobytes(), qr
                 assert _lq_terms(logf[r], qr, (1.0 - qr) * logf[r]).tobytes() == want.tobytes()
         assert np.array_equal(got[:2], logf[:2])
+
+
+class TestUnitDispersion:
+    """A float ``phi = 1`` skips its multiply and divide (``fit._unit``):
+    the kernel gives byte for byte what an (R, 1) column of ones, which
+    still multiplies, gives."""
+
+    @pytest.mark.parametrize("family", ["bernoulli", "poisson"])
+    @pytest.mark.parametrize("q", [1.0, 0.8, "column"])
+    def test_float_one_equals_column_of_ones(self, family, q):
+        from lqglm.fit import _matrices_ab, _step, _unit, _working
+
+        R = len(TestQColumn.Q)
+        if q == "column":
+            q = np.array(TestQColumn.Q)[:, None]
+        prob, eta = TestQColumn._problem(family, R)
+        ones = prob.with_phi(np.ones((R, 1)))
+        assert _unit(prob.phi) and not _unit(ones.phi)
+        w, w1 = _working(prob, eta, q), _working(ones, eta, q)
+        for name, got, want in zip(w._fields, w, w1):
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), name
+        for name, got, want in zip("AB", _matrices_ab(prob, w, q), _matrices_ab(ones, w1, q)):
+            assert got.tobytes() == want.tobytes(), name
+        if isinstance(q, np.ndarray):
+            return  # _irls steps at a float q only
+        for newton in (False, True):
+            for got, want in zip(_step(prob, w, q, newton), _step(ones, w1, q, newton)):
+                assert got.tobytes() == want.tobytes(), newton

@@ -216,42 +216,6 @@ class TestGridMechanics:
             QGrid(q_min=q_min, step=step)
 
 
-def _oracle_grid_fits(data, grid, control):
-    """The grid as one fit_mlq per q, each from the last converged grid
-    fit or, while there is none, from the warm start."""
-    import warnings
-    from dataclasses import replace
-
-    from lqglm import LqglmError
-    from lqglm.qselect import _GRID_CONTROL
-
-    ctl = control if control is not None else _GRID_CONTROL
-    fits, dropped = {}, []
-    start = None
-    for q in grid.q_values:
-        c = replace(ctl, q=float(q), init="ml-warm-start" if start is None else start)
-        try:
-            res = fit_mlq(data, c)
-        except LqglmError as e:  # singular weights etc.: treat as non-convergent
-            warnings.warn(f"grid fit at q={q:.4g} failed: {e}", stacklevel=3)
-            dropped.append(float(q))
-            continue
-        if not res.converged:
-            warnings.warn(
-                f"grid fit at q={q:.4g} did not converge ({res.message}); dropped",
-                stacklevel=3,
-            )
-            dropped.append(float(q))
-            continue
-        fits[float(q)] = res
-        start = res.beta_star.copy()
-    if len(fits) < 3:
-        raise SelectionError(
-            f"only {len(fits)} grid fits converged; selection needs at least 3"
-        )
-    return fits, dropped
-
-
 def _outcome(fn, *args):
     """``(result or error, warning texts)`` of a call."""
     import warnings
@@ -284,8 +248,9 @@ def _grid_cases():
 
 
 class TestGridPath:
-    """The grid is one warm-started fitting path, with the results of one
-    fit_mlq per grid value."""
+    """The grid is one warm-started fitting path.  Its fits, drops and
+    warnings equal those of ``_oracle_grid_fits``, which assembles each
+    stage of the same path alone with ``_oracle_result``."""
 
     @pytest.mark.parametrize("name", sorted(_grid_cases()))
     def test_equals_one_fit_per_q(self, vaso, name):

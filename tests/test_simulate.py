@@ -8,6 +8,7 @@ from lqglm import (
     LqglmError,
     ModelData,
     SimDesign,
+    UsageError,
     contaminate,
     fit_mlq,
     gen_dataset,
@@ -98,17 +99,18 @@ class TestRunStudy:
         assert report.rows[0]["nonconverged"] == 0
 
     def test_validation(self):
-        from lqglm import UsageError
-
         with pytest.raises(UsageError):
             SimDesign(eps=1.0)
         with pytest.raises(UsageError):
             SimDesign(q_list=(1.5,))
+        # refused when the design is made, not by a replicate's ModelData
+        with pytest.raises(UsageError, match="need n > p >= 1"):
+            SimDesign(n=3, beta_true=(1.0, 1.0, 1.0))
+        with pytest.raises(UsageError, match="need n > p >= 1"):
+            SimDesign(beta_true=())
 
     def test_noncanonical_link_needs_q_one(self):
         # calibrated coefficients exist at q < 1 only under the canonical link
-        from lqglm import UsageError
-
         with pytest.raises(UsageError, match="power3"):
             SimDesign(n=100, reps=4, q_list=(1.0, 0.9), link="power3")
         report = run_study(SimDesign(n=100, reps=4, q_list=(1.0,), link="power3"))
@@ -179,6 +181,18 @@ class TestBatchedReplicates:
         ref = np.array([self._one_replicate(design, k) for k in range(design.reps)])
         assert est.tobytes() == ref.tobytes()
         assert np.isnan(ref).any() and not np.isnan(ref).all()
+
+    def test_rank_deficient_replicates_are_nonconverged(self):
+        # a zero covariate column makes the classical start's Cholesky pivot
+        # exactly 0: every replicate fails there and is NaN at every q,
+        # where a ModelData of the same design refuses it as rank deficient
+        design = SimDesign(n=50, eps=0.1, nu=5.0, reps=5, q_list=(1.0, 0.9), seed=7)
+        X = rng_stream(7, 1).uniform(size=(50, 3))
+        X[:, 1] = 0.0
+        with pytest.raises(UsageError, match="rank deficient"):
+            ModelData(X, np.ones(50), "poisson")
+        est = _replicates(design, range(design.reps), X)
+        assert est.shape == (5, 2, 3) and np.isnan(est).all()
 
     def test_block_split_does_not_change_rows(self):
         design = SimDesign(n=120, eps=0.10, nu=5.0, reps=9, q_list=(1.0, 0.95, 0.9), seed=3)

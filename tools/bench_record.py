@@ -22,7 +22,9 @@ each of the two commits, so that a drift of the host's speed over the
 recording, or an advantage of running first or second, reaches both
 files alike.  Each checkout's ``src/`` and ``bench/``
 must be committed, because the file names the commit, and no existing
-file is overwritten.
+file is overwritten.  Once both files are written, it prints for each
+workload and end-to-end metric the ratio of the ``--repo`` median to the
+PARENT median, and on how many seeds ``--repo`` did better than PARENT.
 """
 
 import argparse
@@ -99,6 +101,27 @@ def spec(repo):
     return [w["name"] for w in doc["workloads"]], doc["run_seconds"]
 
 
+def comparison(parent, change, repo):
+    """One line per workload and end-to-end metric of ``repo``'s
+    BENCHMARK.json: the ratio of the change's median to the parent's, and
+    the seeds on which the change did better (``parent`` and ``change``
+    map each workload to its runs, seed by seed)."""
+    with open(repo / "BENCHMARK.json") as fh:
+        metrics = json.load(fh)["end_to_end"]
+    lines = []
+    for w, runs in change.items():
+        for m in metrics:
+            name, higher = m["name"], m["better"] == "higher"
+            old = [r["metrics"][name]["value"] for r in parent[w]]
+            new = [r["metrics"][name]["value"] for r in runs]
+            won = sum((b > a) if higher else (b < a) for a, b in zip(old, new))
+            median = statistics.median(old)
+            ratio = statistics.median(new) / median if median else float("nan")
+            lines.append(f"{w} {name}: {ratio:.4f}x the parent's median ({ratio - 1:+.1%}), "
+                         f"better on {won} of {len(new)} seeds")
+    return lines
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--repo", type=Path, default=ROOT, help="checkout to measure")
@@ -158,6 +181,8 @@ def main(argv=None):
             json.dump(doc, fh, indent=1)
             fh.write("\n")
         print(path)
+    if len(repos) > 1:
+        print("\n".join(comparison(*runs, repos[-1])))
     return 0
 
 
