@@ -25,17 +25,18 @@ import numpy as np
 from .errors import (
     DegenerateDirectionError,
     DomainError,
-    LqglmError,
     SingularMatrixError,
     UsageError,
 )
-from .families import _lq_terms, log_density, quantile_residual_base
+from .families import _lq_terms, quantile_residual_base
 from .fit import (
     BLOCK,
     FitControl,
     _evaluate,
     _fit_path,
     _fitted,
+    _predictor,
+    _Problem,
     _problem,
     _sensitivity,
     _stack,
@@ -207,7 +208,7 @@ def _constrained_memo(data, hyp, q, max_iter, tol, stop_rule, solver):
         return _evaluate(data, b0, q)
     reduced = ModelData(data.X @ hyp.N, data.y, data.family, data.link, data.phi)
     ctl = FitControl(q=q, max_iter=max_iter, tol=tol, stop_rule=stop_rule, solver=solver)
-    prob, res = _fit_path([reduced], [q], ctl, data.X @ b0)[0]
+    prob, res = _fit_path(_stack([reduced], data.X @ b0), [q], ctl)[0]
     if res.error[0] is not None:
         raise res.error[0]
     return _evaluate(data, b0 + hyp.N @ res.beta[0], q, float(np.ravel(prob.phi)[0]))
@@ -317,8 +318,8 @@ class _Fits(NamedTuple):
 
 
 def _batch_of_one(data, fit):
-    return _Fits(_stack([data], fit.phi_hat), fit.q, fit.eta_star[None], fit.eta_q[None],
-                 fit.mu[None])
+    prob = _Problem.build(data.family, data.link, data.X, data.y[None], fit.phi_hat)
+    return _Fits(prob, fit.q, fit.eta_star[None], fit.eta_q[None], fit.mu[None])
 
 
 def _warn_rows(counts, message):
@@ -440,15 +441,12 @@ def influence_fn(data, fit, y_new, x_new, q=None):
     x_new = np.asarray(x_new, dtype=float).ravel()
     if x_new.shape[0] != data.p:
         raise UsageError("x_new must have length p")
-    fam, link = data.family, data.link
-    phi = fit.phi_hat
-    eta = float(x_new @ fit.beta_star)
-    theta = float(link.k(eta))
-    fam.check_theta(theta)
-    fam.validate_y(np.asarray([y_new], dtype=float))
-    u = np.exp((1.0 - q) * log_density(fam, y_new, theta, phi))
-    score = phi * float(link.k_dot(eta)) * (y_new - float(fam.b_dot(theta))) * x_new
-    return solve_spd(fit.B_n, u * score)
+    prob = _Problem.build(data.family, data.link, x_new[None], np.array([y_new], dtype=float),
+                          fit.phi_hat)
+    eta = _predictor(prob, fit.beta_star)
+    data.family.check_theta(data.link.k(eta))
+    data.family.validate_y(prob.y)
+    return solve_spd(fit.B_n, _working(prob, eta, q).psi)
 
 
 _RESIDUAL_FUNCS = {
@@ -464,23 +462,27 @@ def _envelope_block(data, fit, kind, rows, seed, control):
     used whose refit did not converge.
 
     Replicate r's stream draws its responses, then its quantile-residual
-    uniforms; the refits run as one batch and use no randomness.
+    uniforms.  A response outside the family support counts as failed;
+    the others are stacked over one view of the design, and their refits
+    run as one batch and use no randomness.
     """
     discrete_u = kind == "quantile" and data.family.discrete
-    datas, uniforms, failed = [], [], 0
+    ys, uniforms, failed = [], [], 0
     for r in rows:
         rng = rng_stream(seed, r)
         y_sim = data.family.sample(rng, fit.mu, fit.phi_hat)
         try:
-            datas.append(data.with_response(y_sim))
-        except LqglmError:
+            data.family.validate_y(y_sim)
+        except DomainError:
             failed += 1
             continue
+        ys.append(y_sim)
         if discrete_u:
             uniforms.append(rng.uniform(size=data.n))
-    if not datas:
+    if not ys:
         return np.empty((0, data.n)), failed, 0
-    prob, res = _fit_path(datas, [control.q], control)[0]
+    block = _Problem.build(data.family, data.link, data.X, np.array(ys), data.phi)
+    prob, res = _fit_path(block, [control.q], control)[0]
     w = _fitted(prob, control.q, res)[0]
     ok = res.ok
     sub, eta_star = prob.rows(ok), w.eta[ok]
@@ -496,7 +498,7 @@ def _envelope_block(data, fit, kind, rows, seed, control):
         _warn_rows(clamped, _CLAMPED)
     vals = np.sort(vals, axis=-1)
     used = np.all(np.isfinite(vals), axis=-1)
-    failed += len(datas) - int(np.count_nonzero(used))
+    failed += len(ys) - int(np.count_nonzero(used))
     return vals[used], failed, int(np.count_nonzero(~res.converged[ok][used]))
 
 

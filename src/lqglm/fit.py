@@ -51,7 +51,11 @@ class _Problem(NamedTuple):
     independent rows; ``Xt`` is the contiguous transpose of ``X``, ``c``
     caches ``c(y, phi)``, and ``offset`` (n,) or None is shared by every
     row.  ``phi`` is a float shared by every row, or an (R, 1) column of
-    per-row dispersions.
+    per-row dispersions; with ``profile`` the dispersion is profiled out
+    of each fit, starting from ``phi``.  ``build`` takes ModelData's
+    ``phi``: ``PROFILE`` sets ``profile`` and starts at phi = 1.  It also
+    takes one design ``X`` (n, p) for responses ``y`` (R, n): every row
+    then views that design and its transpose, which are not copied.
     """
 
     family: object
@@ -62,11 +66,16 @@ class _Problem(NamedTuple):
     phi: float
     c: np.ndarray
     offset: object
+    profile: bool = False
 
     @classmethod
     def build(cls, family, link, X, y, phi, offset=None):
+        profile = isinstance(phi, str) and phi == PROFILE
+        phi = 1.0 if profile else phi
         Xt = np.ascontiguousarray(np.swapaxes(X, -1, -2))
-        return cls(family, link, X, Xt, y, phi, family.c(y, phi), offset)
+        if X.ndim == y.ndim:
+            X, Xt = (np.broadcast_to(a, y.shape[:1] + a.shape) for a in (X, Xt))
+        return cls(family, link, X, Xt, y, phi, family.c(y, phi), offset, profile)
 
     def rows(self, keep):
         """The problem restricted to the rows selected by ``keep``."""
@@ -84,10 +93,11 @@ def _problem(data, phi, offset=None):
     return _Problem.build(data.family, data.link, data.X, data.y, phi, offset)
 
 
-def _stack(datas, phi, offset=None):
-    """ModelData sharing a family and link, stacked on a leading batch axis."""
+def _stack(datas, offset=None):
+    """ModelData sharing a family, link and dispersion setting, stacked on a
+    leading batch axis."""
     return _Problem.build(datas[0].family, datas[0].link, np.array([d.X for d in datas]),
-                          np.array([d.y for d in datas]), phi, offset)
+                          np.array([d.y for d in datas]), datas[0].phi, offset)
 
 
 class _Working(NamedTuple):
@@ -385,7 +395,8 @@ def _step(prob, w, q, newton):
     step, pivot = solve_spd_rows((prob.Xt * D[..., None, :]) @ prob.X, rhs)
     if np.count_nonzero(pivot):
         fb = pivot > 0
-        step[fb], pivot[fb] = solve_spd_rows(_sensitivity(prob.rows(fb), w.rows(fb), q)[-1],
+        q_fb = q[fb] if isinstance(q, np.ndarray) else q
+        step[fb], pivot[fb] = solve_spd_rows(_sensitivity(prob.rows(fb), w.rows(fb), q_fb)[-1],
                                              rhs[fb])
     return step, pivot
 
@@ -547,32 +558,26 @@ def _fitted(prob, q, res):
     return w, A, B, Binv
 
 
-def _fit_path(datas, qs, control, offset=None):
-    """Fit every ModelData of ``datas`` at each q of the descending list
-    ``qs``; returns one ``(prob, res)`` per q.
+def _fit_path(base, qs, control):
+    """Fit every row of the stacked ``_Problem`` ``base`` at each q of the
+    descending list ``qs``; returns one ``(prob, res)`` per q.
 
-    The datas share family, link, design shape and dispersion setting and
-    are fitted as one batch.  ``datas`` may instead be a stacked
-    ``_Problem`` at a fixed dispersion, built from arrays whose responses
-    the caller has checked (the rows of a Monte Carlo block); its design
-    is not checked for rank, so a rank-deficient row fails at the
+    The rows are fitted as one batch.  ``base`` is ``_stack``ed from
+    ModelData, or built from arrays whose responses the caller has checked
+    (the Monte Carlo block of a study or an envelope); a study's drawn
+    designs are not checked for rank, so a rank-deficient row fails at the
     classical start's Cholesky pivot.  The first q starts from the explicit
     ``control.init``, or from the classical start followed, for q < 1, by
     the q = 1 fit (which is the q = 1 stage otherwise).  Each later q
     starts each row from its last converged, error-free solution, else
     from that q = 1 fit (the explicit init).  A row whose start failed
     (singular classical normal equations, or a failed q = 1 fit) keeps
-    that error at every q, and a profiled dispersion is profiled anew at
-    every q.  ``prob`` stacks the rows at their dispersion; ``res`` is
-    each row's last ``_irls`` outcome, with ``res.error[r]`` what
-    ``fit_mlq`` raises on row r before it evaluates the solution, else
-    None.
+    that error at every q, and with ``base.profile`` the dispersion is
+    profiled anew at every q.  ``prob`` stacks the rows at their
+    dispersion; ``res`` is each row's last ``_irls`` outcome, with
+    ``res.error[r]`` what ``fit_mlq`` raises on row r before it evaluates
+    the solution, else None.
     """
-    if isinstance(datas, _Problem):
-        base, profile = datas, False
-    else:
-        profile = datas[0].phi == PROFILE
-        base = _stack(datas, 1.0 if profile else datas[0].phi, offset)
     if not isinstance(control.init, str):
         beta0 = np.asarray(control.init, dtype=float)
         if beta0.shape != (base.X.shape[-1],):
@@ -597,7 +602,7 @@ def _fit_path(datas, qs, control, offset=None):
             seed = np.where((last.ok & last.converged)[:, None], last.beta, seed)
         res = warm if q == warm_q else _irls(base, q, seed, control)
         res.error[failed] = error[failed]
-        path.append((_profile(base, q, res, control) if profile else base, res))
+        path.append((_profile(base, q, res, control) if base.profile else base, res))
     return path
 
 
@@ -693,7 +698,8 @@ def fit_mlq(data, control=None, offset=None):
     """
     if control is None:
         control = FitControl()
-    fit = next(_results(data, [control.q], _fit_path([data], [control.q], control, offset)))
+    path = _fit_path(_stack([data], offset), [control.q], control)
+    fit = next(_results(data, [control.q], path))
     if isinstance(fit, LqglmError):
         raise fit
     return fit
@@ -701,7 +707,7 @@ def fit_mlq(data, control=None, offset=None):
 
 def _results(data, qs, path):
     """Yield, in the order of ``qs``, the FitResult of each stage of
-    ``path = _fit_path([data], qs, ...)``, or the LqglmError that
+    ``path = _fit_path(_stack([data]), qs, ...)``, or the LqglmError that
     ``fit_mlq`` raises on that stage instead.
 
     The stages are assembled in blocks of at most ``BLOCK`` (see
@@ -798,7 +804,7 @@ def estimate_phi(data, beta_q, q, expand=1e4):
     if data.family.phi_fixed is not None:
         raise UsageError(f"family '{data.family.name}' has fixed dispersion")
     eta_q = data.X @ np.asarray(beta_q, dtype=float)
-    phi, error = _profile_phi(_stack([data], 1.0), eta_q[None], q, expand=expand)
+    phi, error = _profile_phi(_stack([data]), eta_q[None], q, expand=expand)
     if error[0] is not None:
         raise error[0]
     return float(phi[0])

@@ -70,21 +70,6 @@ class ModelData:
         self.n = n
         self.p = p
 
-    def with_response(self, y):
-        """The same data with the response ``y``.
-
-        Only ``y`` is checked (its length and the family support); the
-        frozen design and its rank check are shared with this ModelData.
-        """
-        y = np.array(y, dtype=float, copy=True).ravel()
-        if y.shape[0] != self.n:
-            raise UsageError("X and y have incompatible lengths")
-        self.family.validate_y(y)
-        y.setflags(write=False)
-        out = object.__new__(ModelData)
-        out.__dict__.update(self.__dict__, y=y)
-        return out
-
     def subset_columns(self, cols):
         """ModelData restricted to the given design columns (nested model)."""
         return ModelData(self.X[:, list(cols)], self.y, self.family, self.link, self.phi)

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import LqglmError, SelectionError, UsageError
-from .fit import FitControl, _fit_path, _results
+from .fit import FitControl, _fit_path, _results, _stack
 from .numerics import inv_spd
 
 __all__ = [
@@ -124,7 +124,7 @@ def _grid_fits(data, grid, control, need=3):
     ctl = replace(control if control is not None else _GRID_CONTROL, init="ml-warm-start")
     fits, dropped = {}, {}
     qs = [float(q) for q in grid.q_values]
-    for q, fit in zip(qs, _results(data, qs, _fit_path([data], qs, ctl))):
+    for q, fit in zip(qs, _results(data, qs, _fit_path(_stack([data]), qs, ctl))):
         if isinstance(fit, LqglmError):  # singular weights etc.: treat as non-convergent
             warnings.warn(f"grid fit at q={q:.4g} failed: {fit}", stacklevel=3)
             dropped[q] = str(fit)

@@ -222,7 +222,7 @@ def _oracle_constrained_point(data, hyp, q, control):
     result is discarded, then the evaluation on the full design."""
     from dataclasses import replace
 
-    from lqglm.fit import _evaluate, _fit_path, _fitted, _phi_value
+    from lqglm.fit import _evaluate, _fit_path, _fitted, _phi_value, _stack
     from lqglm.numerics import solve_spd
 
     if not data.link.is_canonical:
@@ -236,7 +236,7 @@ def _oracle_constrained_point(data, hyp, q, control):
     reduced = ModelData(data.X @ N, data.y, data.family, data.link, data.phi)
     ctl = replace(control if control is not None else FitControl(), q=q,
                   init="ml-warm-start")
-    prob, res = _fit_path([reduced], [q], ctl, data.X @ b0)[0]
+    prob, res = _fit_path(_stack([reduced], data.X @ b0), [q], ctl)[0]
     _fitted(prob, q, res)
     if res.error[0] is not None:
         raise res.error[0]
@@ -495,8 +495,8 @@ class TestStandardizedResiduals:
             with pytest.warns(UserWarning, match="^1 standardized residuals undefined"):
                 t = standardized_residuals(data, fit)
             assert np.isnan(t[4]) and np.isfinite(np.delete(t, 4)).all()
-        batch = _Fits(_stack(datas, 1.0), 0.9, *(np.array([getattr(f, k) for f in fits])
-                                                 for k in ("eta_star", "eta_q", "mu")))
+        batch = _Fits(_stack(datas), 0.9, *(np.array([getattr(f, k) for f in fits])
+                                            for k in ("eta_star", "eta_q", "mu")))
         t, undefined, pivot = _standardized(batch)
         assert undefined.tolist() == [1] * 8 and not pivot.any()
         assert np.isnan(t[:, 4]).all() and np.isfinite(np.delete(t, 4, axis=1)).all()
@@ -864,6 +864,23 @@ class TestBatchedEnvelope:
         env, ref = self._check(data, fit_mlq(data, ctl), "quantile", 12, 6, ctl)
         assert env.failed == 2
         assert sorted(ref["errors"]) == ["BracketError", "SingularMatrixError"]
+
+    def test_blocks_view_the_one_design(self, vaso, vaso_79, monkeypatch):
+        # each block stacks its responses over a view of the observed design,
+        # not over a copy of it per replicate
+        from lqglm import diagnostics
+
+        blocks, fit_path = [], diagnostics._fit_path
+
+        def recording(base, qs, control):
+            blocks.append(base)
+            return fit_path(base, qs, control)
+
+        monkeypatch.setattr(diagnostics, "_fit_path", recording)
+        simulation_envelope(vaso, vaso_79, kind="deviance", reps=70, seed=3)
+        assert [b.y.shape for b in blocks] == [(64, vaso.n), (6, vaso.n)]
+        for b in blocks:
+            assert np.shares_memory(b.X, vaso.X) and b.X.strides[0] == b.Xt.strides[0] == 0
 
     def test_invalid_responses_count_as_failed(self, poisson_example, monkeypatch):
         # a replicate whose response leaves the support fails before its refit

@@ -518,33 +518,6 @@ class TestModelData:
         with pytest.raises(UsageError, match="tol"):
             FitControl(tol=float("nan"))
 
-    @pytest.mark.parametrize("family", ["bernoulli", "poisson", "gaussian"])
-    def test_with_response_equals_a_new_model_data(self, family):
-        rng = rng_stream(43, 0)
-        X = np.column_stack([np.ones(10), rng.uniform(-1, 1, size=10)])
-        y = np.r_[0.0, 1.0, (rng.uniform(size=8) < 0.5).astype(float)]
-        phi = PROFILE if family == "gaussian" else 1.0
-        data = ModelData(X, y, family, phi=phi)
-        y_new = np.r_[1.0, 0.0, 2.0 * y[2:]] if family == "poisson" else y[::-1].copy()
-        got, want = data.with_response(y_new), ModelData(X, y_new, family, phi=phi)
-        assert vars(got).keys() == vars(want).keys()
-        assert got.X is data.X and got.family is data.family and got.link is data.link
-        assert got.y.tobytes() == want.y.tobytes() and not got.y.flags.writeable
-        assert (got.n, got.p, got.phi) == (want.n, want.p, want.phi)
-        y_new[0] = 0.5  # the copy is not the caller's array
-        assert got.y[0] != 0.5
-        assert data.y.tobytes() == y.tobytes()
-
-    def test_with_response_validates_the_response(self):
-        from lqglm import DomainError, UsageError
-
-        X = np.column_stack([np.ones(6), np.arange(6.0)])
-        data = ModelData(X, np.r_[np.zeros(3), np.ones(3)], "poisson")
-        with pytest.raises(DomainError):
-            data.with_response(np.array([0.0, 1.0, 2.5, 0, 1, 0]))
-        with pytest.raises(UsageError):
-            data.with_response(np.zeros(5))
-
     def test_profile_rejected_for_fixed_dispersion(self):
         from lqglm import UsageError
 
@@ -585,7 +558,7 @@ class TestBatchedCore:
             X = np.column_stack([np.ones(12), rng.uniform(-1, 1, size=12)])
             y = np.r_[0.0, 1.0, (rng.uniform(size=10) < 0.5).astype(float)]
             datas.append(ModelData(X, y, "bernoulli"))
-        prob = _stack(datas, 1.0)
+        prob = _stack(datas)
         beta0 = _classical_start(prob)[0]
         beta0[2] = np.nan  # a start without a finite objective
         return prob, beta0
@@ -633,7 +606,7 @@ class TestBatchedCore:
         beta0[2] = [800.0, 0.0]  # |theta| beyond the overflow guard
         beta0[3] = np.nan  # no finite objective
         beta0[5] = [600.0, 0.0]  # vanishing weights: a step no halving can rescue
-        return _stack(datas, 1.0), beta0
+        return _stack(datas), beta0
 
     @pytest.mark.parametrize("solver", ["scoring", "newton"])
     def test_each_stop_reason_retires_its_row(self, solver):
@@ -679,7 +652,8 @@ class TestBatchedCore:
         monkeypatch.setattr(fit_module, "_classical_start", singular_row_1)
         rng = rng_stream(5, 1)
         datas = [_random_data("bernoulli", rng)[0] for _ in range(3)]
-        for _, res in fit_module._fit_path(datas, [1.0, 0.9, 0.8], FitControl(max_iter=50)):
+        for _, res in fit_module._fit_path(fit_module._stack(datas), [1.0, 0.9, 0.8],
+                                           FitControl(max_iter=50)):
             assert repr(res.error[1]) == repr(_not_positive_definite(2))
             assert res.error[0] is None and res.error[2] is None
 
@@ -729,16 +703,10 @@ class TestBatchedCore:
     def test_fitted_finds_b_n_not_positive_definite(self):
         # profiled Gaussian refits at n = 6 and q = 0.5: replicate 0 converges
         # but its B_n is singular, and others fail in the dispersion search
-        from lqglm.fit import _fit_path, _fitted
+        from lqglm.fit import _fit_path, _fitted, _stack
 
-        rng = rng_stream(203, 6)
-        X = np.column_stack([np.ones(6), rng.uniform(-1, 1, size=6)])
-        data = ModelData(X, rng.normal(X @ np.array([0.5, 1.0]), 0.5), "gaussian", phi=PROFILE)
-        ctl = FitControl(q=0.5)
-        fit = fit_mlq(data, ctl)
-        datas = [ModelData(X, data.family.sample(rng_stream(6, r), fit.mu, fit.phi_hat),
-                           "gaussian", phi=PROFILE) for r in range(12)]
-        prob, res = _fit_path(datas, [0.5], ctl)[0]
+        datas, ctl = _small_profiled_refits()
+        prob, res = _fit_path(_stack(datas), [0.5], ctl)[0]
         assert res.error[0] is None
         _fitted(prob, 0.5, res)
         kinds = self._assert_fit_mlq_errors(res, datas, [ctl] * len(datas))
@@ -751,9 +719,21 @@ class TestBatchedCore:
 
         ctl = FitControl(q=0.9, init=np.full(3, 0.5))
         fit = fit_mlq(poisson_example, ctl)
-        res = _irls(_stack([poisson_example], 1.0), 0.9, np.full((1, 3), 0.5), ctl)
+        res = _irls(_stack([poisson_example]), 0.9, np.full((1, 3), 0.5), ctl)
         assert fit.beta_star.tobytes() == res.beta[0].tobytes()
         assert fit.iterations == res.iterations[0] and fit.objective_trace[-1] == res.trace[0, fit.iterations]
+
+
+def _small_profiled_refits():
+    """Twelve profiled Gaussian envelope-style replicates at n = 6, drawn
+    from a q = 0.5 fit, and the control of their refits."""
+    rng = rng_stream(203, 6)
+    X = np.column_stack([np.ones(6), rng.uniform(-1, 1, size=6)])
+    data = ModelData(X, rng.normal(X @ np.array([0.5, 1.0]), 0.5), "gaussian", phi=PROFILE)
+    ctl = FitControl(q=0.5)
+    fit = fit_mlq(data, ctl)
+    return [ModelData(X, data.family.sample(rng_stream(6, r), fit.mu, fit.phi_hat),
+                      "gaussian", phi=PROFILE) for r in range(12)], ctl
 
 
 def _draw(family_name, seed, n):
@@ -818,9 +798,9 @@ class TestNewtonSolver:
         y = rng.poisson(np.exp(X @ np.array([1.0, 0.5]))).astype(float)
         y[0] = 60.0
         data = ModelData(X, y, "poisson")
-        prob = _stack([data], 1.0)
+        prob = _stack([data])
         ctl = FitControl(q=0.5, stop_rule="coef-psi", max_iter=100, solver="newton")
-        beta0 = _fit_path([data], [1.0], ctl)[0][1].beta  # the q = 1 warm start
+        beta0 = _fit_path(prob, [1.0], ctl)[0][1].beta  # the q = 1 warm start
         calls = []
         sensitivity = fit._sensitivity
         monkeypatch.setattr(fit, "_sensitivity",
@@ -985,7 +965,7 @@ class TestBatchedProfile:
         y = datas[6].y.copy()
         y[:6] = etas[6][:6]
         datas[6] = ModelData(datas[6].X, y, "gaussian")
-        phi, error = _profile_phi(_stack(datas, 1.0), np.array(etas), q)
+        phi, error = _profile_phi(_stack(datas), np.array(etas), q)
         kinds = []
         for r, d in enumerate(datas):
             try:
@@ -1024,7 +1004,7 @@ class TestBatchedProfile:
         big = [ModelData(X, eta + rng.normal(0, 0.7, size=60), "gaussian", phi=PROFILE)
                for _ in range(5)]
         for group, group_etas in ((datas, etas), (big, [eta] * 5)):
-            prob, eta_q = _stack(group, 1.0), np.array(group_etas)
+            prob, eta_q = _stack(group), np.array(group_etas)
             phi, error = _profile_phi(prob, eta_q, q)
             ref_phi, ref_error = _full_evaluation_profile_phi(prob, eta_q, q)
             assert phi.tobytes() == ref_phi.tobytes()
@@ -1049,6 +1029,43 @@ class TestBatchedProfile:
             eta_q = gaussian_example.X @ fit.beta_q
             expected = _per_row_profile_phi(gaussian_example, eta_q, q)
             assert estimate_phi(gaussian_example, fit.beta_q, q) == expected
+
+
+    def test_bimodal_objective_takes_the_interior_maximum(self):
+        # replicate 0 of _small_profiled_refits at its final beta_q: in log phi
+        # the objective peaks inside the bracket, dips, and rises again to
+        # the upper edge (one residual is 0.003), so its slope is positive at
+        # both ends of the bracket
+        from lqglm.fit import _fit_path, _stack
+
+        datas, ctl = _small_profiled_refits()
+        data, q = datas[0], 0.5
+        beta_q = q * _fit_path(_stack([data]), [q], ctl)[0][1].beta[0]
+        phi_hat = estimate_phi(data, beta_q, q)
+        assert_allclose(phi_hat, 8916.67, rtol=1e-6)
+
+        r = data.y - data.X @ beta_q
+        phi0 = data.n / np.sum(r * r)  # the bracket is phi0 / 1e4 to phi0 * 1e4
+
+        def objective(log_phi):
+            phi = np.exp(log_phi)[:, None]
+            logf = 0.5 * np.log(phi / (2.0 * np.pi)) - 0.5 * phi * r * r
+            return np.sum(np.expm1((1.0 - q) * logf) / (1.0 - q), axis=-1)
+
+        # two-stage grid scan of the whole bracket
+        coarse = np.linspace(np.log(phi0 / 1e4), np.log(phi0 * 1e4), 2001)
+        H = objective(coarse)
+        k = int(np.argmax(H))
+        fine = np.linspace(coarse[k - 1], coarse[k + 1], 20001)
+        phi_grid = np.exp(fine[int(np.argmax(objective(fine)))])
+        assert abs(phi_hat - phi_grid) / phi_grid < 1e-6
+        H_hat = lq_objective(data, beta_q, q, phi_hat)
+        assert_allclose(objective(np.log([phi_hat])), H_hat, rtol=1e-12)
+        assert_allclose([np.log(phi_hat), H_hat], [9.096, 6.088], atol=1e-3)
+        dip = k + int(np.argmin(H[k:]))
+        assert_allclose([coarse[dip], H[dip]], [10.45, 5.06], atol=1e-2)
+        assert H[0] < H[1] and H[-2] < H[-1] < H_hat
+        assert_allclose(H[-1], 5.81, atol=1e-2)
 
 
 def _same_row(got, r, want):
@@ -1081,7 +1098,7 @@ class TestQColumn:
             y = rng.poisson(2.0, size=n).astype(float)
         else:
             y = rng.normal(0.5, 1.0, size=n)
-        prob = _stack([ModelData(X, y, family, link=link)] * R, 1.0)
+        prob = _stack([ModelData(X, y, family, link=link)] * R)
         if kind == "gaussian-profile":
             prob = prob.with_phi(np.linspace(0.5, 2.0, R)[:, None])
         return prob, _predictor(prob, rng.uniform(-0.8, 0.8, size=(R, 2)))
@@ -1108,6 +1125,24 @@ class TestQColumn:
         # the two q = 1 rows: U = 1 and the objective is the log-likelihood
         assert np.all(w.U[0] == 1.0) and not np.all(w.U[1] == 1.0)
         assert np.array_equal(w.objective[:2], np.add.reduce(w.logf[:2], axis=-1))
+
+    def test_newton_fallback_rows_step_at_their_q(self):
+        # large residuals at q = 0.55 make a row's observed Hessian
+        # indefinite: that row takes the scoring step, at its own q
+        from lqglm.fit import _step, _working
+
+        prob, eta = self._problem("poisson", len(self.Q))
+        q = np.array(self.Q)[:, None]
+        step, pivot = _step(prob, _working(prob, eta, q), q, newton=True)
+        fell_back = []
+        for r, qr in enumerate(self.Q):
+            one = prob.rows([r])
+            w1 = _working(one, eta[r:r + 1], qr)
+            want, want_pivot = _step(one, w1, qr, newton=True)
+            assert step[r].tobytes() == want[0].tobytes() and pivot[r] == want_pivot[0], qr
+            fell_back.append(want.tobytes() == _step(one, w1, qr, newton=False)[0].tobytes())
+        # at q = 1 exactly the two matrices coincide
+        assert fell_back[1:] == [False, False, False, True]
 
     def test_lq_terms_rows_equal_float_q(self):
         from lqglm.families import _lq_terms

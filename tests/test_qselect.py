@@ -329,13 +329,13 @@ def _oracle_grid_fits(data, grid, control, need=3):
     from dataclasses import replace
 
     from lqglm import LqglmError
-    from lqglm.fit import _fit_path
+    from lqglm.fit import _fit_path, _stack
     from lqglm.qselect import _GRID_CONTROL, _too_few
 
     ctl = replace(control if control is not None else _GRID_CONTROL, init="ml-warm-start")
     fits, dropped = {}, {}
     qs = [float(q) for q in grid.q_values]
-    for q, (prob, res) in zip(qs, _fit_path([data], qs, ctl)):
+    for q, (prob, res) in zip(qs, _fit_path(_stack([data]), qs, ctl)):
         try:
             fit = _oracle_result(data, prob, q, res)
         except LqglmError as e:
@@ -488,7 +488,7 @@ class TestBatchedGridAssembly:
         from dataclasses import replace
 
         from lqglm import fit as fit_module
-        from lqglm.fit import BLOCK, _fit_path, _results
+        from lqglm.fit import BLOCK, _fit_path, _results, _stack
         from lqglm.qselect import _GRID_CONTROL
 
         rng = rng_stream(5, 0)
@@ -497,7 +497,7 @@ class TestBatchedGridAssembly:
         data = ModelData(X, rng.normal(X @ rng.normal(0, 0.2, size=p), 1.0), "gaussian",
                          phi=1.0)
         qs = [float(q) for q in QGrid(q_min=0.6, step=0.004).q_values]
-        path = _fit_path([data], qs, replace(_GRID_CONTROL, init="ml-warm-start"))
+        path = _fit_path(_stack([data]), qs, replace(_GRID_CONTROL, init="ml-warm-start"))
         blocks, fitted = [], fit_module._fitted
 
         def recording(prob, q, res):
@@ -523,14 +523,14 @@ class TestBatchedGridAssembly:
     @pytest.mark.parametrize("name", ["vaso", "poisson-outliers", "gaussian-profile",
                                       "poisson-failing"])
     def test_fit_mlq_is_a_one_stage_path(self, name, q, vaso):
-        from lqglm.fit import _fit_path
+        from lqglm.fit import _fit_path, _stack
 
         data = (_failing_grid_data("poisson", 67) if name == "poisson-failing"
                 else _GRID_DATA[name](vaso))
         ctl = FitControl(q=q)
 
         def oracle():
-            prob, res = _fit_path([data], [q], ctl)[0]
+            prob, res = _fit_path(_stack([data]), [q], ctl)[0]
             return _oracle_result(data, prob, q, res)
 
         got, want = _recorded(fit_mlq, data, ctl), _recorded(oracle)

@@ -1,0 +1,82 @@
+"""Run the Tier-1 suite and check that it fails only where it is documented to.
+
+    python3 tools/tier1.py
+
+Runs ``python -m pytest -q --continue-on-collection-errors`` from the
+repository root with ``src`` on ``PYTHONPATH`` (the Tier-1 command of
+ROADMAP.md), writing a JUnit report to a temporary directory.  Five
+acceptance cases fail by design, from the escort-normalization premise
+(README "Known limitations"): 6c Bernoulli-A, Poisson-A and Poisson-B,
+and 6d Poisson at q = 0.8 and 0.9.  Exits 0 only when the failing set is
+exactly these five.  Otherwise it prints every other failure or error,
+and every one of the five that passed or did not run, and exits 1.
+"""
+
+import os
+import subprocess
+import sys
+import tempfile
+import xml.etree.ElementTree as ET
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+DOCUMENTED = {
+    "tests/test_acceptance.py::test_c6c_matrix_mc_match[bernoulli-A]",
+    "tests/test_acceptance.py::test_c6c_matrix_mc_match[poisson-A]",
+    "tests/test_acceptance.py::test_c6c_matrix_mc_match[poisson-B]",
+    "tests/test_acceptance.py::test_c6d_sandwich_dominance[poisson_example-0.8]",
+    "tests/test_acceptance.py::test_c6d_sandwich_dominance[poisson_example-0.9]",
+}
+
+
+def node_id(case):
+    """pytest's node id of a JUnit ``testcase``, whose ``classname`` is the
+    dotted module path followed by any test classes (a collection error
+    has the dotted module as its ``name``)."""
+    parts = [p for p in case.get("classname", "").split(".") if p]
+    for k in range(len(parts), 0, -1):
+        path = "/".join(parts[:k]) + ".py"
+        if (ROOT / path).is_file():
+            return "::".join([path, *parts[k:], case.get("name", "")])
+    return "::".join([*parts, case.get("name", "")])
+
+
+def outcomes(report):
+    """The node ids of the report that failed or errored, and of those
+    that passed."""
+    failed, passed = set(), set()
+    for case in ET.parse(report).getroot().iter("testcase"):
+        if case.find("failure") is not None or case.find("error") is not None:
+            failed.add(node_id(case))
+        elif case.find("skipped") is None:
+            passed.add(node_id(case))
+    return failed, passed - failed
+
+
+def main():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in ("src", env.get("PYTHONPATH")) if p)
+    with tempfile.TemporaryDirectory() as tmp:
+        report = Path(tmp) / "tier1.xml"
+        code = subprocess.call(
+            [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors",
+             f"--junitxml={report}"], cwd=ROOT, env=env)
+        if code not in (0, 1) or not report.is_file():
+            print(f"tier1: pytest exited with code {code}")
+            return 1
+        failed, passed = outcomes(report)
+    unexpected = sorted(failed - DOCUMENTED)
+    for test in unexpected:
+        print(f"tier1: unexpected failure: {test}")
+    for test in sorted(DOCUMENTED - failed):
+        print(f"tier1: documented failure {'now passes' if test in passed else 'did not run'}: "
+              f"{test}")
+    ok = failed == DOCUMENTED
+    print(f"tier1: {len(passed)} passed, {len(failed)} failed "
+          f"({len(failed & DOCUMENTED)} of the {len(DOCUMENTED)} documented): "
+          + ("OK" if ok else "NOT OK"))
+    return 0 if ok else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())
