@@ -115,8 +115,12 @@ def _resolve_q(args, data):
 
 
 def _parse_grid(text):
-    lo, step = text.split(":")
-    return float(lo), float(step)
+    """``(lo, step)`` of a ``--grid`` value ``lo:step``."""
+    try:
+        lo, step = (float(v) for v in text.split(":"))
+    except ValueError:
+        raise UsageError(f"--grid takes lo:step, two numbers; got {text!r}") from None
+    return lo, step
 
 
 def _single_fit(args):

@@ -39,11 +39,9 @@ from .fit import (
     _Problem,
     _problem,
     _sensitivity,
-    _stack,
     _working,
     calibrate,
 )
-from .model import ModelData
 from .numerics import (
     _not_positive_definite,
     _solve_spd_each,
@@ -206,9 +204,11 @@ def _constrained_memo(data, hyp, q, max_iter, tol, stop_rule, solver):
     b0 = hyp.H.T @ solve_spd(hyp.H @ hyp.H.T, hyp.h / q)
     if hyp.N.shape[1] == 0:
         return _evaluate(data, b0, q)
-    reduced = ModelData(data.X @ hyp.N, data.y, data.family, data.link, data.phi)
+    # X N keeps the full rank of X for an orthonormal N, and y was checked
+    base = _Problem.build(data.family, data.link, data.X @ hyp.N, data.y[None], data.phi,
+                          data.X @ b0)
     ctl = FitControl(q=q, max_iter=max_iter, tol=tol, stop_rule=stop_rule, solver=solver)
-    prob, res = _fit_path(_stack([reduced], data.X @ b0), [q], ctl)[0]
+    prob, res = _fit_path(base, [q], ctl)[0]
     if res.error[0] is not None:
         raise res.error[0]
     return _evaluate(data, b0 + hyp.N @ res.beta[0], q, float(np.ravel(prob.phi)[0]))
@@ -318,7 +318,7 @@ class _Fits(NamedTuple):
 
 
 def _batch_of_one(data, fit):
-    prob = _Problem.build(data.family, data.link, data.X, data.y[None], fit.phi_hat)
+    prob = _problem(data, fit.phi_hat, y=data.y[None])
     return _Fits(prob, fit.q, fit.eta_star[None], fit.eta_q[None], fit.mu[None])
 
 
@@ -351,7 +351,8 @@ def _standardized(f):
     w = _working(prob, f.eta_star, q)
     V, W, J, GK, XtDX = _sensitivity(prob, w, q)
     WJ = W * J
-    Gt, pivot = _solve_spd_each(XtDX, prob.Xt)
+    # a shared (p, n) design is one right-hand side of every row
+    Gt, pivot = _solve_spd_each(XtDX, prob.Xt.reshape(-1, *prob.Xt.shape[-2:]))
     G = np.ascontiguousarray(np.swapaxes(Gt, -1, -2))
     m = WJ * np.sum(G * X, axis=-1)
     if prob.link.is_canonical:
@@ -463,8 +464,8 @@ def _envelope_block(data, fit, kind, rows, seed, control):
 
     Replicate r's stream draws its responses, then its quantile-residual
     uniforms.  A response outside the family support counts as failed;
-    the others are stacked over one view of the design, and their refits
-    run as one batch and use no randomness.
+    the others share the observed design, and their refits run as one
+    batch and use no randomness.
     """
     discrete_u = kind == "quantile" and data.family.discrete
     ys, uniforms, failed = [], [], 0
@@ -481,7 +482,7 @@ def _envelope_block(data, fit, kind, rows, seed, control):
             uniforms.append(rng.uniform(size=data.n))
     if not ys:
         return np.empty((0, data.n)), failed, 0
-    block = _Problem.build(data.family, data.link, data.X, np.array(ys), data.phi)
+    block = _problem(data, data.phi, y=np.array(ys))
     prob, res = _fit_path(block, [control.q], control)[0]
     w = _fitted(prob, control.q, res)[0]
     ok = res.ok
@@ -510,13 +511,18 @@ def simulation_envelope(data, fit, kind="standardized", reps=100, seed=0,
     refits each with the same control, and returns pointwise
     ``(1-level)/2`` and ``(1+level)/2`` bands of the sorted residuals,
     together with the observed sorted residuals and Blom plotting
-    positions.  Replicates whose refit fails, or whose residuals are not
-    all finite, are dropped and counted.  The refits of up to ``BLOCK``
+    positions.  ``level`` lies in (0, 1) and ``reps`` is at least 1.
+    Replicates whose refit fails, or whose residuals are not all finite,
+    are dropped and counted.  The refits of up to ``BLOCK``
     replicates run as one batch; a replicate's result never depends on
     the others.
     """
     if kind not in _RESIDUAL_FUNCS:
         raise UsageError(f"unknown residual kind {kind!r}")
+    if not 0.0 < level < 1.0:
+        raise UsageError(f"envelope level must lie in (0, 1), got {level!r}")
+    if reps < 1:
+        raise UsageError(f"envelope needs at least 1 replicate, got {reps!r}")
     ctl = control if control is not None else FitControl(q=fit.q)
     if abs(ctl.q - fit.q) > 0:
         ctl = replace(ctl, q=fit.q, init="ml-warm-start")

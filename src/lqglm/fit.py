@@ -47,15 +47,15 @@ BLOCK = 64
 class _Problem(NamedTuple):
     """Fits that share a family, theta-link, dispersion and offset.
 
-    ``X`` (..., n, p) and ``y`` (..., n) may carry a leading batch axis of
-    independent rows; ``Xt`` is the contiguous transpose of ``X``, ``c``
-    caches ``c(y, phi)``, and ``offset`` (n,) or None is shared by every
-    row.  ``phi`` is a float shared by every row, or an (R, 1) column of
-    per-row dispersions; with ``profile`` the dispersion is profiled out
-    of each fit, starting from ``phi``.  ``build`` takes ModelData's
-    ``phi``: ``PROFILE`` sets ``profile`` and starts at phi = 1.  It also
-    takes one design ``X`` (n, p) for responses ``y`` (R, n): every row
-    then views that design and its transpose, which are not copied.
+    ``y`` (..., n) may carry a leading batch axis of independent rows.
+    ``X`` is one (n, p) design that every row shares through numpy
+    broadcasting, or an (R, n, p) stack of one design per row; ``Xt`` is
+    its contiguous transpose, ``c`` caches ``c(y, phi)``, and ``offset``
+    (n,) or None is shared by every row.  ``phi`` is a float shared by
+    every row, or an (R, 1) column of per-row dispersions; with
+    ``profile`` the dispersion is profiled out of each fit, starting from
+    ``phi``.  ``build`` takes ModelData's ``phi``: ``PROFILE`` sets
+    ``profile`` and starts at phi = 1.
     """
 
     family: object
@@ -73,29 +73,29 @@ class _Problem(NamedTuple):
         profile = isinstance(phi, str) and phi == PROFILE
         phi = 1.0 if profile else phi
         Xt = np.ascontiguousarray(np.swapaxes(X, -1, -2))
-        if X.ndim == y.ndim:
-            X, Xt = (np.broadcast_to(a, y.shape[:1] + a.shape) for a in (X, Xt))
         return cls(family, link, X, Xt, y, phi, family.c(y, phi), offset, profile)
 
     def rows(self, keep):
-        """The problem restricted to the rows selected by ``keep``."""
+        """The problem restricted to the rows selected by ``keep``; a
+        shared design stays the same object."""
         phi = self.phi if np.ndim(self.phi) == 0 else self.phi[keep]
-        return self._replace(X=self.X[keep], Xt=self.Xt[keep], y=self.y[keep], phi=phi,
-                             c=self.c[keep])
+        X, Xt = (self.X, self.Xt) if self.X.ndim == 2 else (self.X[keep], self.Xt[keep])
+        return self._replace(X=X, Xt=Xt, y=self.y[keep], phi=phi, c=self.c[keep])
 
     def with_phi(self, phi):
         """The problem at dispersion ``phi``."""
         return self._replace(phi=phi, c=self.family.c(self.y, phi))
 
 
-def _problem(data, phi, offset=None):
-    """The fit problem of one ModelData, without a batch axis."""
-    return _Problem.build(data.family, data.link, data.X, data.y, phi, offset)
+def _problem(data, phi, offset=None, y=None):
+    """The fit problem of the design of ``data`` with the responses ``y``
+    (``data.y`` by default); an (R, n) batch of them shares the design."""
+    return _Problem.build(data.family, data.link, data.X, data.y if y is None else y, phi, offset)
 
 
 def _stack(datas, offset=None):
-    """ModelData sharing a family, link and dispersion setting, stacked on a
-    leading batch axis."""
+    """ModelData sharing a family, link and dispersion setting, stacked
+    with their designs on a leading batch axis."""
     return _Problem.build(datas[0].family, datas[0].link, np.array([d.X for d in datas]),
                           np.array([d.y for d in datas]), datas[0].phi, offset)
 
@@ -548,7 +548,7 @@ def _fitted(prob, q, res):
     with np.errstate(over="ignore", invalid="ignore"):
         w = _working(prob, _predictor(prob, res.beta), q)
         A, B = _matrices_ab(prob, w, q)
-    Binv, pivot = _solve_spd_each(B, np.eye(B.shape[-1])[None].repeat(len(B), axis=0))
+    Binv, pivot = _solve_spd_each(B, np.eye(B.shape[-1])[None])
     j_q = prob.family.in_theta_domain(q * w.theta, axis=-1)
     for r in np.flatnonzero(res.ok).tolist():
         if not j_q[r]:
@@ -562,21 +562,20 @@ def _fit_path(base, qs, control):
     """Fit every row of the stacked ``_Problem`` ``base`` at each q of the
     descending list ``qs``; returns one ``(prob, res)`` per q.
 
-    The rows are fitted as one batch.  ``base`` is ``_stack``ed from
-    ModelData, or built from arrays whose responses the caller has checked
-    (the Monte Carlo block of a study or an envelope); a study's drawn
-    designs are not checked for rank, so a rank-deficient row fails at the
-    classical start's Cholesky pivot.  The first q starts from the explicit
-    ``control.init``, or from the classical start followed, for q < 1, by
-    the q = 1 fit (which is the q = 1 stage otherwise).  Each later q
-    starts each row from its last converged, error-free solution, else
-    from that q = 1 fit (the explicit init).  A row whose start failed
-    (singular classical normal equations, or a failed q = 1 fit) keeps
-    that error at every q, and with ``base.profile`` the dispersion is
-    profiled anew at every q.  ``prob`` stacks the rows at their
-    dispersion; ``res`` is each row's last ``_irls`` outcome, with
-    ``res.error[r]`` what ``fit_mlq`` raises on row r before it evaluates
-    the solution, else None.
+    The rows are fitted as one batch.  ``base`` is a ModelData's, or built
+    from arrays whose responses the caller has checked (a study or
+    envelope block, a constrained fit); these designs are not checked for
+    rank, so a rank-deficient row fails at the classical start's pivot.
+    The first q starts from the explicit ``control.init``, or from the
+    classical start followed, for q < 1, by the q = 1 fit (which is the
+    q = 1 stage otherwise).  Each later q starts each row from its last
+    converged, error-free solution, else from that q = 1 fit (the
+    explicit init).  A row whose start failed (singular classical normal
+    equations, or a failed q = 1 fit) keeps that error at every q, and
+    with ``base.profile`` the dispersion is profiled anew at every q.
+    ``prob`` stacks the rows at their dispersion; ``res`` is each row's
+    last ``_irls`` outcome, with ``res.error[r]`` what ``fit_mlq`` raises
+    on row r before it evaluates the solution, else None.
     """
     if not isinstance(control.init, str):
         beta0 = np.asarray(control.init, dtype=float)
@@ -698,7 +697,7 @@ def fit_mlq(data, control=None, offset=None):
     """
     if control is None:
         control = FitControl()
-    path = _fit_path(_stack([data], offset), [control.q], control)
+    path = _fit_path(_problem(data, data.phi, offset, data.y[None]), [control.q], control)
     fit = next(_results(data, [control.q], path))
     if isinstance(fit, LqglmError):
         raise fit
@@ -707,8 +706,8 @@ def fit_mlq(data, control=None, offset=None):
 
 def _results(data, qs, path):
     """Yield, in the order of ``qs``, the FitResult of each stage of
-    ``path = _fit_path(_stack([data]), qs, ...)``, or the LqglmError that
-    ``fit_mlq`` raises on that stage instead.
+    ``path = _fit_path(_problem(data, data.phi, y=data.y[None]), qs, ...)``,
+    or the LqglmError that ``fit_mlq`` raises on that stage instead.
 
     The stages are assembled in blocks of at most ``BLOCK`` (see
     ``_assemble``), so a long grid on a large design holds the stacked
@@ -724,11 +723,10 @@ def _assemble(data, qs, path):
     The stages are stacked with one row per q and an (R, 1) column of q,
     so the solution's working point, ``A_n``, ``B_n`` and ``B_n^{-1}``,
     the calibration and the calibrated working point are each formed once
-    for the block; each row equals its stage evaluated alone.  Every
-    stage shares the one design of ``data``, which the stack views without
-    copying.  One stage (every ``fit_mlq``) keeps its problem and its
-    float q, whose scalar paths skip the stacking and the column's
-    ``np.where`` passes.  The sandwich is formed as each result is
+    for the block over the one design of ``data``; each row equals its
+    stage evaluated alone.  One stage (every ``fit_mlq``) keeps its
+    problem and its float q, whose scalar paths skip the stacking and the
+    column's ``np.where`` passes.  The sandwich is formed as each result is
     yielded, so a caller that warns per stage interleaves its warnings
     with those of an overflowed ``A_n`` as a loop of ``fit_mlq`` would.
     """
@@ -738,8 +736,6 @@ def _assemble(data, qs, path):
         probs, stages = zip(*path)
         first, shape = probs[0], (len(path),)
         prob = first._replace(
-            X=np.broadcast_to(first.X, shape + first.X.shape[1:]),
-            Xt=np.broadcast_to(first.Xt, shape + first.Xt.shape[1:]),
             y=np.broadcast_to(first.y, shape + first.y.shape[1:]),
             c=np.concatenate([p.c for p in probs]),
             phi=first.phi if np.ndim(first.phi) == 0 else np.concatenate([p.phi for p in probs]))
@@ -804,7 +800,7 @@ def estimate_phi(data, beta_q, q, expand=1e4):
     if data.family.phi_fixed is not None:
         raise UsageError(f"family '{data.family.name}' has fixed dispersion")
     eta_q = data.X @ np.asarray(beta_q, dtype=float)
-    phi, error = _profile_phi(_stack([data]), eta_q[None], q, expand=expand)
+    phi, error = _profile_phi(_problem(data, data.phi, y=data.y[None]), eta_q[None], q, expand)
     if error[0] is not None:
         raise error[0]
     return float(phi[0])

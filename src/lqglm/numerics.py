@@ -119,16 +119,17 @@ def _band_solve(A, B):
 def _solve_spd_each(A, B):
     """``solve_spd_rows`` by one dense Cholesky factorization per row.
 
-    ``B`` may also hold ``m`` right-hand sides per row, ``(R, p, m)``.
-    Each row's result is bit-identical to ``solve_spd(A[r], B[r])``; the
-    banded factorization orders its arithmetic differently.
+    ``B`` may also hold ``m`` right-hand sides per row, ``(R, p, m)``; a
+    ``B`` of one row is shared by every row.  Each row's result is
+    bit-identical to ``solve_spd(A[r], B[r])``; the banded factorization
+    orders its arithmetic differently.
     """
-    x = np.full(B.shape, np.nan)
+    x = np.full(A.shape[:1] + B.shape[1:], np.nan)
     pivot = np.zeros(len(A), dtype=int)
     for r in range(len(A)):
         factor, pivot[r] = lapack.dpotrf(A[r], lower=1)
         if pivot[r] == 0:
-            x[r] = lapack.dpotrs(factor, B[r], lower=1)[0]
+            x[r] = lapack.dpotrs(factor, B[0 if len(B) == 1 else r], lower=1)[0]
     return x, pivot
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import LqglmError, SelectionError, UsageError
-from .fit import FitControl, _fit_path, _results, _stack
+from .fit import FitControl, _fit_path, _problem, _results
 from .numerics import inv_spd
 
 __all__ = [
@@ -41,8 +41,8 @@ class QGrid:
     Without ``q_values`` the grid runs from 1 down to ``q_min`` in steps of
     ``step``; both must be finite, ``step`` positive, and the number of
     steps ``(1 - q_min) / step`` finite.  A grid has at most ``MAX_GRID``
-    values.  ``rho_factor`` scales the stability threshold
-    ``rho = rho_factor * ||beta at q_m||``.
+    values.  ``rho_factor``, finite and nonnegative, scales the stability
+    threshold ``rho = rho_factor * ||beta at q_m||``.
     """
 
     def __init__(self, q_values=None, q_min=0.70, step=0.01, rho_factor=0.05):
@@ -59,6 +59,8 @@ class QGrid:
             raise UsageError("grid values must lie in (0, 1]")
         if not 1 <= len(q_values) <= MAX_GRID:
             raise UsageError(f"grid has {len(q_values)} values; it needs 1 to {MAX_GRID}")
+        if not (np.isfinite(rho_factor) and rho_factor >= 0.0):
+            raise UsageError(f"rho_factor must be finite and nonnegative, got {rho_factor!r}")
         self.q_values = q_values
         self.rho_factor = rho_factor
 
@@ -124,7 +126,8 @@ def _grid_fits(data, grid, control, need=3):
     ctl = replace(control if control is not None else _GRID_CONTROL, init="ml-warm-start")
     fits, dropped = {}, {}
     qs = [float(q) for q in grid.q_values]
-    for q, fit in zip(qs, _results(data, qs, _fit_path(_stack([data]), qs, ctl))):
+    path = _fit_path(_problem(data, data.phi, y=data.y[None]), qs, ctl)
+    for q, fit in zip(qs, _results(data, qs, path)):
         if isinstance(fit, LqglmError):  # singular weights etc.: treat as non-convergent
             warnings.warn(f"grid fit at q={q:.4g} failed: {fit}", stacklevel=3)
             dropped[q] = str(fit)

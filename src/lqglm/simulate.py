@@ -159,24 +159,24 @@ def _replicates(design, ks, X_fixed=None):
     (NaN on non-convergence).  Replicate k's stream drives, in order, the
     covariate draws (unless fixed), the responses, and the contamination
     indices, so contamination patterns are reproducible.  The replicates
-    are drawn into one (R, n, p) design and one (R, n) response array,
-    whose responses are checked once, and the block is fitted as one
-    batch down the q values in descending order by ``_fit_path``: the
-    q = 1 fit from the classical start, then each q from the row's last
-    converged estimate (its q = 1 fit while it has none).  A row's fits
-    never depend on the other rows of its block.  A replicate whose
-    design is rank deficient fails at the classical start and counts as
-    non-converged at every q.
+    are drawn into one (R, n, p) design, or share the fixed (n, p) one,
+    and one (R, n) response array, whose responses are checked once, and
+    the block is fitted as one batch down the q values in descending
+    order by ``_fit_path``: the q = 1 fit from the classical start, then
+    each q from the row's last converged estimate (its q = 1 fit while it
+    has none).  A row's fits never depend on the other rows of its block.
+    A replicate whose design is rank deficient fails at the classical
+    start and counts as non-converged at every q.
     """
     family, link = get_family(design.family), get_link(design.link)
-    X = np.empty((len(ks), design.n, len(design.beta_true)))
-    y = np.empty((len(ks), design.n))
+    X, y = [], np.empty((len(ks), design.n))
     for i, k in enumerate(ks):
         rng = rng_stream(design.seed, k)
-        X[i], y_k = _draw(design, family, link, rng, X_fixed)
+        X_k, y_k = _draw(design, family, link, rng, X_fixed)
+        X.append(X_k)
         y[i] = contaminate(y_k, design.eps, design.nu, rng)[0]
     family.validate_y(y)
-    block = _Problem.build(family, link, X, y, 1.0)
+    block = _Problem.build(family, link, np.array(X) if X_fixed is None else X_fixed, y, 1.0)
     qs = sorted(set(float(q) for q in design.q_list), reverse=True)
     out = {}
     for q, (prob, res) in zip(qs, _fit_path(block, qs, FitControl(max_iter=MAX_ITER, tol=TOL))):

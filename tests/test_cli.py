@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lqglm.cli import main
+from lqglm.errors import UsageError
 from lqglm.datasets import vaso_path
 
 VASO_ML_BETA = np.array([-2.875, 5.179, 4.562])
@@ -285,6 +286,9 @@ def test_seed_env_read_when_the_command_runs(vaso_csv, tmp_path, monkeypatch):
     assert from_env[0] != from_env[1]
 
 
+_VASO_ARGS = ["--data", "vaso.csv", "--response", "y", "--log", "volume,rate"]
+
+
 @pytest.mark.parametrize("argv", [
     ["fit", "--data", "x.csv", "--response", "y", "--bogus"],
     ["envelope", "--data", "x.csv", "--response", "y", "--reps", "many"],
@@ -294,12 +298,30 @@ def test_seed_env_read_when_the_command_runs(vaso_csv, tmp_path, monkeypatch):
     ["selectq", "--data", "x.csv", "--response", "y", "--format", "csv"],
     ["frobnicate"],
     [],
+    # values that a command checks after parsing, on the vaso data
+    ["selectq", *_VASO_ARGS, "--grid", "0.7"],
+    ["fit", *_VASO_ARGS, "--q", "auto", "--grid", "0.7:0:1"],
+    ["envelope", *_VASO_ARGS, "--level", "1.5"],
+    ["envelope", *_VASO_ARGS, "--level", "0"],
+    ["envelope", *_VASO_ARGS, "--reps", "-5"],
+    ["selectq", *_VASO_ARGS, "--rho-factor", "nan"],
+    ["selectq", *_VASO_ARGS, "--rho-factor", "-1"],
 ])
-def test_usage_errors_exit_1(argv, capsys):
+def test_usage_errors_exit_1(argv, vaso_csv, capsys):
     # exit code 2 means "fit did not converge"
-    assert main(argv) == 1
+    assert main([vaso_csv if a == "vaso.csv" else a for a in argv]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("usage: lqglm") and "lqglm: error: " in err
+    assert "lqglm: error: " in err
+    # argparse's errors print the usage line; a command's own checks do not
+    assert err.startswith("usage: lqglm") == ("vaso.csv" not in argv)
+
+
+@pytest.mark.parametrize("text", ["0.7", "0.7:0:1", "", "0.7:x", ":"])
+def test_grid_parse_error_names_the_form(text):
+    from lqglm.cli import _parse_grid
+
+    with pytest.raises(UsageError, match="--grid takes lo:step"):
+        _parse_grid(text)
 
 
 @pytest.mark.parametrize("grid", ["0.7:0", "0.7:1e-320", "0.7:-0.01", "nan:0.01", "0.7:inf",

@@ -831,6 +831,21 @@ def _small_profile_gaussian():
 class TestBatchedEnvelope:
     """The batched envelope equals the per-replicate fit_mlq loop."""
 
+    @pytest.mark.parametrize("level,reps,message", [
+        (1.5, 20, "level must lie in"), (0.0, 20, "level must lie in"),
+        (1.0, 20, "level must lie in"), (float("nan"), 20, "level must lie in"),
+        (0.95, 0, "at least 1 replicate"), (0.95, -5, "at least 1 replicate")])
+    def test_arguments_checked_before_any_refit(self, vaso, vaso_79, monkeypatch, level, reps,
+                                                message):
+        from lqglm import diagnostics
+
+        def no_refit(*args):
+            raise AssertionError("refit before the argument checks")
+
+        monkeypatch.setattr(diagnostics, "_fit_path", no_refit)
+        with pytest.raises(UsageError, match=message):
+            simulation_envelope(vaso, vaso_79, reps=reps, level=level)
+
     @staticmethod
     def _check(data, fit, kind, reps, seed, control=None):
         env, env_warnings = _recorded(simulation_envelope, data, fit, kind=kind, reps=reps,
@@ -865,9 +880,9 @@ class TestBatchedEnvelope:
         assert env.failed == 2
         assert sorted(ref["errors"]) == ["BracketError", "SingularMatrixError"]
 
-    def test_blocks_view_the_one_design(self, vaso, vaso_79, monkeypatch):
-        # each block stacks its responses over a view of the observed design,
-        # not over a copy of it per replicate
+    def test_blocks_share_the_observed_design(self, vaso, vaso_79, monkeypatch):
+        # each block stacks its responses over the observed (n, p) design
+        # itself, not over a copy or a stacked view of it per replicate
         from lqglm import diagnostics
 
         blocks, fit_path = [], diagnostics._fit_path
@@ -880,7 +895,7 @@ class TestBatchedEnvelope:
         simulation_envelope(vaso, vaso_79, kind="deviance", reps=70, seed=3)
         assert [b.y.shape for b in blocks] == [(64, vaso.n), (6, vaso.n)]
         for b in blocks:
-            assert np.shares_memory(b.X, vaso.X) and b.X.strides[0] == b.Xt.strides[0] == 0
+            assert b.X is vaso.X and b.Xt.shape == (vaso.p, vaso.n)
 
     def test_invalid_responses_count_as_failed(self, poisson_example, monkeypatch):
         # a replicate whose response leaves the support fails before its refit

@@ -724,6 +724,52 @@ class TestBatchedCore:
         assert fit.iterations == res.iterations[0] and fit.objective_trace[-1] == res.trace[0, fit.iterations]
 
 
+class TestSharedDesign:
+    """A batch on one design holds that (n, p) design and its transpose
+    once, for every row; only a stack of per-row designs is indexed by row."""
+
+    def test_rows_keep_the_shared_design(self, poisson_example):
+        from lqglm.fit import _problem, _stack
+
+        data = poisson_example
+        prob = _problem(data, 1.0, y=np.tile(data.y, (5, 1)))
+        sub = prob.rows(np.array([True, False, True, True, False]))
+        assert sub.X is prob.X is data.X and sub.Xt is prob.Xt
+        assert prob.Xt.shape == (data.p, data.n) and prob.Xt.flags.c_contiguous
+        assert sub.y.shape == sub.c.shape == (3, data.n)
+        stacked = _stack([data] * 5).rows([1, 3])
+        assert stacked.X.shape == (2, data.n, data.p) and stacked.Xt.shape == (2, data.p, data.n)
+
+    def test_fits_of_one_model_share_its_design(self, vaso, monkeypatch):
+        # fit_mlq, the q-grid and the constrained fit each fit a batch of one
+        # over the design itself (the constrained fit over X N), without a
+        # copy of the design or of the responses
+        from lqglm import QGrid, diagnostics, qselect, select_q_stability
+        from lqglm import fit as fit_module
+        from lqglm.diagnostics import LinearHypothesis, score_test
+
+        bases = []
+
+        def recording(fit_path):
+            def record(base, qs, control):
+                bases.append(base)
+                return fit_path(base, qs, control)
+            return record
+
+        for module in (fit_module, qselect, diagnostics):
+            monkeypatch.setattr(module, "_fit_path", recording(module._fit_path))
+        fit_mlq(vaso, FitControl(q=0.9))
+        select_q_stability(vaso, QGrid(q_min=0.9, step=0.05))
+        hyp = LinearHypothesis(np.array([[0.0, 1.0, -1.0]]), np.zeros(1))
+        score_test(vaso, hyp, 0.9)
+        assert len(bases) == 3
+        for b in bases:
+            assert b.y.shape == (1, vaso.n) and np.shares_memory(b.y, vaso.y)
+        assert bases[0].X is vaso.X and bases[1].X is vaso.X
+        assert bases[2].X.tobytes() == (vaso.X @ hyp.N).tobytes()
+        assert bases[2].X.shape == (vaso.n, vaso.p - 1)
+
+
 def _small_profiled_refits():
     """Twelve profiled Gaussian envelope-style replicates at n = 6, drawn
     from a q = 0.5 fit, and the control of their refits."""

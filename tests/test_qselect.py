@@ -215,6 +215,15 @@ class TestGridMechanics:
         with pytest.raises(UsageError, match="grid"):
             QGrid(q_min=q_min, step=step)
 
+    @pytest.mark.parametrize("rho_factor", [float("nan"), float("inf"), -0.05])
+    def test_rho_factor_must_be_finite_and_nonnegative(self, rho_factor):
+        # every comparison with a NaN threshold is false, which selected q = 1
+        from lqglm import UsageError
+
+        with pytest.raises(UsageError, match="rho_factor"):
+            QGrid(q_min=0.9, step=0.05, rho_factor=rho_factor)
+        assert QGrid(q_min=0.9, step=0.05, rho_factor=0.0).rho_factor == 0.0
+
 
 def _outcome(fn, *args):
     """``(result or error, warning texts)`` of a call."""
@@ -479,8 +488,8 @@ class TestBatchedGridAssembly:
         assert kinds == {"failed", "dropped"}
 
     def test_long_grid_assembles_in_blocks(self, monkeypatch):
-        """A grid longer than ``BLOCK`` is assembled block by block on views
-        of its one design: every result equals the per-q assembly, and the
+        """A grid longer than ``BLOCK`` is assembled block by block over
+        its one design: every result equals the per-q assembly, and the
         traced peak stays within the results plus two blocks' stacked
         designs, where stacking a copy of the design per grid value would
         take several times that."""
@@ -488,7 +497,7 @@ class TestBatchedGridAssembly:
         from dataclasses import replace
 
         from lqglm import fit as fit_module
-        from lqglm.fit import BLOCK, _fit_path, _results, _stack
+        from lqglm.fit import BLOCK, _fit_path, _problem, _results
         from lqglm.qselect import _GRID_CONTROL
 
         rng = rng_stream(5, 0)
@@ -497,12 +506,13 @@ class TestBatchedGridAssembly:
         data = ModelData(X, rng.normal(X @ rng.normal(0, 0.2, size=p), 1.0), "gaussian",
                          phi=1.0)
         qs = [float(q) for q in QGrid(q_min=0.6, step=0.004).q_values]
-        path = _fit_path(_stack([data]), qs, replace(_GRID_CONTROL, init="ml-warm-start"))
+        path = _fit_path(_problem(data, data.phi, y=data.y[None]), qs,
+                         replace(_GRID_CONTROL, init="ml-warm-start"))
         blocks, fitted = [], fit_module._fitted
 
         def recording(prob, q, res):
             blocks.append(len(q))
-            assert np.shares_memory(prob.X, path[0][0].X)
+            assert prob.X is data.X
             return fitted(prob, q, res)
 
         monkeypatch.setattr(fit_module, "_fitted", recording)

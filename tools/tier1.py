@@ -9,7 +9,9 @@ acceptance cases fail by design, from the escort-normalization premise
 (README "Known limitations"): 6c Bernoulli-A, Poisson-A and Poisson-B,
 and 6d Poisson at q = 0.8 and 0.9.  Exits 0 only when the failing set is
 exactly these five.  Otherwise it prints every other failure or error,
-and every one of the five that passed or did not run, and exits 1.
+and every one of the five that passed or did not run, and exits 1.  It
+also prints the suite's wall time and its five slowest tests, as the
+report records them.
 """
 
 import os
@@ -27,6 +29,8 @@ DOCUMENTED = {
     "tests/test_acceptance.py::test_c6d_sandwich_dominance[poisson_example-0.8]",
     "tests/test_acceptance.py::test_c6d_sandwich_dominance[poisson_example-0.9]",
 }
+# Tests listed by their time, slowest first.
+SLOWEST = 5
 
 
 def node_id(case):
@@ -53,6 +57,16 @@ def outcomes(report):
     return failed, passed - failed
 
 
+def timings(report):
+    """The suite's wall time and the ``SLOWEST`` tests as ``(seconds,
+    node id)``, slowest first."""
+    root = ET.parse(report).getroot()
+    suite = root if root.tag == "testsuite" else root.find("testsuite")
+    cases = sorted(((float(c.get("time", 0.0)), node_id(c)) for c in root.iter("testcase")),
+                   reverse=True)
+    return float(suite.get("time", 0.0)), cases[:SLOWEST]
+
+
 def main():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in ("src", env.get("PYTHONPATH")) if p)
@@ -65,12 +79,16 @@ def main():
             print(f"tier1: pytest exited with code {code}")
             return 1
         failed, passed = outcomes(report)
+        wall, slowest = timings(report)
     unexpected = sorted(failed - DOCUMENTED)
     for test in unexpected:
         print(f"tier1: unexpected failure: {test}")
     for test in sorted(DOCUMENTED - failed):
         print(f"tier1: documented failure {'now passes' if test in passed else 'did not run'}: "
               f"{test}")
+    print(f"tier1: wall time {wall:.1f} s; slowest tests:")
+    for seconds, test in slowest:
+        print(f"tier1: {seconds:6.2f} s  {test}")
     ok = failed == DOCUMENTED
     print(f"tier1: {len(passed)} passed, {len(failed)} failed "
           f"({len(failed & DOCUMENTED)} of the {len(DOCUMENTED)} documented): "
