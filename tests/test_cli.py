@@ -10,8 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lqglm.cli import main
-from lqglm.errors import UsageError
 from lqglm.datasets import vaso_path
+from lqglm.errors import UsageError
 
 VASO_ML_BETA = np.array([-2.875, 5.179, 4.562])
 VASO_MLQ_BETA = np.array([-5.185, 8.234, 7.287])
