@@ -75,6 +75,6 @@ from .qselect import (
     select_q_efficiency,
     select_q_stability,
 )
-from .simulate import SimDesign, SimReport, contaminate, gen_dataset, run_study
+from .simulate import SimDesign, SimReport, contaminate, run_study
 
 __version__ = "0.1.0"

@@ -75,6 +75,10 @@ __all__ = [
 # standardized residual, lies in the span of the design.
 DEGENERATE = 1e-10
 
+# The envelope's bands need this many successful replicates, and at least
+# half of those asked for.
+MIN_ENVELOPE_REPS = 10
+
 
 class LinearHypothesis:
     """Linear hypothesis ``H beta = h`` with full-row-rank ``H`` (d x p).
@@ -511,7 +515,8 @@ def simulation_envelope(data, fit, kind="standardized", reps=100, seed=0,
     refits each with the same control, and returns pointwise
     ``(1-level)/2`` and ``(1+level)/2`` bands of the sorted residuals,
     together with the observed sorted residuals and Blom plotting
-    positions.  ``level`` lies in (0, 1) and ``reps`` is at least 1.
+    positions.  ``level`` lies in (0, 1) and ``reps`` is at least
+    ``MIN_ENVELOPE_REPS``.
     Replicates whose refit fails, or whose residuals are not all finite,
     are dropped and counted.  The refits of up to ``BLOCK``
     replicates run as one batch; a replicate's result never depends on
@@ -521,8 +526,9 @@ def simulation_envelope(data, fit, kind="standardized", reps=100, seed=0,
         raise UsageError(f"unknown residual kind {kind!r}")
     if not 0.0 < level < 1.0:
         raise UsageError(f"envelope level must lie in (0, 1), got {level!r}")
-    if reps < 1:
-        raise UsageError(f"envelope needs at least 1 replicate, got {reps!r}")
+    if reps < MIN_ENVELOPE_REPS:
+        raise UsageError(
+            f"envelope needs at least {MIN_ENVELOPE_REPS} replicates, got {reps!r}")
     ctl = control if control is not None else FitControl(q=fit.q)
     if abs(ctl.q - fit.q) > 0:
         ctl = replace(ctl, q=fit.q, init="ml-warm-start")
@@ -534,7 +540,7 @@ def simulation_envelope(data, fit, kind="standardized", reps=100, seed=0,
         failed += block_failed
         nonconverged += block_nonconverged
     sims = np.concatenate(sims)
-    if len(sims) < max(10, reps // 2):
+    if len(sims) < max(MIN_ENVELOPE_REPS, reps // 2):
         raise UsageError(
             f"too few successful envelope replicates ({len(sims)}/{reps})"
         )

@@ -687,7 +687,7 @@ def fit_mlq(data, control=None, offset=None):
     data : ModelData
     control : FitControl, optional
     offset : array, optional
-        Fixed addition to the linear predictor (used by constrained fits).
+        Fixed addition to the linear predictor, length n.
 
     Returns
     -------

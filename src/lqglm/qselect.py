@@ -55,7 +55,7 @@ class QGrid:
                 raise UsageError(f"grid of {m + 1} values exceeds {MAX_GRID}; use a larger step")
             q_values = np.round(1.0 - step * np.arange(m + 1), 12)
         q_values = np.asarray(sorted(set(float(q) for q in q_values), reverse=True))
-        if np.any(q_values <= 0.0) or np.any(q_values > 1.0):
+        if not np.all((q_values > 0.0) & (q_values <= 1.0)):
             raise UsageError("grid values must lie in (0, 1]")
         if not 1 <= len(q_values) <= MAX_GRID:
             raise UsageError(f"grid has {len(q_values)} values; it needs 1 to {MAX_GRID}")
@@ -101,9 +101,10 @@ def are(fit, data=None):
 
 
 def _coefs(data, fit):
-    """The calibrated coefficients, or, on a link without them, the
+    """The calibrated coefficients on the canonical link.  Any other link
+    has them at q = 1 only, so every grid value is compared by its
     calibrated predictors scaled by ``1 / sqrt(n)``."""
-    return fit.beta_q if fit.beta_q is not None else fit.eta_q / np.sqrt(data.n)
+    return fit.beta_q if data.link.is_canonical else fit.eta_q / np.sqrt(data.n)
 
 
 _GRID_CONTROL = FitControl(max_iter=100, solver="newton")

@@ -289,7 +289,8 @@ def test_seed_env_read_when_the_command_runs(vaso_csv, tmp_path, monkeypatch):
 _VASO_ARGS = ["--data", "vaso.csv", "--response", "y", "--log", "volume,rate"]
 
 
-@pytest.mark.parametrize("argv", [
+# argparse refuses these and prints its usage line
+_PARSE_ERRORS = [
     ["fit", "--data", "x.csv", "--response", "y", "--bogus"],
     ["envelope", "--data", "x.csv", "--response", "y", "--reps", "many"],
     ["selectq", "--data", "x.csv", "--response", "y", "--max-iter", "-1", "--tol", "nan"],
@@ -298,7 +299,9 @@ _VASO_ARGS = ["--data", "vaso.csv", "--response", "y", "--log", "volume,rate"]
     ["selectq", "--data", "x.csv", "--response", "y", "--format", "csv"],
     ["frobnicate"],
     [],
-    # values that a command checks after parsing, on the vaso data
+]
+# a command checks these values after parsing, and prints no usage line
+_VALUE_ERRORS = [
     ["selectq", *_VASO_ARGS, "--grid", "0.7"],
     ["fit", *_VASO_ARGS, "--q", "auto", "--grid", "0.7:0:1"],
     ["envelope", *_VASO_ARGS, "--level", "1.5"],
@@ -306,14 +309,18 @@ _VASO_ARGS = ["--data", "vaso.csv", "--response", "y", "--log", "volume,rate"]
     ["envelope", *_VASO_ARGS, "--reps", "-5"],
     ["selectq", *_VASO_ARGS, "--rho-factor", "nan"],
     ["selectq", *_VASO_ARGS, "--rho-factor", "-1"],
-])
+    ["simulate", "--nu", "inf"],
+    ["simulate", "--nu", "nan"],
+]
+
+
+@pytest.mark.parametrize("argv", _PARSE_ERRORS + _VALUE_ERRORS)
 def test_usage_errors_exit_1(argv, vaso_csv, capsys):
     # exit code 2 means "fit did not converge"
     assert main([vaso_csv if a == "vaso.csv" else a for a in argv]) == 1
     err = capsys.readouterr().err
     assert "lqglm: error: " in err
-    # argparse's errors print the usage line; a command's own checks do not
-    assert err.startswith("usage: lqglm") == ("vaso.csv" not in argv)
+    assert err.startswith("usage: lqglm") == (argv in _PARSE_ERRORS)
 
 
 @pytest.mark.parametrize("text", ["0.7", "0.7:0:1", "", "0.7:x", ":"])

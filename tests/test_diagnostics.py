@@ -834,7 +834,8 @@ class TestBatchedEnvelope:
     @pytest.mark.parametrize("level,reps,message", [
         (1.5, 20, "level must lie in"), (0.0, 20, "level must lie in"),
         (1.0, 20, "level must lie in"), (float("nan"), 20, "level must lie in"),
-        (0.95, 0, "at least 1 replicate"), (0.95, -5, "at least 1 replicate")])
+        (0.95, 0, "at least 10 replicates"), (0.95, -5, "at least 10 replicates"),
+        (0.95, 9, "at least 10 replicates")])
     def test_arguments_checked_before_any_refit(self, vaso, vaso_79, monkeypatch, level, reps,
                                                 message):
         from lqglm import diagnostics

@@ -5,6 +5,7 @@ from numpy.testing import assert_allclose
 from lqglm import (
     FitControl,
     ModelData,
+    PowerThetaLink,
     QGrid,
     SelectionError,
     SingularMatrixError,
@@ -120,6 +121,23 @@ class TestStabilitySelection:
         with pytest.raises(RuntimeError, match="broken fit"):
             select_q_stability(vaso, QGrid(q_min=0.90, step=0.05))
 
+    def test_noncanonical_link_moves_on_scaled_predictors(self):
+        from lqglm.qselect import _grid_fits
+
+        # a non-canonical link has coefficients at q = 1 only: every grid
+        # value, the head included, is compared by eta_q / sqrt(n)
+        rng = rng_stream(5, 0)
+        X = np.column_stack([np.ones(80), rng.uniform(-1, 1, size=80)])
+        data = ModelData(X, rng.normal(X @ np.array([0.5, 1.0]), 0.5), "gaussian",
+                         PowerThetaLink(3))
+        grid = QGrid(q_min=0.8, step=0.02)
+        res = select_q_stability(data, grid)
+        fits, _ = _grid_fits(data, grid, None)
+        scaled = {q: fit.eta_q / np.sqrt(80) for q, fit in fits.items()}
+        assert len(scaled) == 11 and fits[1.0].beta_q is not None
+        assert res.qv_profile[1.0] == np.linalg.norm(scaled[1.0] - scaled[0.98])
+        assert res.rho == 0.05 * np.linalg.norm(scaled[0.8])
+
 
 class TestEfficiencySelection:
     def test_clean_bernoulli_majority_near_one(self):
@@ -204,6 +222,9 @@ class TestGridMechanics:
             QGrid(q_values=[])
         with pytest.raises(UsageError, match="grid"):
             QGrid(q_values=np.linspace(0.5, 1.0, 10_001))
+        # NaN fails both comparisons with the bounds
+        with pytest.raises(UsageError, match=r"\(0, 1\]"):
+            QGrid(q_values=[0.9, float("nan")])
 
     # 1e-15 once raised numpy's MemoryError; 1e-6 built and fitted 300,001 values
     @pytest.mark.parametrize("q_min,step", [

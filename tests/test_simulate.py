@@ -1,3 +1,4 @@
+import json
 from dataclasses import replace
 
 import numpy as np
@@ -11,34 +12,33 @@ from lqglm import (
     UsageError,
     contaminate,
     fit_mlq,
-    gen_dataset,
     rng_stream,
     run_study,
 )
-from lqglm.simulate import MAX_ITER, TOL, _replicates
+from lqglm.simulate import MAX_ITER, TOL, _draw, _replicates
 
 
 class TestGenDataset:
     def test_zero_coefficients_give_unit_means(self):
         design = SimDesign(n=20000, beta_true=(0.0, 0.0, 0.0), seed=1)
-        data = gen_dataset(design, rng_stream(1, 0))
-        se = data.y.std(ddof=1) / np.sqrt(data.n)
-        assert abs(data.y.mean() - 1.0) < 4 * se
+        _, y = _draw(design, rng_stream(1, 0))
+        se = y.std(ddof=1) / np.sqrt(design.n)
+        assert abs(y.mean() - 1.0) < 4 * se
 
     def test_mean_of_mu_matches_analytic_moment(self):
         # E exp(x1 + x2 + x3) = (e - 1)^3 for iid U(0,1) covariates
         design = SimDesign(n=400, seed=7)
-        data = gen_dataset(design, rng_stream(7, 0))
-        mu = np.exp(data.X @ np.ones(3))
+        X, _ = _draw(design, rng_stream(7, 0))
+        mu = np.exp(X @ np.ones(3))
         target = (np.e - 1.0) ** 3
-        se = mu.std(ddof=1) / np.sqrt(data.n)
+        se = mu.std(ddof=1) / np.sqrt(design.n)
         assert abs(mu.mean() - target) < 4 * se
 
     def test_reproducible(self):
         design = SimDesign(n=50, seed=3)
-        a = gen_dataset(design, rng_stream(3, 5))
-        b = gen_dataset(design, rng_stream(3, 5))
-        assert np.array_equal(a.X, b.X) and np.array_equal(a.y, b.y)
+        a = _draw(design, rng_stream(3, 5))
+        b = _draw(design, rng_stream(3, 5))
+        assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
 
 
 class TestContaminate:
@@ -108,13 +108,24 @@ class TestRunStudy:
             SimDesign(n=3, beta_true=(1.0, 1.0, 1.0))
         with pytest.raises(UsageError, match="need n > p >= 1"):
             SimDesign(beta_true=())
+        # each was refused only by a replicate, or never
+        with pytest.raises(UsageError, match="at least one q"):
+            SimDesign(q_list=())
+        for nu in (float("inf"), float("nan")):
+            with pytest.raises(UsageError, match="nu must be finite"):
+                SimDesign(nu=nu)
+        for b in (float("inf"), float("nan")):
+            with pytest.raises(UsageError, match="beta_true must be finite"):
+                SimDesign(beta_true=(1.0, b, 1.0))
 
-    def test_noncanonical_link_needs_q_one(self):
-        # calibrated coefficients exist at q < 1 only under the canonical link
-        with pytest.raises(UsageError, match="power3"):
-            SimDesign(n=100, reps=4, q_list=(1.0, 0.9), link="power3")
-        report = run_study(SimDesign(n=100, reps=4, q_list=(1.0,), link="power3"))
-        assert len(report.rows) == 1 and np.isfinite(report.rows[0]["bias"])
+    def test_report_design_keys(self):
+        report = run_study(SimDesign(n=60, reps=2, q_list=(1.0,), seed=5, fixed_x=True))
+        design = json.loads(report.to_json())["design"]
+        assert design == {
+            "n": 60, "eps": 0.05, "nu": 5.0, "reps": 2, "q_list": [1.0],
+            "beta_true": [1.0, 1.0, 1.0], "seed": 5, "family": "poisson",
+            "include_intercept": False, "fixed_x": True,
+        }
 
 
 class TestPercentilePair:
@@ -153,9 +164,8 @@ class TestBatchedReplicates:
     def _one_replicate(design, k):
         """The per-replicate loop the batch replaces: fit_mlq on one dataset."""
         rng = rng_stream(design.seed, k)
-        data = gen_dataset(design, rng)
-        y, _ = contaminate(data.y, design.eps, design.nu, rng)
-        data = ModelData(data.X, y, data.family, data.link, 1.0)
+        X, y = _draw(design, rng)
+        data = ModelData(X, contaminate(y, design.eps, design.nu, rng)[0], "poisson")
         ctl = FitControl(max_iter=MAX_ITER, tol=TOL)
         out = {q: np.full(len(design.beta_true), np.nan) for q in design.q_list}
         fit1 = fit_mlq(data, ctl)

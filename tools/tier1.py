@@ -11,7 +11,7 @@ and 6d Poisson at q = 0.8 and 0.9.  Exits 0 only when the failing set is
 exactly these five.  Otherwise it prints every other failure or error,
 and every one of the five that passed or did not run, and exits 1.  It
 also prints the suite's wall time and its five slowest tests, as the
-report records them.
+report records them, and the line count of ``src/lqglm/*.py``.
 """
 
 import os
@@ -67,6 +67,11 @@ def timings(report):
     return float(suite.get("time", 0.0)), cases[:SLOWEST]
 
 
+def source_lines():
+    """The number of lines of the package's modules, ``src/lqglm/*.py``."""
+    return sum(len(p.read_text().splitlines()) for p in (ROOT / "src" / "lqglm").glob("*.py"))
+
+
 def main():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in ("src", env.get("PYTHONPATH")) if p)
@@ -89,6 +94,7 @@ def main():
     print(f"tier1: wall time {wall:.1f} s; slowest tests:")
     for seconds, test in slowest:
         print(f"tier1: {seconds:6.2f} s  {test}")
+    print(f"tier1: src/lqglm/*.py has {source_lines()} lines")
     ok = failed == DOCUMENTED
     print(f"tier1: {len(passed)} passed, {len(failed)} failed "
           f"({len(failed & DOCUMENTED)} of the {len(DOCUMENTED)} documented): "
