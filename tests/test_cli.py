@@ -309,8 +309,9 @@ _VALUE_ERRORS = [
     ["envelope", *_VASO_ARGS, "--reps", "-5"],
     ["selectq", *_VASO_ARGS, "--rho-factor", "nan"],
     ["selectq", *_VASO_ARGS, "--rho-factor", "-1"],
-    ["simulate", "--nu", "inf"],
-    ["simulate", "--nu", "nan"],
+    # eps 0 never multiplies a response by nu, so nothing but the check refuses it
+    ["simulate", "--nu", "inf", "--eps", "0", "--n", "20", "--reps", "1"],
+    ["simulate", "--nu", "nan", "--eps", "0", "--n", "20", "--reps", "1"],
 ]
 
 
