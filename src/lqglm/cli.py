@@ -123,6 +123,14 @@ def _parse_grid(text):
     return lo, step
 
 
+def _parse_q_list(text):
+    """The q values of a ``--q-list`` value ``q1,q2,...``."""
+    try:
+        return tuple(float(v) for v in text.split(","))
+    except ValueError:
+        raise UsageError(f"--q-list takes q1,q2,..., comma-separated numbers; got {text!r}") from None
+
+
 def _single_fit(args):
     """The data, covariate names, control and fit of a subcommand that fits one q."""
     data, names = _model_data(args)
@@ -236,7 +244,7 @@ def cmd_envelope(args):
 def cmd_simulate(args):
     design = SimDesign(
         n=args.n, eps=args.eps, nu=args.nu, reps=args.reps,
-        q_list=tuple(float(v) for v in args.q_list.split(",")),
+        q_list=_parse_q_list(args.q_list),
         seed=args.seed, fixed_x=args.fixed_x,
         include_intercept=args.intercept,
     )

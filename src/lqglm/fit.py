@@ -430,6 +430,7 @@ def _irls(prob, q, beta0, control):
     )
     idx = np.arange(R)
     beta = out.beta.copy()
+    coef_psi = control.stop_rule == "coef-psi"
 
     def retire(ended, it, message, converged=False):
         """Record the active rows ``ended`` as stopped at iteration ``it``
@@ -444,32 +445,43 @@ def _irls(prob, q, beta0, control):
             idx = idx[:0]
             return
         idx, beta = idx[keep], beta[keep]
-        psi0_norm, blowup_sq = psi0_norm[keep], blowup_sq[keep]
+        psi0_norm = psi0_norm[keep] if coef_psi else None
+        blowup_sq = [b for b, k in zip(blowup_sq, keep.tolist()) if k]
         w = w.rows(keep)
         prob = prob.rows(keep)
 
-    def accepts(tw, floor):
-        return tw.in_domain & np.isfinite(tw.objective) & (tw.objective >= floor)
+    def accepts(tw, start):
+        """Per row: in the domain, with a finite objective at or above the merit floor (which
+        tolerates ulp-level noise) of the row's finite ``start``, as one that did not fall is;
+        ``o`` is finite, so ``max(1.0, abs(o))`` is the value of ``np.maximum``."""
+        return [d and (o <= t or o - 1e-12 * max(1.0, abs(o)) <= t) and t < np.inf
+                for d, o, t in zip(tw.in_domain.tolist(), start, tw.objective.tolist())]
 
+    # Per-row decisions are taken on Python floats, in the IEEE expressions of their numpy
+    # forms; numpy masks are built only where rows retire or steps halve.
     # trial points may overflow; the domain and finiteness checks reject them
     with np.errstate(over="ignore", invalid="ignore"):
         w = _working(prob, _predictor(prob, beta), q)
-        psi0_norm = np.maximum.reduce(np.abs(w.psi), axis=-1)
+        psi0_norm = np.maximum.reduce(np.abs(w.psi), axis=-1) if coef_psi else None
         # squared coefficient norm beyond which a row has blown up
-        blowup_sq = SEPARATION_NORM_FACTOR**2 * np.maximum(1.0, np.add.reduce(beta * beta, axis=-1))
+        blowup_sq = (SEPARATION_NORM_FACTOR**2
+                     * np.maximum(1.0, np.add.reduce(beta * beta, axis=-1))).tolist()
         out.trace[:, 0] = w.objective
-        bad = ~(w.in_domain & np.isfinite(w.objective))
-        if np.count_nonzero(bad):
+        bad = [not (d and -np.inf < o < np.inf)
+               for d, o in zip(w.in_domain.tolist(), w.objective.tolist())]
+        if any(bad):
+            bad = np.array(bad)
             for j in idx[bad].tolist():
                 out.error[j] = DomainError("starting value gives a non-finite Lq-objective")
             retire(bad, 0, "")
         for it in range(1, max_iter + 1):
             if not idx.size:
                 break
-            overflow = w.theta_max > THETA_OVERFLOW
             step, pivot = _step(prob, w, q, newton)
-            halt = overflow | (pivot > 0)
-            if np.count_nonzero(halt):
+            # theta_max is finite: a row with a NaN or infinite theta is out of the domain
+            if max(w.theta_max.tolist()) > THETA_OVERFLOW or max(pivot.tolist()) > 0:
+                overflow = w.theta_max > THETA_OVERFLOW
+                halt = overflow | (pivot > 0)
                 singular = halt & ~overflow
                 for j, k in zip(idx[singular].tolist(), pivot[singular].tolist()):
                     out.error[j] = SingularMatrixError(
@@ -482,21 +494,19 @@ def _irls(prob, q, beta0, control):
                     overflow[halt], "stopped: |theta| overflow points to separation/indeterminacy", ""))
                 if not idx.size:
                     break
-            # tolerate ulp-level noise in the merit test
-            floor = w.objective - 1e-12 * np.maximum(1.0, np.abs(w.objective))
             trial = beta + step
             tw = _working(prob, _predictor(prob, trial), q)
-            accepted = accepts(tw, floor)
-            if np.count_nonzero(accepted) < accepted.size:
+            accepted = accepts(tw, w.objective.tolist())
+            if not all(accepted):
                 # halve the step of the rejected rows only
-                pending = np.flatnonzero(~accepted)
+                pending = np.flatnonzero(np.logical_not(accepted))
                 lam = 1.0
                 for _ in range(STEP_HALVING_MAX):
                     lam *= 0.5
                     sub = prob.rows(pending)
                     t = beta[pending] + lam * step[pending]
                     sw = _working(sub, _predictor(sub, t), q)
-                    hit = accepts(sw, floor[pending])
+                    hit = np.array(accepts(sw, w.objective[pending].tolist()))
                     trial[pending[hit]] = t[hit]
                     for f, g in zip(tw, sw):
                         if isinstance(f, np.ndarray):
@@ -513,7 +523,8 @@ def _irls(prob, q, beta0, control):
                     if not idx.size:
                         break
             if control.stop_rule == "objective":
-                done = np.abs(tw.objective - w.objective) / (0.1 + np.abs(tw.objective)) < tol
+                done = [abs(t - o) / (0.1 + abs(t)) < tol
+                        for t, o in zip(tw.objective.tolist(), w.objective.tolist())]
             else:
                 coef_change = np.maximum.reduce(np.abs(trial - beta), axis=-1) / np.maximum(
                     1.0, np.maximum.reduce(np.abs(beta), axis=-1))
@@ -521,10 +532,11 @@ def _irls(prob, q, beta0, control):
                     np.maximum.reduce(np.abs(tw.psi), axis=-1) <= tol * (1.0 + psi0_norm))
             beta, w = trial, tw
             out.trace[idx, it] = w.objective
-            blowup = np.add.reduce(beta * beta, axis=-1) > blowup_sq
-            ended = blowup | done
-            if np.count_nonzero(ended):
-                blown = blowup[ended]
+            # numpy's pairwise sum: a Python sum's order differs once p >= 8
+            blowup = [s > b for s, b in zip(np.add.reduce(beta * beta, axis=-1).tolist(), blowup_sq)]
+            if any(blowup) or any(done):
+                ended = np.logical_or(blowup, done)
+                blown = np.array(blowup)[ended]
                 retire(ended, it, np.where(
                     blown, "stopped: coefficient blow-up points to separation/indeterminacy", ""),
                     converged=~blown)

@@ -186,15 +186,19 @@ def run_study(design, jobs=1):
     Non-convergent replicates are excluded from the statistics and counted;
     a q whose non-convergence exceeds 10% of ``reps`` is flagged
     unreliable.  Replicates are fitted in blocks of ``BLOCK`` as batches,
-    spread over ``jobs`` processes; identical designs (seed included)
-    produce byte-identical reports for any ``jobs``.
+    spread over ``jobs`` processes, at most one per block (none is started
+    for a single worker); identical designs (seed included) produce
+    byte-identical reports for any ``jobs``.
     """
+    if jobs < 1:
+        raise UsageError(f"jobs must be at least 1, got {jobs!r}")
     t0 = time.perf_counter()
     X_fixed = _design_matrix(design, rng_stream(design.seed, FIXED_X_STREAM)) if design.fixed_x else None
     blocks = [range(k, min(k + BLOCK, design.reps)) for k in range(0, design.reps, BLOCK)]
     args = ([design] * len(blocks), blocks, [X_fixed] * len(blocks))
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    workers = min(jobs, len(blocks))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             estimates = np.concatenate(list(pool.map(_replicates, *args)))
     else:
         estimates = np.concatenate(list(map(_replicates, *args)))

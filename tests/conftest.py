@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from lqglm import FitControl, ModelData, fit_mlq, rng_stream
+from lqglm import FitControl, ModelData, PowerThetaLink, fit_mlq, rng_stream
 from lqglm.datasets import vaso_model_data
 
 
@@ -36,3 +36,13 @@ def gaussian_example():
     X = np.column_stack([np.ones(60), rng.uniform(-1, 1, size=60)])
     y = rng.normal(X @ np.array([0.5, 1.0]), 1.0)
     return ModelData(X, y, "gaussian", phi=1.0)
+
+
+@pytest.fixture(scope="session")
+def gaussian_power3():
+    """Fixed-seed Gaussian dataset on the non-canonical power-3 theta-link."""
+    rng = rng_stream(55, 0)
+    X = np.column_stack([np.ones(80), rng.uniform(0.2, 1.0, size=80)])
+    link = PowerThetaLink(3)
+    y = rng.normal(link.k(X @ np.array([0.8, 0.5])), 1.0)
+    return ModelData(X, y, "gaussian", link=link, phi=1.0)

@@ -9,6 +9,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lqglm import (
+    FitControl,
+    LinearHypothesis,
+    QGrid,
+    bf_test,
+    fit_mlq,
+    score_test,
+    select_q_efficiency,
+)
 from lqglm.cli import main
 from lqglm.datasets import vaso_path
 from lqglm.errors import UsageError
@@ -108,6 +117,22 @@ class TestSelectq:
         assert 0.77 <= doc["q_opt"] <= 0.81
 
 
+    def test_efficiency_method_equals_the_library_call(self, vaso_csv, vaso, tmp_path):
+        out = str(tmp_path / "sel.json")
+        code = main([
+            "selectq", "--data", vaso_csv, "--response", "y",
+            "--family", "bernoulli", "--log", "volume,rate",
+            "--grid", "0.70:0.01", "--method", "efficiency", "--output", out,
+        ])
+        assert code == 0
+        doc = json.load(open(out))
+        sel = select_q_efficiency(vaso, QGrid(q_min=0.70, step=0.01))
+        assert (doc["method"], doc["q_opt"], doc["rho"]) == ("efficiency", sel.q_opt, sel.rho)
+        assert doc["qv_profile"] == {f"{q:.6g}": t for q, t in sel.qv_profile.items()}
+        assert doc["fits"] == json.loads(json.dumps({f"{q:.6g}": f for q, f in sel.fits.items()}))
+        assert doc["dropped"] == json.loads(json.dumps(sel.dropped))
+
+
 class TestHypothesisTest:
     def test_wald_zero_at_satisfied_constraint(self, vaso_csv, tmp_path):
         fit_out = str(tmp_path / "f.json")
@@ -144,6 +169,27 @@ class TestHypothesisTest:
         for t in doc["tests"]:
             assert 0.0 <= t["p_value"] <= 1.0
 
+
+    @pytest.mark.parametrize("stat", ["score", "bf"])
+    def test_single_statistic_equals_the_library_call(self, stat, vaso_csv, vaso, tmp_path):
+        (tmp_path / "H.csv").write_text("0.0,0.0,1.0\n")
+        (tmp_path / "h.csv").write_text("0.0\n")
+        out = str(tmp_path / "test.json")
+        code = main([
+            "test", "--data", vaso_csv, "--response", "y",
+            "--family", "bernoulli", "--log", "volume,rate", "--q", "0.9",
+            "--H", str(tmp_path / "H.csv"), "--h", str(tmp_path / "h.csv"),
+            "--stat", stat, "--output", out,
+        ])
+        assert code == 0
+        ctl, hyp = FitControl(q=0.9), LinearHypothesis([[0.0, 0.0, 1.0]], [0.0])
+        if stat == "score":
+            want = score_test(vaso, hyp, 0.9, ctl)
+        else:
+            want = bf_test(vaso, fit_mlq(vaso, ctl), hyp, 0.9, ctl)
+        assert json.load(open(out))["tests"] == [
+            {"kind": want.kind, "statistic": want.statistic, "dof": want.dof,
+             "p_value": want.p_value}]
 
     def test_all_statistics_share_one_constrained_fit(self, vaso_csv, tmp_path, monkeypatch):
         from lqglm import diagnostics, fit
@@ -312,6 +358,9 @@ _VALUE_ERRORS = [
     # eps 0 never multiplies a response by nu, so nothing but the check refuses it
     ["simulate", "--nu", "inf", "--eps", "0", "--n", "20", "--reps", "1"],
     ["simulate", "--nu", "nan", "--eps", "0", "--n", "20", "--reps", "1"],
+    ["simulate", "--jobs", "0", "--n", "20", "--reps", "1"],
+    ["simulate", "--q-list", "", "--n", "20", "--reps", "1"],
+    ["simulate", "--q-list", "1,x", "--n", "20", "--reps", "1"],
 ]
 
 
@@ -330,6 +379,14 @@ def test_grid_parse_error_names_the_form(text):
 
     with pytest.raises(UsageError, match="--grid takes lo:step"):
         _parse_grid(text)
+
+
+@pytest.mark.parametrize("text", ["", "1,x", "1,,0.9", "0.9;0.8"])
+def test_q_list_parse_error_names_the_form(text):
+    from lqglm.cli import _parse_q_list
+
+    with pytest.raises(UsageError, match="--q-list takes q1,q2,..., comma-separated numbers"):
+        _parse_q_list(text)
 
 
 @pytest.mark.parametrize("grid", ["0.7:0", "0.7:1e-320", "0.7:-0.01", "nan:0.01", "0.7:inf",

@@ -502,11 +502,13 @@ class TestStandardizedResiduals:
         assert np.isnan(t[:, 4]).all() and np.isfinite(np.delete(t, 4, axis=1)).all()
 
     @pytest.mark.parametrize("fixture,q,rtol", [
-        ("vaso", 0.79, 1e-12), ("poisson_example", 0.9, 1e-12), ("vaso", 0.6, 1e-9)])
+        ("vaso", 0.79, 1e-12), ("poisson_example", 0.9, 1e-12), ("vaso", 0.6, 1e-9),
+        ("gaussian_power3", 0.9, 1e-12)])
     def test_matches_dense_hat_matrix(self, fixture, q, rtol, request):
         # reference: the diagonals of the n x n M = P W J and M @ M; the
         # vaso fit at q = 0.6 stops on theta overflow, so X' W J GK X is
-        # nearly singular (hence the looser tolerance) and one residual is NaN
+        # nearly singular (hence the looser tolerance) and one residual is NaN;
+        # the power-3 link takes the non-canonical bracket with m* and GK
         from lqglm.diagnostics import _hat_pieces
 
         data = request.getfixturevalue(fixture)

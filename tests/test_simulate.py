@@ -15,6 +15,8 @@ from lqglm import (
     rng_stream,
     run_study,
 )
+from lqglm import simulate
+from lqglm.fit import BLOCK
 from lqglm.simulate import MAX_ITER, TOL, _draw, _replicates
 
 
@@ -117,6 +119,65 @@ class TestRunStudy:
         for b in (float("inf"), float("nan")):
             with pytest.raises(UsageError, match="beta_true must be finite"):
                 SimDesign(beta_true=(1.0, b, 1.0))
+
+    def test_jobs_below_one_refused(self):
+        design = SimDesign(n=20, reps=1, q_list=(1.0,))
+        for jobs in (0, -2):
+            with pytest.raises(UsageError, match="jobs must be at least 1, got"):
+                run_study(design, jobs=jobs)
+
+    @pytest.mark.parametrize("reps,jobs,pools", [(10, 3, []), (2 * BLOCK + 2, 2, [2]),
+                                                 (2 * BLOCK + 2, 8, [3])])
+    def test_pool_capped_at_the_block_count(self, reps, jobs, pools, monkeypatch):
+        # a stand-in pool records the workers asked for and maps in this process
+        started = []
+
+        class Pool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        design = SimDesign(n=30, eps=0.1, nu=3.0, reps=reps, q_list=(1.0, 0.9), seed=71)
+        serial = run_study(design)
+        monkeypatch.setattr(simulate, "ProcessPoolExecutor", Pool)
+        report = run_study(design, jobs=jobs)
+        assert started == pools
+        assert (report.to_csv(), report.to_json()) == (serial.to_csv(), serial.to_json())
+
+    def test_two_worker_processes_match_serial(self):
+        # two blocks, so a real pool of two processes
+        design = SimDesign(n=30, eps=0.1, nu=3.0, reps=BLOCK + 1, q_list=(1.0, 0.9), seed=73)
+        assert run_study(design, jobs=2).to_json() == run_study(design).to_json()
+
+    def test_intercept_design(self):
+        design = SimDesign(n=400, eps=0.0, nu=1.0, reps=40, q_list=(1.0, 0.95),
+                           beta_true=(0.5, 1.0, 1.0), seed=61, include_intercept=True)
+        X, _ = _draw(design, rng_stream(design.seed, 0))
+        assert X.shape == (400, 3) and np.all(X[:, 0] == 1.0)
+        assert np.all((X[:, 1:] > 0.0) & (X[:, 1:] < 1.0))
+        report = run_study(design)
+        # at q < 1 the calibration leaves a bias of order 1 - q (README, Known limitations)
+        assert [row["nonconverged"] for row in report.rows] == [0, 0]
+        assert report.rows[0]["bias"] <= 0.05
+        assert json.loads(report.to_json())["design"]["include_intercept"] is True
+
+    def test_q_with_every_replicate_failed(self, monkeypatch):
+        # with no iterations allowed, no fit converges: NaN summaries, flagged
+        monkeypatch.setattr(simulate, "MAX_ITER", 0)
+        report = run_study(SimDesign(n=50, reps=4, q_list=(1.0, 0.9), seed=81))
+        for row in report.rows:
+            assert np.isnan(row["bias"]) and np.isnan(row["iqr"])
+            assert row["nonconverged"] == 4 and row["unreliable"]
+        assert report.unreliable
+        assert report.to_csv().splitlines()[1].endswith(",nan,nan,4")
 
     def test_report_design_keys(self):
         report = run_study(SimDesign(n=60, reps=2, q_list=(1.0,), seed=5, fixed_x=True))
