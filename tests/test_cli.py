@@ -116,7 +116,6 @@ class TestSelectq:
         doc = json.loads(open(out).read())
         assert 0.77 <= doc["q_opt"] <= 0.81
 
-
     def test_efficiency_method_equals_the_library_call(self, vaso_csv, vaso, tmp_path):
         out = str(tmp_path / "sel.json")
         code = main([
@@ -168,7 +167,6 @@ class TestHypothesisTest:
         assert kinds == ["wald", "score", "bilinear"]
         for t in doc["tests"]:
             assert 0.0 <= t["p_value"] <= 1.0
-
 
     @pytest.mark.parametrize("stat", ["score", "bf"])
     def test_single_statistic_equals_the_library_call(self, stat, vaso_csv, vaso, tmp_path):
