@@ -9,6 +9,7 @@ iteratively reweighted least squares structure with weights
 ``U_i = f(y_i)^(1-q)`` that downweight observations of low probability.
 """
 
+from math import inf, isfinite
 from typing import NamedTuple
 
 import numpy as np
@@ -430,7 +431,6 @@ def _irls(prob, q, beta0, control):
     )
     idx = np.arange(R)
     beta = out.beta.copy()
-    coef_psi = control.stop_rule == "coef-psi"
 
     def retire(ended, it, message, converged=False):
         """Record the active rows ``ended`` as stopped at iteration ``it``
@@ -444,33 +444,25 @@ def _irls(prob, q, beta0, control):
         if not np.count_nonzero(keep):
             idx = idx[:0]
             return
-        idx, beta = idx[keep], beta[keep]
-        psi0_norm = psi0_norm[keep] if coef_psi else None
-        blowup_sq = [b for b, k in zip(blowup_sq, keep.tolist()) if k]
+        idx, beta, blowup_sq = idx[keep], beta[keep], blowup_sq[keep]
+        psi0_norm = None if psi0_norm is None else psi0_norm[keep]
         w = w.rows(keep)
         prob = prob.rows(keep)
 
-    def accepts(tw, start):
-        """Per row: in the domain, with a finite objective at or above the merit floor (which
-        tolerates ulp-level noise) of the row's finite ``start``, as one that did not fall is;
-        ``o`` is finite, so ``max(1.0, abs(o))`` is the value of ``np.maximum``."""
-        return [d and (o <= t or o - 1e-12 * max(1.0, abs(o)) <= t) and t < np.inf
-                for d, o, t in zip(tw.in_domain.tolist(), start, tw.objective.tolist())]
+    def accepts(tw, floor):
+        return tw.in_domain & np.isfinite(tw.objective) & (tw.objective >= floor)
 
-    # Per-row decisions are taken on Python floats, in the IEEE expressions of their numpy
-    # forms; numpy masks are built only where rows retire or steps halve.
+    # Each per-row decision tests its common outcome on Python floats before any numpy mask.
     # trial points may overflow; the domain and finiteness checks reject them
     with np.errstate(over="ignore", invalid="ignore"):
         w = _working(prob, _predictor(prob, beta), q)
-        psi0_norm = np.maximum.reduce(np.abs(w.psi), axis=-1) if coef_psi else None
+        psi0_norm = None if control.stop_rule == "objective" else np.maximum.reduce(
+            np.abs(w.psi), axis=-1)
         # squared coefficient norm beyond which a row has blown up
-        blowup_sq = (SEPARATION_NORM_FACTOR**2
-                     * np.maximum(1.0, np.add.reduce(beta * beta, axis=-1))).tolist()
+        blowup_sq = SEPARATION_NORM_FACTOR**2 * np.maximum(1.0, np.add.reduce(beta * beta, axis=-1))
         out.trace[:, 0] = w.objective
-        bad = [not (d and -np.inf < o < np.inf)
-               for d, o in zip(w.in_domain.tolist(), w.objective.tolist())]
-        if any(bad):
-            bad = np.array(bad)
+        if not (all(w.in_domain.tolist()) and all(map(isfinite, w.objective.tolist()))):
+            bad = ~(w.in_domain & np.isfinite(w.objective))
             for j in idx[bad].tolist():
                 out.error[j] = DomainError("starting value gives a non-finite Lq-objective")
             retire(bad, 0, "")
@@ -479,7 +471,7 @@ def _irls(prob, q, beta0, control):
                 break
             step, pivot = _step(prob, w, q, newton)
             # theta_max is finite: a row with a NaN or infinite theta is out of the domain
-            if max(w.theta_max.tolist()) > THETA_OVERFLOW or max(pivot.tolist()) > 0:
+            if max(w.theta_max.tolist()) > THETA_OVERFLOW or np.count_nonzero(pivot):
                 overflow = w.theta_max > THETA_OVERFLOW
                 halt = overflow | (pivot > 0)
                 singular = halt & ~overflow
@@ -496,24 +488,29 @@ def _irls(prob, q, beta0, control):
                     break
             trial = beta + step
             tw = _working(prob, _predictor(prob, trial), q)
-            accepted = accepts(tw, w.objective.tolist())
-            if not all(accepted):
+            c = (tw.objective - w.objective).tolist()
+            least = min(c)
+            # Every row is accepted where each change is finite and not negative (a NaN makes the
+            # sum NaN), as each start is finite and above its merit floor, and in the domain.
+            if not (0.0 <= least and sum(c) < inf and np.count_nonzero(tw.in_domain) == len(c)):
+                # tolerate ulp-level noise in the merit test
+                floor = w.objective - 1e-12 * np.maximum(1.0, np.abs(w.objective))
                 # halve the step of the rejected rows only
-                pending = np.flatnonzero(np.logical_not(accepted))
+                pending = np.flatnonzero(~accepts(tw, floor))
                 lam = 1.0
                 for _ in range(STEP_HALVING_MAX):
+                    if not pending.size:
+                        break
                     lam *= 0.5
                     sub = prob.rows(pending)
                     t = beta[pending] + lam * step[pending]
                     sw = _working(sub, _predictor(sub, t), q)
-                    hit = np.array(accepts(sw, w.objective[pending].tolist()))
+                    hit = accepts(sw, floor[pending])
                     trial[pending[hit]] = t[hit]
                     for f, g in zip(tw, sw):
                         if isinstance(f, np.ndarray):
                             f[pending[hit]] = g[hit]
                     pending = pending[~hit]
-                    if not pending.size:
-                        break
                 if pending.size:
                     exhausted = np.zeros(idx.size, dtype=bool)
                     exhausted[pending] = True
@@ -522,9 +519,13 @@ def _irls(prob, q, beta0, control):
                            "stopped: step halving exhausted without improving the objective")
                     if not idx.size:
                         break
+                least = min((tw.objective - w.objective).tolist())
             if control.stop_rule == "objective":
-                done = [abs(t - o) / (0.1 + abs(t)) < tol
-                        for t, o in zip(tw.objective.tolist(), w.objective.tolist())]
+                obj = tw.objective.tolist()
+                # No row can stop where the least change over the largest scale reaches tol
+                # (rounding is monotone; a negative change never does): ``done`` is then False.
+                done = (least / (0.1 + max(max(obj), -min(obj))) < tol
+                        and np.abs(tw.objective - w.objective) / (0.1 + np.abs(tw.objective)) < tol)
             else:
                 coef_change = np.maximum.reduce(np.abs(trial - beta), axis=-1) / np.maximum(
                     1.0, np.maximum.reduce(np.abs(beta), axis=-1))
@@ -532,11 +533,10 @@ def _irls(prob, q, beta0, control):
                     np.maximum.reduce(np.abs(tw.psi), axis=-1) <= tol * (1.0 + psi0_norm))
             beta, w = trial, tw
             out.trace[idx, it] = w.objective
-            # numpy's pairwise sum: a Python sum's order differs once p >= 8
-            blowup = [s > b for s, b in zip(np.add.reduce(beta * beta, axis=-1).tolist(), blowup_sq)]
-            if any(blowup) or any(done):
-                ended = np.logical_or(blowup, done)
-                blown = np.array(blowup)[ended]
+            blowup = np.add.reduce(beta * beta, axis=-1) > blowup_sq
+            ended = blowup if done is False else blowup | done
+            if np.count_nonzero(ended):
+                blown = blowup[ended]
                 retire(ended, it, np.where(
                     blown, "stopped: coefficient blow-up points to separation/indeterminacy", ""),
                     converged=~blown)

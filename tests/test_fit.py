@@ -714,6 +714,31 @@ class TestBatchedCore:
         assert str(res.error[0]).startswith("Cholesky pivot 2 non-positive")
         assert "BracketError" in kinds and kinds.count(None) >= 8
 
+    @pytest.mark.parametrize("q", [1.0, 0.97])
+    def test_objective_stop_rows_of_unlike_scales(self, q):
+        """Under the objective stop rule each row of a batch whose objectives differ by orders of
+        magnitude, from starts of unlike distances, stops where it stops alone, byte for byte."""
+        from lqglm.fit import _classical_start, _irls, _stack
+
+        rng = rng_stream(29, 0)
+        datas = []
+        for scale in (0.0, 2.0, 5.0, 0.5):
+            X = np.column_stack([np.ones(60), rng.normal(size=60)])
+            y = rng.poisson(np.exp(scale + 0.5 * X[:, 1])).astype(float)
+            y[:3] *= 5  # contaminated counts
+            datas.append(ModelData(X, y, "poisson"))
+        prob = _stack(datas)
+        beta0 = _classical_start(prob)[0] + np.array([[0.0], [0.3], [0.6], [0.9]])
+        ctl = FitControl(max_iter=100)
+        batch = _irls(prob, q, beta0, ctl)
+        assert np.count_nonzero(batch.converged) >= 2 and len(set(batch.iterations.tolist())) > 2
+        for r in range(len(datas)):
+            alone = _irls(prob.rows([r]), q, beta0[[r]], ctl)
+            assert batch.beta[r].tobytes() == alone.beta[0].tobytes()
+            assert batch.iterations[r] == alone.iterations[0]
+            assert batch.message[r] == alone.message[0]
+            assert batch.trace[r].tobytes() == alone.trace[0].tobytes()
+
     def test_batch_of_one_is_fit_mlq(self, poisson_example):
         from lqglm.fit import _irls, _stack
 
