@@ -1,7 +1,7 @@
 """Time two checkouts' benchmark ops against each other in one interpreter.
 
     python3 tools/ab_ops.py ../lqglm-parent .
-    python3 tools/ab_ops.py PARENT CHANGE --workload session_vaso --rounds 20
+    python3 tools/ab_ops.py PARENT CHANGE --workload session_vaso
 
 Each checkout's ``src/lqglm`` is imported under its own module name
 (``lqglm_parent`` and ``lqglm_change``) into this one interpreter, and
@@ -9,7 +9,8 @@ the ops of a workload from this repository's ``bench/workloads.py`` (read
 only: nothing under ``bench/`` is written) run on both, interleaved op by
 op: each op's inputs run on the two sides in the order ABBA, twice on
 each side, and the side that goes first alternates from op to op.  A
-round is ``--ops`` consecutive ops, and its ratio is the CHANGE time over
+round is ``OPS`` consecutive ops of seed ``SEED``, there are ``ROUNDS``
+of them, and a round's ratio is the CHANGE time over
 the PARENT time, each summed over the round's runs; only ``run`` is
 timed, as the benchmark times it.  Interleaving op by op puts both sides
 in the same few milliseconds of the host, so a swing of its speed
@@ -36,6 +37,8 @@ from time import perf_counter
 
 ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("mc_contam", "mc_tests", "session_vaso")
+# The workload seed, the number of rounds and the ops in a round.
+SEED, ROUNDS, OPS = 0, 10, 10
 
 
 def load(checkout, name):
@@ -99,12 +102,7 @@ def main(argv=None):
     ap.add_argument("change", type=Path, help="checkout of the changed commit")
     ap.add_argument("--workload", choices=WORKLOADS, action="append",
                     help="workload to time (repeatable; default all)")
-    ap.add_argument("--seed", type=int, default=0, help="workload seed (default 0)")
-    ap.add_argument("--rounds", type=int, default=10, help="rounds (default 10)")
-    ap.add_argument("--ops", type=int, default=10, help="ops per round (default 10)")
     args = ap.parse_args(argv)
-    if args.rounds < 1 or args.ops < 1:
-        ap.error("--rounds and --ops must be at least 1")
     sys.path[:0] = [str(args.change.resolve() / "src"), str(ROOT / "bench")]
     from workloads import WORKLOADS as DEFINED
 
@@ -115,11 +113,11 @@ def main(argv=None):
             for side, lq in enumerate(sides):
                 wd = Path(workdir) / f"{name}-{side}"
                 wd.mkdir()
-                wls.append(DEFINED[name](lq, args.seed, str(wd)))
+                wls.append(DEFINED[name](lq, SEED, str(wd)))
             for wl in wls:  # untimed warm-up
                 wl.run(wl.inputs(0))
-            times = interleave(*map(workload_ops, wls), args.rounds, args.ops)
-            print("\n".join(report(f"{name}, seed {args.seed}, {args.ops} ops a round", times)))
+            times = interleave(*map(workload_ops, wls), ROUNDS, OPS)
+            print("\n".join(report(f"{name}, seed {SEED}, {OPS} ops a round", times)))
     return 0
 
 
