@@ -9,10 +9,10 @@ the ops of a workload from this repository's ``bench/workloads.py`` (read
 only: nothing under ``bench/`` is written) run on both, interleaved op by
 op: each op's inputs run on the two sides in the order ABBA, twice on
 each side, and the side that goes first alternates from op to op.  A
-round is ``OPS`` consecutive ops of seed ``SEED``, there are ``ROUNDS``
-of them, and a round's ratio is the CHANGE time over
-the PARENT time, each summed over the round's runs; only ``run`` is
-timed, as the benchmark times it.  Interleaving op by op puts both sides
+round is ``OPS`` consecutive ops of seed ``SEED``, ``ROUNDS`` of them
+are timed, and a round's ratio is the CHANGE time over the PARENT time,
+each summed over the round's runs; only ``run`` is timed, as the
+benchmark times it.  Interleaving op by op puts both sides
 in the same few milliseconds of the host, so a swing of its speed
 reaches both alike, which separate runs of several seconds do not; the
 ABBA order gives each side the first and the second place of every op
