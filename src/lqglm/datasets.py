@@ -19,7 +19,7 @@ __all__ = ["vaso_path", "load_vaso", "vaso_model_data"]
 
 def vaso_path():
     """Filesystem path of the bundled vasoconstriction CSV."""
-    return resources.files("lqglm").joinpath("data/vaso.csv")
+    return resources.files(__package__).joinpath("data/vaso.csv")
 
 
 def load_vaso():

@@ -41,7 +41,9 @@ from .fit import (
     _sensitivity,
     _working,
     calibrate,
+    estimate_phi,
 )
+from .model import PROFILE
 from .numerics import (
     _not_positive_definite,
     _solve_spd_each,
@@ -189,30 +191,32 @@ def _constrained_point(data, hyp, q, control):
     link), solved by ``b0 + N gamma`` with the particular solution ``b0``.
     ``gamma`` is fitted on the reduced design ``X N`` with the offset
     ``X b0``, at the profiled dispersion when the data requests it, and
-    the solution is evaluated once, on the full design.  An explicit init
-    belongs to the full design, not the reduced one, so the fit starts
-    from the warm start; the other loop settings of ``control`` apply.
+    the solution is evaluated once, on the full design.  A full-rank
+    hypothesis leaves no ``gamma``: the point is ``b0``, at the dispersion
+    profiled there when the data requests it.  An explicit init belongs
+    to the full design, not the reduced one, so the fit starts from the
+    warm start; the other loop settings of ``control`` apply.
     """
     ctl = control if control is not None else FitControl()
-    return _constrained_memo(data, hyp, float(q), ctl.max_iter, ctl.tol, ctl.stop_rule,
-                             ctl.solver)
+    return _constrained_memo(data, hyp, replace(ctl, q=float(q), init="ml-warm-start"))
 
 
 # One slot, so that score_test and bf_test in turn share the fit.  The key
 # keeps data and hyp (compared by identity, over read-only arrays) alive
 # until the next constrained fit, so their ids cannot be reused meanwhile.
 @lru_cache(maxsize=1)
-def _constrained_memo(data, hyp, q, max_iter, tol, stop_rule, solver):
+def _constrained_memo(data, hyp, control):
+    q = control.q
     if not data.link.is_canonical:
         raise UsageError("constrained fits are defined for the canonical link")
     b0 = hyp.H.T @ solve_spd(hyp.H @ hyp.H.T, hyp.h / q)
     if hyp.N.shape[1] == 0:
-        return _evaluate(data, b0, q)
+        phi = estimate_phi(data, q * b0, q) if data.phi == PROFILE else None
+        return _evaluate(data, b0, q, phi)
     # X N keeps the full rank of X for an orthonormal N, and y was checked
     base = _Problem.build(data.family, data.link, data.X @ hyp.N, data.y[None], data.phi,
                           data.X @ b0)
-    ctl = FitControl(q=q, max_iter=max_iter, tol=tol, stop_rule=stop_rule, solver=solver)
-    prob, res = _fit_path(base, [q], ctl)[0]
+    prob, res = _fit_path(base, [q], control)[0]
     if res.error[0] is not None:
         raise res.error[0]
     return _evaluate(data, b0 + hyp.N @ res.beta[0], q, float(np.ravel(prob.phi)[0]))

@@ -44,6 +44,8 @@ __all__ = [
 
 # Treat |q - 1| below this as the q = 1 (logarithmic) branch.
 Q_ONE_EPS = 1e-12
+# A discrete escort sum stops at a term past the mean below this share of its total.
+ESCORT_TAIL_TOL = 1e-15
 
 
 class ThetaLink:
@@ -441,7 +443,7 @@ def escort_log_density(family, y, theta, phi, q, r):
     return float(out) if out.ndim == 0 else out
 
 
-def escort_normalization(family, theta, phi, q, r, tail_tol=1e-15):
+def escort_normalization(family, theta, phi, q, r):
     """Total mass of the escort function over the family's support.
 
     The escort enters expectation identities as if it were a density; this
@@ -462,7 +464,7 @@ def escort_normalization(family, theta, phi, q, r, tail_tol=1e-15):
             term = float(np.exp(escort_log_density(family, float(y), theta, phi, q, r)))
             total += term
             mu_scale = family.b_dot(theta)
-            if y > 10 * (1 + mu_scale) and term < tail_tol * max(total, 1.0):
+            if y > 10 * (1 + mu_scale) and term < ESCORT_TAIL_TOL * max(total, 1.0):
                 break
             y += 1
             if y > 100000:

@@ -41,6 +41,8 @@ SEPARATION_NORM_FACTOR = 1e4
 THETA_OVERFLOW = 700.0
 # Halvings of a rejected step before the loop stops as exhausted.
 STEP_HALVING_MAX = 20
+# The profiled dispersion is searched within this factor of its moment estimate.
+PHI_BRACKET = 1e4
 # Replicates fitted together as one batch (and one task of a worker pool).
 BLOCK = 64
 
@@ -52,11 +54,11 @@ class _Problem(NamedTuple):
     ``X`` is one (n, p) design that every row shares through numpy
     broadcasting, or an (R, n, p) stack of one design per row; ``Xt`` is
     its contiguous transpose, ``c`` caches ``c(y, phi)``, and ``offset``
-    (n,) or None is shared by every row.  ``phi`` is a float shared by
-    every row, or an (R, 1) column of per-row dispersions; with
-    ``profile`` the dispersion is profiled out of each fit, starting from
-    ``phi``.  ``build`` takes ModelData's ``phi``: ``PROFILE`` sets
-    ``profile`` and starts at phi = 1.
+    (n,) or None (the constrained fit's ``X b0``) is shared by every row.
+    ``phi`` is a float shared by every row, or an (R, 1) column of per-row
+    dispersions; with ``profile`` the dispersion is profiled out of each
+    fit, starting from ``phi``.  ``build`` takes ModelData's ``phi``:
+    ``PROFILE`` sets ``profile`` and starts at phi = 1.
     """
 
     family: object
@@ -88,10 +90,10 @@ class _Problem(NamedTuple):
         return self._replace(phi=phi, c=self.family.c(self.y, phi))
 
 
-def _problem(data, phi, offset=None, y=None):
+def _problem(data, phi, y=None):
     """The fit problem of the design of ``data`` with the responses ``y``
     (``data.y`` by default); an (R, n) batch of them shares the design."""
-    return _Problem.build(data.family, data.link, data.X, data.y if y is None else y, phi, offset)
+    return _Problem.build(data.family, data.link, data.X, data.y if y is None else y, phi)
 
 
 def _stack(datas, offset=None):
@@ -218,7 +220,7 @@ def _predictor(prob, beta):
     return eta if prob.offset is None else eta + prob.offset
 
 
-def _working_at(data, beta, q, phi, offset):
+def _working_at(data, beta, q, phi):
     """``_working`` at coefficients ``beta``, with the public ``phi`` default.
 
     Returns the working point and its problem (with the resolved ``phi``);
@@ -226,7 +228,7 @@ def _working_at(data, beta, q, phi, offset):
     the family domain.
     """
     phi = data.family.resolve_phi(_phi_value(data, phi))
-    prob = _problem(data, phi, offset)
+    prob = _problem(data, phi)
     w = _working(prob, _predictor(prob, np.asarray(beta, dtype=float)), q)
     if not w.in_domain:
         lo, hi = data.family.theta_domain
@@ -238,26 +240,26 @@ def _working_at(data, beta, q, phi, offset):
     return w, prob
 
 
-def lq_objective(data, beta, q, phi=None, offset=None):
+def lq_objective(data, beta, q, phi=None):
     """Lq-likelihood objective ``sum_i l_q(f(y_i; k(x_i' beta), phi))``."""
-    return float(_working_at(data, beta, q, phi, offset)[0].objective)
+    return float(_working_at(data, beta, q, phi)[0].objective)
 
 
-def robust_weights(data, beta, q, phi=None, offset=None):
+def robust_weights(data, beta, q, phi=None):
     """Estimation weights ``U_i = f(y_i; k(x_i' beta), phi)^(1-q)``.
 
     All weights are 1 at q = 1; for q < 1 they downweight observations
     whose density under the current fit is small.
     """
-    return _working_at(data, beta, q, phi, offset)[0].U
+    return _working_at(data, beta, q, phi)[0].U
 
 
-def estimating_function(data, beta, q, phi=None, offset=None):
+def estimating_function(data, beta, q, phi=None):
     """Gradient of the Lq-objective: ``phi X' W^{1/2} U V^{-1/2} (y - mu)``."""
-    return _working_at(data, beta, q, phi, offset)[0].psi
+    return _working_at(data, beta, q, phi)[0].psi
 
 
-def matrices_ab(data, beta, q, phi=None, offset=None):
+def matrices_ab(data, beta, q, phi=None):
     """Variability and sensitivity matrices at ``beta``.
 
     ``A_n = phi/(2-q) X' W J X`` and ``B_n = phi X' W J G K X`` with
@@ -266,10 +268,10 @@ def matrices_ab(data, beta, q, phi=None, offset=None):
     the supplied (surrogate-scale) ``beta``.  Requires ``q theta_i`` inside
     the natural parameter space.
     """
-    return _evaluate(data, beta, q, phi, offset)[1:]
+    return _evaluate(data, beta, q, phi)[1:]
 
 
-def _evaluate(data, beta, q, phi=None, offset=None):
+def _evaluate(data, beta, q, phi=None):
     """The working point, ``A_n`` and ``B_n`` of one ModelData at ``beta``;
     DomainError where ``theta`` or ``q theta`` leaves the domain.
 
@@ -277,7 +279,7 @@ def _evaluate(data, beta, q, phi=None, offset=None):
     point and the matrices then carry the non-finite entries that the
     solves reject, without a numpy warning."""
     with np.errstate(over="ignore", invalid="ignore"):
-        w, prob = _working_at(data, beta, q, phi, offset)
+        w, prob = _working_at(data, beta, q, phi)
         if not prob.family.in_theta_domain(q * w.theta):
             raise _j_q_undefined(prob.family)
         return (w, *_matrices_ab(prob, w, q))
@@ -646,11 +648,11 @@ def _profile(prob, q, res, control):
     return prob.with_phi(phi[:, None])
 
 
-def _profile_phi(prob, eta_q, q, expand=1e4):
+def _profile_phi(prob, eta_q, q):
     """Profiled Lq-likelihood dispersion of each row at the predictors ``eta_q``.
 
     One golden-section search on ``log(phi)`` runs every row, each in a
-    bracket of ``expand`` either side of its moment estimate.  Returns
+    bracket of ``PHI_BRACKET`` either side of its moment estimate.  Returns
     ``(phi, error)``: ``error[r]`` is the BracketError (zero residuals, or
     the maximum on the bracket edge) or EvaluationError of row r, else None.
     """
@@ -663,7 +665,7 @@ def _profile_phi(prob, eta_q, q, expand=1e4):
              if z else None for z in zero.tolist()]
     rows = np.flatnonzero(~zero)
     phi0 = y.shape[-1] / rss[rows]
-    lo, hi = np.log(phi0 / expand), np.log(phi0 * expand)
+    lo, hi = np.log(phi0 / PHI_BRACKET), np.log(phi0 * PHI_BRACKET)
     # only phi varies along the search: y*theta - b is computed once, and
     # each probe forms logf and the objective as _working does
     y, yb = y[rows], (y * theta - b)[rows]
@@ -677,15 +679,15 @@ def _profile_phi(prob, eta_q, q, expand=1e4):
     edge = ((t - lo < 1e-6) | (hi - t < 1e-6)).tolist()
     for r, e, on_edge in zip(rows.tolist(), search_error, edge):
         if e is None and on_edge:
-            e = BracketError(
-                "profiled dispersion maximum sits on the bracket edge; expand the bracket")
+            e = BracketError("profiled dispersion maximum sits on the bracket edge; the bracket "
+                             f"spans a factor {PHI_BRACKET:g} either side of the moment estimate")
         error[r] = e
     phi = np.full(len(rss), np.nan)
     phi[rows] = np.exp(t)
     return phi, error
 
 
-def fit_mlq(data, control=None, offset=None):
+def fit_mlq(data, control=None):
     """Fit a GLM by maximum Lq-likelihood.
 
     Runs Newton scoring (equivalently IRLS on the working response) with
@@ -698,8 +700,6 @@ def fit_mlq(data, control=None, offset=None):
     ----------
     data : ModelData
     control : FitControl, optional
-    offset : array, optional
-        Fixed addition to the linear predictor, length n.
 
     Returns
     -------
@@ -709,7 +709,7 @@ def fit_mlq(data, control=None, offset=None):
     """
     if control is None:
         control = FitControl()
-    path = _fit_path(_problem(data, data.phi, offset, data.y[None]), [control.q], control)
+    path = _fit_path(_problem(data, data.phi, y=data.y[None]), [control.q], control)
     fit = next(_results(data, [control.q], path))
     if isinstance(fit, LqglmError):
         raise fit
@@ -797,12 +797,13 @@ def _assemble(data, qs, path):
         k += 1
 
 
-def estimate_phi(data, beta_q, q, expand=1e4):
+def estimate_phi(data, beta_q, q):
     """Profiled Lq-likelihood estimate of a free dispersion.
 
     Maximizes ``H_n(phi) = sum_i l_q(f(y_i; k(x_i' beta_q), phi))`` over
-    ``phi`` by golden-section search on ``log(phi)``, bracketing around the
-    moment estimate.  ``beta_q`` is on the calibrated scale.
+    ``phi`` by golden-section search on ``log(phi)``, within a factor
+    ``PHI_BRACKET`` either side of the moment estimate.  ``beta_q`` is on
+    the calibrated scale.
 
     Raises
     ------
@@ -812,7 +813,7 @@ def estimate_phi(data, beta_q, q, expand=1e4):
     if data.family.phi_fixed is not None:
         raise UsageError(f"family '{data.family.name}' has fixed dispersion")
     eta_q = data.X @ np.asarray(beta_q, dtype=float)
-    phi, error = _profile_phi(_problem(data, data.phi, y=data.y[None]), eta_q[None], q, expand)
+    phi, error = _profile_phi(_problem(data, data.phi, y=data.y[None]), eta_q[None], q)
     if error[0] is not None:
         raise error[0]
     return float(phi[0])

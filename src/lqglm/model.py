@@ -75,7 +75,7 @@ class ModelData:
         return ModelData(self.X[:, list(cols)], self.y, self.family, self.link, self.phi)
 
 
-@dataclass
+@dataclass(frozen=True)
 class FitControl:
     """Tuning for the MLq IRLS loop.
 

@@ -24,15 +24,17 @@ __all__ = [
 ]
 
 GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
+# ``solve_spd`` rejects an asymmetry above this fraction of the largest entry.
+SYM_TOL = 1e-10
 
 
-def solve_spd(A, B, sym_tol=1e-10):
+def solve_spd(A, B):
     """Solve ``A X = B`` for symmetric positive-definite ``A`` by Cholesky.
 
     Parameters
     ----------
     A : array, shape (p, p)
-        Symmetric (within ``sym_tol`` relative) positive-definite matrix.
+        Symmetric (within ``SYM_TOL`` relative) positive-definite matrix.
     B : array, shape (p,) or (p, m)
         Right-hand side(s).
 
@@ -54,7 +56,7 @@ def solve_spd(A, B, sym_tol=1e-10):
     scale = np.max(np.abs(A)) if A.size else 0.0
     if not (np.isfinite(scale) and np.isfinite(B).all()):
         raise DomainError("matrix or right-hand side has non-finite entries")
-    if scale > 0 and np.max(np.abs(A - A.T)) > sym_tol * scale:
+    if scale > 0 and np.max(np.abs(A - A.T)) > SYM_TOL * scale:
         raise ValueError("matrix is not symmetric within tolerance")
     c, info = lapack.dpotrf(A, lower=1)
     if info > 0:

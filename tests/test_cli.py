@@ -10,11 +10,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lqglm import (
+    PROFILE,
     FitControl,
     LinearHypothesis,
+    ModelData,
     QGrid,
     bf_test,
+    estimate_phi,
     fit_mlq,
+    linear_tests,
+    rng_stream,
     score_test,
     select_q_efficiency,
 )
@@ -84,8 +89,6 @@ class TestFit:
         assert code in (0, 2)
 
     def test_gaussian_profile_dispersion(self, tmp_path):
-        from lqglm import rng_stream
-
         rng = rng_stream(33, 0)
         x = rng.uniform(-1, 1, size=120)
         y = 1.0 + 0.5 * x + rng.normal(0, 0.5, size=120)
@@ -211,6 +214,33 @@ class TestHypothesisTest:
         ])
         assert code == 0
         assert len(calls) == 2  # the unconstrained fit and one constrained fit
+
+    def test_gaussian_profile_full_rank_hypothesis(self, tmp_path):
+        # H = I fixes the coefficients; the score is taken at the dispersion
+        # profiled there, not at phi = 1
+        rng = rng_stream(33, 0)
+        x = rng.uniform(-1, 1, size=60)
+        y = 0.5 + x + rng.normal(0, 0.5, size=60)
+        src = tmp_path / "gauss.csv"
+        src.write_text("x,y\n" + "\n".join(f"{float(a)!r},{float(b)!r}" for a, b in zip(x, y)))
+        (tmp_path / "H.csv").write_text("1.0,0.0\n0.0,1.0\n")
+        (tmp_path / "h.csv").write_text("0.5\n1.1\n")
+        out = str(tmp_path / "test.json")
+        code = main([
+            "test", "--data", str(src), "--response", "y", "--family", "gaussian",
+            "--phi", "profile", "--q", "0.9",
+            "--H", str(tmp_path / "H.csv"), "--h", str(tmp_path / "h.csv"), "--output", out,
+        ])
+        assert code == 0
+        data = ModelData(np.column_stack([np.ones(60), x]), y, "gaussian", phi=PROFILE)
+        ctl, hyp = FitControl(q=0.9), LinearHypothesis(np.eye(2), [0.5, 1.1])
+        want = linear_tests(data, fit_mlq(data, ctl), hyp, 0.9, ctl)
+        tests = json.load(open(out))["tests"]
+        assert tests == [{"kind": r.kind, "statistic": r.statistic, "dof": r.dof,
+                          "p_value": r.p_value} for r in want]
+        fixed = ModelData(data.X, y, "gaussian", phi=estimate_phi(data, hyp.h, 0.9))
+        assert tests[1]["statistic"] == pytest.approx(score_test(fixed, hyp, 0.9).statistic,
+                                                      rel=1e-12)
 
     def test_overflowed_constrained_point_exits_1(self, tmp_path, capsys):
         # the score and bilinear-form statistics were reported as 0 (p = 1),

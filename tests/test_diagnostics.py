@@ -15,12 +15,14 @@ from lqglm import (
     LinearHypothesis,
     LqglmError,
     ModelData,
+    PROFILE,
     UsageError,
     added_variable_score,
     aic_q,
     bf_test,
     deviance_q,
     deviance_residuals,
+    estimate_phi,
     fit_mlq,
     get_family,
     influence_fn,
@@ -222,7 +224,7 @@ def _oracle_constrained_point(data, hyp, q, control):
     result is discarded, then the evaluation on the full design."""
     from dataclasses import replace
 
-    from lqglm.fit import _evaluate, _fit_path, _fitted, _phi_value, _stack
+    from lqglm.fit import _evaluate, _fit_path, _fitted, _stack
     from lqglm.numerics import solve_spd
 
     if not data.link.is_canonical:
@@ -232,7 +234,8 @@ def _oracle_constrained_point(data, hyp, q, control):
     b0 = H.T @ solve_spd(H @ H.T, rhs)
     N = np.linalg.svd(H)[2][d:].T
     if N.shape[1] == 0:
-        return _evaluate(data, b0, q, _phi_value(data, None))
+        phi = estimate_phi(data, q * b0, q) if data.phi == PROFILE else data.phi
+        return _evaluate(data, b0, q, phi)
     reduced = ModelData(data.X @ N, data.y, data.family, data.link, data.phi)
     ctl = replace(control if control is not None else FitControl(), q=q,
                   init="ml-warm-start")
@@ -299,6 +302,35 @@ class TestConstrainedPath:
         data = ModelData(gaussian_example.X, gaussian_example.y, "gaussian", phi=phi)
         for H, h in (([[0.0, 1.0]], [1.0]), ([[1.0, 0.0]], [0.5]), (np.eye(2), [0.5, 1.0])):
             self._assert_equal_to_oracle(data, LinearHypothesis(H, h), 0.9)
+
+    @staticmethod
+    def _full_rank_case(q):
+        """Profiled Gaussian data (sigma = 0.5, so phi is near 4) and a
+        full-rank hypothesis off its fit."""
+        rng = rng_stream(7, 0)
+        X = np.column_stack([np.ones(60), rng.uniform(-1, 1, size=60)])
+        data = ModelData(X, rng.normal(X @ np.array([0.5, 1.0]), 0.5), "gaussian", phi=PROFILE)
+        fit = fit_mlq(data, FitControl(q=q))
+        return data, LinearHypothesis(np.eye(2), fit.beta_q + np.array([0.05, -0.1]))
+
+    def test_full_rank_hypothesis_scores_at_the_profiled_dispersion(self):
+        # H = I fixes the coefficients at b0 = h / q, so the score is that
+        # of the data with phi fixed at the dispersion profiled at b0
+        data, hyp = self._full_rank_case(0.9)
+        phi_b0 = estimate_phi(data, hyp.h, 0.9)
+        assert phi_b0 > 3.0
+        fixed = ModelData(data.X, data.y, "gaussian", phi=phi_b0)
+        assert_allclose(score_test(data, hyp, 0.9).statistic,
+                        score_test(fixed, hyp, 0.9).statistic, rtol=1e-12)
+
+    def test_full_rank_profiled_score_scales_with_phi_at_q1(self):
+        # at q = 1, psi, A_n and B_n all scale with phi, so the statistic at
+        # the profiled dispersion is phi_hat(b0) times the phi = 1 statistic
+        data, hyp = self._full_rank_case(1.0)
+        unit = ModelData(data.X, data.y, "gaussian", phi=1.0)
+        assert_allclose(score_test(data, hyp, 1.0).statistic,
+                        estimate_phi(data, hyp.h, 1.0) * score_test(unit, hyp, 1.0).statistic,
+                        rtol=1e-12)
 
     def test_singular_constrained_fit_raises_as_oracle(self):
         # a steep constrained slope on separated data leaves B_n singular

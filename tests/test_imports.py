@@ -1,9 +1,12 @@
 """Every name a ``lqglm`` module imports is used there or re-exported."""
 
 import ast
+import inspect
 from pathlib import Path
 
 import pytest
+
+import lqglm
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "lqglm"
 
@@ -111,3 +114,23 @@ def test_checker_finds_a_core_name():
                          ids=lambda p: p.name)
 def test_only_fit_names_the_fitting_core(path):
     assert _names(path.read_text()) & FIT_CORE == set()
+
+
+# The model is (X, y, phi) as its ModelData holds it: no public callable
+# takes an offset, and the search bracket and the solver and escort
+# tolerances are module constants.
+REMOVED_PARAMETERS = {"offset", "expand", "sym_tol", "tail_tol"}
+
+
+def test_no_public_callable_takes_a_removed_parameter():
+    found = []
+    for name in dir(lqglm):
+        obj = getattr(lqglm, name)
+        if name.startswith("_") or not callable(obj):
+            continue
+        try:
+            parameters = inspect.signature(obj).parameters
+        except ValueError:  # an exception class keeps BaseException's signature
+            continue
+        found += [(name, p) for p in parameters if p in REMOVED_PARAMETERS]
+    assert found == []

@@ -20,7 +20,8 @@ once, so the advantage of running an op right after the other side ran
 it (warm caches) cancels too.  Prints each round's ratio, their median,
 and in how many rounds CHANGE was faster.
 
-``lqglm.datasets`` finds its bundled data through the package named
+``lqglm.datasets`` finds its bundled data through the package that holds
+it, but a checkout from before that looks it up through the package named
 ``lqglm``, so CHANGE's ``src`` is also importable under that name; both
 checkouts ship the same data.
 """
