@@ -8,13 +8,13 @@ class LqglmError(Exception):
 class DomainError(LqglmError, ValueError):
     """An argument lies outside the mathematical domain of an operation.
 
-    Carries optional context about which bound was violated and where.
+    Carries optional context: the offending ``value`` and the ``index`` of
+    the row where it occurred.
     """
 
-    def __init__(self, message, *, value=None, bound=None, index=None):
+    def __init__(self, message, *, value=None, index=None):
         super().__init__(message)
         self.value = value
-        self.bound = bound
         self.index = index
 
 

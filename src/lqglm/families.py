@@ -2,12 +2,14 @@
 
 Families are parameterized in natural form: the log-density of an
 observation is ``phi * (y * theta - b(theta)) + c(y, phi)`` where ``b`` is
-the cumulant function, ``theta`` the natural parameter restricted to the
-open interval ``theta_domain``, and ``phi > 0`` a precision-type dispersion
-(``var(y) = b_ddot(theta) / phi``; for the Gaussian, ``phi`` is the inverse
-variance).  The linear predictor ``eta`` maps to ``theta`` through a
-one-to-one differentiable theta-link ``k``; the canonical link is the
-identity.
+the cumulant function, ``theta`` the natural parameter, and ``phi > 0`` a
+precision-type dispersion (``var(y) = b_ddot(theta) / phi``; for the
+Gaussian, ``phi`` is the inverse variance).  The natural parameter space of
+every shipped family (Bernoulli, Poisson, Gaussian) is the whole real line,
+so "in the domain" means finite, and ``J_q`` below is defined at every
+finite ``theta`` for every ``q`` in (0, 1].  The linear predictor ``eta``
+maps to ``theta`` through a one-to-one differentiable theta-link ``k``; the
+canonical link is the identity.
 
 Also houses the order-q deformed logarithm, the normalizer
 ``jq(theta, q) = exp(-q b(theta) + b(q theta))`` that links power-weighted
@@ -114,14 +116,13 @@ class Family:
     Subclasses define the cumulant ``b``, the cumulant and its two
     derivatives in one pass (``cumulants``, from which ``b_dot`` and
     ``b_ddot`` are taken), the normalizer ``c(y, phi)``, the CDF, sampling,
-    and support checks.
-    ``theta_domain`` is an open interval ``(lo, hi)``; ``phi_fixed`` is the
-    dispersion value pinned by the family (``None`` when free).
+    and support checks.  The natural parameter ranges over the real line,
+    so ``check_theta`` asks only that ``theta`` be finite; ``phi_fixed``
+    is the dispersion value pinned by the family (``None`` when free).
     """
 
     name = "family"
     discrete = False
-    theta_domain = (-np.inf, np.inf)
     phi_fixed = None
 
     def b(self, theta):
@@ -165,29 +166,10 @@ class Family:
         """Log-density at the saturated mean ``mu = y`` (limit where needed)."""
         raise NotImplementedError
 
-    def in_theta_domain(self, theta, axis=None, abs_max=None):
-        """Whether every ``theta`` (along ``axis``, default all) is inside the domain.
-
-        ``abs_max``, if given, is ``max|theta|`` along ``axis``.  On the
-        unbounded domain it decides alone: ``theta`` is inside when that is
-        below inf, which NaN fails.
-        """
-        lo, hi = self.theta_domain
-        if abs_max is not None and lo == -np.inf and hi == np.inf:
-            return abs_max < np.inf
-        theta = np.asarray(theta, dtype=float)
-        # NaN propagates through min/max and fails both comparisons
-        return ((np.minimum.reduce(theta, axis=axis, initial=np.inf) > lo)
-                & (np.maximum.reduce(theta, axis=axis, initial=-np.inf) < hi))
-
-    def check_theta(self, theta, what="theta"):
-        if not self.in_theta_domain(theta):
-            lo, hi = self.theta_domain
-            raise DomainError(
-                f"{what} outside the natural parameter space ({lo}, {hi}) "
-                f"of family '{self.name}'",
-                bound=self.theta_domain,
-            )
+    def check_theta(self, theta):
+        """Raise DomainError unless every ``theta`` is finite."""
+        if not np.all(np.isfinite(theta)):
+            raise DomainError(f"natural parameter of family '{self.name}' is not finite")
 
     def resolve_phi(self, phi):
         """The dispersion to use: the pinned value, else ``phi`` checked
@@ -410,14 +392,14 @@ def log_density(family, y, theta, phi=None):
 def jq(family, theta, q):
     """Normalizer ``J_q(theta) = exp(-q b(theta) + b(q theta))``.
 
-    Requires both ``theta`` and ``q * theta`` inside the natural parameter
-    space (the latter is the constraint of the escort construction).
+    The escort construction needs ``q theta`` in the natural parameter
+    space; that space is the real line, so ``J_q`` is defined at every
+    finite ``theta``.
     """
     family = get_family(family)
     if q <= 0.0:
         raise DomainError("jq requires q > 0", value=q)
-    family.check_theta(theta, what="theta")
-    family.check_theta(np.asarray(theta, dtype=float) * q, what="q*theta")
+    family.check_theta(theta)
     theta = np.asarray(theta, dtype=float)
     out = np.exp(-q * family.b(theta) + family.b(q * theta))
     return float(out) if out.ndim == 0 else out

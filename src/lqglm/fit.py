@@ -152,10 +152,10 @@ def _working(prob, eta, q):
     derivatives, ``logf`` the log-density ``phi*(y*theta - b(theta)) +
     c(y, phi)``, ``objective`` the Lq-objective, ``U = f^(1-q)`` the
     estimation weights and ``psi`` the estimating function, each per row.
-    ``theta_max`` is each row's ``max|theta|``, which also decides the
-    domain check of the unbounded families; ``in_domain`` is False on
-    rows where a natural parameter leaves the family domain, and the other
-    fields of such a row are not meaningful.
+    ``theta_max`` is each row's ``max|theta|``.  Every shipped family's
+    natural parameter ranges over the real line, so "in the domain" means
+    finite: ``in_domain`` is ``theta_max < inf``, False on rows with an
+    infinite or NaN ``theta``, whose other fields are not meaningful.
 
     ``q``, like ``prob.phi``, is a float shared by every row or an (R, 1)
     column of per-row values; each row equals its own float-q evaluation.
@@ -183,7 +183,7 @@ def _working(prob, eta, q):
         psi = phi * psi
     objective = np.add.reduce(terms, axis=-1)
     theta_max = np.maximum.reduce(np.abs(theta), axis=-1)
-    in_domain = fam.in_theta_domain(theta, axis=-1, abs_max=theta_max)
+    in_domain = theta_max < np.inf
     return _Working(eta, theta, b, in_domain, theta_max, logf, objective, U, mu, V, kdot, psi)
 
 
@@ -224,19 +224,15 @@ def _working_at(data, beta, q, phi):
     """``_working`` at coefficients ``beta``, with the public ``phi`` default.
 
     Returns the working point and its problem (with the resolved ``phi``);
-    raises DomainError naming the first row whose natural parameter leaves
-    the family domain.
+    raises DomainError naming the first row whose natural parameter is
+    not finite.
     """
     phi = data.family.resolve_phi(_phi_value(data, phi))
     prob = _problem(data, phi)
     w = _working(prob, _predictor(prob, np.asarray(beta, dtype=float)), q)
     if not w.in_domain:
-        lo, hi = data.family.theta_domain
-        bad = int(np.argmax(~np.isfinite(w.theta) | (w.theta <= lo) | (w.theta >= hi)))
-        raise DomainError(
-            f"natural parameter outside the family domain at row {bad}",
-            index=bad,
-        )
+        bad = int(np.argmax(~np.isfinite(w.theta)))
+        raise DomainError(f"natural parameter not finite at row {bad}", index=bad)
     return w, prob
 
 
@@ -265,23 +261,22 @@ def matrices_ab(data, beta, q, phi=None):
     ``A_n = phi/(2-q) X' W J X`` and ``B_n = phi X' W J G K X`` with
     ``W_i = V_i k_dot(eta_i)^2``, ``J_i = J_q(theta_i)^(-phi)``,
     ``G_i = g_dot(theta_i)`` and ``K_i = k_dot(eta_i)``, all evaluated at
-    the supplied (surrogate-scale) ``beta``.  Requires ``q theta_i`` inside
-    the natural parameter space.
+    the supplied (surrogate-scale) ``beta``.  ``J_q`` is defined at every
+    finite ``theta``, so only a non-finite ``theta_i`` raises DomainError.
     """
     return _evaluate(data, beta, q, phi)[1:]
 
 
 def _evaluate(data, beta, q, phi=None):
     """The working point, ``A_n`` and ``B_n`` of one ModelData at ``beta``;
-    DomainError where ``theta`` or ``q theta`` leaves the domain.
+    DomainError where ``theta`` is not finite.  ``J_q`` needs no check of
+    its own: it is defined at every finite ``theta``.
 
-    ``b(theta)`` and ``J`` may overflow at an in-domain point; the working
+    ``b(theta)`` and ``J`` may overflow at a finite ``theta``; the working
     point and the matrices then carry the non-finite entries that the
     solves reject, without a numpy warning."""
     with np.errstate(over="ignore", invalid="ignore"):
         w, prob = _working_at(data, beta, q, phi)
-        if not prob.family.in_theta_domain(q * w.theta):
-            raise _j_q_undefined(prob.family)
         return (w, *_matrices_ab(prob, w, q))
 
 
@@ -296,12 +291,6 @@ def _matrices_ab(prob, w, q):
     XtWJX = XtDX if prob.link.is_canonical else (prob.Xt * (W * J)[..., None, :]) @ prob.X
     A = np.asarray(phi / (2.0 - q))[..., None] * XtWJX
     return A, (XtDX if _unit(phi) else np.asarray(phi)[..., None] * XtDX)
-
-
-def _j_q_undefined(family):
-    """The DomainError of a ``q theta`` outside the natural parameter space."""
-    return DomainError("q*theta outside the natural parameter space; J_q undefined",
-                       bound=family.theta_domain)
 
 
 def calibrate(link, eta_star, q):
@@ -554,21 +543,17 @@ def _fitted(prob, q, res):
     at its solution, not meaningful on rows with an error.  ``q`` is a
     float shared by every row or an (R, 1) column, as in ``_working``.
 
-    Sets the error of a row without one to what ``fit_mlq`` raises on it:
-    a DomainError where ``q theta`` leaves the domain, a
-    SingularMatrixError where ``B_n`` is not positive definite.  ``theta``
-    itself needs no check: ``_irls`` accepts in-domain points only.
+    Sets the error of a row without one to what ``fit_mlq`` raises on it,
+    a SingularMatrixError where ``B_n`` is not positive definite.  Nothing
+    else needs a check: ``_irls`` accepts finite ``theta`` only, and
+    ``J_q`` is defined at every finite ``theta``.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         w = _working(prob, _predictor(prob, res.beta), q)
         A, B = _matrices_ab(prob, w, q)
     Binv, pivot = _solve_spd_each(B, np.eye(B.shape[-1])[None])
-    j_q = prob.family.in_theta_domain(q * w.theta, axis=-1)
-    for r in np.flatnonzero(res.ok).tolist():
-        if not j_q[r]:
-            res.error[r] = _j_q_undefined(prob.family)
-        elif pivot[r]:
-            res.error[r] = _not_positive_definite(pivot[r])
+    for r in np.flatnonzero(res.ok & (pivot != 0)).tolist():
+        res.error[r] = _not_positive_definite(pivot[r])
     return w, A, B, Binv
 
 

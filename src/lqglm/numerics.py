@@ -24,6 +24,8 @@ __all__ = [
 ]
 
 GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
+# ``maximize_1d_rows`` stops after this many golden-section steps.
+GOLDEN_MAX_ITER = 500
 # ``solve_spd`` rejects an asymmetry above this fraction of the largest entry.
 SYM_TOL = 1e-10
 
@@ -141,7 +143,7 @@ def inv_spd(A):
     return solve_spd(A, np.eye(A.shape[0]))
 
 
-def maximize_1d_rows(f, lo, hi, tol=1e-8, max_iter=500):
+def maximize_1d_rows(f, lo, hi, tol=1e-8):
     """Golden-section maximization of one unimodal function per row on
     the (R,) brackets ``[lo, hi]``.
 
@@ -149,7 +151,8 @@ def maximize_1d_rows(f, lo, hi, tol=1e-8, max_iter=500):
     ``rows``, an index array.  A row stops when its own bracket is at or
     below ``tol``, so its result does not depend on the other rows; for a
     unimodal function (the caller's responsibility) its argmax is then
-    within ``tol`` of the optimum.  Returns ``(x, value, error)``:
+    within ``tol`` of the optimum.  Every row stops after
+    ``GOLDEN_MAX_ITER`` steps.  Returns ``(x, value, error)``:
     ``error[r]`` is the EvaluationError of a row that probed a non-finite
     value and left the search, else None.
     """
@@ -172,7 +175,7 @@ def maximize_1d_rows(f, lo, hi, tol=1e-8, max_iter=500):
 
     x1, x2 = b - GOLDEN * (b - a), a + GOLDEN * (b - a)
     f1, f2 = ev(x1, live), ev(x2, live)
-    for _ in range(max_iter):
+    for _ in range(GOLDEN_MAX_ITER):
         go = live & (b - a > tol)
         if not go.any():
             break

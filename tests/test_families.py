@@ -86,22 +86,6 @@ class TestFamilyInvariants:
             for g, w in zip(got, want):
                 assert g.shape == theta.shape and np.array_equal(g, w)
 
-    @pytest.mark.parametrize("bounded", [False, True])
-    def test_domain_from_abs_max_equals_the_full_check(self, bounded):
-        # max|theta| decides the unbounded domain; a bounded one ignores it
-        class HalfLine(Gaussian):
-            theta_domain = (-1.0, np.inf)
-
-        family = HalfLine() if bounded else Gaussian()
-        theta = np.array([[0.0, 2.0, -0.5], [0.0, -2.0, 3.0], [1.0, np.nan, 0.0],
-                          [np.inf, 0.0, 1.0], [-np.inf, 1.0, 0.0], [-1.0, 0.5, 0.5]])
-        abs_max = np.maximum.reduce(np.abs(theta), axis=-1)
-        got = family.in_theta_domain(theta, axis=-1, abs_max=abs_max)
-        want = family.in_theta_domain(theta, axis=-1)
-        assert np.array_equal(got, want)
-        assert want.tolist() == ([True, False, False, False, False, False] if bounded
-                                 else [True, True, False, False, False, True])
-
 
 class TestThetaLinks:
     @pytest.mark.parametrize("link", [CanonicalLink(), PowerThetaLink(3)])
@@ -167,16 +151,16 @@ class TestJq:
     def test_poisson_value(self):
         assert_allclose(jq("poisson", 1.0, 0.5), JQ_POISSON_T1_Q05, rtol=1e-14)
 
-    def test_domain_error_carries_bound(self):
-        class HalfLine(Gaussian):
-            name = "halfline"
-            theta_domain = (-1.0, np.inf)
-
-        fam = HalfLine()
-        assert jq(fam, -0.9, 0.5) > 0  # theta and q*theta both inside
-        with pytest.raises(DomainError) as exc:
-            jq(fam, -1.5, 0.9)
-        assert exc.value.bound == (-1.0, np.inf)
+    @pytest.mark.parametrize("family", FAMILIES, ids=lambda f: f.name)
+    @pytest.mark.parametrize("theta", [np.inf, -np.inf, np.nan])
+    def test_non_finite_theta_raises(self, family, theta):
+        # the natural parameter space is the real line: only a non-finite theta is outside
+        with pytest.raises(DomainError, match="not finite"):
+            jq(family, theta, 0.9)
+        with pytest.raises(DomainError, match="not finite"):
+            jq(family, np.array([0.5, theta]), 0.9)
+        with pytest.raises(DomainError, match="not finite"):
+            log_density(family, 1.0, theta)
 
 
 class TestEscort:

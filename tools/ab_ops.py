@@ -20,6 +20,14 @@ once, so the advantage of running an op right after the other side ran
 it (warm caches) cancels too.  Prints each round's ratio, their median,
 and in how many rounds CHANGE was faster.
 
+Report an A/A ratio on the same workload beside any claim: an A/A run
+compares a checkout with a byte-identical copy of itself
+(``git archive HEAD | tar -x -C ../lqglm-copy``), so its distance from 1
+is the noise of this comparison.  On a 2-core host, A/A medians read
+0.968-0.996 on mc_tests (the copy "faster" in 5-8 of 10 rounds),
+0.999-1.004 on mc_contam and 0.996-1.021 on session_vaso, so there a
+ratio within about 3% of 1 is no signal.
+
 ``lqglm.datasets`` finds its bundled data through the package that holds
 it, but a checkout from before that looks it up through the package named
 ``lqglm``, so CHANGE's ``src`` is also importable under that name; both
