@@ -58,6 +58,9 @@ def load_table(path, response, log_cols=(), no_intercept=False):
         rows = [r for r in reader if r]
     if not rows:
         raise UsageError("no rows")
+    twice = [name for i, name in enumerate(header) if name in header[:i]]
+    if twice:
+        raise UsageError(f"column {twice[0]!r} appears twice in the header")
     if response not in header:
         raise UsageError(f"response column {response!r} not in header {header}")
     cols = {name: [] for name in header}
@@ -75,6 +78,9 @@ def load_table(path, response, log_cols=(), no_intercept=False):
                 raise UsageError(f"response column {response!r} is not numeric") from None
     y = numeric.pop(response)
     names = [n for n in header if n in numeric]
+    twice = [c for i, c in enumerate(log_cols) if c in log_cols[:i]]
+    if twice:
+        raise UsageError(f"--log names column {twice[0]!r} twice")
     for c in log_cols:
         if c not in numeric:
             raise UsageError(f"--log column {c!r} not a numeric covariate")

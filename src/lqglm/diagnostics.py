@@ -154,7 +154,7 @@ def aic_q(data, fit):
     """Lq analogue of the Akaike criterion.
 
     ``-2 sum_i l_q(f_i at the calibrated fit) + 2 tr(B_n^{-1} A_n)``; the
-    penalty reduces to ``2 p / (2 - q)`` under the canonical link.
+    penalty is ``2 p / (2 - q)``, as ``A_n = B_n / (2 - q)`` on every link.
     """
     penalty = 2.0 * float(np.trace(solve_spd(fit.B_n, fit.A_n)))
     return -2.0 * fit.lq_value + penalty
@@ -277,8 +277,8 @@ def linear_tests(data, fit, hyp, q=None, control=None):
 
 
 def _hat_pieces(data, fit):
-    """Working point, ``V``, ``W``, ``J``, ``GK`` and the projector core
-    ``X' W J GK X`` at the surrogate solution."""
+    """Working point, ``V``, ``W``, ``J`` and the projector core
+    ``X' W J X`` at the surrogate solution."""
     prob = _problem(data, fit.phi_hat)
     w = _working(prob, fit.eta_star, fit.q)
     return (w, *_sensitivity(prob, w, fit.q))
@@ -288,23 +288,23 @@ def added_variable_score(data, fit_null, z, q=None):
     """Score statistic for adding the direction ``z`` to the design.
 
     ``R_n = (2-q) phi [z' W^{1/2} U V^{-1/2} (y - mu)]^2 / den`` with
-    ``den = z' (I - WJGK P) W J (I - P WJGK) z`` and
-    ``P = X (X' WJGK X)^{-1} X'``, everything at the surrogate-scale null
+    ``den = z' (I - WJ P) W J (I - P WJ) z`` and
+    ``P = X (X' WJ X)^{-1} X'``, everything at the surrogate-scale null
     fit.  With ``z = e_i`` this is the squared standardized residual.
     """
     q = _fit_q(fit_null, q)
     z = np.asarray(z, dtype=float).ravel()
     if z.shape[0] != data.n:
         raise UsageError("z must have one entry per observation")
-    w, _, W, J, GK, XtDX = _hat_pieces(data, fit_null)
+    w, _, W, J, XtDX = _hat_pieces(data, fit_null)
     phi = fit_null.phi_hat
     num_core = z @ (w.U * w.kdot * (data.y - w.mu))
-    D = W * J * GK
-    v = z - data.X @ solve_spd(XtDX, data.X.T @ (D * z))
-    den = float(np.sum(W * J * v * v))
+    WJ = W * J
+    v = z - data.X @ solve_spd(XtDX, data.X.T @ (WJ * z))
+    den = float(np.sum(WJ * v * v))
     # scale-relative check: for genuine directions den/scale is O(1), for
     # z in the span of X the projection residual collapses it
-    scale = float(np.sum(W * J * z * z))
+    scale = float(np.sum(WJ * z * z))
     if scale <= 0.0 or den <= DEGENERATE * scale:
         raise DegenerateDirectionError(
             "added-variable direction lies in the span of the design"
@@ -344,30 +344,23 @@ _CLAMPED = "{} quantile residuals clamped at the CDF boundary"
 
 def _standardized(f):
     """Standardized residuals of every row, the per-row count of undefined
-    ones, and the Cholesky pivot of each row's ``X' W J GK X`` (NaN rows
+    ones, and the Cholesky pivot of each row's ``X' W J X`` (NaN rows
     where it is nonzero).
 
     The bracket is 1 for an observation without leverage and cancels to
     roundoff at a leverage of 1, so a bracket at or below ``DEGENERATE``
-    is undefined whatever its sign.  On the canonical link ``GK = 1`` and
-    ``M = P W J`` is idempotent (``m* = m``), so the bracket is ``1 - m``.
-    The dense per-row solve and this product order keep every row
+    is undefined whatever its sign (see ``standardized_residuals``).  The
+    dense per-row solve and this product order keep every row
     bit-identical to a batch of one.
     """
     prob, q = f.prob, f.q
     X = prob.X
     w = _working(prob, f.eta_star, q)
-    V, W, J, GK, XtDX = _sensitivity(prob, w, q)
-    WJ = W * J
+    V, W, J, XtDX = _sensitivity(prob, w, q)
     # a shared (p, n) design is one right-hand side of every row
     Gt, pivot = _solve_spd_each(XtDX, prob.Xt.reshape(-1, *prob.Xt.shape[-2:]))
     G = np.ascontiguousarray(np.swapaxes(Gt, -1, -2))
-    m = WJ * np.sum(G * X, axis=-1)
-    if prob.link.is_canonical:
-        bracket = 1.0 - m
-    else:
-        m2 = WJ * np.sum((G @ (np.swapaxes(X, -1, -2) @ (WJ[..., None] * X))) * G, axis=-1)
-        bracket = (1.0 - GK * m) - GK * (m - GK * m2)
+    bracket = 1.0 - W * J * np.sum(G * X, axis=-1)
     bad = bracket <= DEGENERATE
     with np.errstate(invalid="ignore", divide="ignore"):
         den = np.sqrt(J * V / prob.phi) * np.sqrt(np.where(bad, np.nan, bracket))
@@ -394,16 +387,15 @@ def standardized_residuals(data, fit):
     """Mean-shift standardized residuals ``t_i`` (approximately N(0,1)).
 
     ``t_i = sqrt(2-q) U_i (y_i - mu_i) / [phi^{-1/2} (J_i V_i)^{1/2}
-    sqrt((1 - g_i k_i m_ii) - g_i k_i (m_ii - g_i k_i m*_ii))]`` with
-    ``m_ii``/``m*_ii`` the diagonals of ``M = P W J`` and ``M^2``,
-    everything at the surrogate-scale fit.  Observations where the
-    bracket under the square root is at or below ``DEGENERATE`` (zero to
-    roundoff, as at a leverage of 1, or negative) are returned as NaN with
-    a warning, not an error.
+    sqrt(1 - m_ii)]`` with ``m_ii`` the diagonal of ``M = P W J``,
+    everything at the surrogate-scale fit (``M`` is idempotent, so the
+    bracket ``(1 - m_ii) - (m_ii - m*_ii)`` with ``m*_ii`` from ``M^2`` is
+    ``1 - m_ii``).  Observations where the bracket is at or below
+    ``DEGENERATE`` (zero to roundoff, as at a leverage of 1, or negative)
+    are returned as NaN with a warning, not an error.
 
-    With ``G = X (X' W J GK X)^{-1}`` (rows ``g_i``) the diagonals are
-    ``m_ii = (WJ)_i g_i' x_i`` and ``m*_ii = (WJ)_i g_i' (X' W J X) g_i``,
-    so the n x n matrices are never formed.
+    With ``G = X (X' W J X)^{-1}`` (rows ``g_i``) the diagonal is
+    ``m_ii = (WJ)_i g_i' x_i``, so the n x n matrix is never formed.
     """
     t, bad, pivot = _standardized(_batch_of_one(data, fit))
     if pivot[0]:

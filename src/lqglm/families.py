@@ -51,7 +51,7 @@ ESCORT_TAIL_TOL = 1e-15
 
 
 class ThetaLink:
-    """Theta-link ``theta = k(eta)`` with derivatives and inverse ``g``."""
+    """Theta-link ``theta = k(eta)``, its derivative ``k_dot`` and its inverse ``g``."""
 
     is_canonical = False
 
@@ -63,9 +63,6 @@ class ThetaLink:
 
     def g(self, theta):
         """Inverse of ``k``."""
-        raise NotImplementedError
-
-    def g_dot(self, theta):
         raise NotImplementedError
 
 
@@ -82,9 +79,6 @@ class CanonicalLink(ThetaLink):
 
     def g(self, theta):
         return np.asarray(theta, dtype=float)
-
-    def g_dot(self, theta):
-        return np.ones_like(np.asarray(theta, dtype=float))
 
 
 class PowerThetaLink(ThetaLink):
@@ -104,10 +98,6 @@ class PowerThetaLink(ThetaLink):
     def g(self, theta):
         theta = np.asarray(theta, dtype=float)
         return np.sign(theta) * np.abs(theta) ** (1.0 / self.m)
-
-    def g_dot(self, theta):
-        theta = np.asarray(theta, dtype=float)
-        return np.abs(theta) ** (1.0 / self.m - 1.0) / self.m
 
 
 class Family:

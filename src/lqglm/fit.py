@@ -188,14 +188,14 @@ def _working(prob, eta, q):
 
 
 def _sensitivity(prob, w, q):
-    """``V``, ``W``, ``J``, ``GK`` and ``X' diag(W J GK) X`` at a working point.
+    """``V``, ``W``, ``J`` and ``X' diag(W J) X`` at a working point.
 
-    ``W_i = V_i k_dot(eta_i)^2``, ``J_i = J_q(theta_i)^(-phi)`` and
-    ``GK_i = g_dot(theta_i) k_dot(eta_i)`` are the factors of ``A_n`` and
-    ``B_n``.  On the canonical link ``k_dot = g_dot = 1``, so ``W`` is
-    ``V`` itself, ``GK`` is the float 1.0 and the diagonal is ``V J``.  At
-    a float q = 1 exactly, ``J = exp(phi (b - b)) = 1`` is the float 1.0;
-    with a column of q, rows at q = 1 get ``J = 1``.
+    ``W_i = V_i k_dot(eta_i)^2`` and ``J_i = J_q(theta_i)^(-phi)`` are the
+    factors of ``A_n`` and ``B_n`` on every link (``g = k^{-1}``, so the
+    chain rule's ``g'(theta) k_dot(eta)`` is 1); on the canonical link
+    ``W`` is ``V`` itself.  At a float q = 1 exactly, ``J = exp(phi (b -
+    b)) = 1`` is the float 1.0; with a column of q, rows at q = 1 get
+    ``J = 1``.
     """
     V = w.V
     column = isinstance(q, np.ndarray)
@@ -206,13 +206,8 @@ def _sensitivity(prob, w, q):
         J = np.exp(e if _unit(prob.phi) else prob.phi * e)
         if column:
             J = np.where(q == 1.0, 1.0, J)
-    if prob.link.is_canonical:
-        W, GK, D = V, 1.0, V * J
-    else:
-        W = V * w.kdot * w.kdot
-        GK = prob.link.g_dot(w.theta) * w.kdot
-        D = W * J * GK
-    return V, W, J, GK, (prob.Xt * D[..., None, :]) @ prob.X
+    W = V if prob.link.is_canonical else V * w.kdot * w.kdot
+    return V, W, J, (prob.Xt * (W * J)[..., None, :]) @ prob.X
 
 
 def _predictor(prob, beta):
@@ -258,11 +253,11 @@ def estimating_function(data, beta, q, phi=None):
 def matrices_ab(data, beta, q, phi=None):
     """Variability and sensitivity matrices at ``beta``.
 
-    ``A_n = phi/(2-q) X' W J X`` and ``B_n = phi X' W J G K X`` with
-    ``W_i = V_i k_dot(eta_i)^2``, ``J_i = J_q(theta_i)^(-phi)``,
-    ``G_i = g_dot(theta_i)`` and ``K_i = k_dot(eta_i)``, all evaluated at
-    the supplied (surrogate-scale) ``beta``.  ``J_q`` is defined at every
-    finite ``theta``, so only a non-finite ``theta_i`` raises DomainError.
+    ``A_n = phi/(2-q) X' W J X`` and ``B_n = phi X' W J X`` with
+    ``W_i = V_i k_dot(eta_i)^2`` and ``J_i = J_q(theta_i)^(-phi)``, all
+    evaluated at the supplied (surrogate-scale) ``beta``.  ``J_q`` is
+    defined at every finite ``theta``, so only a non-finite ``theta_i``
+    raises DomainError.
     """
     return _evaluate(data, beta, q, phi)[1:]
 
@@ -282,14 +277,11 @@ def _evaluate(data, beta, q, phi=None):
 
 def _matrices_ab(prob, w, q):
     """``A_n`` and ``B_n`` of every row at the working point ``w``, at a
-    float q or an (R, 1) column of them.
-
-    On the canonical link ``GK = 1``, so ``X' W J X = X' W J GK X`` is
-    formed once and scaled into both."""
-    _, W, J, _, XtDX = _sensitivity(prob, w, q)
+    float q or an (R, 1) column of them: ``X' W J X`` is formed once and
+    scaled into both."""
+    XtDX = _sensitivity(prob, w, q)[-1]
     phi = prob.phi
-    XtWJX = XtDX if prob.link.is_canonical else (prob.Xt * (W * J)[..., None, :]) @ prob.X
-    A = np.asarray(phi / (2.0 - q))[..., None] * XtWJX
+    A = np.asarray(phi / (2.0 - q))[..., None] * XtDX
     return A, (XtDX if _unit(phi) else np.asarray(phi)[..., None] * XtDX)
 
 
@@ -325,7 +317,9 @@ def _classical_start(prob):
     """Adjusted-response starting coefficients (standard GLM start) per row.
 
     Returns ``(beta, pivot)`` as ``solve_spd_rows`` does: rows whose
-    weighted normal equations are singular get NaN coefficients.
+    weighted normal equations are singular get NaN coefficients.  A
+    zero-weight observation (``k_dot(eta0) = 0``) drops its undefined
+    working response, which the normal equations would not use.
     """
     fam, link = prob.family, prob.link
     mu0 = fam.initial_mu(prob.y)
@@ -334,7 +328,8 @@ def _classical_start(prob):
     kdot = link.k_dot(eta0)
     V0 = fam.b_ddot(theta0)
     W0 = V0 * kdot * kdot
-    z0 = eta0 + (prob.y - mu0) / (V0 * kdot)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        z0 = np.where(W0 > 0, eta0 + (prob.y - mu0) / (V0 * kdot), 0.0)
     if prob.offset is not None:
         z0 = z0 - prob.offset
     XtW = prob.Xt * W0[..., None, :]
@@ -373,7 +368,7 @@ def _step(prob, w, q, newton):
     """The ascent step of every row at the working point ``w``, and the
     Cholesky pivot of its matrix as ``solve_spd_rows`` reports it.
 
-    Scoring solves ``X' W J GK X step = psi / phi``.  Newton (canonical
+    Scoring solves ``X' W J X step = psi / phi``.  Newton (canonical
     link only) solves with the observed negative Hessian over phi,
     ``X' diag(U [V - (1-q) phi (y-mu)^2]) X``, whose diagonal weights turn
     negative on observations with large residuals at q < 1; a row whose

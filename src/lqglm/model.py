@@ -91,7 +91,7 @@ class FitControl:
 
     ``solver`` selects the matrix of each step.  "scoring" (Fisher
     scoring, the IRLS of classical GLM software) uses the expected
-    sensitivity ``X' W J G K X`` and converges only linearly near
+    sensitivity ``X' W J X`` and converges only linearly near
     indeterminacy; the reference fits of the paper are its stopping
     points.  "newton" uses the observed negative Hessian of the
     Lq-objective and converges quadratically; it applies to the canonical
@@ -135,8 +135,10 @@ class FitResult:
     ``U_i = f(y_i)^(1-q)`` at the surrogate solution.  ``A_n``/``B_n`` are
     the variability/sensitivity matrices evaluated at the surrogate
     solution and ``cov = B_n^{-1} A_n B_n^{-1}`` estimates the covariance
-    of ``beta_q``.  ``lq_value`` is the Lq-objective at the calibrated
-    predictors.
+    of ``beta_q``; on a non-canonical link, where ``beta_q`` is None, it is
+    q^2 times the closed-form sandwich covariance of ``beta_star`` (whose
+    sensitivity is ``q B_n``).  ``lq_value`` is the Lq-objective at the
+    calibrated predictors.
     """
 
     q: float

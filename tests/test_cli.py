@@ -441,6 +441,30 @@ def test_nan_tol_exits_1(vaso_csv, capsys):
     assert "lqglm: error: " in capsys.readouterr().err
 
 
+def _poisson_csv(path, header):
+    # x in [3, 20]: log(log x) is defined, so a second log would fit silently
+    rng = rng_stream(5, 0)
+    x = rng.uniform(3.0, 20.0, size=40)
+    y = rng.poisson(np.exp(0.2 + 0.05 * x))
+    cells = [[str(int(a))] + [repr(float(b))] * (len(header) - 1) for a, b in zip(y, x)]
+    path.write_text("\n".join(",".join(r) for r in [header, *cells]) + "\n")
+    return str(path)
+
+
+def test_log_column_named_twice_is_refused(tmp_path, capsys):
+    data = _poisson_csv(tmp_path / "p.csv", ["y", "x"])
+    argv = ["fit", "--data", data, "--response", "y", "--family", "poisson", "--q", "1.0"]
+    assert main([*argv, "--log", "x", "--output", str(tmp_path / "f.json")]) == 0
+    assert main([*argv, "--log", "x,x"]) == 1
+    assert capsys.readouterr().err == "lqglm: error: --log names column 'x' twice\n"
+
+
+def test_header_naming_a_column_twice_is_refused(tmp_path, capsys):
+    data = _poisson_csv(tmp_path / "p.csv", ["y", "x", "x"])
+    assert main(["fit", "--data", data, "--response", "y", "--family", "poisson"]) == 1
+    assert capsys.readouterr().err == "lqglm: error: column 'x' appears twice in the header\n"
+
+
 # per option: values a valid call may take, then values that probe its bounds
 _VALUES = {
     "--family": (["bernoulli", "poisson"], ["gaussian", "gamma"]),

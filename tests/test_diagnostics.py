@@ -538,17 +538,17 @@ class TestStandardizedResiduals:
         ("gaussian_power3", 0.9, 1e-12)])
     def test_matches_dense_hat_matrix(self, fixture, q, rtol, request):
         # reference: the diagonals of the n x n M = P W J and M @ M; the
-        # vaso fit at q = 0.6 stops on theta overflow, so X' W J GK X is
+        # vaso fit at q = 0.6 stops on theta overflow, so X' W J X is
         # nearly singular (hence the looser tolerance) and one residual is NaN;
-        # the power-3 link takes the non-canonical bracket with m* and GK
+        # the bracket keeps the m* term that idempotence cancels
         from lqglm.diagnostics import _hat_pieces
 
         data = request.getfixturevalue(fixture)
         fit = fit_mlq(data, FitControl(q=q, max_iter=100))
-        w, V, W, J, GK, XtDX = _hat_pieces(data, fit)
+        w, V, W, J, XtDX = _hat_pieces(data, fit)
         M = data.X @ np.linalg.solve(XtDX, data.X.T) * (W * J)[None, :]
         m, m2 = np.diag(M), np.diag(M @ M)
-        bracket = (1.0 - GK * m) - GK * (m - GK * m2)
+        bracket = (1.0 - m) - (m - m2)
         with np.errstate(invalid="ignore"):
             dense = (np.sqrt(2.0 - q) * w.U * (data.y - w.mu)
                      / (np.sqrt(J * V / fit.phi_hat) * np.sqrt(np.where(bracket < 0, np.nan, bracket))))
@@ -760,13 +760,13 @@ def _loop_standardized(data, fit):
     from lqglm.diagnostics import _hat_pieces
     from lqglm.numerics import solve_spd
 
-    w, V, W, J, GK, XtDX = _hat_pieces(data, fit)
+    w, V, W, J, XtDX = _hat_pieces(data, fit)
     phi, q = fit.phi_hat, fit.q
     X, WJ = data.X, W * J
     G = solve_spd(XtDX, X.T).T
     m = WJ * np.sum(G * X, axis=1)
     m2 = WJ * np.sum((G @ (X.T @ (WJ[:, None] * X))) * G, axis=1)
-    bracket = (1.0 - GK * m) - GK * (m - GK * m2)
+    bracket = (1.0 - m) - (m - m2)
     bad = bracket < 0
     if np.any(bad):
         warnings.warn(f"{int(bad.sum())} standardized residuals undefined "

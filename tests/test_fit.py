@@ -367,12 +367,47 @@ class TestNonCanonicalLink:
         assert_allclose(fit.eta_q, calibrate(link, fit.eta_star, 0.9), rtol=1e-12)
         assert fit.psi_norm < 1e-6
 
+    # At eta = 0 the power link has k_dot = 0: the observation has zero weight
+    # W = V k_dot^2 and the inverse link's derivative is infinite there.
+
+    @pytest.mark.parametrize("q", [1.0, 0.9])
+    def test_zero_response_starts_classically(self, q):
+        # a Gaussian y = 0 starts at theta0 = eta0 = 0, a zero-weight row
+        rng = rng_stream(55, 0)
+        n = 40
+        X = np.column_stack([np.ones(n), rng.uniform(0.2, 1.0, size=n)])
+        link = PowerThetaLink(3)
+        y = rng.normal(link.k(X @ np.array([0.8, 0.5])), 1.0)
+        y[3] = 0.0
+        data = ModelData(X, y, "gaussian", link=link, phi=1.0)
+        ctl = FitControl(q=q, stop_rule="coef-psi", tol=1e-10, max_iter=200)
+        warm = fit_mlq(data, ctl)
+        explicit = fit_mlq(data, replace(ctl, init=np.array([0.5, 0.5])))
+        assert warm.converged and explicit.converged
+        assert_allclose(warm.beta_star, explicit.beta_star, rtol=0, atol=1e-8)
+
+    @pytest.mark.parametrize("q", [1.0, 0.9])
+    def test_all_zero_design_row(self, q):
+        from lqglm.diagnostics import standardized_residuals
+
+        rng = rng_stream(56, 0)
+        n = 40
+        X = np.column_stack([rng.uniform(0.2, 1.0, size=n), rng.uniform(-1.0, 1.0, size=n)])
+        X[0] = 0.0
+        link = PowerThetaLink(3)
+        y = rng.normal(link.k(X @ np.array([0.8, 0.5])), 1.0)
+        data = ModelData(X, y, "gaussian", link=link, phi=1.0)
+        fit = fit_mlq(data, FitControl(q=q))
+        assert fit.converged and fit.message == ""
+        assert np.isfinite(fit.se).all()
+        assert np.isfinite(standardized_residuals(data, fit)).all()
+
 
 class TestCanonicalKernel:
-    """The canonical link skips its unit factors ``k_dot = g_dot = 1``.
+    """The canonical link skips its unit factor ``k_dot = 1``.
 
     ``PowerThetaLink(1)`` is the identity link too, but it takes the
-    generic path, which multiplies by those factors, each exactly 1; every
+    generic path, which multiplies by that factor, exactly 1; every
     number of the fit must agree bit for bit."""
 
     @pytest.mark.parametrize("family", ["poisson", "bernoulli", "gaussian"])
@@ -526,6 +561,43 @@ class TestUnbiasednessAtSurrogate:
         m = Psi.mean(axis=0)
         se = Psi.std(axis=0, ddof=1) / math.sqrt(reps)
         assert np.all(np.abs(m) <= 4 * se)
+
+
+class TestExactSensitivity:
+    """Exact Bernoulli expectations of the estimating function at ``beta*``.
+
+    Data follow the calibrated truth ``theta0 = q k(x' beta*)``, where the
+    escort premise of the closed forms is exact (README "Known
+    limitations").  Per observation ``psi_i = U_i k_dot_i (y_i - mu_i) x_i``
+    takes the values y = 0 and 1 only, so each expectation is a two-term
+    sum; the slope of ``psi_i`` in ``eta_i`` is a central difference."""
+
+    @pytest.mark.parametrize("link", ["canonical", "power3"])
+    @pytest.mark.parametrize("q", [1.0, 0.9, 0.6])
+    def test_mean_zero_and_jacobian_is_q_b_n(self, link, q):
+        from lqglm import CanonicalLink
+        from lqglm.fit import _problem, _working
+
+        link = CanonicalLink() if link == "canonical" else PowerThetaLink(3)
+        rng = rng_stream(32, 0)
+        n = 30
+        X = np.column_stack([np.ones(n), rng.uniform(-1, 1, size=n)])
+        beta_star = np.array([0.3, 0.8])
+        data = ModelData(X, (np.arange(n) % 2).astype(float), "bernoulli", link=link)
+        eta = X @ beta_star
+        p1 = 1.0 / (1.0 + np.exp(-q * link.k(eta)))
+        prob = _problem(data, 1.0, y=np.array([np.zeros(n), np.ones(n)]))
+
+        def expected_term(eta):
+            w = _working(prob, eta, q)
+            s = w.U * w.kdot * (prob.y - w.mu)
+            return (1.0 - p1) * s[0] + p1 * s[1]
+
+        h = 1e-6
+        slope = (expected_term(eta + h) - expected_term(eta - h)) / (2 * h)
+        assert_allclose(X.T @ expected_term(eta), 0.0, rtol=0, atol=1e-13)
+        _, B = matrices_ab(data, beta_star, q)
+        assert_allclose(-(X.T * slope) @ X, q * B, rtol=1e-8)
 
 
 class TestBatchedCore:
@@ -1126,7 +1198,7 @@ class TestBatchedProfile:
 
 def _same_row(got, r, want):
     """Whether row r of a column-q result equals a batch of one's row,
-    a float factor (``J``, ``kdot``, ``GK``) standing for every entry."""
+    a float factor (``J``, ``kdot``) standing for every entry."""
     got, want = np.asarray(got), np.asarray(want)
     g = got[r] if got.ndim else got
     w = want[0] if want.ndim else want
@@ -1174,7 +1246,7 @@ class TestQColumn:
             w1 = _working(one, eta[r:r + 1], qr)
             for name, got, want in zip(w._fields, w, w1):
                 assert _same_row(got, r, want), (name, qr)
-            for name, got, want in zip("V W J GK XtDX".split(), sens, _sensitivity(one, w1, qr)):
+            for name, got, want in zip("V W J XtDX".split(), sens, _sensitivity(one, w1, qr)):
                 assert _same_row(got, r, want), (name, qr)
             for name, got, want in zip("AB", ab, _matrices_ab(one, w1, qr)):
                 assert _same_row(got, r, want), (name, qr)
