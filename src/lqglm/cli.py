@@ -20,13 +20,15 @@ import sys
 import numpy as np
 
 from .diagnostics import (
-    _RESIDUAL_FUNCS,
     LinearHypothesis,
     aic_q,
     bf_test,
+    deviance_residuals,
     linear_tests,
+    quantile_residuals,
     score_test,
     simulation_envelope,
+    standardized_residuals,
     wald_test,
 )
 from .errors import LqglmError, UsageError
@@ -213,7 +215,12 @@ def cmd_test(args):
 
 def cmd_residuals(args):
     data, _, control, fit = _single_fit(args)
-    vals = _RESIDUAL_FUNCS[args.type](data, fit, rng_stream(args.seed, 0))
+    if args.type == "quantile":
+        vals = quantile_residuals(data, fit, rng_stream(args.seed, 0))
+    elif args.type == "deviance":
+        vals = deviance_residuals(data, fit)
+    else:
+        vals = standardized_residuals(data, fit)
     if args.format == "json":
         doc = {"schema": SCHEMA, "q_used": control.q, "type": args.type,
                "residuals": vals.tolist()}

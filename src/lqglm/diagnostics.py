@@ -6,8 +6,8 @@ it induces through the mean-shift outlier model, deviance and quantile
 residuals, influence functions, and parametric-bootstrap simulation
 envelopes.
 
-Conventions.  The estimating machinery (weights ``U``, matrices ``W, J, G,
-K``, fitted means entering score-type quantities) is evaluated at the
+Conventions.  The estimating machinery (weights ``U``, matrices ``W`` and
+``J``, fitted means entering score-type quantities) is evaluated at the
 surrogate-scale solution ``beta_star`` where the estimating function is
 unbiased; reported estimates, deviances and quantile residuals use the
 calibrated scale.  ``A_n``/``B_n`` are the raw (summed) matrices, under
@@ -171,10 +171,18 @@ def _make_result(stat, dof, kind):
     return TestResult(stat, int(dof), chi_square_sf(stat, int(dof)), kind)
 
 
+def _check_width(hyp, p):
+    """UsageError unless ``H`` has one column per coefficient of the model."""
+    if hyp.H.shape[1] != p:
+        raise UsageError(f"hypothesis H has {hyp.H.shape[1]} columns but the model "
+                         f"has {p} coefficients")
+
+
 def wald_test(fit, hyp):
     """Wald statistic ``(H beta_q - h)' (H cov H')^{-1} (H beta_q - h)``."""
     if fit.beta_q is None:
         raise UsageError("Wald test needs calibrated coefficients (canonical link)")
+    _check_width(hyp, len(fit.beta_q))
     diff = hyp.H @ fit.beta_q - hyp.h
     # an extreme h overflows the quadratic form, which _make_result rejects
     with np.errstate(over="ignore", invalid="ignore"):
@@ -197,6 +205,7 @@ def _constrained_point(data, hyp, q, control):
     to the full design, not the reduced one, so the fit starts from the
     warm start; the other loop settings of ``control`` apply.
     """
+    _check_width(hyp, data.p)
     ctl = control if control is not None else FitControl()
     return _constrained_memo(data, hyp, replace(ctl, q=float(q), init="ml-warm-start"))
 
@@ -233,17 +242,12 @@ def _score(hyp, w, A_t, B_t):
     return _make_result(stat, hyp.d, "score")
 
 
-def _fit_q(fit, q):
-    """``q``, the fit's by default; UsageError where it is not the fit's."""
-    q = fit.q if q is None else q
-    if abs(q - fit.q) > 0:
-        raise UsageError("q disagrees with the supplied fit")
-    return q
-
-
 def _bf_q(fit, q):
-    """``q`` (the fit's by default) after the bilinear-form checks."""
-    q = _fit_q(fit, q)
+    """``q`` (the fit's by default) after the bilinear-form checks: a
+    ``q`` that is not the fit's, NaN included, is a UsageError."""
+    q = fit.q if q is None else q
+    if q != fit.q:
+        raise UsageError("q disagrees with the supplied fit")
     if fit.beta_q is None:
         raise UsageError("bilinear-form test needs calibrated coefficients")
     return q
@@ -284,15 +288,15 @@ def _hat_pieces(data, fit):
     return (w, *_sensitivity(prob, w, fit.q))
 
 
-def added_variable_score(data, fit_null, z, q=None):
+def added_variable_score(data, fit_null, z):
     """Score statistic for adding the direction ``z`` to the design.
 
     ``R_n = (2-q) phi [z' W^{1/2} U V^{-1/2} (y - mu)]^2 / den`` with
     ``den = z' (I - WJ P) W J (I - P WJ) z`` and
     ``P = X (X' WJ X)^{-1} X'``, everything at the surrogate-scale null
-    fit.  With ``z = e_i`` this is the squared standardized residual.
+    fit and its ``q``.  With ``z = e_i`` this is the squared standardized
+    residual.
     """
-    q = _fit_q(fit_null, q)
     z = np.asarray(z, dtype=float).ravel()
     if z.shape[0] != data.n:
         raise UsageError("z must have one entry per observation")
@@ -309,7 +313,7 @@ def added_variable_score(data, fit_null, z, q=None):
         raise DegenerateDirectionError(
             "added-variable direction lies in the span of the design"
         )
-    stat = (2.0 - q) * phi * num_core**2 / den
+    stat = (2.0 - fit_null.q) * phi * num_core**2 / den
     return _make_result(stat, 1, "score")
 
 
@@ -332,7 +336,7 @@ def _batch_of_one(data, fit):
 
 def _warn_rows(counts, message):
     """One warning per row with a nonzero count, attributed to the caller
-    of the function that calls this."""
+    of the public function that calls this."""
     for k in counts.tolist():
         if k:
             warnings.warn(message.format(k), stacklevel=3)
@@ -340,6 +344,8 @@ def _warn_rows(counts, message):
 
 _UNDEFINED = "{} standardized residuals undefined (negative variance estimate); reported as NaN"
 _CLAMPED = "{} quantile residuals clamped at the CDF boundary"
+# The warning of each residual kind, of the per-row counts of ``_residuals``.
+_WARNINGS = {"standardized": _UNDEFINED, "deviance": None, "quantile": _CLAMPED}
 
 
 def _standardized(f):
@@ -383,6 +389,32 @@ def _quantile(f, uniforms):
     return out, np.count_nonzero(at_bound, axis=-1)
 
 
+def _residuals(kind, f, uniforms):
+    """Residuals of ``kind`` of every row of the batch ``f``, each row's
+    count of those that ``_WARNINGS[kind]`` warns of, and each row's
+    Cholesky pivot of ``X' W J X`` (which only standardized residuals
+    solve with; 0 otherwise)."""
+    if kind == "standardized":
+        return _standardized(f)
+    none = np.zeros(len(f.eta_star), dtype=int)
+    if kind == "deviance":
+        return _deviance(f), none, none
+    return (*_quantile(f, uniforms), none)
+
+
+def _of_fit(data, fit, kind, rng):
+    """Residuals of ``kind`` of one fit and the count of those to warn of;
+    raises where the public residual function of ``kind`` raises."""
+    discrete_u = kind == "quantile" and data.family.discrete
+    if discrete_u and rng is None:
+        raise UsageError("discrete families need an rng for randomized residuals")
+    uniforms = rng.uniform(size=data.n)[None] if discrete_u else None
+    vals, counts, pivot = _residuals(kind, _batch_of_one(data, fit), uniforms)
+    if pivot[0]:
+        raise _not_positive_definite(pivot[0])
+    return vals[0], counts
+
+
 def standardized_residuals(data, fit):
     """Mean-shift standardized residuals ``t_i`` (approximately N(0,1)).
 
@@ -397,11 +429,9 @@ def standardized_residuals(data, fit):
     With ``G = X (X' W J X)^{-1}`` (rows ``g_i``) the diagonal is
     ``m_ii = (WJ)_i g_i' x_i``, so the n x n matrix is never formed.
     """
-    t, bad, pivot = _standardized(_batch_of_one(data, fit))
-    if pivot[0]:
-        raise _not_positive_definite(pivot[0])
-    _warn_rows(bad, _UNDEFINED)
-    return t[0]
+    t, undefined = _of_fit(data, fit, "standardized", None)
+    _warn_rows(undefined, _UNDEFINED)
+    return t
 
 
 def deviance_residuals(data, fit):
@@ -412,7 +442,7 @@ def deviance_residuals(data, fit):
     family's limit (Bernoulli saturated density 1; Poisson ``theta =
     log y`` with ``l_q = 0`` at ``y = 0``).
     """
-    return _deviance(_batch_of_one(data, fit))[0]
+    return _of_fit(data, fit, "deviance", None)[0]
 
 
 def quantile_residuals(data, fit, rng=None):
@@ -422,23 +452,19 @@ def quantile_residuals(data, fit, rng=None):
     ``rng`` (seeded by the caller for reproducibility).  CDF values hitting
     0 or 1 are clamped with a warning.
     """
-    if data.family.discrete and rng is None:
-        raise UsageError("discrete families need an rng for randomized residuals")
-    uniforms = rng.uniform(size=data.n)[None] if data.family.discrete else None
-    out, clamped = _quantile(_batch_of_one(data, fit), uniforms)
+    out, clamped = _of_fit(data, fit, "quantile", rng)
     _warn_rows(clamped, _CLAMPED)
-    return out[0]
+    return out
 
 
-def influence_fn(data, fit, y_new, x_new, q=None):
+def influence_fn(data, fit, y_new, x_new):
     """Empirical influence of a new observation on the calibrated estimate.
 
     ``B_n^{-1} f(y; k(x' beta), phi)^{1-q} s(beta)`` with the score
     ``s = phi W^{1/2} (y - mu) x / sqrt(V)``, evaluated at the
-    surrogate-scale fit.  At q = 1 this is the maximum-likelihood influence
-    function ``F_n^{-1} s``.
+    surrogate-scale fit and its ``q``.  At q = 1 this is the
+    maximum-likelihood influence function ``F_n^{-1} s``.
     """
-    q = _fit_q(fit, q)
     x_new = np.asarray(x_new, dtype=float).ravel()
     if x_new.shape[0] != data.p:
         raise UsageError("x_new must have length p")
@@ -447,20 +473,14 @@ def influence_fn(data, fit, y_new, x_new, q=None):
     eta = _predictor(prob, fit.beta_star)
     data.family.check_theta(data.link.k(eta))
     data.family.validate_y(prob.y)
-    return solve_spd(fit.B_n, _working(prob, eta, q).psi)
-
-
-_RESIDUAL_FUNCS = {
-    "standardized": lambda d, f, rng: standardized_residuals(d, f),
-    "deviance": lambda d, f, rng: deviance_residuals(d, f),
-    "quantile": lambda d, f, rng: quantile_residuals(d, f, rng),
-}
+    return solve_spd(fit.B_n, _working(prob, eta, fit.q).psi)
 
 
 def _envelope_block(data, fit, kind, rows, seed, control):
     """Sorted residuals of the replicates ``rows`` whose refit and
-    residuals succeed, the number that failed, and the number of those
-    used whose refit did not converge.
+    residuals succeed, the number that failed, the number of those used
+    whose refit did not converge, and the count of residuals to warn of
+    (``_WARNINGS[kind]``) of each refit, used or not.
 
     Replicate r's stream draws its responses, then its quantile-residual
     uniforms.  A response outside the family support counts as failed;
@@ -481,7 +501,7 @@ def _envelope_block(data, fit, kind, rows, seed, control):
         if discrete_u:
             uniforms.append(rng.uniform(size=data.n))
     if not ys:
-        return np.empty((0, data.n)), failed, 0
+        return np.empty((0, data.n)), failed, 0, np.zeros(0, dtype=int)
     block = _problem(data, data.phi, y=np.array(ys))
     prob, res = _fit_path(block, [control.q], control)[0]
     w = _fitted(prob, control.q, res)[0]
@@ -489,18 +509,11 @@ def _envelope_block(data, fit, kind, rows, seed, control):
     sub, eta_star = prob.rows(ok), w.eta[ok]
     eta_q = calibrate(sub.link, eta_star, control.q)
     fits = _Fits(sub, control.q, eta_star, eta_q, sub.family.b_dot(sub.link.k(eta_q)))
-    if kind == "standardized":
-        vals, undefined, _ = _standardized(fits)
-        _warn_rows(undefined, _UNDEFINED)
-    elif kind == "deviance":
-        vals = _deviance(fits)
-    else:
-        vals, clamped = _quantile(fits, np.asarray(uniforms)[ok] if discrete_u else None)
-        _warn_rows(clamped, _CLAMPED)
+    vals, counts, _ = _residuals(kind, fits, np.asarray(uniforms)[ok] if discrete_u else None)
     vals = np.sort(vals, axis=-1)
     used = np.all(np.isfinite(vals), axis=-1)
     failed += len(ys) - int(np.count_nonzero(used))
-    return vals[used], failed, int(np.count_nonzero(~res.converged[ok][used]))
+    return vals[used], failed, int(np.count_nonzero(~res.converged[ok][used])), counts
 
 
 def simulation_envelope(data, fit, kind="standardized", reps=100, seed=0,
@@ -518,7 +531,7 @@ def simulation_envelope(data, fit, kind="standardized", reps=100, seed=0,
     replicates run as one batch; a replicate's result never depends on
     the others.
     """
-    if kind not in _RESIDUAL_FUNCS:
+    if kind not in _WARNINGS:
         raise UsageError(f"unknown residual kind {kind!r}")
     if not 0.0 < level < 1.0:
         raise UsageError(f"envelope level must lie in (0, 1), got {level!r}")
@@ -530,8 +543,9 @@ def simulation_envelope(data, fit, kind="standardized", reps=100, seed=0,
         ctl = replace(ctl, q=fit.q, init="ml-warm-start")
     sims, failed, nonconverged = [np.empty((0, data.n))], 0, 0
     for k in range(0, reps, BLOCK):
-        vals, block_failed, block_nonconverged = _envelope_block(
+        vals, block_failed, block_nonconverged, counts = _envelope_block(
             data, fit, kind, range(k, min(k + BLOCK, reps)), seed, ctl)
+        _warn_rows(counts, _WARNINGS[kind])
         sims.append(vals)
         failed += block_failed
         nonconverged += block_nonconverged
@@ -542,8 +556,9 @@ def simulation_envelope(data, fit, kind="standardized", reps=100, seed=0,
         )
     alpha = 0.5 * (1.0 - level)
     lower, upper = np.percentile(sims, [100 * alpha, 100 * (1.0 - alpha)], axis=0)
-    rng_obs = rng_stream(seed, reps)
-    observed = np.sort(_RESIDUAL_FUNCS[kind](data, fit, rng_obs))
+    observed, counts = _of_fit(data, fit, kind, rng_stream(seed, reps))
+    _warn_rows(counts, _WARNINGS[kind])
+    observed = np.sort(observed)
     i = np.arange(1, data.n + 1)
     positions = normal_quantile((i - 0.375) / (data.n + 0.25))
     return EnvelopeResult(kind, observed, lower, upper, positions,

@@ -44,8 +44,6 @@ __all__ = [
     "quantile_residual_base",
 ]
 
-# Treat |q - 1| below this as the q = 1 (logarithmic) branch.
-Q_ONE_EPS = 1e-12
 # A discrete escort sum stops at a term past the mean below this share of its total.
 ESCORT_TAIL_TOL = 1e-15
 
@@ -337,9 +335,9 @@ def get_link(name):
 def deformed_log(u, q):
     """Deformed logarithm of order q (the Box-Cox transform).
 
-    ``(u**(1-q) - 1) / (1-q)`` for q != 1 and ``log(u)`` at q = 1; the
-    logarithmic branch is taken for ``|q - 1| < 1e-12`` so the function is
-    continuous in q.
+    ``(u**(1-q) - 1) / (1-q)`` for q != 1 and ``log(u)`` at q = 1 exactly.
+    The former is formed with ``expm1``, so it tends to ``log(u)`` without
+    a tolerance band: ``l_q(u) = log u + (1-q) (log u)^2 / 2 + O((1-q)^2)``.
     """
     u = np.asarray(u, dtype=float)
     if np.any(u <= 0.0):
@@ -355,17 +353,17 @@ def _lq_terms(logf, q, a=None):
 
     ``q`` is a float, or an array of per-row values (such as an (R, 1)
     column) that broadcasts against ``logf``; the logarithmic branch is
-    taken where ``|q - 1| < Q_ONE_EPS``.  ``a`` is ``(1 - q) * logf`` when
-    the caller has already formed it.
+    taken where q = 1 exactly, as in ``fit._weights_terms``.  ``a`` is
+    ``(1 - q) * logf`` when the caller has already formed it.
     """
     column = isinstance(q, np.ndarray)
-    near = abs(q - 1.0) < Q_ONE_EPS
-    if not column and near:
+    if not column and q == 1.0:
         return logf
     a = (1.0 - q) * logf if a is None else a
     if not column:
         return np.expm1(a) / (1.0 - q)
-    return np.where(near, logf, np.expm1(a) / np.where(near, 1.0, 1.0 - q))
+    one = q == 1.0
+    return np.where(one, logf, np.expm1(a) / np.where(one, 1.0, 1.0 - q))
 
 
 def log_density(family, y, theta, phi=None):

@@ -15,7 +15,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import BracketError, DomainError, LqglmError, SingularMatrixError, UsageError
-from .families import Q_ONE_EPS, _lq_terms
+from .families import _lq_terms
 from .model import PROFILE, FitControl, FitResult
 from .numerics import (
     _not_positive_definite,
@@ -96,11 +96,11 @@ def _problem(data, phi, y=None):
     return _Problem.build(data.family, data.link, data.X, data.y if y is None else y, phi)
 
 
-def _stack(datas, offset=None):
+def _stack(datas):
     """ModelData sharing a family, link and dispersion setting, stacked
     with their designs on a leading batch axis."""
     return _Problem.build(datas[0].family, datas[0].link, np.array([d.X for d in datas]),
-                          np.array([d.y for d in datas]), datas[0].phi, offset)
+                          np.array([d.y for d in datas]), datas[0].phi)
 
 
 class _Working(NamedTuple):
@@ -294,13 +294,13 @@ def calibrate(link, eta_star, q):
 def calibrate_coefficients(link, beta_star, q):
     """Calibrated coefficients.
 
-    At q = 1 the calibration is the identity for every link; otherwise
-    only the canonical link admits calibrated coefficients (``q *
-    beta_star``), and ``None`` is returned for other links, where only
+    At q = 1 exactly the calibration is the identity for every link;
+    otherwise only the canonical link admits calibrated coefficients (``q
+    * beta_star``), and ``None`` is returned for other links, where only
     calibrated predictors are identifiable.
     """
     beta_star = np.asarray(beta_star, dtype=float)
-    if abs(q - 1.0) < Q_ONE_EPS:
+    if q == 1.0:
         return beta_star
     if not link.is_canonical:
         return None
@@ -561,12 +561,12 @@ def _fit_path(base, qs, control):
     envelope block, a constrained fit); these designs are not checked for
     rank, so a rank-deficient row fails at the classical start's pivot.
     The first q starts from the explicit ``control.init``, or from the
-    classical start followed, for q < 1, by the q = 1 fit (which is the
-    q = 1 stage otherwise).  Each later q starts each row from its last
-    converged, error-free solution, else from that q = 1 fit (the
-    explicit init).  A row whose start failed (singular classical normal
-    equations, or a failed q = 1 fit) keeps that error at every q, and
-    with ``base.profile`` the dispersion is profiled anew at every q.
+    classical start followed by the q = 1 fit (the stage of a q of
+    exactly 1).  Each later q starts each row from its last converged,
+    error-free solution, else from that q = 1 fit (the explicit init).
+    A row whose start failed (singular classical normal equations, or a
+    failed q = 1 fit) keeps that error at every q, and with
+    ``base.profile`` the dispersion is profiled anew at every q.
     ``prob`` stacks the rows at their dispersion; ``res`` is each row's
     last ``_irls`` outcome, with ``res.error[r]`` what ``fit_mlq`` raises
     on row r before it evaluates the solution, else None.
@@ -575,15 +575,12 @@ def _fit_path(base, qs, control):
         beta0 = np.asarray(control.init, dtype=float)
         if beta0.shape != (base.X.shape[-1],):
             raise UsageError("explicit init vector has the wrong length")
-        seed, warm_q = np.tile(beta0, (len(base.y), 1)), None
+        seed, warm = np.tile(beta0, (len(base.y), 1)), None
         error = np.full(len(base.y), None, dtype=object)
-    elif control.init != "ml-warm-start":
-        raise UsageError(f"unknown init {control.init!r}")
     else:
         beta0, pivot = _classical_start(base)
-        warm_q = qs[0] if qs[0] >= 1.0 - Q_ONE_EPS else 1.0
         # _irls reads only the loop settings from the control
-        warm = _irls(base, warm_q, beta0, control)
+        warm = _irls(base, 1.0, beta0, control)
         error, singular = warm.error.copy(), pivot > 0
         error[singular] = [_not_positive_definite(k) for k in pivot[singular].tolist()]
         seed = np.where(np.equal(error, None)[:, None], warm.beta, np.nan)
@@ -593,7 +590,7 @@ def _fit_path(base, qs, control):
         if path:
             last = path[-1][1]
             seed = np.where((last.ok & last.converged)[:, None], last.beta, seed)
-        res = warm if q == warm_q else _irls(base, q, seed, control)
+        res = warm if warm is not None and q == 1.0 else _irls(base, q, seed, control)
         res.error[failed] = error[failed]
         path.append((_profile(base, q, res, control) if base.profile else base, res))
     return path

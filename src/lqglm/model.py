@@ -88,6 +88,8 @@ class FitControl:
     and this rule with the default cap matches established fits there);
     "coef-psi" additionally requires the relative coefficient change and
     the estimating-function sup-norm to fall below ``tol``.
+    ``init`` is "ml-warm-start" (the classical GLM start followed by the
+    q = 1 fit) or an explicit starting vector of length p.
 
     ``solver`` selects the matrix of each step.  "scoring" (Fisher
     scoring, the IRLS of classical GLM software) uses the expected
@@ -118,6 +120,8 @@ class FitControl:
             raise UsageError("stop_rule must be 'objective' or 'coef-psi'")
         if self.solver not in ("scoring", "newton"):
             raise UsageError("solver must be 'scoring' or 'newton'")
+        if isinstance(self.init, str) and self.init != "ml-warm-start":
+            raise UsageError(f"unknown init {self.init!r}")
 
 
 @dataclass

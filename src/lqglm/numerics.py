@@ -143,7 +143,7 @@ def inv_spd(A):
     return solve_spd(A, np.eye(A.shape[0]))
 
 
-def maximize_1d_rows(f, lo, hi, tol=1e-8):
+def maximize_1d_rows(f, lo, hi, tol):
     """Golden-section maximization of one unimodal function per row on
     the (R,) brackets ``[lo, hi]``.
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import LqglmError, SelectionError, UsageError
-from .fit import FitControl, _fit_path, _problem, _results
+from .fit import FitControl, _fit_path, _problem, _results, _sensitivity, _working
 from .numerics import inv_spd
 
 __all__ = [
@@ -81,22 +81,19 @@ def fisher_information(data, fit):
     This is the q = 1 sensitivity matrix evaluated at the same fit, the
     reference against which the sandwich covariance is compared.
     """
-    theta = data.link.k(fit.eta_q)
-    kdot = data.link.k_dot(fit.eta_q)
-    W = data.family.b_ddot(theta) * kdot * kdot
-    return fit.phi_hat * (data.X.T @ (W[:, None] * data.X))
+    prob = _problem(data, fit.phi_hat)
+    return fit.phi_hat * _sensitivity(prob, _working(prob, fit.eta_q, 1.0), 1.0)[-1]
 
 
-def are(fit, data=None):
+def are(fit):
     """Asymptotic relative efficiency ``tr(F_n^{-1}) / tr(cov)``.
 
     Compares the MLq sandwich covariance with the classical information at
-    the calibrated fit; equals 1 at q = 1.
+    the calibrated fit, on the data the fit carries; equals 1 at q = 1.
     """
-    data = data if data is not None else fit.data
-    if data is None:
-        raise UsageError("fit does not carry its data; pass it explicitly")
-    F = fisher_information(data, fit)
+    if fit.data is None:
+        raise UsageError("fit does not carry its data")
+    F = fisher_information(fit.data, fit)
     return float(np.trace(inv_spd(F)) / np.trace(fit.cov))
 
 

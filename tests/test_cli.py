@@ -50,7 +50,7 @@ class TestFit:
     def test_reference_ml_fit(self, vaso_csv, tmp_path):
         out = str(tmp_path / "fit.json")
         assert main(_fit_args(vaso_csv, out, "1.0")) == 0
-        doc = json.loads(open(out).read())
+        doc = json.loads(Path(out).read_text())
         assert doc["schema"] == "lq-glm/1"
         assert np.max(np.abs(np.array(doc["beta_q"]) - VASO_ML_BETA)) < 0.002
         assert doc["converged"] is True
@@ -58,7 +58,7 @@ class TestFit:
     def test_reference_mlq_fit(self, vaso_csv, tmp_path):
         out = str(tmp_path / "fit79.json")
         code = main(_fit_args(vaso_csv, out, "0.79"))
-        doc = json.loads(open(out).read())
+        doc = json.loads(Path(out).read_text())
         assert np.max(np.abs(np.array(doc["beta_q"]) - VASO_MLQ_BETA)) < 0.02
         assert np.max(np.abs(np.array(doc["se"]) - VASO_MLQ_SE)) < 0.05
         # result emitted regardless of the convergence exit code
@@ -84,7 +84,7 @@ class TestFit:
     def test_auto_q(self, vaso_csv, tmp_path):
         out = str(tmp_path / "auto.json")
         code = main(_fit_args(vaso_csv, out, "auto") + ["--grid", "0.75:0.01"])
-        doc = json.loads(open(out).read())
+        doc = json.loads(Path(out).read_text())
         assert 0.75 <= doc["q_used"] <= 1.0
         assert code in (0, 2)
 
@@ -101,7 +101,7 @@ class TestFit:
             "--phi", "profile", "--q", "0.95", "--output", out,
         ])
         assert code == 0
-        doc = json.loads(open(out).read())
+        doc = json.loads(Path(out).read_text())
         # phi is a precision: true value 1/0.25 = 4
         assert 2.0 < doc["phi_hat"] < 8.0
         assert abs(doc["beta_q"][1] - 0.5) < 0.2
@@ -116,7 +116,7 @@ class TestSelectq:
             "--grid", "0.70:0.01", "--output", out,
         ])
         assert code == 0
-        doc = json.loads(open(out).read())
+        doc = json.loads(Path(out).read_text())
         assert 0.77 <= doc["q_opt"] <= 0.81
 
     def test_efficiency_method_equals_the_library_call(self, vaso_csv, vaso, tmp_path):
@@ -127,7 +127,7 @@ class TestSelectq:
             "--grid", "0.70:0.01", "--method", "efficiency", "--output", out,
         ])
         assert code == 0
-        doc = json.load(open(out))
+        doc = json.loads(Path(out).read_text())
         sel = select_q_efficiency(vaso, QGrid(q_min=0.70, step=0.01))
         assert (doc["method"], doc["q_opt"], doc["rho"]) == ("efficiency", sel.q_opt, sel.rho)
         assert doc["qv_profile"] == {f"{q:.6g}": t for q, t in sel.qv_profile.items()}
@@ -139,7 +139,7 @@ class TestHypothesisTest:
     def test_wald_zero_at_satisfied_constraint(self, vaso_csv, tmp_path):
         fit_out = str(tmp_path / "f.json")
         main(_fit_args(vaso_csv, fit_out, "1.0"))
-        beta1 = json.loads(open(fit_out).read())["beta_q"][0]
+        beta1 = json.loads(Path(fit_out).read_text())["beta_q"][0]
         (tmp_path / "H.csv").write_text("1.0,0.0,0.0\n")
         (tmp_path / "h.csv").write_text(f"{beta1!r}\n")
         out = str(tmp_path / "test.json")
@@ -150,7 +150,7 @@ class TestHypothesisTest:
             "--stat", "wald", "--output", out,
         ])
         assert code == 0
-        doc = json.loads(open(out).read())
+        doc = json.loads(Path(out).read_text())
         assert doc["tests"][0]["kind"] == "wald"
         assert doc["tests"][0]["statistic"] < 1e-12
 
@@ -165,7 +165,7 @@ class TestHypothesisTest:
             "--output", out,
         ])
         assert code == 0
-        doc = json.loads(open(out).read())
+        doc = json.loads(Path(out).read_text())
         kinds = [t["kind"] for t in doc["tests"]]
         assert kinds == ["wald", "score", "bilinear"]
         for t in doc["tests"]:
@@ -188,7 +188,7 @@ class TestHypothesisTest:
             want = score_test(vaso, hyp, 0.9, ctl)
         else:
             want = bf_test(vaso, fit_mlq(vaso, ctl), hyp, 0.9, ctl)
-        assert json.load(open(out))["tests"] == [
+        assert json.loads(Path(out).read_text())["tests"] == [
             {"kind": want.kind, "statistic": want.statistic, "dof": want.dof,
              "p_value": want.p_value}]
 
@@ -235,7 +235,7 @@ class TestHypothesisTest:
         data = ModelData(np.column_stack([np.ones(60), x]), y, "gaussian", phi=PROFILE)
         ctl, hyp = FitControl(q=0.9), LinearHypothesis(np.eye(2), [0.5, 1.1])
         want = linear_tests(data, fit_mlq(data, ctl), hyp, 0.9, ctl)
-        tests = json.load(open(out))["tests"]
+        tests = json.loads(Path(out).read_text())["tests"]
         assert tests == [{"kind": r.kind, "statistic": r.statistic, "dof": r.dof,
                           "p_value": r.p_value} for r in want]
         fixed = ModelData(data.X, y, "gaussian", phi=estimate_phi(data, hyp.h, 0.9))
@@ -260,6 +260,20 @@ class TestHypothesisTest:
         assert "lqglm: error: " in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("stat", ["wald", "score", "bf", "all"])
+    def test_hypothesis_of_the_wrong_width_is_refused(self, stat, vaso_csv, tmp_path, capsys):
+        (tmp_path / "H.csv").write_text("0,1\n")
+        (tmp_path / "h.csv").write_text("0\n")
+        code = main([
+            "test", "--data", vaso_csv, "--response", "y", "--family", "bernoulli",
+            "--log", "volume,rate", "--q", "0.9", "--stat", stat,
+            "--H", str(tmp_path / "H.csv"), "--h", str(tmp_path / "h.csv"),
+        ])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "lqglm: error: hypothesis H has 2 columns but the model has 3 coefficients\n")
+
+
 class TestResidualsCli:
     def test_csv_roundtrip_12_digits(self, vaso_csv, tmp_path):
         out = str(tmp_path / "res.csv")
@@ -269,7 +283,7 @@ class TestResidualsCli:
             "--type", "standardized", "--format", "csv", "--output", out,
         ])
         assert code == 0
-        lines = open(out).read().splitlines()
+        lines = Path(out).read_text().splitlines()
         assert lines[0] == "index,residual"
         vals = np.array([float(l.split(",")[1]) for l in lines[1:]])
 
@@ -289,7 +303,7 @@ class TestResidualsCli:
         out1, out2 = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
         assert main(args + ["--output", out1]) == 0
         assert main(args + ["--output", out2]) == 0
-        assert open(out1).read() == open(out2).read()
+        assert Path(out1).read_text() == Path(out2).read_text()
 
 
 class TestEnvelopeCli:
@@ -301,7 +315,7 @@ class TestEnvelopeCli:
             "--reps", "30", "--seed", "2", "--format", "csv", "--output", out,
         ])
         assert code == 0
-        lines = open(out).read().splitlines()
+        lines = Path(out).read_text().splitlines()
         assert lines[0] == "position,normal_quantile,observed,lower,upper"
         assert len(lines) == 40  # 39 observations + header
 
@@ -313,7 +327,7 @@ class TestEnvelopeCli:
             "--log", "volume,rate", "--q", "0.79", "--type", "quantile", "--reps", "20",
             "--seed", "5", "--output", out,
         ])
-        doc = json.load(open(out))
+        doc = json.loads(Path(out).read_text())
         assert code == 0 and doc["schema"] == "lq-glm/1"
         # one of the 20 refits stops at the 25-iteration cap
         assert (doc["reps"], doc["failed"], doc["nonconverged"]) == (20, 0, 1)
@@ -328,9 +342,9 @@ class TestSimulateCli:
         out1, out2 = str(tmp_path / "s1.csv"), str(tmp_path / "s2.csv")
         assert main(args + ["--output", out1]) == 0
         assert main(args + ["--output", out2, "--jobs", "2"]) == 0
-        text = open(out1).read()
+        text = Path(out1).read_text()
         assert text.splitlines()[0] == "n,eps,nu,q,bias,iqr,nonconverged"
-        assert text == open(out2).read()  # byte-identical across --jobs
+        assert text == Path(out2).read_text()  # byte-identical across --jobs
 
 
 def test_seed_env_default(monkeypatch):
@@ -349,7 +363,7 @@ def test_seed_env_read_when_the_command_runs(vaso_csv, tmp_path, monkeypatch):
     def residuals(extra):
         out = str(tmp_path / "r.json")
         assert main(args + extra + ["--output", out]) == 0
-        return json.load(open(out))["residuals"]
+        return json.loads(Path(out).read_text())["residuals"]
 
     from_env = []
     for seed in ("11", "12"):

@@ -16,6 +16,7 @@ from lqglm import (
     LqglmError,
     ModelData,
     PROFILE,
+    QGrid,
     UsageError,
     added_variable_score,
     aic_q,
@@ -31,6 +32,7 @@ from lqglm import (
     quantile_residuals,
     rng_stream,
     score_test,
+    select_q_stability,
     simulation_envelope,
     standardized_residuals,
     wald_test,
@@ -98,6 +100,20 @@ class TestLinearTests:
         fit = fit_mlq(vaso, ctl)
         assert score_test(vaso, hyp, q, ctl) == score_test(vaso, hyp, q, ref)
         assert bf_test(vaso, fit, hyp, q, ctl) == bf_test(vaso, fit, hyp, q, ref)
+
+    @pytest.mark.parametrize("call", [
+        lambda data, fit, hyp: wald_test(fit, hyp),
+        lambda data, fit, hyp: score_test(data, hyp, fit.q),
+        lambda data, fit, hyp: bf_test(data, fit, hyp),
+        lambda data, fit, hyp: linear_tests(data, fit, hyp),
+    ], ids=["wald_test", "score_test", "bf_test", "linear_tests"])
+    @pytest.mark.parametrize("H", [[[0.0, 1.0]], [[0.0, 1.0, 0.0, 0.0]]], ids=["narrow", "wide"])
+    def test_hypothesis_of_the_wrong_width_is_refused(self, call, H, vaso, vaso_79):
+        hyp = LinearHypothesis(H, [0.0])
+        width = len(H[0])
+        with pytest.raises(UsageError, match=f"^hypothesis H has {width} columns but the model "
+                                             "has 3 coefficients$"):
+            call(vaso, vaso_79, hyp)
 
     @pytest.mark.parametrize("q", [0.9, 1.0])
     def test_linear_tests_equal_the_single_tests(self, poisson_example, q):
@@ -239,7 +255,7 @@ def _oracle_constrained_point(data, hyp, q, control):
     reduced = ModelData(data.X @ N, data.y, data.family, data.link, data.phi)
     ctl = replace(control if control is not None else FitControl(), q=q,
                   init="ml-warm-start")
-    prob, res = _fit_path(_stack([reduced], data.X @ b0), [q], ctl)[0]
+    prob, res = _fit_path(_stack([reduced])._replace(offset=data.X @ b0), [q], ctl)[0]
     _fitted(prob, q, res)
     if res.error[0] is not None:
         raise res.error[0]
@@ -638,12 +654,54 @@ class TestQuantileResiduals:
 
 @pytest.mark.parametrize("call", [
     lambda data, fit, q: bf_test(data, fit, LinearHypothesis([[0.0, 0.0, 1.0]], [0.0]), q),
-    lambda data, fit, q: added_variable_score(data, fit, data.X[:, 1], q),
-    lambda data, fit, q: influence_fn(data, fit, 1.0, data.X[0], q),
-], ids=["bf_test", "added_variable_score", "influence_fn"])
+], ids=["bf_test"])
 def test_q_must_be_the_fits(call, vaso, vaso_79):
     with pytest.raises(UsageError, match="q disagrees with the supplied fit"):
         call(vaso, vaso_79, 0.8)
+
+
+@pytest.mark.parametrize("call", [bf_test, linear_tests])
+def test_nan_q_disagrees_with_the_fit(call, vaso, vaso_79):
+    with pytest.raises(UsageError, match="q disagrees with the supplied fit"):
+        call(vaso, vaso_79, LinearHypothesis([[0.0, 0.0, 1.0]], [0.0]), float("nan"))
+
+
+def _leverage_one_poisson():
+    # an indicator column gives observation 4 a leverage of 1, so its
+    # standardized residual is undefined
+    rng = rng_stream(61, 0)
+    X = np.column_stack([np.ones(30), rng.uniform(-1, 1, size=30), np.eye(30)[4]])
+    y = rng.poisson(np.exp(X[:, :2] @ np.array([1.0, 0.5]))).astype(float)
+    y[4] = 3.0
+    data = ModelData(X, y, "poisson")
+    return data, fit_mlq(data, FitControl(q=0.9))
+
+
+def _outlying_gaussian():
+    # a response 50 above its mean has the CDF value 1 under the q = 0.7 fit
+    rng = rng_stream(11, 0)
+    X = np.column_stack([np.ones(60), rng.uniform(-1, 1, size=60)])
+    y = rng.normal(X @ np.array([0.5, 1.0]), 1.0)
+    y[0] += 50.0
+    data = ModelData(X, y, "gaussian", phi=1.0)
+    return data, fit_mlq(data, FitControl(q=0.7))
+
+
+@pytest.mark.parametrize("call", [
+    lambda vaso, fit: standardized_residuals(*_leverage_one_poisson()),
+    lambda vaso, fit: quantile_residuals(*_outlying_gaussian()),
+    lambda vaso, fit: simulation_envelope(vaso, fit, kind="quantile", reps=20, seed=5),
+    lambda vaso, fit: simulation_envelope(vaso, fit, kind="standardized", reps=30, seed=9),
+    lambda vaso, fit: select_q_stability(vaso, QGrid(q_values=[1.0, 0.9, 0.8, 0.79, 0.6])),
+], ids=["standardized_residuals", "quantile_residuals", "envelope-quantile",
+        "envelope-standardized", "select_q_stability"])
+def test_warnings_name_the_caller(call, vaso, vaso_79):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        call(vaso, vaso_79)
+    assert caught
+    assert [(c.filename, str(c.message)) for c in caught] == [
+        (__file__, str(c.message)) for c in caught]
 
 
 class TestInfluence:

@@ -256,6 +256,14 @@ class TestFitMlq:
         assert np.array_equal(vaso_ml.beta_q, vaso_ml.beta_star)  # q = 1 exact
         assert np.array_equal(vaso_79.beta_q, 0.79 * vaso_79.beta_star)
 
+    def test_calibrated_just_below_q1(self, vaso):
+        # q = 1 means exactly 1: a q short of it by 5e-13 is calibrated like
+        # any q < 1, so beta_q and eta_q describe the same predictor
+        q = 1.0 - 5e-13
+        fit = fit_mlq(vaso, FitControl(q=q))
+        assert np.array_equal(fit.beta_q, q * fit.beta_star)
+        assert np.max(np.abs(vaso.X @ fit.beta_q - fit.eta_q)) <= 1e-14
+
     def test_cov_symmetric_psd(self, vaso_79):
         assert np.array_equal(vaso_79.cov, vaso_79.cov.T)
         assert np.min(np.linalg.eigvalsh(vaso_79.cov)) > -1e-10
@@ -520,6 +528,16 @@ class TestModelData:
             FitControl(q=1.2)
         with pytest.raises(UsageError):
             FitControl(q=0.9, stop_rule="bogus")
+
+    def test_unknown_init_rejected_when_made(self):
+        from lqglm import UsageError
+
+        # select_q_stability and score_test replace init, so a bad one
+        # must be refused where the control is made
+        for make in (lambda: FitControl(init="bogus"),
+                     lambda: replace(FitControl(), init="bogus")):
+            with pytest.raises(UsageError, match="^unknown init 'bogus'$"):
+                make()
 
     def test_negative_max_iter_rejected(self, vaso):
         from lqglm import UsageError
@@ -972,7 +990,7 @@ class TestInvariances:
     @given(family_name=st.sampled_from(["poisson", "bernoulli"]),
            seed=st.integers(0, 2**31 - 1), n=st.integers(30, 200))
     def test_continuity_as_q_tends_to_1(self, family_name, seed, n):
-        # down to below Q_ONE_EPS, where the objective takes its q = 1 branch
+        # down to q = 1 - 1e-13: l_q tends to log(f) without a tolerance band
         data = _draw(family_name, seed, n)
         ctl = FitControl(stop_rule="coef-psi", tol=1e-10, max_iter=200)
         at_1 = fit_mlq(data, ctl).beta_q
@@ -1208,7 +1226,7 @@ def _same_row(got, r, want):
 class TestQColumn:
     """An (R, 1) column of q gives each row what its float q gives it alone."""
 
-    # q = 1 exactly, and a q within Q_ONE_EPS of 1 but not equal to it
+    # q = 1 exactly, and a q within 1e-12 of 1, which takes the q < 1 branches
     Q = (1.0, 1.0 - 5e-13, 0.97, 0.8, 0.55)
 
     @staticmethod
@@ -1250,9 +1268,9 @@ class TestQColumn:
                 assert _same_row(got, r, want), (name, qr)
             for name, got, want in zip("AB", ab, _matrices_ab(one, w1, qr)):
                 assert _same_row(got, r, want), (name, qr)
-        # the two q = 1 rows: U = 1 and the objective is the log-likelihood
+        # the q = 1 row: U = 1 and the objective is the log-likelihood
         assert np.all(w.U[0] == 1.0) and not np.all(w.U[1] == 1.0)
-        assert np.array_equal(w.objective[:2], np.add.reduce(w.logf[:2], axis=-1))
+        assert np.array_equal(w.objective[0], np.add.reduce(w.logf[0], axis=-1))
 
     def test_newton_fallback_rows_step_at_their_q(self):
         # large residuals at q = 0.55 make a row's observed Hessian
@@ -1286,7 +1304,7 @@ class TestQColumn:
                 want = _lq_terms(logf[r], qr)
                 assert got[r].tobytes() == want.tobytes(), qr
                 assert _lq_terms(logf[r], qr, (1.0 - qr) * logf[r]).tobytes() == want.tobytes()
-        assert np.array_equal(got[:2], logf[:2])
+        assert np.array_equal(got[0], logf[0])
 
 
 class TestUnitDispersion:
