@@ -52,6 +52,7 @@ from .numerics import (
     normal_quantile,
     rng_stream,
     solve_spd,
+    unpack_band,
 )
 
 __all__ = [
@@ -285,7 +286,8 @@ def _hat_pieces(data, fit):
     ``X' W J X`` at the surrogate solution."""
     prob = _problem(data, fit.phi_hat)
     w = _working(prob, fit.eta_star, fit.q)
-    return (w, *_sensitivity(prob, w, fit.q))
+    V, W, J, band = _sensitivity(prob, w, fit.q)
+    return w, V, W, J, unpack_band(band)
 
 
 def added_variable_score(data, fit_null, z):
@@ -342,7 +344,8 @@ def _warn_rows(counts, message):
             warnings.warn(message.format(k), stacklevel=3)
 
 
-_UNDEFINED = "{} standardized residuals undefined (negative variance estimate); reported as NaN"
+_UNDEFINED = ("{} standardized residuals undefined (a leverage of 1 or a negative variance "
+              "estimate, or a saturated mean with V = 0); reported as NaN")
 _CLAMPED = "{} quantile residuals clamped at the CDF boundary"
 # The warning of each residual kind, of the per-row counts of ``_residuals``.
 _WARNINGS = {"standardized": _UNDEFINED, "deviance": None, "quantile": _CLAMPED}
@@ -355,23 +358,27 @@ def _standardized(f):
 
     The bracket is 1 for an observation without leverage and cancels to
     roundoff at a leverage of 1, so a bracket at or below ``DEGENERATE``
-    is undefined whatever its sign (see ``standardized_residuals``).  The
+    is undefined whatever its sign (see ``standardized_residuals``).  So
+    is a residual whose surrogate mean saturates (``V = 0``: ``0/0`` or
+    ``y/0``): every residual that is not finite is undefined, NaN.  The
     dense per-row solve and this product order keep every row
     bit-identical to a batch of one.
     """
     prob, q = f.prob, f.q
     X = prob.X
     w = _working(prob, f.eta_star, q)
-    V, W, J, XtDX = _sensitivity(prob, w, q)
+    V, W, J, band = _sensitivity(prob, w, q)
     # a shared (p, n) design is one right-hand side of every row
-    Gt, pivot = _solve_spd_each(XtDX, prob.Xt.reshape(-1, *prob.Xt.shape[-2:]))
+    Xt = np.swapaxes(X, -1, -2)
+    Gt, pivot = _solve_spd_each(unpack_band(band), Xt.reshape(-1, *Xt.shape[-2:]))
     G = np.ascontiguousarray(np.swapaxes(Gt, -1, -2))
     bracket = 1.0 - W * J * np.sum(G * X, axis=-1)
     bad = bracket <= DEGENERATE
     with np.errstate(invalid="ignore", divide="ignore"):
         den = np.sqrt(J * V / prob.phi) * np.sqrt(np.where(bad, np.nan, bracket))
         t = np.sqrt(2.0 - q) * w.U * (prob.y - w.mu) / den
-    return t, np.count_nonzero(bad, axis=-1), pivot
+    undefined = ~np.isfinite(t)
+    return np.where(undefined, np.nan, t), np.count_nonzero(undefined, axis=-1), pivot
 
 
 def _deviance(f):
@@ -423,8 +430,9 @@ def standardized_residuals(data, fit):
     everything at the surrogate-scale fit (``M`` is idempotent, so the
     bracket ``(1 - m_ii) - (m_ii - m*_ii)`` with ``m*_ii`` from ``M^2`` is
     ``1 - m_ii``).  Observations where the bracket is at or below
-    ``DEGENERATE`` (zero to roundoff, as at a leverage of 1, or negative)
-    are returned as NaN with a warning, not an error.
+    ``DEGENERATE`` (zero to roundoff, as at a leverage of 1, or negative),
+    or whose surrogate mean saturates so that ``V_i = 0``, are returned as
+    NaN with a warning, not an error.
 
     With ``G = X (X' W J X)^{-1}`` (rows ``g_i``) the diagonal is
     ``m_ii = (WJ)_i g_i' x_i``, so the n x n matrix is never formed.

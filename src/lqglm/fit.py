@@ -20,8 +20,11 @@ from .model import PROFILE, FitControl, FitResult
 from .numerics import (
     _not_positive_definite,
     _solve_spd_each,
+    gram_cache,
     maximize_1d_rows,
     solve_spd_rows,
+    unpack_band,
+    weighted_gram,
 )
 
 __all__ = [
@@ -52,8 +55,9 @@ class _Problem(NamedTuple):
 
     ``y`` (..., n) may carry a leading batch axis of independent rows.
     ``X`` is one (n, p) design that every row shares through numpy
-    broadcasting, or an (R, n, p) stack of one design per row; ``Xt`` is
-    its contiguous transpose, ``c`` caches ``c(y, phi)``, and ``offset``
+    broadcasting, or an (R, n, p) stack of one design per row; ``xx`` is
+    what ``numerics.weighted_gram`` reads of it (``gram_cache``), ``c``
+    caches ``c(y, phi)``, and ``offset``
     (n,) or None (the constrained fit's ``X b0``) is shared by every row.
     ``phi`` is a float shared by every row, or an (R, 1) column of per-row
     dispersions; with ``profile`` the dispersion is profiled out of each
@@ -64,7 +68,7 @@ class _Problem(NamedTuple):
     family: object
     link: object
     X: np.ndarray
-    Xt: np.ndarray
+    xx: np.ndarray
     y: np.ndarray
     phi: float
     c: np.ndarray
@@ -75,19 +79,23 @@ class _Problem(NamedTuple):
     def build(cls, family, link, X, y, phi, offset=None):
         profile = isinstance(phi, str) and phi == PROFILE
         phi = 1.0 if profile else phi
-        Xt = np.ascontiguousarray(np.swapaxes(X, -1, -2))
-        return cls(family, link, X, Xt, y, phi, family.c(y, phi), offset, profile)
+        return cls(family, link, X, gram_cache(X), y, phi, family.c(y, phi), offset, profile)
 
     def rows(self, keep):
         """The problem restricted to the rows selected by ``keep``; a
         shared design stays the same object."""
         phi = self.phi if np.ndim(self.phi) == 0 else self.phi[keep]
-        X, Xt = (self.X, self.Xt) if self.X.ndim == 2 else (self.X[keep], self.Xt[keep])
-        return self._replace(X=X, Xt=Xt, y=self.y[keep], phi=phi, c=self.c[keep])
+        X, xx = (self.X, self.xx) if self.X.ndim == 2 else (self.X[keep], self.xx[keep])
+        return self._replace(X=X, xx=xx, y=self.y[keep], phi=phi, c=self.c[keep])
 
     def with_phi(self, phi):
         """The problem at dispersion ``phi``."""
         return self._replace(phi=phi, c=self.family.c(self.y, phi))
+
+    def gram(self, d):
+        """The band of ``X' diag(d) X`` of every row (see
+        ``numerics.weighted_gram``)."""
+        return weighted_gram(self.X, self.xx, d)
 
 
 def _problem(data, phi, y=None):
@@ -188,7 +196,8 @@ def _working(prob, eta, q):
 
 
 def _sensitivity(prob, w, q):
-    """``V``, ``W``, ``J`` and ``X' diag(W J) X`` at a working point.
+    """``V``, ``W``, ``J`` and the band of ``X' diag(W J) X`` at a working
+    point (``numerics.unpack_band`` gives the matrices).
 
     ``W_i = V_i k_dot(eta_i)^2`` and ``J_i = J_q(theta_i)^(-phi)`` are the
     factors of ``A_n`` and ``B_n`` on every link (``g = k^{-1}``, so the
@@ -207,7 +216,7 @@ def _sensitivity(prob, w, q):
         if column:
             J = np.where(q == 1.0, 1.0, J)
     W = V if prob.link.is_canonical else V * w.kdot * w.kdot
-    return V, W, J, (prob.Xt * (W * J)[..., None, :]) @ prob.X
+    return V, W, J, prob.gram(W * J)
 
 
 def _predictor(prob, beta):
@@ -279,7 +288,7 @@ def _matrices_ab(prob, w, q):
     """``A_n`` and ``B_n`` of every row at the working point ``w``, at a
     float q or an (R, 1) column of them: ``X' W J X`` is formed once and
     scaled into both."""
-    XtDX = _sensitivity(prob, w, q)[-1]
+    XtDX = unpack_band(_sensitivity(prob, w, q)[-1])
     phi = prob.phi
     A = np.asarray(phi / (2.0 - q))[..., None] * XtDX
     return A, (XtDX if _unit(phi) else np.asarray(phi)[..., None] * XtDX)
@@ -332,8 +341,7 @@ def _classical_start(prob):
         z0 = np.where(W0 > 0, eta0 + (prob.y - mu0) / (V0 * kdot), 0.0)
     if prob.offset is not None:
         z0 = z0 - prob.offset
-    XtW = prob.Xt * W0[..., None, :]
-    return solve_spd_rows(XtW @ prob.X, (XtW @ z0[..., None])[..., 0])
+    return solve_spd_rows(prob.gram(W0), ((W0 * z0)[..., None, :] @ prob.X)[..., 0, :])
 
 
 class _Irls(NamedTuple):
@@ -379,7 +387,7 @@ def _step(prob, w, q, newton):
         return solve_spd_rows(_sensitivity(prob, w, q)[-1], rhs)
     r = prob.y - w.mu
     D = w.U * (w.V - (1.0 - q) * prob.phi * r * r)
-    step, pivot = solve_spd_rows((prob.Xt * D[..., None, :]) @ prob.X, rhs)
+    step, pivot = solve_spd_rows(prob.gram(D), rhs)
     if np.count_nonzero(pivot):
         fb = pivot > 0
         q_fb = q[fb] if isinstance(q, np.ndarray) else q

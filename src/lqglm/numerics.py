@@ -7,6 +7,8 @@ counter-based Philox engine so that per-replicate streams keyed by
 ``(seed, stream_id)`` are independent and order-insensitive.
 """
 
+from functools import lru_cache
+
 import numpy as np
 from scipy.linalg import lapack
 from scipy.special import chdtrc, ndtri
@@ -16,6 +18,9 @@ from .errors import DomainError, EvaluationError, SingularMatrixError
 __all__ = [
     "solve_spd",
     "solve_spd_rows",
+    "gram_cache",
+    "weighted_gram",
+    "unpack_band",
     "inv_spd",
     "maximize_1d_rows",
     "chi_square_sf",
@@ -28,6 +33,10 @@ GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 GOLDEN_MAX_ITER = 500
 # ``solve_spd`` rejects an asymmetry above this fraction of the largest entry.
 SYM_TOL = 1e-10
+# ``weighted_gram`` forms X' diag(d) X from cached column products on
+# designs of at most this many columns; wider, the products cost more than
+# they save (whole-fit timings at p = 2...30, CHANGES.md).
+GRAM_MAX_P = 5
 
 
 def solve_spd(A, B):
@@ -80,41 +89,111 @@ def _not_positive_definite(pivot):
     )
 
 
-def solve_spd_rows(A, B):
+def gram_cache(X):
+    """What ``weighted_gram`` reads of the design ``X`` (..., n, p).
+
+    Up to ``GRAM_MAX_P`` columns, the p(p+1)/2 column products ``x_j x_k``
+    (..., m, n) in lower band order; a wider design keeps its contiguous
+    transpose (..., p, n).
+    """
+    Xt = np.ascontiguousarray(np.swapaxes(X, -1, -2))
+    if X.shape[-1] > GRAM_MAX_P:
+        return Xt
+    col, row, _ = _band_index(X.shape[-1])
+    return np.take(Xt, row, axis=-2) * np.take(Xt, col, axis=-2)
+
+
+def weighted_gram(X, cache, d):
+    """The band of ``X' diag(d) X`` for the weights ``d`` (..., n) of every
+    row, from ``cache = gram_cache(X)``.
+
+    The band (..., p, p) is what ``solve_spd_rows`` solves with and
+    ``unpack_band`` turns into the full matrices.  A narrow design forms
+    each row's entries as one matrix-vector product of the cache with its
+    weights, so a row's band does not depend on the other rows; a wider
+    one forms ``(X' * d) @ X`` and keeps its lower triangle.  The entries
+    that couple one row's block to the next are exactly 0, whatever ``d``.
+    """
+    p = X.shape[-1]
+    if p > GRAM_MAX_P:
+        return _band_of((cache * d[..., None, :]) @ X)
+    return _band(p, (cache @ d[..., None])[..., 0])
+
+
+def unpack_band(band):
+    """The symmetric matrices (..., p, p) whose lower triangles the band
+    of ``weighted_gram`` holds."""
+    p = band.shape[-1]
+    col, row, slot = _band_index(p)
+    values = band.reshape(band.shape[:-2] + (p * p,))[..., slot]
+    out = np.empty(band.shape)
+    out[..., row, col] = values
+    out[..., col, row] = values
+    return out
+
+
+@lru_cache(maxsize=None)
+def _band_index(p):
+    """``(col, row, slot)`` of the lower band's p(p+1)/2 entries: entry
+    ``(row, col) = (k + d, k)``, diagonal ``d`` within column ``k``, sits at
+    flat position ``slot = k p + d`` of a (p, p) band block; every other
+    slot couples to the next block."""
+    col = np.repeat(np.arange(p), np.arange(p, 0, -1))
+    diag = np.concatenate([np.arange(p - k) for k in range(p)])
+    return col, col + diag, col * p + diag
+
+
+def _band(p, values):
+    """The band (..., p, p) with ``values`` (..., p(p+1)/2) in its slots and
+    zeros elsewhere.
+
+    The band of a stack of R symmetric p x p matrices is LAPACK's lower
+    band storage of ``diag(A[0], ..., A[R-1])`` with ``kd = p - 1``:
+    ``band[r, k, d] = A[r][k + d, k]``, so that ``band.reshape(R p, p).T``
+    is the (p, R p) Fortran-ordered array ``dpbsv`` reads.
+    """
+    band = np.zeros(values.shape[:-1] + (p * p,))
+    band[..., _band_index(p)[2]] = values
+    return band.reshape(values.shape[:-1] + (p, p))
+
+
+def _band_of(A):
+    """The band of the lower triangles of the matrices ``A`` (..., p, p)."""
+    p = A.shape[-1]
+    col, row, _ = _band_index(p)
+    return _band(p, A[..., row, col])
+
+
+def solve_spd_rows(band, B):
     """Solve ``A[r] x[r] = B[r]`` for a stack of symmetric matrices.
 
-    ``A`` has shape ``(R, p, p)`` and ``B`` shape ``(R, p)``.  One banded
-    Cholesky factorization of the block-diagonal matrix
+    ``band`` (R, p, p) holds the lower triangles of ``A`` as
+    ``weighted_gram`` forms them, and ``B`` has shape ``(R, p)``.  One
+    banded Cholesky factorization of the block-diagonal matrix
     ``diag(A[0], ..., A[R-1])`` gives every solve; the blocks share no
     nonzero entry, so each row's result does not depend on the others.
     Returns ``(x, pivot)``: ``pivot[r]`` is 0 where ``A[r]`` is positive
     definite and otherwise the 1-based index of its first non-positive
     Cholesky pivot, as ``solve_spd`` reports it; ``x[r]`` is NaN there.
     """
-    x, info = _band_solve(A, B)
-    if info == 0 and (len(A) == 1 or np.isfinite(x).all()):
-        return x, np.zeros(len(A), dtype=int)
-    if len(A) == 1:  # the dense factorization finds the failing pivot
-        return _solve_spd_each(A, B)
+    x, info = _band_solve(band, B)
+    if info == 0 and (len(band) == 1 or np.isfinite(x).all()):
+        return x, np.zeros(len(band), dtype=int)
+    if len(band) == 1:  # the dense factorization finds the failing pivot
+        return _solve_spd_each(unpack_band(band), B)
     # A row whose factorization fails stops the band there, and a NaN in
     # one block reaches the next through the zero coupling entries: solve
     # each row as a batch of one.
-    x, pivot = zip(*(solve_spd_rows(A[r:r + 1], B[r:r + 1]) for r in range(len(A))))
+    x, pivot = zip(*(solve_spd_rows(band[r:r + 1], B[r:r + 1]) for r in range(len(band))))
     return np.concatenate(x), np.concatenate(pivot)
 
 
-def _band_solve(A, B):
+def _band_solve(band, B):
     """``(x, info)`` of LAPACK ``dpbsv`` (``dpbtrf`` then ``dpbtrs``) on
-    ``diag(A[0], ...)``; ``x`` is None when the factorization fails at
-    column ``info``."""
-    R, p, _ = A.shape
-    # lower band storage: band[d, r, k] = A[r, k + d, k]
-    flat = A.reshape(R, p * p)
-    band = np.zeros((p, R, p))
-    for d in range(p):
-        band[d, :, :p - d] = flat[:, d * p::p + 1]
-    _, x, info = lapack.dpbsv(band.reshape(p, R * p), B.reshape(R * p, 1), lower=1,
-                              overwrite_ab=1)
+    the band; ``x`` is None when the factorization fails at column
+    ``info``.  The band itself is not overwritten."""
+    R, p, _ = band.shape
+    _, x, info = lapack.dpbsv(band.reshape(R * p, p).T, B.reshape(R * p, 1), lower=1)
     if info != 0:
         return None, info
     return x.reshape(R, p), 0

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import LqglmError, SelectionError, UsageError
 from .fit import FitControl, _fit_path, _problem, _results, _sensitivity, _working
-from .numerics import inv_spd
+from .numerics import inv_spd, unpack_band
 
 __all__ = [
     "QGrid",
@@ -82,7 +82,7 @@ def fisher_information(data, fit):
     reference against which the sandwich covariance is compared.
     """
     prob = _problem(data, fit.phi_hat)
-    return fit.phi_hat * _sensitivity(prob, _working(prob, fit.eta_q, 1.0), 1.0)[-1]
+    return fit.phi_hat * unpack_band(_sensitivity(prob, _working(prob, fit.eta_q, 1.0), 1.0)[-1])
 
 
 def are(fit):

@@ -571,7 +571,8 @@ class TestStandardizedResiduals:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             t = standardized_residuals(data, fit)
-        n_bad = int(np.sum(bracket < 0))
+        # undefined: a negative bracket, or 0/0 where the mean saturates (V = 0)
+        n_bad = int(np.sum(~np.isfinite(dense)))
         assert len(caught) == (n_bad > 0)
         if n_bad:
             assert str(caught[0].message).startswith(f"{n_bad} standardized residuals undefined")
@@ -826,12 +827,16 @@ def _loop_standardized(data, fit):
     m2 = WJ * np.sum((G @ (X.T @ (WJ[:, None] * X))) * G, axis=1)
     bracket = (1.0 - m) - (m - m2)
     bad = bracket < 0
-    if np.any(bad):
-        warnings.warn(f"{int(bad.sum())} standardized residuals undefined "
-                      "(negative variance estimate); reported as NaN")
     with np.errstate(invalid="ignore", divide="ignore"):
         den = np.sqrt(J * V / phi) * np.sqrt(np.where(bad, np.nan, bracket))
-        return np.sqrt(2.0 - q) * w.U * (data.y - w.mu) / den
+        t = np.sqrt(2.0 - q) * w.U * (data.y - w.mu) / den
+    # a saturated mean (V = 0) is undefined too
+    undefined = ~np.isfinite(t)
+    if np.any(undefined):
+        warnings.warn(f"{int(undefined.sum())} standardized residuals undefined (a leverage of 1 "
+                      "or a negative variance estimate, or a saturated mean with V = 0); "
+                      "reported as NaN")
+    return np.where(undefined, np.nan, t)
 
 
 def _loop_deviance(data, fit):
@@ -988,7 +993,7 @@ class TestBatchedEnvelope:
         simulation_envelope(vaso, vaso_79, kind="deviance", reps=70, seed=3)
         assert [b.y.shape for b in blocks] == [(64, vaso.n), (6, vaso.n)]
         for b in blocks:
-            assert b.X is vaso.X and b.Xt.shape == (vaso.p, vaso.n)
+            assert b.X is vaso.X and b.xx.shape == (vaso.p * (vaso.p + 1) // 2, vaso.n)
 
     def test_invalid_responses_count_as_failed(self, poisson_example, monkeypatch):
         # a replicate whose response leaves the support fails before its refit
@@ -1010,6 +1015,15 @@ class TestBatchedEnvelope:
         # 130 replicates span three blocks; six have an undefined residual
         env, _ = self._check(vaso, vaso_79, "standardized", 130, 3)
         assert env.failed == 6 and env.reps == 124
+
+    def test_saturated_means_warn_for_each_replicate(self, vaso, vaso_79):
+        # those six refits stop on theta overflow with a surrogate mean
+        # saturated at 0 or 1 (V = 0, so the residual is 0/0): each warns
+        env, caught = _recorded(simulation_envelope, vaso, vaso_79, kind="standardized",
+                                reps=130, seed=3)
+        undefined = [m for m in caught if "standardized residuals undefined" in m]
+        assert len(undefined) == env.failed == 6
+        assert all("saturated mean with V = 0" in m for m in undefined)
 
     def test_nonconverged_refits_are_counted(self, vaso, vaso_79):
         # one of these 20 refits stops at the 25-iteration cap

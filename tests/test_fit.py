@@ -824,8 +824,9 @@ class TestBatchedCore:
 
 
 class TestSharedDesign:
-    """A batch on one design holds that (n, p) design and its transpose
-    once, for every row; only a stack of per-row designs is indexed by row."""
+    """A batch on one design holds that (n, p) design and its column
+    products once, for every row; only a stack of per-row designs is
+    indexed by row."""
 
     def test_rows_keep_the_shared_design(self, poisson_example):
         from lqglm.fit import _problem, _stack
@@ -833,11 +834,12 @@ class TestSharedDesign:
         data = poisson_example
         prob = _problem(data, 1.0, y=np.tile(data.y, (5, 1)))
         sub = prob.rows(np.array([True, False, True, True, False]))
-        assert sub.X is prob.X is data.X and sub.Xt is prob.Xt
-        assert prob.Xt.shape == (data.p, data.n) and prob.Xt.flags.c_contiguous
+        m = data.p * (data.p + 1) // 2  # the column products x_j x_k, j >= k
+        assert sub.X is prob.X is data.X and sub.xx is prob.xx
+        assert prob.xx.shape == (m, data.n) and prob.xx.flags.c_contiguous
         assert sub.y.shape == sub.c.shape == (3, data.n)
         stacked = _stack([data] * 5).rows([1, 3])
-        assert stacked.X.shape == (2, data.n, data.p) and stacked.Xt.shape == (2, data.p, data.n)
+        assert stacked.X.shape == (2, data.n, data.p) and stacked.xx.shape == (2, m, data.n)
 
     def test_fits_of_one_model_share_its_design(self, vaso, monkeypatch):
         # fit_mlq, the q-grid and the constrained fit each fit a batch of one

@@ -16,7 +16,15 @@ from lqglm import (
     rng_stream,
     solve_spd,
 )
-from lqglm.numerics import maximize_1d_rows, solve_spd_rows
+from lqglm.numerics import (
+    GRAM_MAX_P,
+    _band_of,
+    gram_cache,
+    maximize_1d_rows,
+    solve_spd_rows,
+    unpack_band,
+    weighted_gram,
+)
 from lqglm.fit import FitControl, estimate_phi, fit_mlq, lq_objective
 from lqglm.model import ModelData
 
@@ -89,9 +97,10 @@ class TestSolveSpdRows:
     def test_rows_do_not_depend_on_the_batch(self):
         # a failing or non-finite row changes no other row's solution
         A, B = self._rows()
-        x, pivot = solve_spd_rows(A, B)
+        band = _band_of(A)
+        x, pivot = solve_spd_rows(band, B)
         for r in range(len(A)):
-            x_r, pivot_r = solve_spd_rows(A[[r]], B[[r]])
+            x_r, pivot_r = solve_spd_rows(band[[r]], B[[r]])
             assert x[r].tobytes() == x_r[0].tobytes()
             assert pivot[r] == pivot_r[0]
         assert pivot[3] == 2 and np.isnan(x[3]).all()
@@ -120,10 +129,11 @@ class TestSolveSpdRows:
                     A[r, rng.integers(p), rng.integers(p)] = np.nan
                 elif kind == 4:
                     B[r, rng.integers(p)] = rng.choice([np.nan, np.inf])
-            x, pivot = solve_spd_rows(A, B)
+            band = _band_of(A)
+            x, pivot = solve_spd_rows(band, B)
             failing += bool(pivot.any())
             for r in range(R):
-                x_r, info = _band_solve_two_calls(A[[r]], B[[r]])
+                x_r, info = _band_solve_two_calls(band[[r]], B[[r]])
                 pivot_r = [0]
                 if info:
                     x_r, pivot_r = _solve_spd_each(A[[r]], B[[r]])
@@ -145,17 +155,13 @@ class TestSolveSpdRows:
         assert _solve_spd_each(A[[3]], B[[3]])[1][0] == 2
 
 
-def _band_solve_two_calls(A, B):
+def _band_solve_two_calls(band, B):
     """The band solve as LAPACK ``dpbtrf`` then ``dpbtrs``: the oracle of
     the one ``dpbsv`` call."""
     from scipy.linalg import lapack
 
-    R, p, _ = A.shape
-    flat = A.reshape(R, p * p)
-    band = np.zeros((p, R, p))
-    for d in range(p):
-        band[d, :, :p - d] = flat[:, d * p::p + 1]
-    factor, info = lapack.dpbtrf(band.reshape(p, R * p), lower=1)
+    R, p, _ = band.shape
+    factor, info = lapack.dpbtrf(band.reshape(R * p, p).T, lower=1)
     if info != 0:
         return None, info
     x, _ = lapack.dpbtrs(factor, B.reshape(R * p), lower=1)
@@ -172,23 +178,104 @@ class TestBandSolve:
         A = M @ np.swapaxes(M, 1, 2) + 0.05 * np.eye(p)
         B = rng.normal(size=(40, p))
         for rows in (slice(0, 1), slice(0, 40)):
-            x, info = _band_solve(A[rows], B[rows])
-            x_ref, info_ref = _band_solve_two_calls(A[rows], B[rows])
+            x, info = _band_solve(_band_of(A[rows]), B[rows])
+            x_ref, info_ref = _band_solve_two_calls(_band_of(A[rows]), B[rows])
             assert info == info_ref == 0
             assert x.tobytes() == x_ref.tobytes()
         # a block that is not positive definite stops both at the same column
         v = rng.normal(size=p)
         A[17] = np.outer(v, v) - (v @ v + 0.5) * np.eye(p)
-        x, info = _band_solve(A, B)
-        x_ref, info_ref = _band_solve_two_calls(A, B)
+        x, info = _band_solve(_band_of(A), B)
+        x_ref, info_ref = _band_solve_two_calls(_band_of(A), B)
         assert x is None and x_ref is None
         assert info == info_ref and (info - 1) // p == 17
 
     def test_rhs_is_not_overwritten(self):
         A, B = TestSolveSpdRows._rows()
-        keep = B[:3].copy()
-        solve_spd_rows(A[:3], B[:3])
-        assert B[:3].tobytes() == keep.tobytes()
+        band = _band_of(A[:3])
+        keep, keep_band = B[:3].copy(), band.copy()
+        solve_spd_rows(band, B[:3])
+        assert B[:3].tobytes() == keep.tobytes() and band.tobytes() == keep_band.tobytes()
+
+
+class TestWeightedGram:
+    """``weighted_gram``'s band of ``X' diag(d) X`` from the cached column
+    products (at most ``GRAM_MAX_P`` columns) or the dense product."""
+
+    WIDTHS = [1, 2, 3, 4, 5, 6, GRAM_MAX_P + 1]
+
+    @staticmethod
+    def _design(p, n, R, shared, seed=0):
+        rng = rng_stream(31, seed * 100 + p)
+        X = rng.normal(size=(n, p) if shared else (R, n, p))
+        d = rng.uniform(0.0, 2.0, size=(R, n))
+        d[:, ::5] = 0.0  # exact zeros
+        return X, d
+
+    @pytest.mark.parametrize("shared", [True, False], ids=["shared", "per-row"])
+    @pytest.mark.parametrize("p", WIDTHS)
+    def test_equals_dense_product(self, p, shared):
+        # entrywise within 1e-14 of the scale |X|' |d| |X| (n u < 1e-14 bounds
+        # the rounding of either sum)
+        X, d = self._design(p, 40, 3, shared)
+        got = unpack_band(weighted_gram(X, gram_cache(X), d))
+        Xs = np.broadcast_to(X, (3,) + X.shape[-2:])
+        for r in range(3):
+            want = Xs[r].T @ (d[r][:, None] * Xs[r])
+            scale = np.abs(Xs[r]).T @ (d[r][:, None] * np.abs(Xs[r]))
+            assert np.all(np.abs(got[r] - want) <= 1e-14 * scale), p
+            assert np.array_equal(got[r], got[r].T)
+
+    @pytest.mark.parametrize("shared", [True, False], ids=["shared", "per-row"])
+    @pytest.mark.parametrize("p", [1, 3, GRAM_MAX_P + 1])
+    def test_non_finite_weights_stay_in_their_row(self, p, shared):
+        # the coupling slots (band[r, k, d] with k + d >= p) stay exactly 0,
+        # so an inf or NaN weight leaves every other row's step byte-identical
+        X, d = self._design(p, 30, 4, shared, seed=1)
+        d[1, 3], d[2, 7] = np.inf, np.nan
+        band = weighted_gram(X, gram_cache(X), d)
+        k, diag = np.indices((p, p))
+        assert np.all(band[:, k + diag >= p] == 0.0)
+        B = rng_stream(31, 2).normal(size=(4, p))
+        x, pivot = solve_spd_rows(band, B)
+        for r in (0, 3):
+            one = X if shared else X[[r]]
+            x_r, _ = solve_spd_rows(weighted_gram(one, gram_cache(one), d[[r]]), B[[r]])
+            assert x[r].tobytes() == x_r[0].tobytes() and pivot[r] == 0
+        assert not np.isfinite(x[1:3]).all()
+
+    @pytest.mark.parametrize("shared", [True, False], ids=["shared", "per-row"])
+    @pytest.mark.parametrize("R", [1, 7, 64])
+    @pytest.mark.parametrize("p", [2, 3, GRAM_MAX_P + 1])
+    def test_rows_equal_a_batch_of_one(self, p, R, shared):
+        X, d = self._design(p, 50, R, shared, seed=2)
+        band = weighted_gram(X, gram_cache(X), d)
+        for r in range(R):
+            one = X if shared else X[[r]]
+            assert band[r].tobytes() == weighted_gram(one, gram_cache(one), d[[r]])[0].tobytes()
+
+    @pytest.mark.parametrize("p", [1, 2, 4, GRAM_MAX_P + 1])
+    def test_band_round_trips(self, p):
+        X, d = self._design(p, 20, 5, shared=False, seed=3)
+        band = weighted_gram(X, gram_cache(X), d)
+        A = unpack_band(band)
+        assert _band_of(A).tobytes() == band.tobytes()
+        assert unpack_band(_band_of(A)).tobytes() == A.tobytes()
+        assert np.array_equal(A, np.swapaxes(A, -1, -2))
+
+    def test_one_row_without_a_batch_axis(self):
+        X, d = self._design(3, 20, 1, shared=True, seed=4)
+        band = weighted_gram(X, gram_cache(X), d[0])
+        assert band.shape == (3, 3)
+        assert band.tobytes() == weighted_gram(X, gram_cache(X), d)[0].tobytes()
+
+    def test_cache_holds_the_column_products_up_to_the_width_constant(self):
+        rng = rng_stream(31, 5)
+        for p in (1, 3, GRAM_MAX_P, GRAM_MAX_P + 1):
+            X = rng.normal(size=(4, 10, p))
+            cache = gram_cache(X)
+            m = p * (p + 1) // 2 if p <= GRAM_MAX_P else p
+            assert cache.shape == (4, m, 10) and cache.flags.c_contiguous
 
 
 def _maximize_1d(f, lo, hi, tol=1e-8):
