@@ -56,8 +56,8 @@ class _Problem(NamedTuple):
     ``y`` (..., n) may carry a leading batch axis of independent rows.
     ``X`` is one (n, p) design that every row shares through numpy
     broadcasting, or an (R, n, p) stack of one design per row; ``xx`` is
-    what ``numerics.weighted_gram`` reads of it (``gram_cache``), ``c``
-    caches ``c(y, phi)``, and ``offset``
+    what ``numerics.weighted_gram`` reads of it (``gram_cache``: its column
+    products, or its transpose), ``c`` caches ``c(y, phi)``, and ``offset``
     (n,) or None (the constrained fit's ``X b0``) is shared by every row.
     ``phi`` is a float shared by every row, or an (R, 1) column of per-row
     dispersions; with ``profile`` the dispersion is profiled out of each

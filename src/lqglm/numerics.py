@@ -137,10 +137,13 @@ def _band_index(p):
     """``(col, row, slot)`` of the lower band's p(p+1)/2 entries: entry
     ``(row, col) = (k + d, k)``, diagonal ``d`` within column ``k``, sits at
     flat position ``slot = k p + d`` of a (p, p) band block; every other
-    slot couples to the next block."""
+    slot couples to the next block.  The arrays are shared, so read-only."""
     col = np.repeat(np.arange(p), np.arange(p, 0, -1))
     diag = np.concatenate([np.arange(p - k) for k in range(p)])
-    return col, col + diag, col * p + diag
+    index = col, col + diag, col * p + diag
+    for a in index:
+        a.flags.writeable = False
+    return index
 
 
 def _band(p, values):

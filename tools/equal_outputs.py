@@ -12,6 +12,13 @@ by one ulp counts as a difference, and so is every document the op writes
 (a workload's ``outputs`` files, such as ``session_vaso``'s five JSON
 documents), byte for byte.  Prints the number of differing ops per
 workload and exits 1 if there are any.
+
+A change that reorders the arithmetic moves the floats by a few ulps, so
+beside that count it prints per workload whether every discrete output
+(the summary's ``exact`` list: exit codes, ``converged``,
+``nonconverged``, ``q_opt``, the envelope's ``failed``) is identical, and
+the largest relative difference ``|a - b| / max(|a|, |b|)`` between the
+two checkouts' float outputs (the summary's ``close`` list).
 """
 
 import argparse
@@ -27,8 +34,8 @@ OPS = {"mc_contam": 24, "mc_tests": 100, "session_vaso": 4}
 
 
 def emit(checkout, workload, seed, n_ops):
-    """Print, as one JSON list, the repr of each op's written documents
-    and its (summary, problems)."""
+    """Print, as one JSON list, per op the repr of its written documents
+    and its (summary, problems), and its summary."""
     sys.path[:0] = [str(Path(checkout).resolve() / "src"), str(ROOT / "bench")]
     import lqglm
     import lqglm.cli
@@ -44,7 +51,8 @@ def emit(checkout, workload, seed, n_ops):
             result = wl.run(inp)
             docs = {name: Path(path).read_text()
                     for name, path in getattr(wl, "outputs", {}).items()}
-            out.append(repr((docs, wl.inspect(inp, result))))
+            summary, problems = wl.inspect(inp, result)
+            out.append({"repr": repr((docs, (summary, problems))), "summary": summary})
     print(json.dumps(out))
 
 
@@ -56,6 +64,16 @@ def outputs(checkout, workload, seed, n_ops):
         raise RuntimeError(f"{checkout} {workload} seed {seed} exited {proc.returncode}: "
                            f"{proc.stderr.strip()[-500:]}")
     return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def relative_difference(a, b):
+    """``|a - b| / max(|a|, |b|)``; 0 where the two are equal (NaN
+    included), inf where only one is NaN."""
+    if a == b or (a != a and b != b):
+        return 0.0
+    if a != a or b != b:
+        return float("inf")
+    return abs(a - b) / max(abs(a), abs(b))
 
 
 def seed_list(text):
@@ -82,13 +100,23 @@ def main(argv=None):
     args = ap.parse_args(argv)
     differing = 0
     for workload in args.workload or list(OPS):
-        n_ops, ops, diff = OPS[workload], 0, 0
+        n_ops, ops, diff, discrete, largest = OPS[workload], 0, 0, 0, 0.0
         for seed in args.seeds:
             a = outputs(args.parent, workload, seed, n_ops)
             b = outputs(args.change, workload, seed, n_ops)
             ops += len(a)
-            diff += sum(x != y for x, y in zip(a, b)) + abs(len(a) - len(b))
-        print(f"{workload}: {diff} of {ops} ops differ")
+            diff += sum(x["repr"] != y["repr"] for x, y in zip(a, b)) + abs(len(a) - len(b))
+            for x, y in zip(a, b):
+                sx, sy = x["summary"], y["summary"]
+                discrete += sx["exact"] != sy["exact"]
+                if len(sx["close"]) == len(sy["close"]):
+                    largest = max([largest, *map(relative_difference, sx["close"], sy["close"])])
+                else:
+                    largest = float("inf")
+        print(f"{workload}: {diff} of {ops} ops differ; "
+              + ("every discrete output identical" if not discrete
+                 else f"{discrete} ops with a different discrete output")
+              + f"; largest relative float difference {largest:.2g}")
         differing += diff
     return 1 if differing else 0
 
