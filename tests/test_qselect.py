@@ -468,9 +468,10 @@ def _kernels(monkeypatch):
     that designs wider than ``GRAM_MAX_P`` take; the two sum in different
     orders.
 
-    A failing grid value of these designs is a degenerate fit (a scoring
-    weight ``J`` near e^100 swamps ``X' W J X``) whose ``B_n`` is singular
-    to roundoff, so its verdict could move with the summation order.  An
+    A failing grid value of these designs is a degenerate fit whose
+    weights ``W J`` span 20 or more orders of magnitude, so that its
+    ``X' W J X`` is singular to roundoff and its verdict could move with
+    the summation order.  An
     exactly zero pivot is out of reach: ModelData refuses a rank-deficient
     design, and ``W J`` is positive at every finite ``theta`` short of
     underflow beyond the theta guard.  So these designs were chosen to keep
