@@ -57,7 +57,7 @@ class _Problem(NamedTuple):
     ``X`` is one (n, p) design that every row shares through numpy
     broadcasting, or an (R, n, p) stack of one design per row; ``xx`` is
     what ``numerics.weighted_gram`` reads of it (``gram_cache``: its column
-    products, or its transpose), ``c`` caches ``c(y, phi)``, and ``offset``
+    products), ``c`` caches ``c(y, phi)``, and ``offset``
     (n,) or None (the constrained fit's ``X b0``) is shared by every row.
     ``phi`` is a float shared by every row, or an (R, 1) column of per-row
     dispersions; with ``profile`` the dispersion is profiled out of each
@@ -95,7 +95,7 @@ class _Problem(NamedTuple):
     def gram(self, d):
         """The band of ``X' diag(d) X`` of every row (see
         ``numerics.weighted_gram``)."""
-        return weighted_gram(self.X, self.xx, d)
+        return weighted_gram(self.xx, d)
 
 
 def _problem(data, phi, y=None):

@@ -8,6 +8,7 @@ counter-based Philox engine so that per-replicate streams keyed by
 """
 
 from functools import lru_cache
+from math import isqrt
 
 import numpy as np
 from scipy.linalg import lapack
@@ -33,10 +34,6 @@ GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 GOLDEN_MAX_ITER = 500
 # ``solve_spd`` rejects an asymmetry above this fraction of the largest entry.
 SYM_TOL = 1e-10
-# ``weighted_gram`` forms X' diag(d) X from cached column products on
-# designs of at most this many columns; wider, the products cost more than
-# they save (whole-fit timings at p = 2...30, CHANGES.md).
-GRAM_MAX_P = 5
 
 
 def solve_spd(A, B):
@@ -90,33 +87,24 @@ def _not_positive_definite(pivot):
 
 
 def gram_cache(X):
-    """What ``weighted_gram`` reads of the design ``X`` (..., n, p).
-
-    Up to ``GRAM_MAX_P`` columns, the p(p+1)/2 column products ``x_j x_k``
-    (..., m, n) in lower band order; a wider design keeps its contiguous
-    transpose (..., p, n).
-    """
+    """What ``weighted_gram`` reads of the design ``X`` (..., n, p): its
+    p(p+1)/2 column products ``x_j x_k`` (..., m, n) in lower band order."""
     Xt = np.ascontiguousarray(np.swapaxes(X, -1, -2))
-    if X.shape[-1] > GRAM_MAX_P:
-        return Xt
     col, row, _ = _band_index(X.shape[-1])
     return np.take(Xt, row, axis=-2) * np.take(Xt, col, axis=-2)
 
 
-def weighted_gram(X, cache, d):
+def weighted_gram(cache, d):
     """The band of ``X' diag(d) X`` for the weights ``d`` (..., n) of every
     row, from ``cache = gram_cache(X)``.
 
     The band (..., p, p) is what ``solve_spd_rows`` solves with and
-    ``unpack_band`` turns into the full matrices.  A narrow design forms
-    each row's entries as one matrix-vector product of the cache with its
-    weights, so a row's band does not depend on the other rows; a wider
-    one forms ``(X' * d) @ X`` and keeps its lower triangle.  The entries
-    that couple one row's block to the next are exactly 0, whatever ``d``.
+    ``unpack_band`` turns into the full matrices.  Each row's entries are
+    one matrix-vector product of the cache with its weights, so a row's
+    band does not depend on the other rows, and the entries that couple
+    one row's block to the next are exactly 0, whatever ``d``.
     """
-    p = X.shape[-1]
-    if p > GRAM_MAX_P:
-        return _band_of((cache * d[..., None, :]) @ X)
+    p = (isqrt(8 * cache.shape[-2] + 1) - 1) // 2
     return _band(p, (cache @ d[..., None])[..., 0])
 
 
@@ -158,13 +146,6 @@ def _band(p, values):
     band = np.zeros(values.shape[:-1] + (p * p,))
     band[..., _band_index(p)[2]] = values
     return band.reshape(values.shape[:-1] + (p, p))
-
-
-def _band_of(A):
-    """The band of the lower triangles of the matrices ``A`` (..., p, p)."""
-    p = A.shape[-1]
-    col, row, _ = _band_index(p)
-    return _band(p, A[..., row, col])
 
 
 def solve_spd_rows(band, B):

@@ -463,26 +463,26 @@ def _failing_grid_data(family, seed):
 
 
 def _kernels(monkeypatch):
-    """Run the loop body once with ``X' diag(d) X`` from the band kernel of
-    cached column products, then once from the dense product ``(X' * d) @ X``
-    that designs wider than ``GRAM_MAX_P`` take; the two sum in different
-    orders.
+    """Run the loop body once with ``X' diag(d) X`` summed over the
+    observations in their order, then once summed in reverse order.
 
     A failing grid value of these designs is a degenerate fit whose
     weights ``W J`` span 20 or more orders of magnitude, so that its
     ``X' W J X`` is singular to roundoff and its verdict could move with
-    the summation order.  An
-    exactly zero pivot is out of reach: ModelData refuses a rank-deficient
-    design, and ``W J`` is positive at every finite ``theta`` short of
-    underflow beyond the theta guard.  So these designs were chosen to keep
-    their verdicts under both orders, and the tests check both.
+    the summation order (ROADMAP item 7 lists designs whose verdict did).
+    An exactly zero pivot is out of reach: ModelData refuses a
+    rank-deficient design, and ``W J`` is positive at every finite
+    ``theta`` short of underflow beyond the theta guard.  So these designs
+    were chosen to keep their verdicts under both orders, and the tests
+    check both.
     """
-    from lqglm import numerics
+    from lqglm import fit, numerics
 
-    yield "band"
+    yield "forward"
     with monkeypatch.context() as m:
-        m.setattr(numerics, "GRAM_MAX_P", 0)
-        yield "dense"
+        m.setattr(fit, "weighted_gram",
+                  lambda cache, d: numerics.weighted_gram(cache[..., ::-1], d[..., ::-1]))
+        yield "reversed"
 
 
 _GRID_DATA = {
@@ -528,8 +528,7 @@ class TestBatchedGridAssembly:
         grid = QGrid(q_min=0.5, step=0.05)
         self._check(data, grid, control, monkeypatch)
         # The failures sit at a Cholesky pivot at roundoff (see _kernels): each
-        # design keeps both kinds whether X' W J X comes from the band kernel
-        # or from the dense product.
+        # design keeps both kinds whichever order X' W J X is summed in.
         for _ in _kernels(monkeypatch):
             _, warned = _recorded(_oracle_grid_fits, data, grid, control)
             kinds = {"failed" if "failed:" in m else "dropped"
@@ -596,8 +595,24 @@ class TestBatchedGridAssembly:
         _assert_same_outcome(got, want)
         if name == "poisson-failing" and q == 0.55:
             # the error of the evaluated solution: B_n is not positive
-            # definite, whichever kernel forms it (see _kernels)
+            # definite, whichever order sums it (see _kernels)
             for _ in _kernels(monkeypatch):
                 error = _recorded(oracle)[0]
                 assert isinstance(error, SingularMatrixError)
                 assert str(error).startswith("Cholesky pivot")
+
+    def test_roundoff_singular_b_n_converges_falsely(self):
+        """The false convergence of ROADMAP item 7, recorded as it stands.
+
+        On this design at q = 0.55, ``B_n`` is singular to roundoff, and
+        whether its Cholesky factorization passes depends on the summation
+        order of ``X' W J X``.  Summed as ``(X' * W J) @ X`` it failed, and
+        ``fit_mlq`` raised "Cholesky pivot 2"; from the band kernel it
+        passes, and ``fit_mlq`` reports convergence after one iteration
+        with ``|psi|`` far above the stop rule's tolerance.  A reasoned
+        verdict on degenerate fits would turn this into a typed error or a
+        non-converged fit, and change this test with it.
+        """
+        fit = fit_mlq(_failing_grid_data("poisson", 67), FitControl(q=0.55))
+        assert fit.converged and fit.iterations == 1
+        assert fit.psi_norm > 1.0 and np.linalg.cond(fit.B_n) > 1e15
