@@ -536,8 +536,8 @@ def simulation_envelope(data, fit, kind="standardized", reps=100, seed=0,
     ``MIN_ENVELOPE_REPS``.
     Replicates whose refit fails, or whose residuals are not all finite,
     are dropped and counted.  The refits of up to ``BLOCK``
-    replicates run as one batch; a replicate's result never depends on
-    the others.
+    replicates run as one batch; beyond 16 columns a replicate's last bits
+    may depend on the others (see ``numerics.solve_spd_rows``).
     """
     if kind not in _WARNINGS:
         raise UsageError(f"unknown residual kind {kind!r}")

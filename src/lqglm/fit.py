@@ -14,14 +14,14 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import BracketError, DomainError, LqglmError, SingularMatrixError, UsageError
+from .errors import (BracketError, DomainError, EvaluationError, LqglmError,
+                     SingularMatrixError, UsageError)
 from .families import _lq_terms
 from .model import PROFILE, FitControl, FitResult
 from .numerics import (
     _not_positive_definite,
     _solve_spd_each,
     gram_cache,
-    maximize_1d_rows,
     solve_spd_rows,
     unpack_band,
     weighted_gram,
@@ -44,8 +44,9 @@ SEPARATION_NORM_FACTOR = 1e4
 THETA_OVERFLOW = 700.0
 # Halvings of a rejected step before the loop stops as exhausted.
 STEP_HALVING_MAX = 20
-# The profiled dispersion is searched within this factor of its moment estimate.
+# The profiled dispersion is scanned at PHI_SCAN points within this factor of its moment estimate.
 PHI_BRACKET = 1e4
+PHI_SCAN = 33
 # Replicates fitted together as one batch (and one task of a worker pool).
 BLOCK = 64
 
@@ -547,16 +548,18 @@ def _fitted(prob, q, res):
     float shared by every row or an (R, 1) column, as in ``_working``.
 
     Sets the error of a row without one to what ``fit_mlq`` raises on it,
-    a SingularMatrixError where ``B_n`` is not positive definite.  Nothing
-    else needs a check: ``_irls`` accepts finite ``theta`` only, and
-    ``J_q`` is defined at every finite ``theta``.
+    a SingularMatrixError where ``B_n`` is not positive definite or not
+    finite: ``W J`` may overflow at a finite ``theta``, and the Cholesky
+    factorization lets that through.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         w = _working(prob, _predictor(prob, res.beta), q)
         A, B = _matrices_ab(prob, w, q)
     Binv, pivot = _solve_spd_each(B, np.eye(B.shape[-1])[None])
-    for r in np.flatnonzero(res.ok & (pivot != 0)).tolist():
-        res.error[r] = _not_positive_definite(pivot[r])
+    finite = np.isfinite(B).all(axis=(-2, -1))
+    for r in np.flatnonzero(res.ok & ~(finite & (pivot == 0))).tolist():
+        res.error[r] = _not_positive_definite(pivot[r]) if finite[r] else SingularMatrixError(
+            "B_n is not finite: the weights W J overflowed")
     return w, A, B, Binv
 
 
@@ -633,42 +636,82 @@ def _profile(prob, q, res, control):
     return prob.with_phi(phi[:, None])
 
 
+def _profile_objective(fam, y, yb, phi, q):
+    """``_working``'s objective of each row at ``phi`` (R, 1), from ``yb = y theta - b``."""
+    return np.add.reduce(_lq_terms(phi * yb + fam.c(y, phi), q), axis=-1)
+
+
 def _profile_phi(prob, eta_q, q):
     """Profiled Lq-likelihood dispersion of each row at the predictors ``eta_q``.
 
-    One golden-section search on ``log(phi)`` runs every row, each in a
-    bracket of ``PHI_BRACKET`` either side of its moment estimate.  Returns
-    ``(phi, error)``: ``error[r]`` is the BracketError (zero residuals, or
-    the maximum on the bracket edge) or EvaluationError of row r, else None.
+    Each local maximum of a scan of ``t = log(phi)`` (``PHI_SCAN`` points
+    spanning ``PHI_BRACKET`` either side of the moment estimate) is
+    polished by Newton steps on the Gaussian score ``g(t) = sum_i U_i (1 -
+    phi r_i^2) / 2``, kept by bisection between its scan neighbours
+    (``rtsafe``, Numerical Recipes 9.4); the highest is the global maximum
+    wherever the scan separates the peaks.  Each row stops on its own.
+    Returns ``(phi, error)``: ``error[r]`` is the BracketError (zero
+    residuals, or the maximum within 1e-6 of the bracket edge) or
+    EvaluationError (a scan value not finite) of row r, else None.
     """
     fam, y = prob.family, prob.y
     theta = prob.link.k(eta_q)
     b, mu, _ = fam.cumulants(theta)
-    rss = np.add.reduce((y - mu) ** 2, axis=-1)
+    r2 = (y - mu) ** 2
+    rss = np.add.reduce(r2, axis=-1)
     zero = rss <= 1e-300
     error = [BracketError("profiled dispersion diverges (zero residuals); no interior maximum")
              if z else None for z in zero.tolist()]
     rows = np.flatnonzero(~zero)
     phi0 = y.shape[-1] / rss[rows]
     lo, hi = np.log(phi0 / PHI_BRACKET), np.log(phi0 * PHI_BRACKET)
-    # only phi varies along the search: y*theta - b is computed once, and
-    # each probe forms logf and the objective as _working does
-    y, yb = y[rows], (y * theta - b)[rows]
-
-    def objective(t, k):
-        phi = np.exp(t)[:, None]
-        logf = phi * yb[k] + fam.c(y[k], phi)
-        return np.add.reduce(_lq_terms(logf, q), axis=-1)
-
-    t, _, search_error = maximize_1d_rows(objective, lo, hi, tol=1e-10)
-    edge = ((t - lo < 1e-6) | (hi - t < 1e-6)).tolist()
-    for r, e, on_edge in zip(rows.tolist(), search_error, edge):
-        if e is None and on_edge:
-            e = BracketError("profiled dispersion maximum sits on the bracket edge; the bracket "
-                             f"spans a factor {PHI_BRACKET:g} either side of the moment estimate")
-        error[r] = e
+    # only phi varies along the scan: y*theta - b is formed once
+    y, yb, r2 = y[rows], (y * theta - b)[rows], r2[rows]
+    grid = lo[:, None] + (hi - lo)[:, None] * np.linspace(0.0, 1.0, PHI_SCAN)
+    H = np.stack([_profile_objective(fam, y, yb, np.exp(t)[:, None], q) for t in grid.T], axis=-1)
+    for i in np.flatnonzero(~np.isfinite(H).all(axis=-1)).tolist():
+        probe = float(grid[i, np.argmin(np.isfinite(H[i]))])
+        error[rows[i]] = EvaluationError(
+            f"profiled Lq-likelihood not finite at log(phi) = {probe!r}", probe=probe)
+        H[i] = np.nan
+    # Newton from each local maximum of the scan (the first point of a
+    # plateau) within its scan neighbours: a where g > 0, b where g <= 0
+    edged = np.pad(H, ((0, 0), (1, 1)), constant_values=-np.inf)
+    row, k = np.nonzero((H > edged[:, :-2]) & (H >= edged[:, 2:]))
+    t, a, b = grid[row, k], grid[row, np.maximum(k - 1, 0)], grid[row, np.minimum(k + 1, PHI_SCAN - 1)]
+    step, step_old = b - a, b - a
+    live = np.arange(len(row))
+    for _ in range(100):
+        if not live.size:
+            break
+        tk = t[live]
+        phi = np.exp(tk)[:, None]
+        pr2 = phi * r2[row[live]]
+        s = 1.0 - pr2
+        U = np.exp((0.5 * (1.0 - q)) * (np.log(phi / (2.0 * np.pi)) - pr2))
+        g = 0.5 * np.add.reduce(U * s, axis=-1)
+        dg = np.add.reduce(U * ((0.25 * (1.0 - q)) * s * s - 0.5 * pr2), axis=-1)
+        a[live] = ak = np.where(g > 0, tk, a[live])
+        b[live] = bk = np.where(g > 0, b[live], tk)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            newton = tk - g / dg
+        # bisect where a Newton step leaves the bracket or shrinks it slower than bisection
+        bisect = ~((ak <= newton) & (newton <= bk)) | (np.abs(2.0 * g) > np.abs(step_old[live] * dg))
+        step_old[live], step[live] = step[live], np.where(bisect, 0.5 * (bk - ak), newton - tk)
+        t[live] = np.where(bisect, ak + 0.5 * (bk - ak), newton)
+        # a row stops on a step below 1e-13 in log(phi), or on one that no longer moves it
+        live = live[(np.abs(step[live]) >= 1e-13) & (t[live] != tk)]
+    # each row keeps its highest maximum, the first of equal ones
+    order = np.lexsort((-_profile_objective(fam, y[row], yb[row], np.exp(t)[:, None], q), row))
+    keep = order[np.diff(row[order], prepend=-1) != 0]
+    row, t = row[keep], t[keep]
+    for r, tr in zip(row.tolist(), t.tolist()):
+        if tr - lo[r] < 1e-6 or hi[r] - tr < 1e-6:
+            error[rows[r]] = BracketError(
+                "profiled dispersion maximum sits on the bracket edge; the bracket "
+                f"spans a factor {PHI_BRACKET:g} either side of the moment estimate")
     phi = np.full(len(rss), np.nan)
-    phi[rows] = np.exp(t)
+    phi[rows[row]] = np.exp(t)
     return phi, error
 
 
@@ -786,14 +829,16 @@ def estimate_phi(data, beta_q, q):
     """Profiled Lq-likelihood estimate of a free dispersion.
 
     Maximizes ``H_n(phi) = sum_i l_q(f(y_i; k(x_i' beta_q), phi))`` over
-    ``phi`` by golden-section search on ``log(phi)``, within a factor
-    ``PHI_BRACKET`` either side of the moment estimate.  ``beta_q`` is on
-    the calibrated scale.
+    ``phi`` within a factor ``PHI_BRACKET`` either side of the moment
+    estimate by a scan and Newton steps (``_profile_phi``), at its global
+    maximum there.  ``beta_q`` is on the calibrated scale.
 
     Raises
     ------
     BracketError
         If no interior maximum exists in the bracket (e.g. zero residuals).
+    EvaluationError
+        If ``H_n`` is not finite at a scan point.
     """
     if data.family.phi_fixed is not None:
         raise UsageError(f"family '{data.family.name}' has fixed dispersion")

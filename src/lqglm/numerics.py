@@ -1,5 +1,5 @@
-"""Numerical plumbing: SPD solves, 1-d maximization, reference
-distributions, and seeded random streams.
+"""Numerical plumbing: SPD solves, reference distributions, and seeded
+random streams.
 
 Matrices are plain ``numpy.ndarray`` objects (row-major, finite entries);
 random streams are ``numpy.random.Generator`` instances built on the
@@ -14,7 +14,7 @@ import numpy as np
 from scipy.linalg import lapack
 from scipy.special import chdtrc, ndtri
 
-from .errors import DomainError, EvaluationError, SingularMatrixError
+from .errors import DomainError, SingularMatrixError
 
 __all__ = [
     "solve_spd",
@@ -23,15 +23,11 @@ __all__ = [
     "weighted_gram",
     "unpack_band",
     "inv_spd",
-    "maximize_1d_rows",
     "chi_square_sf",
     "normal_quantile",
     "rng_stream",
 ]
 
-GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
-# ``maximize_1d_rows`` stops after this many golden-section steps.
-GOLDEN_MAX_ITER = 500
 # ``solve_spd`` rejects an asymmetry above this fraction of the largest entry.
 SYM_TOL = 1e-10
 
@@ -154,8 +150,11 @@ def solve_spd_rows(band, B):
     ``band`` (R, p, p) holds the lower triangles of ``A`` as
     ``weighted_gram`` forms them, and ``B`` has shape ``(R, p)``.  One
     banded Cholesky factorization of the block-diagonal matrix
-    ``diag(A[0], ..., A[R-1])`` gives every solve; the blocks share no
-    nonzero entry, so each row's result does not depend on the others.
+    ``diag(A[0], ..., A[R-1])`` gives every solve.  The blocks share no
+    nonzero entry, so each row's factor is the one its own solve forms,
+    but LAPACK's triangular solves may round a row of a batch differently
+    from a batch of one: with OpenBLAS 0.3.30 the bits agree up to p = 16,
+    and beyond it most rows of a 64-row batch differ in their last bits.
     Returns ``(x, pivot)``: ``pivot[r]`` is 0 where ``A[r]`` is positive
     definite and otherwise the 1-based index of its first non-positive
     Cholesky pivot, as ``solve_spd`` reports it; ``x[r]`` is NaN there.
@@ -204,53 +203,6 @@ def inv_spd(A):
     """Inverse of a symmetric positive-definite matrix via Cholesky."""
     A = np.asarray(A, dtype=float)
     return solve_spd(A, np.eye(A.shape[0]))
-
-
-def maximize_1d_rows(f, lo, hi, tol):
-    """Golden-section maximization of one unimodal function per row on
-    the (R,) brackets ``[lo, hi]``.
-
-    ``f(x, rows)`` returns the values at ``x`` of the functions of
-    ``rows``, an index array.  A row stops when its own bracket is at or
-    below ``tol``, so its result does not depend on the other rows; for a
-    unimodal function (the caller's responsibility) its argmax is then
-    within ``tol`` of the optimum.  Every row stops after
-    ``GOLDEN_MAX_ITER`` steps.  Returns ``(x, value, error)``:
-    ``error[r]`` is the EvaluationError of a row that probed a non-finite
-    value and left the search, else None.
-    """
-    a, b = np.array(lo, dtype=float), np.array(hi, dtype=float)
-    if not np.all(a < b):
-        raise ValueError("need lo < hi")
-    error = [None] * len(a)
-    live = np.ones(len(a), dtype=bool)
-
-    def ev(x, mask):
-        # f at x on the live rows of mask; a non-finite value fails its row
-        rows = np.flatnonzero(mask & live)
-        v = np.full(len(a), np.nan)
-        if rows.size:
-            v[rows] = f(x[rows], rows)
-        for r in rows[~np.isfinite(v[rows])].tolist():
-            error[r] = EvaluationError(f"f({x[r]!r}) is not finite", probe=float(x[r]))
-            live[r] = False
-        return v
-
-    x1, x2 = b - GOLDEN * (b - a), a + GOLDEN * (b - a)
-    f1, f2 = ev(x1, live), ev(x2, live)
-    for _ in range(GOLDEN_MAX_ITER):
-        go = live & (b - a > tol)
-        if not go.any():
-            break
-        up, down = go & (f1 < f2), go & ~(f1 < f2)
-        a[up], x1[up], f1[up] = x1[up], x2[up], f2[up]
-        b[down], x2[down], f2[down] = x2[down], x1[down], f1[down]
-        x2[up] = a[up] + GOLDEN * (b[up] - a[up])
-        x1[down] = b[down] - GOLDEN * (b[down] - a[down])
-        v = ev(np.where(up, x2, x1), go)
-        f2[up], f1[down] = v[up], v[down]
-    xm = 0.5 * (a + b)
-    return xm, ev(xm, live), error
 
 
 def chi_square_sf(x, d):

@@ -12,9 +12,9 @@ q from the replicate's last converged estimate (its q = 1 fit while it
 has none).
 
 Replicates are embarrassingly parallel: each uses its own counter-based
-random stream keyed by the replicate index, and blocks of replicates are
-fitted as one batch in which no row depends on another, so reports are
-byte-identical regardless of worker count.
+random stream keyed by the replicate index, and each block of replicates
+is fitted as one batch, the same batch whatever the worker count, so
+reports are byte-identical regardless of it.
 """
 
 import json
@@ -158,7 +158,8 @@ def _replicates(design, ks, X_fixed=None):
     the block is fitted as one batch down the q values in descending
     order by ``_fit_path``: the q = 1 fit from the classical start, then
     each q from the row's last converged estimate (its q = 1 fit while it
-    has none).  A row's fits never depend on the other rows of its block.
+    has none).  A row's fits depend on the other rows only through the
+    rounding of the batched solves beyond 16 columns (``solve_spd_rows``).
     A replicate whose design is rank deficient fails at the classical
     start and counts as non-converged at every q.
     """

@@ -917,14 +917,6 @@ def _profile_gaussian():
     return ModelData(X, rng.normal(X @ np.array([0.5, 1.0]), 0.7), "gaussian", phi="profile")
 
 
-def _small_profile_gaussian():
-    # n = 6 at q = 0.5: some refits hit singular normal equations and some
-    # profiled dispersions run to the bracket edge
-    rng = rng_stream(203, 6)
-    X = np.column_stack([np.ones(6), rng.uniform(-1, 1, size=6)])
-    return ModelData(X, rng.normal(X @ np.array([0.5, 1.0]), 0.5), "gaussian", phi="profile")
-
-
 class TestBatchedEnvelope:
     """The batched envelope equals the per-replicate fit_mlq loop."""
 
@@ -969,12 +961,14 @@ class TestBatchedEnvelope:
         data = _profile_gaussian() if fixture == "profile_gaussian" else request.getfixturevalue(fixture)
         self._check(data, fit_mlq(data, FitControl(q=q)), kind, 20, 5)
 
-    def test_failed_refits_are_dropped(self):
-        # of these 12 refits one hits singular normal equations and one a
-        # profiled dispersion on the bracket edge
-        data = _small_profile_gaussian()
+    def test_failed_refits_are_dropped(self, small_profiled):
+        # n = 6 at q = 0.5, drawn from the recorded fit: of these 12 refits
+        # one has a singular B_n and one a profiled dispersion on the
+        # bracket edge
+        data, mu, phi = small_profiled
         ctl = FitControl(q=0.5)
-        env, ref = self._check(data, fit_mlq(data, ctl), "quantile", 12, 6, ctl)
+        fit = replace(fit_mlq(data, ctl), mu=mu, phi_hat=phi)
+        env, ref = self._check(data, fit, "quantile", 12, 14, ctl)
         assert env.failed == 2
         assert sorted(ref["errors"]) == ["BracketError", "SingularMatrixError"]
 

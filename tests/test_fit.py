@@ -12,6 +12,7 @@ from scipy.optimize import minimize
 from lqglm import (
     BracketError,
     DomainError,
+    EvaluationError,
     FitControl,
     ModelData,
     PowerThetaLink,
@@ -318,6 +319,26 @@ class TestFitMlq:
         with pytest.raises(DomainError, match="^starting value gives a non-finite Lq-objective$"):
             fit_mlq(poisson_example, FitControl(q=0.9, init=np.full(3, np.nan)))
 
+    def test_overflowed_weights_raise(self):
+        # counts up to 3441: at q < 1 the weight J = exp(phi (q b(theta) -
+        # b(q theta))) overflows at the solution, which the Cholesky
+        # factorization lets through; B_n is not finite, a typed error
+        # without a numpy warning
+        import warnings
+
+        from lqglm import SingularMatrixError
+
+        rng = np.random.default_rng(1)
+        x = rng.uniform(0, 1, size=20)
+        data = ModelData(np.column_stack([np.ones(20), x]),
+                         rng.poisson(np.exp(1 + 7.5 * x)).astype(float), "poisson")
+        assert data.y.max() == 3441 and fit_mlq(data, FitControl(q=1.0)).converged
+        for q in (0.95, 0.8, 0.6, 0.55):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(SingularMatrixError, match="^B_n is not finite: the weights"):
+                    fit_mlq(data, FitControl(q=q))
+
     def test_profile_psi_norm_at_returned_pair(self):
         # psi_norm belongs to (beta_star, phi_hat), not to the last loop run
         # at the previous dispersion
@@ -494,6 +515,47 @@ class TestEstimatePhi:
         data = ModelData(X, y, "gaussian", phi=PROFILE)
         fit = fit_mlq(data, FitControl(q=0.95))
         assert 0.5 / sigma**2 < fit.phi_hat < 2.0 / sigma**2
+
+    def test_profiled_dispersion_matches_grid_scan(self):
+        # grid-scan oracle on a 20-point fixed-seed Gaussian dataset
+        rng = rng_stream(7, 0)
+        X = np.column_stack([np.ones(20), rng.uniform(-1, 1, size=20)])
+        y = rng.normal(X @ np.array([1.0, 2.0]), 0.7)
+        data = ModelData(X, y, "gaussian", phi=1.0)
+        fit = fit_mlq(data, FitControl(q=0.9))
+        phi_hat = estimate_phi(data, fit.beta_q, 0.9)
+
+        # two-stage grid scan, effective resolution beyond 1e6 points
+        coarse = np.exp(np.linspace(np.log(phi_hat / 50), np.log(phi_hat * 50), 2001))
+        vals = np.array([lq_objective(data, fit.beta_q, 0.9, phi=p) for p in coarse])
+        k = int(np.argmax(vals))
+        fine = np.exp(np.linspace(np.log(coarse[max(k - 1, 0)]),
+                                  np.log(coarse[min(k + 1, 2000)]), 20001))
+        fvals = np.array([lq_objective(data, fit.beta_q, 0.9, phi=p) for p in fine])
+        phi_grid = fine[int(np.argmax(fvals))]
+        assert abs(phi_hat - phi_grid) / phi_grid < 1e-6
+
+    def test_nonfinite_profile_names_its_probe(self):
+        # y theta and b(theta) overflow, so the profile is NaN at every scan
+        # point: the first, the bracket's lower end, is named
+        from lqglm.fit import PHI_BRACKET
+
+        X = np.column_stack([np.ones(5), np.arange(5.0)])
+        eta = X @ np.array([1e160, 0.0])
+        data = ModelData(X, eta + 1e145 * np.array([0.5, -1.0, 0.25, 2.0, -0.75]), "gaussian")
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(EvaluationError, match="not finite") as exc:
+            estimate_phi(data, np.array([1e160, 0.0]), 0.9)
+        rss = np.sum((data.y - eta) ** 2)
+        assert exc.value.probe == np.log(data.n / rss / PHI_BRACKET)
+
+    def test_gaussian_is_the_only_free_dispersion(self):
+        # the dispersion search solves the Gaussian score: a new family
+        # with a free dispersion needs its own
+        from lqglm.families import _FAMILIES
+
+        free = [name for name, fam in _FAMILIES.items() if fam.phi_fixed is None]
+        assert free == ["gaussian"]
 
 
 class TestModelData:
@@ -774,19 +836,21 @@ class TestBatchedCore:
         kinds = self._assert_fit_mlq_errors(res, datas, controls)
         assert kinds == ["SingularMatrixError", None, "DomainError", None]
 
-    def test_fitted_finds_b_n_not_positive_definite(self):
-        # profiled Gaussian refits at n = 6 and q = 0.5: replicate 0 converges
-        # but its B_n is singular, and others fail in the dispersion search
+    def test_fitted_finds_b_n_not_positive_definite(self, small_profiled, summation_orders):
+        # profiled Gaussian refits at n = 6 and q = 0.5: replicate 11 converges
+        # but its B_n is singular to roundoff, whichever order sums it, and
+        # replicate 9 fails in the dispersion search
         from lqglm.fit import _fit_path, _fitted, _stack
 
-        datas, ctl = _small_profiled_refits()
-        prob, res = _fit_path(_stack(datas), [0.5], ctl)[0]
-        assert res.error[0] is None
-        _fitted(prob, 0.5, res)
-        kinds = self._assert_fit_mlq_errors(res, datas, [ctl] * len(datas))
-        assert kinds[0] == "SingularMatrixError"
-        assert str(res.error[0]).startswith("Cholesky pivot 2 non-positive")
-        assert "BracketError" in kinds and kinds.count(None) >= 8
+        datas, ctl = _small_profiled_refits(small_profiled, seed=14)
+        for _ in summation_orders():
+            prob, res = _fit_path(_stack(datas), [0.5], ctl)[0]
+            assert res.error[11] is None
+            _fitted(prob, 0.5, res)
+            kinds = self._assert_fit_mlq_errors(res, datas, [ctl] * len(datas))
+            assert kinds[11] == "SingularMatrixError"
+            assert str(res.error[11]).startswith("Cholesky pivot 2 non-positive")
+            assert "BracketError" in kinds and kinds.count(None) >= 8
 
     @pytest.mark.parametrize("q", [1.0, 0.97])
     def test_objective_stop_rows_of_unlike_scales(self, q):
@@ -871,16 +935,13 @@ class TestSharedDesign:
         assert bases[2].X.shape == (vaso.n, vaso.p - 1)
 
 
-def _small_profiled_refits():
+def _small_profiled_refits(small_profiled, seed=6):
     """Twelve profiled Gaussian envelope-style replicates at n = 6, drawn
-    from a q = 0.5 fit, and the control of their refits."""
-    rng = rng_stream(203, 6)
-    X = np.column_stack([np.ones(6), rng.uniform(-1, 1, size=6)])
-    data = ModelData(X, rng.normal(X @ np.array([0.5, 1.0]), 0.5), "gaussian", phi=PROFILE)
-    ctl = FitControl(q=0.5)
-    fit = fit_mlq(data, ctl)
-    return [ModelData(X, data.family.sample(rng_stream(6, r), fit.mu, fit.phi_hat),
-                      "gaussian", phi=PROFILE) for r in range(12)], ctl
+    with the streams ``(seed, r)`` from the recorded q = 0.5 fit of the
+    ``small_profiled`` fixture, and the control of their refits."""
+    data, mu, phi = small_profiled
+    return [ModelData(data.X, data.family.sample(rng_stream(seed, r), mu, phi), "gaussian",
+                      phi=PROFILE) for r in range(12)], FitControl(q=0.5)
 
 
 def _draw(family_name, seed, n):
@@ -1003,8 +1064,8 @@ class TestInvariances:
             assert np.max(np.abs(fit.beta_q - at_1)) <= 10.0 * delta * bound, delta
 
 
-# The per-row dispersion search the batched one replaced, kept as the oracle:
-# a scalar golden section and one search per ModelData.
+# A scalar golden-section search per row: an oracle of the batched dispersion
+# search that finds a local maximum of the profile.
 _GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 
 
@@ -1064,55 +1125,71 @@ def _per_row_profile_phi(data, eta_q, q):
     return float(np.exp(t_hat))
 
 
-def _full_evaluation_profile_phi(prob, eta_q, q):
-    """``fit._profile_phi`` as it was with one ``_working`` per probe."""
-    from lqglm.fit import PHI_BRACKET, _working
-    from lqglm.numerics import maximize_1d_rows
+def _closed_form_objective(y, eta_q, q, log_phi):
+    """The Gaussian Lq-objective at each ``log(phi)`` of an array, in closed form."""
+    phi = np.exp(np.asarray(log_phi, dtype=float))[..., None]
+    logf = 0.5 * np.log(phi / (2.0 * np.pi)) - 0.5 * phi * (y - eta_q) ** 2
+    return np.sum(logf if q == 1.0 else np.expm1((1.0 - q) * logf) / (1.0 - q), axis=-1)
 
-    mu = prob.family.b_dot(prob.link.k(eta_q))
-    rss = np.add.reduce((prob.y - mu) ** 2, axis=-1)
-    zero = rss <= 1e-300
-    error = [BracketError("profiled dispersion diverges (zero residuals); no interior maximum")
-             if z else None for z in zero.tolist()]
-    rows = np.flatnonzero(~zero)
-    phi0 = prob.y.shape[-1] / rss[rows]
-    lo, hi = np.log(phi0 / PHI_BRACKET), np.log(phi0 * PHI_BRACKET)
-    sub, eta_q = prob.rows(rows), eta_q[rows]
-    t, _, search_error = maximize_1d_rows(
-        lambda t, k: _working(sub.rows(k).with_phi(np.exp(t)[:, None]), eta_q[k], q).objective,
-        lo, hi, tol=1e-10)
-    edge = ((t - lo < 1e-6) | (hi - t < 1e-6)).tolist()
-    for r, e, on_edge in zip(rows.tolist(), search_error, edge):
-        if e is None and on_edge:
-            e = BracketError("profiled dispersion maximum sits on the bracket edge; the bracket "
-                             f"spans a factor {PHI_BRACKET:g} either side of the moment estimate")
-        error[r] = e
-    phi = np.full(len(rss), np.nan)
-    phi[rows] = np.exp(t)
-    return phi, error
+
+def _gaussian_score(y, eta_q, q, phi):
+    """The Gaussian score ``g(t) = sum_i U_i s_i``, ``s_i = (1 - phi r_i^2) / 2``,
+    in ``t = log(phi)``, its derivative, and ``sum_i U_i (1 + phi r_i^2) / 2``."""
+    pr2 = phi * (y - eta_q) ** 2
+    U = np.exp(0.5 * (1.0 - q) * (np.log(phi / (2.0 * np.pi)) - pr2))
+    s = 0.5 * (1.0 - pr2)
+    return np.sum(U * s), np.sum(U * ((1.0 - q) * s * s - 0.5 * pr2)), np.sum(0.5 * U * (1.0 + pr2))
+
+
+def _assert_solves_its_score(y, eta_q, q, phi):
+    """``phi`` solves the Gaussian score to roundoff, at a maximum (``g' <
+    0``), and is the global maximum of a fine grid scan of the dispersion's
+    bracket.
+
+    Roundoff is measured against ``sum_i U_i (1 + phi r_i^2) / 2``, the
+    size of the addends of g before they cancel.  It bounds ``sum |U s|``
+    and is of its order, except where one observation dominates the
+    maximum (``phi = 1 / r_i^2``, the others' weights underflowing): there
+    ``sum |U s|`` cancels to roundoff itself.
+    """
+    from lqglm.fit import PHI_BRACKET
+
+    g, dg, size = _gaussian_score(y, eta_q, q, phi)
+    assert abs(g) <= 1e-14 * size and dg < 0
+    phi0 = len(y) / np.sum((y - eta_q) ** 2)
+    grid = np.linspace(np.log(phi0 / PHI_BRACKET), np.log(phi0 * PHI_BRACKET), 20001)
+    H_hat = _closed_form_objective(y, eta_q, q, np.log(phi))
+    assert _closed_form_objective(y, eta_q, q, grid).max() <= H_hat + 1e-12 * max(1.0, abs(H_hat))
+
+
+def _profile_rows(rng, phi=1.0):
+    """Eight Gaussian rows of n = 12, drawn from ``rng``, and their
+    predictors: row 2 has zero residuals (no interior maximum), and row 6
+    half of its observations fitted exactly (at q = 0.5 its profile then
+    grows up to the bracket edge)."""
+    datas, etas = [], []
+    for scale in (0.2, 0.5, 1.0, 2.0, 0.05, 5.0, 0.7, 1.5):
+        X = np.column_stack([np.ones(12), rng.uniform(-1, 1, size=12)])
+        eta = X @ np.array([0.5, 1.0])
+        datas.append(ModelData(X, eta + rng.normal(0, scale, size=12), "gaussian", phi=phi))
+        etas.append(eta)
+    datas[2] = ModelData(datas[2].X, etas[2], "gaussian", phi=phi)
+    y = datas[6].y.copy()
+    y[:6] = etas[6][:6]
+    datas[6] = ModelData(datas[6].X, y, "gaussian", phi=phi)
+    return datas, etas
 
 
 class TestBatchedProfile:
-    """One golden-section search profiles the dispersion of every row."""
+    """One scan and Newton polish profiles the dispersion of every row."""
 
     @pytest.mark.parametrize("q", [1.0, 0.9, 0.5])
     def test_matches_per_row_search(self, q):
+        # every estimate solves its score and agrees with the golden-section
+        # oracle, which finds the same maximum on these rows; they fail alike
         from lqglm.fit import _profile_phi, _stack
 
-        rng = rng_stream(29, 0)
-        datas, etas = [], []
-        for scale in (0.2, 0.5, 1.0, 2.0, 0.05, 5.0, 0.7, 1.5):
-            X = np.column_stack([np.ones(12), rng.uniform(-1, 1, size=12)])
-            eta = X @ np.array([0.5, 1.0])
-            datas.append(ModelData(X, eta + rng.normal(0, scale, size=12), "gaussian"))
-            etas.append(eta)
-        # zero residuals: no interior maximum
-        datas[2] = ModelData(datas[2].X, etas[2], "gaussian")
-        # half the observations fitted exactly: at q = 0.5 the objective then
-        # grows with phi up to the bracket edge
-        y = datas[6].y.copy()
-        y[:6] = etas[6][:6]
-        datas[6] = ModelData(datas[6].X, y, "gaussian")
+        datas, etas = _profile_rows(rng_stream(29, 0))
         phi, error = _profile_phi(_stack(datas), np.array(etas), q)
         kinds = []
         for r, d in enumerate(datas):
@@ -1123,40 +1200,51 @@ class TestBatchedProfile:
                 kinds.append(str(e).split(";")[0])
                 continue
             assert error[r] is None
-            assert phi[r].tobytes() == np.float64(expected).tobytes()
+            _assert_solves_its_score(d.y, etas[r], q, phi[r])
+            assert_allclose(phi[r], expected, rtol=1e-6)
         assert kinds[0].startswith("profiled dispersion diverges")
         assert kinds[1:] == (["profiled dispersion maximum sits on the bracket edge"]
                              if q == 0.5 else [])
 
     @pytest.mark.parametrize("q", [1.0, 0.9, 0.5])
-    def test_probes_equal_full_evaluations(self, q):
-        # oracle: the same search with one full _working evaluation at each
-        # probe, on the rows of test_matches_per_row_search and on
-        # profiled rows of envelope size
-        from lqglm.fit import _profile_phi, _stack
+    def test_probes_equal_full_evaluations(self, q, monkeypatch):
+        # every objective value the search compares (the scan, then the
+        # polished maxima) equals a full _working evaluation at its
+        # dispersion, byte for byte, on the rows of test_matches_per_row_search
+        # and on profiled rows of envelope size
+        from lqglm import fit
+        from lqglm.fit import PHI_SCAN, _profile_phi, _stack, _working
 
         rng = rng_stream(31, 0)
-        datas, etas = [], []
-        for scale in (0.2, 0.5, 1.0, 2.0, 0.05, 5.0, 0.7, 1.5):
-            X = np.column_stack([np.ones(12), rng.uniform(-1, 1, size=12)])
-            eta = X @ np.array([0.5, 1.0])
-            datas.append(ModelData(X, eta + rng.normal(0, scale, size=12), "gaussian",
-                                   phi=PROFILE))
-            etas.append(eta)
-        datas[2] = ModelData(datas[2].X, etas[2], "gaussian", phi=PROFILE)
-        y = datas[6].y.copy()
-        y[:6] = etas[6][:6]
-        datas[6] = ModelData(datas[6].X, y, "gaussian", phi=PROFILE)
+        datas, etas = _profile_rows(rng, phi=PROFILE)
         X = np.column_stack([np.ones(60), rng.uniform(-1, 1, size=60)])
         eta = X @ np.array([0.5, 1.0])
         big = [ModelData(X, eta + rng.normal(0, 0.7, size=60), "gaussian", phi=PROFILE)
                for _ in range(5)]
+        calls, objective = [], fit._profile_objective
+
+        def recording(fam, y, yb, phi, q):
+            calls.append((y, phi, objective(fam, y, yb, phi, q)))
+            return calls[-1][-1]
+
+        monkeypatch.setattr(fit, "_profile_objective", recording)
         for group, group_etas in ((datas, etas), (big, [eta] * 5)):
             prob, eta_q = _stack(group), np.array(group_etas)
-            phi, error = _profile_phi(prob, eta_q, q)
-            ref_phi, ref_error = _full_evaluation_profile_phi(prob, eta_q, q)
-            assert phi.tobytes() == ref_phi.tobytes()
-            assert [repr(e) for e in error] == [repr(e) for e in ref_error]
+            calls.clear()
+            _, error = _profile_phi(prob, eta_q, q)
+            assert len(calls) == PHI_SCAN + 1
+            for y, phi, values in calls:
+                # the rows of prob whose responses y holds
+                rows = [next(r for r, yr in enumerate(prob.y) if yr.tobytes() == yy.tobytes())
+                        for yy in y]
+                full = _working(prob.rows(rows).with_phi(phi), eta_q[rows], q).objective
+                assert values.tobytes() == full.tobytes()
+            kinds = [type(e).__name__ if e is not None else None for e in error]
+            if group is big:
+                assert kinds == [None] * 5
+            else:
+                assert kinds[2] == "BracketError"
+                assert kinds.count("BracketError") == (2 if q == 0.5 else 1)
 
     @pytest.mark.parametrize("q", [1.0, 0.9, 0.5])
     def test_fit_reports_its_last_refit(self, q):
@@ -1172,21 +1260,72 @@ class TestBatchedProfile:
                         lq_objective(data, fit.beta_star, q, fit.phi_hat), rtol=1e-7)
 
     def test_estimate_phi_is_a_batch_of_one(self, gaussian_example):
+        # estimate_phi gives a row's bits whatever rows share its batch
+        from lqglm.fit import _problem, _profile_phi
+
+        data = gaussian_example
         for q in (1.0, 0.9, 0.5):
-            fit = fit_mlq(gaussian_example, FitControl(q=q))
-            eta_q = gaussian_example.X @ fit.beta_q
-            expected = _per_row_profile_phi(gaussian_example, eta_q, q)
-            assert estimate_phi(gaussian_example, fit.beta_q, q) == expected
+            fit = fit_mlq(data, FitControl(q=q))
+            eta_q = data.X @ fit.beta_q
+            phi_hat = estimate_phi(data, fit.beta_q, q)
+            ys = np.array([data.y, data.y * 1.5, data.y + rng_stream(17, 0).normal(size=data.n)])
+            phi, error = _profile_phi(_problem(data, 1.0, y=ys), np.tile(eta_q, (3, 1)), q)
+            assert error == [None] * 3 and np.float64(phi_hat).tobytes() == phi[0].tobytes()
+            _assert_solves_its_score(data.y, eta_q, q, phi_hat)
+            assert_allclose(phi_hat, _per_row_profile_phi(data, eta_q, q), rtol=1e-6)
 
+    @pytest.mark.parametrize("n,q", [(4, 0.4), (4, 0.7), (8, 0.4), (8, 0.55), (12, 0.7),
+                                     (20, 0.4), (20, 0.55), (20, 0.7)])
+    def test_every_estimate_solves_its_score(self, n, q):
+        # 30 rows of t3 errors per case, where the profile of small samples
+        # at small q can have two maxima: every estimate solves its score
+        # at the global maximum over the bracket, and an edge maximum is
+        # the bracket's
+        from lqglm.fit import PHI_BRACKET, _problem, _profile_phi
 
-    def test_bimodal_objective_takes_the_interior_maximum(self):
+        rng = rng_stream(61, n)
+        X = np.column_stack([np.ones(n), rng.uniform(-1, 1, size=n)])
+        eta = X @ np.array([0.5, 1.0])
+        y = eta + rng.standard_t(3, size=(30, n)) * rng.uniform(0.05, 5.0, size=(30, 1))
+        prob = _problem(ModelData(X, y[0], "gaussian", phi=PROFILE), 1.0, y=y)
+        phi, error = _profile_phi(prob, np.broadcast_to(eta, y.shape), q)
+        for r in range(len(y)):
+            if error[r] is None:
+                _assert_solves_its_score(y[r], eta, q, phi[r])
+                continue
+            assert isinstance(error[r], BracketError)
+            phi0 = n / np.sum((y[r] - eta) ** 2)
+            grid = np.linspace(np.log(phi0 / PHI_BRACKET), np.log(phi0 * PHI_BRACKET), 20001)
+            assert np.argmax(_closed_form_objective(y[r], eta, q, grid)) in (0, len(grid) - 1)
+
+    @pytest.mark.parametrize("q", [1.0, 0.9, 0.5])
+    def test_score_is_the_objective_slope(self, q):
+        # the closed-form score and its derivative in log(phi), which the
+        # Newton steps take, are those of the objective _working evaluates
+        from lqglm.fit import _problem, _working
+
+        rng = rng_stream(67, 0)
+        X = np.column_stack([np.ones(15), rng.uniform(-1, 1, size=15)])
+        eta = X @ np.array([0.5, 1.0])
+        data = ModelData(X, eta + rng.standard_t(3, size=15), "gaussian")
+
+        def H(t):
+            return float(_working(_problem(data, float(np.exp(t))), eta, q).objective)
+
+        h = 1e-4
+        for t in (-3.0, -0.5, 0.0, 1.0, 4.0):
+            g, dg, _ = _gaussian_score(data.y, eta, q, np.exp(t))
+            assert_allclose(g, (H(t + h) - H(t - h)) / (2 * h), rtol=1e-6, atol=1e-9)
+            assert_allclose(dg, (H(t + h) - 2 * H(t) + H(t - h)) / h**2, rtol=1e-5, atol=1e-6)
+
+    def test_bimodal_objective_takes_the_interior_maximum(self, small_profiled):
         # replicate 0 of _small_profiled_refits at its final beta_q: in log phi
         # the objective peaks inside the bracket, dips, and rises again to
         # the upper edge (one residual is 0.003), so its slope is positive at
         # both ends of the bracket
         from lqglm.fit import _fit_path, _stack
 
-        datas, ctl = _small_profiled_refits()
+        datas, ctl = _small_profiled_refits(small_profiled)
         data, q = datas[0], 0.5
         beta_q = q * _fit_path(_stack([data]), [q], ctl)[0][1].beta[0]
         phi_hat = estimate_phi(data, beta_q, q)

@@ -462,29 +462,6 @@ def _failing_grid_data(family, seed):
     return ModelData(X, y, family)
 
 
-def _kernels(monkeypatch):
-    """Run the loop body once with ``X' diag(d) X`` summed over the
-    observations in their order, then once summed in reverse order.
-
-    A failing grid value of these designs is a degenerate fit whose
-    weights ``W J`` span 20 or more orders of magnitude, so that its
-    ``X' W J X`` is singular to roundoff and its verdict could move with
-    the summation order (ROADMAP item 7 lists designs whose verdict did).
-    An exactly zero pivot is out of reach: ModelData refuses a
-    rank-deficient design, and ``W J`` is positive at every finite
-    ``theta`` short of underflow beyond the theta guard.  So these designs
-    were chosen to keep their verdicts under both orders, and the tests
-    check both.
-    """
-    from lqglm import fit, numerics
-
-    yield "forward"
-    with monkeypatch.context() as m:
-        m.setattr(fit, "weighted_gram",
-                  lambda cache, d: numerics.weighted_gram(cache[..., ::-1], d[..., ::-1]))
-        yield "reversed"
-
-
 _GRID_DATA = {
     "vaso": lambda vaso: vaso,
     "poisson-outliers": lambda vaso: _outlier_poisson(),
@@ -523,17 +500,31 @@ class TestBatchedGridAssembly:
 
     @pytest.mark.parametrize("family,seed,control", [
         ("poisson", 173, None), ("poisson", 75, None), ("poisson", 67, FitControl())])
-    def test_dropped_and_failed_values(self, family, seed, control, monkeypatch):
+    def test_dropped_and_failed_values(self, family, seed, control, monkeypatch,
+                                       summation_orders):
         data = _failing_grid_data(family, seed)
         grid = QGrid(q_min=0.5, step=0.05)
         self._check(data, grid, control, monkeypatch)
-        # The failures sit at a Cholesky pivot at roundoff (see _kernels): each
-        # design keeps both kinds whichever order X' W J X is summed in.
-        for _ in _kernels(monkeypatch):
+        # The failures sit at a Cholesky pivot at roundoff (see the
+        # summation_orders fixture): each design keeps both kinds whichever
+        # order X' W J X is summed in.
+        for _ in summation_orders():
             _, warned = _recorded(_oracle_grid_fits, data, grid, control)
             kinds = {"failed" if "failed:" in m else "dropped"
                      for c, m in warned if c is UserWarning}
             assert kinds == {"failed", "dropped"}
+
+    def test_overflowed_b_n_fails_its_grid_values(self):
+        # at q = 0.55 and 0.5 the weights W J of this design overflow at the
+        # solution: those values fail on a typed error, where a NaN cov was kept
+        from lqglm.qselect import _grid_fits
+
+        data = _failing_grid_data("poisson", 75)
+        (fits, dropped), warned = _recorded(_grid_fits, data, QGrid(q_min=0.5, step=0.05), None)
+        assert sorted(fits) == [0.8, 0.85, 0.9, 1.0] and {0.55, 0.5} <= set(dropped)
+        failed = [m for c, m in warned if "B_n is not finite" in m]
+        assert [m.split(" failed")[0] for m in failed] == ["grid fit at q=0.55", "grid fit at q=0.5"]
+        assert not [m for c, m in warned if c is RuntimeWarning]
 
     def test_long_grid_assembles_in_blocks(self, monkeypatch):
         """A grid longer than ``BLOCK`` is assembled block by block over
@@ -580,7 +571,7 @@ class TestBatchedGridAssembly:
     @pytest.mark.parametrize("q", [1.0, 0.9, 0.79, 0.55])
     @pytest.mark.parametrize("name", ["vaso", "poisson-outliers", "gaussian-profile",
                                       "poisson-failing"])
-    def test_fit_mlq_is_a_one_stage_path(self, name, q, vaso, monkeypatch):
+    def test_fit_mlq_is_a_one_stage_path(self, name, q, vaso, summation_orders):
         from lqglm.fit import _fit_path, _stack
 
         data = (_failing_grid_data("poisson", 139) if name == "poisson-failing"
@@ -595,8 +586,8 @@ class TestBatchedGridAssembly:
         _assert_same_outcome(got, want)
         if name == "poisson-failing" and q == 0.55:
             # the error of the evaluated solution: B_n is not positive
-            # definite, whichever order sums it (see _kernels)
-            for _ in _kernels(monkeypatch):
+            # definite, whichever order sums it (see summation_orders)
+            for _ in summation_orders():
                 error = _recorded(oracle)[0]
                 assert isinstance(error, SingularMatrixError)
                 assert str(error).startswith("Cholesky pivot")
