@@ -53,6 +53,7 @@ from .numerics import (
     rng_stream,
     solve_spd,
     unpack_band,
+    weighted_gram,
 )
 
 __all__ = [
@@ -286,8 +287,8 @@ def _hat_pieces(data, fit):
     ``X' W J X`` at the surrogate solution."""
     prob = _problem(data, fit.phi_hat)
     w = _working(prob, fit.eta_star, fit.q)
-    V, W, J, band = _sensitivity(prob, w, fit.q)
-    return w, V, W, J, unpack_band(band)
+    W, J = _sensitivity(prob, w, fit.q)
+    return w, w.V, W, J, unpack_band(weighted_gram(prob.xx, W * J))
 
 
 def added_variable_score(data, fit_null, z):
@@ -367,15 +368,16 @@ def _standardized(f):
     prob, q = f.prob, f.q
     X = prob.X
     w = _working(prob, f.eta_star, q)
-    V, W, J, band = _sensitivity(prob, w, q)
+    W, J = _sensitivity(prob, w, q)
     # a shared (p, n) design is one right-hand side of every row
     Xt = np.swapaxes(X, -1, -2)
-    Gt, pivot = _solve_spd_each(unpack_band(band), Xt.reshape(-1, *Xt.shape[-2:]))
+    Gt, pivot = _solve_spd_each(unpack_band(weighted_gram(prob.xx, W * J)),
+                                Xt.reshape(-1, *Xt.shape[-2:]))
     G = np.ascontiguousarray(np.swapaxes(Gt, -1, -2))
     bracket = 1.0 - W * J * np.sum(G * X, axis=-1)
     bad = bracket <= DEGENERATE
     with np.errstate(invalid="ignore", divide="ignore"):
-        den = np.sqrt(J * V / prob.phi) * np.sqrt(np.where(bad, np.nan, bracket))
+        den = np.sqrt(J * w.V / prob.phi) * np.sqrt(np.where(bad, np.nan, bracket))
         t = np.sqrt(2.0 - q) * w.U * (prob.y - w.mu) / den
     undefined = ~np.isfinite(t)
     return np.where(undefined, np.nan, t), np.count_nonzero(undefined, axis=-1), pivot

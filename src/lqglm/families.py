@@ -178,13 +178,16 @@ class Bernoulli(Family):
     phi_fixed = 1.0
 
     def b(self, theta):
-        # log1p(exp(theta)) with the large-theta branch folded in
-        return np.logaddexp(0.0, np.asarray(theta, dtype=float))
+        # log(1 + exp(theta)) = max(theta, 0) - log(expit(|theta|)), as cumulants forms it
+        theta = np.asarray(theta, dtype=float)
+        return np.maximum(theta, 0.0) - np.log(expit(np.abs(theta)))
 
     def cumulants(self, theta):
+        # expit(|theta|) is the larger of expit(theta) and expit(-theta), bit for bit,
+        # and lies in [1/2, 1]: its log neither overflows nor underflows
         theta = np.asarray(theta, dtype=float)
-        mu = expit(theta)
-        return np.logaddexp(0.0, theta), mu, mu * expit(-theta)
+        mu, s = expit(theta), expit(-theta)
+        return np.maximum(theta, 0.0) - np.log(np.maximum(mu, s)), mu, mu * s
 
     def c(self, y, phi):
         return np.zeros_like(np.asarray(y, dtype=float))

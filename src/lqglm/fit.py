@@ -93,11 +93,6 @@ class _Problem(NamedTuple):
         """The problem at dispersion ``phi``."""
         return self._replace(phi=phi, c=self.family.c(self.y, phi))
 
-    def gram(self, d):
-        """The band of ``X' diag(d) X`` of every row (see
-        ``numerics.weighted_gram``)."""
-        return weighted_gram(self.xx, d)
-
 
 def _problem(data, phi, y=None):
     """The fit problem of the design of ``data`` with the responses ``y``
@@ -197,8 +192,9 @@ def _working(prob, eta, q):
 
 
 def _sensitivity(prob, w, q):
-    """``V``, ``W``, ``J`` and the band of ``X' diag(W J) X`` at a working
-    point (``numerics.unpack_band`` gives the matrices).
+    """``W`` and ``J`` at a working point: ``X' diag(W J) X`` is the
+    sensitivity matrix over phi, whose band is ``weighted_gram(prob.xx, W
+    * J)``.
 
     ``W_i = V_i k_dot(eta_i)^2`` and ``J_i = J_q(theta_i)^(-phi)`` are the
     factors of ``A_n`` and ``B_n`` on every link (``g = k^{-1}``, so the
@@ -207,7 +203,6 @@ def _sensitivity(prob, w, q):
     b)) = 1`` is the float 1.0; with a column of q, rows at q = 1 get
     ``J = 1``.
     """
-    V = w.V
     column = isinstance(q, np.ndarray)
     if not column and q == 1.0:
         J = 1.0
@@ -216,8 +211,7 @@ def _sensitivity(prob, w, q):
         J = np.exp(e if _unit(prob.phi) else prob.phi * e)
         if column:
             J = np.where(q == 1.0, 1.0, J)
-    W = V if prob.link.is_canonical else V * w.kdot * w.kdot
-    return V, W, J, prob.gram(W * J)
+    return (w.V if prob.link.is_canonical else w.V * w.kdot * w.kdot), J
 
 
 def _predictor(prob, beta):
@@ -289,7 +283,8 @@ def _matrices_ab(prob, w, q):
     """``A_n`` and ``B_n`` of every row at the working point ``w``, at a
     float q or an (R, 1) column of them: ``X' W J X`` is formed once and
     scaled into both."""
-    XtDX = unpack_band(_sensitivity(prob, w, q)[-1])
+    W, J = _sensitivity(prob, w, q)
+    XtDX = unpack_band(weighted_gram(prob.xx, W * J))
     phi = prob.phi
     A = np.asarray(phi / (2.0 - q))[..., None] * XtDX
     return A, (XtDX if _unit(phi) else np.asarray(phi)[..., None] * XtDX)
@@ -342,7 +337,7 @@ def _classical_start(prob):
         z0 = np.where(W0 > 0, eta0 + (prob.y - mu0) / (V0 * kdot), 0.0)
     if prob.offset is not None:
         z0 = z0 - prob.offset
-    return solve_spd_rows(prob.gram(W0), ((W0 * z0)[..., None, :] @ prob.X)[..., 0, :])
+    return solve_spd_rows(weighted_gram(prob.xx, W0), ((W0 * z0)[..., None, :] @ prob.X)[..., 0, :])
 
 
 class _Irls(NamedTuple):
@@ -385,15 +380,16 @@ def _step(prob, w, q, newton):
     """
     rhs = w.psi if _unit(prob.phi) else w.psi / prob.phi
     if not newton:
-        return solve_spd_rows(_sensitivity(prob, w, q)[-1], rhs)
+        W, J = _sensitivity(prob, w, q)
+        return solve_spd_rows(weighted_gram(prob.xx, W * J), rhs)
     r = prob.y - w.mu
     D = w.U * (w.V - (1.0 - q) * prob.phi * r * r)
-    step, pivot = solve_spd_rows(prob.gram(D), rhs)
+    step, pivot = solve_spd_rows(weighted_gram(prob.xx, D), rhs)
     if np.count_nonzero(pivot):
         fb = pivot > 0
-        q_fb = q[fb] if isinstance(q, np.ndarray) else q
-        step[fb], pivot[fb] = solve_spd_rows(_sensitivity(prob.rows(fb), w.rows(fb), q_fb)[-1],
-                                             rhs[fb])
+        sub = prob.rows(fb)
+        W, J = _sensitivity(sub, w.rows(fb), q[fb] if isinstance(q, np.ndarray) else q)
+        step[fb], pivot[fb] = solve_spd_rows(weighted_gram(sub.xx, W * J), rhs[fb])
     return step, pivot
 
 
@@ -431,7 +427,7 @@ def _irls(prob, q, beta0, control):
         """Record the active rows ``ended`` as stopped at iteration ``it``
         and drop them from the active arrays; ``message`` and ``converged``
         are one value or one per ended row."""
-        nonlocal idx, beta, psi0_norm, blowup_sq, w, prob
+        nonlocal idx, beta, psi0_norm, blowup_sq, w, theta_max, prob
         r = idx[ended]
         out.beta[r], out.iterations[r] = beta[ended], it
         out.message[r], out.converged[r] = message, converged
@@ -442,21 +438,25 @@ def _irls(prob, q, beta0, control):
         idx, beta, blowup_sq = idx[keep], beta[keep], blowup_sq[keep]
         psi0_norm = None if psi0_norm is None else psi0_norm[keep]
         w = w.rows(keep)
+        theta_max = w.theta_max.tolist()
         prob = prob.rows(keep)
 
     def accepts(tw, floor):
         return tw.in_domain & np.isfinite(tw.objective) & (tw.objective >= floor)
 
-    # Each per-row decision tests its common outcome on Python floats before any numpy mask.
+    # Each per-row decision tests its common outcome on Python floats before any numpy mask:
+    # ``theta_max`` is the list of w.theta_max, and a row is in the domain where its entry
+    # is finite, so every row is where their sum is (an overflowed sum only takes the masks).
     # trial points may overflow; the domain and finiteness checks reject them
     with np.errstate(over="ignore", invalid="ignore"):
         w = _working(prob, _predictor(prob, beta), q)
+        theta_max = w.theta_max.tolist()
         psi0_norm = None if control.stop_rule == "objective" else np.maximum.reduce(
             np.abs(w.psi), axis=-1)
         # squared coefficient norm beyond which a row has blown up
         blowup_sq = SEPARATION_NORM_FACTOR**2 * np.maximum(1.0, np.add.reduce(beta * beta, axis=-1))
         out.trace[:, 0] = w.objective
-        if not (all(w.in_domain.tolist()) and all(map(isfinite, w.objective.tolist()))):
+        if not (sum(theta_max) < inf and all(map(isfinite, w.objective.tolist()))):
             bad = ~(w.in_domain & np.isfinite(w.objective))
             for j in idx[bad].tolist():
                 out.error[j] = DomainError("starting value gives a non-finite Lq-objective")
@@ -466,7 +466,7 @@ def _irls(prob, q, beta0, control):
                 break
             step, pivot = _step(prob, w, q, newton)
             # theta_max is finite: a row with a NaN or infinite theta is out of the domain
-            if max(w.theta_max.tolist()) > THETA_OVERFLOW or np.count_nonzero(pivot):
+            if max(theta_max) > THETA_OVERFLOW or np.count_nonzero(pivot):
                 overflow = w.theta_max > THETA_OVERFLOW
                 halt = overflow | (pivot > 0)
                 singular = halt & ~overflow
@@ -485,9 +485,10 @@ def _irls(prob, q, beta0, control):
             tw = _working(prob, _predictor(prob, trial), q)
             c = (tw.objective - w.objective).tolist()
             least = min(c)
+            theta_max = tw.theta_max.tolist()
             # Every row is accepted where each change is finite and not negative (a NaN makes the
             # sum NaN), as each start is finite and above its merit floor, and in the domain.
-            if not (0.0 <= least and sum(c) < inf and np.count_nonzero(tw.in_domain) == len(c)):
+            if not (0.0 <= least and sum(c) < inf and sum(theta_max) < inf):
                 # tolerate ulp-level noise in the merit test
                 floor = w.objective - 1e-12 * np.maximum(1.0, np.abs(w.objective))
                 # halve the step of the rejected rows only
@@ -515,6 +516,7 @@ def _irls(prob, q, beta0, control):
                     if not idx.size:
                         break
                 least = min((tw.objective - w.objective).tolist())
+                theta_max = tw.theta_max.tolist()
             if control.stop_rule == "objective":
                 obj = tw.objective.tolist()
                 # No row can stop where the least change over the largest scale reaches tol
@@ -575,6 +577,16 @@ def _fit_path(base, qs, control):
     classical start followed by the q = 1 fit (the stage of a q of
     exactly 1).  Each later q starts each row from its last converged,
     error-free solution, else from that q = 1 fit (the explicit init).
+    A path of Newton steps (``control.solver == "newton"`` on the canonical
+    link, as ``_irls`` takes them) starts the q of index k >= 2 instead from
+    the secant extrapolation ``beta_{k-1} + (beta_{k-1} - beta_{k-2}) (q_k -
+    q_{k-1}) / (q_{k-1} - q_{k-2})`` on the rows whose two previous stages
+    converged without an error (a predictor along the solution path, as in
+    continuation methods): Newton reaches the same root from either start,
+    within its stop rule.  A scoring path keeps the last solution as its
+    start, because its stopping point, not only the root, is the documented
+    result: the reference fits near indeterminacy stop scoring on the
+    objective rule.  ``qs`` decreases strictly.
     A row whose start failed (singular classical normal equations, or a
     failed q = 1 fit) keeps that error at every q, and with
     ``base.profile`` the dispersion is profiled anew at every q.
@@ -596,12 +608,19 @@ def _fit_path(base, qs, control):
         error[singular] = [_not_positive_definite(k) for k in pivot[singular].tolist()]
         seed = np.where(np.equal(error, None)[:, None], warm.beta, np.nan)
     failed = ~np.equal(error, None)
+    secant = control.solver == "newton" and base.link.is_canonical
     path = []
-    for q in qs:
+    for k, q in enumerate(qs):
         if path:
             last = path[-1][1]
             seed = np.where((last.ok & last.converged)[:, None], last.beta, seed)
-        res = warm if warm is not None and q == 1.0 else _irls(base, q, seed, control)
+        start = seed
+        if secant and k >= 2:
+            prev = path[-2][1]
+            both = prev.ok & prev.converged & last.ok & last.converged
+            t = (q - qs[k - 1]) / (qs[k - 1] - qs[k - 2])
+            start = np.where(both[:, None], last.beta + (last.beta - prev.beta) * t, seed)
+        res = warm if warm is not None and q == 1.0 else _irls(base, q, start, control)
         res.error[failed] = error[failed]
         path.append((_profile(base, q, res, control) if base.profile else base, res))
     return path

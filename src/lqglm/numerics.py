@@ -95,13 +95,20 @@ def weighted_gram(cache, d):
     row, from ``cache = gram_cache(X)``.
 
     The band (..., p, p) is what ``solve_spd_rows`` solves with and
-    ``unpack_band`` turns into the full matrices.  Each row's entries are
-    one matrix-vector product of the cache with its weights, so a row's
-    band does not depend on the other rows, and the entries that couple
-    one row's block to the next are exactly 0, whatever ``d``.
+    ``unpack_band`` turns into the full matrices: the band of a stack of R
+    symmetric p x p matrices is LAPACK's lower band storage of
+    ``diag(A[0], ..., A[R-1])`` with ``kd = p - 1``, ``band[r, k, d] =
+    A[r][k + d, k]``, so that ``band.reshape(R p, p).T`` is the (p, R p)
+    Fortran-ordered array ``dpbsv`` reads.  Each row's entries are one
+    matrix-vector product of the cache with its weights, so a row's band
+    does not depend on the other rows, and the entries that couple one
+    row's block to the next are exactly 0, whatever ``d``.
     """
     p = (isqrt(8 * cache.shape[-2] + 1) - 1) // 2
-    return _band(p, (cache @ d[..., None])[..., 0])
+    values = (cache @ d[..., None])[..., 0]
+    band = np.zeros(values.shape[:-1] + (p * p,))
+    band[..., _band_index(p)[2]] = values
+    return band.reshape(values.shape[:-1] + (p, p))
 
 
 def unpack_band(band):
@@ -130,20 +137,6 @@ def _band_index(p):
     return index
 
 
-def _band(p, values):
-    """The band (..., p, p) with ``values`` (..., p(p+1)/2) in its slots and
-    zeros elsewhere.
-
-    The band of a stack of R symmetric p x p matrices is LAPACK's lower
-    band storage of ``diag(A[0], ..., A[R-1])`` with ``kd = p - 1``:
-    ``band[r, k, d] = A[r][k + d, k]``, so that ``band.reshape(R p, p).T``
-    is the (p, R p) Fortran-ordered array ``dpbsv`` reads.
-    """
-    band = np.zeros(values.shape[:-1] + (p * p,))
-    band[..., _band_index(p)[2]] = values
-    return band.reshape(values.shape[:-1] + (p, p))
-
-
 def solve_spd_rows(band, B):
     """Solve ``A[r] x[r] = B[r]`` for a stack of symmetric matrices.
 
@@ -159,27 +152,18 @@ def solve_spd_rows(band, B):
     definite and otherwise the 1-based index of its first non-positive
     Cholesky pivot, as ``solve_spd`` reports it; ``x[r]`` is NaN there.
     """
-    x, info = _band_solve(band, B)
-    if info == 0 and (len(band) == 1 or np.isfinite(x).all()):
-        return x, np.zeros(len(band), dtype=int)
-    if len(band) == 1:  # the dense factorization finds the failing pivot
+    R, p, _ = band.shape
+    # dpbsv is dpbtrf then dpbtrs; it copies the band and the right-hand side
+    _, x, info = lapack.dpbsv(band.reshape(R * p, p).T, B.reshape(R * p, 1), lower=1)
+    if info == 0 and (R == 1 or np.isfinite(x).all()):
+        return x.reshape(R, p), np.zeros(R, dtype=int)
+    if R == 1:  # the dense factorization finds the failing pivot
         return _solve_spd_each(unpack_band(band), B)
     # A row whose factorization fails stops the band there, and a NaN in
     # one block reaches the next through the zero coupling entries: solve
     # each row as a batch of one.
-    x, pivot = zip(*(solve_spd_rows(band[r:r + 1], B[r:r + 1]) for r in range(len(band))))
+    x, pivot = zip(*(solve_spd_rows(band[r:r + 1], B[r:r + 1]) for r in range(R)))
     return np.concatenate(x), np.concatenate(pivot)
-
-
-def _band_solve(band, B):
-    """``(x, info)`` of LAPACK ``dpbsv`` (``dpbtrf`` then ``dpbtrs``) on
-    the band; ``x`` is None when the factorization fails at column
-    ``info``.  The band itself is not overwritten."""
-    R, p, _ = band.shape
-    _, x, info = lapack.dpbsv(band.reshape(R * p, p).T, B.reshape(R * p, 1), lower=1)
-    if info != 0:
-        return None, info
-    return x.reshape(R, p), 0
 
 
 def _solve_spd_each(A, B):

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import LqglmError, SelectionError, UsageError
 from .fit import FitControl, _fit_path, _problem, _results, _sensitivity, _working
-from .numerics import inv_spd, unpack_band
+from .numerics import inv_spd, unpack_band, weighted_gram
 
 __all__ = [
     "QGrid",
@@ -82,7 +82,8 @@ def fisher_information(data, fit):
     reference against which the sandwich covariance is compared.
     """
     prob = _problem(data, fit.phi_hat)
-    return fit.phi_hat * unpack_band(_sensitivity(prob, _working(prob, fit.eta_q, 1.0), 1.0)[-1])
+    W, J = _sensitivity(prob, _working(prob, fit.eta_q, 1.0), 1.0)
+    return fit.phi_hat * unpack_band(weighted_gram(prob.xx, W * J))
 
 
 def are(fit):

@@ -191,24 +191,24 @@ def _band_solve_two_calls(band, B):
 class TestBandSolve:
     @pytest.mark.parametrize("p", [1, 2, 3, 5])
     def test_one_call_equals_factor_then_solve(self, p):
-        from lqglm.numerics import _band_solve
-
         rng = rng_stream(19, p)
         M = rng.normal(size=(40, p, p))
         A = M @ np.swapaxes(M, 1, 2) + 0.05 * np.eye(p)
         B = rng.normal(size=(40, p))
         for rows in (slice(0, 1), slice(0, 40)):
-            x, info = _band_solve(_band_of(A[rows]), B[rows])
+            x, pivot = solve_spd_rows(_band_of(A[rows]), B[rows])
             x_ref, info_ref = _band_solve_two_calls(_band_of(A[rows]), B[rows])
-            assert info == info_ref == 0
+            assert info_ref == 0 and not pivot.any()
             assert x.tobytes() == x_ref.tobytes()
-        # a block that is not positive definite stops both at the same column
+        # a block that is not positive definite stops the factorization at
+        # its column, and only that row fails, at the same pivot
         v = rng.normal(size=p)
         A[17] = np.outer(v, v) - (v @ v + 0.5) * np.eye(p)
-        x, info = _band_solve(_band_of(A), B)
+        x, pivot = solve_spd_rows(_band_of(A), B)
         x_ref, info_ref = _band_solve_two_calls(_band_of(A), B)
-        assert x is None and x_ref is None
-        assert info == info_ref and (info - 1) // p == 17
+        assert x_ref is None and (info_ref - 1) // p == 17
+        assert np.flatnonzero(pivot).tolist() == [17] and pivot[17] == info_ref - 17 * p
+        assert np.isnan(x[17]).all() and np.isfinite(np.delete(x, 17, axis=0)).all()
 
     def test_rhs_is_not_overwritten(self):
         A, B = TestSolveSpdRows._rows()

@@ -515,15 +515,17 @@ class TestBatchedGridAssembly:
             assert kinds == {"failed", "dropped"}
 
     def test_overflowed_b_n_fails_its_grid_values(self):
-        # at q = 0.55 and 0.5 the weights W J of this design overflow at the
-        # solution: those values fail on a typed error, where a NaN cov was kept
+        # at q = 0.5 the weights W J of this design overflow at the point
+        # where its fit stops: that value fails on a typed error, where a NaN
+        # cov was kept (the Newton grid's secant starts moved this outcome:
+        # from the last solution, q = 0.6 failed, and 0.55 and 0.5 overflowed)
         from lqglm.qselect import _grid_fits
 
         data = _failing_grid_data("poisson", 75)
         (fits, dropped), warned = _recorded(_grid_fits, data, QGrid(q_min=0.5, step=0.05), None)
-        assert sorted(fits) == [0.8, 0.85, 0.9, 1.0] and {0.55, 0.5} <= set(dropped)
+        assert sorted(fits) == [0.6, 0.8, 0.85, 0.9, 1.0] and {0.55, 0.5} <= set(dropped)
         failed = [m for c, m in warned if "B_n is not finite" in m]
-        assert [m.split(" failed")[0] for m in failed] == ["grid fit at q=0.55", "grid fit at q=0.5"]
+        assert [m.split(" failed")[0] for m in failed] == ["grid fit at q=0.5"]
         assert not [m for c, m in warned if c is RuntimeWarning]
 
     def test_long_grid_assembles_in_blocks(self, monkeypatch):
