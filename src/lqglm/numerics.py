@@ -14,7 +14,7 @@ import numpy as np
 from scipy.linalg import lapack
 from scipy.special import chdtrc, ndtri
 
-from .errors import DomainError, SingularMatrixError
+from .errors import DomainError, SingularMatrixError, UsageError
 
 __all__ = [
     "solve_spd",
@@ -215,7 +215,12 @@ def rng_stream(seed, stream_id=0):
     Built on the counter-based Philox engine: identical keys give identical
     draw sequences, distinct ``stream_id`` values give statistically
     independent streams, and construction order is irrelevant.  A stream is
-    single-owner; spawn one per task instead of sharing.
+    single-owner; spawn one per task instead of sharing.  ``seed`` and
+    ``stream_id`` are the engine's 64-bit key words: a value outside
+    [0, 2**64) raises UsageError.
     """
+    if not (0 <= seed < 2**64 and 0 <= stream_id < 2**64):
+        raise UsageError(
+            f"seed and stream id must lie in [0, 2**64), got {seed!r} and {stream_id!r}")
     key = np.array([seed, stream_id], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))

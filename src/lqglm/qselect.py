@@ -5,7 +5,11 @@ of successive grid estimates, and an efficiency rule minimizing the trace
 of the sandwich covariance.  Both fit the whole grid as one warm-started
 path: the grid head starts from the q = 1 fit, and each later value from
 the surrogate solution of the last converged grid fit, or from the q = 1
-fit while there is none.
+fit while there is none.  With Newton steps (the default) each value
+after the second starts instead from the secant through the last two
+solutions where both converged; a scoring grid keeps the last solution,
+whose stopping point on the objective rule is its documented result
+(see ``fit._fit_path``).
 """
 
 import warnings
@@ -114,12 +118,16 @@ def _grid_fits(data, grid, control, need=3):
     One ``_fit_path`` from the warm start, whatever ``control.init`` says,
     and one ``_results`` assembly of its stages: the grid head starts from
     the q = 1 fit, each later q from the last converged grid fit, or from
-    the q = 1 fit while there is none.
+    the q = 1 fit while there is none; with Newton steps, a q after the
+    second starts from the secant through the two grid fits before it
+    where both converged, and a scoring grid keeps the last fit as start,
+    because its objective-rule stopping point is the documented result.
     ``control`` defaults to Newton steps with a higher iteration cap than
     single fits.  The selection rules need every grid point converged, not
     the stopping point of a capped loop, and near indeterminacy scoring
     converges only linearly: on vaso the 0.70:0.01 grid takes 334 scoring
-    iterations (66 at q = 0.78) against about 100 Newton iterations.
+    iterations (66 at q = 0.78) against 78 Newton iterations from the
+    secant starts (102 from the last fit).
     Raises SelectionError when fewer than ``need`` fits converge.
     """
     ctl = replace(control if control is not None else _GRID_CONTROL, init="ml-warm-start")

@@ -7,9 +7,9 @@ responses by a factor ``nu``, fits the MLq estimator over a list of q
 values, and summarizes the calibrated estimates by bias
 ``||mean(beta_hat - beta)||`` and the mean per-coordinate interquartile
 range.  The q values are fitted in descending order with the warm starts
-of the selection grid: the q = 1 fit from the classical start, then each
-q from the replicate's last converged estimate (its q = 1 fit while it
-has none).
+of a scoring path: the q = 1 fit from the classical start, then each q
+from the replicate's last converged estimate (its q = 1 fit while it has
+none).
 
 Replicates are embarrassingly parallel: each uses its own counter-based
 random stream keyed by the replicate index, and each block of replicates
@@ -69,6 +69,8 @@ class SimDesign:
             raise UsageError(f"need n > p >= 1, got n={self.n}, p={len(self.beta_true)}")
         if not np.all(np.isfinite(self.beta_true)):
             raise UsageError("beta_true must be finite")
+        if not 0 <= self.seed < 2**64:
+            raise UsageError(f"seed must lie in [0, 2**64), got {self.seed!r}")
         if len(self.q_list) == 0:
             raise UsageError("q_list needs at least one q value")
         if any(not 0.0 < q <= 1.0 for q in self.q_list):

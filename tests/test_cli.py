@@ -374,6 +374,26 @@ def test_seed_env_read_when_the_command_runs(vaso_csv, tmp_path, monkeypatch):
     assert from_env[0] != from_env[1]
 
 
+@pytest.mark.parametrize("command,seed,env", [
+    (["residuals", "--type", "quantile"], ["--seed", "-1"], None),
+    (["envelope", "--reps", "10"], ["--seed", "18446744073709551616"], None),
+    (["residuals", "--type", "quantile"], [], "-1"),
+])
+def test_out_of_range_seed_exits_1(command, seed, env, vaso_csv, tmp_path, monkeypatch, capsys):
+    # a seed outside the random engine's 64-bit key is an input error, not a traceback
+    if env is not None:
+        monkeypatch.setenv("LQGLM_SEED", env)
+    argv = command + ["--data", vaso_csv, "--response", "y", "--family", "bernoulli",
+                      "--output", str(tmp_path / "out")] + seed
+    assert main(argv) == 1
+    assert "seed and stream id must lie in [0, 2**64)" in capsys.readouterr().err
+
+
+def test_simulate_refuses_a_negative_seed(tmp_path, capsys):
+    assert main(["simulate", "--reps", "2", "--seed", "-5", "--output", str(tmp_path / "s")]) == 1
+    assert "seed must lie in [0, 2**64), got -5" in capsys.readouterr().err
+
+
 _VASO_ARGS = ["--data", "vaso.csv", "--response", "y", "--log", "volume,rate"]
 
 
@@ -492,14 +512,16 @@ _VALUES = {
     "--level": (["0.95", "0.5"], ["0", "1", "1.5", "nan"]),
     "--reps": (["10", "20"], ["-1", "0", "1"]),
     "--type": (["standardized", "deviance", "quantile"], ["bogus"]),
+    "--seed": (["0", "7"], ["-1", "18446744073709551616", "x"]),
 }
 _OPTIONS = {
     "fit": ["--family", "--q", "--phi", "--grid", "--max-iter", "--tol"],
     "selectq": ["--family", "--phi", "--grid"],
     "test": ["--family", "--q", "--phi", "--grid", "--max-iter", "--tol"],
-    "residuals": ["--family", "--q", "--phi", "--grid", "--max-iter", "--tol", "--type"],
+    "residuals": ["--family", "--q", "--phi", "--grid", "--max-iter", "--tol", "--type",
+                  "--seed"],
     "envelope": ["--family", "--q", "--phi", "--grid", "--max-iter", "--tol", "--type",
-                 "--level", "--reps"],
+                 "--level", "--reps", "--seed"],
 }
 
 

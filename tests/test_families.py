@@ -78,13 +78,25 @@ class TestFamilyInvariants:
     @pytest.mark.parametrize("family", FAMILIES, ids=lambda f: f.name)
     def test_cumulants_equal_the_separate_functions(self, family):
         # one pass gives exactly what b, b_dot and b_ddot give one by one
-        grid = np.array([0.0, 1e-300, -1e-300, 1.0, -1.0, 30.0, -30.0, 700.0, -700.0])
+        # trial points reach past the 700 guard: refits stop on |theta| overflow
+        grid = np.array([0.0, 1e-300, -1e-300, 1.0, -1.0, 30.0, -30.0, 700.0, -700.0,
+                         709.0, -709.0, 745.0, -745.0, 800.0, -800.0])
         batch = rng_stream(43, 0).normal(0.0, 20.0, size=(5, 8))
-        for theta in (grid, batch):
-            got = family.cumulants(theta)
-            want = (family.b(theta), family.b_dot(theta), family.b_ddot(theta))
-            for g, w in zip(got, want):
-                assert g.shape == theta.shape and np.array_equal(g, w)
+        wide = np.linspace(-800.0, 800.0, 16001)
+        with np.errstate(over="ignore"):
+            for theta in (grid, batch, wide):
+                got = family.cumulants(theta)
+                want = (family.b(theta), family.b_dot(theta), family.b_ddot(theta))
+                for g, w in zip(got, want):
+                    assert g.shape == theta.shape and np.array_equal(g, w)
+                if family.name != "bernoulli":
+                    continue
+                # b = max(theta, 0) - log(expit(|theta|)) stays finite and
+                # accurate where -log(expit(-theta)) would not (inf beyond 745)
+                b = family.b(theta)
+                assert np.isfinite(b).all() and b.tobytes() == got[0].tobytes()
+                ulp = np.spacing(np.maximum(1.0, np.abs(theta)))
+                assert np.all(np.abs(b - np.logaddexp(0.0, theta)) <= 4 * ulp)
 
 
 class TestThetaLinks:

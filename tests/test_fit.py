@@ -1028,6 +1028,84 @@ class TestNewtonSolver:
             FitControl(solver="bogus")
 
 
+class TestPathStarts:
+    """Where ``_fit_path`` starts each q after the first.  A scoring path
+    (every ``run_study`` path) starts from the row's last converged
+    solution; a Newton path starts from the secant through its last two,
+    on the rows whose two previous stages converged without an error."""
+
+    QS = [1.0, 0.97, 0.91]
+
+    @staticmethod
+    def _contaminated(reps=8):
+        # the mc_contam shape: Poisson n = 400, a quarter of responses x 5
+        from lqglm import contaminate
+        from lqglm.fit import _stack
+
+        datas = []
+        for r in range(reps):
+            rng = rng_stream(3, r)
+            X = rng.uniform(size=(400, 3))
+            y = rng.poisson(np.exp(X @ np.ones(3))).astype(float)
+            datas.append(ModelData(X, contaminate(y, 0.25, 5.0, rng)[0], "poisson"))
+        return _stack(datas)
+
+    def _oracle(self, prob, ctl, secant):
+        """One ``_irls`` per q, each started as the class docstring says."""
+        from lqglm.fit import _classical_start, _irls
+
+        warm = _irls(prob, 1.0, _classical_start(prob)[0], ctl)
+        seed, path = warm.beta, []
+        for k, q in enumerate(self.QS):
+            if path:
+                last = path[-1]
+                seed = np.where((last.ok & last.converged)[:, None], last.beta, seed)
+            start = seed
+            if secant and k >= 2:
+                prev = path[-2]
+                both = (prev.ok & prev.converged & last.ok & last.converged)[:, None]
+                t = (q - self.QS[k - 1]) / (self.QS[k - 1] - self.QS[k - 2])
+                start = np.where(both, last.beta + (last.beta - prev.beta) * t, seed)
+            path.append(warm if q == 1.0 else _irls(prob, q, start, ctl))
+        return path
+
+    @staticmethod
+    def _assert_same(got, want):
+        for name, a, b in zip(got._fields, got, want):
+            assert a.dtype == b.dtype and a.shape == b.shape, name
+            if a.dtype == object:
+                assert list(map(repr, a)) == list(map(repr, b)), name
+            else:
+                assert a.tobytes() == b.tobytes(), name
+
+    def test_scoring_path_starts_from_the_last_solution(self):
+        # byte for byte: the objective rule's stopping points of scoring
+        # are the documented results, so its starts must not move
+        from lqglm.fit import _fit_path
+        from lqglm.simulate import MAX_ITER, TOL
+
+        prob = self._contaminated()
+        ctl = FitControl(max_iter=MAX_ITER, tol=TOL)
+        path = _fit_path(prob, self.QS, ctl)
+        want = self._oracle(prob, ctl, secant=False)
+        for (_, res), ref in zip(path, want):
+            self._assert_same(res, ref)
+        # rows that a secant start would have moved
+        first, second = want[0], want[1]
+        assert np.count_nonzero(first.converged & second.converged) >= 4
+
+    def test_newton_path_starts_from_the_secant(self):
+        from lqglm.fit import _fit_path
+
+        prob = self._contaminated()
+        ctl = FitControl(max_iter=100, solver="newton")
+        path = _fit_path(prob, self.QS, ctl)
+        want = self._oracle(prob, ctl, secant=True)
+        for (_, res), ref in zip(path, want):
+            self._assert_same(res, ref)
+        assert np.count_nonzero(want[0].converged & want[1].converged) >= 4
+
+
 class TestInvariances:
     """Property tests of the canonical-link MLq fit."""
 

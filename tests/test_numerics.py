@@ -352,3 +352,13 @@ class TestRngStream:
         late = rng_stream(9, 1000).normal(size=5)
         early = rng_stream(9, 1000).normal(size=5)
         assert np.array_equal(late, early)
+
+    def test_key_words_outside_64_bits_are_refused(self):
+        # numpy's OverflowError is not a package error: it ended CLI calls in a traceback
+        from lqglm import UsageError
+
+        message = r"seed and stream id must lie in \[0, 2\*\*64\), got {} and {}"
+        for seed, stream in [(-1, 0), (2**64, 0), (0, -5), (3, 2**64)]:
+            with pytest.raises(UsageError, match=message.format(seed, stream)):
+                rng_stream(seed, stream)
+        assert rng_stream(2**64 - 1, 2**64 - 1).integers(10) >= 0

@@ -66,6 +66,29 @@ class TestStabilitySelection:
         assert sel.q_opt == 0.79 and not sel.dropped
         assert sum(f["iterations"] for f in sel.fits.values()) <= 110
 
+    def test_vaso_grid_starts_newton_from_the_secant(self, vaso):
+        # each q of index >= 2 starts from the secant through the last two
+        # solutions: 78 iterations where the last solution as start takes 102,
+        # at the same roots.  The oracle per q is fit_mlq's Newton from the
+        # previous grid solution, run to its root on the tight coef-psi rule:
+        # the grid's own objective rule stopped 1.0e-6 short of it at q = 0.78
+        # from that start, and stops within 7e-8 of it from the secant.
+        from dataclasses import replace
+
+        from lqglm.qselect import _GRID_CONTROL, _grid_fits
+
+        grid = QGrid(q_min=0.70, step=0.01)
+        fits, dropped = _grid_fits(vaso, grid, None)
+        assert not dropped and sum(f.iterations for f in fits.values()) <= 82
+        assert select_q_stability(vaso, grid).q_opt == 0.79
+        qs = sorted(fits, reverse=True)
+        root = replace(_GRID_CONTROL, stop_rule="coef-psi", tol=1e-12, max_iter=200)
+        for before, q in zip(qs, qs[1:]):
+            want = fit_mlq(vaso, replace(root, q=q, init=fits[before].beta_star))
+            assert want.converged
+            gap = np.linalg.norm(fits[q].beta_q - want.beta_q)
+            assert gap <= 1e-6 * np.linalg.norm(want.beta_q), q
+
     def test_constant_fits_select_grid_head(self):
         X = np.column_stack([np.ones(12), np.linspace(-1, 1, 12)])
         data = ModelData(X, np.zeros(12), "gaussian")

@@ -119,6 +119,9 @@ class TestRunStudy:
         for b in (float("inf"), float("nan")):
             with pytest.raises(UsageError, match="beta_true must be finite"):
                 SimDesign(beta_true=(1.0, b, 1.0))
+        for seed in (-5, 2**64):
+            with pytest.raises(UsageError, match=rf"seed must lie in \[0, 2\*\*64\), got {seed}"):
+                SimDesign(seed=seed)
 
     def test_jobs_below_one_refused(self):
         design = SimDesign(n=20, reps=1, q_list=(1.0,))
