@@ -113,7 +113,6 @@ class _Working(NamedTuple):
     eta: np.ndarray
     theta: np.ndarray
     b: np.ndarray
-    in_domain: np.ndarray
     theta_max: np.ndarray
     logf: np.ndarray
     objective: np.ndarray
@@ -158,8 +157,9 @@ def _working(prob, eta, q):
     estimation weights and ``psi`` the estimating function, each per row.
     ``theta_max`` is each row's ``max|theta|``.  Every shipped family's
     natural parameter ranges over the real line, so "in the domain" means
-    finite: ``in_domain`` is ``theta_max < inf``, False on rows with an
-    infinite or NaN ``theta``, whose other fields are not meaningful.
+    finite: a row is in the domain where ``theta_max < inf``, not where
+    ``theta`` has an infinite or NaN entry, and its other fields are then
+    not meaningful.
 
     ``q``, like ``prob.phi``, is a float shared by every row or an (R, 1)
     column of per-row values; each row equals its own float-q evaluation.
@@ -187,8 +187,7 @@ def _working(prob, eta, q):
         psi = phi * psi
     objective = np.add.reduce(terms, axis=-1)
     theta_max = np.maximum.reduce(np.abs(theta), axis=-1)
-    in_domain = theta_max < np.inf
-    return _Working(eta, theta, b, in_domain, theta_max, logf, objective, U, mu, V, kdot, psi)
+    return _Working(eta, theta, b, theta_max, logf, objective, U, mu, V, kdot, psi)
 
 
 def _sensitivity(prob, w, q):
@@ -229,7 +228,7 @@ def _working_at(data, beta, q, phi):
     phi = data.family.resolve_phi(_phi_value(data, phi))
     prob = _problem(data, phi)
     w = _working(prob, _predictor(prob, np.asarray(beta, dtype=float)), q)
-    if not w.in_domain:
+    if not (w.theta_max < np.inf):
         bad = int(np.argmax(~np.isfinite(w.theta)))
         raise DomainError(f"natural parameter not finite at row {bad}", index=bad)
     return w, prob
@@ -442,7 +441,7 @@ def _irls(prob, q, beta0, control):
         prob = prob.rows(keep)
 
     def accepts(tw, floor):
-        return tw.in_domain & np.isfinite(tw.objective) & (tw.objective >= floor)
+        return (tw.theta_max < np.inf) & np.isfinite(tw.objective) & (tw.objective >= floor)
 
     # Each per-row decision tests its common outcome on Python floats before any numpy mask:
     # ``theta_max`` is the list of w.theta_max, and a row is in the domain where its entry
@@ -457,7 +456,7 @@ def _irls(prob, q, beta0, control):
         blowup_sq = SEPARATION_NORM_FACTOR**2 * np.maximum(1.0, np.add.reduce(beta * beta, axis=-1))
         out.trace[:, 0] = w.objective
         if not (sum(theta_max) < inf and all(map(isfinite, w.objective.tolist()))):
-            bad = ~(w.in_domain & np.isfinite(w.objective))
+            bad = ~((w.theta_max < np.inf) & np.isfinite(w.objective))
             for j in idx[bad].tolist():
                 out.error[j] = DomainError("starting value gives a non-finite Lq-objective")
             retire(bad, 0, "")
