@@ -1,17 +1,16 @@
 """Command-line interface.
 
 Subcommands: ``fit``, ``test``, ``residuals``, ``envelope``, ``selectq``,
-``simulate``.  Input data is RFC-4180 CSV with a header row; numeric
-non-response columns become covariates in file order, with an intercept
-prepended unless ``--no-intercept``.  JSON documents carry ``"schema":
-"lq-glm/1"``.  Exit codes: 0 success, 1 input error, 2 fit did not
-converge (the result document is still emitted); a usage error such as an
-unknown option also exits 1.  ``LQGLM_SEED`` provides the default seed,
-read when a command runs.
+``simulate``.  Input data is RFC-4180 CSV with a header row, read by
+``datasets.load_table``; numeric non-response columns become covariates in
+file order, with an intercept prepended unless ``--no-intercept``.  JSON
+documents carry the ``simulate.SCHEMA`` tag as ``"schema"``.  Exit codes:
+0 success, 1 input error, 2 fit did not converge (the result document is
+still emitted); a usage error such as an unknown option also exits 1.
+``LQGLM_SEED`` provides the default seed, read when a command runs.
 """
 
 import argparse
-import csv
 import functools
 import json
 import os
@@ -19,6 +18,7 @@ import sys
 
 import numpy as np
 
+from .datasets import load_table
 from .diagnostics import (
     LinearHypothesis,
     aic_q,
@@ -36,9 +36,7 @@ from .fit import FitControl, fit_mlq
 from .model import PROFILE, ModelData
 from .numerics import rng_stream
 from .qselect import QGrid, select_q_efficiency, select_q_stability
-from .simulate import SimDesign, run_study
-
-SCHEMA = "lq-glm/1"
+from .simulate import SCHEMA, SimDesign, run_study
 
 
 def _default_seed():
@@ -47,55 +45,6 @@ def _default_seed():
 
 def _fmt(x):
     return repr(float(x))
-
-
-def load_table(path, response, log_cols=(), no_intercept=False):
-    """CSV -> (X, y, covariate names). Numeric non-response columns only."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise UsageError("no rows") from None
-        rows = [r for r in reader if r]
-    if not rows:
-        raise UsageError("no rows")
-    twice = [name for i, name in enumerate(header) if name in header[:i]]
-    if twice:
-        raise UsageError(f"column {twice[0]!r} appears twice in the header")
-    if response not in header:
-        raise UsageError(f"response column {response!r} not in header {header}")
-    cols = {name: [] for name in header}
-    for r in rows:
-        if len(r) != len(header):
-            raise UsageError("ragged CSV row")
-        for name, val in zip(header, r):
-            cols[name].append(val)
-    numeric = {}
-    for name, vals in cols.items():
-        try:
-            numeric[name] = np.array([float(v) for v in vals])
-        except ValueError:
-            if name == response:
-                raise UsageError(f"response column {response!r} is not numeric") from None
-    y = numeric.pop(response)
-    names = [n for n in header if n in numeric]
-    twice = [c for i, c in enumerate(log_cols) if c in log_cols[:i]]
-    if twice:
-        raise UsageError(f"--log names column {twice[0]!r} twice")
-    for c in log_cols:
-        if c not in numeric:
-            raise UsageError(f"--log column {c!r} not a numeric covariate")
-        if np.any(numeric[c] <= 0):
-            raise UsageError(f"--log column {c!r} has non-positive values")
-        numeric[c] = np.log(numeric[c])
-    columns = [numeric[n] for n in names]
-    if not no_intercept:
-        columns = [np.ones(len(y))] + columns
-        names = ["(intercept)"] + names
-    if not columns:
-        raise UsageError("no covariate columns")
-    return np.column_stack(columns), y, names
 
 
 def _emit(text, output):
@@ -110,7 +59,8 @@ def _emit(text, output):
 
 def _model_data(args):
     log_cols = [c for c in (args.log.split(",") if args.log else []) if c]
-    X, y, names = load_table(args.data, args.response, log_cols, args.no_intercept)
+    with open(args.data, newline="") as fh:
+        X, y, names = load_table(fh, args.response, log_cols, args.no_intercept)
     phi = PROFILE if args.phi == "profile" else float(args.phi)
     return ModelData(X, y, args.family, phi=phi), names
 
@@ -185,7 +135,7 @@ def cmd_selectq(args):
         "rho": sel.rho,
         "qv_profile": {f"{k:.6g}": v for k, v in sel.qv_profile.items()},
         "dropped": sel.dropped,
-        "pruned": [],  # kept so that lq-glm/1 documents keep their keys
+        "pruned": [],  # kept so that documents of one schema keep their keys
         "fits": {f"{k:.6g}": v for k, v in sel.fits.items()},
     }
     _emit(json.dumps(doc, indent=2), args.output)

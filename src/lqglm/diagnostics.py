@@ -35,10 +35,10 @@ from .fit import (
     _evaluate,
     _fit_path,
     _fitted,
+    _hat,
     _predictor,
     _Problem,
     _problem,
-    _sensitivity,
     _working,
     calibrate,
     estimate_phi,
@@ -46,14 +46,11 @@ from .fit import (
 from .model import PROFILE
 from .numerics import (
     _not_positive_definite,
-    _solve_spd_each,
     chi_square_sf,
     inv_spd,
     normal_quantile,
     rng_stream,
     solve_spd,
-    unpack_band,
-    weighted_gram,
 )
 
 __all__ = [
@@ -282,15 +279,6 @@ def linear_tests(data, fit, hyp, q=None, control=None):
     return wald, score_test(data, hyp, q, control), bf_test(data, fit, hyp, q, control)
 
 
-def _hat_pieces(data, fit):
-    """Working point, ``V``, ``W``, ``J`` and the projector core
-    ``X' W J X`` at the surrogate solution."""
-    prob = _problem(data, fit.phi_hat)
-    w = _working(prob, fit.eta_star, fit.q)
-    W, J = _sensitivity(prob, w, fit.q)
-    return w, w.V, W, J, unpack_band(weighted_gram(prob.xx, W * J))
-
-
 def added_variable_score(data, fit_null, z):
     """Score statistic for adding the direction ``z`` to the design.
 
@@ -303,11 +291,14 @@ def added_variable_score(data, fit_null, z):
     z = np.asarray(z, dtype=float).ravel()
     if z.shape[0] != data.n:
         raise UsageError("z must have one entry per observation")
-    w, _, W, J, XtDX = _hat_pieces(data, fit_null)
-    phi = fit_null.phi_hat
-    num_core = z @ (w.U * w.kdot * (data.y - w.mu))
-    WJ = W * J
-    v = z - data.X @ solve_spd(XtDX, data.X.T @ (WJ * z))
+    f = _batch_of_one(data, fit_null)
+    w = _working(f.prob, f.eta_star, f.q)
+    W, J, G, pivot = _hat(f.prob, w, f.q)
+    if pivot[0]:
+        raise _not_positive_definite(pivot[0])
+    num_core = z @ (w.U * w.kdot * (f.prob.y - w.mu))[0]
+    WJ = (W * J)[0]
+    v = z - G[0] @ (data.X.T @ (WJ * z))
     den = float(np.sum(WJ * v * v))
     # scale-relative check: for genuine directions den/scale is O(1), for
     # z in the span of X the projection residual collapses it
@@ -316,7 +307,7 @@ def added_variable_score(data, fit_null, z):
         raise DegenerateDirectionError(
             "added-variable direction lies in the span of the design"
         )
-    stat = (2.0 - fit_null.q) * phi * num_core**2 / den
+    stat = (2.0 - fit_null.q) * fit_null.phi_hat * num_core**2 / den
     return _make_result(stat, 1, "score")
 
 
@@ -361,20 +352,13 @@ def _standardized(f):
     roundoff at a leverage of 1, so a bracket at or below ``DEGENERATE``
     is undefined whatever its sign (see ``standardized_residuals``).  So
     is a residual whose surrogate mean saturates (``V = 0``: ``0/0`` or
-    ``y/0``): every residual that is not finite is undefined, NaN.  The
-    dense per-row solve and this product order keep every row
-    bit-identical to a batch of one.
+    ``y/0``): every residual that is not finite is undefined, NaN.  Every
+    row is bit-identical to a batch of one (see ``fit._hat``).
     """
     prob, q = f.prob, f.q
-    X = prob.X
     w = _working(prob, f.eta_star, q)
-    W, J = _sensitivity(prob, w, q)
-    # a shared (p, n) design is one right-hand side of every row
-    Xt = np.swapaxes(X, -1, -2)
-    Gt, pivot = _solve_spd_each(unpack_band(weighted_gram(prob.xx, W * J)),
-                                Xt.reshape(-1, *Xt.shape[-2:]))
-    G = np.ascontiguousarray(np.swapaxes(Gt, -1, -2))
-    bracket = 1.0 - W * J * np.sum(G * X, axis=-1)
+    W, J, G, pivot = _hat(prob, w, q)
+    bracket = 1.0 - W * J * np.sum(G * prob.X, axis=-1)
     bad = bracket <= DEGENERATE
     with np.errstate(invalid="ignore", divide="ignore"):
         den = np.sqrt(J * w.V / prob.phi) * np.sqrt(np.where(bad, np.nan, bracket))

@@ -289,6 +289,20 @@ def _matrices_ab(prob, w, q):
     return A, (XtDX if _unit(phi) else np.asarray(phi)[..., None] * XtDX)
 
 
+def _hat(prob, w, q):
+    """``W``, ``J``, ``G = X (X' W J X)^{-1}`` (..., n, p), NaN on a row
+    whose ``X' W J X`` is not positive definite, and each row's Cholesky
+    pivot, at the working point ``w``: the hat matrix ``P W J`` has
+    ``P = G X'``.  The dense per-row solve and this product order keep
+    every row bit-identical to a batch of one."""
+    W, J = _sensitivity(prob, w, q)
+    # a shared (p, n) design is one right-hand side of every row
+    Xt = np.swapaxes(prob.X, -1, -2)
+    Gt, pivot = _solve_spd_each(unpack_band(weighted_gram(prob.xx, W * J)),
+                                Xt.reshape(-1, *Xt.shape[-2:]))
+    return W, J, np.ascontiguousarray(np.swapaxes(Gt, -1, -2)), pivot
+
+
 def calibrate(link, eta_star, q):
     """Calibrated predictor ``eta_q = k^{-1}(q k(eta_star))``."""
     eta_star = np.asarray(eta_star, dtype=float)
@@ -368,8 +382,8 @@ class _Irls(NamedTuple):
 
 
 def _step(prob, w, q, newton):
-    """The ascent step of every row at the working point ``w``, and the
-    Cholesky pivot of its matrix as ``solve_spd_rows`` reports it.
+    """The ascent step of every row at the working point ``w`` and float q,
+    and the Cholesky pivot of its matrix as ``solve_spd_rows`` reports it.
 
     Scoring solves ``X' W J X step = psi / phi``.  Newton (canonical
     link only) solves with the observed negative Hessian over phi,
@@ -387,7 +401,7 @@ def _step(prob, w, q, newton):
     if np.count_nonzero(pivot):
         fb = pivot > 0
         sub = prob.rows(fb)
-        W, J = _sensitivity(sub, w.rows(fb), q[fb] if isinstance(q, np.ndarray) else q)
+        W, J = _sensitivity(sub, w.rows(fb), q)
         step[fb], pivot[fb] = solve_spd_rows(weighted_gram(sub.xx, W * J), rhs[fb])
     return step, pivot
 

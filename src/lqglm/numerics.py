@@ -9,6 +9,7 @@ counter-based Philox engine so that per-replicate streams keyed by
 
 from functools import lru_cache
 from math import isqrt
+from operator import index
 
 import numpy as np
 from scipy.linalg import lapack
@@ -209,6 +210,15 @@ def normal_quantile(p):
     return float(out) if out.ndim == 0 else out
 
 
+def _key_word(value, what):
+    """``operator.index(value)``, a Python or numpy integer; UsageError
+    otherwise, since a float would truncate onto another seed's stream."""
+    try:
+        return index(value)
+    except TypeError:
+        raise UsageError(f"{what} must be an integer, got {value!r}") from None
+
+
 def rng_stream(seed, stream_id=0):
     """Independent random generator for ``(seed, stream_id)``.
 
@@ -216,11 +226,13 @@ def rng_stream(seed, stream_id=0):
     draw sequences, distinct ``stream_id`` values give statistically
     independent streams, and construction order is irrelevant.  A stream is
     single-owner; spawn one per task instead of sharing.  ``seed`` and
-    ``stream_id`` are the engine's 64-bit key words: a value outside
-    [0, 2**64) raises UsageError.
+    ``stream_id`` are the engine's 64-bit key words: a non-integer (see
+    ``_key_word``) or a value outside [0, 2**64) raises UsageError.
     """
+    seed, stream_id = _key_word(seed, "seed"), _key_word(stream_id, "stream id")
     if not (0 <= seed < 2**64 and 0 <= stream_id < 2**64):
         raise UsageError(
             f"seed and stream id must lie in [0, 2**64), got {seed!r} and {stream_id!r}")
     key = np.array([seed, stream_id], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
+

@@ -18,8 +18,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import LqglmError, SelectionError, UsageError
-from .fit import FitControl, _fit_path, _problem, _results, _sensitivity, _working
-from .numerics import inv_spd, unpack_band, weighted_gram
+from .fit import FitControl, _fit_path, _matrices_ab, _problem, _results, _working
+from .numerics import inv_spd
 
 __all__ = [
     "QGrid",
@@ -82,12 +82,11 @@ class QSelectResult:
 def fisher_information(data, fit):
     """Classical information ``phi X' W X`` at the calibrated predictors.
 
-    This is the q = 1 sensitivity matrix evaluated at the same fit, the
-    reference against which the sandwich covariance is compared.
+    This is the q = 1 sensitivity matrix ``B_n`` evaluated at the same
+    fit, the reference against which the sandwich covariance is compared.
     """
     prob = _problem(data, fit.phi_hat)
-    W, J = _sensitivity(prob, _working(prob, fit.eta_q, 1.0), 1.0)
-    return fit.phi_hat * unpack_band(weighted_gram(prob.xx, W * J))
+    return _matrices_ab(prob, _working(prob, fit.eta_q, 1.0), 1.0)[1]
 
 
 def are(fit):
@@ -185,7 +184,7 @@ def select_q_stability(data, grid=None, control=None):
         q_opt=float(q_opt),
         qv_profile=qv,
         rho=float(rho),
-        fits={q: _summary(data, f) for q, f in fits.items()},
+        fits={q: _summary(f) for q, f in fits.items()},
         method="stability",
         dropped=dropped,
     )
@@ -207,13 +206,13 @@ def select_q_efficiency(data, grid=None, control=None):
         q_opt=float(q_opt),
         qv_profile=traces,
         rho=0.0,
-        fits={q: _summary(data, f) for q, f in fits.items()},
+        fits={q: _summary(f) for q, f in fits.items()},
         method="efficiency",
         dropped=dropped,
     )
 
 
-def _summary(data, fit):
+def _summary(fit):
     return {
         "beta_q": None if fit.beta_q is None else fit.beta_q.tolist(),
         "se": fit.se.tolist(),

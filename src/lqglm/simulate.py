@@ -27,9 +27,12 @@ import numpy as np
 from .errors import UsageError
 from .families import CanonicalLink, Poisson
 from .fit import BLOCK, FitControl, _fit_path, _fitted, _Problem, calibrate_coefficients
-from .numerics import rng_stream
+from .numerics import _key_word, rng_stream
 
 __all__ = ["SimDesign", "SimReport", "contaminate", "run_study"]
+
+# The schema tag of every JSON document the package writes.
+SCHEMA = "lq-glm/1"
 
 # The model every replicate is drawn from and fitted under.
 POISSON = Poisson()
@@ -69,6 +72,7 @@ class SimDesign:
             raise UsageError(f"need n > p >= 1, got n={self.n}, p={len(self.beta_true)}")
         if not np.all(np.isfinite(self.beta_true)):
             raise UsageError("beta_true must be finite")
+        self.seed = _key_word(self.seed, "seed")
         if not 0 <= self.seed < 2**64:
             raise UsageError(f"seed must lie in [0, 2**64), got {self.seed!r}")
         if len(self.q_list) == 0:
@@ -100,7 +104,7 @@ class SimReport:
 
     def to_json(self):
         doc = {
-            "schema": "lq-glm/1",
+            "schema": SCHEMA,
             "design": {
                 "n": self.design.n, "eps": self.design.eps, "nu": self.design.nu,
                 "reps": self.design.reps, "q_list": list(self.design.q_list),

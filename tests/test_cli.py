@@ -72,6 +72,14 @@ class TestFit:
         assert code == 1
         assert "no rows" in capsys.readouterr().err
 
+    def test_missing_or_blank_file(self, tmp_path, capsys):
+        # the CLI opens --data itself: a missing file is an OSError, exit 1
+        assert main(["fit", "--data", str(tmp_path / "absent.csv"), "--response", "y"]) == 1
+        assert "No such file" in capsys.readouterr().err
+        (tmp_path / "blank.csv").write_text("")
+        assert main(["fit", "--data", str(tmp_path / "blank.csv"), "--response", "y"]) == 1
+        assert "no rows" in capsys.readouterr().err
+
     def test_missing_response_column(self, vaso_csv):
         assert main(["fit", "--data", vaso_csv, "--response", "zz"]) == 1
 

@@ -494,6 +494,19 @@ class TestMeanShiftEquivalence:
             added_variable_score(vaso, vaso_79, vaso.X[:, 1])
 
 
+def _hat_pieces(data, fit):
+    """Working point, ``V``, ``W``, ``J`` and the projector core
+    ``X' W J X`` at the surrogate solution, built from the kernel's parts
+    (the oracle of ``fit._hat``, which solves with them)."""
+    from lqglm.fit import _problem, _sensitivity, _working
+    from lqglm.numerics import unpack_band, weighted_gram
+
+    prob = _problem(data, fit.phi_hat)
+    w = _working(prob, fit.eta_star, fit.q)
+    W, J = _sensitivity(prob, w, fit.q)
+    return w, w.V, W, J, unpack_band(weighted_gram(prob.xx, W * J))
+
+
 class TestStandardizedResiduals:
     def test_q1_classical_reduction(self, vaso, vaso_ml):
         t = standardized_residuals(vaso, vaso_ml)
@@ -557,8 +570,6 @@ class TestStandardizedResiduals:
         # vaso fit at q = 0.6 stops on theta overflow, so X' W J X is
         # nearly singular (hence the looser tolerance) and one residual is NaN;
         # the bracket keeps the m* term that idempotence cancels
-        from lqglm.diagnostics import _hat_pieces
-
         data = request.getfixturevalue(fixture)
         fit = fit_mlq(data, FitControl(q=q, max_iter=100))
         w, V, W, J, XtDX = _hat_pieces(data, fit)
@@ -801,6 +812,11 @@ class TestEnvelope:
         assert np.all(e1.lower <= e1.upper)
         assert e1.observed.shape == (vaso.n,)
 
+    def test_non_integer_seed_is_refused(self, vaso, vaso_79):
+        # 2.9 once truncated to seed 2's streams and returned its bands
+        with pytest.raises(UsageError, match="seed must be an integer, got 2.9"):
+            simulation_envelope(vaso, vaso_79, kind="standardized", reps=20, seed=2.9)
+
     def test_vaso_outliers_leave_envelope(self, vaso, vaso_79):
         env = simulation_envelope(vaso, vaso_79, kind="standardized", reps=100, seed=7)
         outside = (env.observed > env.upper) | (env.observed < env.lower)
@@ -816,7 +832,6 @@ class TestEnvelope:
 # envelope and the batch-of-one residual functions must reproduce.
 
 def _loop_standardized(data, fit):
-    from lqglm.diagnostics import _hat_pieces
     from lqglm.numerics import solve_spd
 
     w, V, W, J, XtDX = _hat_pieces(data, fit)

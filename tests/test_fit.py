@@ -1492,22 +1492,27 @@ class TestQColumn:
         assert np.array_equal(w.objective[0], np.add.reduce(w.logf[0], axis=-1))
 
     def test_newton_fallback_rows_step_at_their_q(self):
-        # large residuals at q = 0.55 make a row's observed Hessian
-        # indefinite: that row takes the scoring step, at its own q
+        # _irls steps at a float q.  Large residuals make a row's observed
+        # Hessian indefinite at q = 0.8 (one row) and 0.55 (four rows):
+        # those rows of the batch take the scoring step at that q, each as
+        # it would alone, and the other rows their Newton step
         from lqglm.fit import _step, _working
 
         prob, eta = self._problem("poisson", len(self.Q))
-        q = np.array(self.Q)[:, None]
-        step, pivot = _step(prob, _working(prob, eta, q), q, newton=True)
-        fell_back = []
-        for r, qr in enumerate(self.Q):
-            one = prob.rows([r])
-            w1 = _working(one, eta[r:r + 1], qr)
-            want, want_pivot = _step(one, w1, qr, newton=True)
-            assert step[r].tobytes() == want[0].tobytes() and pivot[r] == want_pivot[0], qr
-            fell_back.append(want.tobytes() == _step(one, w1, qr, newton=False)[0].tobytes())
-        # at q = 1 exactly the two matrices coincide
-        assert fell_back[1:] == [False, False, False, True]
+        fell_back = {}
+        for q in self.Q:
+            w = _working(prob, eta, q)
+            step, pivot = _step(prob, w, q, newton=True)
+            r = prob.y - w.mu
+            hessian = np.einsum("rni,rn,rnj->rij", prob.X, w.U * (w.V - (1.0 - q) * r * r), prob.X)
+            indefinite = np.linalg.eigvalsh(hessian)[:, 0] <= 0
+            for k in range(len(self.Q)):
+                one = prob.rows([k])
+                want, want_pivot = _step(one, _working(one, eta[k:k + 1], q), q,
+                                         newton=not indefinite[k])
+                assert step[k].tobytes() == want[0].tobytes() and pivot[k] == want_pivot[0], (q, k)
+            fell_back[q] = np.flatnonzero(indefinite).tolist()
+        assert fell_back == {1.0: [], 1.0 - 5e-13: [], 0.97: [], 0.8: [0], 0.55: [0, 1, 3, 4]}
 
     def test_lq_terms_rows_equal_float_q(self):
         from lqglm.families import _lq_terms

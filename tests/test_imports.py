@@ -116,6 +116,20 @@ def test_only_fit_names_the_fitting_core(path):
     assert _names(path.read_text()) & FIT_CORE == set()
 
 
+# The band layout of X' diag(d) X and the dense per-row solves: the
+# fitting core reads them, and every other module takes its matrices from
+# fit (fit._matrices_ab, fit._hat).
+BAND_KERNEL = {"gram_cache", "weighted_gram", "unpack_band", "solve_spd_rows",
+               "_solve_spd_each", "_sensitivity"}
+
+
+@pytest.mark.parametrize("path", sorted(set(SRC.glob("*.py")) - {SRC / "fit.py",
+                                                                  SRC / "numerics.py"}),
+                         ids=lambda p: p.name)
+def test_only_fit_and_numerics_name_the_band_kernel(path):
+    assert _names(path.read_text()) & BAND_KERNEL == set()
+
+
 # The model is (X, y, phi) as its ModelData holds it: no public callable
 # takes an offset, and the search bracket and the solver and escort
 # tolerances are module constants.

@@ -362,3 +362,19 @@ class TestRngStream:
             with pytest.raises(UsageError, match=message.format(seed, stream)):
                 rng_stream(seed, stream)
         assert rng_stream(2**64 - 1, 2**64 - 1).integers(10) >= 0
+
+    @pytest.mark.parametrize("bad", [1.5, np.float64(2.0), "3", None], ids=repr)
+    def test_non_integer_key_words_are_refused(self, bad):
+        # a float once truncated onto the stream of another seed, and "3"
+        # or None ended in a bare TypeError
+        from lqglm import UsageError
+
+        with pytest.raises(UsageError, match=r"seed must be an integer, got "):
+            rng_stream(bad, 0)
+        with pytest.raises(UsageError, match=r"stream id must be an integer, got "):
+            rng_stream(0, bad)
+
+    def test_numpy_integers_are_key_words(self):
+        want = rng_stream(3, 2).integers(1 << 62, size=4)
+        got = rng_stream(np.uint64(3), np.int32(2)).integers(1 << 62, size=4)
+        assert np.array_equal(got, want)

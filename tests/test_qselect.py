@@ -217,7 +217,7 @@ class TestEfficiencySelection:
         sel = select_q_efficiency(vaso, QGrid(q_values=[0.79]), ctl)
         warm = fit_mlq(vaso, FitControl(q=0.79, max_iter=100))
         assert fit_mlq(vaso, FitControl(q=0.79, max_iter=100, init=np.zeros(3))).iterations == 32
-        assert sel.fits == {0.79: _summary(vaso, warm)} and warm.iterations == 29
+        assert sel.fits == {0.79: _summary(warm)} and warm.iterations == 29
         assert sel.qv_profile == {0.79: float(np.trace(warm.cov))}
 
     def test_negative_smallest_trace_is_selected(self):

@@ -123,6 +123,17 @@ class TestRunStudy:
             with pytest.raises(UsageError, match=rf"seed must lie in \[0, 2\*\*64\), got {seed}"):
                 SimDesign(seed=seed)
 
+    @pytest.mark.parametrize("bad", [1.5, np.float64(2.0), "3", None], ids=repr)
+    def test_non_integer_seed_refused(self, bad):
+        # 1.5 once gave seed 1's report byte for byte
+        with pytest.raises(UsageError, match="seed must be an integer, got "):
+            SimDesign(seed=bad)
+
+    def test_numpy_integer_seed_is_the_integer(self):
+        design = SimDesign(n=20, reps=2, q_list=(1.0,), seed=np.int64(4))
+        assert type(design.seed) is int and design.seed == 4
+        assert json.loads(run_study(design).to_json())["design"]["seed"] == 4
+
     def test_jobs_below_one_refused(self):
         design = SimDesign(n=20, reps=1, q_list=(1.0,))
         for jobs in (0, -2):

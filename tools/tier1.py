@@ -15,7 +15,8 @@ Exits 0 only when the failing set is exactly these five, each with its
 figure.  Otherwise it prints every other failure or error, every one of
 the five that passed or did not run, and every moved figure with the
 figure read, and exits 1.  It also prints the suite's wall time and its five slowest tests, as the
-report records them, and the line count of ``src/lqglm/*.py``.
+report records them, and the line count of ``src/lqglm/*.py`` with each
+module's count beside it, so that a change shows where its lines went.
 """
 
 import os
@@ -84,8 +85,10 @@ def timings(report):
 
 
 def source_lines():
-    """The number of lines of the package's modules, ``src/lqglm/*.py``."""
-    return sum(len(p.read_text().splitlines()) for p in (ROOT / "src" / "lqglm").glob("*.py"))
+    """The number of lines of each of the package's modules,
+    ``src/lqglm/*.py``, by module name in sorted order."""
+    return {p.stem: len(p.read_text().splitlines())
+            for p in sorted((ROOT / "src" / "lqglm").glob("*.py"))}
 
 
 def main():
@@ -116,7 +119,9 @@ def main():
     print(f"tier1: wall time {wall:.1f} s; slowest tests:")
     for seconds, test in slowest:
         print(f"tier1: {seconds:6.2f} s  {test}")
-    print(f"tier1: src/lqglm/*.py has {source_lines()} lines")
+    lines = source_lines()
+    print(f"tier1: src/lqglm/*.py has {sum(lines.values())} lines ("
+          + ", ".join(f"{name} {n}" for name, n in lines.items()) + ")")
     ok = set(failed) == set(DOCUMENTED) and not moved
     print(f"tier1: {len(passed)} passed, {len(failed)} failed "
           f"({len(set(failed) & set(DOCUMENTED))} of the {len(DOCUMENTED)} documented, "
