@@ -3,8 +3,10 @@
 Subcommands: ``fit``, ``test``, ``residuals``, ``envelope``, ``selectq``,
 ``simulate``.  Input data is RFC-4180 CSV with a header row, read by
 ``datasets.load_table``; numeric non-response columns become covariates in
-file order, with an intercept prepended unless ``--no-intercept``.  JSON
-documents carry the ``simulate.SCHEMA`` tag as ``"schema"``.  Exit codes:
+file order, with an intercept prepended unless ``--no-intercept``.  Each
+``cmd_*`` returns its exit code and its document: a dict, which ``main``
+writes as indented JSON led by the ``simulate.SCHEMA`` tag as ``"schema"``,
+or finished text (a CSV table, a ``SimReport`` rendering).  Exit codes:
 0 success, 1 input error, 2 fit did not converge (the result document is
 still emitted); a usage error such as an unknown option also exits 1.
 ``LQGLM_SEED`` provides the default seed, read when a command runs.
@@ -43,10 +45,6 @@ def _default_seed():
     return int(os.environ.get("LQGLM_SEED", "0"))
 
 
-def _fmt(x):
-    return repr(float(x))
-
-
 def _emit(text, output):
     if output in (None, "-"):
         sys.stdout.write(text)
@@ -55,6 +53,14 @@ def _emit(text, output):
     else:
         with open(output, "w") as fh:
             fh.write(text)
+
+
+def _table(header, *columns):
+    """CSV text: the header, then one row per entry of the columns, its
+    1-based index followed by the ``repr`` of each column's float."""
+    rows = [f"{i},{','.join(repr(float(v)) for v in row)}"
+            for i, row in enumerate(zip(*columns), start=1)]
+    return "\n".join([header, *rows]) + "\n"
 
 
 def _model_data(args):
@@ -98,8 +104,7 @@ def _single_fit(args):
 
 def cmd_fit(args):
     data, names, control, fit = _single_fit(args)
-    doc = {
-        "schema": SCHEMA,
+    return 0 if fit.converged else 2, {
         "family": data.family.name,
         "n": data.n,
         "p": data.p,
@@ -116,8 +121,6 @@ def cmd_fit(args):
         "converged": fit.converged,
         "message": fit.message,
     }
-    _emit(json.dumps(doc, indent=2), args.output)
-    return 0 if fit.converged else 2
 
 
 def cmd_selectq(args):
@@ -128,8 +131,7 @@ def cmd_selectq(args):
         sel = select_q_stability(data, grid)
     else:
         sel = select_q_efficiency(data, grid)
-    doc = {
-        "schema": SCHEMA,
+    return 0, {
         "method": sel.method,
         "q_opt": sel.q_opt,
         "rho": sel.rho,
@@ -138,8 +140,6 @@ def cmd_selectq(args):
         "pruned": [],  # kept so that documents of one schema keep their keys
         "fits": {f"{k:.6g}": v for k, v in sel.fits.items()},
     }
-    _emit(json.dumps(doc, indent=2), args.output)
-    return 0
 
 
 def cmd_test(args):
@@ -158,9 +158,7 @@ def cmd_test(args):
         tests = [bf_test(data, fit, hyp, q, control)]
     results = [{"kind": r.kind, "statistic": r.statistic, "dof": r.dof, "p_value": r.p_value}
                for r in tests]
-    doc = {"schema": SCHEMA, "q_used": q, "tests": results}
-    _emit(json.dumps(doc, indent=2), args.output)
-    return 0
+    return 0, {"q_used": q, "tests": results}
 
 
 def cmd_residuals(args):
@@ -171,37 +169,23 @@ def cmd_residuals(args):
         vals = deviance_residuals(data, fit)
     else:
         vals = standardized_residuals(data, fit)
-    if args.format == "json":
-        doc = {"schema": SCHEMA, "q_used": control.q, "type": args.type,
-               "residuals": vals.tolist()}
-        _emit(json.dumps(doc, indent=2), args.output)
-    else:
-        lines = ["index,residual"]
-        lines += [f"{i + 1},{_fmt(v)}" for i, v in enumerate(vals)]
-        _emit("\n".join(lines) + "\n", args.output)
-    return 0
+    if args.format == "csv":
+        return 0, _table("index,residual", vals)
+    return 0, {"q_used": control.q, "type": args.type, "residuals": vals.tolist()}
 
 
 def cmd_envelope(args):
     data, _, control, fit = _single_fit(args)
     env = simulation_envelope(data, fit, kind=args.type, reps=args.reps,
                               seed=args.seed, level=args.level, control=control)
-    if args.format == "json":
-        doc = {"schema": SCHEMA, "q_used": control.q, "type": env.kind, "reps": env.reps,
+    if args.format == "csv":
+        return 0, _table("position,normal_quantile,observed,lower,upper",
+                         env.normal_quantiles, env.observed, env.lower, env.upper)
+    return 0, {"q_used": control.q, "type": env.kind, "reps": env.reps,
                "failed": env.failed, "nonconverged": env.nonconverged,
                "normal_quantiles": env.normal_quantiles.tolist(),
                "observed": env.observed.tolist(),
                "lower": env.lower.tolist(), "upper": env.upper.tolist()}
-        _emit(json.dumps(doc, indent=2), args.output)
-    else:
-        lines = ["position,normal_quantile,observed,lower,upper"]
-        for i in range(len(env.observed)):
-            lines.append(
-                f"{i + 1},{_fmt(env.normal_quantiles[i])},{_fmt(env.observed[i])},"
-                f"{_fmt(env.lower[i])},{_fmt(env.upper[i])}"
-            )
-        _emit("\n".join(lines) + "\n", args.output)
-    return 0
 
 
 def cmd_simulate(args):
@@ -212,8 +196,7 @@ def cmd_simulate(args):
         include_intercept=args.intercept,
     )
     report = run_study(design, jobs=args.jobs)
-    _emit(report.to_json() if args.format == "json" else report.to_csv(), args.output)
-    return 0
+    return 0, report.to_json() if args.format == "json" else report.to_csv()
 
 
 def _add_data_options(p, single_fit=True):
@@ -310,7 +293,11 @@ def main(argv=None):
         if "seed" in args and args.seed is None:
             args.seed = _default_seed()
         # looked up when it runs, so a rebound lqglm.cli.cmd_* takes effect
-        return globals()[f"cmd_{args.command}"](args)
+        code, doc = globals()[f"cmd_{args.command}"](args)
+        if isinstance(doc, dict):
+            doc = json.dumps({"schema": SCHEMA, **doc}, indent=2)
+        _emit(doc, args.output)
+        return code
     except (LqglmError, OSError, ValueError) as e:
         print(f"lqglm: error: {e}", file=sys.stderr)
         return 1

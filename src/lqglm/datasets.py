@@ -45,12 +45,12 @@ def load_table(stream, response, log_cols=(), no_intercept=False):
     names = [n for n in header if n in numeric]
     twice = [c for i, c in enumerate(log_cols) if c in log_cols[:i]]
     if twice:
-        raise UsageError(f"--log names column {twice[0]!r} twice")
+        raise UsageError(f"column {twice[0]!r} is named twice among the columns to log")
     for c in log_cols:
         if c not in numeric:
-            raise UsageError(f"--log column {c!r} not a numeric covariate")
+            raise UsageError(f"column {c!r} to log is not a numeric covariate")
         if np.any(numeric[c] <= 0):
-            raise UsageError(f"--log column {c!r} has non-positive values")
+            raise UsageError(f"column {c!r} to log has non-positive values")
         numeric[c] = np.log(numeric[c])
     columns = [numeric[n] for n in names]
     if not no_intercept:

@@ -45,6 +45,7 @@ from .fit import (
 )
 from .model import PROFILE
 from .numerics import (
+    _integer,
     _not_positive_definite,
     chi_square_sf,
     inv_spd,
@@ -529,7 +530,7 @@ def simulation_envelope(data, fit, kind="standardized", reps=100, seed=0,
         raise UsageError(f"unknown residual kind {kind!r}")
     if not 0.0 < level < 1.0:
         raise UsageError(f"envelope level must lie in (0, 1), got {level!r}")
-    if reps < MIN_ENVELOPE_REPS:
+    if _integer(reps, "reps") < MIN_ENVELOPE_REPS:
         raise UsageError(
             f"envelope needs at least {MIN_ENVELOPE_REPS} replicates, got {reps!r}")
     ctl = control if control is not None else FitControl(q=fit.q)

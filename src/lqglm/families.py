@@ -24,7 +24,7 @@ import numpy as np
 from scipy.special import expit, gammaln, ndtr, ndtri
 from scipy.stats import poisson as _poisson
 
-from .errors import DomainError
+from .errors import DomainError, UsageError
 
 __all__ = [
     "Family",
@@ -84,7 +84,7 @@ class PowerThetaLink(ThetaLink):
 
     def __init__(self, exponent=3):
         if exponent % 2 != 1 or exponent < 1:
-            raise ValueError("exponent must be a positive odd integer")
+            raise UsageError(f"exponent must be a positive odd integer, got {exponent!r}")
         self.m = int(exponent)
 
     def k(self, eta):
@@ -253,7 +253,8 @@ class Poisson(Family):
 
     def validate_y(self, y):
         y = np.asarray(y, dtype=float)
-        if np.any(y < 0) or np.any(y != np.round(y)):
+        # inf equals its own rounding, so finiteness is checked apart
+        if not np.all(np.isfinite(y) & (y >= 0) & (y == np.round(y))):
             raise DomainError("Poisson responses must be nonnegative integers")
 
     def saturated_log_density(self, y, phi):
@@ -318,21 +319,22 @@ def get_family(name):
     try:
         return _FAMILIES[name.lower()]()
     except (KeyError, AttributeError):
-        raise ValueError(
+        raise UsageError(
             f"unknown family {name!r}; available: {sorted(_FAMILIES)}"
         ) from None
 
 
 def get_link(name):
-    """Look up a theta-link by name ('canonical' or 'power3')."""
+    """Look up a theta-link by name: 'canonical', or 'power<m>' for an odd
+    exponent m ('power' alone is 'power3')."""
     if isinstance(name, ThetaLink):
         return name
-    key = name.lower()
+    key = name.lower() if isinstance(name, str) else ""
     if key == "canonical":
         return CanonicalLink()
-    if key.startswith("power"):
+    if key.startswith("power") and (key[5:] or "3").isdecimal():
         return PowerThetaLink(int(key[5:] or 3))
-    raise ValueError(f"unknown theta-link {name!r}")
+    raise UsageError(f"unknown theta-link {name!r}")
 
 
 def deformed_log(u, q):
@@ -472,7 +474,7 @@ def quantile_residual_base(family, y, mu, phi=None, uniform_draw=None):
     y = np.asarray(y, dtype=float)
     if family.discrete:
         if uniform_draw is None:
-            raise ValueError("discrete families need a uniform_draw in [0, 1]")
+            raise UsageError("discrete families need a uniform_draw in [0, 1]")
         f_hi = family.cdf(y, mu, phi)
         f_lo = family.cdf(y - 1.0, mu, phi)
         val = f_lo + np.asarray(uniform_draw, dtype=float) * (f_hi - f_lo)

@@ -100,13 +100,6 @@ def _problem(data, phi, y=None):
     return _Problem.build(data.family, data.link, data.X, data.y if y is None else y, phi)
 
 
-def _stack(datas):
-    """ModelData sharing a family, link and dispersion setting, stacked
-    with their designs on a leading batch axis."""
-    return _Problem.build(datas[0].family, datas[0].link, np.array([d.X for d in datas]),
-                          np.array([d.y for d in datas]), datas[0].phi)
-
-
 class _Working(NamedTuple):
     """Per-observation quantities of the Lq fit at one linear predictor."""
 

@@ -7,7 +7,7 @@ import numpy as np
 
 from .errors import SingularMatrixError, UsageError
 from .families import CanonicalLink, Family, ThetaLink, get_family, get_link
-from .numerics import solve_spd
+from .numerics import _integer, solve_spd
 
 __all__ = ["ModelData", "FitControl", "FitResult", "PROFILE"]
 
@@ -80,7 +80,7 @@ class FitControl:
     """Tuning for the MLq IRLS loop.
 
     ``q`` is the distortion parameter in (0, 1] and ``max_iter`` the
-    iteration cap, 0 or more (at 0 the fit stays at its start).
+    iteration cap, an integer of 0 or more (at 0 the fit stays at its start).
     ``stop_rule`` selects the convergence test, with the positive
     tolerance ``tol``: "objective" stops when the relative change in the
     Lq-objective falls below ``tol`` (the criterion classical GLM software
@@ -112,7 +112,7 @@ class FitControl:
     def __post_init__(self):
         if not 0.0 < self.q <= 1.0:
             raise UsageError("q must lie in (0, 1]")
-        if self.max_iter < 0:
+        if _integer(self.max_iter, "max_iter") < 0:
             raise UsageError("max_iter must be non-negative")
         if not self.tol > 0.0:
             raise UsageError("tol must be positive")

@@ -210,9 +210,10 @@ def normal_quantile(p):
     return float(out) if out.ndim == 0 else out
 
 
-def _key_word(value, what):
-    """``operator.index(value)``, a Python or numpy integer; UsageError
-    otherwise, since a float would truncate onto another seed's stream."""
+def _integer(value, what):
+    """``operator.index(value)``: the ``int`` of a Python or numpy integer.
+    UsageError otherwise, since a float would truncate (a seed onto another
+    seed's stream, a count onto a smaller one)."""
     try:
         return index(value)
     except TypeError:
@@ -227,9 +228,9 @@ def rng_stream(seed, stream_id=0):
     independent streams, and construction order is irrelevant.  A stream is
     single-owner; spawn one per task instead of sharing.  ``seed`` and
     ``stream_id`` are the engine's 64-bit key words: a non-integer (see
-    ``_key_word``) or a value outside [0, 2**64) raises UsageError.
+    ``_integer``) or a value outside [0, 2**64) raises UsageError.
     """
-    seed, stream_id = _key_word(seed, "seed"), _key_word(stream_id, "stream id")
+    seed, stream_id = _integer(seed, "seed"), _integer(stream_id, "stream id")
     if not (0 <= seed < 2**64 and 0 <= stream_id < 2**64):
         raise UsageError(
             f"seed and stream id must lie in [0, 2**64), got {seed!r} and {stream_id!r}")

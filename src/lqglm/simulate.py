@@ -27,7 +27,7 @@ import numpy as np
 from .errors import UsageError
 from .families import CanonicalLink, Poisson
 from .fit import BLOCK, FitControl, _fit_path, _fitted, _Problem, calibrate_coefficients
-from .numerics import _key_word, rng_stream
+from .numerics import _integer, rng_stream
 
 __all__ = ["SimDesign", "SimReport", "contaminate", "run_study"]
 
@@ -62,6 +62,8 @@ class SimDesign:
     fixed_x: bool = False
 
     def __post_init__(self):
+        self.n, self.reps = _integer(self.n, "n"), _integer(self.reps, "reps")
+        self.seed = _integer(self.seed, "seed")
         if not 0.0 <= self.eps < 1.0:
             raise UsageError("eps must lie in [0, 1)")
         if not (np.isfinite(self.nu) and self.nu > 0.0):
@@ -72,13 +74,17 @@ class SimDesign:
             raise UsageError(f"need n > p >= 1, got n={self.n}, p={len(self.beta_true)}")
         if not np.all(np.isfinite(self.beta_true)):
             raise UsageError("beta_true must be finite")
-        self.seed = _key_word(self.seed, "seed")
         if not 0 <= self.seed < 2**64:
             raise UsageError(f"seed must lie in [0, 2**64), got {self.seed!r}")
         if len(self.q_list) == 0:
             raise UsageError("q_list needs at least one q value")
         if any(not 0.0 < q <= 1.0 for q in self.q_list):
             raise UsageError("q values must lie in (0, 1]")
+        # stored as Python numbers, which the CSV and JSON reports write as
+        # such; converted once checked, so that a string is still refused
+        self.eps, self.nu = float(self.eps), float(self.nu)
+        self.q_list = tuple(float(q) for q in self.q_list)
+        self.beta_true = tuple(float(b) for b in self.beta_true)
 
 
 @dataclass
@@ -197,7 +203,7 @@ def run_study(design, jobs=1):
     for a single worker); identical designs (seed included) produce
     byte-identical reports for any ``jobs``.
     """
-    if jobs < 1:
+    if _integer(jobs, "jobs") < 1:
         raise UsageError(f"jobs must be at least 1, got {jobs!r}")
     t0 = time.perf_counter()
     X_fixed = _design_matrix(design, rng_stream(design.seed, FIXED_X_STREAM)) if design.fixed_x else None

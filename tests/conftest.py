@@ -3,6 +3,14 @@ import pytest
 
 from lqglm import FitControl, ModelData, PowerThetaLink, fit_mlq, rng_stream
 from lqglm.datasets import vaso_model_data
+from lqglm.fit import _Problem
+
+
+def stack(datas):
+    """The fit problem of ModelData sharing a family, link and dispersion
+    setting, with their designs stacked on a leading batch axis."""
+    return _Problem.build(datas[0].family, datas[0].link, np.array([d.X for d in datas]),
+                          np.array([d.y for d in datas]), datas[0].phi)
 
 
 @pytest.fixture(scope="session")

@@ -83,6 +83,15 @@ class TestFit:
     def test_missing_response_column(self, vaso_csv):
         assert main(["fit", "--data", vaso_csv, "--response", "zz"]) == 1
 
+    def test_poisson_response_of_inf_is_refused(self, tmp_path, capsys):
+        # inf equals its own rounding: it once reached the fit, which
+        # blamed the starting value
+        data = tmp_path / "p.csv"
+        data.write_text("x,y\n1,0\n2,1\n3,inf\n4,2\n5,3\n")
+        assert main(["fit", "--data", str(data), "--response", "y", "--family", "poisson"]) == 1
+        assert capsys.readouterr().err == (
+            "lqglm: error: Poisson responses must be nonnegative integers\n")
+
     def test_unknown_family(self, vaso_csv, capsys):
         code = main(["fit", "--data", vaso_csv, "--response", "y",
                      "--family", "gamma"])
@@ -498,7 +507,8 @@ def test_log_column_named_twice_is_refused(tmp_path, capsys):
     argv = ["fit", "--data", data, "--response", "y", "--family", "poisson", "--q", "1.0"]
     assert main([*argv, "--log", "x", "--output", str(tmp_path / "f.json")]) == 0
     assert main([*argv, "--log", "x,x"]) == 1
-    assert capsys.readouterr().err == "lqglm: error: --log names column 'x' twice\n"
+    assert capsys.readouterr().err == (
+        "lqglm: error: column 'x' is named twice among the columns to log\n")
 
 
 def test_header_naming_a_column_twice_is_refused(tmp_path, capsys):
@@ -585,11 +595,28 @@ def test_help_exits_0(capsys):
     assert "--reps" in capsys.readouterr().out
 
 
-def test_rebound_command_takes_effect(vaso_csv, monkeypatch):
+def test_rebound_command_takes_effect(vaso_csv, monkeypatch, capsys):
     # the parser is built once; the command still runs through the
     # module's current binding
     import lqglm.cli
 
     assert main(_fit_args(vaso_csv, "-", "1.0")) == 0
-    monkeypatch.setattr(lqglm.cli, "cmd_fit", lambda args: 7)
+    capsys.readouterr()
+    monkeypatch.setattr(lqglm.cli, "cmd_fit", lambda args: (7, {"stand_in": True}))
     assert main(_fit_args(vaso_csv, "-", "1.0")) == 7
+    # main tags and writes what the command returns
+    assert capsys.readouterr().out == '{\n  "schema": "lq-glm/1",\n  "stand_in": true\n}\n'
+
+
+@pytest.mark.parametrize("fmt,newline", [("json", "\n"), ("csv", "")])
+def test_stdout_and_a_file_get_the_same_document(fmt, newline, vaso_csv, tmp_path, capsys):
+    # on stdout the document ends with one newline: JSON gets it there, a
+    # CSV table already has it
+    argv = ["residuals", "--data", vaso_csv, "--response", "y", "--log", "volume,rate",
+            "--type", "quantile", "--seed", "3", "--format", fmt]
+    out = tmp_path / "out"
+    assert main([*argv, "--output", str(out)]) == 0
+    assert main([*argv, "--output", "-"]) == 0
+    written = out.read_text()
+    assert written.startswith('{\n  "schema": "lq-glm/1",' if fmt == "json" else "index,residual\n")
+    assert capsys.readouterr().out == written + newline

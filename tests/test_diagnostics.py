@@ -37,6 +37,7 @@ from lqglm import (
     standardized_residuals,
     wald_test,
 )
+from conftest import stack
 
 
 class TestDevianceQ:
@@ -240,7 +241,7 @@ def _oracle_constrained_point(data, hyp, q, control):
     result is discarded, then the evaluation on the full design."""
     from dataclasses import replace
 
-    from lqglm.fit import _evaluate, _fit_path, _fitted, _stack
+    from lqglm.fit import _evaluate, _fit_path, _fitted
     from lqglm.numerics import solve_spd
 
     if not data.link.is_canonical:
@@ -255,7 +256,7 @@ def _oracle_constrained_point(data, hyp, q, control):
     reduced = ModelData(data.X @ N, data.y, data.family, data.link, data.phi)
     ctl = replace(control if control is not None else FitControl(), q=q,
                   init="ml-warm-start")
-    prob, res = _fit_path(_stack([reduced])._replace(offset=data.X @ b0), [q], ctl)[0]
+    prob, res = _fit_path(stack([reduced])._replace(offset=data.X @ b0), [q], ctl)[0]
     _fitted(prob, q, res)
     if res.error[0] is not None:
         raise res.error[0]
@@ -541,7 +542,6 @@ class TestStandardizedResiduals:
         # an indicator column gives its observation a leverage of 1, so the
         # bracket is zero up to roundoff of either sign: NaN, whatever the sign
         from lqglm.diagnostics import _Fits, _standardized
-        from lqglm.fit import _stack
 
         def indicator_poisson(seed):
             rng = rng_stream(61, seed)
@@ -556,7 +556,7 @@ class TestStandardizedResiduals:
             with pytest.warns(UserWarning, match="^1 standardized residuals undefined"):
                 t = standardized_residuals(data, fit)
             assert np.isnan(t[4]) and np.isfinite(np.delete(t, 4)).all()
-        batch = _Fits(_stack(datas), 0.9, *(np.array([getattr(f, k) for f in fits])
+        batch = _Fits(stack(datas), 0.9, *(np.array([getattr(f, k) for f in fits])
                                             for k in ("eta_star", "eta_q", "mu")))
         t, undefined, pivot = _standardized(batch)
         assert undefined.tolist() == [1] * 8 and not pivot.any()
@@ -939,7 +939,9 @@ class TestBatchedEnvelope:
         (1.5, 20, "level must lie in"), (0.0, 20, "level must lie in"),
         (1.0, 20, "level must lie in"), (float("nan"), 20, "level must lie in"),
         (0.95, 0, "at least 10 replicates"), (0.95, -5, "at least 10 replicates"),
-        (0.95, 9, "at least 10 replicates")])
+        (0.95, 9, "at least 10 replicates"),
+        # 10.5 once ended in a bare TypeError from range()
+        (0.95, 10.5, "reps must be an integer, got 10.5")])
     def test_arguments_checked_before_any_refit(self, vaso, vaso_79, monkeypatch, level, reps,
                                                 message):
         from lqglm import diagnostics

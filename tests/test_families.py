@@ -16,11 +16,13 @@ from lqglm import (
     escort_log_density,
     escort_normalization,
     get_family,
+    get_link,
     jq,
     log_density,
     quantile_residual_base,
     rng_stream,
 )
+from lqglm.errors import UsageError
 
 FAMILIES = [Bernoulli(), Poisson(), Gaussian()]
 
@@ -314,10 +316,28 @@ class TestQuantileResidualBase:
         assert clamped and np.isfinite(r)
 
     def test_discrete_needs_uniform(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(UsageError, match="discrete families need a uniform_draw"):
             quantile_residual_base("poisson", 2.0, 3.0, 1.0)
 
 
 def test_get_family_rejects_unknown():
-    with pytest.raises(ValueError):
+    with pytest.raises(UsageError, match="unknown family 'gamma'"):
         get_family("gamma")
+
+
+@pytest.mark.parametrize("name,message", [
+    ("probit", "unknown theta-link 'probit'"),
+    (5, "unknown theta-link 5"),  # once an AttributeError from name.lower()
+    ("powerx", "unknown theta-link 'powerx'"),  # once the ValueError of int()
+    ("power2", "exponent must be a positive odd integer, got 2"),
+])
+def test_get_link_rejects_unknown(name, message):
+    with pytest.raises(UsageError, match=message):
+        get_link(name)
+
+
+@pytest.mark.parametrize("y", [np.inf, np.nan, -1.0, 2.5])
+def test_poisson_support_is_the_finite_nonnegative_integers(y):
+    # inf equals its own rounding, so a check by rounding alone let it pass
+    with pytest.raises(DomainError, match="Poisson responses must be nonnegative integers"):
+        Poisson().validate_y(np.array([0.0, 3.0, y]))

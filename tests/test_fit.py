@@ -28,6 +28,7 @@ from lqglm import (
     rng_stream,
 )
 from lqglm.model import PROFILE
+from conftest import stack
 
 VASO_ML_BETA = np.array([-2.875, 5.179, 4.562])
 VASO_ML_SE = np.array([1.321, 1.865, 1.838])
@@ -568,6 +569,23 @@ class TestModelData:
         with pytest.raises(DomainError):
             ModelData(X, np.array([0.0, 1.0, 2.0, 0, 1, 0]), "bernoulli")
 
+    def test_poisson_response_of_inf_is_refused(self):
+        # inf equals its own rounding: it once reached fit_mlq, whose
+        # "starting value gives a non-finite Lq-objective" blamed the start
+        X = np.column_stack([np.ones(6), np.arange(6.0)])
+        with pytest.raises(DomainError, match="Poisson responses must be nonnegative integers"):
+            ModelData(X, np.array([0.0, 1.0, np.inf, 0, 1, 0]), "poisson")
+
+    @pytest.mark.parametrize("family,link", [("binomial", None), ("gaussian", "probit"),
+                                             ("gaussian", 5), ("gaussian", "powerx"),
+                                             ("gaussian", "power2")])
+    def test_unknown_family_or_link_is_a_usage_error(self, family, link):
+        from lqglm import UsageError
+
+        X = np.column_stack([np.ones(6), np.arange(6.0)])
+        with pytest.raises(UsageError):
+            ModelData(X, np.zeros(6), family, link=link)
+
     def test_rank_and_shape_validation(self):
         from lqglm import UsageError
 
@@ -606,6 +624,10 @@ class TestModelData:
 
         with pytest.raises(UsageError, match="max_iter"):
             FitControl(max_iter=-1)
+        # 2.5 once ended in a bare TypeError from range() inside the fit
+        with pytest.raises(UsageError, match="max_iter must be an integer, got 2.5"):
+            FitControl(max_iter=2.5)
+        assert fit_mlq(vaso, FitControl(max_iter=np.int64(0))).iterations == 0  # numpy passes
         # a cap of 0 stays valid: the fit stops at its start
         fit = fit_mlq(vaso, FitControl(max_iter=0))
         assert fit.iterations == 0 and not fit.converged
@@ -685,7 +707,7 @@ class TestBatchedCore:
 
     @staticmethod
     def _batch():
-        from lqglm.fit import _classical_start, _stack
+        from lqglm.fit import _classical_start
 
         sep_X = np.column_stack([np.ones(12), np.r_[np.linspace(-2, -0.2, 6), np.linspace(0.2, 2, 6)]])
         datas = [ModelData(sep_X, np.r_[np.zeros(6), np.ones(6)], "bernoulli")]
@@ -694,7 +716,7 @@ class TestBatchedCore:
             X = np.column_stack([np.ones(12), rng.uniform(-1, 1, size=12)])
             y = np.r_[0.0, 1.0, (rng.uniform(size=10) < 0.5).astype(float)]
             datas.append(ModelData(X, y, "bernoulli"))
-        prob = _stack(datas)
+        prob = stack(datas)
         beta0 = _classical_start(prob)[0]
         beta0[2] = np.nan  # a start without a finite objective
         return prob, beta0
@@ -723,8 +745,6 @@ class TestBatchedCore:
     @staticmethod
     def _stop_batch():
         """One row per way a fit stops, each from its own start."""
-        from lqglm.fit import _stack
-
         rng = rng_stream(5, 0)
         X = np.column_stack([np.ones(12), rng.uniform(-1, 1, size=12)])
         y = np.r_[0.0, 1.0, (rng.uniform(size=10) < 0.5).astype(float)]
@@ -742,7 +762,7 @@ class TestBatchedCore:
         beta0[2] = [800.0, 0.0]  # |theta| beyond the overflow guard
         beta0[3] = np.nan  # no finite objective
         beta0[5] = [600.0, 0.0]  # vanishing weights: a step no halving can rescue
-        return _stack(datas), beta0
+        return stack(datas), beta0
 
     @pytest.mark.parametrize("solver", ["scoring", "newton"])
     def test_each_stop_reason_retires_its_row(self, solver):
@@ -788,7 +808,7 @@ class TestBatchedCore:
         monkeypatch.setattr(fit_module, "_classical_start", singular_row_1)
         rng = rng_stream(5, 1)
         datas = [_random_data("bernoulli", rng)[0] for _ in range(3)]
-        for _, res in fit_module._fit_path(fit_module._stack(datas), [1.0, 0.9, 0.8],
+        for _, res in fit_module._fit_path(stack(datas), [1.0, 0.9, 0.8],
                                            FitControl(max_iter=50)):
             assert repr(res.error[1]) == repr(_not_positive_definite(2))
             assert res.error[0] is None and res.error[2] is None
@@ -840,11 +860,11 @@ class TestBatchedCore:
         # profiled Gaussian refits at n = 6 and q = 0.5: replicate 11 converges
         # but its B_n is singular to roundoff, whichever order sums it, and
         # replicate 9 fails in the dispersion search
-        from lqglm.fit import _fit_path, _fitted, _stack
+        from lqglm.fit import _fit_path, _fitted
 
         datas, ctl = _small_profiled_refits(small_profiled, seed=14)
         for _ in summation_orders():
-            prob, res = _fit_path(_stack(datas), [0.5], ctl)[0]
+            prob, res = _fit_path(stack(datas), [0.5], ctl)[0]
             assert res.error[11] is None
             _fitted(prob, 0.5, res)
             kinds = self._assert_fit_mlq_errors(res, datas, [ctl] * len(datas))
@@ -856,7 +876,7 @@ class TestBatchedCore:
     def test_objective_stop_rows_of_unlike_scales(self, q):
         """Under the objective stop rule each row of a batch whose objectives differ by orders of
         magnitude, from starts of unlike distances, stops where it stops alone, byte for byte."""
-        from lqglm.fit import _classical_start, _irls, _stack
+        from lqglm.fit import _classical_start, _irls
 
         rng = rng_stream(29, 0)
         datas = []
@@ -865,7 +885,7 @@ class TestBatchedCore:
             y = rng.poisson(np.exp(scale + 0.5 * X[:, 1])).astype(float)
             y[:3] *= 5  # contaminated counts
             datas.append(ModelData(X, y, "poisson"))
-        prob = _stack(datas)
+        prob = stack(datas)
         beta0 = _classical_start(prob)[0] + np.array([[0.0], [0.3], [0.6], [0.9]])
         ctl = FitControl(max_iter=100)
         batch = _irls(prob, q, beta0, ctl)
@@ -878,11 +898,11 @@ class TestBatchedCore:
             assert batch.trace[r].tobytes() == alone.trace[0].tobytes()
 
     def test_batch_of_one_is_fit_mlq(self, poisson_example):
-        from lqglm.fit import _irls, _stack
+        from lqglm.fit import _irls
 
         ctl = FitControl(q=0.9, init=np.full(3, 0.5))
         fit = fit_mlq(poisson_example, ctl)
-        res = _irls(_stack([poisson_example]), 0.9, np.full((1, 3), 0.5), ctl)
+        res = _irls(stack([poisson_example]), 0.9, np.full((1, 3), 0.5), ctl)
         assert fit.beta_star.tobytes() == res.beta[0].tobytes()
         assert fit.iterations == res.iterations[0] and fit.objective_trace[-1] == res.trace[0, fit.iterations]
 
@@ -893,7 +913,7 @@ class TestSharedDesign:
     indexed by row."""
 
     def test_rows_keep_the_shared_design(self, poisson_example):
-        from lqglm.fit import _problem, _stack
+        from lqglm.fit import _problem
 
         data = poisson_example
         prob = _problem(data, 1.0, y=np.tile(data.y, (5, 1)))
@@ -902,7 +922,7 @@ class TestSharedDesign:
         assert sub.X is prob.X is data.X and sub.xx is prob.xx
         assert prob.xx.shape == (m, data.n) and prob.xx.flags.c_contiguous
         assert sub.y.shape == sub.c.shape == (3, data.n)
-        stacked = _stack([data] * 5).rows([1, 3])
+        stacked = stack([data] * 5).rows([1, 3])
         assert stacked.X.shape == (2, data.n, data.p) and stacked.xx.shape == (2, m, data.n)
 
     def test_fits_of_one_model_share_its_design(self, vaso, monkeypatch):
@@ -999,14 +1019,14 @@ class TestNewtonSolver:
         # on the way to the solution; only those iterations call the
         # scoring matrix
         from lqglm import fit
-        from lqglm.fit import _fit_path, _irls, _stack
+        from lqglm.fit import _fit_path, _irls
 
         rng = rng_stream(5, 0)
         X = np.column_stack([np.ones(20), rng.uniform(-1.0, 1.0, size=20)])
         y = rng.poisson(np.exp(X @ np.array([1.0, 0.5]))).astype(float)
         y[0] = 60.0
         data = ModelData(X, y, "poisson")
-        prob = _stack([data])
+        prob = stack([data])
         ctl = FitControl(q=0.5, stop_rule="coef-psi", max_iter=100, solver="newton")
         beta0 = _fit_path(prob, [1.0], ctl)[0][1].beta  # the q = 1 warm start
         calls = []
@@ -1040,7 +1060,6 @@ class TestPathStarts:
     def _contaminated(reps=8):
         # the mc_contam shape: Poisson n = 400, a quarter of responses x 5
         from lqglm import contaminate
-        from lqglm.fit import _stack
 
         datas = []
         for r in range(reps):
@@ -1048,7 +1067,7 @@ class TestPathStarts:
             X = rng.uniform(size=(400, 3))
             y = rng.poisson(np.exp(X @ np.ones(3))).astype(float)
             datas.append(ModelData(X, contaminate(y, 0.25, 5.0, rng)[0], "poisson"))
-        return _stack(datas)
+        return stack(datas)
 
     def _oracle(self, prob, ctl, secant):
         """One ``_irls`` per q, each started as the class docstring says."""
@@ -1265,10 +1284,10 @@ class TestBatchedProfile:
     def test_matches_per_row_search(self, q):
         # every estimate solves its score and agrees with the golden-section
         # oracle, which finds the same maximum on these rows; they fail alike
-        from lqglm.fit import _profile_phi, _stack
+        from lqglm.fit import _profile_phi
 
         datas, etas = _profile_rows(rng_stream(29, 0))
-        phi, error = _profile_phi(_stack(datas), np.array(etas), q)
+        phi, error = _profile_phi(stack(datas), np.array(etas), q)
         kinds = []
         for r, d in enumerate(datas):
             try:
@@ -1291,7 +1310,7 @@ class TestBatchedProfile:
         # dispersion, byte for byte, on the rows of test_matches_per_row_search
         # and on profiled rows of envelope size
         from lqglm import fit
-        from lqglm.fit import PHI_SCAN, _profile_phi, _stack, _working
+        from lqglm.fit import PHI_SCAN, _profile_phi, _working
 
         rng = rng_stream(31, 0)
         datas, etas = _profile_rows(rng, phi=PROFILE)
@@ -1307,7 +1326,7 @@ class TestBatchedProfile:
 
         monkeypatch.setattr(fit, "_profile_objective", recording)
         for group, group_etas in ((datas, etas), (big, [eta] * 5)):
-            prob, eta_q = _stack(group), np.array(group_etas)
+            prob, eta_q = stack(group), np.array(group_etas)
             calls.clear()
             _, error = _profile_phi(prob, eta_q, q)
             assert len(calls) == PHI_SCAN + 1
@@ -1401,11 +1420,11 @@ class TestBatchedProfile:
         # the objective peaks inside the bracket, dips, and rises again to
         # the upper edge (one residual is 0.003), so its slope is positive at
         # both ends of the bracket
-        from lqglm.fit import _fit_path, _stack
+        from lqglm.fit import _fit_path
 
         datas, ctl = _small_profiled_refits(small_profiled)
         data, q = datas[0], 0.5
-        beta_q = q * _fit_path(_stack([data]), [q], ctl)[0][1].beta[0]
+        beta_q = q * _fit_path(stack([data]), [q], ctl)[0][1].beta[0]
         phi_hat = estimate_phi(data, beta_q, q)
         assert_allclose(phi_hat, 8916.67, rtol=1e-6)
 
@@ -1450,7 +1469,7 @@ class TestQColumn:
 
     @staticmethod
     def _problem(kind, R):
-        from lqglm.fit import _predictor, _stack
+        from lqglm.fit import _predictor
 
         rng = rng_stream(47, 0)
         n = 30
@@ -1463,7 +1482,7 @@ class TestQColumn:
             y = rng.poisson(2.0, size=n).astype(float)
         else:
             y = rng.normal(0.5, 1.0, size=n)
-        prob = _stack([ModelData(X, y, family, link=link)] * R)
+        prob = stack([ModelData(X, y, family, link=link)] * R)
         if kind == "gaussian-profile":
             prob = prob.with_phi(np.linspace(0.5, 2.0, R)[:, None])
         return prob, _predictor(prob, rng.uniform(-0.8, 0.8, size=(R, 2)))

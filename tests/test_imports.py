@@ -130,6 +130,20 @@ def test_only_fit_and_numerics_name_the_band_kernel(path):
     assert _names(path.read_text()) & BAND_KERNEL == set()
 
 
+# Each CLI command returns its document; main alone tags it with the
+# schema, serializes it and writes it.
+DOCUMENT_WRITING = {"_emit", "json", "SCHEMA"}
+
+
+def test_only_main_writes_the_cli_documents():
+    tree = ast.parse((SRC / "cli.py").read_text())
+    # the names of each function's body, so that _emit's own definition does not count
+    named = {f.name: set().union(*(_names(ast.unparse(s)) for s in f.body)) & DOCUMENT_WRITING
+             for f in tree.body if isinstance(f, ast.FunctionDef)}
+    assert {name: found for name, found in named.items() if found} == {
+        "main": DOCUMENT_WRITING}
+
+
 # The model is (X, y, phi) as its ModelData holds it: no public callable
 # takes an offset, and the search bracket and the solver and escort
 # tolerances are module constants.

@@ -16,6 +16,7 @@ from lqglm import (
     select_q_efficiency,
     select_q_stability,
 )
+from conftest import stack
 
 
 class TestAre:
@@ -382,13 +383,13 @@ def _oracle_grid_fits(data, grid, control, need=3):
     from dataclasses import replace
 
     from lqglm import LqglmError
-    from lqglm.fit import _fit_path, _stack
+    from lqglm.fit import _fit_path
     from lqglm.qselect import _GRID_CONTROL, _too_few
 
     ctl = replace(control if control is not None else _GRID_CONTROL, init="ml-warm-start")
     fits, dropped = {}, {}
     qs = [float(q) for q in grid.q_values]
-    for q, (prob, res) in zip(qs, _fit_path(_stack([data]), qs, ctl)):
+    for q, (prob, res) in zip(qs, _fit_path(stack([data]), qs, ctl)):
         try:
             fit = _oracle_result(data, prob, q, res)
         except LqglmError as e:
@@ -597,14 +598,14 @@ class TestBatchedGridAssembly:
     @pytest.mark.parametrize("name", ["vaso", "poisson-outliers", "gaussian-profile",
                                       "poisson-failing"])
     def test_fit_mlq_is_a_one_stage_path(self, name, q, vaso, summation_orders):
-        from lqglm.fit import _fit_path, _stack
+        from lqglm.fit import _fit_path
 
         data = (_failing_grid_data("poisson", 139) if name == "poisson-failing"
                 else _GRID_DATA[name](vaso))
         ctl = FitControl(q=q)
 
         def oracle():
-            prob, res = _fit_path(_stack([data]), [q], ctl)[0]
+            prob, res = _fit_path(stack([data]), [q], ctl)[0]
             return _oracle_result(data, prob, q, res)
 
         got, want = _recorded(fit_mlq, data, ctl), _recorded(oracle)

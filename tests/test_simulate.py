@@ -134,6 +134,30 @@ class TestRunStudy:
         assert type(design.seed) is int and design.seed == 4
         assert json.loads(run_study(design).to_json())["design"]["seed"] == 4
 
+    @pytest.mark.parametrize("field", ["n", "reps"])
+    def test_non_integer_count_refused(self, field):
+        # 50.5 and 2.5 once ended in a bare TypeError inside the study
+        with pytest.raises(UsageError, match=f"{field} must be an integer, got 2.5"):
+            SimDesign(**{field: 2.5})
+
+    def test_numpy_scalars_write_the_reports_of_python_numbers(self):
+        # np.float64 once reached the CSV as "np.float64(0.05)" and np.int64
+        # made the JSON report fail
+        plain = SimDesign(n=40, eps=0.05, nu=5.0, reps=2, q_list=(1.0, 0.9),
+                          beta_true=(1.0, 1.0, 1.0))
+        numpy = SimDesign(n=np.int64(40), eps=np.float64(0.05), nu=np.float32(5.0),
+                          reps=np.int64(2), q_list=(np.float64(1.0), np.float64(0.9)),
+                          beta_true=tuple(np.ones(3)))
+        assert repr(numpy) == repr(plain)  # stored as Python numbers
+        a, b = run_study(plain), run_study(numpy)
+        assert (a.to_csv(), a.to_json()) == (b.to_csv(), b.to_json())
+
+    def test_non_integer_jobs_refused(self):
+        # on two blocks 1.5 once reached the process pool as its worker count
+        design = SimDesign(n=20, reps=BLOCK + 1, q_list=(1.0,))
+        with pytest.raises(UsageError, match="jobs must be an integer, got 1.5"):
+            run_study(design, jobs=1.5)
+
     def test_jobs_below_one_refused(self):
         design = SimDesign(n=20, reps=1, q_list=(1.0,))
         for jobs in (0, -2):
