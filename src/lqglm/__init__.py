@@ -15,7 +15,6 @@ from .diagnostics import (
     deviance_q,
     deviance_residuals,
     influence_fn,
-    linear_tests,
     quantile_residuals,
     score_test,
     simulation_envelope,

@@ -26,7 +26,6 @@ from .diagnostics import (
     aic_q,
     bf_test,
     deviance_residuals,
-    linear_tests,
     quantile_residuals,
     score_test,
     simulation_envelope,
@@ -126,11 +125,12 @@ def cmd_fit(args):
 def cmd_selectq(args):
     data, _ = _model_data(args)
     lo, step = _parse_grid(args.grid)
-    grid = QGrid(q_min=lo, step=step, rho_factor=args.rho_factor)
-    if args.method == "stability":
-        sel = select_q_stability(data, grid)
-    else:
-        sel = select_q_efficiency(data, grid)
+    # only the stability rule reads --rho-factor, which is in args only when given
+    given = {"rho_factor": args.rho_factor} if "rho_factor" in args else {}
+    if given and args.method != "stability":
+        raise UsageError("--rho-factor applies to --method stability only")
+    rule = select_q_stability if args.method == "stability" else select_q_efficiency
+    sel = rule(data, QGrid(q_min=lo, step=step, **given))
     return 0, {
         "method": sel.method,
         "q_opt": sel.q_opt,
@@ -148,16 +148,12 @@ def cmd_test(args):
     H = np.loadtxt(args.H, delimiter=",", ndmin=2)
     h = np.loadtxt(args.h_vector, delimiter=",", ndmin=1)
     hyp = LinearHypothesis(H, h)
-    if args.stat == "all":
-        tests = linear_tests(data, fit, hyp, q, control)
-    elif args.stat == "wald":
-        tests = [wald_test(fit, hyp)]
-    elif args.stat == "score":
-        tests = [score_test(data, hyp, q, control)]
-    else:
-        tests = [bf_test(data, fit, hyp, q, control)]
+    # in the document's order; score_test and bf_test share one constrained fit
+    tests = {"wald": lambda: wald_test(fit, hyp),
+             "score": lambda: score_test(data, hyp, q, control),
+             "bf": lambda: bf_test(data, fit, hyp, q, control)}
     results = [{"kind": r.kind, "statistic": r.statistic, "dof": r.dof, "p_value": r.p_value}
-               for r in tests]
+               for r in (test() for stat, test in tests.items() if args.stat in (stat, "all"))]
     return 0, {"q_used": q, "tests": results}
 
 
@@ -244,7 +240,8 @@ def build_parser():
     p = sub.add_parser("selectq", help="select the distortion parameter")
     _add_data_options(p, single_fit=False)
     p.add_argument("--method", default="stability", choices=["stability", "efficiency"])
-    p.add_argument("--rho-factor", type=float, default=0.05)
+    p.add_argument("--rho-factor", type=float, default=argparse.SUPPRESS,
+                   help="threshold factor of the stability method")
 
     p = sub.add_parser("test", help="test a linear hypothesis H beta = h")
     _add_data_options(p)

@@ -27,6 +27,8 @@ from .errors import (
     DomainError,
     SingularMatrixError,
     UsageError,
+    _integer,
+    _real,
 )
 from .families import _lq_terms, quantile_residual_base
 from .fit import (
@@ -45,7 +47,6 @@ from .fit import (
 )
 from .model import PROFILE
 from .numerics import (
-    _integer,
     _not_positive_definite,
     chi_square_sf,
     inv_spd,
@@ -63,7 +64,6 @@ __all__ = [
     "wald_test",
     "score_test",
     "bf_test",
-    "linear_tests",
     "added_variable_score",
     "standardized_residuals",
     "deviance_residuals",
@@ -83,7 +83,7 @@ MIN_ENVELOPE_REPS = 10
 
 
 class LinearHypothesis:
-    """Linear hypothesis ``H beta = h`` with full-row-rank ``H`` (d x p).
+    """Linear hypothesis ``H beta = h``, finite, with full-row-rank ``H`` (d x p).
 
     ``N`` (p x (p - d)) is an orthonormal basis of the null space of
     ``H``, the last ``p - d`` right singular vectors; the constrained fits
@@ -99,6 +99,9 @@ class LinearHypothesis:
             raise UsageError("H and h have incompatible shapes")
         if H.shape[0] > H.shape[1]:
             raise UsageError("H cannot have more rows than columns")
+        for name, a in (("H", H), ("h", h)):
+            if not np.all(np.isfinite(a)):
+                raise UsageError(f"{name} has non-finite entries")
         try:
             solve_spd(H @ H.T, np.zeros(H.shape[0]))
         except SingularMatrixError as e:
@@ -210,9 +213,10 @@ def _constrained_point(data, hyp, q, control):
     return _constrained_memo(data, hyp, replace(ctl, q=float(q), init="ml-warm-start"))
 
 
-# One slot, so that score_test and bf_test in turn share the fit.  The key
-# keeps data and hyp (compared by identity, over read-only arrays) alive
-# until the next constrained fit, so their ids cannot be reused meanwhile.
+# One slot, so that score_test and bf_test share the fit whichever runs
+# first.  The key keeps data and hyp (compared by identity, over read-only
+# arrays) alive until the next constrained fit, so their ids cannot be
+# reused meanwhile.
 @lru_cache(maxsize=1)
 def _constrained_memo(data, hyp, control):
     q = control.q
@@ -231,7 +235,9 @@ def _constrained_memo(data, hyp, control):
     return _evaluate(data, b0 + hyp.N @ res.beta[0], q, float(np.ravel(prob.phi)[0]))
 
 
-def _score(hyp, w, A_t, B_t):
+def score_test(data, hyp, q, control=None):
+    """Score-type (Rao) statistic at the constrained MLq fit."""
+    w, A_t, B_t = _constrained_point(data, hyp, q, control)
     Bti = inv_spd(B_t)
     # a nearly singular B_t overflows C_t, which solve_spd rejects
     with np.errstate(over="ignore", invalid="ignore"):
@@ -242,42 +248,20 @@ def _score(hyp, w, A_t, B_t):
     return _make_result(stat, hyp.d, "score")
 
 
-def _bf_q(fit, q):
-    """``q`` (the fit's by default) after the bilinear-form checks: a
-    ``q`` that is not the fit's, NaN included, is a UsageError."""
+def bf_test(data, fit, hyp, q=None, control=None):
+    """Bilinear-form statistic mixing the constrained and unconstrained
+    fits, at the fit's ``q``: any other ``q``, NaN included, is a
+    UsageError, raised before the constrained fit."""
     q = fit.q if q is None else q
     if q != fit.q:
         raise UsageError("q disagrees with the supplied fit")
     if fit.beta_q is None:
         raise UsageError("bilinear-form test needs calibrated coefficients")
-    return q
-
-
-def _bf(fit, hyp, w, B_t):
+    w, _, B_t = _constrained_point(data, hyp, q, control)
     v = hyp.H @ solve_spd(B_t, w.psi)
     diff = hyp.H @ fit.beta_q - hyp.h
     stat = v @ solve_spd(hyp.H @ fit.cov @ hyp.H.T, diff)
     return _make_result(stat, hyp.d, "bilinear")
-
-
-def score_test(data, hyp, q, control=None):
-    """Score-type (Rao) statistic at the constrained MLq fit."""
-    return _score(hyp, *_constrained_point(data, hyp, q, control))
-
-
-def bf_test(data, fit, hyp, q=None, control=None):
-    """Bilinear-form statistic mixing the constrained and unconstrained fits."""
-    q = _bf_q(fit, q)
-    w, _, B_t = _constrained_point(data, hyp, q, control)
-    return _bf(fit, hyp, w, B_t)
-
-
-def linear_tests(data, fit, hyp, q=None, control=None):
-    """``(wald, score, bilinear)`` results of ``hyp``: ``wald_test``,
-    ``score_test`` and ``bf_test`` in turn, with one constrained fit."""
-    wald = wald_test(fit, hyp)
-    q = _bf_q(fit, q)
-    return wald, score_test(data, hyp, q, control), bf_test(data, fit, hyp, q, control)
 
 
 def added_variable_score(data, fit_null, z):
@@ -528,7 +512,7 @@ def simulation_envelope(data, fit, kind="standardized", reps=100, seed=0,
     """
     if kind not in _WARNINGS:
         raise UsageError(f"unknown residual kind {kind!r}")
-    if not 0.0 < level < 1.0:
+    if not 0.0 < _real(level, "level") < 1.0:
         raise UsageError(f"envelope level must lie in (0, 1), got {level!r}")
     if _integer(reps, "reps") < MIN_ENVELOPE_REPS:
         raise UsageError(

@@ -1,4 +1,8 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the integer and real
+number checks of its arguments, which every module may import."""
+
+from numbers import Real
+from operator import index
 
 
 class LqglmError(Exception):
@@ -52,3 +56,22 @@ class DegenerateDirectionError(LqglmError, ValueError):
 
 class SelectionError(LqglmError, RuntimeError):
     """Too few grid fits converged for distortion-parameter selection."""
+
+
+def _integer(value, what):
+    """``operator.index(value)``: the ``int`` of a Python or numpy integer.
+    UsageError otherwise, since a float would truncate (a seed onto another
+    seed's stream, a count onto a smaller one)."""
+    try:
+        return index(value)
+    except TypeError:
+        raise UsageError(f"{what} must be an integer, got {value!r}") from None
+
+
+def _real(value, what):
+    """``value`` itself if it is a Python or numpy real number (an integer
+    included); UsageError otherwise, where a string or None would end in a
+    bare TypeError at its first comparison or arithmetic."""
+    if isinstance(value, Real):
+        return value
+    raise UsageError(f"{what} must be a real number, got {value!r}")

@@ -24,7 +24,7 @@ import numpy as np
 from scipy.special import expit, gammaln, ndtr, ndtri
 from scipy.stats import poisson as _poisson
 
-from .errors import DomainError, UsageError
+from .errors import DomainError, UsageError, _real
 
 __all__ = [
     "Family",
@@ -83,7 +83,7 @@ class PowerThetaLink(ThetaLink):
     """Odd-power theta-link ``k(u) = u**m``, a non-canonical reference link."""
 
     def __init__(self, exponent=3):
-        if exponent % 2 != 1 or exponent < 1:
+        if _real(exponent, "exponent") % 2 != 1 or exponent < 1:
             raise UsageError(f"exponent must be a positive odd integer, got {exponent!r}")
         self.m = int(exponent)
 
@@ -164,7 +164,7 @@ class Family:
         positive (a float, or an array of per-row values)."""
         if self.phi_fixed is not None:
             return self.phi_fixed
-        phi = float(phi) if np.ndim(phi) == 0 else np.asarray(phi, dtype=float)
+        phi = float(_real(phi, "phi")) if np.ndim(phi) == 0 else np.asarray(phi, dtype=float)
         if not np.all(phi > 0):
             raise DomainError("dispersion phi must be positive", value=phi)
         return phi

@@ -5,9 +5,9 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .errors import SingularMatrixError, UsageError
+from .errors import SingularMatrixError, UsageError, _integer, _real
 from .families import CanonicalLink, Family, ThetaLink, get_family, get_link
-from .numerics import _integer, solve_spd
+from .numerics import solve_spd
 
 __all__ = ["ModelData", "FitControl", "FitResult", "PROFILE"]
 
@@ -110,11 +110,11 @@ class FitControl:
     solver: str = "scoring"
 
     def __post_init__(self):
-        if not 0.0 < self.q <= 1.0:
+        if not 0.0 < _real(self.q, "q") <= 1.0:
             raise UsageError("q must lie in (0, 1]")
         if _integer(self.max_iter, "max_iter") < 0:
             raise UsageError("max_iter must be non-negative")
-        if not self.tol > 0.0:
+        if not _real(self.tol, "tol") > 0.0:
             raise UsageError("tol must be positive")
         if self.stop_rule not in ("objective", "coef-psi"):
             raise UsageError("stop_rule must be 'objective' or 'coef-psi'")

@@ -9,13 +9,12 @@ counter-based Philox engine so that per-replicate streams keyed by
 
 from functools import lru_cache
 from math import isqrt
-from operator import index
 
 import numpy as np
 from scipy.linalg import lapack
 from scipy.special import chdtrc, ndtri
 
-from .errors import DomainError, SingularMatrixError, UsageError
+from .errors import DomainError, SingularMatrixError, UsageError, _integer
 
 __all__ = [
     "solve_spd",
@@ -208,16 +207,6 @@ def normal_quantile(p):
         raise ValueError("probability must lie strictly in (0, 1)")
     out = ndtri(p)
     return float(out) if out.ndim == 0 else out
-
-
-def _integer(value, what):
-    """``operator.index(value)``: the ``int`` of a Python or numpy integer.
-    UsageError otherwise, since a float would truncate (a seed onto another
-    seed's stream, a count onto a smaller one)."""
-    try:
-        return index(value)
-    except TypeError:
-        raise UsageError(f"{what} must be an integer, got {value!r}") from None
 
 
 def rng_stream(seed, stream_id=0):

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import LqglmError, SelectionError, UsageError
+from .errors import LqglmError, SelectionError, UsageError, _real
 from .fit import FitControl, _fit_path, _matrices_ab, _problem, _results, _working
 from .numerics import inv_spd
 
@@ -51,8 +51,8 @@ class QGrid:
 
     def __init__(self, q_values=None, q_min=0.70, step=0.01, rho_factor=0.05):
         if q_values is None:
-            if not (np.isfinite(q_min) and np.isfinite(step) and step > 0.0
-                    and np.isfinite((1.0 - q_min) / step)):
+            if not (np.isfinite(_real(q_min, "q_min")) and np.isfinite(_real(step, "step"))
+                    and step > 0.0 and np.isfinite((1.0 - q_min) / step)):
                 raise UsageError("grid needs a finite q_min, a positive step and a finite size")
             m = int(round((1.0 - q_min) / step))
             if m + 1 > MAX_GRID:
@@ -63,7 +63,7 @@ class QGrid:
             raise UsageError("grid values must lie in (0, 1]")
         if not 1 <= len(q_values) <= MAX_GRID:
             raise UsageError(f"grid has {len(q_values)} values; it needs 1 to {MAX_GRID}")
-        if not (np.isfinite(rho_factor) and rho_factor >= 0.0):
+        if not (np.isfinite(_real(rho_factor, "rho_factor")) and rho_factor >= 0.0):
             raise UsageError(f"rho_factor must be finite and nonnegative, got {rho_factor!r}")
         self.q_values = q_values
         self.rho_factor = rho_factor

@@ -24,10 +24,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import UsageError
+from .errors import UsageError, _integer, _real
 from .families import CanonicalLink, Poisson
 from .fit import BLOCK, FitControl, _fit_path, _fitted, _Problem, calibrate_coefficients
-from .numerics import _integer, rng_stream
+from .numerics import rng_stream
 
 __all__ = ["SimDesign", "SimReport", "contaminate", "run_study"]
 
@@ -64,21 +64,21 @@ class SimDesign:
     def __post_init__(self):
         self.n, self.reps = _integer(self.n, "n"), _integer(self.reps, "reps")
         self.seed = _integer(self.seed, "seed")
-        if not 0.0 <= self.eps < 1.0:
+        if not 0.0 <= _real(self.eps, "eps") < 1.0:
             raise UsageError("eps must lie in [0, 1)")
-        if not (np.isfinite(self.nu) and self.nu > 0.0):
+        if not (np.isfinite(_real(self.nu, "nu")) and self.nu > 0.0):
             raise UsageError(f"nu must be finite and positive, got {self.nu!r}")
         if self.reps < 1:
             raise UsageError("reps must be at least 1")
         if not self.n > len(self.beta_true) >= 1:
             raise UsageError(f"need n > p >= 1, got n={self.n}, p={len(self.beta_true)}")
-        if not np.all(np.isfinite(self.beta_true)):
+        if not all(np.isfinite(_real(b, "a beta_true entry")) for b in self.beta_true):
             raise UsageError("beta_true must be finite")
         if not 0 <= self.seed < 2**64:
             raise UsageError(f"seed must lie in [0, 2**64), got {self.seed!r}")
         if len(self.q_list) == 0:
             raise UsageError("q_list needs at least one q value")
-        if any(not 0.0 < q <= 1.0 for q in self.q_list):
+        if any(not 0.0 < _real(q, "a q_list entry") <= 1.0 for q in self.q_list):
             raise UsageError("q values must lie in (0, 1]")
         # stored as Python numbers, which the CSV and JSON reports write as
         # such; converted once checked, so that a string is still refused
@@ -109,19 +109,17 @@ class SimReport:
         return "\n".join(lines) + "\n"
 
     def to_json(self):
-        doc = {
-            "schema": SCHEMA,
-            "design": {
-                "n": self.design.n, "eps": self.design.eps, "nu": self.design.nu,
-                "reps": self.design.reps, "q_list": list(self.design.q_list),
-                "beta_true": list(self.design.beta_true), "seed": self.design.seed,
-                "family": "poisson", "include_intercept": self.design.include_intercept,
-                "fixed_x": self.design.fixed_x,
-            },
-            "rows": self.rows,
-            "unreliable": self.unreliable,
+        """Indented JSON led by ``"schema"``, then the other keys sorted."""
+        design = {
+            "n": self.design.n, "eps": self.design.eps, "nu": self.design.nu,
+            "reps": self.design.reps, "q_list": list(self.design.q_list),
+            "beta_true": list(self.design.beta_true), "seed": self.design.seed,
+            "family": "poisson", "include_intercept": self.design.include_intercept,
+            "fixed_x": self.design.fixed_x,
         }
-        return json.dumps(doc, indent=2, sort_keys=True)
+        return json.dumps({"schema": SCHEMA, "design": dict(sorted(design.items())),
+                           "rows": [dict(sorted(r.items())) for r in self.rows],
+                           "unreliable": self.unreliable}, indent=2)
 
 
 def _design_matrix(design, rng):

@@ -18,10 +18,10 @@ from lqglm import (
     bf_test,
     estimate_phi,
     fit_mlq,
-    linear_tests,
     rng_stream,
     score_test,
     select_q_efficiency,
+    wald_test,
 )
 from lqglm.cli import main
 from lqglm.datasets import vaso_path
@@ -251,7 +251,9 @@ class TestHypothesisTest:
         assert code == 0
         data = ModelData(np.column_stack([np.ones(60), x]), y, "gaussian", phi=PROFILE)
         ctl, hyp = FitControl(q=0.9), LinearHypothesis(np.eye(2), [0.5, 1.1])
-        want = linear_tests(data, fit_mlq(data, ctl), hyp, 0.9, ctl)
+        fit = fit_mlq(data, ctl)
+        want = [wald_test(fit, hyp), score_test(data, hyp, 0.9, ctl),
+                bf_test(data, fit, hyp, 0.9, ctl)]
         tests = json.loads(Path(out).read_text())["tests"]
         assert tests == [{"kind": r.kind, "statistic": r.statistic, "dof": r.dof,
                           "p_value": r.p_value} for r in want]
@@ -276,6 +278,35 @@ class TestHypothesisTest:
         assert code == 1
         assert "lqglm: error: " in capsys.readouterr().err
 
+
+    def test_all_lists_the_single_statistics_in_order(self, vaso_csv, tmp_path):
+        (tmp_path / "H.csv").write_text("0.0,0.0,1.0\n")
+        (tmp_path / "h.csv").write_text("0.0\n")
+        tests = {}
+        for stat in ("all", "wald", "score", "bf"):
+            out = tmp_path / f"{stat}.json"
+            assert main([
+                "test", "--data", vaso_csv, "--response", "y", "--family", "bernoulli",
+                "--log", "volume,rate", "--q", "0.9", "--stat", stat,
+                "--H", str(tmp_path / "H.csv"), "--h", str(tmp_path / "h.csv"),
+                "--output", str(out),
+            ]) == 0
+            tests[stat] = json.loads(out.read_text())["tests"]
+        assert tests["all"] == tests["wald"] + tests["score"] + tests["bf"]
+
+    @pytest.mark.parametrize("h", ["nan", "inf"])
+    def test_non_finite_h_is_refused(self, h, vaso_csv, tmp_path, capsys):
+        # the statistics once raised "matrix or right-hand side has
+        # non-finite entries", which named neither input
+        (tmp_path / "H.csv").write_text("0,0,1\n")
+        (tmp_path / "h.csv").write_text(f"{h}\n")
+        code = main([
+            "test", "--data", vaso_csv, "--response", "y", "--family", "bernoulli",
+            "--log", "volume,rate", "--q", "0.9",
+            "--H", str(tmp_path / "H.csv"), "--h", str(tmp_path / "h.csv"),
+        ])
+        assert code == 1
+        assert capsys.readouterr().err == "lqglm: error: h has non-finite entries\n"
 
     @pytest.mark.parametrize("stat", ["wald", "score", "bf", "all"])
     def test_hypothesis_of_the_wrong_width_is_refused(self, stat, vaso_csv, tmp_path, capsys):
@@ -586,6 +617,15 @@ def test_cli_fuzz_exits_0_1_or_2(call):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             assert main(argv) in (0, 1, 2)
+
+
+def test_rho_factor_is_refused_by_the_efficiency_method(vaso_csv, capsys):
+    # it was silently ignored: only the stability rule reads it
+    argv = ["selectq", "--data", vaso_csv, "--response", "y", "--log", "volume,rate",
+            "--grid", "0.9:0.05", "--method", "efficiency", "--rho-factor", "7"]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == (
+        "lqglm: error: --rho-factor applies to --method stability only\n")
 
 
 def test_help_exits_0(capsys):

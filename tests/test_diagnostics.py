@@ -27,7 +27,6 @@ from lqglm import (
     fit_mlq,
     get_family,
     influence_fn,
-    linear_tests,
     lq_objective,
     quantile_residuals,
     rng_stream,
@@ -106,8 +105,7 @@ class TestLinearTests:
         lambda data, fit, hyp: wald_test(fit, hyp),
         lambda data, fit, hyp: score_test(data, hyp, fit.q),
         lambda data, fit, hyp: bf_test(data, fit, hyp),
-        lambda data, fit, hyp: linear_tests(data, fit, hyp),
-    ], ids=["wald_test", "score_test", "bf_test", "linear_tests"])
+    ], ids=["wald_test", "score_test", "bf_test"])
     @pytest.mark.parametrize("H", [[[0.0, 1.0]], [[0.0, 1.0, 0.0, 0.0]]], ids=["narrow", "wide"])
     def test_hypothesis_of_the_wrong_width_is_refused(self, call, H, vaso, vaso_79):
         hyp = LinearHypothesis(H, [0.0])
@@ -116,18 +114,6 @@ class TestLinearTests:
                                              "has 3 coefficients$"):
             call(vaso, vaso_79, hyp)
 
-    @pytest.mark.parametrize("q", [0.9, 1.0])
-    def test_linear_tests_equal_the_single_tests(self, poisson_example, q):
-        hyp = LinearHypothesis([[0.0, 1.0, -1.0]], [0.0])
-        ctl = FitControl(q=q)
-        fit = fit_mlq(poisson_example, ctl)
-        together = linear_tests(poisson_example, fit, hyp, q, ctl)
-        apart = (wald_test(fit, hyp), score_test(poisson_example, hyp, q, ctl),
-                 bf_test(poisson_example, fit, hyp, q, ctl))
-        assert [r.kind for r in together] == ["wald", "score", "bilinear"]
-        for a, b in zip(together, apart):
-            assert repr(a) == repr(b)
-
     def test_pvalues_and_dof(self, vaso, vaso_79):
         hyp = LinearHypothesis([[0.0, 1.0, -1.0]], [0.0])
         r = wald_test(vaso_79, hyp)
@@ -135,6 +121,16 @@ class TestLinearTests:
         from lqglm import chi_square_sf
 
         assert r.p_value == chi_square_sf(r.statistic, 1)
+
+    @pytest.mark.parametrize("H,h,name", [
+        ([[0.0, 0.0, 1.0]], [np.nan], "h"), ([[0.0, 0.0, 1.0]], [np.inf], "h"),
+        ([[0.0, np.nan, 1.0]], [0.0], "H"), ([[0.0, 0.0, -np.inf]], [0.0], "H")],
+        ids=["h-nan", "h-inf", "H-nan", "H-inf"])
+    def test_non_finite_hypothesis_is_refused(self, H, h, name):
+        # a non-finite h was accepted and the statistics then raised a
+        # DomainError; a non-finite H raised it from the rank check
+        with pytest.raises(UsageError, match=f"^{name} has non-finite entries$"):
+            LinearHypothesis(H, h)
 
     def test_rank_deficient_H_rejected(self):
         with pytest.raises(UsageError):
@@ -162,8 +158,7 @@ class TestLinearTests:
         fit = fit_mlq(data, ctl)
         assert wald_test(fit, hyp).statistic > 0.0
         for call in (lambda: score_test(data, hyp, 0.8, ctl),
-                     lambda: bf_test(data, fit, hyp, 0.8, ctl),
-                     lambda: linear_tests(data, fit, hyp, 0.8, ctl)):
+                     lambda: bf_test(data, fit, hyp, 0.8, ctl)):
             _constrained_memo.cache_clear()
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
@@ -186,20 +181,21 @@ class TestLinearTests:
             _make_result(np.nan, 1, "score")
         assert _make_result(-1e-17, 1, "score").statistic == 0.0
 
-    def test_score_with_ill_conditioned_sensitivity(self):
+    def test_score_with_ill_conditioned_sensitivity(self, monkeypatch):
         # B_t^-1 A_t B_t^-1 comes out of roundoff asymmetric beyond the
         # Cholesky symmetry check unless it is symmetrized; a 1 x 1
         # H C_t H' cannot show it
         from types import SimpleNamespace
 
-        from lqglm.diagnostics import _score
+        from lqglm import diagnostics
 
         u = np.array([0.9, 0.3])
         B = np.outer(u, u) + np.diag([0.0, 1e-9])
         hyp = LinearHypothesis([[1.3, 0.4], [-1.2, 0.0]], [0.0, 0.0])
         w = SimpleNamespace(psi=np.array([0.1, 0.02]))
+        monkeypatch.setattr(diagnostics, "_constrained_point", lambda *args: (w, 0.6 * B, B))
         try:
-            r = _score(hyp, w, 0.6 * B, B)
+            r = score_test(None, hyp, 0.9)
         except LqglmError:
             return
         assert np.isfinite(r.statistic)
@@ -263,11 +259,21 @@ def _oracle_constrained_point(data, hyp, q, control):
     return _evaluate(data, b0 + N @ res.beta[0], q, float(np.ravel(prob.phi)[0]))
 
 
-def _oracle_tests(data, fit, hyp, q, control):
-    from lqglm.diagnostics import _bf, _score
+def _at_oracle_point(call):
+    """``call()`` with the oracle's constrained point in place of the
+    memoized one."""
+    from unittest import mock
 
-    w, A_t, B_t = _oracle_constrained_point(data, hyp, q, control)
-    return wald_test(fit, hyp), _score(hyp, w, A_t, B_t), _bf(fit, hyp, w, B_t)
+    from lqglm import diagnostics
+
+    with mock.patch.object(diagnostics, "_constrained_point", _oracle_constrained_point):
+        return call()
+
+
+def _oracle_tests(data, fit, hyp, q, control):
+    """The score and bilinear-form results at the oracle's constrained point."""
+    return _at_oracle_point(lambda: (score_test(data, hyp, q, control),
+                                     bf_test(data, fit, hyp, q, control)))
 
 
 def _null_data(family, seed, n=400):
@@ -298,8 +304,7 @@ class TestConstrainedPath:
     def _assert_equal_to_oracle(data, hyp, q):
         control = FitControl(q=q)
         fit = fit_mlq(data, control)
-        wald, score, bf = _oracle_tests(data, fit, hyp, q, control)
-        assert repr(linear_tests(data, fit, hyp, q, control)) == repr((wald, score, bf))
+        score, bf = _oracle_tests(data, fit, hyp, q, control)
         assert repr(score_test(data, hyp, q, control)) == repr(score)
         assert repr(bf_test(data, fit, hyp, q, control)) == repr(bf)
 
@@ -358,8 +363,7 @@ class TestConstrainedPath:
         fit = fit_mlq(data, ctl)
         with pytest.raises(LqglmError) as expected:
             _oracle_tests(data, fit, hyp, 0.8, ctl)
-        for call in (lambda: linear_tests(data, fit, hyp, 0.8, ctl),
-                     lambda: score_test(data, hyp, 0.8, ctl),
+        for call in (lambda: score_test(data, hyp, 0.8, ctl),
                      lambda: bf_test(data, fit, hyp, 0.8, ctl)):
             with pytest.raises(LqglmError) as got:
                 call()
@@ -388,7 +392,6 @@ class TestConstrainedPath:
         for _ in range(2):
             score_test(poisson_example, hyp, 0.9, ctl)
             bf_test(poisson_example, fit, hyp, 0.9, ctl)
-            linear_tests(poisson_example, fit, hyp, 0.9, ctl)
         assert calls == {"svd": 1, "fitted": 0}
 
 
@@ -411,8 +414,9 @@ def _singular_statistic_case():
 
 
 class TestConstrainedMemo:
-    """score_test and bf_test called in turn share one constrained fit,
-    keyed by the data and hypothesis objects, q and the loop settings."""
+    """score_test and bf_test called in turn, in either order, share one
+    constrained fit, keyed by the data and hypothesis objects, q and the
+    loop settings."""
 
     @staticmethod
     def _count_fits(monkeypatch):
@@ -429,24 +433,32 @@ class TestConstrainedMemo:
         monkeypatch.setattr(diagnostics, "_fit_path", counted)
         return calls
 
-    def test_score_then_bf_fit_once(self, poisson_example, monkeypatch):
+    def _assert_fit_once(self, data, monkeypatch, bf_first):
         ctl = FitControl(q=0.9)
-        fit = fit_mlq(poisson_example, ctl)
+        fit = fit_mlq(data, ctl)
         hyp = LinearHypothesis([[0.0, 1.0, -1.0]], [0.0])
         calls = self._count_fits(monkeypatch)
-        score = score_test(poisson_example, hyp, 0.9, ctl)
-        bf = bf_test(poisson_example, fit, hyp, 0.9, ctl)
+        if bf_first:
+            bf = bf_test(data, fit, hyp, 0.9, ctl)
+            score = score_test(data, hyp, 0.9, ctl)
+        else:
+            score = score_test(data, hyp, 0.9, ctl)
+            bf = bf_test(data, fit, hyp, 0.9, ctl)
         assert len(calls) == 1
-        _, score_alone, bf_alone = _oracle_tests(poisson_example, fit, hyp, 0.9, ctl)
+        score_alone, bf_alone = _oracle_tests(data, fit, hyp, 0.9, ctl)
         assert repr((score, bf)) == repr((score_alone, bf_alone))
+
+    def test_score_then_bf_fit_once(self, poisson_example, monkeypatch):
+        self._assert_fit_once(poisson_example, monkeypatch, bf_first=False)
+
+    def test_bf_then_score_fit_once(self, poisson_example, monkeypatch):
+        self._assert_fit_once(poisson_example, monkeypatch, bf_first=True)
 
     @pytest.mark.parametrize("field,value,refits", [
         ("data", None, True), ("hyp", None, True), ("q", 0.85, True), ("max_iter", 30, True),
         ("tol", 1e-9, True), ("stop_rule", "coef-psi", True), ("solver", "newton", True),
         ("init", np.zeros(3), False)])
     def test_key(self, poisson_example, monkeypatch, field, value, refits):
-        from lqglm.diagnostics import _score
-
         data, hyp, q = poisson_example, LinearHypothesis([[0.0, 1.0, -1.0]], [0.0]), 0.9
         ctl = FitControl(q=q)
         score_test(data, hyp, q, ctl)
@@ -461,7 +473,7 @@ class TestConstrainedMemo:
         calls = self._count_fits(monkeypatch)
         got = score_test(data, hyp, q, ctl)
         assert len(calls) == refits
-        assert repr(got) == repr(_score(hyp, *_oracle_constrained_point(data, hyp, q, ctl)))
+        assert repr(got) == repr(_at_oracle_point(lambda: score_test(data, hyp, q, ctl)))
 
     @pytest.mark.parametrize("case,fits", [(_separated_fit_case, 2),
                                            (_singular_statistic_case, 1)])
@@ -672,7 +684,7 @@ def test_q_must_be_the_fits(call, vaso, vaso_79):
         call(vaso, vaso_79, 0.8)
 
 
-@pytest.mark.parametrize("call", [bf_test, linear_tests])
+@pytest.mark.parametrize("call", [bf_test], ids=["bf_test"])
 def test_nan_q_disagrees_with_the_fit(call, vaso, vaso_79):
     with pytest.raises(UsageError, match="q disagrees with the supplied fit"):
         call(vaso, vaso_79, LinearHypothesis([[0.0, 0.0, 1.0]], [0.0]), float("nan"))
@@ -941,7 +953,9 @@ class TestBatchedEnvelope:
         (0.95, 0, "at least 10 replicates"), (0.95, -5, "at least 10 replicates"),
         (0.95, 9, "at least 10 replicates"),
         # 10.5 once ended in a bare TypeError from range()
-        (0.95, 10.5, "reps must be an integer, got 10.5")])
+        (0.95, 10.5, "reps must be an integer, got 10.5"),
+        # a string once ended in a bare TypeError from the range check
+        ("0.9", 20, "level must be a real number, got '0.9'")])
     def test_arguments_checked_before_any_refit(self, vaso, vaso_79, monkeypatch, level, reps,
                                                 message):
         from lqglm import diagnostics

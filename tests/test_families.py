@@ -336,6 +336,12 @@ def test_get_link_rejects_unknown(name, message):
         get_link(name)
 
 
+def test_non_numeric_exponent_is_a_usage_error():
+    # "3" % 2 once formatted the string and raised a bare TypeError
+    with pytest.raises(UsageError, match="^exponent must be a real number, got '3'$"):
+        PowerThetaLink("3")
+
+
 @pytest.mark.parametrize("y", [np.inf, np.nan, -1.0, 2.5])
 def test_poisson_support_is_the_finite_nonnegative_integers(y):
     # inf equals its own rounding, so a check by rounding alone let it pass

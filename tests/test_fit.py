@@ -609,6 +609,19 @@ class TestModelData:
         with pytest.raises(UsageError):
             FitControl(q=0.9, stop_rule="bogus")
 
+    @pytest.mark.parametrize("make,message", [
+        (lambda X: ModelData(X, np.zeros(6), "gaussian", phi=None),
+         "phi must be a real number, got None"),
+        (lambda X: FitControl(q="0.5"), "q must be a real number, got '0.5'"),
+        (lambda X: FitControl(tol="1e-8"), "tol must be a real number, got '1e-8'")],
+        ids=["phi", "q", "tol"])
+    def test_non_numeric_setting_is_a_usage_error(self, make, message):
+        from lqglm import UsageError
+
+        # each once ended in a bare TypeError
+        with pytest.raises(UsageError, match=f"^{message}$"):
+            make(np.column_stack([np.ones(6), np.arange(6.0)]))
+
     def test_unknown_init_rejected_when_made(self):
         from lqglm import UsageError
 

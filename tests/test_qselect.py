@@ -270,6 +270,18 @@ class TestGridMechanics:
         assert QGrid(q_min=0.9, step=0.05, rho_factor=0.0).rho_factor == 0.0
 
 
+    @pytest.mark.parametrize("kwargs,message", [
+        ({"q_min": "0.7", "step": 0.01}, "q_min must be a real number, got '0.7'"),
+        ({"rho_factor": "1"}, "rho_factor must be a real number, got '1'")],
+        ids=["q_min", "rho_factor"])
+    def test_non_numeric_setting_is_a_usage_error(self, kwargs, message):
+        # each once ended in the bare TypeError of np.isfinite
+        from lqglm import UsageError
+
+        with pytest.raises(UsageError, match=f"^{message}$"):
+            QGrid(**kwargs)
+
+
 def _outcome(fn, *args):
     """``(result or error, warning texts)`` of a call."""
     import warnings

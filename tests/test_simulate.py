@@ -140,6 +140,26 @@ class TestRunStudy:
         with pytest.raises(UsageError, match=f"{field} must be an integer, got 2.5"):
             SimDesign(**{field: 2.5})
 
+    @pytest.mark.parametrize("field,value,message", [
+        ("nu", "5", "nu must be a real number, got '5'"),
+        ("eps", "0.1", "eps must be a real number, got '0.1'"),
+        ("q_list", ("1",), "a q_list entry must be a real number, got '1'"),
+        ("beta_true", ("1", "1"), "a beta_true entry must be a real number, got '1'")],
+        ids=["nu", "eps", "q_list", "beta_true"])
+    def test_non_numeric_setting_refused(self, field, value, message):
+        # each once ended in a bare TypeError
+        with pytest.raises(UsageError, match=f"^{message}$"):
+            SimDesign(**{field: value})
+
+    def test_json_report_is_led_by_its_schema(self):
+        # sort_keys once wrote "design" first and "schema" third
+        report = run_study(SimDesign(n=20, reps=2, q_list=(1.0,)))
+        doc = json.loads(report.to_json())
+        assert list(doc) == ["schema", "design", "rows", "unreliable"]
+        assert doc["schema"] == "lq-glm/1"
+        assert list(doc["design"]) == sorted(doc["design"])
+        assert all(list(row) == sorted(row) for row in doc["rows"])
+
     def test_numpy_scalars_write_the_reports_of_python_numbers(self):
         # np.float64 once reached the CSV as "np.float64(0.05)" and np.int64
         # made the JSON report fail
