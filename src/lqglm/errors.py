@@ -71,7 +71,8 @@ def _integer(value, what):
 def _real(value, what):
     """``value`` itself if it is a Python or numpy real number (an integer
     included); UsageError otherwise, where a string or None would end in a
-    bare TypeError at its first comparison or arithmetic."""
-    if isinstance(value, Real):
+    bare TypeError at its first comparison or arithmetic, and a ``bool``
+    (a ``numbers.Real``) would pass as 0 or 1."""
+    if isinstance(value, Real) and not isinstance(value, bool):
         return value
     raise UsageError(f"{what} must be a real number, got {value!r}")

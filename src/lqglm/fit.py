@@ -85,13 +85,19 @@ class _Problem(NamedTuple):
     def rows(self, keep):
         """The problem restricted to the rows selected by ``keep``; a
         shared design stays the same object."""
-        phi = self.phi if np.ndim(self.phi) == 0 else self.phi[keep]
         X, xx = (self.X, self.xx) if self.X.ndim == 2 else (self.X[keep], self.xx[keep])
-        return self._replace(X=X, xx=xx, y=self.y[keep], phi=phi, c=self.c[keep])
+        return self._replace(X=X, xx=xx, y=self.y[keep], phi=_rows(self.phi, keep),
+                             c=self.c[keep])
 
     def with_phi(self, phi):
         """The problem at dispersion ``phi``."""
         return self._replace(phi=phi, c=self.family.c(self.y, phi))
+
+
+def _rows(v, keep):
+    """The rows ``keep`` of a per-row (R, 1) column ``v``; a float shared
+    by every row is returned as it is."""
+    return v if np.ndim(v) == 0 else v[keep]
 
 
 def _problem(data, phi, y=None):
@@ -375,8 +381,9 @@ class _Irls(NamedTuple):
 
 
 def _step(prob, w, q, newton):
-    """The ascent step of every row at the working point ``w`` and float q,
-    and the Cholesky pivot of its matrix as ``solve_spd_rows`` reports it.
+    """The ascent step of every row at the working point ``w`` and q (a
+    float or an (R, 1) column), and the Cholesky pivot of its matrix as
+    ``solve_spd_rows`` reports it.
 
     Scoring solves ``X' W J X step = psi / phi``.  Newton (canonical
     link only) solves with the observed negative Hessian over phi,
@@ -394,7 +401,7 @@ def _step(prob, w, q, newton):
     if np.count_nonzero(pivot):
         fb = pivot > 0
         sub = prob.rows(fb)
-        W, J = _sensitivity(sub, w.rows(fb), q)
+        W, J = _sensitivity(sub, w.rows(fb), _rows(q, fb))
         step[fb], pivot[fb] = solve_spd_rows(weighted_gram(sub.xx, W * J), rhs[fb])
     return step, pivot
 
@@ -402,18 +409,20 @@ def _step(prob, w, q, newton):
 def _irls(prob, q, beta0, control):
     """Newton-scoring/IRLS on the surrogate scale for every row of ``prob``.
 
-    ``beta0`` is (R, p).  Rows are independent fits sharing q, phi and the
-    loop settings of ``control``; each has its own step halving, stop rule
-    and guards, and a row that stops leaves the compacted active arrays.
+    ``beta0`` is (R, p).  Rows are independent fits sharing the loop
+    settings of ``control``; q, like ``prob.phi``, is a float shared by
+    every row or an (R, 1) column of per-row values.  Each row has its own
+    step halving, stop rule and guards, and a row that stops leaves the
+    compacted active arrays.
     Each accepted point is evaluated once: the line-search evaluation that
     accepts it also gives the next step.
 
     ``control.solver`` picks the step matrix (see ``_step``).  Scoring is
     the default because the paper's reference fits near indeterminacy are
     stopping points of 25-iteration scoring; there it crawls, taking up to
-    66 iterations per q on the vaso grid, where Newton's quadratic
-    convergence takes at most 6.  A q-grid needs every fit converged, not
-    a particular stopping point, so the grid uses Newton.
+    74 iterations per q on the vaso grid from the q = 1 fit, where Newton's
+    quadratic convergence takes at most 9.  A q-grid needs every fit
+    converged, not a particular stopping point, so the grid uses Newton.
     """
     R = len(beta0)
     max_iter, tol = control.max_iter, control.tol
@@ -433,7 +442,7 @@ def _irls(prob, q, beta0, control):
         """Record the active rows ``ended`` as stopped at iteration ``it``
         and drop them from the active arrays; ``message`` and ``converged``
         are one value or one per ended row."""
-        nonlocal idx, beta, psi0_norm, blowup_sq, w, theta_max, prob
+        nonlocal idx, beta, psi0_norm, blowup_sq, w, theta_max, prob, q
         r = idx[ended]
         out.beta[r], out.iterations[r] = beta[ended], it
         out.message[r], out.converged[r] = message, converged
@@ -445,7 +454,7 @@ def _irls(prob, q, beta0, control):
         psi0_norm = None if psi0_norm is None else psi0_norm[keep]
         w = w.rows(keep)
         theta_max = w.theta_max.tolist()
-        prob = prob.rows(keep)
+        prob, q = prob.rows(keep), _rows(q, keep)
 
     def accepts(tw, floor):
         return (tw.theta_max < np.inf) & np.isfinite(tw.objective) & (tw.objective >= floor)
@@ -506,7 +515,7 @@ def _irls(prob, q, beta0, control):
                     lam *= 0.5
                     sub = prob.rows(pending)
                     t = beta[pending] + lam * step[pending]
-                    sw = _working(sub, _predictor(sub, t), q)
+                    sw = _working(sub, _predictor(sub, t), _rows(q, pending))
                     hit = accepts(sw, floor[pending])
                     trial[pending[hit]] = t[hit]
                     for f, g in zip(tw, sw):
@@ -571,6 +580,30 @@ def _fitted(prob, q, res):
     return w, A, B, Binv
 
 
+def _start(base, control):
+    """``(seed, warm, error)``: the start of every row of the stacked
+    ``_Problem`` ``base`` at q < 1, and ``warm``, the q = 1 fit that gave
+    it, or None.
+
+    The start is the explicit ``control.init``, or the q = 1 fit from the
+    classical start; ``error[r]`` is the error of a row whose classical
+    normal equations are singular or whose q = 1 fit failed, and such a
+    row's start is NaN.
+    """
+    R = len(base.y)
+    if not isinstance(control.init, str):
+        beta0 = np.asarray(control.init, dtype=float)
+        if beta0.shape != (base.X.shape[-1],):
+            raise UsageError("explicit init vector has the wrong length")
+        return np.tile(beta0, (R, 1)), None, np.full(R, None, dtype=object)
+    beta0, pivot = _classical_start(base)
+    # _irls reads only the loop settings from the control
+    warm = _irls(base, 1.0, beta0, control)
+    error, singular = warm.error.copy(), pivot > 0
+    error[singular] = [_not_positive_definite(k) for k in pivot[singular].tolist()]
+    return np.where(np.equal(error, None)[:, None], warm.beta, np.nan), warm, error
+
+
 def _fit_path(base, qs, control):
     """Fit every row of the stacked ``_Problem`` ``base`` at each q of the
     descending list ``qs``; returns one ``(prob, res)`` per q.
@@ -579,83 +612,90 @@ def _fit_path(base, qs, control):
     from arrays whose responses the caller has checked (a study or
     envelope block, a constrained fit); these designs are not checked for
     rank, so a rank-deficient row fails at the classical start's pivot.
-    The first q starts from the explicit ``control.init``, or from the
-    classical start followed by the q = 1 fit (the stage of a q of
-    exactly 1).  Each later q starts each row from its last converged,
-    error-free solution, else from that q = 1 fit (the explicit init).
-    A path of Newton steps (``control.solver == "newton"`` on the canonical
-    link, as ``_irls`` takes them) starts the q of index k >= 2 instead from
-    the secant extrapolation ``beta_{k-1} + (beta_{k-1} - beta_{k-2}) (q_k -
-    q_{k-1}) / (q_{k-1} - q_{k-2})`` on the rows whose two previous stages
-    converged without an error (a predictor along the solution path, as in
-    continuation methods): Newton reaches the same root from either start,
-    within its stop rule.  A scoring path keeps the last solution as its
-    start, because its stopping point, not only the root, is the documented
-    result: the reference fits near indeterminacy stop scoring on the
-    objective rule.  ``qs`` decreases strictly.
-    A row whose start failed (singular classical normal equations, or a
-    failed q = 1 fit) keeps that error at every q, and with
+    The first q starts from ``_start``: the explicit ``control.init``, or
+    the q = 1 fit (the stage of a q of exactly 1).  Each later q starts
+    each row from its last converged, error-free solution, else from that
+    start: a study's scoring stopping points on the objective rule are its
+    documented results, and these warm starts are what they were recorded
+    from.  A row whose start failed keeps that error at every q, and with
     ``base.profile`` the dispersion is profiled anew at every q.
     ``prob`` stacks the rows at their dispersion; ``res`` is each row's
     last ``_irls`` outcome, with ``res.error[r]`` what ``fit_mlq`` raises
     on row r before it evaluates the solution, else None.
     """
-    if not isinstance(control.init, str):
-        beta0 = np.asarray(control.init, dtype=float)
-        if beta0.shape != (base.X.shape[-1],):
-            raise UsageError("explicit init vector has the wrong length")
-        seed, warm = np.tile(beta0, (len(base.y), 1)), None
-        error = np.full(len(base.y), None, dtype=object)
-    else:
-        beta0, pivot = _classical_start(base)
-        # _irls reads only the loop settings from the control
-        warm = _irls(base, 1.0, beta0, control)
-        error, singular = warm.error.copy(), pivot > 0
-        error[singular] = [_not_positive_definite(k) for k in pivot[singular].tolist()]
-        seed = np.where(np.equal(error, None)[:, None], warm.beta, np.nan)
+    seed, warm, error = _start(base, control)
     failed = ~np.equal(error, None)
-    secant = control.solver == "newton" and base.link.is_canonical
     path = []
-    for k, q in enumerate(qs):
+    for q in qs:
         if path:
             last = path[-1][1]
             seed = np.where((last.ok & last.converged)[:, None], last.beta, seed)
-        start = seed
-        if secant and k >= 2:
-            prev = path[-2][1]
-            both = prev.ok & prev.converged & last.ok & last.converged
-            t = (q - qs[k - 1]) / (qs[k - 1] - qs[k - 2])
-            start = np.where(both[:, None], last.beta + (last.beta - prev.beta) * t, seed)
-        res = warm if warm is not None and q == 1.0 else _irls(base, q, start, control)
+        res = warm if warm is not None and q == 1.0 else _irls(base, q, seed, control)
         res.error[failed] = error[failed]
         path.append((_profile(base, q, res, control) if base.profile else base, res))
     return path
+
+
+def _fit_grid(data, qs, control):
+    """Yield, in the order of the descending list ``qs``, the FitResult of
+    ``fit_mlq(data, replace(control, q=q))`` at each q, or the LqglmError
+    that it raises instead.
+
+    ``_start`` runs once, and every q below 1 starts from it: each block
+    of at most ``BLOCK`` values is one ``_irls`` batch with an (R, 1)
+    column of q over the one design of ``data``, profiled when the
+    dispersion is, and assembled by ``_results``.  A q of exactly 1 is the
+    warm q = 1 fit itself, as in ``fit_mlq``.  So no value depends on the
+    others, and each equals its ``fit_mlq`` byte for byte up to p = 16
+    columns, and within roundoff beyond, where the batched solves round
+    their last block differently.
+    """
+    base = _problem(data, data.phi, y=data.y[None])
+    seed, warm, error = _start(base, control)
+    n = base.y.shape[-1]
+    for k in range(0, len(qs), BLOCK):
+        block = qs[k:k + BLOCK]
+        R, q = len(block), np.array(block, dtype=float)[:, None]
+        prob = base._replace(y=np.broadcast_to(base.y, (R, n)), c=np.broadcast_to(base.c, (R, n)))
+        head = int(warm is not None and block[0] == 1.0)
+        stages = [warm] if head else []
+        if R > head:
+            stages.append(_irls(prob.rows(slice(head, R)), q[head:],
+                                np.repeat(seed, R - head, axis=0), control))
+        # a copy: the q = 1 fit is not profiled in place
+        res = _Irls(*map(np.concatenate, zip(*stages)))
+        if error[0] is not None:
+            res.error[:] = [error[0]] * R
+        yield from _results(data, block, _profile(prob, q, res, control) if base.profile else prob,
+                            res)
 
 
 def _profile(prob, q, res, control):
     """Alternate beta | phi and phi | beta on each row until its dispersion
     settles, at most 25 rounds.
 
-    ``prob`` is at phi = 1 and ``res`` holds the fits there.  ``res`` is
-    updated in place with each row's last fit; a failed phi search sets
-    the row's error.  Returns the problem at each row's final dispersion,
-    an (R, 1) column.  Rows whose dispersion has settled leave the
-    alternation.
+    ``prob`` is at phi = 1 and ``res`` holds the fits there, at a float q
+    or an (R, 1) column.  ``res`` is updated in place with each row's last
+    fit; a failed phi search sets the row's error.  Returns the problem at
+    each row's final dispersion, an (R, 1) column.  Rows whose dispersion
+    has settled leave the alternation.
     """
     phi = np.ones(len(prob.y))
     live = np.flatnonzero(res.ok)
     for _ in range(25):
         if not live.size:
             break
-        sub = prob.rows(live)
-        phi_new, error = _profile_phi(sub, calibrate(prob.link, _predictor(sub, res.beta[live]), q), q)
+        sub, q_live = prob.rows(live), _rows(q, live)
+        eta_q = calibrate(prob.link, _predictor(sub, res.beta[live]), q_live)
+        phi_new, error = _profile_phi(sub, eta_q, q_live)
         res.error[live] = error
         ok = res.ok[live]
         refit = live[ok & ~(np.abs(np.log(phi_new / phi[live])) < 1e-8)]
         phi[live[ok]] = phi_new[ok]
         if not refit.size:
             break
-        sub = _irls(prob.rows(refit).with_phi(phi[refit, None]), q, res.beta[refit], control)
+        sub = _irls(prob.rows(refit).with_phi(phi[refit, None]), _rows(q, refit), res.beta[refit],
+                    control)
         res.put(refit, sub)
         live = refit[sub.ok]
     return prob.with_phi(phi[:, None])
@@ -675,9 +715,10 @@ def _profile_phi(prob, eta_q, q):
     phi r_i^2) / 2``, kept by bisection between its scan neighbours
     (``rtsafe``, Numerical Recipes 9.4); the highest is the global maximum
     wherever the scan separates the peaks.  Each row stops on its own.
-    Returns ``(phi, error)``: ``error[r]`` is the BracketError (zero
-    residuals, or the maximum within 1e-6 of the bracket edge) or
-    EvaluationError (a scan value not finite) of row r, else None.
+    q is a float or an (R, 1) column.  Returns ``(phi, error)``:
+    ``error[r]`` is the BracketError (zero residuals, or the maximum
+    within 1e-6 of the bracket edge) or EvaluationError (a scan value not
+    finite) of row r, else None.
     """
     fam, y = prob.family, prob.y
     theta = prob.link.k(eta_q)
@@ -691,7 +732,7 @@ def _profile_phi(prob, eta_q, q):
     phi0 = y.shape[-1] / rss[rows]
     lo, hi = np.log(phi0 / PHI_BRACKET), np.log(phi0 * PHI_BRACKET)
     # only phi varies along the scan: y*theta - b is formed once
-    y, yb, r2 = y[rows], (y * theta - b)[rows], r2[rows]
+    y, yb, r2, q = y[rows], (y * theta - b)[rows], r2[rows], _rows(q, rows)
     grid = lo[:, None] + (hi - lo)[:, None] * np.linspace(0.0, 1.0, PHI_SCAN)
     H = np.stack([_profile_objective(fam, y, yb, np.exp(t)[:, None], q) for t in grid.T], axis=-1)
     for i in np.flatnonzero(~np.isfinite(H).all(axis=-1)).tolist():
@@ -713,9 +754,10 @@ def _profile_phi(prob, eta_q, q):
         phi = np.exp(tk)[:, None]
         pr2 = phi * r2[row[live]]
         s = 1.0 - pr2
-        U = np.exp((0.5 * (1.0 - q)) * (np.log(phi / (2.0 * np.pi)) - pr2))
+        qk = _rows(q, row[live])
+        U = np.exp((0.5 * (1.0 - qk)) * (np.log(phi / (2.0 * np.pi)) - pr2))
         g = 0.5 * np.add.reduce(U * s, axis=-1)
-        dg = np.add.reduce(U * ((0.25 * (1.0 - q)) * s * s - 0.5 * pr2), axis=-1)
+        dg = np.add.reduce(U * ((0.25 * (1.0 - qk)) * s * s - 0.5 * pr2), axis=-1)
         a[live] = ak = np.where(g > 0, tk, a[live])
         b[live] = bk = np.where(g > 0, b[live], tk)
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -727,7 +769,8 @@ def _profile_phi(prob, eta_q, q):
         # a row stops on a step below 1e-13 in log(phi), or on one that no longer moves it
         live = live[(np.abs(step[live]) >= 1e-13) & (t[live] != tk)]
     # each row keeps its highest maximum, the first of equal ones
-    order = np.lexsort((-_profile_objective(fam, y[row], yb[row], np.exp(t)[:, None], q), row))
+    order = np.lexsort((-_profile_objective(fam, y[row], yb[row], np.exp(t)[:, None],
+                                            _rows(q, row)), row))
     keep = order[np.diff(row[order], prepend=-1) != 0]
     row, t = row[keep], t[keep]
     for r, tr in zip(row.tolist(), t.tolist()):
@@ -762,50 +805,28 @@ def fit_mlq(data, control=None):
     """
     if control is None:
         control = FitControl()
-    path = _fit_path(_problem(data, data.phi, y=data.y[None]), [control.q], control)
-    fit = next(_results(data, [control.q], path))
+    prob, res = _fit_path(_problem(data, data.phi, y=data.y[None]), [control.q], control)[0]
+    fit = next(_results(data, [control.q], prob, res))
     if isinstance(fit, LqglmError):
         raise fit
     return fit
 
 
-def _results(data, qs, path):
-    """Yield, in the order of ``qs``, the FitResult of each stage of
-    ``path = _fit_path(_problem(data, data.phi, y=data.y[None]), qs, ...)``,
-    or the LqglmError that ``fit_mlq`` raises on that stage instead.
+def _results(data, qs, prob, res):
+    """Yield, in the order of ``qs``, the FitResult of each row of the
+    fits ``(prob, res)`` of ``data`` at the q values ``qs``, one per row,
+    or the LqglmError that ``fit_mlq`` raises on that row instead.
 
-    The stages are assembled in blocks of at most ``BLOCK`` (see
-    ``_assemble``), so a long grid on a large design holds the stacked
-    temporaries of one block at a time.
-    """
-    for k in range(0, len(path), BLOCK):
-        yield from _assemble(data, qs[k:k + BLOCK], path[k:k + BLOCK])
-
-
-def _assemble(data, qs, path):
-    """``_results`` of the stages ``path`` at the q values ``qs``.
-
-    The stages are stacked with one row per q and an (R, 1) column of q,
-    so the solution's working point, ``A_n``, ``B_n`` and ``B_n^{-1}``,
+    The rows' solution working point, ``A_n``, ``B_n`` and ``B_n^{-1}``,
     the calibration and the calibrated working point are each formed once
-    for the block over the one design of ``data``; each row equals its
-    stage evaluated alone.  One stage (every ``fit_mlq``) keeps its
-    problem and its float q, whose scalar paths skip the stacking and the
-    column's ``np.where`` passes.  The sandwich is formed as each result is
-    yielded, so a caller that warns per stage interleaves its warnings
-    with those of an overflowed ``A_n`` as a loop of ``fit_mlq`` would.
+    for the batch, at an (R, 1) column of q over the one design of
+    ``data``; each row equals its fit evaluated alone.  One row (every
+    ``fit_mlq``) keeps its float q, whose scalar paths skip the column's
+    ``np.where`` passes.  The sandwich is formed as each result is
+    yielded, so a caller that warns per row interleaves its warnings with
+    those of an overflowed ``A_n`` as a loop of ``fit_mlq`` would.
     """
-    if len(path) == 1:
-        (prob, res), q = path[0], qs[0]
-    else:
-        probs, stages = zip(*path)
-        first, shape = probs[0], (len(path),)
-        prob = first._replace(
-            y=np.broadcast_to(first.y, shape + first.y.shape[1:]),
-            c=np.concatenate([p.c for p in probs]),
-            phi=first.phi if np.ndim(first.phi) == 0 else np.concatenate([p.phi for p in probs]))
-        res = _Irls(*map(np.concatenate, zip(*stages)))
-        q = np.array(qs, dtype=float)[:, None]
+    q = qs[0] if len(qs) == 1 else np.array(qs, dtype=float)[:, None]
     w, A, B, Binv = _fitted(prob, q, res)
     rows = np.flatnonzero(res.ok)
     if not rows.size:

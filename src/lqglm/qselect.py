@@ -2,14 +2,9 @@
 
 Two data-driven rules are provided: a stability rule based on the movement
 of successive grid estimates, and an efficiency rule minimizing the trace
-of the sandwich covariance.  Both fit the whole grid as one warm-started
-path: the grid head starts from the q = 1 fit, and each later value from
-the surrogate solution of the last converged grid fit, or from the q = 1
-fit while there is none.  With Newton steps (the default) each value
-after the second starts instead from the secant through the last two
-solutions where both converged; a scoring grid keeps the last solution,
-whose stopping point on the objective rule is its documented result
-(see ``fit._fit_path``).
+of the sandwich covariance.  Both fit the whole grid as one batch from the
+q = 1 fit (see ``fit._fit_grid``), so that each grid fit is ``fit_mlq`` at
+its q and no value depends on the others.
 """
 
 import warnings
@@ -18,7 +13,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import LqglmError, SelectionError, UsageError, _real
-from .fit import FitControl, _fit_path, _matrices_ab, _problem, _results, _working
+from .fit import FitControl, _fit_grid, _matrices_ab, _problem, _working
 from .numerics import inv_spd
 
 __all__ = [
@@ -58,7 +53,8 @@ class QGrid:
             if m + 1 > MAX_GRID:
                 raise UsageError(f"grid of {m + 1} values exceeds {MAX_GRID}; use a larger step")
             q_values = np.round(1.0 - step * np.arange(m + 1), 12)
-        q_values = np.asarray(sorted(set(float(q) for q in q_values), reverse=True))
+        q_values = np.asarray(sorted(set(float(_real(q, "a grid value")) for q in q_values),
+                                     reverse=True))
         if not np.all((q_values > 0.0) & (q_values <= 1.0)):
             raise UsageError("grid values must lie in (0, 1]")
         if not 1 <= len(q_values) <= MAX_GRID:
@@ -112,28 +108,23 @@ _GRID_CONTROL = FitControl(max_iter=100, solver="newton")
 
 
 def _grid_fits(data, grid, control, need=3):
-    """Warm-started fits down the grid; non-convergent q's are dropped.
+    """The fit at each grid value; non-convergent q's are dropped.
 
-    One ``_fit_path`` from the warm start, whatever ``control.init`` says,
-    and one ``_results`` assembly of its stages: the grid head starts from
-    the q = 1 fit, each later q from the last converged grid fit, or from
-    the q = 1 fit while there is none; with Newton steps, a q after the
-    second starts from the secant through the two grid fits before it
-    where both converged, and a scoring grid keeps the last fit as start,
-    because its objective-rule stopping point is the documented result.
-    ``control`` defaults to Newton steps with a higher iteration cap than
-    single fits.  The selection rules need every grid point converged, not
-    the stopping point of a capped loop, and near indeterminacy scoring
-    converges only linearly: on vaso the 0.70:0.01 grid takes 334 scoring
-    iterations (66 at q = 0.78) against 78 Newton iterations from the
-    secant starts (102 from the last fit).
+    Each fit is ``fit_mlq(data, replace(control, q=q))`` from the warm
+    start, whatever ``control.init`` says, and ``fit._fit_grid`` fits them
+    all as one batch from the one q = 1 fit.  ``control`` defaults to
+    Newton steps with a higher iteration cap than single fits.  The
+    selection rules need every grid point converged, not the stopping
+    point of a capped loop, and near indeterminacy scoring converges only
+    linearly: on vaso the 0.70:0.01 grid's batch takes 9 Newton
+    iterations, while the default 25 scoring iterations leave 10 of its
+    31 values unconverged.
     Raises SelectionError when fewer than ``need`` fits converge.
     """
     ctl = replace(control if control is not None else _GRID_CONTROL, init="ml-warm-start")
     fits, dropped = {}, {}
     qs = [float(q) for q in grid.q_values]
-    path = _fit_path(_problem(data, data.phi, y=data.y[None]), qs, ctl)
-    for q, fit in zip(qs, _results(data, qs, path)):
+    for q, fit in zip(qs, _fit_grid(data, qs, ctl)):
         if isinstance(fit, LqglmError):  # singular weights etc.: treat as non-convergent
             warnings.warn(f"grid fit at q={q:.4g} failed: {fit}", stacklevel=3)
             dropped[q] = str(fit)

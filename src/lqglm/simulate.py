@@ -85,6 +85,16 @@ class SimDesign:
         self.eps, self.nu = float(self.eps), float(self.nu)
         self.q_list = tuple(float(q) for q in self.q_list)
         self.beta_true = tuple(float(b) for b in self.beta_true)
+        self.include_intercept = _flag(self.include_intercept, "include_intercept")
+        self.fixed_x = _flag(self.fixed_x, "fixed_x")
+
+
+def _flag(value, what):
+    """The ``bool`` of a Python or numpy boolean; UsageError otherwise,
+    where any truthy value (``"no"`` included) would set the flag."""
+    if isinstance(value, (bool, np.bool_)):
+        return bool(value)
+    raise UsageError(f"{what} must be a boolean, got {value!r}")
 
 
 @dataclass

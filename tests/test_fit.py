@@ -613,12 +613,13 @@ class TestModelData:
         (lambda X: ModelData(X, np.zeros(6), "gaussian", phi=None),
          "phi must be a real number, got None"),
         (lambda X: FitControl(q="0.5"), "q must be a real number, got '0.5'"),
-        (lambda X: FitControl(tol="1e-8"), "tol must be a real number, got '1e-8'")],
-        ids=["phi", "q", "tol"])
+        (lambda X: FitControl(tol="1e-8"), "tol must be a real number, got '1e-8'"),
+        (lambda X: FitControl(q=True), "q must be a real number, got True")],
+        ids=["phi", "q", "tol", "q-bool"])
     def test_non_numeric_setting_is_a_usage_error(self, make, message):
         from lqglm import UsageError
 
-        # each once ended in a bare TypeError
+        # each once ended in a bare TypeError, and a bool once passed as q = 1
         with pytest.raises(UsageError, match=f"^{message}$"):
             make(np.column_stack([np.ones(6), np.arange(6.0)]))
 
@@ -939,23 +940,28 @@ class TestSharedDesign:
         assert stacked.X.shape == (2, data.n, data.p) and stacked.xx.shape == (2, m, data.n)
 
     def test_fits_of_one_model_share_its_design(self, vaso, monkeypatch):
-        # fit_mlq, the q-grid and the constrained fit each fit a batch of one
-        # over the design itself (the constrained fit over X N), without a
-        # copy of the design or of the responses
-        from lqglm import QGrid, diagnostics, qselect, select_q_stability
+        # fit_mlq, the q-grid and the constrained fit each start a batch of
+        # one over the design itself (the constrained fit over X N), without
+        # a copy of the design or of the responses, and the grid's batch of
+        # q values shares them too
+        from lqglm import QGrid, select_q_stability
         from lqglm import fit as fit_module
         from lqglm.diagnostics import LinearHypothesis, score_test
 
-        bases = []
+        bases, grid_probs = [], []
+        start, irls = fit_module._start, fit_module._irls
 
-        def recording(fit_path):
-            def record(base, qs, control):
-                bases.append(base)
-                return fit_path(base, qs, control)
-            return record
+        def record_start(base, control):
+            bases.append(base)
+            return start(base, control)
 
-        for module in (fit_module, qselect, diagnostics):
-            monkeypatch.setattr(module, "_fit_path", recording(module._fit_path))
+        def record_irls(prob, q, beta0, control):
+            if np.ndim(q):
+                grid_probs.append(prob)
+            return irls(prob, q, beta0, control)
+
+        monkeypatch.setattr(fit_module, "_start", record_start)
+        monkeypatch.setattr(fit_module, "_irls", record_irls)
         fit_mlq(vaso, FitControl(q=0.9))
         select_q_stability(vaso, QGrid(q_min=0.9, step=0.05))
         hyp = LinearHypothesis(np.array([[0.0, 1.0, -1.0]]), np.zeros(1))
@@ -966,6 +972,8 @@ class TestSharedDesign:
         assert bases[0].X is vaso.X and bases[1].X is vaso.X
         assert bases[2].X.tobytes() == (vaso.X @ hyp.N).tobytes()
         assert bases[2].X.shape == (vaso.n, vaso.p - 1)
+        assert [p.y.shape for p in grid_probs] == [(2, vaso.n)]
+        assert grid_probs[0].X is vaso.X and np.shares_memory(grid_probs[0].y, vaso.y)
 
 
 def _small_profiled_refits(small_profiled, seed=6):
@@ -1062,10 +1070,8 @@ class TestNewtonSolver:
 
 
 class TestPathStarts:
-    """Where ``_fit_path`` starts each q after the first.  A scoring path
-    (every ``run_study`` path) starts from the row's last converged
-    solution; a Newton path starts from the secant through its last two,
-    on the rows whose two previous stages converged without an error."""
+    """Where ``_fit_path`` starts each q after the first: from the row's
+    last converged solution (every ``run_study`` path)."""
 
     QS = [1.0, 0.97, 0.91]
 
@@ -1082,23 +1088,17 @@ class TestPathStarts:
             datas.append(ModelData(X, contaminate(y, 0.25, 5.0, rng)[0], "poisson"))
         return stack(datas)
 
-    def _oracle(self, prob, ctl, secant):
+    def _oracle(self, prob, ctl):
         """One ``_irls`` per q, each started as the class docstring says."""
         from lqglm.fit import _classical_start, _irls
 
         warm = _irls(prob, 1.0, _classical_start(prob)[0], ctl)
         seed, path = warm.beta, []
-        for k, q in enumerate(self.QS):
+        for q in self.QS:
             if path:
                 last = path[-1]
                 seed = np.where((last.ok & last.converged)[:, None], last.beta, seed)
-            start = seed
-            if secant and k >= 2:
-                prev = path[-2]
-                both = (prev.ok & prev.converged & last.ok & last.converged)[:, None]
-                t = (q - self.QS[k - 1]) / (self.QS[k - 1] - self.QS[k - 2])
-                start = np.where(both, last.beta + (last.beta - prev.beta) * t, seed)
-            path.append(warm if q == 1.0 else _irls(prob, q, start, ctl))
+            path.append(warm if q == 1.0 else _irls(prob, q, seed, ctl))
         return path
 
     @staticmethod
@@ -1119,23 +1119,12 @@ class TestPathStarts:
         prob = self._contaminated()
         ctl = FitControl(max_iter=MAX_ITER, tol=TOL)
         path = _fit_path(prob, self.QS, ctl)
-        want = self._oracle(prob, ctl, secant=False)
+        want = self._oracle(prob, ctl)
         for (_, res), ref in zip(path, want):
             self._assert_same(res, ref)
-        # rows that a secant start would have moved
+        # rows whose later starts are their previous solutions
         first, second = want[0], want[1]
         assert np.count_nonzero(first.converged & second.converged) >= 4
-
-    def test_newton_path_starts_from_the_secant(self):
-        from lqglm.fit import _fit_path
-
-        prob = self._contaminated()
-        ctl = FitControl(max_iter=100, solver="newton")
-        path = _fit_path(prob, self.QS, ctl)
-        want = self._oracle(prob, ctl, secant=True)
-        for (_, res), ref in zip(path, want):
-            self._assert_same(res, ref)
-        assert np.count_nonzero(want[0].converged & want[1].converged) >= 4
 
 
 class TestInvariances:

@@ -86,7 +86,7 @@ def test_imports_only_from_lower_layers(module):
     assert upward == []
 
 
-# The fitting core: every fit reaches these through fit._fit_path.
+# The fitting core: every fit reaches these through fit._fit_path or fit._fit_grid.
 FIT_CORE = {"_irls", "_profile", "_classical_start"}
 
 

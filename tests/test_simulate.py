@@ -151,6 +151,18 @@ class TestRunStudy:
         with pytest.raises(UsageError, match=f"^{message}$"):
             SimDesign(**{field: value})
 
+    @pytest.mark.parametrize("field", ["fixed_x", "include_intercept"])
+    def test_flags_must_be_booleans(self, field):
+        # "no" once ran a fixed-X study and was written to the JSON report
+        with pytest.raises(UsageError, match=f"^{field} must be a boolean, got 'no'$"):
+            SimDesign(n=20, reps=2, q_list=(1.0,), **{field: "no"})
+        with pytest.raises(UsageError, match=f"^{field} must be a boolean, got 1$"):
+            SimDesign(n=20, reps=2, q_list=(1.0,), **{field: 1})
+        design = SimDesign(n=20, reps=2, q_list=(1.0,), **{field: np.True_})
+        assert getattr(design, field) is True
+        doc = run_study(design).to_json()
+        assert f'"{field}": true' in doc and json.loads(doc)["design"][field] is True
+
     def test_json_report_is_led_by_its_schema(self):
         # sort_keys once wrote "design" first and "schema" third
         report = run_study(SimDesign(n=20, reps=2, q_list=(1.0,)))

@@ -19,6 +19,15 @@ beside that count it prints per workload whether every discrete output
 ``nonconverged``, ``q_opt``, the envelope's ``failed``) is identical, and
 the largest relative difference ``|a - b| / max(|a|, |b|)`` between the
 two checkouts' float outputs (the summary's ``close`` list).
+
+A change may move only a document that the summary does not read (the
+``selectq`` document's grid fits, say).  So for each written document
+that differs in some op it also prints in how many ops it differs, the
+largest relative difference among its numeric leaves (JSON numbers,
+integers included) with the key path of that leaf, and whether its
+strings, booleans, nulls, list lengths and key sets are identical, which
+are compared exactly.  A
+document that is not JSON is compared as text only.
 """
 
 import argparse
@@ -52,7 +61,8 @@ def emit(checkout, workload, seed, n_ops):
             docs = {name: Path(path).read_text()
                     for name, path in getattr(wl, "outputs", {}).items()}
             summary, problems = wl.inspect(inp, result)
-            out.append({"repr": repr((docs, (summary, problems))), "summary": summary})
+            out.append({"repr": repr((docs, (summary, problems))), "summary": summary,
+                        "docs": docs})
     print(json.dumps(out))
 
 
@@ -74,6 +84,42 @@ def relative_difference(a, b):
     if a != a or b != b:
         return float("inf")
     return abs(a - b) / max(abs(a), abs(b))
+
+
+def leaf_difference(a, b, path=""):
+    """``(largest, where, same)`` of two parsed JSON values: the largest
+    relative difference between their numeric leaves, the key path of the
+    first leaf that reaches it (``""`` when every leaf is equal), and
+    whether everything else (strings, booleans, nulls, list lengths, key
+    sets) is identical."""
+    number = (int, float)
+    if isinstance(a, bool) or isinstance(b, bool) or not (
+            isinstance(a, number) and isinstance(b, number)):
+        if isinstance(a, dict) and isinstance(b, dict):
+            pairs = [(k, a[k], b[k]) for k in a if k in b]
+            same = a.keys() == b.keys()
+        elif isinstance(a, list) and isinstance(b, list):
+            pairs, same = list(zip(range(len(a)), a, b)), len(a) == len(b)
+        else:
+            return 0.0, "", type(a) is type(b) and a == b
+        largest, where = 0.0, ""
+        for k, x, y in pairs:
+            d, at, s = leaf_difference(x, y, f"{path}/{k}")
+            if d > largest:
+                largest, where = d, at
+            same = same and s
+        return largest, where, same
+    d = relative_difference(a, b)
+    return d, path if d else "", True
+
+
+def document_difference(a, b):
+    """``leaf_difference`` of two documents' texts; ``(0.0, "", False)``
+    when either is not JSON (and the texts differ)."""
+    try:
+        return leaf_difference(json.loads(a), json.loads(b))
+    except ValueError:
+        return 0.0, "", False
 
 
 def seed_list(text):
@@ -101,12 +147,24 @@ def main(argv=None):
     differing = 0
     for workload in args.workload or list(OPS):
         n_ops, ops, diff, discrete, largest = OPS[workload], 0, 0, 0, 0.0
+        # name: [differing ops, largest leaf difference, its key path, rest identical]
+        documents = {}
         for seed in args.seeds:
             a = outputs(args.parent, workload, seed, n_ops)
             b = outputs(args.change, workload, seed, n_ops)
             ops += len(a)
             diff += sum(x["repr"] != y["repr"] for x, y in zip(a, b)) + abs(len(a) - len(b))
             for x, y in zip(a, b):
+                for name in sorted(x["docs"].keys() | y["docs"].keys()):
+                    da, db = x["docs"].get(name), y["docs"].get(name)
+                    if da != db:
+                        d, at, same = ((0.0, "", False) if None in (da, db)
+                                       else document_difference(da, db))
+                        entry = documents.setdefault(name, [0, 0.0, "", True])
+                        entry[0] += 1
+                        if d > entry[1]:
+                            entry[1], entry[2] = d, at
+                        entry[3] = entry[3] and same
                 sx, sy = x["summary"], y["summary"]
                 discrete += sx["exact"] != sy["exact"]
                 if len(sx["close"]) == len(sy["close"]):
@@ -117,6 +175,11 @@ def main(argv=None):
               + ("every discrete output identical" if not discrete
                  else f"{discrete} ops with a different discrete output")
               + f"; largest relative float difference {largest:.2g}")
+        for name, (count, d, at, same) in documents.items():
+            print(f"  document {name}: differs in {count} ops; largest relative difference of "
+                  f"a numeric leaf {d:.2g}" + (f" (at {at})" if at else "")
+                  + "; strings, booleans, nulls, list lengths and keys "
+                  + ("identical" if same else "differ"))
         differing += diff
     return 1 if differing else 0
 
