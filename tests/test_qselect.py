@@ -658,7 +658,7 @@ class TestBatchedGridAssembly:
 
 # The full grids whose sub-grids TestNoPathDependence draws.
 _SUBGRID_CASES = {
-    "vaso": (lambda: _GRID_DATA["vaso"](vaso_model_data()), QGrid(q_min=0.70, step=0.01)),
+    "vaso": (vaso_model_data, QGrid(q_min=0.70, step=0.01)),
     "poisson-75": (lambda: _failing_grid_data("poisson", 75), QGrid(q_min=0.5, step=0.05)),
 }
 
