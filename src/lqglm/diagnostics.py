@@ -35,7 +35,7 @@ from .fit import (
     BLOCK,
     FitControl,
     _evaluate,
-    _fit_path,
+    _fit,
     _fitted,
     _hat,
     _predictor,
@@ -229,7 +229,7 @@ def _constrained_memo(data, hyp, control):
     # X N keeps the full rank of X for an orthonormal N, and y was checked
     base = _Problem.build(data.family, data.link, data.X @ hyp.N, data.y[None], data.phi,
                           data.X @ b0)
-    prob, res = _fit_path(base, [q], control)[0]
+    prob, res = _fit(base, q, control)
     if res.error[0] is not None:
         raise res.error[0]
     return _evaluate(data, b0 + hyp.N @ res.beta[0], q, float(np.ravel(prob.phi)[0]))
@@ -482,7 +482,7 @@ def _envelope_block(data, fit, kind, rows, seed, control):
     if not ys:
         return np.empty((0, data.n)), failed, 0, np.zeros(0, dtype=int)
     block = _problem(data, data.phi, y=np.array(ys))
-    prob, res = _fit_path(block, [control.q], control)[0]
+    prob, res = _fit(block, control.q, control)
     w = _fitted(prob, control.q, res)[0]
     ok = res.ok
     sub, eta_star = prob.rows(ok), w.eta[ok]

@@ -61,11 +61,14 @@ class SelectionError(LqglmError, RuntimeError):
 def _integer(value, what):
     """``operator.index(value)``: the ``int`` of a Python or numpy integer.
     UsageError otherwise, since a float would truncate (a seed onto another
-    seed's stream, a count onto a smaller one)."""
-    try:
-        return index(value)
-    except TypeError:
-        raise UsageError(f"{what} must be an integer, got {value!r}") from None
+    seed's stream, a count onto a smaller one) and a ``bool`` (an ``int``)
+    would pass as 0 or 1."""
+    if not isinstance(value, bool):
+        try:
+            return index(value)
+        except TypeError:
+            pass
+    raise UsageError(f"{what} must be an integer, got {value!r}")
 
 
 def _real(value, what):

@@ -604,36 +604,34 @@ def _start(base, control):
     return np.where(np.equal(error, None)[:, None], warm.beta, np.nan), warm, error
 
 
-def _fit_path(base, qs, control):
-    """Fit every row of the stacked ``_Problem`` ``base`` at each q of the
-    descending list ``qs``; returns one ``(prob, res)`` per q.
+def _fit(base, q, control, start=None):
+    """Fit every row of the stacked ``_Problem`` ``base`` at q, a float or
+    a descending (R, 1) column; returns ``(prob, res)``: the rows at their
+    dispersion, and each row's ``_irls`` outcome, with ``res.error[r]``
+    what ``fit_mlq`` raises on row r before it evaluates the solution.
 
-    The rows are fitted as one batch.  ``base`` is a ModelData's, or built
-    from arrays whose responses the caller has checked (a study or
-    envelope block, a constrained fit); these designs are not checked for
-    rank, so a rank-deficient row fails at the classical start's pivot.
-    The first q starts from ``_start``: the explicit ``control.init``, or
-    the q = 1 fit (the stage of a q of exactly 1).  Each later q starts
-    each row from its last converged, error-free solution, else from that
-    start: a study's scoring stopping points on the objective rule are its
-    documented results, and these warm starts are what they were recorded
-    from.  A row whose start failed keeps that error at every q, and with
-    ``base.profile`` the dispersion is profiled anew at every q.
-    ``prob`` stacks the rows at their dispersion; ``res`` is each row's
-    last ``_irls`` outcome, with ``res.error[r]`` what ``fit_mlq`` raises
-    on row r before it evaluates the solution, else None.
+    ``base`` is a ModelData's, or built from arrays whose responses the
+    caller has checked (a study or envelope block, a constrained fit) but
+    not their rank: a rank-deficient row fails at the classical start.
+    Every row starts from ``start = (seed, warm, error)``, by default
+    ``_start(base, control)``.  A row at q = 1 exactly (only a column's
+    head row can be) takes a copy of its warm fit, so ``_profile`` never
+    edits a shared start.  A row whose start failed keeps that error, and
+    a profiled ``base`` is profiled.
     """
-    seed, warm, error = _start(base, control)
+    seed, warm, error = _start(base, control) if start is None else start
+    R = len(seed)
+    head = 0 if warm is None or np.ravel(q)[0] != 1.0 else R if np.ndim(q) == 0 else 1
+    if not head:
+        res = _irls(base, q, seed, control)
+    else:
+        stages = [[f[:head] for f in warm]]
+        if head < R:
+            stages.append(_irls(base.rows(slice(head, R)), q[head:], seed[head:], control))
+        res = _Irls(*map(np.concatenate, zip(*stages)))
     failed = ~np.equal(error, None)
-    path = []
-    for q in qs:
-        if path:
-            last = path[-1][1]
-            seed = np.where((last.ok & last.converged)[:, None], last.beta, seed)
-        res = warm if warm is not None and q == 1.0 else _irls(base, q, seed, control)
-        res.error[failed] = error[failed]
-        path.append((_profile(base, q, res, control) if base.profile else base, res))
-    return path
+    res.error[failed] = error[failed]
+    return (_profile(base, q, res, control) if base.profile else base), res
 
 
 def _fit_grid(data, qs, control):
@@ -641,33 +639,23 @@ def _fit_grid(data, qs, control):
     ``fit_mlq(data, replace(control, q=q))`` at each q, or the LqglmError
     that it raises instead.
 
-    ``_start`` runs once, and every q below 1 starts from it: each block
-    of at most ``BLOCK`` values is one ``_irls`` batch with an (R, 1)
-    column of q over the one design of ``data``, profiled when the
-    dispersion is, and assembled by ``_results``.  A q of exactly 1 is the
-    warm q = 1 fit itself, as in ``fit_mlq``.  So no value depends on the
-    others, and each equals its ``fit_mlq`` byte for byte up to p = 16
-    columns, and within roundoff beyond, where the batched solves round
-    their last block differently.
+    ``_start`` runs once, and each block of at most ``BLOCK`` values is
+    one ``_fit`` from it at an (R, 1) column of q, assembled by
+    ``_results``.  So no value depends on the others, and each equals its
+    ``fit_mlq`` byte for byte up to p = 16 columns, and within roundoff
+    beyond, where the batched solves round their last block differently.
     """
     base = _problem(data, data.phi, y=data.y[None])
     seed, warm, error = _start(base, control)
     n = base.y.shape[-1]
     for k in range(0, len(qs), BLOCK):
         block = qs[k:k + BLOCK]
-        R, q = len(block), np.array(block, dtype=float)[:, None]
+        R = len(block)
         prob = base._replace(y=np.broadcast_to(base.y, (R, n)), c=np.broadcast_to(base.c, (R, n)))
-        head = int(warm is not None and block[0] == 1.0)
-        stages = [warm] if head else []
-        if R > head:
-            stages.append(_irls(prob.rows(slice(head, R)), q[head:],
-                                np.repeat(seed, R - head, axis=0), control))
-        # a copy: the q = 1 fit is not profiled in place
-        res = _Irls(*map(np.concatenate, zip(*stages)))
-        if error[0] is not None:
-            res.error[:] = [error[0]] * R
-        yield from _results(data, block, _profile(prob, q, res, control) if base.profile else prob,
-                            res)
+        # the start, broadcast to the block's rows (of warm, only a head row at q = 1 is read)
+        start = (np.broadcast_to(seed, (R, seed.shape[1])), warm, np.broadcast_to(error, R))
+        yield from _results(data, block, *_fit(prob, np.array(block, dtype=float)[:, None],
+                                                control, start))
 
 
 def _profile(prob, q, res, control):
@@ -805,7 +793,7 @@ def fit_mlq(data, control=None):
     """
     if control is None:
         control = FitControl()
-    prob, res = _fit_path(_problem(data, data.phi, y=data.y[None]), [control.q], control)[0]
+    prob, res = _fit(_problem(data, data.phi, y=data.y[None]), control.q, control)
     fit = next(_results(data, [control.q], prob, res))
     if isinstance(fit, LqglmError):
         raise fit

@@ -213,14 +213,14 @@ class TestHypothesisTest:
         from lqglm import diagnostics, fit
 
         calls = []
-        fit_path = fit._fit_path
+        original = fit._fit
 
         def counted(*args, **kwargs):
             calls.append(1)
-            return fit_path(*args, **kwargs)
+            return original(*args, **kwargs)
 
-        monkeypatch.setattr(fit, "_fit_path", counted)
-        monkeypatch.setattr(diagnostics, "_fit_path", counted)
+        monkeypatch.setattr(fit, "_fit", counted)
+        monkeypatch.setattr(diagnostics, "_fit", counted)
         (tmp_path / "H.csv").write_text("0.0,0.0,1.0\n")
         (tmp_path / "h.csv").write_text("0.0\n")
         code = main([

@@ -237,7 +237,7 @@ def _oracle_constrained_point(data, hyp, q, control):
     result is discarded, then the evaluation on the full design."""
     from dataclasses import replace
 
-    from lqglm.fit import _evaluate, _fit_path, _fitted
+    from lqglm.fit import _evaluate, _fit, _fitted
     from lqglm.numerics import solve_spd
 
     if not data.link.is_canonical:
@@ -252,7 +252,7 @@ def _oracle_constrained_point(data, hyp, q, control):
     reduced = ModelData(data.X @ N, data.y, data.family, data.link, data.phi)
     ctl = replace(control if control is not None else FitControl(), q=q,
                   init="ml-warm-start")
-    prob, res = _fit_path(stack([reduced])._replace(offset=data.X @ b0), [q], ctl)[0]
+    prob, res = _fit(stack([reduced])._replace(offset=data.X @ b0), q, ctl)
     _fitted(prob, q, res)
     if res.error[0] is not None:
         raise res.error[0]
@@ -423,14 +423,14 @@ class TestConstrainedMemo:
         from lqglm import diagnostics, fit as fit_module
 
         calls = []
-        fit_path = fit_module._fit_path
+        fit = fit_module._fit
 
         def counted(*args, **kwargs):
             calls.append(1)
-            return fit_path(*args, **kwargs)
+            return fit(*args, **kwargs)
 
-        monkeypatch.setattr(fit_module, "_fit_path", counted)
-        monkeypatch.setattr(diagnostics, "_fit_path", counted)
+        monkeypatch.setattr(fit_module, "_fit", counted)
+        monkeypatch.setattr(diagnostics, "_fit", counted)
         return calls
 
     def _assert_fit_once(self, data, monkeypatch, bf_first):
@@ -828,6 +828,9 @@ class TestEnvelope:
         # 2.9 once truncated to seed 2's streams and returned its bands
         with pytest.raises(UsageError, match="seed must be an integer, got 2.9"):
             simulation_envelope(vaso, vaso_79, kind="standardized", reps=20, seed=2.9)
+        # True once drew seed 1's replicates
+        with pytest.raises(UsageError, match="^seed must be an integer, got True$"):
+            simulation_envelope(vaso, vaso_79, kind="standardized", reps=20, seed=True)
 
     def test_vaso_outliers_leave_envelope(self, vaso, vaso_79):
         env = simulation_envelope(vaso, vaso_79, kind="standardized", reps=100, seed=7)
@@ -954,6 +957,7 @@ class TestBatchedEnvelope:
         (0.95, 9, "at least 10 replicates"),
         # 10.5 once ended in a bare TypeError from range()
         (0.95, 10.5, "reps must be an integer, got 10.5"),
+        (0.95, True, "reps must be an integer, got True"),
         # a string once ended in a bare TypeError from the range check
         ("0.9", 20, "level must be a real number, got '0.9'")])
     def test_arguments_checked_before_any_refit(self, vaso, vaso_79, monkeypatch, level, reps,
@@ -963,7 +967,7 @@ class TestBatchedEnvelope:
         def no_refit(*args):
             raise AssertionError("refit before the argument checks")
 
-        monkeypatch.setattr(diagnostics, "_fit_path", no_refit)
+        monkeypatch.setattr(diagnostics, "_fit", no_refit)
         with pytest.raises(UsageError, match=message):
             simulation_envelope(vaso, vaso_79, reps=reps, level=level)
 
@@ -1008,13 +1012,13 @@ class TestBatchedEnvelope:
         # itself, not over a copy or a stacked view of it per replicate
         from lqglm import diagnostics
 
-        blocks, fit_path = [], diagnostics._fit_path
+        blocks, fit = [], diagnostics._fit
 
-        def recording(base, qs, control):
+        def recording(base, q, control):
             blocks.append(base)
-            return fit_path(base, qs, control)
+            return fit(base, q, control)
 
-        monkeypatch.setattr(diagnostics, "_fit_path", recording)
+        monkeypatch.setattr(diagnostics, "_fit", recording)
         simulation_envelope(vaso, vaso_79, kind="deviance", reps=70, seed=3)
         assert [b.y.shape for b in blocks] == [(64, vaso.n), (6, vaso.n)]
         for b in blocks:

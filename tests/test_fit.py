@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.optimize import minimize
@@ -16,6 +16,7 @@ from lqglm import (
     FitControl,
     ModelData,
     PowerThetaLink,
+    SimDesign,
     calibrate,
     calibrate_coefficients,
     estimate_phi,
@@ -641,6 +642,9 @@ class TestModelData:
         # 2.5 once ended in a bare TypeError from range() inside the fit
         with pytest.raises(UsageError, match="max_iter must be an integer, got 2.5"):
             FitControl(max_iter=2.5)
+        # True was once stored as the cap, 1
+        with pytest.raises(UsageError, match="^max_iter must be an integer, got True$"):
+            FitControl(max_iter=True)
         assert fit_mlq(vaso, FitControl(max_iter=np.int64(0))).iterations == 0  # numpy passes
         # a cap of 0 stays valid: the fit stops at its start
         fit = fit_mlq(vaso, FitControl(max_iter=0))
@@ -809,8 +813,11 @@ class TestBatchedCore:
             assert repr(batch.error[r]) == repr(alone.error[0])
 
     def test_failed_start_keeps_its_error_at_every_q(self, monkeypatch):
+        # the study's block: replicate 1 fails at the classical start, and
+        # every q-stage keeps that error while the other rows fit
         from lqglm import fit as fit_module
         from lqglm.numerics import _not_positive_definite
+        from lqglm.simulate import MAX_ITER, TOL
 
         start = fit_module._classical_start
 
@@ -820,12 +827,15 @@ class TestBatchedCore:
             return beta, pivot
 
         monkeypatch.setattr(fit_module, "_classical_start", singular_row_1)
-        rng = rng_stream(5, 1)
-        datas = [_random_data("bernoulli", rng)[0] for _ in range(3)]
-        for _, res in fit_module._fit_path(stack(datas), [1.0, 0.9, 0.8],
-                                           FitControl(max_iter=50)):
+        qs = [1.0, 0.9, 0.8]
+        stages, estimates = _study_stages(monkeypatch, SimDesign(n=50, reps=3, q_list=qs, seed=5))
+        want = _chained_oracle(stages[0][1], qs, FitControl(max_iter=MAX_ITER, tol=TOL))
+        assert [q for q, _, _ in stages] == qs
+        for (_, _, res), ref in zip(stages, want):
+            _assert_same_irls(res, ref)
             assert repr(res.error[1]) == repr(_not_positive_definite(2))
             assert res.error[0] is None and res.error[2] is None
+        assert np.isnan(estimates[1]).all()
 
     def test_put_moves_whole_rows(self):
         from lqglm.fit import _irls
@@ -874,11 +884,11 @@ class TestBatchedCore:
         # profiled Gaussian refits at n = 6 and q = 0.5: replicate 11 converges
         # but its B_n is singular to roundoff, whichever order sums it, and
         # replicate 9 fails in the dispersion search
-        from lqglm.fit import _fit_path, _fitted
+        from lqglm.fit import _fit, _fitted
 
         datas, ctl = _small_profiled_refits(small_profiled, seed=14)
         for _ in summation_orders():
-            prob, res = _fit_path(stack(datas), [0.5], ctl)[0]
+            prob, res = _fit(stack(datas), 0.5, ctl)
             assert res.error[11] is None
             _fitted(prob, 0.5, res)
             kinds = self._assert_fit_mlq_errors(res, datas, [ctl] * len(datas))
@@ -1040,7 +1050,7 @@ class TestNewtonSolver:
         # on the way to the solution; only those iterations call the
         # scoring matrix
         from lqglm import fit
-        from lqglm.fit import _fit_path, _irls
+        from lqglm.fit import _fit, _irls
 
         rng = rng_stream(5, 0)
         X = np.column_stack([np.ones(20), rng.uniform(-1.0, 1.0, size=20)])
@@ -1049,7 +1059,7 @@ class TestNewtonSolver:
         data = ModelData(X, y, "poisson")
         prob = stack([data])
         ctl = FitControl(q=0.5, stop_rule="coef-psi", max_iter=100, solver="newton")
-        beta0 = _fit_path(prob, [1.0], ctl)[0][1].beta  # the q = 1 warm start
+        beta0 = _fit(prob, 1.0, ctl)[1].beta  # the q = 1 warm start
         calls = []
         sensitivity = fit._sensitivity
         monkeypatch.setattr(fit, "_sensitivity",
@@ -1069,59 +1079,83 @@ class TestNewtonSolver:
             FitControl(solver="bogus")
 
 
+def _study_stages(monkeypatch, design):
+    """Run ``simulate._replicates`` on every replicate of ``design`` as one
+    block; returns its q-stages ``(q, base, res)``, recorded through a
+    wrapper of ``fit._fit`` with ``res`` copied as ``_fit`` returned it
+    (before ``_fitted`` adds its B_n verdicts), and the block's estimates."""
+    from lqglm import simulate
+    from lqglm.fit import _Irls
+
+    stages, fit = [], simulate._fit
+
+    def recording(base, q, control, start):
+        prob, res = fit(base, q, control, start)
+        stages.append((q, base, _Irls(*(f.copy() for f in res))))
+        return prob, res
+
+    monkeypatch.setattr(simulate, "_fit", recording)
+    return stages, simulate._replicates(design, range(design.reps))
+
+
+def _chained_oracle(prob, qs, ctl):
+    """One ``_irls`` per q of the descending ``qs``, each started as
+    ``TestPathStarts`` says; a row whose start failed keeps its error, and
+    its later starts are NaN."""
+    from lqglm.fit import _classical_start, _irls
+    from lqglm.numerics import _not_positive_definite
+
+    beta0, pivot = _classical_start(prob)
+    warm = _irls(prob, 1.0, beta0, ctl)
+    error = warm.error.copy()
+    for r in np.flatnonzero(pivot).tolist():
+        error[r] = _not_positive_definite(pivot[r])
+    failed = ~np.equal(error, None)
+    seed, path = np.where(failed[:, None], np.nan, warm.beta), []
+    for q in qs:
+        if path:
+            last = path[-1]
+            seed = np.where((last.ok & last.converged)[:, None], last.beta, seed)
+        res = warm if q == 1.0 else _irls(prob, q, seed, ctl)
+        res.error[failed] = error[failed]
+        path.append(res)
+    return path
+
+
+def _assert_same_irls(got, want):
+    for name, a, b in zip(got._fields, got, want):
+        assert a.dtype == b.dtype and a.shape == b.shape, name
+        if a.dtype == object:
+            assert list(map(repr, a)) == list(map(repr, b)), name
+        else:
+            assert a.tobytes() == b.tobytes(), name
+
+
 class TestPathStarts:
-    """Where ``_fit_path`` starts each q after the first: from the row's
-    last converged solution (every ``run_study`` path)."""
+    """Where ``simulate._replicates`` starts each q after the first: from
+    the row's last converged solution (every ``run_study`` block)."""
 
     QS = [1.0, 0.97, 0.91]
 
-    @staticmethod
-    def _contaminated(reps=8):
-        # the mc_contam shape: Poisson n = 400, a quarter of responses x 5
-        from lqglm import contaminate
-
-        datas = []
-        for r in range(reps):
-            rng = rng_stream(3, r)
-            X = rng.uniform(size=(400, 3))
-            y = rng.poisson(np.exp(X @ np.ones(3))).astype(float)
-            datas.append(ModelData(X, contaminate(y, 0.25, 5.0, rng)[0], "poisson"))
-        return stack(datas)
-
-    def _oracle(self, prob, ctl):
-        """One ``_irls`` per q, each started as the class docstring says."""
-        from lqglm.fit import _classical_start, _irls
-
-        warm = _irls(prob, 1.0, _classical_start(prob)[0], ctl)
-        seed, path = warm.beta, []
-        for q in self.QS:
-            if path:
-                last = path[-1]
-                seed = np.where((last.ok & last.converged)[:, None], last.beta, seed)
-            path.append(warm if q == 1.0 else _irls(prob, q, seed, ctl))
-        return path
-
-    @staticmethod
-    def _assert_same(got, want):
-        for name, a, b in zip(got._fields, got, want):
-            assert a.dtype == b.dtype and a.shape == b.shape, name
-            if a.dtype == object:
-                assert list(map(repr, a)) == list(map(repr, b)), name
-            else:
-                assert a.tobytes() == b.tobytes(), name
-
-    def test_scoring_path_starts_from_the_last_solution(self):
+    def test_scoring_path_starts_from_the_last_solution(self, monkeypatch):
         # byte for byte: the objective rule's stopping points of scoring
         # are the documented results, so its starts must not move
-        from lqglm.fit import _fit_path
         from lqglm.simulate import MAX_ITER, TOL
 
-        prob = self._contaminated()
-        ctl = FitControl(max_iter=MAX_ITER, tol=TOL)
-        path = _fit_path(prob, self.QS, ctl)
-        want = self._oracle(prob, ctl)
-        for (_, res), ref in zip(path, want):
-            self._assert_same(res, ref)
+        # the mc_contam shape: Poisson n = 400, a quarter of responses x 5;
+        # the q values are fitted in descending order whatever their order
+        design = SimDesign(n=400, eps=0.25, nu=5.0, reps=8, q_list=(0.97, 1.0, 0.91), seed=3)
+        stages, estimates = _study_stages(monkeypatch, design)
+        assert [q for q, _, _ in stages] == self.QS
+        prob = stages[0][1]
+        assert all(base is prob for _, base, _ in stages)
+        want = _chained_oracle(prob, self.QS, FitControl(max_iter=MAX_ITER, tol=TOL))
+        for (q, _, res), ref in zip(stages, want):
+            _assert_same_irls(res, ref)
+            got = estimates[:, design.q_list.index(q)]
+            good = ~np.isnan(got).any(axis=1)
+            assert not (good & ~(ref.ok & ref.converged)).any()
+            assert got[good].tobytes() == (q * ref.beta[good]).tobytes()
         # rows whose later starts are their previous solutions
         first, second = want[0], want[1]
         assert np.count_nonzero(first.converged & second.converged) >= 4
@@ -1143,8 +1177,11 @@ class TestInvariances:
         factors = np.r_[1.0, scale]
         ctl = FitControl(q=q, stop_rule="coef-psi", tol=1e-10, max_iter=500)
         base = fit_mlq(ModelData(X, y, family_name), ctl)
+        # a nearly separated draw (Bernoulli at n = 30, say) may have no
+        # converging fit to rescale: seed 1483 ran to the cap
+        assume(base.converged)
         scaled = fit_mlq(ModelData(X * factors, y, family_name), ctl)
-        assert base.converged and scaled.converged
+        assert scaled.converged
         assert_allclose(scaled.beta_star * factors, base.beta_star, rtol=0,
                         atol=1e-8 * np.max(np.abs(base.beta_star)))
 
@@ -1422,11 +1459,11 @@ class TestBatchedProfile:
         # the objective peaks inside the bracket, dips, and rises again to
         # the upper edge (one residual is 0.003), so its slope is positive at
         # both ends of the bracket
-        from lqglm.fit import _fit_path
+        from lqglm.fit import _fit
 
         datas, ctl = _small_profiled_refits(small_profiled)
         data, q = datas[0], 0.5
-        beta_q = q * _fit_path(stack([data]), [q], ctl)[0][1].beta[0]
+        beta_q = q * _fit(stack([data]), q, ctl)[1].beta[0]
         phi_hat = estimate_phi(data, beta_q, q)
         assert_allclose(phi_hat, 8916.67, rtol=1e-6)
 

@@ -86,7 +86,7 @@ def test_imports_only_from_lower_layers(module):
     assert upward == []
 
 
-# The fitting core: every fit reaches these through fit._fit_path or fit._fit_grid.
+# The fitting core: every fit reaches these through fit._start and fit._fit.
 FIT_CORE = {"_irls", "_profile", "_classical_start"}
 
 
@@ -114,6 +114,27 @@ def test_checker_finds_a_core_name():
                          ids=lambda p: p.name)
 def test_only_fit_names_the_fitting_core(path):
     assert _names(path.read_text()) & FIT_CORE == set()
+
+
+def _readers(source, name):
+    """The top-level definitions of a source file that read ``name`` (a
+    call, or a reference that could alias it); a statement outside any
+    definition counts as ``"<module>"``."""
+    return {getattr(node, "name", "<module>") for node in ast.parse(source).body
+            if any(isinstance(n, ast.Name) and n.id == name for n in ast.walk(node))}
+
+
+def test_checker_finds_a_reader():
+    source = ("def a():\n    _irls(1)\n\ndef b():\n    run = _irls\n\n"
+              "def c():\n    def d():\n        return x._irls\n\ndef _irls():\n    pass\n\n"
+              "class K:\n    def m(self):\n        _irls()\n\nalias = _irls\n")
+    assert _readers(source, "_irls") == {"a", "b", "K", "<module>"}
+
+
+def test_only_the_fit_staging_calls_the_loop():
+    # one staging of the recursion: the start (the q = 1 fit), the fit at
+    # q from it, and the profiled dispersion's refits
+    assert _readers((SRC / "fit.py").read_text(), "_irls") == {"_start", "_fit", "_profile"}
 
 
 # The band layout of X' diag(d) X and the dense per-row solves: the

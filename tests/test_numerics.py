@@ -363,10 +363,10 @@ class TestRngStream:
                 rng_stream(seed, stream)
         assert rng_stream(2**64 - 1, 2**64 - 1).integers(10) >= 0
 
-    @pytest.mark.parametrize("bad", [1.5, np.float64(2.0), "3", None], ids=repr)
+    @pytest.mark.parametrize("bad", [1.5, np.float64(2.0), "3", None, True], ids=repr)
     def test_non_integer_key_words_are_refused(self, bad):
-        # a float once truncated onto the stream of another seed, and "3"
-        # or None ended in a bare TypeError
+        # a float once truncated onto the stream of another seed, True was
+        # seed or stream 1, and "3" or None ended in a bare TypeError
         from lqglm import UsageError
 
         with pytest.raises(UsageError, match=r"seed must be an integer, got "):

@@ -619,14 +619,14 @@ class TestBatchedGridAssembly:
     @pytest.mark.parametrize("name", ["vaso", "poisson-outliers", "gaussian-profile",
                                       "poisson-failing"])
     def test_fit_mlq_is_a_one_stage_path(self, name, q, vaso, summation_orders):
-        from lqglm.fit import _fit_path
+        from lqglm.fit import _fit
 
         data = (_failing_grid_data("poisson", 139) if name == "poisson-failing"
                 else _GRID_DATA[name](vaso))
         ctl = FitControl(q=q)
 
         def oracle():
-            prob, res = _fit_path(stack([data]), [q], ctl)[0]
+            prob, res = _fit(stack([data]), q, ctl)
             return _oracle_result(data, prob, q, res)
 
         got, want = _recorded(fit_mlq, data, ctl), _recorded(oracle)

@@ -123,9 +123,9 @@ class TestRunStudy:
             with pytest.raises(UsageError, match=rf"seed must lie in \[0, 2\*\*64\), got {seed}"):
                 SimDesign(seed=seed)
 
-    @pytest.mark.parametrize("bad", [1.5, np.float64(2.0), "3", None], ids=repr)
+    @pytest.mark.parametrize("bad", [1.5, np.float64(2.0), "3", None, True], ids=repr)
     def test_non_integer_seed_refused(self, bad):
-        # 1.5 once gave seed 1's report byte for byte
+        # 1.5 and True once gave seed 1's report byte for byte
         with pytest.raises(UsageError, match="seed must be an integer, got "):
             SimDesign(seed=bad)
 
@@ -139,6 +139,9 @@ class TestRunStudy:
         # 50.5 and 2.5 once ended in a bare TypeError inside the study
         with pytest.raises(UsageError, match=f"{field} must be an integer, got 2.5"):
             SimDesign(**{field: 2.5})
+        # reps=True once ran one replicate
+        with pytest.raises(UsageError, match=f"^{field} must be an integer, got True$"):
+            SimDesign(**{field: True})
 
     @pytest.mark.parametrize("field,value,message", [
         ("nu", "5", "nu must be a real number, got '5'"),
@@ -189,6 +192,9 @@ class TestRunStudy:
         design = SimDesign(n=20, reps=BLOCK + 1, q_list=(1.0,))
         with pytest.raises(UsageError, match="jobs must be an integer, got 1.5"):
             run_study(design, jobs=1.5)
+        # True was once one worker
+        with pytest.raises(UsageError, match="^jobs must be an integer, got True$"):
+            run_study(design, jobs=True)
 
     def test_jobs_below_one_refused(self):
         design = SimDesign(n=20, reps=1, q_list=(1.0,))
