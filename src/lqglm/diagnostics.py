@@ -93,9 +93,11 @@ class LinearHypothesis:
     """
 
     def __init__(self, H, h):
-        H = np.atleast_2d(np.array(H, dtype=float))
-        h = np.atleast_1d(np.array(h, dtype=float))
-        if H.shape[0] != h.shape[0]:
+        try:
+            H, h = np.atleast_2d(np.array(H, dtype=float)), np.atleast_1d(np.array(h, dtype=float))
+        except (TypeError, ValueError):
+            raise UsageError("H and h must be numeric arrays") from None
+        if H.ndim != 2 or h.ndim != 1 or H.shape[0] != h.shape[0]:
             raise UsageError("H and h have incompatible shapes")
         if H.shape[0] > H.shape[1]:
             raise UsageError("H cannot have more rows than columns")
@@ -338,7 +340,8 @@ def _standardized(f):
     is undefined whatever its sign (see ``standardized_residuals``).  So
     is a residual whose surrogate mean saturates (``V = 0``: ``0/0`` or
     ``y/0``): every residual that is not finite is undefined, NaN.  Every
-    row is bit-identical to a batch of one (see ``fit._hat``).
+    row is bit-identical to a batch of one: ``fit._hat`` inverts each
+    row's ``X' W J X`` on its own.
     """
     prob, q = f.prob, f.q
     w = _working(prob, f.eta_star, q)

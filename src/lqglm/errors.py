@@ -79,3 +79,12 @@ def _real(value, what):
     if isinstance(value, Real) and not isinstance(value, bool):
         return value
     raise UsageError(f"{what} must be a real number, got {value!r}")
+
+
+def _reals(values, what, entry):
+    """The floats of the real numbers (``_real``, as ``entry``) ``values``
+    holds; UsageError, not a bare TypeError, where it is not iterable."""
+    try:
+        return tuple(float(_real(v, entry)) for v in values)
+    except TypeError:
+        raise UsageError(f"{what} must be a sequence of real numbers, got {values!r}") from None

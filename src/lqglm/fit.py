@@ -19,8 +19,8 @@ from .errors import (BracketError, DomainError, EvaluationError, LqglmError,
 from .families import _lq_terms
 from .model import PROFILE, FitControl, FitResult
 from .numerics import (
+    _inverse_each,
     _not_positive_definite,
-    _solve_spd_each,
     gram_cache,
     solve_spd_rows,
     unpack_band,
@@ -289,17 +289,14 @@ def _matrices_ab(prob, w, q):
 
 
 def _hat(prob, w, q):
-    """``W``, ``J``, ``G = X (X' W J X)^{-1}`` (..., n, p), NaN on a row
-    whose ``X' W J X`` is not positive definite, and each row's Cholesky
-    pivot, at the working point ``w``: the hat matrix ``P W J`` has
-    ``P = G X'``.  The dense per-row solve and this product order keep
-    every row bit-identical to a batch of one."""
+    """``W``, ``J``, ``G = X (X' W J X)^{-1}`` (R, n, p) and each row's
+    Cholesky pivot at the working point ``w``: the hat matrix ``P W J`` has
+    ``P = G X'``.  ``G`` is NaN on a row whose ``X' W J X`` is not positive
+    definite; each row's inverse is its own (``numerics._inverse_each``),
+    so every row is bit-identical to a batch of one."""
     W, J = _sensitivity(prob, w, q)
-    # a shared (p, n) design is one right-hand side of every row
-    Xt = np.swapaxes(prob.X, -1, -2)
-    Gt, pivot = _solve_spd_each(unpack_band(weighted_gram(prob.xx, W * J)),
-                                Xt.reshape(-1, *Xt.shape[-2:]))
-    return W, J, np.ascontiguousarray(np.swapaxes(Gt, -1, -2)), pivot
+    inverse, pivot = _inverse_each(unpack_band(weighted_gram(prob.xx, W * J)))
+    return W, J, prob.X @ inverse, pivot
 
 
 def calibrate(link, eta_star, q):
@@ -559,10 +556,11 @@ def _irls(prob, q, beta0, control):
 
 
 def _fitted(prob, q, res):
-    """The working point, ``A_n``, ``B_n`` and ``B_n^{-1}`` (the dense
-    Cholesky of ``inv_spd``) of every row of the ``_irls`` outcome ``res``
-    at its solution, not meaningful on rows with an error.  ``q`` is a
-    float shared by every row or an (R, 1) column, as in ``_working``.
+    """The working point, ``A_n``, ``B_n`` and ``B_n^{-1}`` (each row's
+    dense inverse, ``numerics._inverse_each``) of every row of the
+    ``_irls`` outcome ``res`` at its solution, not meaningful on rows with
+    an error.  ``q`` is a float shared by every row or an (R, 1) column,
+    as in ``_working``.
 
     Sets the error of a row without one to what ``fit_mlq`` raises on it,
     a SingularMatrixError where ``B_n`` is not positive definite or not
@@ -572,7 +570,7 @@ def _fitted(prob, q, res):
     with np.errstate(over="ignore", invalid="ignore"):
         w = _working(prob, _predictor(prob, res.beta), q)
         A, B = _matrices_ab(prob, w, q)
-    Binv, pivot = _solve_spd_each(B, np.eye(B.shape[-1])[None])
+    Binv, pivot = _inverse_each(B)
     finite = np.isfinite(B).all(axis=(-2, -1))
     for r in np.flatnonzero(res.ok & ~(finite & (pivot == 0))).tolist():
         res.error[r] = _not_positive_definite(pivot[r]) if finite[r] else SingularMatrixError(

@@ -51,24 +51,16 @@ class ModelData:
         try:
             solve_spd(X.T @ X, np.zeros(p))
         except SingularMatrixError as e:
-            raise UsageError(
-                f"design matrix is rank deficient (Cholesky pivot {e.pivot})"
-            ) from e
+            raise UsageError(f"design matrix is rank deficient (Cholesky pivot {e.pivot})") from e
         if phi == PROFILE:
             if self.family.phi_fixed is not None:
-                raise UsageError(
-                    f"family '{self.family.name}' has fixed dispersion; "
-                    "cannot profile"
-                )
+                raise UsageError(f"family '{self.family.name}' has fixed dispersion; cannot profile")
             self.phi: Union[float, str] = PROFILE
         else:
             self.phi = self.family.resolve_phi(phi)
         X.setflags(write=False)
         y.setflags(write=False)
-        self.X = X
-        self.y = y
-        self.n = n
-        self.p = p
+        self.X, self.y, self.n, self.p = X, y, n, p
 
     def subset_columns(self, cols):
         """ModelData restricted to the given design columns (nested model)."""

@@ -14,7 +14,7 @@ import numpy as np
 from scipy.linalg import lapack
 from scipy.special import chdtrc, ndtri
 
-from .errors import DomainError, SingularMatrixError, UsageError, _integer
+from .errors import DomainError, SingularMatrixError, UsageError, _integer, _real
 
 __all__ = [
     "solve_spd",
@@ -48,29 +48,29 @@ def solve_spd(A, B):
 
     Raises
     ------
+    UsageError
+        If ``A`` is not square, or ``B`` has not one row per row of ``A``.
     SingularMatrixError
         If a Cholesky pivot is non-positive; ``pivot`` holds its 1-based
         index.  In IRLS this signals rank deficiency or weight collapse.
     DomainError
-        If ``A`` or ``B`` has a non-finite entry (an overflowed fit, say),
-        which the symmetry check and the factorization let through.
+        If ``A`` is not symmetric, or ``A`` or ``B`` has a non-finite entry
+        (an overflowed fit, say), which the factorization lets through.
     """
     A = np.asarray(A, dtype=float)
     B = np.asarray(B, dtype=float)
+    if A.ndim != 2 or B.ndim not in (1, 2) or not A.shape[0] == A.shape[1] == B.shape[0]:
+        raise UsageError(f"shapes {A.shape} of A and {B.shape} of B do not match")
     scale = np.max(np.abs(A)) if A.size else 0.0
     if not (np.isfinite(scale) and np.isfinite(B).all()):
         raise DomainError("matrix or right-hand side has non-finite entries")
     if scale > 0 and np.max(np.abs(A - A.T)) > SYM_TOL * scale:
-        raise ValueError("matrix is not symmetric within tolerance")
+        raise DomainError("matrix is not symmetric within tolerance")
     c, info = lapack.dpotrf(A, lower=1)
-    if info > 0:
+    if info:
         raise _not_positive_definite(info)
-    if info < 0:
-        raise ValueError(f"illegal argument {-info} to dpotrf")
-    b2d = B if B.ndim == 2 else B[:, None]
-    x, info = lapack.dpotrs(c, b2d, lower=1)
-    if info != 0:
-        raise ValueError(f"dpotrs failed with info={info}")
+    # the arguments are checked, so dpotrs succeeds
+    x = lapack.dpotrs(c, B if B.ndim == 2 else B[:, None], lower=1)[0]
     return x if B.ndim == 2 else x[:, 0]
 
 
@@ -150,15 +150,16 @@ def solve_spd_rows(band, B):
     and beyond it most rows of a 64-row batch differ in their last bits.
     Returns ``(x, pivot)``: ``pivot[r]`` is 0 where ``A[r]`` is positive
     definite and otherwise the 1-based index of its first non-positive
-    Cholesky pivot, as ``solve_spd`` reports it; ``x[r]`` is NaN there.
+    band Cholesky pivot (``dpbtrf`` on a batch of one, which may differ
+    from ``solve_spd``'s at roundoff); ``x[r]`` is NaN there.
     """
     R, p, _ = band.shape
     # dpbsv is dpbtrf then dpbtrs; it copies the band and the right-hand side
     _, x, info = lapack.dpbsv(band.reshape(R * p, p).T, B.reshape(R * p, 1), lower=1)
     if info == 0 and (R == 1 or np.isfinite(x).all()):
         return x.reshape(R, p), np.zeros(R, dtype=int)
-    if R == 1:  # the dense factorization finds the failing pivot
-        return _solve_spd_each(unpack_band(band), B)
+    if R == 1:
+        return np.full((1, p), np.nan), np.array([info])
     # A row whose factorization fails stops the band there, and a NaN in
     # one block reaches the next through the zero coupling entries: solve
     # each row as a batch of one.
@@ -166,21 +167,17 @@ def solve_spd_rows(band, B):
     return np.concatenate(x), np.concatenate(pivot)
 
 
-def _solve_spd_each(A, B):
-    """``solve_spd_rows`` by one dense Cholesky factorization per row.
-
-    ``B`` may also hold ``m`` right-hand sides per row, ``(R, p, m)``; a
-    ``B`` of one row is shared by every row.  Each row's result is
-    bit-identical to ``solve_spd(A[r], B[r])``; the banded factorization
-    orders its arithmetic differently.
-    """
-    x = np.full(A.shape[:1] + B.shape[1:], np.nan)
-    pivot = np.zeros(len(A), dtype=int)
+def _inverse_each(A):
+    """The inverse of each matrix of the symmetric stack ``A`` (R, p, p)
+    by its own dense Cholesky factorization, bit-identical to
+    ``inv_spd(A[r])``, and each row's pivot as ``solve_spd`` reports it:
+    a row with a nonzero pivot is NaN."""
+    inverse, pivot, eye = np.full(A.shape, np.nan), np.zeros(len(A), dtype=int), np.eye(A.shape[-1])
     for r in range(len(A)):
         factor, pivot[r] = lapack.dpotrf(A[r], lower=1)
         if pivot[r] == 0:
-            x[r] = lapack.dpotrs(factor, B[0 if len(B) == 1 else r], lower=1)[0]
-    return x, pivot
+            inverse[r] = lapack.dpotrs(factor, eye, lower=1)[0]
+    return inverse, pivot
 
 
 def inv_spd(A):
@@ -190,12 +187,14 @@ def inv_spd(A):
 
 
 def chi_square_sf(x, d):
-    """Chi-square survival function P(X > x) with ``d`` degrees of freedom."""
-    if d < 1 or int(d) != d:
-        raise ValueError("degrees of freedom must be a positive integer")
+    """Chi-square survival function P(X > x) with ``d`` degrees of freedom,
+    a positive integer (an integral float too)."""
+    # inf % 1 is NaN, so this refuses inf and NaN too
+    if not (_real(d, "degrees of freedom") >= 1 and d % 1 == 0):
+        raise DomainError(f"degrees of freedom must be a positive integer, got {d!r}")
     x = np.asarray(x, dtype=float)
     if np.any(x < 0):
-        raise ValueError("chi-square statistic must be nonnegative")
+        raise DomainError("chi-square statistic must be nonnegative")
     out = chdtrc(int(d), x)
     return float(out) if out.ndim == 0 else out
 
@@ -204,7 +203,7 @@ def normal_quantile(p):
     """Standard normal quantile function, accurate to ~1e-15."""
     p = np.asarray(p, dtype=float)
     if np.any((p <= 0.0) | (p >= 1.0)):
-        raise ValueError("probability must lie strictly in (0, 1)")
+        raise DomainError("probability must lie strictly in (0, 1)")
     out = ndtri(p)
     return float(out) if out.ndim == 0 else out
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import LqglmError, SelectionError, UsageError, _real
+from .errors import LqglmError, SelectionError, UsageError, _real, _reals
 from .fit import FitControl, _fit_grid, _matrices_ab, _problem, _working
 from .numerics import inv_spd
 
@@ -53,8 +53,7 @@ class QGrid:
             if m + 1 > MAX_GRID:
                 raise UsageError(f"grid of {m + 1} values exceeds {MAX_GRID}; use a larger step")
             q_values = np.round(1.0 - step * np.arange(m + 1), 12)
-        q_values = np.asarray(sorted(set(float(_real(q, "a grid value")) for q in q_values),
-                                     reverse=True))
+        q_values = np.asarray(sorted(set(_reals(q_values, "q_values", "a grid value")), reverse=True))
         if not np.all((q_values > 0.0) & (q_values <= 1.0)):
             raise UsageError("grid values must lie in (0, 1]")
         if not 1 <= len(q_values) <= MAX_GRID:

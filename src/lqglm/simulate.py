@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import UsageError, _integer, _real
+from .errors import UsageError, _integer, _real, _reals
 from .families import CanonicalLink, Poisson
 from .fit import BLOCK, FitControl, _fit, _fitted, _Problem, _start, calibrate_coefficients
 from .numerics import rng_stream
@@ -64,6 +64,9 @@ class SimDesign:
     def __post_init__(self):
         self.n, self.reps = _integer(self.n, "n"), _integer(self.reps, "reps")
         self.seed = _integer(self.seed, "seed")
+        # stored as Python floats, which the CSV and JSON reports write as such
+        self.q_list = _reals(self.q_list, "q_list", "a q_list entry")
+        self.beta_true = _reals(self.beta_true, "beta_true", "a beta_true entry")
         if not 0.0 <= _real(self.eps, "eps") < 1.0:
             raise UsageError("eps must lie in [0, 1)")
         if not (np.isfinite(_real(self.nu, "nu")) and self.nu > 0.0):
@@ -72,19 +75,15 @@ class SimDesign:
             raise UsageError("reps must be at least 1")
         if not self.n > len(self.beta_true) >= 1:
             raise UsageError(f"need n > p >= 1, got n={self.n}, p={len(self.beta_true)}")
-        if not all(np.isfinite(_real(b, "a beta_true entry")) for b in self.beta_true):
+        if not all(np.isfinite(self.beta_true)):
             raise UsageError("beta_true must be finite")
         if not 0 <= self.seed < 2**64:
             raise UsageError(f"seed must lie in [0, 2**64), got {self.seed!r}")
         if len(self.q_list) == 0:
             raise UsageError("q_list needs at least one q value")
-        if any(not 0.0 < _real(q, "a q_list entry") <= 1.0 for q in self.q_list):
+        if any(not 0.0 < q <= 1.0 for q in self.q_list):
             raise UsageError("q values must lie in (0, 1]")
-        # stored as Python numbers, which the CSV and JSON reports write as
-        # such; converted once checked, so that a string is still refused
         self.eps, self.nu = float(self.eps), float(self.nu)
-        self.q_list = tuple(float(q) for q in self.q_list)
-        self.beta_true = tuple(float(b) for b in self.beta_true)
         self.include_intercept = _flag(self.include_intercept, "include_intercept")
         self.fixed_x = _flag(self.fixed_x, "fixed_x")
 

@@ -1,3 +1,5 @@
+import itertools
+import re
 import warnings
 from dataclasses import replace
 
@@ -1074,3 +1076,72 @@ class TestBatchedEnvelope:
         r, r_warnings = _recorded(quantile_residuals, data, fit, rng_stream(9, 0))
         ref, ref_warnings = _recorded(_loop_quantile, data, fit, rng_stream(9, 0))
         assert r.tobytes() == ref.tobytes() and r_warnings == ref_warnings
+
+
+class TestArgumentChecks:
+    """Each check of a diagnostic's arguments raises its own error."""
+
+    def test_hypothesis_with_more_rows_than_columns(self):
+        with pytest.raises(UsageError, match="^H cannot have more rows than columns$"):
+            LinearHypothesis(np.ones((3, 2)), np.zeros(3))
+
+    @pytest.mark.parametrize("H,message", [
+        (np.ones((1, 2, 2)), "H and h have incompatible shapes"),
+        ([["a", "b"]], "H and h must be numeric arrays"),
+        ([[1.0], [1.0, 2.0]], "H and h must be numeric arrays")], ids=["3-D", "strings", "ragged"])
+    def test_hypothesis_that_is_not_a_matrix(self, H, message):
+        # a 3-D H once reached numpy's matmul and a string H float()'s ValueError
+        with pytest.raises(UsageError, match=f"^{message}$"):
+            LinearHypothesis(H, np.zeros(1))
+
+    @pytest.mark.parametrize("test,message", [
+        (lambda d, f, hyp: wald_test(f, hyp),
+         "Wald test needs calibrated coefficients (canonical link)"),
+        (lambda d, f, hyp: score_test(d, hyp, f.q),
+         "constrained fits are defined for the canonical link"),
+        (lambda d, f, hyp: bf_test(d, f, hyp),
+         "bilinear-form test needs calibrated coefficients")], ids=["wald", "score", "bf"])
+    def test_power_link_fit_has_no_linear_test(self, gaussian_power3, test, message):
+        fit = fit_mlq(gaussian_power3, FitControl(q=0.9))
+        with pytest.raises(UsageError, match=f"^{re.escape(message)}$"):
+            test(gaussian_power3, fit, LinearHypothesis([[0.0, 1.0]], [0.0]))
+
+    def test_direction_of_the_wrong_length(self, vaso, vaso_79):
+        with pytest.raises(UsageError, match="^z must have one entry per observation$"):
+            added_variable_score(vaso, vaso_79, np.ones(vaso.n - 1))
+
+    def test_new_point_of_the_wrong_length(self, vaso, vaso_79):
+        with pytest.raises(UsageError, match="^x_new must have length p$"):
+            influence_fn(vaso, vaso_79, 1.0, np.ones(vaso.p + 1))
+
+    def test_unknown_residual_kind(self, vaso, vaso_79):
+        with pytest.raises(UsageError, match="^unknown residual kind 'pearson'$"):
+            simulation_envelope(vaso, vaso_79, kind="pearson", reps=20)
+
+    @pytest.mark.parametrize("invalid,message", [
+        (20, r"^too few successful envelope replicates \(0/20\)$"),
+        (12, r"^too few successful envelope replicates \(8/20\)$")], ids=["all", "most"])
+    def test_envelope_of_invalid_responses(self, poisson_example, monkeypatch, invalid, message):
+        # the first ``invalid`` replicates draw a response outside the
+        # support; a block without one valid response has no refit
+        fit = fit_mlq(poisson_example, FitControl(q=0.9))
+        draw, count = type(poisson_example.family).sample, itertools.count()
+
+        def sample(self, rng, mu, phi):
+            y = draw(self, rng, mu, phi)
+            if next(count) < invalid:
+                y[0] = -1.0
+            return y
+
+        monkeypatch.setattr(type(poisson_example.family), "sample", sample)
+        with pytest.raises(UsageError, match=message):
+            simulation_envelope(poisson_example, fit, kind="deviance", reps=20, seed=1)
+
+    def test_envelope_control_at_another_q_refits_at_the_fit_q(self, vaso, vaso_79):
+        # the control's other q and explicit init give way to fit.q and the
+        # warm start; its other loop settings are the defaults here
+        want = simulation_envelope(vaso, vaso_79, kind="deviance", reps=20, seed=4)
+        got = simulation_envelope(vaso, vaso_79, kind="deviance", reps=20, seed=4,
+                                  control=FitControl(q=0.5, init=np.zeros(vaso.p)))
+        for a, b in zip(vars(got).values(), vars(want).values()):
+            assert np.asarray(a).tobytes() == np.asarray(b).tobytes()

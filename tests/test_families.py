@@ -102,6 +102,12 @@ class TestFamilyInvariants:
 
 
 class TestThetaLinks:
+    @pytest.mark.parametrize("name", ["canonical", "Canonical"])
+    def test_canonical_by_name(self, name):
+        from lqglm.families import get_link
+
+        assert type(get_link(name)) is CanonicalLink
+
     @pytest.mark.parametrize("link", [CanonicalLink(), PowerThetaLink(3)])
     def test_inverse_roundtrip(self, link):
         eta = np.linspace(-3.0, 3.0, 61)

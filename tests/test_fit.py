@@ -596,6 +596,24 @@ class TestModelData:
         with pytest.raises(UsageError):
             ModelData(np.ones((2, 2)), np.zeros(2), "gaussian")
 
+    @pytest.mark.parametrize("X,y,message", [
+        (np.ones(6), np.zeros(6), "X must be two-dimensional"),
+        (np.column_stack([np.ones(6), np.arange(6.0)]), np.zeros(5),
+         "X and y have incompatible lengths")], ids=["1-D", "lengths"])
+    def test_design_shape_errors(self, X, y, message):
+        from lqglm import UsageError
+
+        with pytest.raises(UsageError, match=f"^{message}$"):
+            ModelData(X, y, "gaussian")
+
+    def test_fits_on_different_data_are_refused(self, poisson_example):
+        from lqglm import UsageError, deviance_q
+
+        other = ModelData(poisson_example.X, poisson_example.y[::-1], "poisson")
+        fits = [fit_mlq(d, FitControl(q=0.9)) for d in (poisson_example, other)]
+        with pytest.raises(UsageError, match="^deviance fits were computed on different data$"):
+            deviance_q(poisson_example, *fits)
+
     def test_arrays_frozen(self, vaso):
         with pytest.raises(ValueError):
             vaso.X[0, 0] = 99.0
@@ -984,6 +1002,67 @@ class TestSharedDesign:
         assert bases[2].X.shape == (vaso.n, vaso.p - 1)
         assert [p.y.shape for p in grid_probs] == [(2, vaso.n)]
         assert grid_probs[0].X is vaso.X and np.shares_memory(grid_probs[0].y, vaso.y)
+
+
+class TestResultAssembly:
+    def test_explicit_init_of_the_wrong_length(self, vaso):
+        from lqglm import UsageError
+
+        with pytest.raises(UsageError, match="^explicit init vector has the wrong length$"):
+            fit_mlq(vaso, FitControl(q=0.9, init=np.zeros(vaso.p + 1)))
+
+    def test_failed_batch_yields_each_error_once(self, vaso):
+        # _fit_grid reads every block to its end: a block whose every row
+        # failed yields each row's error, once, and nothing else
+        from lqglm.errors import SingularMatrixError
+        from lqglm.fit import _fit, _problem, _results
+
+        qs = [0.9, 0.8, 0.7]
+        base = _problem(vaso, vaso.phi, y=np.tile(vaso.y, (3, 1)))
+        prob, res = _fit(base, np.array(qs)[:, None], FitControl())
+        errors = [SingularMatrixError(f"row {r}") for r in range(3)]
+        res.error[:] = errors
+        assert list(_results(vaso, qs, prob, res)) == errors
+
+    def test_fixed_dispersion_has_no_estimate(self, poisson_example):
+        from lqglm import UsageError
+
+        with pytest.raises(UsageError, match="^family 'poisson' has fixed dispersion$"):
+            estimate_phi(poisson_example, np.zeros(poisson_example.p), 0.9)
+
+
+class TestHat:
+    """``fit._hat``: ``G = X (X' W J X)^{-1}`` of every row, from each
+    row's own dense inverse."""
+
+    @pytest.mark.parametrize("shared", [True, False], ids=["shared", "per-row"])
+    @pytest.mark.parametrize("p", [2, 3, 6, 20])
+    def test_rows_equal_a_batch_of_one(self, p, shared):
+        # X @ inverse multiplies each row alone, so every row's bits are its
+        # own, beyond the 16 columns where the band solves' are not
+        from lqglm.fit import _Problem, _hat, _working
+
+        rng = rng_stream(37, p)
+        R, n = 9, 3 * p + 10
+        X = np.concatenate([np.ones((R, n, 1)), rng.uniform(-1, 1, size=(R, n, p - 1))], axis=-1)
+        if shared:
+            X = X[0]
+        else:
+            X[4, :, -1] = 0.0  # a rank-deficient row: pivot p and a NaN G
+        eta = np.broadcast_to(X @ rng.uniform(-0.5, 0.5, size=p), (R, n))
+        y = rng.poisson(np.exp(eta)).astype(float)
+        data = ModelData(np.ones((n, 1)), y[0], "poisson")
+        prob = _Problem.build(data.family, data.link, X, y, 1.0)
+        w = _working(prob, eta, 0.8)
+        W, J, G, pivot = _hat(prob, w, 0.8)
+        assert G.shape == (R, n, p)
+        for r in range(R):
+            one = _hat(prob.rows([r]), w.rows([r]), 0.8)
+            for got, want in zip((W, J, G, pivot), one):
+                assert got[r].tobytes() == want[0].tobytes()
+        failed = [] if shared else [4]
+        assert np.flatnonzero(pivot).tolist() == failed and pivot[failed].tolist() == [p] * len(failed)
+        assert np.isnan(G[failed]).all() and np.isfinite(np.delete(G, failed, axis=0)).all()
 
 
 def _small_profiled_refits(small_profiled, seed=6):

@@ -137,11 +137,11 @@ def test_only_the_fit_staging_calls_the_loop():
     assert _readers((SRC / "fit.py").read_text(), "_irls") == {"_start", "_fit", "_profile"}
 
 
-# The band layout of X' diag(d) X and the dense per-row solves: the
-# fitting core reads them, and every other module takes its matrices from
-# fit (fit._matrices_ab, fit._hat).
+# The band layout of X' diag(d) X, its solves, and the dense per-row
+# inverses: fit reads them, and every other module takes its matrices
+# from fit (fit._matrices_ab, fit._hat).
 BAND_KERNEL = {"gram_cache", "weighted_gram", "unpack_band", "solve_spd_rows",
-               "_solve_spd_each", "_sensitivity"}
+               "_inverse_each", "_sensitivity"}
 
 
 @pytest.mark.parametrize("path", sorted(set(SRC.glob("*.py")) - {SRC / "fit.py",
@@ -149,6 +149,17 @@ BAND_KERNEL = {"gram_cache", "weighted_gram", "unpack_band", "solve_spd_rows",
                          ids=lambda p: p.name)
 def test_only_fit_and_numerics_name_the_band_kernel(path):
     assert _names(path.read_text()) & BAND_KERNEL == set()
+
+
+def test_each_cholesky_kernel_has_one_job():
+    # the band solves every step and reports its own pivots, with no dense
+    # retry; the dense inverses serve B_n^-1 and the hat alone
+    numerics = ast.parse((SRC / "numerics.py").read_text())
+    solve = next(f for f in numerics.body
+                 if isinstance(f, ast.FunctionDef) and f.name == "solve_spd_rows")
+    dense = {"_solve_spd_each", "_inverse_each", "dpotrf", "dpotrs"}
+    assert _names(ast.unparse(solve)) & dense == set()
+    assert _readers((SRC / "fit.py").read_text(), "_inverse_each") == {"_fitted", "_hat"}
 
 
 # Each CLI command returns its document; main alone tags it with the

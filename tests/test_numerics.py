@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -8,6 +10,7 @@ from scipy.special import ndtr
 from lqglm import (
     DomainError,
     SingularMatrixError,
+    UsageError,
     chi_square_sf,
     inv_spd,
     normal_quantile,
@@ -56,8 +59,18 @@ class TestSolveSpd:
 
     def test_asymmetric_rejected(self):
         A = np.array([[1.0, 0.5], [0.0, 1.0]])
-        with pytest.raises(ValueError, match="symmetric"):
+        with pytest.raises(DomainError, match="^matrix is not symmetric within tolerance$"):
             solve_spd(A, np.ones(2))
+
+    @pytest.mark.parametrize("A,B", [(np.eye(2), np.ones(3)), (np.eye(2), np.ones((3, 2))),
+                                     (np.ones((2, 3)), np.ones(2)), (np.ones(2), np.ones(2)),
+                                     (np.eye(2), np.ones((2, 1, 1)))],
+                             ids=["B-long", "B-rows", "A-wide", "A-1-D", "B-3-D"])
+    def test_mismatched_shapes_rejected(self, A, B):
+        # a B of the wrong length once reached f2py's "failed to create array"
+        message = f"^shapes {re.escape(str(A.shape))} of A and {re.escape(str(B.shape))} of B do not match$"
+        with pytest.raises(UsageError, match=message):
+            solve_spd(A, B)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_rejected(self, bad):
@@ -117,9 +130,7 @@ class TestSolveSpdRows:
     def test_fallback_equals_row_by_row_solves(self):
         # on stacks with non-positive-definite, rank-one, zero and
         # non-finite rows, every row equals its own band solve, or, where
-        # that fails, its dense factorization and pivot
-        from lqglm.numerics import _solve_spd_each
-
+        # that fails, NaN at the pivot of its own band factorization
         rng = rng_stream(23, 0)
         failing = 0
         for _ in range(300):
@@ -142,25 +153,19 @@ class TestSolveSpdRows:
             failing += bool(pivot.any())
             for r in range(R):
                 x_r, info = _band_solve_two_calls(band[[r]], B[[r]])
-                pivot_r = [0]
                 if info:
-                    x_r, pivot_r = _solve_spd_each(A[[r]], B[[r]])
-                assert x[r].tobytes() == x_r[0].tobytes() and pivot[r] == pivot_r[0]
+                    x_r = np.full((1, p), np.nan)
+                assert x[r].tobytes() == x_r[0].tobytes() and pivot[r] == info
         assert failing > 200
 
-    def test_dense_rows_match_solve_spd(self):
-        from lqglm.numerics import _solve_spd_each
+    def test_dense_inverses_match_inv_spd(self):
+        from lqglm.numerics import _inverse_each
 
-        A, B = self._rows()
-        x, pivot = _solve_spd_each(A[:3], B[:3])
+        A, _ = self._rows()
+        inverse, pivot = _inverse_each(A[:4])
         for r in range(3):
-            assert x[r].tobytes() == solve_spd(A[r], B[r]).tobytes()
-        # several right-hand sides per row
-        Bm = np.stack([B[:3], -B[:3]], axis=-1)
-        xm, _ = _solve_spd_each(A[:3], Bm)
-        for r in range(3):
-            assert xm[r].tobytes() == solve_spd(A[r], Bm[r]).tobytes()
-        assert _solve_spd_each(A[[3]], B[[3]])[1][0] == 2
+            assert inverse[r].tobytes() == inv_spd(A[r]).tobytes()
+        assert pivot.tolist() == [0, 0, 0, 2] and np.isnan(inverse[3]).all()
 
 
 def _band_of(A):
@@ -327,12 +332,24 @@ class TestDistributions:
         assert np.max(np.abs(normal_quantile(ndtr(x)) - x)) < 1e-8
 
     def test_domain_errors(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(DomainError, match="^chi-square statistic must be nonnegative$"):
             chi_square_sf(-1.0, 1)
-        with pytest.raises(ValueError):
-            normal_quantile(0.0)
-        with pytest.raises(ValueError):
-            chi_square_sf(1.0, 0)
+        for p in (0.0, 1.0, -0.5):
+            with pytest.raises(DomainError, match=r"^probability must lie strictly in \(0, 1\)$"):
+                normal_quantile(p)
+        for d in (0, -1, 1.5, np.nan, np.inf, -np.inf):
+            with pytest.raises(DomainError, match="^degrees of freedom must be a positive integer"):
+                chi_square_sf(1.0, d)
+
+    @pytest.mark.parametrize("d", [True, "1", None])
+    def test_degrees_of_freedom_must_be_a_number(self, d):
+        # True once passed as 1 and "1" ended in a bare TypeError
+        with pytest.raises(UsageError, match=f"^degrees of freedom must be a real number, got {d!r}$"):
+            chi_square_sf(1.0, d)
+
+    def test_integral_float_degrees_of_freedom(self):
+        for d in (1, 3):
+            assert chi_square_sf(2.5, float(d)) == chi_square_sf(2.5, np.int64(d)) == chi_square_sf(2.5, d)
 
 
 class TestRngStream:

@@ -28,6 +28,14 @@ class TestAre:
     def test_unity_at_q1(self, vaso, vaso_ml):
         assert abs(are(vaso_ml) - 1.0) < 1e-10
 
+    def test_fit_without_data_is_refused(self, vaso_79):
+        from dataclasses import replace
+
+        from lqglm import UsageError
+
+        with pytest.raises(UsageError, match="^fit does not carry its data$"):
+            are(replace(vaso_79, data=None))
+
     def test_vaso_in_unit_interval(self, vaso, vaso_79):
         val = are(vaso_79)
         assert 0.0 < val < 1.0
@@ -257,8 +265,9 @@ class TestGridMechanics:
     @pytest.mark.parametrize("kwargs,message", [
         ({"q_min": "0.7", "step": 0.01}, "q_min must be a real number, got '0.7'"),
         ({"rho_factor": "1"}, "rho_factor must be a real number, got '1'"),
-        ({"q_values": [1.0, "0.9"]}, "a grid value must be a real number, got '0.9'")],
-        ids=["q_min", "rho_factor", "q_values"])
+        ({"q_values": [1.0, "0.9"]}, "a grid value must be a real number, got '0.9'"),
+        ({"q_values": 0.9}, "q_values must be a sequence of real numbers, got 0.9")],
+        ids=["q_min", "rho_factor", "q_values", "q_values-scalar"])
     def test_non_numeric_setting_is_a_usage_error(self, kwargs, message):
         # q_min and rho_factor once ended in the bare TypeError of
         # np.isfinite, and float() once read a string grid value

@@ -147,12 +147,18 @@ class TestRunStudy:
         ("nu", "5", "nu must be a real number, got '5'"),
         ("eps", "0.1", "eps must be a real number, got '0.1'"),
         ("q_list", ("1",), "a q_list entry must be a real number, got '1'"),
-        ("beta_true", ("1", "1"), "a beta_true entry must be a real number, got '1'")],
-        ids=["nu", "eps", "q_list", "beta_true"])
+        ("beta_true", ("1", "1"), "a beta_true entry must be a real number, got '1'"),
+        ("q_list", 0.9, "q_list must be a sequence of real numbers, got 0.9"),
+        ("beta_true", 1.0, "beta_true must be a sequence of real numbers, got 1.0")],
+        ids=["nu", "eps", "q_list", "beta_true", "q_list-scalar", "beta_true-scalar"])
     def test_non_numeric_setting_refused(self, field, value, message):
         # each once ended in a bare TypeError
         with pytest.raises(UsageError, match=f"^{message}$"):
             SimDesign(**{field: value})
+
+    def test_no_replicates_refused(self):
+        with pytest.raises(UsageError, match="^reps must be at least 1$"):
+            SimDesign(reps=0)
 
     @pytest.mark.parametrize("field", ["fixed_x", "include_intercept"])
     def test_flags_must_be_booleans(self, field):

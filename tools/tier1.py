@@ -14,9 +14,13 @@ that moves one, as a change of a family's arithmetic may, is seen.
 Exits 0 only when the failing set is exactly these five, each with its
 figure.  Otherwise it prints every other failure or error, every one of
 the five that passed or did not run, and every moved figure with the
-figure read, and exits 1.  It also prints the suite's wall time and its five slowest tests, as the
-report records them, and the line count of ``src/lqglm/*.py`` with each
-module's count beside it, so that a change shows where its lines went.
+figure read, and exits 1.  It also prints every ``ACCEPTANCE`` line the
+acceptance checks print, passing or failing (pytest's
+``junit_logging=system-out`` keeps each test's stdout in the report), so
+that a change can quote their figures before and after; the suite's wall
+time and its five slowest tests, as the report records them; and the line
+count of ``src/lqglm/*.py`` with each module's count beside it, so that a
+change shows where its lines went.
 """
 
 import os
@@ -74,6 +78,13 @@ def figure(label, text):
     return found and found.group(1)
 
 
+def acceptance_lines(report):
+    """The ``ACCEPTANCE`` lines of the report's captured stdout, in the
+    order the tests ran."""
+    return [line.strip() for out in ET.parse(report).getroot().iter("system-out")
+            for line in (out.text or "").splitlines() if line.startswith("ACCEPTANCE ")]
+
+
 def timings(report):
     """The suite's wall time and the ``SLOWEST`` tests as ``(seconds,
     node id)``, slowest first."""
@@ -98,12 +109,13 @@ def main():
         report = Path(tmp) / "tier1.xml"
         code = subprocess.call(
             [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors",
-             f"--junitxml={report}"], cwd=ROOT, env=env)
+             "-o", "junit_logging=system-out", f"--junitxml={report}"], cwd=ROOT, env=env)
         if code not in (0, 1) or not report.is_file():
             print(f"tier1: pytest exited with code {code}")
             return 1
         failed, passed = outcomes(report)
         wall, slowest = timings(report)
+        accepted = acceptance_lines(report)
     for test in sorted(set(failed) - set(DOCUMENTED)):
         print(f"tier1: unexpected failure: {test}")
     for test in sorted(set(DOCUMENTED) - set(failed)):
@@ -116,6 +128,9 @@ def main():
             moved += 1
             print(f"tier1: documented failure's figure moved: {test}: {label} {read} "
                   f"(documented {value})")
+    print(f"tier1: {len(accepted)} acceptance lines:")
+    for line in accepted:
+        print(f"tier1: {line}")
     print(f"tier1: wall time {wall:.1f} s; slowest tests:")
     for seconds, test in slowest:
         print(f"tier1: {seconds:6.2f} s  {test}")
