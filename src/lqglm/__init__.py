@@ -40,8 +40,6 @@ from .families import (
     PowerThetaLink,
     ThetaLink,
     deformed_log,
-    escort_log_density,
-    escort_normalization,
     get_family,
     get_link,
     jq,

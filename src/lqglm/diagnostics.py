@@ -10,8 +10,9 @@ Conventions.  The estimating machinery (weights ``U``, matrices ``W`` and
 ``J``, fitted means entering score-type quantities) is evaluated at the
 surrogate-scale solution ``beta_star`` where the estimating function is
 unbiased; reported estimates, deviances and quantile residuals use the
-calibrated scale.  ``A_n``/``B_n`` are the raw (summed) matrices, under
-which ``cov = B_n^{-1} A_n B_n^{-1}`` is the covariance of the calibrated
+calibrated scale.  ``A_n``/``B_n`` are the raw (summed) matrices, with
+``A_n = B_n / (2 - q)`` on every theta-link, under which ``cov = B_n^{-1}
+A_n B_n^{-1} = B_n^{-1} / (2 - q)`` is the covariance of the calibrated
 coefficients and the three test statistics are chi-square scaled.
 """
 
@@ -158,11 +159,10 @@ def deviance_q(data, fit_null, fit_alt):
 def aic_q(data, fit):
     """Lq analogue of the Akaike criterion.
 
-    ``-2 sum_i l_q(f_i at the calibrated fit) + 2 tr(B_n^{-1} A_n)``; the
+    ``-2 sum_i l_q(f_i at the calibrated fit) + 2 tr(B_n^{-1} A_n)``, whose
     penalty is ``2 p / (2 - q)``, as ``A_n = B_n / (2 - q)`` on every link.
     """
-    penalty = 2.0 * float(np.trace(solve_spd(fit.B_n, fit.A_n)))
-    return -2.0 * fit.lq_value + penalty
+    return -2.0 * fit.lq_value + 2.0 * len(fit.beta_star) / (2.0 - fit.q)
 
 
 def _make_result(stat, dof, kind):
@@ -239,11 +239,11 @@ def _constrained_memo(data, hyp, control):
 
 def score_test(data, hyp, q, control=None):
     """Score-type (Rao) statistic at the constrained MLq fit."""
-    w, A_t, B_t = _constrained_point(data, hyp, q, control)
+    w, _, B_t = _constrained_point(data, hyp, q, control)
     Bti = inv_spd(B_t)
     # a nearly singular B_t overflows C_t, which solve_spd rejects
     with np.errstate(over="ignore", invalid="ignore"):
-        C_t = Bti @ A_t @ Bti
+        C_t = Bti / (2.0 - q)
         C_t = 0.5 * (C_t + C_t.T)
         v = hyp.H @ (Bti @ w.psi)
         stat = v @ solve_spd(hyp.H @ C_t @ hyp.H.T, v)

@@ -13,8 +13,8 @@ canonical link is the identity.
 
 Also houses the order-q deformed logarithm, the normalizer
 ``jq(theta, q) = exp(-q b(theta) + b(q theta))`` that links power-weighted
-expectations to escort-density expectations, the escort log-density itself,
-and randomized quantile residuals.
+expectations to escort-density expectations, and randomized quantile
+residuals.
 
 All functions are pure; family and link objects are immutable and safe to
 share across threads.
@@ -39,13 +39,8 @@ __all__ = [
     "deformed_log",
     "log_density",
     "jq",
-    "escort_log_density",
-    "escort_normalization",
     "quantile_residual_base",
 ]
-
-# A discrete escort sum stops at a term past the mean below this share of its total.
-ESCORT_TAIL_TOL = 1e-15
 
 
 class ThetaLink:
@@ -387,7 +382,8 @@ def jq(family, theta, q):
 
     The escort construction needs ``q theta`` in the natural parameter
     space; that space is the real line, so ``J_q`` is defined at every
-    finite ``theta``.
+    finite ``theta``.  ``A_n`` and ``B_n`` weight each observation by
+    ``J_q(theta_i)^(-phi)``.
     """
     family = get_family(family)
     if q <= 0.0:
@@ -396,66 +392,6 @@ def jq(family, theta, q):
     theta = np.asarray(theta, dtype=float)
     out = np.exp(-q * family.b(theta) + family.b(q * theta))
     return float(out) if out.ndim == 0 else out
-
-
-def escort_log_density(family, y, theta, phi, q, r):
-    """Log of the escort function of order ``(q, r)``.
-
-    ``phi*(r*(1-q)+q)*(y*theta - b(theta)) + (r*(1-q)+1)*c(y, phi)``.
-    At ``r = 1`` with ``q = 1`` (or any ``r`` with ``q = 1``) this reduces
-    to the ordinary log-density.  The escort need not integrate to one for
-    every family; see ``escort_normalization``.
-    """
-    family = get_family(family)
-    if r < 0:
-        raise DomainError("escort order r must be nonnegative", value=r)
-    phi = family.resolve_phi(phi)
-    family.check_theta(theta)
-    y = np.asarray(y, dtype=float)
-    theta = np.asarray(theta, dtype=float)
-    rho = r * (1.0 - q) + q
-    out = phi * rho * (y * theta - family.b(theta)) + (r * (1.0 - q) + 1.0) * family.c(y, phi)
-    return float(out) if out.ndim == 0 else out
-
-
-def escort_normalization(family, theta, phi, q, r):
-    """Total mass of the escort function over the family's support.
-
-    The escort enters expectation identities as if it were a density; this
-    check computes its actual mass so tests can assert the identities only
-    where the mass is 1 and record the (family, theta, q, r) combinations
-    where it is not.
-    """
-    family = get_family(family)
-    phi = family.resolve_phi(phi)
-    theta = float(theta)
-    if family.name == "bernoulli":
-        ys = np.array([0.0, 1.0])
-        return float(np.sum(np.exp(escort_log_density(family, ys, theta, phi, q, r))))
-    if family.discrete:
-        total = 0.0
-        y = 0
-        while True:
-            term = float(np.exp(escort_log_density(family, float(y), theta, phi, q, r)))
-            total += term
-            mu_scale = family.b_dot(theta)
-            if y > 10 * (1 + mu_scale) and term < ESCORT_TAIL_TOL * max(total, 1.0):
-                break
-            y += 1
-            if y > 100000:
-                break
-        return total
-    from scipy.integrate import quad
-
-    mu = float(family.b_dot(theta))
-    sd = float(np.sqrt(family.b_ddot(theta) / phi))
-    val, _ = quad(
-        lambda u: np.exp(escort_log_density(family, u, theta, phi, q, r)),
-        mu - 40 * sd,
-        mu + 40 * sd,
-        limit=200,
-    )
-    return float(val)
 
 
 def quantile_residual_base(family, y, mu, phi=None, uniform_draw=None):

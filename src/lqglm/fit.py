@@ -808,9 +808,9 @@ def _results(data, qs, prob, res):
     for the batch, at an (R, 1) column of q over the one design of
     ``data``; each row equals its fit evaluated alone.  One row (every
     ``fit_mlq``) keeps its float q, whose scalar paths skip the column's
-    ``np.where`` passes.  The sandwich is formed as each result is
-    yielded, so a caller that warns per row interleaves its warnings with
-    those of an overflowed ``A_n`` as a loop of ``fit_mlq`` would.
+    ``np.where`` passes.  Each row's covariance is the closed-form
+    sandwich ``B_n^{-1} A_n B_n^{-1} = B_n^{-1} / (2 - q)``, since ``A_n =
+    B_n / (2 - q)`` on every theta-link.
     """
     q = qs[0] if len(qs) == 1 else np.array(qs, dtype=float)[:, None]
     w, A, B, Binv = _fitted(prob, q, res)
@@ -831,7 +831,7 @@ def _results(data, qs, prob, res):
         if error is not None:
             yield error
             continue
-        cov = Binv[r] @ A[r] @ Binv[r]
+        cov = Binv[r] / (2.0 - qs[r])
         trace = res.trace[r]
         yield FitResult(
             q=qs[r],

@@ -130,7 +130,8 @@ class FitResult:
     machinery uses.  ``weights`` are the estimation weights
     ``U_i = f(y_i)^(1-q)`` at the surrogate solution.  ``A_n``/``B_n`` are
     the variability/sensitivity matrices evaluated at the surrogate
-    solution and ``cov = B_n^{-1} A_n B_n^{-1}`` estimates the covariance
+    solution, with ``A_n = B_n / (2 - q)`` on every theta-link, and ``cov =
+    B_n^{-1} A_n B_n^{-1} = B_n^{-1} / (2 - q)`` estimates the covariance
     of ``beta_q``; on a non-canonical link, where ``beta_q`` is None, it is
     q^2 times the closed-form sandwich covariance of ``beta_star`` (whose
     sensitivity is ``q B_n``).  ``lq_value`` is the Lq-objective at the

@@ -202,7 +202,7 @@ def chi_square_sf(x, d):
 def normal_quantile(p):
     """Standard normal quantile function, accurate to ~1e-15."""
     p = np.asarray(p, dtype=float)
-    if np.any((p <= 0.0) | (p >= 1.0)):
+    if np.any(~((p > 0.0) & (p < 1.0))):
         raise DomainError("probability must lie strictly in (0, 1)")
     out = ndtri(p)
     return float(out) if out.ndim == 0 else out

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
-from lqglm import FitControl, ModelData, PowerThetaLink, fit_mlq, rng_stream
+from lqglm import FitControl, ModelData, PowerThetaLink, fit_mlq, get_family, rng_stream
 from lqglm.datasets import vaso_model_data
 from lqglm.fit import _Problem
 
@@ -11,6 +12,43 @@ def stack(datas):
     setting, with their designs stacked on a leading batch axis."""
     return _Problem.build(datas[0].family, datas[0].link, np.array([d.X for d in datas]),
                           np.array([d.y for d in datas]), datas[0].phi)
+
+
+def escort(family, theta, phi, q, r, y=None):
+    """The escort function of order ``(q, r)`` of ``family`` at ``theta``
+    (Ferrari & Yang 2010, Ann. Statist. 38:753-783): its log at ``y``, or,
+    with ``y`` None, its total mass over the family's support.
+
+    The log is ``phi*(r*(1-q)+q)*(y*theta - b(theta)) + (r*(1-q)+1)*c(y,
+    phi)``, the log-density at ``q = 1``.  The closed forms of ``A_n`` and
+    ``B_n`` treat the escort as a density, but its mass is 1 only for the
+    carrier-free Bernoulli at ``r = 1`` (README "Known limitations"); so
+    the premise tests assert an expectation identity only where the mass
+    is 1 and record the other combinations.  A discrete sum stops at a
+    term past ten times the mean below 1e-15 of its total.
+    """
+    family = get_family(family)
+    phi = family.resolve_phi(phi)
+
+    def log_escort(y):
+        y = np.asarray(y, dtype=float)
+        return (phi * (r * (1.0 - q) + q) * (y * theta - family.b(theta))
+                + (r * (1.0 - q) + 1.0) * family.c(y, phi))
+
+    if y is not None:
+        return log_escort(y)
+    if family.name == "bernoulli":
+        return float(np.sum(np.exp(log_escort([0.0, 1.0]))))
+    if family.discrete:
+        total, mean = 0.0, float(family.b_dot(theta))
+        for k in range(100_001):
+            term = float(np.exp(log_escort(float(k))))
+            total += term
+            if k > 10 * (1 + mean) and term < 1e-15 * max(total, 1.0):
+                break
+        return total
+    mu, sd = float(family.b_dot(theta)), float(np.sqrt(family.b_ddot(theta) / phi))
+    return quad(lambda u: np.exp(log_escort(u)), mu - 40 * sd, mu + 40 * sd, limit=200)[0]
 
 
 @pytest.fixture(scope="session")

@@ -92,6 +92,13 @@ class TestFit:
         assert capsys.readouterr().err == (
             "lqglm: error: Poisson responses must be nonnegative integers\n")
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_gaussian_response_must_be_finite(self, value, tmp_path, capsys):
+        data = tmp_path / "g.csv"
+        data.write_text(f"x,y\n1,0.5\n2,1.5\n3,{value}\n4,2.5\n5,3.0\n")
+        assert main(["fit", "--data", str(data), "--response", "y", "--family", "gaussian"]) == 1
+        assert capsys.readouterr().err == "lqglm: error: Gaussian responses must be finite\n"
+
     def test_unknown_family(self, vaso_csv, capsys):
         code = main(["fit", "--data", vaso_csv, "--response", "y",
                      "--family", "gamma"])

@@ -38,7 +38,7 @@ from lqglm import (
     standardized_residuals,
     wald_test,
 )
-from conftest import stack
+from conftest import escort, stack
 
 
 class TestDevianceQ:
@@ -770,7 +770,6 @@ class TestInfluence:
         so the Monte Carlo match is asserted as a 5% bound with the gate
         recorded rather than at Monte Carlo precision.
         """
-        from lqglm import escort_normalization
         from lqglm.fit import matrices_ab
 
         rng = rng_stream(61, 0)
@@ -779,7 +778,7 @@ class TestInfluence:
         beta_star = np.array([0.4, -0.6])
         y0 = (rng.uniform(size=n) < 1 / (1 + np.exp(-q * (X @ beta_star)))).astype(float)
         data = ModelData(X, y0, "bernoulli")
-        gate_fails = abs(escort_normalization(data.family, 0.4, 1.0, q, 2.0) - 1.0) > 1e-8
+        gate_fails = abs(escort(data.family, 0.4, 1.0, q, 2.0) - 1.0) > 1e-8
         assert gate_fails
         A, B = matrices_ab(data, beta_star, q)
         Bi = np.linalg.inv(B)

@@ -13,8 +13,6 @@ from lqglm import (
     Poisson,
     PowerThetaLink,
     deformed_log,
-    escort_log_density,
-    escort_normalization,
     get_family,
     get_link,
     jq,
@@ -23,6 +21,7 @@ from lqglm import (
     rng_stream,
 )
 from lqglm.errors import UsageError
+from conftest import escort
 
 FAMILIES = [Bernoulli(), Poisson(), Gaussian()]
 
@@ -197,7 +196,7 @@ class TestEscort:
                 theta = float(rng.uniform(-1.5, 1.5))
                 phi = fam.resolve_phi(float(rng.uniform(0.5, 2.0)))
                 y = float(fam.sample(rng, np.atleast_1d(fam.b_dot(theta)), phi)[0])
-                a = escort_log_density(fam, y, theta, phi, q=q, r=1.0)
+                a = escort(fam, theta, phi, q, 1.0, y=y)
                 b = log_density(fam, y, theta, phi)
                 offset = (1.0 - q) * float(fam.c(np.asarray(y), phi))
                 assert_allclose(a, b + offset, rtol=1e-12, atol=1e-12)
@@ -206,11 +205,11 @@ class TestEscort:
 
     def test_q1_reduces(self):
         fam = Poisson()
-        a = escort_log_density(fam, 3.0, 0.4, 1.0, q=1.0, r=2.0)
+        a = escort(fam, 0.4, 1.0, 1.0, 2.0, y=3.0)
         assert_allclose(a, log_density(fam, 3.0, 0.4, 1.0), rtol=1e-12)
 
     def test_bernoulli_value(self):
-        val = escort_log_density("bernoulli", 1.0, 1.0, 1.0, q=0.5, r=2.0)
+        val = escort("bernoulli", 1.0, 1.0, 0.5, 2.0, y=1.0)
         assert_allclose(val, ESCORT_BERN_Y1_T1_Q05_R2, rtol=1e-14)
 
     def test_normalization_gate(self):
@@ -223,7 +222,7 @@ class TestEscort:
         records = []
         for fam in FAMILIES:
             for r in (1.0, 2.0):
-                mass = escort_normalization(fam, 0.5, 1.0, q=0.8, r=r)
+                mass = escort(fam, 0.5, 1.0, 0.8, r)
                 if abs(mass - 1.0) > 1e-8:
                     records.append((fam.name, r, mass))
                 else:
@@ -254,10 +253,10 @@ class TestExpectationIdentities:
         se = vals.std(ddof=1) / math.sqrt(n)
         if family.discrete:
             ys = np.array([0.0, 1.0]) if family.name == "bernoulli" else np.arange(0, 500, dtype=float)
-            eq = np.sum(ys * np.exp(escort_log_density(family, ys, theta_star, phi, q, 1.0)))
+            eq = np.sum(ys * np.exp(escort(family, theta_star, phi, q, 1.0, y=ys)))
         else:
             eq, _ = quad(
-                lambda u: u * np.exp(escort_log_density(family, u, theta_star, phi, q, 1.0)),
+                lambda u: u * np.exp(escort(family, theta_star, phi, q, 1.0, y=u)),
                 -40.0, 40.0, limit=200,
             )
         target = jq(family, theta_star, q) ** (-phi) * eq
@@ -273,7 +272,7 @@ class TestExpectationIdentities:
             for r in (1.0, 2.0):
                 theta_star = 0.7
                 phi = family.resolve_phi(1.0)
-                mass = escort_normalization(family, theta_star, phi, q, r)
+                mass = escort(family, theta_star, phi, q, r)
                 if abs(mass - 1.0) > 1e-8:
                     gate_failures.append((family.name, r, round(mass, 6)))
                     continue

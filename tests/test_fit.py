@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 from scipy.optimize import minimize
 
 from lqglm import (
@@ -29,7 +29,7 @@ from lqglm import (
     rng_stream,
 )
 from lqglm.model import PROFILE
-from conftest import stack
+from conftest import escort, stack
 
 VASO_ML_BETA = np.array([-2.875, 5.179, 4.562])
 VASO_ML_SE = np.array([1.321, 1.865, 1.838])
@@ -209,8 +209,6 @@ class TestMatricesAB:
         is recorded rather than asserted at Monte Carlo precision; this
         test pins the defect's size instead (under 10% here).
         """
-        from lqglm import escort_normalization
-
         rng = rng_stream(32, 0)
         n, q, reps = 30, 0.9, 100_000
         X = np.column_stack([np.ones(n), rng.uniform(-1, 1, size=n)])
@@ -219,7 +217,7 @@ class TestMatricesAB:
         fam = data0.family
         theta_star = X @ beta_star
         gate = [
-            abs(escort_normalization(fam, float(t), 1.0, q, 2.0) - 1.0) > 1e-8
+            abs(escort(fam, float(t), 1.0, q, 2.0) - 1.0) > 1e-8
             for t in theta_star[:5]
         ]
         assert all(gate)  # r = 2 escort is not normalized: identity gated off
@@ -242,6 +240,12 @@ class TestFitMlq:
     def test_reference_mlq_fit(self, vaso_79):
         assert np.max(np.abs(vaso_79.beta_q - VASO_MLQ_BETA)) < 0.02
         assert np.max(np.abs(vaso_79.se - VASO_MLQ_SE)) < 0.05
+
+    def test_no_control_is_the_default_control(self, vaso):
+        got, want = fit_mlq(vaso), fit_mlq(vaso, FitControl())
+        assert vars(got).keys() == vars(want).keys()
+        for name, value in vars(want).items():
+            assert_array_equal(getattr(got, name), value, err_msg=name)
 
     def test_reference_grid_point_080(self, vaso):
         fit = fit_mlq(vaso, FitControl(q=0.80))
@@ -576,6 +580,12 @@ class TestModelData:
         X = np.column_stack([np.ones(6), np.arange(6.0)])
         with pytest.raises(DomainError, match="Poisson responses must be nonnegative integers"):
             ModelData(X, np.array([0.0, 1.0, np.inf, 0, 1, 0]), "poisson")
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_gaussian_response_must_be_finite(self, bad):
+        X = np.column_stack([np.ones(6), np.arange(6.0)])
+        with pytest.raises(DomainError, match="^Gaussian responses must be finite$"):
+            ModelData(X, np.array([0.0, 1.0, bad, 0, 1, 0]), "gaussian")
 
     @pytest.mark.parametrize("family,link", [("binomial", None), ("gaussian", "probit"),
                                              ("gaussian", 5), ("gaussian", "powerx"),

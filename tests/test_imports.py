@@ -177,8 +177,7 @@ def test_only_main_writes_the_cli_documents():
 
 
 # The model is (X, y, phi) as its ModelData holds it: no public callable
-# takes an offset, and the search bracket and the solver and escort
-# tolerances are module constants.
+# takes an offset, a search bracket, or a solver or escort tolerance.
 REMOVED_PARAMETERS = {"offset", "expand", "sym_tol", "tail_tol"}
 
 
@@ -194,3 +193,34 @@ def test_no_public_callable_takes_a_removed_parameter():
             continue
         found += [(name, p) for p in parameters if p in REMOVED_PARAMETERS]
     assert found == []
+
+
+def _absolute_imports(source):
+    """The modules a source file imports by absolute name, with their line
+    numbers, anywhere in it; ``from a import b`` counts as ``a.b``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found += [(node.lineno, a.name) for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found += [(node.lineno, f"{node.module}.{a.name}") for a in node.names]
+    return found
+
+
+def _integrates(source):
+    return [line for line, name in _absolute_imports(source)
+            if name == "scipy.integrate" or name.startswith("scipy.integrate.")]
+
+
+def test_checker_finds_a_scipy_integrate_import():
+    source = ("import scipy.integrate\nfrom scipy import integrate, special\n"
+              "def f():\n    from scipy.integrate import quad\nimport scipy.interpolate\n")
+    assert _integrates(source) == [1, 2, 4]
+
+
+# The escort densities derive the estimator and are none of its outputs:
+# the premise tests keep them in tests/conftest.py, quadrature included.
+def test_the_escort_stays_in_the_tests():
+    assert [name for name in dir(lqglm) if name.startswith("escort")] == []
+    found = {path.name: _integrates(path.read_text()) for path in SRC.glob("*.py")}
+    assert {name: lines for name, lines in found.items() if lines} == {}

@@ -334,7 +334,7 @@ class TestDistributions:
     def test_domain_errors(self):
         with pytest.raises(DomainError, match="^chi-square statistic must be nonnegative$"):
             chi_square_sf(-1.0, 1)
-        for p in (0.0, 1.0, -0.5):
+        for p in (0.0, 1.0, -0.5, np.nan):
             with pytest.raises(DomainError, match=r"^probability must lie strictly in \(0, 1\)$"):
                 normal_quantile(p)
         for d in (0, -1, 1.5, np.nan, np.inf, -np.inf):

@@ -213,14 +213,14 @@ class TestEfficiencySelection:
         assert sel.fits == {0.79: _summary(warm)} and warm.iterations == 29
         assert sel.qv_profile == {0.79: float(np.trace(warm.cov))}
 
-    def test_negative_smallest_trace_is_selected(self):
-        # the kept q <= 0.85 fits have traces within roundoff of zero, and the
-        # smallest, at q = 0.8, is negative: the tie rule must still keep it
+    def test_degenerate_traces_are_nonnegative(self):
+        # the kept q <= 0.85 fits are degenerate, with traces within roundoff
+        # of zero; cov = B_n^{-1} / (2 - q) keeps each one nonnegative
         with pytest.warns(UserWarning):
             sel = select_q_efficiency(_failing_grid_data("poisson", 67),
                                       QGrid(q_min=0.5, step=0.05), FitControl())
-        assert min(sel.qv_profile.values()) < 0.0
-        assert sel.q_opt == 0.8 == min(sel.qv_profile, key=sel.qv_profile.get)
+        assert min(sel.qv_profile.values()) >= 0.0
+        assert sel.q_opt == 0.7 == min(sel.qv_profile, key=sel.qv_profile.get)
 
     def test_vaso_profile_recorded(self, vaso):
         sel = select_q_efficiency(vaso, QGrid(q_min=0.85, step=0.05))
@@ -377,7 +377,7 @@ def _oracle_result(data, prob, q, res):
     eta_star = w.eta[0]
     eta_q = calibrate(data.link, eta_star, q)
     at_eta_q = _working(prob, eta_q[None], q)
-    cov = Binv[0] @ A[0] @ Binv[0]
+    cov = Binv[0] / (2.0 - q)
     trace = res.trace[0]
     return FitResult(
         q=q,
