@@ -10,10 +10,11 @@ Conventions.  The estimating machinery (weights ``U``, matrices ``W`` and
 ``J``, fitted means entering score-type quantities) is evaluated at the
 surrogate-scale solution ``beta_star`` where the estimating function is
 unbiased; reported estimates, deviances and quantile residuals use the
-calibrated scale.  ``A_n``/``B_n`` are the raw (summed) matrices, with
-``A_n = B_n / (2 - q)`` on every theta-link, under which ``cov = B_n^{-1}
-A_n B_n^{-1} = B_n^{-1} / (2 - q)`` is the covariance of the calibrated
-coefficients and the three test statistics are chi-square scaled.
+calibrated scale.  ``A_n``/``B_n = phi X' W J X`` are the raw (summed)
+matrices, with ``A_n = B_n / (2 - q)`` on every theta-link, under which
+``cov = B_n^{-1} A_n B_n^{-1} = B_n^{-1} / (2 - q)`` is the covariance of
+the calibrated coefficients, the test statistics are chi-square scaled,
+and the mean-shift leverage reads ``(X' W J X)^{-1} = (2 - q) phi cov``.
 """
 
 import warnings
@@ -48,7 +49,6 @@ from .fit import (
 )
 from .model import PROFILE
 from .numerics import (
-    _not_positive_definite,
     chi_square_sf,
     inv_spd,
     normal_quantile,
@@ -143,25 +143,34 @@ class EnvelopeResult:
     nonconverged: int
 
 
+def _check_data(data, fit, what):
+    """UsageError unless ``data`` has the design and response of ``fit.data``, if any."""
+    own = fit.data
+    if own is not None and not (np.array_equal(data.X, own.X) and np.array_equal(data.y, own.y)):
+        raise UsageError(f"data differ from the data of the {what}")
+
+
 def deviance_q(data, fit_null, fit_alt):
     """Robust deviance ``2 {L_q(alternative) - L_q(null)}``.
 
     Both fits must share the response and the distortion parameter, with
-    the null design nested in the alternative.  The Lq-likelihoods are the
-    stored values at the calibrated predictors; the gap is clamped at zero
-    against roundoff.
+    the null design nested in the alternative, and ``data`` must be the
+    alternative's.  The Lq-likelihoods are the stored values at the
+    calibrated predictors; the gap is clamped at zero against roundoff.
     """
     fit_null.check_same_problem(fit_alt, what="deviance fits")
+    _check_data(data, fit_alt, "alternative fit")
     d = 2.0 * (fit_alt.lq_value - fit_null.lq_value)
     return max(0.0, float(d))
 
 
 def aic_q(data, fit):
-    """Lq analogue of the Akaike criterion.
+    """Lq analogue of the Akaike criterion; ``data`` must be the fit's own.
 
     ``-2 sum_i l_q(f_i at the calibrated fit) + 2 tr(B_n^{-1} A_n)``, whose
     penalty is ``2 p / (2 - q)``, as ``A_n = B_n / (2 - q)`` on every link.
     """
+    _check_data(data, fit, "fit")
     return -2.0 * fit.lq_value + 2.0 * len(fit.beta_star) / (2.0 - fit.q)
 
 
@@ -196,7 +205,7 @@ def wald_test(fit, hyp):
 
 
 def _constrained_point(data, hyp, q, control):
-    """The working point, ``A_n`` and ``B_n`` at the MLq fit under
+    """The working point and ``B_n`` at the MLq fit under
     ``H beta_q = h``.
 
     The hypothesis constrains the calibrated coefficients, so on the
@@ -239,7 +248,7 @@ def _constrained_memo(data, hyp, control):
 
 def score_test(data, hyp, q, control=None):
     """Score-type (Rao) statistic at the constrained MLq fit."""
-    w, _, B_t = _constrained_point(data, hyp, q, control)
+    w, B_t = _constrained_point(data, hyp, q, control)
     Bti = inv_spd(B_t)
     # a nearly singular B_t overflows C_t, which solve_spd rejects
     with np.errstate(over="ignore", invalid="ignore"):
@@ -259,7 +268,7 @@ def bf_test(data, fit, hyp, q=None, control=None):
         raise UsageError("q disagrees with the supplied fit")
     if fit.beta_q is None:
         raise UsageError("bilinear-form test needs calibrated coefficients")
-    w, _, B_t = _constrained_point(data, hyp, q, control)
+    w, B_t = _constrained_point(data, hyp, q, control)
     v = hyp.H @ solve_spd(B_t, w.psi)
     diff = hyp.H @ fit.beta_q - hyp.h
     stat = v @ solve_spd(hyp.H @ fit.cov @ hyp.H.T, diff)
@@ -280,9 +289,7 @@ def added_variable_score(data, fit_null, z):
         raise UsageError("z must have one entry per observation")
     f = _batch_of_one(data, fit_null)
     w = _working(f.prob, f.eta_star, f.q)
-    W, J, G, pivot = _hat(f.prob, w, f.q)
-    if pivot[0]:
-        raise _not_positive_definite(pivot[0])
+    W, J, G = _hat(f.prob, w, f.q, f.cov)
     num_core = z @ (w.U * w.kdot * (f.prob.y - w.mu))[0]
     WJ = (W * J)[0]
     v = z - G[0] @ (data.X.T @ (WJ * z))
@@ -299,20 +306,20 @@ def added_variable_score(data, fit_null, z):
 
 
 class _Fits(NamedTuple):
-    """A batch of fits on one design: the problem at each row's dispersion
-    ``phi_hat``, the distortion parameter, and per row the surrogate and
-    calibrated predictors and the calibrated means, each (R, n)."""
+    """A batch of fits on one design: the problem at each row's ``phi_hat``,
+    q, and per row ``eta_star``, ``eta_q``, the calibrated ``mu`` and ``cov``."""
 
     prob: object
     q: float
     eta_star: np.ndarray
     eta_q: np.ndarray
     mu: np.ndarray
+    cov: np.ndarray
 
 
 def _batch_of_one(data, fit):
     prob = _problem(data, fit.phi_hat, y=data.y[None])
-    return _Fits(prob, fit.q, fit.eta_star[None], fit.eta_q[None], fit.mu[None])
+    return _Fits(prob, fit.q, fit.eta_star[None], fit.eta_q[None], fit.mu[None], fit.cov[None])
 
 
 def _warn_rows(counts, message):
@@ -331,28 +338,26 @@ _WARNINGS = {"standardized": _UNDEFINED, "deviance": None, "quantile": _CLAMPED}
 
 
 def _standardized(f):
-    """Standardized residuals of every row, the per-row count of undefined
-    ones, and the Cholesky pivot of each row's ``X' W J X`` (NaN rows
-    where it is nonzero).
+    """Standardized residuals of every row and each row's count of undefined ones.
 
     The bracket is 1 for an observation without leverage and cancels to
     roundoff at a leverage of 1, so a bracket at or below ``DEGENERATE``
     is undefined whatever its sign (see ``standardized_residuals``).  So
     is a residual whose surrogate mean saturates (``V = 0``: ``0/0`` or
-    ``y/0``): every residual that is not finite is undefined, NaN.  Every
-    row is bit-identical to a batch of one: ``fit._hat`` inverts each
-    row's ``X' W J X`` on its own.
+    ``y/0``): every residual that is not finite is undefined, NaN.  Each
+    row is bit-identical to a batch of one: ``fit._hat`` reads its ``(X' W
+    J X)^{-1} = (2 - q) phi cov`` off its own ``cov = B_n^{-1} / (2 - q)``.
     """
     prob, q = f.prob, f.q
     w = _working(prob, f.eta_star, q)
-    W, J, G, pivot = _hat(prob, w, q)
+    W, J, G = _hat(prob, w, q, f.cov)
     bracket = 1.0 - W * J * np.sum(G * prob.X, axis=-1)
     bad = bracket <= DEGENERATE
     with np.errstate(invalid="ignore", divide="ignore"):
         den = np.sqrt(J * w.V / prob.phi) * np.sqrt(np.where(bad, np.nan, bracket))
         t = np.sqrt(2.0 - q) * w.U * (prob.y - w.mu) / den
     undefined = ~np.isfinite(t)
-    return np.where(undefined, np.nan, t), np.count_nonzero(undefined, axis=-1), pivot
+    return np.where(undefined, np.nan, t), np.count_nonzero(undefined, axis=-1)
 
 
 def _deviance(f):
@@ -371,16 +376,12 @@ def _quantile(f, uniforms):
 
 
 def _residuals(kind, f, uniforms):
-    """Residuals of ``kind`` of every row of the batch ``f``, each row's
-    count of those that ``_WARNINGS[kind]`` warns of, and each row's
-    Cholesky pivot of ``X' W J X`` (which only standardized residuals
-    solve with; 0 otherwise)."""
-    if kind == "standardized":
-        return _standardized(f)
-    none = np.zeros(len(f.eta_star), dtype=int)
-    if kind == "deviance":
-        return _deviance(f), none, none
-    return (*_quantile(f, uniforms), none)
+    """Residuals of ``kind`` of every row of the batch ``f`` and each
+    row's count of those that ``_WARNINGS[kind]`` warns of.  Standardized
+    ones read the hat off ``f.cov`` (``(X' W J X)^{-1} = (2 - q) phi cov``)."""
+    if kind == "quantile":
+        return _quantile(f, uniforms)
+    return _standardized(f) if kind == "standardized" else (_deviance(f), np.zeros(len(f.mu), int))
 
 
 def _of_fit(data, fit, kind, rng):
@@ -390,9 +391,7 @@ def _of_fit(data, fit, kind, rng):
     if discrete_u and rng is None:
         raise UsageError("discrete families need an rng for randomized residuals")
     uniforms = rng.uniform(size=data.n)[None] if discrete_u else None
-    vals, counts, pivot = _residuals(kind, _batch_of_one(data, fit), uniforms)
-    if pivot[0]:
-        raise _not_positive_definite(pivot[0])
+    vals, counts = _residuals(kind, _batch_of_one(data, fit), uniforms)
     return vals[0], counts
 
 
@@ -486,12 +485,12 @@ def _envelope_block(data, fit, kind, rows, seed, control):
         return np.empty((0, data.n)), failed, 0, np.zeros(0, dtype=int)
     block = _problem(data, data.phi, y=np.array(ys))
     prob, res = _fit(block, control.q, control)
-    w = _fitted(prob, control.q, res)[0]
+    w, _, cov = _fitted(prob, control.q, res)
     ok = res.ok
     sub, eta_star = prob.rows(ok), w.eta[ok]
     eta_q = calibrate(sub.link, eta_star, control.q)
-    fits = _Fits(sub, control.q, eta_star, eta_q, sub.family.b_dot(sub.link.k(eta_q)))
-    vals, counts, _ = _residuals(kind, fits, np.asarray(uniforms)[ok] if discrete_u else None)
+    fits = _Fits(sub, control.q, eta_star, eta_q, sub.family.b_dot(sub.link.k(eta_q)), cov[ok])
+    vals, counts = _residuals(kind, fits, np.asarray(uniforms)[ok] if discrete_u else None)
     vals = np.sort(vals, axis=-1)
     used = np.all(np.isfinite(vals), axis=-1)
     failed += len(ys) - int(np.count_nonzero(used))

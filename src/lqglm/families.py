@@ -342,7 +342,7 @@ def deformed_log(u, q):
     u = np.asarray(u, dtype=float)
     if np.any(u <= 0.0):
         raise DomainError("deformed_log requires u > 0")
-    if q <= 0.0:
+    if not q > 0.0:
         raise DomainError("deformed_log requires q > 0", value=q)
     out = _lq_terms(np.log(u), q)
     return float(out) if out.ndim == 0 else out
@@ -386,7 +386,7 @@ def jq(family, theta, q):
     ``J_q(theta_i)^(-phi)``.
     """
     family = get_family(family)
-    if q <= 0.0:
+    if not q > 0.0:
         raise DomainError("jq requires q > 0", value=q)
     family.check_theta(theta)
     theta = np.asarray(theta, dtype=float)

@@ -261,42 +261,35 @@ def matrices_ab(data, beta, q, phi=None):
     defined at every finite ``theta``, so only a non-finite ``theta_i``
     raises DomainError.
     """
-    return _evaluate(data, beta, q, phi)[1:]
+    B = _evaluate(data, beta, q, phi)[1]
+    return B / (2.0 - q), B
 
 
 def _evaluate(data, beta, q, phi=None):
-    """The working point, ``A_n`` and ``B_n`` of one ModelData at ``beta``;
-    DomainError where ``theta`` is not finite.  ``J_q`` needs no check of
-    its own: it is defined at every finite ``theta``.
-
-    ``b(theta)`` and ``J`` may overflow at a finite ``theta``; the working
-    point and the matrices then carry the non-finite entries that the
-    solves reject, without a numpy warning."""
+    """The working point and ``B_n`` of one ModelData at ``beta``;
+    DomainError where ``theta`` is not finite (``J_q`` is defined at every
+    finite ``theta``).  Where ``b(theta)`` or ``J`` overflows at a finite
+    ``theta``, both carry the non-finite entries that the solves reject,
+    without a numpy warning."""
     with np.errstate(over="ignore", invalid="ignore"):
         w, prob = _working_at(data, beta, q, phi)
-        return (w, *_matrices_ab(prob, w, q))
+        return w, _b_n(prob, w, q)
 
 
-def _matrices_ab(prob, w, q):
-    """``A_n`` and ``B_n`` of every row at the working point ``w``, at a
-    float q or an (R, 1) column of them: ``X' W J X`` is formed once and
-    scaled into both."""
+def _b_n(prob, w, q):
+    """``B_n = phi X' W J X`` of every row at ``w``, at a float q or an (R, 1) column."""
     W, J = _sensitivity(prob, w, q)
     XtDX = unpack_band(weighted_gram(prob.xx, W * J))
-    phi = prob.phi
-    A = np.asarray(phi / (2.0 - q))[..., None] * XtDX
-    return A, (XtDX if _unit(phi) else np.asarray(phi)[..., None] * XtDX)
+    return XtDX if _unit(prob.phi) else np.asarray(prob.phi)[..., None] * XtDX
 
 
-def _hat(prob, w, q):
-    """``W``, ``J``, ``G = X (X' W J X)^{-1}`` (R, n, p) and each row's
-    Cholesky pivot at the working point ``w``: the hat matrix ``P W J`` has
-    ``P = G X'``.  ``G`` is NaN on a row whose ``X' W J X`` is not positive
-    definite; each row's inverse is its own (``numerics._inverse_each``),
-    so every row is bit-identical to a batch of one."""
+def _hat(prob, w, q, cov):
+    """``W``, ``J`` and ``G = X (X' W J X)^{-1}`` (R, n, p) at ``w``: the hat
+    matrix ``P W J`` has ``P = G X'``.  As ``B_n = phi X' W J X``, ``G = (2-q)
+    phi X cov`` from each row's ``cov = B_n^{-1} / (2-q)`` of ``_fitted``, so
+    no row is factored again and each row is bit-identical to a batch of one."""
     W, J = _sensitivity(prob, w, q)
-    inverse, pivot = _inverse_each(unpack_band(weighted_gram(prob.xx, W * J)))
-    return W, J, prob.X @ inverse, pivot
+    return W, J, (prob.X @ cov) * np.asarray((2.0 - q) * prob.phi)[..., None]
 
 
 def calibrate(link, eta_star, q):
@@ -556,11 +549,12 @@ def _irls(prob, q, beta0, control):
 
 
 def _fitted(prob, q, res):
-    """The working point, ``A_n``, ``B_n`` and ``B_n^{-1}`` (each row's
-    dense inverse, ``numerics._inverse_each``) of every row of the
-    ``_irls`` outcome ``res`` at its solution, not meaningful on rows with
-    an error.  ``q`` is a float shared by every row or an (R, 1) column,
-    as in ``_working``.
+    """The working point, ``B_n`` and the symmetrized ``cov = B_n^{-1} /
+    (2-q)`` of every row of the ``_irls`` outcome ``res`` at its solution,
+    not meaningful on rows with an error; ``q`` is a float or an (R, 1)
+    column.  This is a fitted row's one inverse (``numerics._inverse_each``):
+    with ``A_n = B_n / (2-q)``, ``cov`` is the sandwich ``B_n^{-1} A_n
+    B_n^{-1}``, and ``_hat`` reads ``(X' W J X)^{-1} = (2-q) phi cov`` off it.
 
     Sets the error of a row without one to what ``fit_mlq`` raises on it,
     a SingularMatrixError where ``B_n`` is not positive definite or not
@@ -569,13 +563,14 @@ def _fitted(prob, q, res):
     """
     with np.errstate(over="ignore", invalid="ignore"):
         w = _working(prob, _predictor(prob, res.beta), q)
-        A, B = _matrices_ab(prob, w, q)
+        B = _b_n(prob, w, q)
     Binv, pivot = _inverse_each(B)
     finite = np.isfinite(B).all(axis=(-2, -1))
     for r in np.flatnonzero(res.ok & ~(finite & (pivot == 0))).tolist():
         res.error[r] = _not_positive_definite(pivot[r]) if finite[r] else SingularMatrixError(
             "B_n is not finite: the weights W J overflowed")
-    return w, A, B, Binv
+    cov = Binv / np.asarray(2.0 - q)[..., None]
+    return w, B, 0.5 * (cov + np.swapaxes(cov, -1, -2))
 
 
 def _start(base, control):
@@ -803,17 +798,17 @@ def _results(data, qs, prob, res):
     fits ``(prob, res)`` of ``data`` at the q values ``qs``, one per row,
     or the LqglmError that ``fit_mlq`` raises on that row instead.
 
-    The rows' solution working point, ``A_n``, ``B_n`` and ``B_n^{-1}``,
+    The rows' solution working point, ``B_n`` and covariance (``_fitted``),
     the calibration and the calibrated working point are each formed once
     for the batch, at an (R, 1) column of q over the one design of
     ``data``; each row equals its fit evaluated alone.  One row (every
     ``fit_mlq``) keeps its float q, whose scalar paths skip the column's
-    ``np.where`` passes.  Each row's covariance is the closed-form
-    sandwich ``B_n^{-1} A_n B_n^{-1} = B_n^{-1} / (2 - q)``, since ``A_n =
-    B_n / (2 - q)`` on every theta-link.
+    ``np.where`` passes.  ``A_n`` is published as ``B_n / (2 - q)``, its
+    closed form on every theta-link, under which the covariance is the
+    sandwich ``B_n^{-1} A_n B_n^{-1} = B_n^{-1} / (2 - q)``.
     """
     q = qs[0] if len(qs) == 1 else np.array(qs, dtype=float)[:, None]
-    w, A, B, Binv = _fitted(prob, q, res)
+    w, B, cov = _fitted(prob, q, res)
     rows = np.flatnonzero(res.ok)
     if not rows.size:
         yield from res.error
@@ -831,7 +826,6 @@ def _results(data, qs, prob, res):
         if error is not None:
             yield error
             continue
-        cov = Binv[r] / (2.0 - qs[r])
         trace = res.trace[r]
         yield FitResult(
             q=qs[r],
@@ -842,9 +836,9 @@ def _results(data, qs, prob, res):
             weights=w.U[r],
             mu=at_eta_q.mu[k],
             mu_star=w.mu[r],
-            A_n=A[r],
+            A_n=B[r] / (2.0 - qs[r]),
             B_n=B[r],
-            cov=0.5 * (cov + cov.T),
+            cov=cov[r],
             lq_value=float(at_eta_q.objective[k]),
             phi_hat=float(phi[k]),
             iterations=int(res.iterations[r]),

@@ -129,13 +129,14 @@ class FitResult:
     means at the surrogate scale) is what the residual and influence
     machinery uses.  ``weights`` are the estimation weights
     ``U_i = f(y_i)^(1-q)`` at the surrogate solution.  ``A_n``/``B_n`` are
-    the variability/sensitivity matrices evaluated at the surrogate
-    solution, with ``A_n = B_n / (2 - q)`` on every theta-link, and ``cov =
-    B_n^{-1} A_n B_n^{-1} = B_n^{-1} / (2 - q)`` estimates the covariance
-    of ``beta_q``; on a non-canonical link, where ``beta_q`` is None, it is
-    q^2 times the closed-form sandwich covariance of ``beta_star`` (whose
-    sensitivity is ``q B_n``).  ``lq_value`` is the Lq-objective at the
-    calibrated predictors.
+    the variability/sensitivity matrices at the surrogate solution, with
+    ``A_n = B_n / (2 - q)`` on every theta-link, and ``cov = B_n^{-1} A_n
+    B_n^{-1} = B_n^{-1} / (2 - q)`` estimates the covariance of ``beta_q``
+    (on a non-canonical link, where ``beta_q`` is None, q^2 times the
+    closed-form sandwich covariance of ``beta_star``, whose sensitivity is
+    ``q B_n``); the leverage of the standardized residuals reads ``(X' W J
+    X)^{-1} = (2 - q) phi_hat cov`` off it, as ``B_n = phi X' W J X``.
+    ``lq_value`` is the Lq-objective at the calibrated predictors.
     """
 
     q: float

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import LqglmError, SelectionError, UsageError, _real, _reals
-from .fit import FitControl, _fit_grid, _matrices_ab, _problem, _working
+from .fit import FitControl, _b_n, _fit_grid, _problem, _working
 from .numerics import inv_spd
 
 __all__ = [
@@ -81,7 +81,7 @@ def fisher_information(data, fit):
     fit, the reference against which the sandwich covariance is compared.
     """
     prob = _problem(data, fit.phi_hat)
-    return _matrices_ab(prob, _working(prob, fit.eta_q, 1.0), 1.0)[1]
+    return _b_n(prob, _working(prob, fit.eta_q, 1.0), 1.0)
 
 
 def are(fit):

@@ -62,6 +62,19 @@ class TestDevianceQ:
         with pytest.raises(UsageError):
             deviance_q(vaso, vaso_ml, vaso_79)
 
+    def test_data_must_be_the_alternatives(self, vaso, vaso_ml):
+        # the null fit's design, or another response, is not the data of the
+        # alternative; an equal copy is
+        null_data = vaso.subset_columns([0])
+        fit_null = fit_mlq(null_data, FitControl(q=1.0))
+        flipped = ModelData(vaso.X, 1.0 - vaso.y, "bernoulli")
+        message = "^data differ from the data of the alternative fit$"
+        for data in (null_data, flipped):
+            with pytest.raises(UsageError, match=message):
+                deviance_q(data, fit_null, vaso_ml)
+        copy = ModelData(vaso.X.copy(), vaso.y.copy(), "bernoulli")
+        assert deviance_q(copy, fit_null, vaso_ml) == deviance_q(vaso, fit_null, vaso_ml)
+
 
 class TestAicQ:
     def test_canonical_penalty(self, vaso, vaso_79):
@@ -72,6 +85,13 @@ class TestAicQ:
     def test_q1_classical_aic(self, vaso, vaso_ml):
         val = aic_q(vaso, vaso_ml)
         assert_allclose(val, -2 * vaso_ml.lq_value + 2 * 3, rtol=1e-10)
+
+    def test_data_must_be_the_fits(self, vaso, vaso_79):
+        for data in (vaso.subset_columns([0, 1]), ModelData(vaso.X, 1.0 - vaso.y, "bernoulli")):
+            with pytest.raises(UsageError, match="^data differ from the data of the fit$"):
+                aic_q(data, vaso_79)
+        copy = ModelData(vaso.X.copy(), vaso.y.copy(), "bernoulli")
+        assert aic_q(copy, vaso_79) == aic_q(vaso, vaso_79)
 
 
 class TestLinearTests:
@@ -195,7 +215,7 @@ class TestLinearTests:
         B = np.outer(u, u) + np.diag([0.0, 1e-9])
         hyp = LinearHypothesis([[1.3, 0.4], [-1.2, 0.0]], [0.0, 0.0])
         w = SimpleNamespace(psi=np.array([0.1, 0.02]))
-        monkeypatch.setattr(diagnostics, "_constrained_point", lambda *args: (w, 0.6 * B, B))
+        monkeypatch.setattr(diagnostics, "_constrained_point", lambda *args: (w, B))
         try:
             r = score_test(None, hyp, 0.9)
         except LqglmError:
@@ -571,9 +591,9 @@ class TestStandardizedResiduals:
                 t = standardized_residuals(data, fit)
             assert np.isnan(t[4]) and np.isfinite(np.delete(t, 4)).all()
         batch = _Fits(stack(datas), 0.9, *(np.array([getattr(f, k) for f in fits])
-                                            for k in ("eta_star", "eta_q", "mu")))
-        t, undefined, pivot = _standardized(batch)
-        assert undefined.tolist() == [1] * 8 and not pivot.any()
+                                            for k in ("eta_star", "eta_q", "mu", "cov")))
+        t, undefined = _standardized(batch)
+        assert undefined.tolist() == [1] * 8
         assert np.isnan(t[:, 4]).all() and np.isfinite(np.delete(t, 4, axis=1)).all()
 
     @pytest.mark.parametrize("fixture,q,rtol", [

@@ -135,6 +135,8 @@ class TestDeformedLog:
             deformed_log(0.0, 0.5)
         with pytest.raises(DomainError):
             deformed_log(1.0, -0.1)
+        with pytest.raises(DomainError, match="requires q > 0"):
+            deformed_log(2.0, np.nan)
 
     def test_continuity_in_q(self):
         for u in (0.5, 2.0, 10.0):
@@ -180,6 +182,13 @@ class TestJq:
             jq(family, np.array([0.5, theta]), 0.9)
         with pytest.raises(DomainError, match="not finite"):
             log_density(family, 1.0, theta)
+        # q lies in (0, 1]: zero and NaN are refused too
+        for q in (0.0, np.nan):
+            with pytest.raises(DomainError, match="^jq requires q > 0$"):
+                jq(family, 0.5, q)
+        if family.name == "poisson":
+            with pytest.raises(DomainError, match="^Poisson mean must be positive$"):
+                family.theta_from_mu(np.array([1.0, 0.0]))
 
 
 class TestEscort:

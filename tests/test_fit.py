@@ -1042,15 +1042,22 @@ class TestResultAssembly:
 
 
 class TestHat:
-    """``fit._hat``: ``G = X (X' W J X)^{-1}`` of every row, from each
-    row's own dense inverse."""
+    """``fit._fitted``'s covariance ``B_n^{-1} / (2 - q)`` of every row,
+    from each row's own dense inverse, and ``fit._hat``'s ``G = X (X' W J
+    X)^{-1}``, read off it."""
 
     @pytest.mark.parametrize("shared", [True, False], ids=["shared", "per-row"])
     @pytest.mark.parametrize("p", [2, 3, 6, 20])
     def test_rows_equal_a_batch_of_one(self, p, shared):
-        # X @ inverse multiplies each row alone, so every row's bits are its
+        # X @ cov multiplies each row alone, so every row's bits are its
         # own, beyond the 16 columns where the band solves' are not
-        from lqglm.fit import _Problem, _hat, _working
+        from lqglm.fit import _Irls, _Problem, _fitted, _hat
+
+        def outcome(beta):
+            R = len(beta)
+            return _Irls(beta, np.zeros(R, dtype=int), np.ones(R, dtype=bool),
+                         np.full(R, "", dtype=object), np.zeros((R, 1)),
+                         np.full(R, None, dtype=object))
 
         rng = rng_stream(37, p)
         R, n = 9, 3 * p + 10
@@ -1058,20 +1065,26 @@ class TestHat:
         if shared:
             X = X[0]
         else:
-            X[4, :, -1] = 0.0  # a rank-deficient row: pivot p and a NaN G
-        eta = np.broadcast_to(X @ rng.uniform(-0.5, 0.5, size=p), (R, n))
+            X[4, :, -1] = 0.0  # a rank-deficient row: pivot p and a NaN covariance
+        beta = np.tile(rng.uniform(-0.5, 0.5, size=p), (R, 1))
+        eta = np.broadcast_to(X @ beta[0], (R, n))
         y = rng.poisson(np.exp(eta)).astype(float)
         data = ModelData(np.ones((n, 1)), y[0], "poisson")
         prob = _Problem.build(data.family, data.link, X, y, 1.0)
-        w = _working(prob, eta, 0.8)
-        W, J, G, pivot = _hat(prob, w, 0.8)
+        res = outcome(beta)
+        w, B, cov = _fitted(prob, 0.8, res)
+        W, J, G = _hat(prob, w, 0.8, cov)
         assert G.shape == (R, n, p)
         for r in range(R):
-            one = _hat(prob.rows([r]), w.rows([r]), 0.8)
-            for got, want in zip((W, J, G, pivot), one):
+            one, res1 = prob.rows([r]), outcome(beta[r:r + 1])
+            w1, B1, cov1 = _fitted(one, 0.8, res1)
+            for got, want in zip((B, cov, W, J, G), (B1, cov1, *_hat(one, w1, 0.8, cov1))):
                 assert got[r].tobytes() == want[0].tobytes()
+            assert repr(res.error[r]) == repr(res1.error[0])
         failed = [] if shared else [4]
-        assert np.flatnonzero(pivot).tolist() == failed and pivot[failed].tolist() == [p] * len(failed)
+        assert [r for r in range(R) if not res.ok[r]] == failed
+        assert [res.error[r].pivot for r in failed] == [p] * len(failed)
+        assert np.isnan(cov[failed]).all() and np.isfinite(np.delete(cov, failed, axis=0)).all()
         assert np.isnan(G[failed]).all() and np.isfinite(np.delete(G, failed, axis=0)).all()
 
 
@@ -1618,12 +1631,12 @@ class TestQColumn:
     @pytest.mark.parametrize("kind", ["bernoulli", "poisson", "gaussian-profile",
                                       "poisson-power"])
     def test_rows_equal_float_q(self, kind):
-        from lqglm.fit import _matrices_ab, _sensitivity, _working
+        from lqglm.fit import _b_n, _sensitivity, _working
 
         prob, eta = self._problem(kind, len(self.Q))
         q = np.array(self.Q)[:, None]
         w = _working(prob, eta, q)
-        sens, ab = _sensitivity(prob, w, q), _matrices_ab(prob, w, q)
+        sens, B = _sensitivity(prob, w, q), _b_n(prob, w, q)
         assert np.all(w.theta_max < np.inf)
         for r, qr in enumerate(self.Q):
             one = prob.rows([r])
@@ -1632,8 +1645,7 @@ class TestQColumn:
                 assert _same_row(got, r, want), (name, qr)
             for name, got, want in zip("WJ", sens, _sensitivity(one, w1, qr)):
                 assert _same_row(got, r, want), (name, qr)
-            for name, got, want in zip("AB", ab, _matrices_ab(one, w1, qr)):
-                assert _same_row(got, r, want), (name, qr)
+            assert _same_row(B, r, _b_n(one, w1, qr)), qr
         # the q = 1 row: U = 1 and the objective is the log-likelihood
         assert np.all(w.U[0] == 1.0) and not np.all(w.U[1] == 1.0)
         assert np.array_equal(w.objective[0], np.add.reduce(w.logf[0], axis=-1))
@@ -1686,7 +1698,7 @@ class TestUnitDispersion:
     @pytest.mark.parametrize("family", ["bernoulli", "poisson"])
     @pytest.mark.parametrize("q", [1.0, 0.8, "column"])
     def test_float_one_equals_column_of_ones(self, family, q):
-        from lqglm.fit import _matrices_ab, _step, _unit, _working
+        from lqglm.fit import _b_n, _step, _unit, _working
 
         R = len(TestQColumn.Q)
         if q == "column":
@@ -1697,8 +1709,7 @@ class TestUnitDispersion:
         w, w1 = _working(prob, eta, q), _working(ones, eta, q)
         for name, got, want in zip(w._fields, w, w1):
             assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), name
-        for name, got, want in zip("AB", _matrices_ab(prob, w, q), _matrices_ab(ones, w1, q)):
-            assert got.tobytes() == want.tobytes(), name
+        assert _b_n(prob, w, q).tobytes() == _b_n(ones, w1, q).tobytes()
         if isinstance(q, np.ndarray):
             return  # _irls steps at a float q only
         for newton in (False, True):

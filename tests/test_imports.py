@@ -139,7 +139,7 @@ def test_only_the_fit_staging_calls_the_loop():
 
 # The band layout of X' diag(d) X, its solves, and the dense per-row
 # inverses: fit reads them, and every other module takes its matrices
-# from fit (fit._matrices_ab, fit._hat).
+# from fit (fit._b_n, fit._fitted's covariance, fit._hat).
 BAND_KERNEL = {"gram_cache", "weighted_gram", "unpack_band", "solve_spd_rows",
                "_inverse_each", "_sensitivity"}
 
@@ -153,13 +153,13 @@ def test_only_fit_and_numerics_name_the_band_kernel(path):
 
 def test_each_cholesky_kernel_has_one_job():
     # the band solves every step and reports its own pivots, with no dense
-    # retry; the dense inverses serve B_n^-1 and the hat alone
+    # retry; the dense inverses serve B_n^-1 alone, which the hat reads
     numerics = ast.parse((SRC / "numerics.py").read_text())
     solve = next(f for f in numerics.body
                  if isinstance(f, ast.FunctionDef) and f.name == "solve_spd_rows")
     dense = {"_solve_spd_each", "_inverse_each", "dpotrf", "dpotrs"}
     assert _names(ast.unparse(solve)) & dense == set()
-    assert _readers((SRC / "fit.py").read_text(), "_inverse_each") == {"_fitted", "_hat"}
+    assert _readers((SRC / "fit.py").read_text(), "_inverse_each") == {"_fitted"}
 
 
 # Each CLI command returns its document; main alone tags it with the

@@ -371,13 +371,12 @@ def _oracle_result(data, prob, q, res):
     q, assembled alone, or its error raised."""
     from lqglm.fit import FitResult, _fitted, _working, calibrate, calibrate_coefficients
 
-    w, A, B, Binv = _fitted(prob, q, res)
+    w, B, cov = _fitted(prob, q, res)
     if res.error[0] is not None:
         raise res.error[0]
     eta_star = w.eta[0]
     eta_q = calibrate(data.link, eta_star, q)
     at_eta_q = _working(prob, eta_q[None], q)
-    cov = Binv[0] / (2.0 - q)
     trace = res.trace[0]
     return FitResult(
         q=q,
@@ -388,9 +387,9 @@ def _oracle_result(data, prob, q, res):
         weights=w.U[0],
         mu=at_eta_q.mu[0],
         mu_star=w.mu[0],
-        A_n=A[0],
+        A_n=B[0] / (2.0 - q),
         B_n=B[0],
-        cov=0.5 * (cov + cov.T),
+        cov=cov[0],
         lq_value=float(at_eta_q.objective[0]),
         phi_hat=float(np.ravel(prob.phi)[0]),
         iterations=int(res.iterations[0]),
