@@ -7,8 +7,8 @@ file order, with an intercept prepended unless ``--no-intercept``.  Each
 ``cmd_*`` returns its exit code and its document: a dict, which ``main``
 writes as indented JSON led by the ``simulate.SCHEMA`` tag as ``"schema"``,
 or finished text (a CSV table, a ``SimReport`` rendering).  Exit codes:
-0 success, 1 input error, 2 fit did not converge (the result document is
-still emitted); a usage error such as an unknown option also exits 1.
+0 success, 1 input error or usage error (an unknown option), 2 from ``fit``
+alone when its fit did not converge (the result document is still emitted).
 ``LQGLM_SEED`` provides the default seed, read when a command runs.
 """
 

@@ -144,9 +144,10 @@ class EnvelopeResult:
 
 
 def _check_data(data, fit, what):
-    """UsageError unless ``data`` has the design and response of ``fit.data``, if any."""
+    """UsageError unless ``data`` is ``fit.data``, if any, or has its design and response."""
     own = fit.data
-    if own is not None and not (np.array_equal(data.X, own.X) and np.array_equal(data.y, own.y)):
+    if own is not None and own is not data and not (
+            np.array_equal(data.X, own.X) and np.array_equal(data.y, own.y)):
         raise UsageError(f"data differ from the data of the {what}")
 
 
@@ -215,13 +216,17 @@ def _constrained_point(data, hyp, q, control):
     ``X b0``, at the profiled dispersion when the data requests it, and
     the solution is evaluated once, on the full design.  A full-rank
     hypothesis leaves no ``gamma``: the point is ``b0``, at the dispersion
-    profiled there when the data requests it.  An explicit init belongs
-    to the full design, not the reduced one, so the fit starts from the
-    warm start; the other loop settings of ``control`` apply.
+    profiled there when the data requests it.
     """
     _check_width(hyp, data.p)
-    ctl = control if control is not None else FitControl()
-    return _constrained_memo(data, hyp, replace(ctl, q=float(q), init="ml-warm-start"))
+    return _constrained_memo(data, hyp, _constrained_control(control, q))
+
+
+def _constrained_control(control, q):
+    """The constrained fit's policy: the loop settings of ``control`` at q
+    from the warm start, as an explicit init belongs to the full design."""
+    return replace(control if control is not None else FitControl(), q=float(q),
+                   init="ml-warm-start")
 
 
 # One slot, so that score_test and bf_test share the fit whichever runs
@@ -261,13 +266,14 @@ def score_test(data, hyp, q, control=None):
 
 def bf_test(data, fit, hyp, q=None, control=None):
     """Bilinear-form statistic mixing the constrained and unconstrained
-    fits, at the fit's ``q``: any other ``q``, NaN included, is a
-    UsageError, raised before the constrained fit."""
+    fits, at the fit's ``q`` and on its data: any other ``q``, NaN included,
+    or other data is a UsageError, raised before the constrained fit."""
     q = fit.q if q is None else q
     if q != fit.q:
         raise UsageError("q disagrees with the supplied fit")
     if fit.beta_q is None:
         raise UsageError("bilinear-form test needs calibrated coefficients")
+    _check_data(data, fit, "fit")
     w, B_t = _constrained_point(data, hyp, q, control)
     v = hyp.H @ solve_spd(B_t, w.psi)
     diff = hyp.H @ fit.beta_q - hyp.h
@@ -318,6 +324,7 @@ class _Fits(NamedTuple):
 
 
 def _batch_of_one(data, fit):
+    _check_data(data, fit, "fit")
     prob = _problem(data, fit.phi_hat, y=data.y[None])
     return _Fits(prob, fit.q, fit.eta_star[None], fit.eta_q[None], fit.mu[None], fit.cov[None])
 
@@ -497,6 +504,13 @@ def _envelope_block(data, fit, kind, rows, seed, control):
     return vals[used], failed, int(np.count_nonzero(~res.converged[ok][used])), counts
 
 
+def _envelope_control(control, fit):
+    """The refits' policy: ``control`` (default ``FitControl(q=fit.q)``) if
+    at ``fit.q``, else its loop settings at ``fit.q`` from the warm start."""
+    ctl = control if control is not None else FitControl(q=fit.q)
+    return ctl if ctl.q == fit.q else replace(ctl, q=fit.q, init="ml-warm-start")
+
+
 def simulation_envelope(data, fit, kind="standardized", reps=100, seed=0,
                         level=0.95, control=None):
     """Parametric-bootstrap QQ envelope for a residual type.
@@ -519,9 +533,8 @@ def simulation_envelope(data, fit, kind="standardized", reps=100, seed=0,
     if _integer(reps, "reps") < MIN_ENVELOPE_REPS:
         raise UsageError(
             f"envelope needs at least {MIN_ENVELOPE_REPS} replicates, got {reps!r}")
-    ctl = control if control is not None else FitControl(q=fit.q)
-    if abs(ctl.q - fit.q) > 0:
-        ctl = replace(ctl, q=fit.q, init="ml-warm-start")
+    _check_data(data, fit, "fit")
+    ctl = _envelope_control(control, fit)
     sims, failed, nonconverged = [np.empty((0, data.n))], 0, 0
     for k in range(0, reps, BLOCK):
         vals, block_failed, block_nonconverged, counts = _envelope_block(

@@ -106,24 +106,27 @@ def _coefs(data, fit):
 _GRID_CONTROL = FitControl(max_iter=100, solver="newton")
 
 
+def _grid_control(control):
+    """The grid fits' policy: ``control`` from the warm start, whatever its
+    init says, by default Newton steps with a higher iteration cap than
+    single fits.  The selection rules need every grid point converged, not
+    the stopping point of a capped loop, and near indeterminacy scoring
+    converges only linearly: on vaso the 0.70:0.01 grid's batch takes 9
+    Newton iterations, while the default 25 scoring iterations leave 10 of
+    its 31 values unconverged."""
+    return replace(control if control is not None else _GRID_CONTROL, init="ml-warm-start")
+
+
 def _grid_fits(data, grid, control, need=3):
     """The fit at each grid value; non-convergent q's are dropped.
 
-    Each fit is ``fit_mlq(data, replace(control, q=q))`` from the warm
-    start, whatever ``control.init`` says, and ``fit._fit_grid`` fits them
-    all as one batch from the one q = 1 fit.  ``control`` defaults to
-    Newton steps with a higher iteration cap than single fits.  The
-    selection rules need every grid point converged, not the stopping
-    point of a capped loop, and near indeterminacy scoring converges only
-    linearly: on vaso the 0.70:0.01 grid's batch takes 9 Newton
-    iterations, while the default 25 scoring iterations leave 10 of its
-    31 values unconverged.
+    Each fit is ``fit_mlq(data, replace(_grid_control(control), q=q))``,
+    and ``fit._fit_grid`` fits them all as one batch from the one q = 1 fit.
     Raises SelectionError when fewer than ``need`` fits converge.
     """
-    ctl = replace(control if control is not None else _GRID_CONTROL, init="ml-warm-start")
     fits, dropped = {}, {}
     qs = [float(q) for q in grid.q_values]
-    for q, fit in zip(qs, _fit_grid(data, qs, ctl)):
+    for q, fit in zip(qs, _fit_grid(data, qs, _grid_control(control))):
         if isinstance(fit, LqglmError):  # singular weights etc.: treat as non-convergent
             warnings.warn(f"grid fit at q={q:.4g} failed: {fit}", stacklevel=3)
             dropped[q] = str(fit)

@@ -40,11 +40,12 @@ POISSON = Poisson()
 # Stream id reserved for the shared design matrix in fixed-X mode.
 FIXED_X_STREAM = 2**63
 
-# Loop settings of every fit.  Heavily contaminated cells converge slowly
-# at small q; the higher cap lets every replicate reach its estimate
-# instead of being excluded.
+# Loop settings of every fit, by scoring to the objective rule.  Heavily
+# contaminated cells converge slowly at small q; the higher cap lets every
+# replicate reach its estimate instead of being excluded.
 MAX_ITER = 100
 TOL = 1e-8
+_STUDY_CONTROL = FitControl(max_iter=MAX_ITER, tol=TOL)
 
 
 @dataclass
@@ -191,11 +192,10 @@ def _replicates(design, ks, X_fixed=None):
     POISSON.validate_y(y)
     X = np.array(X) if X_fixed is None else X_fixed
     block = _Problem.build(POISSON, CanonicalLink(), X, y, 1.0)
-    control = FitControl(max_iter=MAX_ITER, tol=TOL)
-    seed, warm, error = _start(block, control)
+    seed, warm, error = _start(block, _STUDY_CONTROL)
     out = {}
     for q in sorted(set(float(q) for q in design.q_list), reverse=True):
-        prob, res = _fit(block, q, control, (seed, warm, error))
+        prob, res = _fit(block, q, _STUDY_CONTROL, (seed, warm, error))
         # the next q starts here, before _fitted's B_n verdicts: bench/reference.json pins these
         # scoring stopping points
         seed = np.where((res.ok & res.converged)[:, None], res.beta, seed)

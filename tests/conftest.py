@@ -14,6 +14,94 @@ def stack(datas):
                           np.array([d.y for d in datas]), datas[0].phi)
 
 
+def staged_fits(prob, qs, control, start=None):
+    """The per-row reference of the library's staged fits: each row of the
+    stacked ``_Problem`` ``prob`` fitted alone by one ``_irls`` per q of the
+    descending ``qs`` under ``control``, profiled where ``prob`` is.
+    Returns ``(prob, res)`` per q: the rows at their dispersion and their
+    ``_Irls`` outcome.
+
+    Row r starts from ``start[r]``, or without ``start`` from the warm
+    start, the q = 1 fit from the row's classical start (solved for the
+    batch), which is also its fit at q = 1; ``_irls`` reads only the loop
+    settings of ``control``.  Each later q starts from the row's last
+    converged solution, its start while it has none.  A row whose classical
+    normal equations are singular, or whose q = 1 fit failed, keeps that
+    error at every q.
+    """
+    from lqglm.fit import _Irls, _classical_start, _irls, _profile
+    from lqglm.numerics import _not_positive_definite
+
+    if start is None:
+        beta0, pivot = _classical_start(prob)
+    rows = []
+    for r in range(len(prob.y)):
+        row, warm, error, stages = prob.rows([r]), None, None, []
+        if start is None:
+            warm = _irls(row, 1.0, beta0[[r]], control)
+            error = _not_positive_definite(int(pivot[r])) if pivot[r] else warm.error[0]
+            seed = warm.beta if error is None else np.full_like(warm.beta, np.nan)
+        else:
+            seed = start[[r]]
+        for q in qs:
+            res = (_Irls(*(f.copy() for f in warm)) if warm is not None and q == 1.0
+                   else _irls(row, q, seed, control))
+            if error is not None:
+                res.error[0] = error
+            stages.append((_profile(row, q, res, control) if row.profile else row, res))
+            if res.ok[0] and res.converged[0]:
+                seed = res.beta
+        rows.append(stages)
+    return [(prob.with_phi(np.concatenate([p.phi for p, _ in stage])) if prob.profile else prob,
+             _Irls(*map(np.concatenate, zip(*(res for _, res in stage)))))
+            for stage in zip(*rows)]
+
+
+def assert_same_irls(got, want):
+    """Every field of two ``_Irls`` outcomes is equal, byte for byte."""
+    for name, a, b in zip(got._fields, got, want):
+        assert a.dtype == b.dtype and a.shape == b.shape, name
+        if a.dtype == object:
+            assert list(map(repr, a)) == list(map(repr, b)), name
+        else:
+            assert a.tobytes() == b.tobytes(), name
+
+
+def fit_result(data, prob, q, res):
+    """The FitResult of the batch-of-one fit ``(prob, res)`` of ``data``
+    at the float q, assembled alone, or its error raised."""
+    from lqglm.fit import FitResult, _fitted, _working, calibrate, calibrate_coefficients
+
+    w, B, cov = _fitted(prob, q, res)
+    if res.error[0] is not None:
+        raise res.error[0]
+    eta_star = w.eta[0]
+    eta_q = calibrate(data.link, eta_star, q)
+    at_eta_q = _working(prob, eta_q[None], q)
+    trace = res.trace[0]
+    return FitResult(
+        q=q,
+        beta_star=res.beta[0],
+        beta_q=calibrate_coefficients(data.link, res.beta[0], q),
+        eta_star=eta_star,
+        eta_q=eta_q,
+        weights=w.U[0],
+        mu=at_eta_q.mu[0],
+        mu_star=w.mu[0],
+        A_n=B[0] / (2.0 - q),
+        B_n=B[0],
+        cov=cov[0],
+        lq_value=float(at_eta_q.objective[0]),
+        phi_hat=float(np.ravel(prob.phi)[0]),
+        iterations=int(res.iterations[0]),
+        converged=bool(res.converged[0]),
+        psi_norm=float(np.max(np.abs(w.psi[0]))),
+        message=res.message[0],
+        objective_trace=trace[~np.isnan(trace)].tolist(),
+        data=data,
+    )
+
+
 def escort(family, theta, phi, q, r, y=None):
     """The escort function of order ``(q, r)`` of ``family`` at ``theta``
     (Ferrari & Yang 2010, Ann. Statist. 38:753-783): its log at ``y``, or,

@@ -166,7 +166,8 @@ def test_c5_simulation_spot_cells():
     }
     detail = (
         f"got bias {biasA[1.0]:.3f}/{biasA[0.97]:.3f}/{biasB[0.91]:.3f} "
-        f"iqr {cellC.rows[0]['iqr']:.3f} in {dt:.0f}s"
+        f"(targets 0.161/0.015/0.014, bounds ±0.03/±0.02/±0.02) "
+        f"iqr {cellC.rows[0]['iqr']:.3f} (target 0.103, bound ±0.02) in {dt:.0f}s (bound 600s)"
     )
     report("5 (contamination cells)", all(checks.values()),
            detail + f" failed={[k for k, v in checks.items() if not v]}")
@@ -196,7 +197,7 @@ def test_c6a_gradient_consistency():
             ])
             scale = max(1.0, float(np.max(np.abs(psi))))
             worst = max(worst, float(np.max(np.abs(psi - fd))) / scale)
-    report("6a (gradient consistency, 150 cases)", worst <= 1e-5, f"worst rel err {worst:.2e}")
+    report("6a (gradient consistency, 150 cases)", worst <= 1e-5, f"worst rel err {worst:.2e} (bound 1e-05)")
 
 
 def test_c6b_unbiased_at_surrogate():
@@ -216,7 +217,7 @@ def test_c6b_unbiased_at_surrogate():
     se = Psi.std(axis=0, ddof=1) / math.sqrt(reps)
     ok = bool(np.all(np.abs(m) <= 4 * se))
     report("6b (estimating function unbiased at surrogate)", ok,
-           f"|mean|/4SE = {np.max(np.abs(m) / (4 * se)):.2f}")
+           f"|mean|/4SE = {np.max(np.abs(m) / (4 * se)):.2f} (bound 1)")
 
 
 def _mc_moment_case(family_name, which):
@@ -271,7 +272,7 @@ def test_c6c_matrix_mc_match(family, which):
     gap, rel = _mc_moment_case(family, which)
     ok = gap <= 1.0  # within 4 SE
     report(f"6c ({family} {which}_n vs Monte Carlo)", ok,
-           f"|gap|/4SE = {gap:.2f}, rel gap = {rel:.3f}")
+           f"|gap|/4SE = {gap:.2f} (bound 1), rel gap = {rel:.3f}")
 
 
 @pytest.mark.parametrize("dataset,q", [
@@ -284,7 +285,7 @@ def test_c6d_sandwich_dominance(dataset, q, request):
     F = fisher_information(data, fit)
     eig_min = float(np.min(np.linalg.eigvalsh(fit.cov - np.linalg.inv(F))))
     ok = eig_min >= -1e-8
-    report(f"6d (sandwich dominance, {dataset} q={q})", ok, f"min eig {eig_min:.2e}")
+    report(f"6d (sandwich dominance, {dataset} q={q})", ok, f"min eig {eig_min:.2e} (bound >= -1e-08)")
 
 
 def test_c6e_null_calibration():
@@ -313,8 +314,8 @@ def test_c6e_null_calibration():
     med_b = float(np.median(np.abs(w - np.asarray(stats["bilinear"])) / w))
     ok = ok and med_r < 0.15 and med_b < 0.15
     report("6e (null rejection rates)", ok,
-           f"rates={ {k: round(v, 4) for k, v in rates.items()} } "
-           f"median gaps (score, bf) = ({med_r:.3f}, {med_b:.3f})")
+           f"rates={ {k: round(v, 4) for k, v in rates.items()} } (bounds [0.03, 0.08]) "
+           f"median gaps (score, bf) = ({med_r:.3f}, {med_b:.3f}) (bound 0.15 each)")
 
 
 def test_c6f_mean_shift_identity(vaso, poisson_example):
@@ -394,8 +395,8 @@ def test_c6_supplement_pairwise_equivalence_tightens():
     report(
         "6supp (pairwise equivalence tightens with n)",
         bern_tightens and pois_bounded,
-        f"bernoulli {meds[('bernoulli', 100)]}->{meds[('bernoulli', 400)]}, "
-        f"poisson plateau {meds[('poisson', 400)]}",
+        f"bernoulli {meds[('bernoulli', 100)]}->{meds[('bernoulli', 400)]} (both must fall), "
+        f"poisson plateau {meds[('poisson', 400)]} (bound 0.15 each)",
     )
 
 

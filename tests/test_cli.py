@@ -635,6 +635,22 @@ def test_rho_factor_is_refused_by_the_efficiency_method(vaso_csv, capsys):
         "lqglm: error: --rho-factor applies to --method stability only\n")
 
 
+@pytest.mark.parametrize("command,code", [
+    (["fit"], 2), (["test"], 0), (["residuals", "--type", "deviance"], 0),
+    (["envelope", "--type", "deviance", "--reps", "10"], 0)],
+    ids=["fit", "test", "residuals", "envelope"])
+def test_only_fit_exits_2_on_a_nonconverged_fit(command, code, vaso_csv, tmp_path):
+    # vaso at q = 0.79 stops at the 25-iteration cap; the documents built
+    # on that fit exit 0 (README, exit codes)
+    (tmp_path / "H.csv").write_text("0.0,1.0,-1.0\n")
+    (tmp_path / "h.csv").write_text("0.0\n")
+    hyp = ["--H", str(tmp_path / "H.csv"), "--h", str(tmp_path / "h.csv")]
+    argv = [*command, *(hyp if command == ["test"] else []), "--data", vaso_csv,
+            "--response", "y", "--log", "volume,rate", "--q", "0.79",
+            "--output", str(tmp_path / "out")]
+    assert main(argv) == code
+
+
 def test_help_exits_0(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["envelope", "--help"])

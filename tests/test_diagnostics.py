@@ -38,7 +38,7 @@ from lqglm import (
     standardized_residuals,
     wald_test,
 )
-from conftest import escort, stack
+from conftest import escort, stack, staged_fits
 
 
 class TestDevianceQ:
@@ -255,11 +255,11 @@ def test_statistics_finite_or_typed_error(family, n, seed, row, h, q):
 
 def _oracle_constrained_point(data, hyp, q, control):
     """The constrained path as it was before the hypothesis carried ``N``:
-    an SVD per call, a ``_fitted`` evaluation of the reduced solution whose
-    result is discarded, then the evaluation on the full design."""
-    from dataclasses import replace
-
-    from lqglm.fit import _evaluate, _fit, _fitted
+    an SVD per call, the reduced fit by the per-row reference under the
+    constrained fit's control, a ``_fitted`` evaluation of its solution
+    whose result is discarded, then the evaluation on the full design."""
+    from lqglm.diagnostics import _constrained_control
+    from lqglm.fit import _evaluate, _fitted
     from lqglm.numerics import solve_spd
 
     if not data.link.is_canonical:
@@ -272,9 +272,8 @@ def _oracle_constrained_point(data, hyp, q, control):
         phi = estimate_phi(data, q * b0, q) if data.phi == PROFILE else data.phi
         return _evaluate(data, b0, q, phi)
     reduced = ModelData(data.X @ N, data.y, data.family, data.link, data.phi)
-    ctl = replace(control if control is not None else FitControl(), q=q,
-                  init="ml-warm-start")
-    prob, res = _fit(stack([reduced])._replace(offset=data.X @ b0), q, ctl)
+    base = stack([reduced])._replace(offset=data.X @ b0)
+    [(prob, res)] = staged_fits(base, [q], _constrained_control(control, q))
     _fitted(prob, q, res)
     if res.error[0] is not None:
         raise res.error[0]
@@ -919,16 +918,14 @@ _LOOP_RESIDUALS = {
 
 
 def _loop_envelope(data, fit, kind, reps, seed, control=None, level=0.95):
-    """One fit_mlq per replicate; returns the envelope fields, the
-    non-converged count and the LqglmError types of the failed refits."""
-    from dataclasses import replace
-
+    """One fit_mlq per replicate under the refits' control; returns the
+    envelope fields, the non-converged count and the LqglmError types of
+    the failed refits."""
     from lqglm import LqglmError
+    from lqglm.diagnostics import _envelope_control
 
     resid = _LOOP_RESIDUALS[kind]
-    ctl = control if control is not None else FitControl(q=fit.q)
-    if abs(ctl.q - fit.q) > 0:
-        ctl = replace(ctl, q=fit.q, init="ml-warm-start")
+    ctl = _envelope_control(control, fit)
     sims, failed, nonconverged, errors = [], 0, 0, []
     for r in range(reps):
         rng = rng_stream(seed, r)
@@ -1099,6 +1096,26 @@ class TestBatchedEnvelope:
 
 class TestArgumentChecks:
     """Each check of a diagnostic's arguments raises its own error."""
+
+    @pytest.mark.parametrize("call", [
+        deviance_residuals,
+        standardized_residuals,
+        lambda d, f: quantile_residuals(d, f, rng_stream(9, 0)),
+        lambda d, f: added_variable_score(d, f, np.linspace(-1.0, 1.0, d.n) ** 2),
+        lambda d, f: simulation_envelope(d, f, kind="deviance", reps=10, seed=2),
+        lambda d, f: bf_test(d, f, LinearHypothesis([[0.0, 1.0, -1.0]], [0.0]))],
+        ids=["deviance", "standardized", "quantile", "added-variable", "envelope", "bf"])
+    def test_data_must_be_the_fits(self, vaso, vaso_79, monkeypatch, call):
+        # the flipped response gave wrong residuals and a bilinear statistic
+        # of 0; an equal copy is the fit's data, and the fit's own data are
+        # not compared
+        flipped = ModelData(vaso.X, 1.0 - vaso.y, "bernoulli")
+        with pytest.raises(UsageError, match="^data differ from the data of the fit$"):
+            call(flipped, vaso_79)
+        copy = ModelData(vaso.X.copy(), vaso.y.copy(), "bernoulli")
+        want = call(copy, vaso_79)
+        monkeypatch.setattr(np, "array_equal", None)
+        assert repr(call(vaso, vaso_79)) == repr(want)
 
     def test_hypothesis_with_more_rows_than_columns(self):
         with pytest.raises(UsageError, match="^H cannot have more rows than columns$"):

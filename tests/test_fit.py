@@ -29,7 +29,7 @@ from lqglm import (
     rng_stream,
 )
 from lqglm.model import PROFILE
-from conftest import escort, stack
+from conftest import assert_same_irls, escort, stack, staged_fits
 
 VASO_ML_BETA = np.array([-2.875, 5.179, 4.562])
 VASO_ML_SE = np.array([1.321, 1.865, 1.838])
@@ -779,14 +779,8 @@ class TestBatchedCore:
             assert isinstance(batch.error[2], DomainError)
             if q == 1.0:
                 assert isinstance(batch.error[0], SingularMatrixError)
-            for r in (1, 3):
-                alone = _irls(prob.rows([r]), q, beta0[[r]], ctl)
-                assert batch.error[r] is None and alone.error[0] is None
-                assert batch.beta[r].tobytes() == alone.beta[0].tobytes()
-                assert batch.iterations[r] == alone.iterations[0]
-                assert batch.converged[r] and alone.converged[0]
-                assert batch.message[r] == alone.message[0]
-                assert batch.trace[r].tobytes() == alone.trace[0].tobytes()
+            assert batch.ok[[1, 3]].all() and batch.converged[[1, 3]].all()
+            assert_same_irls(batch, staged_fits(prob, [q], ctl, beta0)[0][1])
 
     @staticmethod
     def _stop_batch():
@@ -831,21 +825,14 @@ class TestBatchedCore:
         assert [type(e) for e in batch.error] == [type(None)] * 3 + [DomainError] + [type(None)] * 2
         # a row stopped before a step keeps its start
         assert batch.beta[2].tolist() == [800.0, 0.0] and batch.beta[5].tolist() == [600.0, 0.0]
-        for r in range(6):
-            alone = _irls(prob.rows([r]), 1.0, beta0[[r]], ctl)
-            assert batch.beta[r].tobytes() == alone.beta[0].tobytes()
-            assert batch.iterations[r] == alone.iterations[0]
-            assert batch.converged[r] == alone.converged[0]
-            assert batch.message[r] == alone.message[0]
-            assert batch.trace[r].tobytes() == alone.trace[0].tobytes()
-            assert repr(batch.error[r]) == repr(alone.error[0])
+        assert_same_irls(batch, staged_fits(prob, [1.0], ctl, beta0)[0][1])
 
     def test_failed_start_keeps_its_error_at_every_q(self, monkeypatch):
         # the study's block: replicate 1 fails at the classical start, and
         # every q-stage keeps that error while the other rows fit
         from lqglm import fit as fit_module
         from lqglm.numerics import _not_positive_definite
-        from lqglm.simulate import MAX_ITER, TOL
+        from lqglm.simulate import _STUDY_CONTROL
 
         start = fit_module._classical_start
 
@@ -857,10 +844,10 @@ class TestBatchedCore:
         monkeypatch.setattr(fit_module, "_classical_start", singular_row_1)
         qs = [1.0, 0.9, 0.8]
         stages, estimates = _study_stages(monkeypatch, SimDesign(n=50, reps=3, q_list=qs, seed=5))
-        want = _chained_oracle(stages[0][1], qs, FitControl(max_iter=MAX_ITER, tol=TOL))
+        want = staged_fits(stages[0][1], qs, _STUDY_CONTROL)
         assert [q for q, _, _ in stages] == qs
-        for (_, _, res), ref in zip(stages, want):
-            _assert_same_irls(res, ref)
+        for (_, _, res), (_, ref) in zip(stages, want):
+            assert_same_irls(res, ref)
             assert repr(res.error[1]) == repr(_not_positive_definite(2))
             assert res.error[0] is None and res.error[2] is None
         assert np.isnan(estimates[1]).all()
@@ -942,12 +929,7 @@ class TestBatchedCore:
         ctl = FitControl(max_iter=100)
         batch = _irls(prob, q, beta0, ctl)
         assert np.count_nonzero(batch.converged) >= 2 and len(set(batch.iterations.tolist())) > 2
-        for r in range(len(datas)):
-            alone = _irls(prob.rows([r]), q, beta0[[r]], ctl)
-            assert batch.beta[r].tobytes() == alone.beta[0].tobytes()
-            assert batch.iterations[r] == alone.iterations[0]
-            assert batch.message[r] == alone.message[0]
-            assert batch.trace[r].tobytes() == alone.trace[0].tobytes()
+        assert_same_irls(batch, staged_fits(prob, [q], ctl, beta0)[0][1])
 
     def test_batch_of_one_is_fit_mlq(self, poisson_example):
         from lqglm.fit import _irls
@@ -1200,39 +1182,6 @@ def _study_stages(monkeypatch, design):
     return stages, simulate._replicates(design, range(design.reps))
 
 
-def _chained_oracle(prob, qs, ctl):
-    """One ``_irls`` per q of the descending ``qs``, each started as
-    ``TestPathStarts`` says; a row whose start failed keeps its error, and
-    its later starts are NaN."""
-    from lqglm.fit import _classical_start, _irls
-    from lqglm.numerics import _not_positive_definite
-
-    beta0, pivot = _classical_start(prob)
-    warm = _irls(prob, 1.0, beta0, ctl)
-    error = warm.error.copy()
-    for r in np.flatnonzero(pivot).tolist():
-        error[r] = _not_positive_definite(pivot[r])
-    failed = ~np.equal(error, None)
-    seed, path = np.where(failed[:, None], np.nan, warm.beta), []
-    for q in qs:
-        if path:
-            last = path[-1]
-            seed = np.where((last.ok & last.converged)[:, None], last.beta, seed)
-        res = warm if q == 1.0 else _irls(prob, q, seed, ctl)
-        res.error[failed] = error[failed]
-        path.append(res)
-    return path
-
-
-def _assert_same_irls(got, want):
-    for name, a, b in zip(got._fields, got, want):
-        assert a.dtype == b.dtype and a.shape == b.shape, name
-        if a.dtype == object:
-            assert list(map(repr, a)) == list(map(repr, b)), name
-        else:
-            assert a.tobytes() == b.tobytes(), name
-
-
 class TestPathStarts:
     """Where ``simulate._replicates`` starts each q after the first: from
     the row's last converged solution (every ``run_study`` block)."""
@@ -1242,7 +1191,7 @@ class TestPathStarts:
     def test_scoring_path_starts_from_the_last_solution(self, monkeypatch):
         # byte for byte: the objective rule's stopping points of scoring
         # are the documented results, so its starts must not move
-        from lqglm.simulate import MAX_ITER, TOL
+        from lqglm.simulate import _STUDY_CONTROL
 
         # the mc_contam shape: Poisson n = 400, a quarter of responses x 5;
         # the q values are fitted in descending order whatever their order
@@ -1251,9 +1200,9 @@ class TestPathStarts:
         assert [q for q, _, _ in stages] == self.QS
         prob = stages[0][1]
         assert all(base is prob for _, base, _ in stages)
-        want = _chained_oracle(prob, self.QS, FitControl(max_iter=MAX_ITER, tol=TOL))
+        want = [res for _, res in staged_fits(prob, self.QS, _STUDY_CONTROL)]
         for (q, _, res), ref in zip(stages, want):
-            _assert_same_irls(res, ref)
+            assert_same_irls(res, ref)
             got = estimates[:, design.q_list.index(q)]
             good = ~np.isnan(got).any(axis=1)
             assert not (good & ~(ref.ok & ref.converged)).any()
@@ -1261,6 +1210,28 @@ class TestPathStarts:
         # rows whose later starts are their previous solutions
         first, second = want[0], want[1]
         assert np.count_nonzero(first.converged & second.converged) >= 4
+
+    def test_stages_are_seeded_before_the_b_n_verdicts(self, monkeypatch):
+        # a converged row whose B_n verdict fails it still seeds the next q
+        from lqglm import simulate
+        from lqglm.errors import SingularMatrixError
+        from lqglm.simulate import _STUDY_CONTROL
+
+        fitted = simulate._fitted
+
+        def failing_row_0(prob, q, res):
+            out = fitted(prob, q, res)
+            if q == 0.97:
+                res.error[0] = SingularMatrixError("B_n of row 0")
+            return out
+
+        monkeypatch.setattr(simulate, "_fitted", failing_row_0)
+        design = SimDesign(n=400, eps=0.25, nu=5.0, reps=4, q_list=tuple(self.QS), seed=3)
+        stages, estimates = _study_stages(monkeypatch, design)
+        want = staged_fits(stages[0][1], self.QS, _STUDY_CONTROL)
+        assert want[1][1].converged[0] and np.isnan(estimates[0, 1]).all()
+        for (_, _, res), (_, ref) in zip(stages, want):
+            assert_same_irls(res, ref)
 
 
 class TestInvariances:

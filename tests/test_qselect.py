@@ -21,7 +21,7 @@ from lqglm import (
     select_q_stability,
 )
 from lqglm.datasets import vaso_model_data
-from conftest import stack
+from conftest import fit_result, stack, staged_fits
 
 
 class TestAre:
@@ -277,19 +277,6 @@ class TestGridMechanics:
             QGrid(**kwargs)
 
 
-def _outcome(fn, *args):
-    """``(result or error, warning texts)`` of a call."""
-    import warnings
-
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        try:
-            got = fn(*args)
-        except SelectionError as e:
-            got = e
-    return got, [str(w.message) for w in caught]
-
-
 def _grid_cases():
     rng = rng_stream(11, 0)
     X = np.column_stack([np.ones(60), rng.uniform(-1, 1, size=60)])
@@ -319,22 +306,11 @@ class TestGridPath:
 
         data, grid, control = _grid_cases()[name]
         args = (vaso if data is None else data, grid, control)
-        got, got_warnings = _outcome(_grid_fits, *args)
-        want, want_warnings = _outcome(_oracle_grid_fits, *args)
-        assert got_warnings == want_warnings
-        if isinstance(want, SelectionError):
-            assert type(got) is SelectionError and str(got) == str(want)
-            return
-        (fits, dropped), (want_fits, want_dropped) = got, want
-        assert dropped == want_dropped and list(fits) == list(want_fits)
-        for q, fit in fits.items():
-            for field, value in vars(want_fits[q]).items():
-                if field != "data":
-                    assert repr(getattr(fit, field)) == repr(value), (q, field)
-                    if isinstance(value, np.ndarray):
-                        assert getattr(fit, field).tobytes() == value.tobytes(), (q, field)
+        got = _recorded(_grid_fits, *args)
+        _assert_same_outcome(got, _recorded(_oracle_grid_fits, *args))
         if name == "vaso-scoring":
             # the 25-iteration cap stops 10 of the 31 values short
+            fits, dropped = got[0]
             assert len(dropped) == 10 and len(fits) == 21
 
     def test_vaso_grid_fits_stop_near_their_roots(self, vaso):
@@ -366,41 +342,6 @@ class TestSandwichDominance:
             assert float(np.trace(fit.cov)) >= tr_f - 1e-8
 
 
-def _oracle_result(data, prob, q, res):
-    """The FitResult of the batch-of-one fit ``(prob, res)`` at the float
-    q, assembled alone, or its error raised."""
-    from lqglm.fit import FitResult, _fitted, _working, calibrate, calibrate_coefficients
-
-    w, B, cov = _fitted(prob, q, res)
-    if res.error[0] is not None:
-        raise res.error[0]
-    eta_star = w.eta[0]
-    eta_q = calibrate(data.link, eta_star, q)
-    at_eta_q = _working(prob, eta_q[None], q)
-    trace = res.trace[0]
-    return FitResult(
-        q=q,
-        beta_star=res.beta[0],
-        beta_q=calibrate_coefficients(data.link, res.beta[0], q),
-        eta_star=eta_star,
-        eta_q=eta_q,
-        weights=w.U[0],
-        mu=at_eta_q.mu[0],
-        mu_star=w.mu[0],
-        A_n=B[0] / (2.0 - q),
-        B_n=B[0],
-        cov=cov[0],
-        lq_value=float(at_eta_q.objective[0]),
-        phi_hat=float(np.ravel(prob.phi)[0]),
-        iterations=int(res.iterations[0]),
-        converged=bool(res.converged[0]),
-        psi_norm=float(np.max(np.abs(w.psi[0]))),
-        message=res.message[0],
-        objective_trace=trace[~np.isnan(trace)].tolist(),
-        data=data,
-    )
-
-
 def _oracle_grid_fits(data, grid, control, need=3):
     """``qselect._grid_fits`` as one ``fit_mlq`` per grid value under the
     grid's control."""
@@ -408,9 +349,9 @@ def _oracle_grid_fits(data, grid, control, need=3):
     from dataclasses import replace
 
     from lqglm import LqglmError
-    from lqglm.qselect import _GRID_CONTROL, _too_few
+    from lqglm.qselect import _grid_control, _too_few
 
-    ctl = replace(control if control is not None else _GRID_CONTROL, init="ml-warm-start")
+    ctl = _grid_control(control)
     fits, dropped = {}, {}
     for q in (float(q) for q in grid.q_values):
         try:
@@ -590,7 +531,7 @@ class TestBatchedGridAssembly:
 
         from lqglm import fit as fit_module
         from lqglm.fit import BLOCK, _fit_grid
-        from lqglm.qselect import _GRID_CONTROL
+        from lqglm.qselect import _grid_control
 
         rng = rng_stream(5, 0)
         n, p = 400, 30
@@ -598,7 +539,7 @@ class TestBatchedGridAssembly:
         data = ModelData(X, rng.normal(X @ rng.normal(0, 0.2, size=p), 1.0), "gaussian",
                          phi=1.0)
         qs = [float(q) for q in QGrid(q_min=0.6, step=0.004).q_values]
-        ctl = replace(_GRID_CONTROL, init="ml-warm-start")
+        ctl = _grid_control(None)
         blocks, fitted = [], fit_module._fitted
 
         def recording(prob, q, res):
@@ -627,15 +568,13 @@ class TestBatchedGridAssembly:
     @pytest.mark.parametrize("name", ["vaso", "poisson-outliers", "gaussian-profile",
                                       "poisson-failing"])
     def test_fit_mlq_is_a_one_stage_path(self, name, q, vaso, summation_orders):
-        from lqglm.fit import _fit
-
         data = (_failing_grid_data("poisson", 139) if name == "poisson-failing"
                 else _GRID_DATA[name](vaso))
         ctl = FitControl(q=q)
 
         def oracle():
-            prob, res = _fit(stack([data]), q, ctl)
-            return _oracle_result(data, prob, q, res)
+            [(prob, res)] = staged_fits(stack([data]), [q], ctl)
+            return fit_result(data, prob, q, res)
 
         got, want = _recorded(fit_mlq, data, ctl), _recorded(oracle)
         _assert_same_outcome(got, want)

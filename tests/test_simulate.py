@@ -5,19 +5,18 @@ import numpy as np
 import pytest
 
 from lqglm import (
-    FitControl,
     LqglmError,
     ModelData,
     SimDesign,
     UsageError,
     contaminate,
-    fit_mlq,
     rng_stream,
     run_study,
 )
 from lqglm import simulate
 from lqglm.fit import BLOCK
-from lqglm.simulate import MAX_ITER, TOL, _draw, _replicates
+from lqglm.simulate import _draw, _replicates
+from conftest import fit_result, stack, staged_fits
 
 
 class TestGenDataset:
@@ -253,7 +252,8 @@ class TestRunStudy:
 
     def test_q_with_every_replicate_failed(self, monkeypatch):
         # with no iterations allowed, no fit converges: NaN summaries, flagged
-        monkeypatch.setattr(simulate, "MAX_ITER", 0)
+        no_steps = replace(simulate._STUDY_CONTROL, max_iter=0)
+        monkeypatch.setattr(simulate, "_STUDY_CONTROL", no_steps)
         report = run_study(SimDesign(n=50, reps=4, q_list=(1.0, 0.9), seed=81))
         for row in report.rows:
             assert np.isnan(row["bias"]) and np.isnan(row["iqr"])
@@ -305,29 +305,27 @@ class TestPercentilePair:
 class TestBatchedReplicates:
     @staticmethod
     def _one_replicate(design, k):
-        """The per-replicate loop the batch replaces: fit_mlq on one dataset."""
+        """The per-replicate loop the batch replaces: replicate k alone, by
+        the per-row reference under the study's control, its calibrated
+        estimate at each q of ``design.q_list``, NaN where the fit failed or
+        did not converge."""
         rng = rng_stream(design.seed, k)
         X, y = _draw(design, rng)
         data = ModelData(X, contaminate(y, design.eps, design.nu, rng)[0], "poisson")
-        ctl = FitControl(max_iter=MAX_ITER, tol=TOL)
-        out = {q: np.full(len(design.beta_true), np.nan) for q in design.q_list}
-        fit1 = fit_mlq(data, ctl)
-        if fit1.converged:
-            out[1.0] = fit1.beta_q
-        start = fit1.beta_star
-        for q in sorted(design.q_list, reverse=True)[1:]:
+        qs = sorted(set(design.q_list), reverse=True)
+        out = {q: np.full(len(design.beta_true), np.nan) for q in qs}
+        for q, (prob, res) in zip(qs, staged_fits(stack([data]), qs, simulate._STUDY_CONTROL)):
             try:
-                res = fit_mlq(data, replace(ctl, q=q, init=start))
+                fit = fit_result(data, prob, q, res)
             except LqglmError:
                 continue
-            if res.converged:
-                out[q] = res.beta_q
-                start = res.beta_star
+            if fit.converged:
+                out[q] = fit.beta_q
         return np.array([out[q] for q in design.q_list])
 
     def test_rows_equal_single_fits_byte_for_byte(self):
         # batch composition never changes a row: every replicate of the
-        # batch equals fit_mlq run on that replicate alone
+        # batch equals that replicate fitted alone
         # heavy contamination: some q = 0.91 fits hit the iteration cap
         design = SimDesign(n=400, eps=0.25, nu=5.0, reps=12, q_list=(1.0, 0.97, 0.91), seed=3)
         est = _replicates(design, range(design.reps))

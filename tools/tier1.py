@@ -19,8 +19,8 @@ acceptance checks print, passing or failing (pytest's
 ``junit_logging=system-out`` keeps each test's stdout in the report), so
 that a change can quote their figures before and after; the suite's wall
 time and its five slowest tests, as the report records them; and the line
-count of ``src/lqglm/*.py`` with each module's count beside it, so that a
-change shows where its lines went.
+counts of ``src/lqglm/*.py`` and of ``tests/*.py``, each file's count beside
+its total, so that a change shows where its lines went.
 """
 
 import os
@@ -95,11 +95,10 @@ def timings(report):
     return float(suite.get("time", 0.0)), cases[:SLOWEST]
 
 
-def source_lines():
-    """The number of lines of each of the package's modules,
-    ``src/lqglm/*.py``, by module name in sorted order."""
-    return {p.stem: len(p.read_text().splitlines())
-            for p in sorted((ROOT / "src" / "lqglm").glob("*.py"))}
+def line_counts(folder):
+    """The number of lines of each ``*.py`` file of ``folder``, by module
+    name in sorted order."""
+    return {p.stem: len(p.read_text().splitlines()) for p in sorted((ROOT / folder).glob("*.py"))}
 
 
 def main():
@@ -134,9 +133,10 @@ def main():
     print(f"tier1: wall time {wall:.1f} s; slowest tests:")
     for seconds, test in slowest:
         print(f"tier1: {seconds:6.2f} s  {test}")
-    lines = source_lines()
-    print(f"tier1: src/lqglm/*.py has {sum(lines.values())} lines ("
-          + ", ".join(f"{name} {n}" for name, n in lines.items()) + ")")
+    for folder in ("src/lqglm", "tests"):
+        lines = line_counts(folder)
+        print(f"tier1: {folder}/*.py has {sum(lines.values())} lines ("
+              + ", ".join(f"{name} {n}" for name, n in lines.items()) + ")")
     ok = set(failed) == set(DOCUMENTED) and not moved
     print(f"tier1: {len(passed)} passed, {len(failed)} failed "
           f"({len(set(failed) & set(DOCUMENTED))} of the {len(DOCUMENTED)} documented, "
